@@ -240,7 +240,9 @@ def cmd_induce(args) -> Report:
 
 
 def cmd_suite(args) -> Report:
-    only = set(args.criteria.split(",")) if args.criteria else None
+    only = None
+    if args.criteria is not None:
+        only = {k.strip() for k in args.criteria.split(",")} - {""}
     lines = []
     total = run_suite(seed=args.seed, only=only, out=lines.append)
     r = Report("suite")

@@ -4,9 +4,19 @@
 module; ``square_model`` is the special case of trivial fibers, whose squares
 are exactly the commuting edge quadruples of the base groupoid.  ``gamma``
 goes back: it reads a crossed module off a model using only the model's own
-compositions and degeneracies.  Exhaustive law sweeps (units, inverses,
-associativity, interchange, thin closure) run over integer composition
-tables so that six-figure quadruple counts stay affordable.
+compositions and degeneracies.
+
+Exhaustive law sweeps (associativity, interchange) run on an integer kernel.
+Each model is encoded once as int arrays (``SquareCode``): base composition,
+fiber multiplication over global element ids, the action as element x arrow
+-> element, and per square its element and four edges.  ``DgtModel.tables``
+builds the composition tables ``H``/``V`` from those arrays with numpy
+formulas, one block per pasting edge.  A sweep groups its outer square by
+edge class: every square in a class shares its partner tuples, so each costs
+two flat gathers per arrangement.  The object-level calculus
+(``squares.comp_h``/``comp_v``) stays the readable oracle, and
+``count_compatible_quadruples`` reads only the edges, never a table, so it
+checks the sweeps' coverage independently.
 """
 
 import itertools
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossed import CrossedModuleData, trivial_crossed_module, validate_crossed_module
-from .errors import InvalidCrossedModule, InvalidDgt
+from .errors import InvalidCrossedModule, InvalidDgt, SizeLimit
 from .finite import FiniteGroup, FiniteGroupoid
 from .reporting import LawReport
 from .squares import (
@@ -36,13 +46,105 @@ from .squares import (
 
 _EDGES = ("top", "right", "bottom", "left")
 
+# Largest combined size of the two composition tables tables() will allocate.
+# It also keeps every flat table index below 2**31.
+MAX_TABLE_BYTES = 1 << 28
+
+# Partner tuples a sweep handles at once; bounds its temporaries.
+_CHUNK = 1 << 14
+
+
+@dataclass
+class SquareCode:
+    """A model's squares as int arrays; -1 marks an undefined product.
+
+    Arrows are numbered in sorted order and fiber elements globally, object
+    by object.  ``E, T, R, B, L`` give each square's element and its top,
+    right, bottom and left edges.
+    """
+
+    arrows: int
+    comp: np.ndarray  # arrow x arrow -> arrow
+    mul: np.ndarray   # element x element -> element, within one fiber
+    act: np.ndarray   # element x arrow -> element, m^p
+    E: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    B: np.ndarray
+    L: np.ndarray
+
+    def key(self, elt, top, right, left):
+        """One integer per (element, top, right, left); the bottom follows."""
+        a = self.arrows
+        return ((elt * a + top) * a + right) * a + left
+
+
+def _encode(xm: CrossedModuleData, squares) -> SquareCode:
+    P = xm.base
+    arrows = {a: i for i, a in enumerate(sorted(P.arrows))}
+    elts = {}
+    for s in sorted(P.objects):
+        for m in xm.fibers[s].elements:
+            elts[(s, m)] = len(elts)
+    comp = np.full((len(arrows), len(arrows)), -1, np.intp)
+    for (a, b), ab in P.table.items():
+        comp[arrows[a], arrows[b]] = arrows[ab]
+    mul = np.full((len(elts), len(elts)), -1, np.intp)
+    for s in P.objects:
+        M = xm.fibers[s]
+        for m, n in itertools.product(M.elements, repeat=2):
+            mul[elts[(s, m)], elts[(s, n)]] = elts[(s, M.mul(m, n))]
+    act = np.full((len(elts), len(arrows)), -1, np.intp)
+    for p, i in arrows.items():
+        for m in xm.fibers[P.src[p]].elements:
+            act[elts[(P.src[p], m)], i] = elts[(P.dst[p], xm.action[(m, p)])]
+    cols = np.array(
+        [(elts[(P.dst[s.right], s.elt)], arrows[s.top], arrows[s.right],
+          arrows[s.bottom], arrows[s.left]) for s in squares],
+        dtype=np.intp,
+    ).reshape(-1, 5)
+    return SquareCode(len(arrows), comp, mul, act, *(cols[:, k].copy() for k in range(5)))
+
+
+class _Groups:
+    """Square indices grouped by an integer key, each group in model order."""
+
+    def __init__(self, keys: np.ndarray, size: int):
+        self.order = np.argsort(keys, kind="stable")
+        self.count = np.bincount(keys, minlength=size)
+        self.start = np.cumsum(self.count) - self.count
+
+    def members(self, k) -> np.ndarray:
+        return self.order[self.start[k]:self.start[k] + self.count[k]]
+
+    def extend(self, prefix: tuple, key: np.ndarray):
+        """Extend each prefix tuple by every member of its group ``key``.
+
+        Yields (*prefix, member) as arrays, in prefix order with members
+        ascending, in chunks of about ``_CHUNK`` tuples.
+        """
+        count = self.count[key]
+        ends = np.cumsum(count)
+        lo = 0
+        while lo < len(key):
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+            c = count[lo:hi]
+            if ends[hi - 1] > base:
+                offset = np.repeat(self.start[key[lo:hi]] - (np.cumsum(c) - c), c)
+                member = self.order[offset + np.arange(ends[hi - 1] - base)]
+                yield (*(np.repeat(p[lo:hi], c) for p in prefix), member)
+            lo = hi
+
 
 @dataclass
 class SquareTables:
-    """Integer-indexed composition tables; -1 marks an undefined pasting."""
+    """Integer-indexed composition tables; -1 marks an undefined pasting.
 
-    squares: list[Square]
-    index: dict[tuple, int]
+    ``H[i, j]`` is the index of comp_h(squares[i], squares[j]) and ``V[i, j]``
+    that of comp_v; int16 below 32,768 squares, int32 above.
+    """
+
     H: np.ndarray
     V: np.ndarray
 
@@ -58,17 +160,13 @@ class DgtModel:
     connections_minus: dict[str, Square]
     connections_plus: dict[str, Square]
     index: dict[tuple, int] = field(default=None, repr=False)
-    _by_edge: dict = field(default=None, repr=False)
-    _tables: SquareTables = field(default=None, repr=False)
+    _edge_index: dict = field(default_factory=dict, init=False, repr=False)
+    _code: SquareCode = field(default=None, init=False, repr=False)
+    _tables: SquareTables = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.index is None:
             self.index = {s.key(): i for i, s in enumerate(self.squares)}
-        by_edge = {e: {} for e in _EDGES}
-        for s in self.squares:
-            for e in _EDGES:
-                by_edge[e].setdefault(getattr(s, e), []).append(s)
-        self._by_edge = by_edge
 
     def __contains__(self, s: Square) -> bool:
         return s.key() in self.index
@@ -81,20 +179,20 @@ class DgtModel:
         return [s for s in self.squares if is_thin(s)]
 
     def squares_with(self, **edges) -> list[Square]:
-        """All squares whose named edges carry the given arrows."""
-        pools = []
-        for e, val in edges.items():
+        """All squares whose named edges carry the given arrows, in model order."""
+        for e in edges:
             if e not in _EDGES:
                 raise ValueError(f"unknown edge {e!r}")
-            pools.append(self._by_edge[e].get(val, []))
-        if not pools:
+        if not edges:
             return list(self.squares)
-        smallest = min(pools, key=len)
-        return [
-            s
-            for s in smallest
-            if all(getattr(s, e) == val for e, val in edges.items())
-        ]
+        names = tuple(sorted(edges))
+        index = self._edge_index.get(names)
+        if index is None:
+            index = {}
+            for s in self.squares:
+                index.setdefault(tuple(getattr(s, e) for e in names), []).append(s)
+            self._edge_index[names] = index
+        return list(index.get(tuple(edges[e] for e in names), ()))
 
     # The two compositions, degeneracies, connections and inverses just
     # delegate to the square calculus over self.xm.
@@ -122,24 +220,50 @@ class DgtModel:
     def random_square(self, rng: random.Random) -> Square:
         return self.squares[rng.randrange(len(self.squares))]
 
+    def code(self) -> SquareCode:
+        if self._code is None:
+            self._code = _encode(self.xm, self.squares)
+        return self._code
+
     def tables(self) -> SquareTables:
+        """Both composition tables, built once; SizeLimit past MAX_TABLE_BYTES."""
         if self._tables is None:
-            squares = list(self.squares)
-            index = dict(self.index)
-            n = len(squares)
-            H = np.full((n, n), -1, dtype=np.int32)
-            V = np.full((n, n), -1, dtype=np.int32)
-            by_left = {}
-            by_top = {}
-            for j, s in enumerate(squares):
-                by_left.setdefault(s.left, []).append(j)
-                by_top.setdefault(s.top, []).append(j)
-            for i, s in enumerate(squares):
-                for j in by_left.get(s.right, ()):
-                    H[i, j] = index[comp_h(s, squares[j]).key()]
-                for j in by_top.get(s.bottom, ()):
-                    V[i, j] = index[comp_v(s, squares[j]).key()]
-            self._tables = SquareTables(squares, index, H, V)
+            n = len(self.squares)
+            dtype = np.dtype(np.int16 if n < 1 << 15 else np.int32)
+            need = 2 * n * n * dtype.itemsize
+            if need > MAX_TABLE_BYTES:
+                raise SizeLimit(
+                    f"{self.name}: composition tables for {n} squares need "
+                    f"{need} bytes, over the limit of {MAX_TABLE_BYTES}"
+                )
+            c = self.code()
+            keys = c.key(c.E, c.T, c.R, c.L)
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
+
+            def fill(table, label, I, J, elt, top, right, bottom, left):
+                q = c.key(elt, top, right, left)
+                pos = np.minimum(np.searchsorted(sorted_keys, q), n - 1)
+                idx = order[pos]
+                if not ((sorted_keys[pos] == q) & (c.B[idx] == bottom)).all():
+                    raise InvalidDgt(f"{self.name}: a {label} composite escapes the model")
+                table[np.ix_(I, J)] = idx
+
+            H = np.full((n, n), -1, dtype)
+            V = np.full((n, n), -1, dtype)
+            by = {e: _Groups(getattr(c, e), c.arrows) for e in "TRBL"}
+            for e in range(c.arrows):
+                # left square i, right square j pasted along their vertical edge e
+                I, J = by["R"].members(e), by["L"].members(e)
+                i, j = I[:, None], J[None, :]
+                fill(H, "horizontal", I, J, c.mul[c.act[c.E[i], c.B[j]], c.E[j]],
+                     c.comp[c.T[i], c.T[j]], c.R[j], c.comp[c.B[i], c.B[j]], c.L[i])
+                # upper square i, lower square j pasted along their horizontal edge e
+                I, J = by["B"].members(e), by["T"].members(e)
+                i, j = I[:, None], J[None, :]
+                fill(V, "vertical", I, J, c.mul[c.E[j], c.act[c.E[i], c.R[j]]],
+                     c.T[i], c.comp[c.R[i], c.R[j]], c.B[j], c.comp[c.L[i], c.L[j]])
+            self._tables = SquareTables(H, V)
         return self._tables
 
 
@@ -208,72 +332,100 @@ def comp_h_unconjugated(left: Square, right: Square):
     )
 
 
+def _class_sweep(x_class: np.ndarray, classes: int, partners, evaluate):
+    """Check one law for every outer square, grouped by its edge class.
+
+    Every square x with ``x_class[x] == k`` shares the partner tuples that
+    ``partners(k)`` yields in scan order, as chunks ``(members, aux)``:
+    ``members`` holds one index array per partner square and ``aux`` is
+    handed to ``evaluate(x, aux)``, which returns the law's two sides.
+    Returns (checks, violations, first) with ``first`` the violation
+    ``(x, *partners)`` that comes first in (x, scan) order, or None.
+    """
+    groups = _Groups(x_class, classes)
+    checked = bad = 0
+    first = None
+    for k in np.flatnonzero(groups.count):
+        xs = groups.members(k)
+        for members, aux in partners(k):
+            checked += len(xs) * len(members[0])
+            for x in xs:
+                lhs, rhs = evaluate(x, aux)
+                miss = lhs != rhs
+                nb = int(np.count_nonzero(miss))
+                if nb:
+                    bad += nb
+                    # within a class chunks come in scan order, so the first
+                    # hit for x is its earliest
+                    if first is None or x < first[0]:
+                        i = int(np.argmax(miss))
+                        first = (int(x), *(int(m[i]) for m in members))
+    return checked, bad, first
+
+
+def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
+    """Interchange on every edge-compatible 2x2 arrangement, read from H/V.
+
+    ``[[x, y], [z, w]]`` holds when V[H[x, y], H[z, w]] == H[V[x, z], V[y, w]].
+    Squares x are grouped by (x.right, x.bottom): all x in a class share
+    their (y, z, w) triples, so H[z, w] and V[y, w] are gathered once per
+    class.  Returns (checked, violations, first violating (x, y, z, w) in
+    the scan order x, z, y, w, or None).
+    """
+    c = model.code()
+    a, n = c.arrows, len(model.squares)
+    by_left, by_top = _Groups(c.L, a), _Groups(c.T, a)
+    by_corner = _Groups(c.L * a + c.T, a * a)
+    Hf, Vf = H.ravel(), V.ravel()
+
+    def partners(k):
+        ys, zs = by_left.members(k // a), by_top.members(k % a)
+        z0, y0 = np.repeat(zs, len(ys)), np.tile(ys, len(zs))
+        for z, y, w in by_corner.extend((z0, y0), c.R[z0] * a + c.B[y0]):
+            yield (y, z, w), (y, z, Hf.take(z * n + w).astype(np.intp),
+                              Vf.take(y * n + w).astype(np.intp))
+
+    def evaluate(x, aux):
+        y, z, hzw, vyw = aux
+        at = (H[x].astype(np.intp) * n).take(y)
+        at += hzw
+        lhs = Vf.take(at)
+        at = (V[x].astype(np.intp) * n).take(z)
+        at += vyw
+        return lhs, Hf.take(at)
+
+    return _class_sweep(c.R * a + c.B, a * a, partners, evaluate)
+
+
 def interchange_exhaustive(model: DgtModel) -> tuple[int, int, tuple | None]:
     """Check interchange on every edge-compatible 2x2 arrangement.
 
-    Returns (number of quadruples checked, number of violations, first
-    violating quadruple of square indices or None).
+    Runs ``interchange_sweep`` on the model's own integer tables.  Returns
+    (number of quadruples checked, number of violations, first violating
+    quadruple of square indices or None).
     """
     t = model.tables()
-    H, V = t.H, t.V
-    n = len(t.squares)
-    h_valid = [np.nonzero(H[i] >= 0)[0] for i in range(n)]
-    v_valid = [np.nonzero(V[i] >= 0)[0] for i in range(n)]
-    checked = 0
-    bad = 0
-    first = None
-    for x in range(n):
-        ys = h_valid[x]
-        zs = v_valid[x]
-        if not len(ys) or not len(zs):
-            continue
-        p = H[x, ys]
-        Vy = V[ys]
-        r = V[x, zs]
-        for zi, z in enumerate(zs):
-            ws = h_valid[z]
-            if not len(ws):
-                continue
-            q = H[z, ws]
-            vyw = Vy[:, ws]
-            mask = vyw >= 0
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            checked += cnt
-            lhs = V[p[:, None], q[None, :]]
-            rhs = H[r[zi], np.where(mask, vyw, 0)]
-            viol = mask & (lhs != rhs)
-            nb = int(viol.sum())
-            if nb:
-                bad += nb
-                if first is None:
-                    yi, wi = map(int, np.argwhere(viol)[0])
-                    first = (x, int(ys[yi]), z, int(ws[wi]))
-    return checked, bad, first
+    return interchange_sweep(model, t.H, t.V)
 
 
 def count_compatible_quadruples(model: DgtModel) -> int:
     """Independent count of edge-compatible 2x2 arrangements.
 
-    Uses only edge bookkeeping (no composition tables): a quadruple
-    [[x, y], [z, w]] is determined by x, a right-edge match for y, a
-    bottom-edge match for z, and a (left, top) match for w.
+    Uses only edge bookkeeping (no composition tables): [[x, y], [z, w]] is
+    x, then y with y.left = x.right, z with z.top = x.bottom and w with
+    (w.left, w.top) = (z.right, y.bottom).  With N(p, q) the matrix counting
+    squares by a pair of edges, the total is the contraction
+    sum N(R,B)[r,b] N(L,B)[r,b'] N(T,R)[b,r'] N(L,T)[r',b'].
     """
-    pair_count: dict[tuple[str, str], int] = {}
-    for s in model.squares:
-        pair_count[(s.left, s.top)] = pair_count.get((s.left, s.top), 0) + 1
-    by_left: dict[str, list[Square]] = {}
-    by_top: dict[str, list[Square]] = {}
-    for s in model.squares:
-        by_left.setdefault(s.left, []).append(s)
-        by_top.setdefault(s.top, []).append(s)
-    total = 0
-    for x in model.squares:
-        for y in by_left.get(x.right, ()):
-            for z in by_top.get(x.bottom, ()):
-                total += pair_count.get((z.right, y.bottom), 0)
-    return total
+    c = model.code()
+    a = c.arrows
+
+    def pairs(p, q):
+        return np.bincount(p * a + q, minlength=a * a).reshape(a, a)
+
+    upper = pairs(c.R, c.B).T @ pairs(c.L, c.B)  # [x.bottom, y.bottom]
+    lower = pairs(c.T, c.R) @ pairs(c.L, c.T)    # [z.top, w.top]
+    return int((upper.astype(object) * lower).sum())
 
 
 def find_interchange_counterexample(model: DgtModel, comp2=comp_h, limit: int | None = None):
@@ -299,35 +451,27 @@ def find_interchange_counterexample(model: DgtModel, comp2=comp_h, limit: int | 
     return None
 
 
-def _assoc_sweep(table: np.ndarray, squares: list[Square], edge_out, edge_in) -> tuple[int, int]:
-    """Exhaustive associativity over one composition table."""
-    n = len(squares)
-    groups: dict[str, np.ndarray] = {}
-    for j, s in enumerate(squares):
-        groups.setdefault(edge_in(s), None)
-    for e in groups:
-        groups[e] = np.array(
-            [j for j, s in enumerate(squares) if edge_in(s) == e], dtype=np.int64
-        )
-    checked = 0
-    bad = 0
-    for x in range(n):
-        ys = groups.get(edge_out(squares[x]))
-        if ys is None or not len(ys):
-            continue
-        p = table[x, ys]
-        # group the middle factors by their outgoing edge
-        for e, zs in groups.items():
-            sel = [yi for yi, y in enumerate(ys) if edge_out(squares[y]) == e]
-            if not sel or not len(zs):
-                continue
-            ysel = ys[sel]
-            psel = p[sel]
-            inner = table[ysel[:, None], zs[None, :]]
-            lhs = table[psel[:, None], zs[None, :]]
-            rhs = table[x, inner]
-            checked += lhs.size
-            bad += int((lhs != rhs).sum())
+def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
+                 edge_in: np.ndarray) -> tuple[int, int]:
+    """Exhaustive associativity over one composition table.
+
+    Squares x are grouped by their outgoing edge; every x in a class shares
+    its composable (y, z) pairs and their products table[y, z].
+    """
+    n, a = len(table), model.code().arrows
+    tf = table.ravel()
+    by_in = _Groups(edge_in, a)
+
+    def partners(e):
+        ys = by_in.members(e)
+        for y, z in by_in.extend((ys,), edge_out[ys]):
+            yield (y, z), (y, z, tf.take(y * n + z))
+
+    def evaluate(x, aux):
+        y, z, inner = aux
+        return tf.take((table[x].astype(np.intp) * n).take(y) + z), table[x].take(inner)
+
+    checked, bad, _ = _class_sweep(edge_out, a, partners, evaluate)
     return checked, bad
 
 
@@ -339,6 +483,7 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     the quadruple count stays below 2e8, sampled otherwise).
     """
     report = LawReport(f"dgt {model.name}")
+    t = model.tables()  # first, so an oversized model fails before any sweep
     P = model.edges
     for s in model.squares:
         report.count()
@@ -382,15 +527,14 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
         vi = inv_v(s)
         if vi not in model or comp_v(s, vi) != model.eps_v(s.top):
             report.fail("v-inverse", f"inv_v fails at {s}")
-    t = model.tables()
     report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
-    # composites stay inside the model by construction of the tables; any
-    # KeyError would have surfaced while building them.
-    ch, bh = _assoc_sweep(t.H, t.squares, lambda s: s.right, lambda s: s.left)
+    # composites stay inside the model: tables() checked every one
+    c = model.code()
+    ch, bh = _assoc_sweep(model, t.H, c.R, c.L)
     report.count(ch)
     if bh:
         report.fail("h-associativity", f"{bh} violating triples")
-    cv, bv = _assoc_sweep(t.V, t.squares, lambda s: s.bottom, lambda s: s.top)
+    cv, bv = _assoc_sweep(model, t.V, c.B, c.T)
     report.count(cv)
     if bv:
         report.fail("v-associativity", f"{bv} violating triples")

@@ -128,5 +128,9 @@ class DuplicateName(GpdError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+class UnreadableWorkspace(GpdError):
+    """A workspace file could not be opened or decoded."""
+
+
 class UnknownCommand(GpdError):
     """CLI dispatch received a command it does not know."""

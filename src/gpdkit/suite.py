@@ -28,7 +28,7 @@ from .dgt import (
     square_model,
 )
 from .eckmann import eckmann_hilton_scan
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, UnknownCommand
 from .finite import (
     cyclic_group,
     even_elements,
@@ -415,10 +415,20 @@ CRITERIA = [
 
 
 def run_suite(seed: int = 0, only: set[str] | None = None, out=print) -> Report:
-    """Run the battery; one line per criterion, aggregated into one report."""
+    """Run the battery; one line per criterion, aggregated into one report.
+
+    ``only`` selects criteria by key; an empty selection or an unknown key
+    raises UnknownCommand rather than running nothing.
+    """
+    if only is not None:
+        if not only:
+            raise UnknownCommand("empty criterion selection")
+        unknown = sorted(set(only) - {key for key, _, _ in CRITERIA})
+        if unknown:
+            raise UnknownCommand(f"no criterion matches {', '.join(unknown)}")
     total = Report("suite")
     for key, fn, blurb in CRITERIA:
-        if only and key not in only:
+        if only is not None and key not in only:
             continue
         t0 = time.perf_counter()
         rep = fn(seed=seed)

@@ -17,7 +17,7 @@ from .crossed import (
     from_normal_subgroup,
     trivial_crossed_module,
 )
-from .errors import DuplicateName, ParseError, UnresolvedReference
+from .errors import DuplicateName, ParseError, UnreadableWorkspace, UnresolvedReference
 from .finite import (
     FiniteGroup,
     FiniteGroupoid,
@@ -632,8 +632,12 @@ def parse_workspace(files) -> Workspace:
             path, content = f
         else:
             path = str(f)
-            with open(f, "r", encoding="utf-8") as fh:
-                content = fh.read()
+            try:
+                with open(f, "r", encoding="utf-8") as fh:
+                    content = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise UnreadableWorkspace(f"cannot read {path}: {reason}") from exc
         for block in _blocks(path, content):
             head = block[0].text.split(None, 1)[0].rstrip(":")
             _BLOCK_DISPATCH[head](parser, block)

@@ -207,3 +207,55 @@ def test_golden_machine_outputs(capsys):
         capsys,
     )
     assert code == 0 and out == GOLDEN_VERTEX_GROUP
+
+
+@pytest.mark.parametrize("selection, witness", [
+    ("99", "WITNESS no criterion matches 99"),
+    ("1,99", "WITNESS no criterion matches 99"),
+    ("", "WITNESS empty criterion selection"),
+    (",", "WITNESS empty criterion selection"),
+])
+def test_suite_rejects_unknown_or_empty_selection(capsys, selection, witness):
+    code, out = run_cli(["--format", "machine", "suite", "--criteria", selection], capsys)
+    assert code == 1
+    assert witness in out.splitlines()
+    assert "CRITERION" not in out
+    assert out.rstrip().endswith("RESULT fail")
+
+
+def test_missing_workspace_file_fails_with_its_name(capsys, tmp_path):
+    missing = tmp_path / "missing.vk"
+    code, out = run_cli(["--format", "machine", "check", str(missing)], capsys)
+    assert code == 1
+    assert f"WITNESS cannot read {missing}: No such file or directory" in out.splitlines()
+    assert out.rstrip().endswith("RESULT fail")
+
+
+def test_oversized_model_fails_before_allocating_its_tables(tmp_path):
+    # 55,296 squares over S4: the two int32 tables would need about 24 GB
+    ws = tmp_path / "v4s4.vk"
+    ws.write_text(
+        "group s4 = symmetric(4)\n"
+        "xmod v = normal(s4, {e, (12)(34), (13)(24), (14)(23)})\n"
+    )
+    script = (
+        "import resource, sys\n"
+        "from gpdkit.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('PEAK_KB', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--format", "machine", "xmod", "lambda", str(ws)],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert (
+        "WITNESS squares(v): composition tables for 55296 squares need "
+        "24461180928 bytes, over the limit of 268435456"
+    ) in lines
+    assert "RESULT fail" in lines
+    peak_kb = int(lines[-1].split()[1])
+    assert peak_kb < 256 * 1024

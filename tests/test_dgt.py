@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gpdkit.crossed import CrossedModuleData, validate_crossed_module
@@ -11,6 +13,7 @@ from gpdkit.dgt import (
     find_xmod_isomorphism,
     gamma,
     interchange_exhaustive,
+    interchange_sweep,
     lambda_functor,
     square_model,
     thin_candidate_family,
@@ -20,7 +23,7 @@ from gpdkit.dgt import (
 from gpdkit.errors import InvalidCrossedModule
 from gpdkit.finite import cyclic_group, group_as_groupoid, symmetric_group, trivial_group
 from gpdkit.grids import Grid, grid_compose
-from gpdkit.squares import comp_h, is_thin
+from gpdkit.squares import comp_h, comp_v, is_thin
 
 
 def brute_square_count(xm):
@@ -104,11 +107,12 @@ def test_quadruple_count_formula(a3s3_model):
     assert count_compatible_quadruples(a3s3_model) == 648 * 108 * 108 * 18
 
 
-def test_interchange_sweep_small_model(sq_c2):
-    checked, bad, first = interchange_exhaustive(sq_c2)
-    assert bad == 0
-    assert checked == count_compatible_quadruples(sq_c2)
-    assert first is None
+def test_interchange_sweep_small_model(sq_c2, sq_interval_s3):
+    for model in (sq_c2, sq_interval_s3):
+        checked, bad, first = interchange_exhaustive(model)
+        assert bad == 0
+        assert checked == count_compatible_quadruples(model)
+        assert first is None
 
 
 def test_interchange_counterexample_scan(sq_c2):
@@ -237,3 +241,109 @@ def test_validate_dgt_auto_runs_exhaustive_on_a3s3(a3s3_model):
     report = validate_dgt(a3s3_model, interchange="auto")
     assert report.ok
     assert report.checks > 136_048_896
+
+
+def assert_tables_match_calculus(model, pairs):
+    """Each H/V entry is the object-level composite, or -1 off matching edges."""
+    t = model.tables()
+    sq = model.squares
+    for i, j in pairs:
+        x, y = sq[i], sq[j]
+        h = model.index[comp_h(x, y).key()] if x.right == y.left else -1
+        v = model.index[comp_v(x, y).key()] if x.bottom == y.top else -1
+        assert (t.H[i, j], t.V[i, j]) == (h, v), (x, y)
+
+
+def test_tables_match_calculus_exhaustively(sq_c2, sq_s3, aut_c3_model, sq_interval_s3):
+    assert aut_c3_model.size() == 24
+    assert sq_interval_s3.size() == 16 + 216
+    for model in (sq_c2, sq_s3, aut_c3_model, sq_interval_s3):
+        n = model.size()
+        assert model.tables().H.dtype == np.int16
+        assert_tables_match_calculus(model, itertools.product(range(n), repeat=2))
+
+
+def test_tables_match_calculus_on_a_sample(a3s3_model, aut_s3_model):
+    rng = random.Random(11)
+    for model in (a3s3_model, aut_s3_model):
+        pairs = []
+        for k in range(5000):
+            i = rng.randrange(model.size())
+            x = model.squares[i]
+            # a third each: pasted right, pasted below, any square
+            partners = (model.squares_with(left=x.right), model.squares_with(top=x.bottom),
+                        model.squares)[k % 3]
+            pairs.append((i, model.index[rng.choice(partners).key()]))
+        assert_tables_match_calculus(model, pairs)
+
+
+def test_sweep_counts_every_violation_of_a_corrupted_pasting(aut_c3_model):
+    model = aut_c3_model
+    sq = model.squares
+    n = model.size()
+    H = np.full((n, n), -1, np.int16)
+    for i, x in enumerate(sq):
+        for y in model.squares_with(left=x.right):
+            H[i, model.index[y.key()]] = model.index[comp_h_unconjugated(x, y).key()]
+    checked, bad, first = interchange_sweep(model, H, model.tables().V)
+    # object-level brute force, in the sweep's scan order x, z, y, w
+    violations = []
+    for x in sq:
+        for z in model.squares_with(top=x.bottom):
+            for y in model.squares_with(left=x.right):
+                for w in model.squares_with(left=z.right, top=y.bottom):
+                    rows_first = comp_v(comp_h_unconjugated(x, y), comp_h_unconjugated(z, w))
+                    cols_first = comp_h_unconjugated(comp_v(x, z), comp_v(y, w))
+                    if rows_first != cols_first:
+                        violations.append((x, y, z, w))
+    assert checked == count_compatible_quadruples(model) == 24 * 12 * 12 * 6
+    assert 0 < bad == len(violations) < checked
+    x, y, z, w = (sq[i] for i in first)
+    assert (x, y, z, w) == violations[0]
+    assert comp_v(comp_h_unconjugated(x, y), comp_h_unconjugated(z, w)) != comp_h_unconjugated(
+        comp_v(x, z), comp_v(y, w))
+    # the real tables pass on the same model
+    assert interchange_exhaustive(model) == (checked, 0, None)
+
+
+def loop_quadruple_count(model):
+    """Reference: the nested-loop count over edge bookkeeping."""
+    pair_count = {}
+    by_left, by_top = {}, {}
+    for s in model.squares:
+        pair_count[(s.left, s.top)] = pair_count.get((s.left, s.top), 0) + 1
+        by_left.setdefault(s.left, []).append(s)
+        by_top.setdefault(s.top, []).append(s)
+    total = 0
+    for x in model.squares:
+        for y in by_left.get(x.right, ()):
+            for z in by_top.get(x.bottom, ()):
+                total += pair_count.get((z.right, y.bottom), 0)
+    return total
+
+
+def test_quadruple_contraction_matches_the_loop(sq_c2, sq_s3, aut_c3_model, sq_interval_s3):
+    for model in (sq_c2, sq_s3, aut_c3_model, sq_interval_s3):
+        assert count_compatible_quadruples(model) == loop_quadruple_count(model)
+
+
+def test_quadruple_count_closed_forms(a3s3_model, aut_s3_model):
+    # one object, n arrows, fiber of order k: k*n^3 choices of x, k*n^2 of
+    # y and of z, k*n of w, so n^8 k^4 arrangements
+    assert count_compatible_quadruples(a3s3_model) == 6**8 * 3**4 == 136_048_896
+    assert count_compatible_quadruples(aut_s3_model) == 6**8 * 6**4 == 2_176_782_336
+
+
+def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model):
+    rng = random.Random(5)
+    edges = ("top", "right", "bottom", "left")
+    for _ in range(60):
+        s = a3s3_model.random_square(rng)
+        want = {e: getattr(s, e) for e in rng.sample(edges, rng.randint(1, 4))}
+        assert a3s3_model.squares_with(**want) == [
+            q for q in a3s3_model.squares if all(getattr(q, e) == v for e, v in want.items())
+        ]
+    assert a3s3_model.squares_with(left="nope") == []
+    assert a3s3_model.squares_with() == list(a3s3_model.squares)
+    with pytest.raises(ValueError):
+        a3s3_model.squares_with(diagonal="e")
