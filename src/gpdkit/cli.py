@@ -12,7 +12,7 @@ import time
 from . import textfmt
 from .crossed import validate_crossed_module
 from .cubes import commutativity_oracle, fold_five_faces
-from .dgt import gamma, lambda_functor, validate_dgt
+from .dgt import find_xmod_isomorphism, gamma, lambda_functor, validate_dgt
 from .eckmann import eckmann_hilton_scan
 from .errors import GpdError, UnknownCommand
 from .finite import standard_battery, validate_finite_group, validate_finite_groupoid
@@ -20,10 +20,15 @@ from .freemodules import induce_free_module
 from .grids import grid_compose
 from .morphisms import enumerate_morphisms
 from .report import Report, emit
-from .reporting import LawReport
 from .squares import comp_h, comp_v, inv_h, inv_v, recheck_boundary
 from .suite import run_suite
 from .vkt import check_pushout_universal, pushout, tietze_simplify, vertex_group, Pushout
+
+
+def _name(args) -> str:
+    """The report's name: the command, then its action if it takes one."""
+    action = getattr(args, "action", None)
+    return f"{args.command}-{action}" if action else args.command
 
 
 def _load(args) -> textfmt.Workspace:
@@ -64,17 +69,17 @@ def cmd_check(args) -> Report:
     for kind, obj in names:
         checked += 1
         if kind == "finite":
-            r.merge_laws(validate_finite_groupoid(obj))
+            r.merge(validate_finite_groupoid(obj))
         elif kind == "group":
-            r.merge_laws(validate_finite_group(obj))
+            r.merge(validate_finite_group(obj))
         elif kind == "xmod":
-            r.merge_laws(validate_crossed_module(obj))
+            r.merge(validate_crossed_module(obj))
         elif kind == "square":
-            law = LawReport(f"square {obj}")
+            law = Report(f"square {obj}")
             law.count()
             if not recheck_boundary(obj):
                 law.fail("boundary", f"{obj} fails the boundary law")
-            r.merge_laws(law)
+            r.merge(law)
         # presentations, morphisms, spans, grids and cubes validate at parse time
     r.counts["objects"] = checked
     return r
@@ -147,7 +152,7 @@ def cmd_check_universal(args) -> Report:
 
 def cmd_square(args) -> Report:
     ws = _load(args)
-    r = Report(f"square-{args.action}")
+    r = Report(_name(args))
     if args.action == "compose":
         left = _the(ws.squares, "square", args.left)
         right = _the(ws.squares, "square", args.right)
@@ -166,7 +171,7 @@ def cmd_grid(args) -> Report:
     ws = _load(args)
     grid = _the(ws.grids, "grid", args.name)
     out = grid_compose(grid)
-    r = Report("grid-compose")
+    r = Report(_name(args))
     r.counts["rows"] = grid.rows
     r.counts["cols"] = grid.cols
     r.payload.append(str(out))
@@ -176,7 +181,7 @@ def cmd_grid(args) -> Report:
 def cmd_cube(args) -> Report:
     ws = _load(args)
     cube = _the(ws.cubes, "cube", args.name)
-    r = Report("cube-check")
+    r = Report(_name(args))
     folded = fold_five_faces(cube)
     commutative = folded == cube.face("d1-")
     r.counts["commutative"] = int(commutative)
@@ -192,21 +197,18 @@ def cmd_cube(args) -> Report:
 def cmd_xmod(args) -> Report:
     ws = _load(args)
     xm = _the(ws.xmods, "xmod", args.name)
-    r = Report(f"xmod-{args.action}")
+    r = Report(_name(args))
     if args.action == "validate":
-        r.merge_laws(validate_crossed_module(xm))
+        r.merge(validate_crossed_module(xm))
     elif args.action == "lambda":
         model = lambda_functor(xm)
         r.counts["squares"] = model.size()
         r.counts["thin"] = len(model.thin_squares)
-        law = validate_dgt(model, interchange="sampled", seed=args.seed, samples=2000)
-        r.merge_laws(law)
+        r.merge(validate_dgt(model, interchange="sampled", seed=args.seed, samples=2000))
     elif args.action == "gamma":
         model = lambda_functor(xm)
         back = gamma(model)
-        r.merge_laws(validate_crossed_module(back))
-        from .dgt import find_xmod_isomorphism
-
+        r.merge(validate_crossed_module(back))
         iso = find_xmod_isomorphism(xm, back)
         r.counts["roundtrip_iso"] = int(iso is not None)
         if iso is None:
@@ -223,7 +225,7 @@ def cmd_eh_scan(args) -> Report:
         r.counts[f"size{n}_monoids"] = t["monoids"]
         r.counts[f"size{n}_interchange_pairs"] = t["interchange_pairs"]
         r.counts[f"size{n}_filtered_out"] = t["filtered_out"]
-    r.merge_laws(law)
+    r.merge(law)
     return r
 
 
@@ -243,14 +245,7 @@ def cmd_suite(args) -> Report:
     only = None
     if args.criteria is not None:
         only = {k.strip() for k in args.criteria.split(",")} - {""}
-    lines = []
-    total = run_suite(seed=args.seed, only=only, out=lines.append)
-    r = Report("suite")
-    r.counts.update(total.counts)
-    r.payload.extend(lines)
-    r.witnesses.extend(total.witnesses)
-    r.status = total.status
-    return r
+    return run_suite(seed=args.seed, only=only)
 
 
 def cmd_morphisms(args) -> Report:
@@ -386,8 +381,8 @@ def main(argv=None) -> int:
     try:
         report = args.fn(args)
     except GpdError as exc:
-        report = Report(args.command, status="fail")
-        report.witnesses.append(str(exc))
+        report = Report(_name(args))
+        report.fail(str(exc))
     report.wall_time = time.perf_counter() - t0
     sys.stdout.write(emit(report, args.format))
     return 0 if report.ok else 1

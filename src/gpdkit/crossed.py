@@ -23,7 +23,7 @@ from .finite import (
     validate_finite_group,
     validate_finite_groupoid,
 )
-from .reporting import LawReport
+from .report import Report
 
 
 @dataclass
@@ -34,32 +34,22 @@ class CrossedModuleData:
     mu: dict[str, dict[str, str]]            # object -> element -> loop arrow
     action: dict[tuple[str, str], str]       # (element of M(src p), arrow p) -> element
 
-    def fiber(self, obj: str) -> FiniteGroup:
-        return self.fibers[obj]
-
     def boundary(self, obj: str, m: str) -> str:
         return self.mu[obj][m]
 
     def act(self, m: str, p: str) -> str:
-        return act(self, m, p)
-
-    def one_object(self) -> bool:
-        return len(self.base.objects) == 1
-
-
-def act(x: CrossedModuleData, m: str, p: str) -> str:
-    """Apply the stored action ``m^p`` where p runs src -> dst."""
-    s = x.base.src[p]
-    if m not in x.fibers[s].elements:
-        raise FiberMismatch(
-            f"{x.name}: element {m!r} is not in the fiber at {s!r}"
-        )
-    return x.action[(m, p)]
+        """Apply the stored action ``m^p`` where p runs src -> dst."""
+        s = self.base.src[p]
+        if m not in self.fibers[s].elements:
+            raise FiberMismatch(
+                f"{self.name}: element {m!r} is not in the fiber at {s!r}"
+            )
+        return self.action[(m, p)]
 
 
-def validate_crossed_module(x: CrossedModuleData) -> LawReport:
+def validate_crossed_module(x: CrossedModuleData) -> Report:
     """Sweep every axiom; each failure is reported with a witness triple."""
-    report = LawReport(f"xmod {x.name}")
+    report = Report(f"xmod {x.name}")
     base_report = validate_finite_groupoid(x.base)
     if not base_report.ok:
         for v in base_report.violations:

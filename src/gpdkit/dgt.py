@@ -28,7 +28,7 @@ import numpy as np
 from .crossed import CrossedModuleData, trivial_crossed_module, validate_crossed_module
 from .errors import InvalidCrossedModule, InvalidDgt, SizeLimit
 from .finite import FiniteGroup, FiniteGroupoid
-from .reporting import LawReport
+from .report import Report
 from .squares import (
     Square,
     comp_h,
@@ -193,29 +193,6 @@ class DgtModel:
                 index.setdefault(tuple(getattr(s, e) for e in names), []).append(s)
             self._edge_index[names] = index
         return list(index.get(tuple(edges[e] for e in names), ()))
-
-    # The two compositions, degeneracies, connections and inverses just
-    # delegate to the square calculus over self.xm.
-    def compose_h(self, a: Square, b: Square) -> Square:
-        return comp_h(a, b)
-
-    def compose_v(self, a: Square, b: Square) -> Square:
-        return comp_v(a, b)
-
-    def inv_h(self, s: Square) -> Square:
-        return inv_h(s)
-
-    def inv_v(self, s: Square) -> Square:
-        return inv_v(s)
-
-    def eps_v(self, edge: str) -> Square:
-        return eps_v(self.xm, edge)
-
-    def eps_h(self, edge: str) -> Square:
-        return eps_h(self.xm, edge)
-
-    def identity_square(self, obj: str) -> Square:
-        return identity_square(self.xm, obj)
 
     def random_square(self, rng: random.Random) -> Square:
         return self.squares[rng.randrange(len(self.squares))]
@@ -476,29 +453,28 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
 
 
 def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
-                 samples: int = 20000) -> LawReport:
+                 samples: int = 20000) -> Report:
     """Sweep the double-groupoid axioms over the whole model.
 
     ``interchange`` is "exhaustive", "sampled", or "auto" (exhaustive when
     the quadruple count stays below 2e8, sampled otherwise).
     """
-    report = LawReport(f"dgt {model.name}")
+    report = Report(f"dgt {model.name}")
     t = model.tables()  # first, so an oversized model fails before any sweep
-    P = model.edges
+    xm, P = model.xm, model.edges
     for s in model.squares:
         report.count()
         if not recheck_boundary(s):
             report.fail("boundary", f"square {s} violates the boundary law")
     # degeneracies and connections are present and thin
     for a in sorted(P.arrows):
-        for builder, label in (
-            (model.eps_v, "eps_v"),
-            (model.eps_h, "eps_h"),
-            (lambda e: model.connections_minus[e], "conn-"),
-            (lambda e: model.connections_plus[e], "conn+"),
+        for sq, label in (
+            (eps_v(xm, a), "eps_v"),
+            (eps_h(xm, a), "eps_h"),
+            (model.connections_minus[a], "conn-"),
+            (model.connections_plus[a], "conn+"),
         ):
             report.count()
-            sq = builder(a)
             if sq not in model:
                 report.fail("degeneracy-closure", f"{label}({a}) not in model")
             elif not is_thin(sq):
@@ -516,16 +492,16 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     # units, inverses, closure
     for s in model.squares:
         report.count(4)
-        if comp_h(s, model.eps_h(s.right)) != s or comp_h(model.eps_h(s.left), s) != s:
+        if comp_h(s, eps_h(xm, s.right)) != s or comp_h(eps_h(xm, s.left), s) != s:
             report.fail("h-unit", f"eps_h unit law fails at {s}")
-        if comp_v(model.eps_v(s.top), s) != s or comp_v(s, model.eps_v(s.bottom)) != s:
+        if comp_v(eps_v(xm, s.top), s) != s or comp_v(s, eps_v(xm, s.bottom)) != s:
             report.fail("v-unit", f"eps_v unit law fails at {s}")
         report.count(2)
         hi = inv_h(s)
-        if hi not in model or comp_h(s, hi) != model.eps_h(s.left):
+        if hi not in model or comp_h(s, hi) != eps_h(xm, s.left):
             report.fail("h-inverse", f"inv_h fails at {s}")
         vi = inv_v(s)
-        if vi not in model or comp_v(s, vi) != model.eps_v(s.top):
+        if vi not in model or comp_v(s, vi) != eps_v(xm, s.top):
             report.fail("v-inverse", f"inv_v fails at {s}")
     report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
     # composites stay inside the model: tables() checked every one
@@ -592,8 +568,8 @@ def thin_candidate_family(model: DgtModel) -> list[Square]:
     out = {}
     for a in sorted(model.edges.arrows):
         for sq in (
-            model.eps_v(a),
-            model.eps_h(a),
+            eps_v(model.xm, a),
+            eps_h(model.xm, a),
             model.connections_minus[a],
             model.connections_plus[a],
         ):
@@ -633,11 +609,11 @@ def transport_fill_search(model: DgtModel, a: str, b: str):
     return [(x, y) for x in xs for y in ys]
 
 
-def connection_transport_report(model: DgtModel) -> LawReport:
+def connection_transport_report(model: DgtModel) -> Report:
     """Uniqueness and correctness of the 2x2 transport layout for conn-."""
     from .grids import Grid, grid_compose
 
-    report = LawReport(f"transport {model.name}")
+    report = Report(f"transport {model.name}")
     P = model.edges
     for a in sorted(P.arrows):
         for b in sorted(P.arrows):
@@ -676,7 +652,7 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
     for s in sorted(P.objects):
         e = P.id_at(s)
         members = sorted(d.squares_with(top=e, left=e, right=e), key=lambda q: q.key())
-        if d.identity_square(s) not in members:
+        if identity_square(d.xm, s) not in members:
             raise InvalidDgt(f"{d.name}: no identity square at {s!r}")
         fiber_squares[s] = members
         names = {}
@@ -687,13 +663,13 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
         table = {}
         for q1 in members:
             for q2 in members:
-                prod = d.compose_h(q1, q2)
+                prod = comp_h(q1, q2)
                 if prod.key() not in names:
                     raise InvalidDgt(
                         f"{d.name}: fiber at {s!r} is not closed under pasting"
                     )
                 table[(names[q1.key()], names[q2.key()])] = names[prod.key()]
-        ident = names[d.identity_square(s).key()]
+        ident = names[identity_square(d.xm, s).key()]
         inverse = {}
         for q1 in members:
             for q2 in members:
@@ -712,10 +688,10 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
     action: dict[tuple[str, str], str] = {}
     for p in P.arrows:
         s, t = P.src[p], P.dst[p]
-        left_wall = d.eps_v(P.inv(p))
-        right_wall = d.eps_v(p)
+        left_wall = eps_v(d.xm, P.inv(p))
+        right_wall = eps_v(d.xm, p)
         for q in fiber_squares[s]:
-            moved = d.compose_h(d.compose_h(left_wall, q), right_wall)
+            moved = comp_h(comp_h(left_wall, q), right_wall)
             nm = elt_name.get(moved.key())
             if nm is None or moved not in d:
                 raise InvalidDgt(f"{d.name}: sandwich of {q} along {p} escapes the fibers")

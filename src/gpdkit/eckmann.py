@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeLimit
-from .reporting import LawReport
+from .report import Report
 
 MAX_CARRIER = 4
 
@@ -80,7 +80,7 @@ def interchange_holds(n: int, op1: Table, op2: Table) -> bool:
     )
 
 
-def eckmann_hilton_scan(max_size: int) -> LawReport:
+def eckmann_hilton_scan(max_size: int) -> Report:
     """Confirm the collapse on every interchange-satisfying pair up to size.
 
     The report counts, per carrier size, the monoids found, the ordered
@@ -92,7 +92,7 @@ def eckmann_hilton_scan(max_size: int) -> LawReport:
         raise SizeLimit(f"carrier size is capped at {MAX_CARRIER}, got {max_size}")
     if max_size < 1:
         raise SizeLimit("max_size must be at least 1")
-    report = LawReport(f"eckmann-hilton scan up to size {max_size}")
+    report = Report(f"eckmann-hilton scan up to size {max_size}")
     totals = {}
     for n in range(1, max_size + 1):
         monoids = enumerate_monoids(n)

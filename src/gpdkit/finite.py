@@ -9,7 +9,7 @@ to right throughout: ``mul(x, y)`` means "x then y", and for permutations
 import itertools
 from dataclasses import dataclass, field
 
-from .reporting import LawReport
+from .report import Report
 
 
 @dataclass
@@ -93,8 +93,8 @@ class FiniteGroupoid:
         return len(self.arrows)
 
 
-def validate_finite_group(g: FiniteGroup) -> LawReport:
-    report = LawReport(f"group {g.name}")
+def validate_finite_group(g: FiniteGroup) -> Report:
+    report = Report(f"group {g.name}")
     elems = g.elements
     for x, y in itertools.product(elems, repeat=2):
         report.count()
@@ -116,9 +116,9 @@ def validate_finite_group(g: FiniteGroup) -> LawReport:
     return report
 
 
-def validate_finite_groupoid(f: FiniteGroupoid) -> LawReport:
+def validate_finite_groupoid(f: FiniteGroupoid) -> Report:
     """Exhaustively check every groupoid axiom, with a witness per failure."""
-    report = LawReport(f"groupoid {f.name}")
+    report = Report(f"groupoid {f.name}")
     if not f.objects:
         report.fail("objects", "groupoid has no objects")
         return report

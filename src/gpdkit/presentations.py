@@ -7,7 +7,7 @@ semantics through morphisms into finite groupoids.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BaseNotInComponent,

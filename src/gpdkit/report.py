@@ -1,40 +1,71 @@
-"""Command reports and the two output formats.
+"""The one report type, from a law sweep to ``vk`` output, and its formats.
+
+A validator sweeps a family of laws and returns a ``Report``: it counts its
+checks and records every ``Violation`` with a witness, and never raises on
+a broken law, so perturbation tests can count what was caught.  A command
+folds such sweeps into its own report with ``merge`` and adds its counts
+and payload; the verdict and the witnesses follow from the violations.
 
 The machine format is line-oriented ``KEY value`` text under a ``FORMAT 1``
 header, closing with ``RESULT ok|fail``; it never includes wall time, so a
-rerun with the same seed is byte-identical.  The text format is for humans
-and honors VK_COLOR=1 for a colored verdict.
+rerun with the same seed is byte-identical.  The text format is for humans,
+ends with the run's wall time, and honors VK_COLOR=1 for a colored verdict.
 """
 
 import os
 from dataclasses import dataclass, field
 
 
+@dataclass(frozen=True)
+class Violation:
+    """A broken ``law``; ``witness`` says where, if the law alone does not."""
+
+    law: str
+    witness: str = ""
+
+    def __str__(self):
+        return f"{self.law}: {self.witness}" if self.witness else self.law
+
+
 @dataclass
 class Report:
     command: str
-    status: str = "ok"  # ok | fail
     counts: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
     payload: list = field(default_factory=list)  # pretty text lines
     wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return not self.violations
 
-    def fail(self, witness: str):
-        self.status = "fail"
-        self.witnesses.append(witness)
+    @property
+    def status(self) -> str:
+        return "ok" if self.ok else "fail"
 
-    def merge_laws(self, law_report):
-        """Absorb a validator's LawReport."""
-        self.counts["checks"] = self.counts.get("checks", 0) + law_report.checks
-        self.counts["violations"] = self.counts.get("violations", 0) + len(
-            law_report.violations
-        )
-        for v in law_report.violations:
-            self.fail(str(v))
+    @property
+    def witnesses(self) -> list[str]:
+        return [str(v) for v in self.violations]
+
+    @property
+    def checks(self) -> int:
+        return self.counts.get("checks", 0)
+
+    def count(self, n: int = 1):
+        self.counts["checks"] = self.checks + n
+
+    def fail(self, law: str, witness: str = ""):
+        self.violations.append(Violation(law, witness))
+
+    def merge(self, sweep: "Report"):
+        """Fold a sweep's checks and violations into this report."""
+        self.count(sweep.checks)
+        self.counts["violations"] = self.counts.get("violations", 0) + len(sweep.violations)
+        self.violations.extend(sweep.violations)
+
+    def summary(self) -> str:
+        state = "ok" if self.ok else f"{len(self.violations)} violation(s)"
+        return f"{self.command}: {self.checks} checks, {state}"
 
 
 def _color_enabled() -> bool:

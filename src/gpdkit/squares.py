@@ -49,18 +49,6 @@ class Square:
         return f"({self.elt}; {self.top},{self.right},{self.bottom},{self.left})"
 
     @property
-    def corner_nw(self) -> str:
-        return self.xm.base.src[self.top]
-
-    @property
-    def corner_ne(self) -> str:
-        return self.xm.base.dst[self.top]
-
-    @property
-    def corner_sw(self) -> str:
-        return self.xm.base.dst[self.left]
-
-    @property
     def corner_se(self) -> str:
         return self.xm.base.dst[self.right]
 

@@ -1,12 +1,12 @@
 """The bundled verification battery: twelve exact checks, one per property.
 
 Each criterion returns a Report with its counts and witnesses; `run_suite`
-executes any subset and prints one pass/fail line per criterion.  All
-randomness is seeded; every assertion is exact (no tolerances anywhere).
+executes any subset and gathers them into the one report ``vk suite``
+prints.  All randomness is seeded; every assertion is exact (no tolerances
+anywhere).
 """
 
 import random
-import time
 
 from .crossed import from_normal_subgroup, automorphism_xmod, perturb_action_entry, validate_crossed_module
 from .cubes import (
@@ -221,8 +221,7 @@ def criterion_7_connections(seed: int = 0) -> Report:
         for sq in (conn_minus(xm, a), conn_plus(xm, a)):
             if not is_thin(sq) or not recheck_boundary(sq):
                 r.fail(f"connection at {a} is not a thin commutative square")
-    law = connection_transport_report(model)
-    r.merge_laws(law)
+    r.merge(connection_transport_report(model))
     return r
 
 
@@ -343,7 +342,7 @@ def criterion_11_eckmann_hilton(seed: int = 0, max_size: int = 3) -> Report:
     for n, t in law.totals.items():
         r.counts[f"size{n}_pairs"] = t["pairs"]
         r.counts[f"size{n}_interchange"] = t["interchange_pairs"]
-    r.merge_laws(law)
+    r.merge(law)
     return r
 
 
@@ -414,8 +413,10 @@ CRITERIA = [
 ]
 
 
-def run_suite(seed: int = 0, only: set[str] | None = None, out=print) -> Report:
-    """Run the battery; one line per criterion, aggregated into one report.
+def run_suite(seed: int = 0, only: set[str] | None = None) -> Report:
+    """Run the battery into one report: a CRITERION line per criterion as
+    payload, each criterion's counts as ``criterion_<key>.<count>``, and its
+    witnesses prefixed by ``criterion <key>``.
 
     ``only`` selects criteria by key; an empty selection or an unknown key
     raises UnknownCommand rather than running nothing.
@@ -430,14 +431,10 @@ def run_suite(seed: int = 0, only: set[str] | None = None, out=print) -> Report:
     for key, fn, blurb in CRITERIA:
         if only is not None and key not in only:
             continue
-        t0 = time.perf_counter()
         rep = fn(seed=seed)
-        rep.wall_time = time.perf_counter() - t0
-        status = "PASS" if rep.ok else "FAIL"
-        out(f"CRITERION {key} {status} ({rep.wall_time:.2f}s) {blurb}")
-        total.counts[f"criterion_{key}"] = rep.status
-        total.wall_time += rep.wall_time
-        if not rep.ok:
-            for w in rep.witnesses:
-                total.fail(f"criterion {key}: {w}")
+        total.payload.append(f"CRITERION {key} {'PASS' if rep.ok else 'FAIL'} {blurb}")
+        for k, v in rep.counts.items():
+            total.counts[f"criterion_{key}.{k}"] = v
+        for w in rep.witnesses:
+            total.fail(f"criterion {key}", w)
     return total

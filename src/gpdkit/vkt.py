@@ -21,7 +21,7 @@ from .morphisms import (
     evaluate,
 )
 from .presentations import GroupoidPresentation, spanning_tree, tree_paths
-from .words import ArrowGen, Word, generator_word
+from .words import ArrowGen, Word, generator_word, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -261,20 +261,11 @@ def vertex_group(p: GroupoidPresentation, base: str, tree=None,
             if gen.name in names
         )
 
-    def reduce_rel(letters):
-        stack = []
-        for letter in letters:
-            if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return tuple(stack)
-
     relators = []
     for lhs, rhs in p.relations:
         if lhs.base not in component:
             continue
-        rel = reduce_rel(retract(lhs) + tuple((g, -e) for g, e in reversed(retract(rhs))))
+        rel = reduce_letters(retract(lhs) + tuple((g, -e) for g, e in reversed(retract(rhs))))
         if rel:
             relators.append(rel)
     return GroupPresentation(
@@ -292,15 +283,6 @@ def tietze_simplify(gp: GroupPresentation) -> GroupPresentation:
     once across all relators (its relator just defines it away).
     """
 
-    def reduce_rel(letters):
-        stack = []
-        for letter in letters:
-            if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return tuple(stack)
-
     generators = list(gp.generators)
     relators = list(gp.relators)
     changed = True
@@ -309,7 +291,7 @@ def tietze_simplify(gp: GroupPresentation) -> GroupPresentation:
         cleaned = []
         seen = set()
         for rel in relators:
-            red = reduce_rel(rel)
+            red = reduce_letters(rel)
             if red and red not in seen:
                 seen.add(red)
                 cleaned.append(red)

@@ -67,9 +67,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def is_loop(self) -> bool:
-        return self.base == self.end
-
     def __len__(self):
         return len(self.letters)
 
@@ -101,13 +98,18 @@ def free_reduce(w: Word) -> Word:
     The result is the unique freely reduced word equal to ``w``; applying
     ``free_reduce`` again is a no-op.
     """
-    stack: list[Letter] = []
-    for letter in w.letters:
+    return Word(w.base, reduce_letters(w.letters))
+
+
+def reduce_letters(letters) -> tuple:
+    """Cancel adjacent ``(g, e), (g, -e)`` pairs; ``g`` may be any label."""
+    stack = []
+    for letter in letters:
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
-    return Word(w.base, tuple(stack))
+    return tuple(stack)
 
 
 def is_reduced(w: Word) -> bool:

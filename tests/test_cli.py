@@ -209,6 +209,85 @@ def test_golden_machine_outputs(capsys):
     assert code == 0 and out == GOLDEN_VERTEX_GROUP
 
 
+# Validator-backed commands: each report folds one or more law sweeps.
+GOLDEN_VALIDATED = [
+    (["check", "a3s3.vk"], 0, """\
+FORMAT 1
+COMMAND check
+COUNT checks 498
+COUNT violations 0
+COUNT objects 2
+RESULT ok
+"""),
+    (["check", "bad_groupoid.vk"], 1, """\
+FORMAT 1
+COMMAND check
+COUNT checks 49
+COUNT violations 4
+COUNT objects 1
+WITNESS associativity: (u*u)*v != u*(u*v)
+WITNESS associativity: (u*v)*v != u*(v*v)
+WITNESS associativity: (v*u)*u != v*(u*u)
+WITNESS associativity: (v*v)*u != v*(v*u)
+RESULT fail
+"""),
+    (["xmod", "validate", "a3s3.vk"], 0, """\
+FORMAT 1
+COMMAND xmod-validate
+COUNT checks 222
+COUNT violations 0
+RESULT ok
+"""),
+    (["xmod", "gamma", "a3s3.vk"], 0, """\
+FORMAT 1
+COMMAND xmod-gamma
+COUNT checks 222
+COUNT violations 0
+COUNT roundtrip_iso 1
+RESULT ok
+"""),
+    (["--seed", "5", "xmod", "lambda", "a3s3.vk"], 0, """\
+FORMAT 1
+COMMAND xmod-lambda
+COUNT squares 648
+COUNT thin 216
+COUNT checks 15278636
+COUNT violations 0
+RESULT ok
+"""),
+    (["eh-scan", "--max-size", "2"], 0, """\
+FORMAT 1
+COMMAND eh-scan
+COUNT size1_monoids 1
+COUNT size1_interchange_pairs 1
+COUNT size1_filtered_out 0
+COUNT size2_monoids 4
+COUNT size2_interchange_pairs 4
+COUNT size2_filtered_out 12
+COUNT checks 15
+COUNT violations 0
+RESULT ok
+"""),
+]
+
+
+@pytest.mark.parametrize("args, code, golden", GOLDEN_VALIDATED,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN_VALIDATED])
+def test_golden_validated_machine_outputs(capsys, args, code, golden):
+    argv = [data(a) if a.endswith(".vk") else a for a in args]
+    assert run_cli(["--format", "machine", *argv], capsys) == (code, golden)
+
+
+def test_suite_machine_output_is_byte_identical_across_runs(capsys):
+    argv = ["--format", "machine", "suite", "--criteria", "1,2"]
+    code, first = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli(argv, capsys) == (0, first)
+    assert "DATA CRITERION 1 PASS circle pushout reduces to one free generator" in first
+    assert "COUNT criterion_2.s3_cocones 36" in first.splitlines()
+
+
+
 @pytest.mark.parametrize("selection, witness", [
     ("99", "WITNESS no criterion matches 99"),
     ("1,99", "WITNESS no criterion matches 99"),
@@ -257,5 +336,6 @@ def test_oversized_model_fails_before_allocating_its_tables(tmp_path):
         "24461180928 bytes, over the limit of 268435456"
     ) in lines
     assert "RESULT fail" in lines
+    assert lines[1] == "COMMAND xmod-lambda"
     peak_kb = int(lines[-1].split()[1])
     assert peak_kb < 256 * 1024
