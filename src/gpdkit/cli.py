@@ -48,11 +48,13 @@ def _the(table: dict, kind: str, name: str | None):
 
 
 def _battery(args):
-    battery = standard_battery()
-    if args.test_groupoid:
-        chosen = {n: f for f in battery for n in [f.name]}
-        return [chosen[n] for n in args.test_groupoid if n in chosen] or battery
-    return battery
+    battery = {f.name: f for f in standard_battery()}
+    for n in args.test_groupoid:
+        if n not in battery:
+            raise UnknownCommand(
+                f"no test groupoid named {n!r}; the battery has {', '.join(battery)}"
+            )
+    return [battery[n] for n in args.test_groupoid] or list(battery.values())
 
 
 def cmd_check(args) -> Report:

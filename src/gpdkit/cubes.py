@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .dgt import DgtModel
 from .errors import EdgeMismatch, PreconditionFailed
 from .grids import Grid, grid_compose
-from .squares import Square, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
+from .squares import Square, boundary_word, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
 
 FACE_SLOTS = ("d1-", "d1+", "d2-", "d2+", "d3-", "d3+")
 
@@ -150,12 +150,6 @@ def is_commutative_cube(c: Cube) -> bool:
     return fold_five_faces(c) == c.face("d1-")
 
 
-def face_boundary_word(s: Square) -> str:
-    """The clockwise edge word bottom^-1 left^-1 top right of a face."""
-    P = s.xm.base
-    return P.compose_all([P.inv(s.bottom), P.inv(s.left), s.top, s.right])
-
-
 def commutativity_oracle(c: Cube) -> bool:
     """Scalar commutativity test over a one-object base.
 
@@ -172,7 +166,7 @@ def commutativity_oracle(c: Cube) -> bool:
     def conj(x, p):
         return P.compose_all([P.inv(p), x, p])
 
-    w = {slot: face_boundary_word(c.face(slot)) for slot in FACE_SLOTS}
+    w = {slot: boundary_word(xm, f.top, f.right, f.bottom, f.left) for slot, f in c.faces.items()}
     a_r = c.face("d2-").right
     b_r = c.face("d2+").right
     s_b = c.face("d1+").bottom

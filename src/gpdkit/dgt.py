@@ -6,17 +6,17 @@ are exactly the commuting edge quadruples of the base groupoid.  ``gamma``
 goes back: it reads a crossed module off a model using only the model's own
 compositions and degeneracies.
 
-Exhaustive law sweeps (associativity, interchange) run on an integer kernel.
+Every composition law in ``validate_dgt`` reads the tables ``H``/``V``.
 Each model is encoded once as int arrays (``SquareCode``): base composition,
 fiber multiplication over global element ids, the action as element x arrow
 -> element, and per square its element and four edges.  ``DgtModel.tables``
-builds the composition tables ``H``/``V`` from those arrays with numpy
-formulas, one block per pasting edge.  A sweep groups its outer square by
-edge class: every square in a class shares its partner tuples, so each costs
+builds ``H``/``V`` from those arrays with numpy formulas, one block per
+pasting edge.  A sweep groups its outer square by edge class, so each costs
 two flat gathers per arrangement.  The object-level calculus
-(``squares.comp_h``/``comp_v``) stays the readable oracle, and
-``count_compatible_quadruples`` reads only the edges, never a table, so it
-checks the sweeps' coverage independently.
+(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
+and, in ``find_interchange_counterexample``, the readable scan for a
+corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
+never a table, so it checks the sweeps' coverage independently.
 """
 
 import itertools
@@ -405,13 +405,12 @@ def count_compatible_quadruples(model: DgtModel) -> int:
     return int((upper.astype(object) * lower).sum())
 
 
-def find_interchange_counterexample(model: DgtModel, comp2=comp_h, limit: int | None = None):
+def find_interchange_counterexample(model: DgtModel, comp2=comp_h):
     """First 2x2 arrangement on which the two evaluation orders differ.
 
     Scans quadruples in the model's canonical order using ``comp2`` for the
     horizontal pasting; with the real composition this returns None.
     """
-    scanned = 0
     for x in model.squares:
         for y in model.squares_with(left=x.right):
             upper = comp2(x, y)
@@ -420,11 +419,8 @@ def find_interchange_counterexample(model: DgtModel, comp2=comp_h, limit: int | 
                 for w in model.squares_with(left=z.right, top=y.bottom):
                     lhs = comp_v(upper, comp2(z, w))
                     rhs = comp2(left_side, comp_v(y, w))
-                    scanned += 1
                     if lhs != rhs:
                         return (x, y, z, w)
-                    if limit is not None and scanned >= limit:
-                        return None
     return None
 
 
@@ -456,78 +452,77 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
                  samples: int = 20000) -> Report:
     """Sweep the double-groupoid axioms over the whole model.
 
-    ``interchange`` is "exhaustive", "sampled", or "auto" (exhaustive when
-    the quadruple count stays below 2e8, sampled otherwise).
+    Every composition law reads the tables ``H``/``V``; the object-level
+    calculus only builds the squares they are checked against (degeneracies,
+    connections, inverses).  ``interchange`` is "exhaustive", "sampled", or
+    "auto" (exhaustive when the quadruple count stays below 2e8, sampled
+    otherwise).
     """
     report = Report(f"dgt {model.name}")
     t = model.tables()  # first, so an oversized model fails before any sweep
-    xm, P = model.xm, model.edges
-    for s in model.squares:
+    H, V, c = t.H, t.V, model.code()
+    xm, P, sq, n = model.xm, model.edges, model.squares, len(model.squares)
+    for s in sq:
         report.count()
         if not recheck_boundary(s):
             report.fail("boundary", f"square {s} violates the boundary law")
-    # degeneracies and connections are present and thin
+    # degeneracies and connections are present and thin; eh/ev give the
+    # index of eps_h/eps_v per arrow, -1 when absent
+    eh, ev = {}, {}
     for a in sorted(P.arrows):
-        for sq, label in (
-            (eps_v(xm, a), "eps_v"),
-            (eps_h(xm, a), "eps_h"),
-            (model.connections_minus[a], "conn-"),
-            (model.connections_plus[a], "conn+"),
-        ):
+        unit_v, unit_h = eps_v(xm, a), eps_h(xm, a)
+        ev[a], eh[a] = model.index.get(unit_v.key(), -1), model.index.get(unit_h.key(), -1)
+        for s, label in ((unit_v, "eps_v"), (unit_h, "eps_h"),
+                         (model.connections_minus[a], "conn-"), (model.connections_plus[a], "conn+")):
             report.count()
-            if sq not in model:
+            if s not in model:
                 report.fail("degeneracy-closure", f"{label}({a}) not in model")
-            elif not is_thin(sq):
+            elif not is_thin(s):
                 report.fail("degeneracy-thin", f"{label}({a}) is not thin")
     for a in sorted(P.arrows):
-        gm = model.connections_minus[a]
-        gp = model.connections_plus[a]
-        e_dst = P.id_at(P.dst[a])
-        e_src = P.id_at(P.src[a])
+        gm, gp = model.connections_minus[a], model.connections_plus[a]
+        e_dst, e_src = P.id_at(P.dst[a]), P.id_at(P.src[a])
         report.count(2)
         if (gm.top, gm.left, gm.right, gm.bottom) != (a, a, e_dst, e_dst):
             report.fail("connection-boundary", f"conn-({a}) has wrong edges")
         if (gp.bottom, gp.right, gp.top, gp.left) != (a, a, e_src, e_src):
             report.fail("connection-boundary", f"conn+({a}) has wrong edges")
-    # units, inverses, closure
-    for s in model.squares:
-        report.count(4)
-        if comp_h(s, eps_h(xm, s.right)) != s or comp_h(eps_h(xm, s.left), s) != s:
+    # units and inverses; a law whose unit is absent is left to
+    # degeneracy-closure, so -1 never indexes a table
+    report.count(6 * n)
+    for i, s in enumerate(sq):
+        right, left, top, bottom = eh[s.right], eh[s.left], ev[s.top], ev[s.bottom]
+        hi, vi = model.index.get(inv_h(s).key(), -1), model.index.get(inv_v(s).key(), -1)
+        if (right >= 0 and H[i, right] != i) or (left >= 0 and H[left, i] != i):
             report.fail("h-unit", f"eps_h unit law fails at {s}")
-        if comp_v(eps_v(xm, s.top), s) != s or comp_v(s, eps_v(xm, s.bottom)) != s:
+        if (top >= 0 and V[top, i] != i) or (bottom >= 0 and V[i, bottom] != i):
             report.fail("v-unit", f"eps_v unit law fails at {s}")
-        report.count(2)
-        hi = inv_h(s)
-        if hi not in model or comp_h(s, hi) != eps_h(xm, s.left):
+        if hi < 0 or (left >= 0 and H[i, hi] != left):
             report.fail("h-inverse", f"inv_h fails at {s}")
-        vi = inv_v(s)
-        if vi not in model or comp_v(s, vi) != eps_v(xm, s.top):
+        if vi < 0 or (top >= 0 and V[i, vi] != top):
             report.fail("v-inverse", f"inv_v fails at {s}")
-    report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
+    report.count(int((H >= 0).sum() + (V >= 0).sum()))
     # composites stay inside the model: tables() checked every one
-    c = model.code()
-    ch, bh = _assoc_sweep(model, t.H, c.R, c.L)
+    ch, bh = _assoc_sweep(model, H, c.R, c.L)
     report.count(ch)
     if bh:
         report.fail("h-associativity", f"{bh} violating triples")
-    cv, bv = _assoc_sweep(model, t.V, c.B, c.T)
+    cv, bv = _assoc_sweep(model, V, c.B, c.T)
     report.count(cv)
     if bv:
         report.fail("v-associativity", f"{bv} violating triples")
-    # thin squares closed under both compositions
-    thin = model.thin_squares
-    thin_keys = {s.key() for s in thin}
-    for s in thin:
-        for u in model.squares_with(left=s.right):
-            if u.key() in thin_keys:
-                report.count()
-                if not is_thin(comp_h(s, u)):
-                    report.fail("thin-closure", f"{s} o2 {u} is not thin")
-        for u in model.squares_with(top=s.bottom):
-            if u.key() in thin_keys:
-                report.count()
-                if not is_thin(comp_v(s, u)):
-                    report.fail("thin-closure", f"{s} o1 {u} is not thin")
+    # thin squares closed under both compositions: the thin x thin blocks
+    thin_at = np.array([is_thin(q) for q in sq], bool)
+    thin = np.flatnonzero(thin_at)
+    hits = []
+    for op, table in enumerate((H, V)):
+        block = table[np.ix_(thin, thin)]
+        i, j = np.nonzero(block >= 0)
+        report.count(len(i))
+        bad = ~thin_at[block[i, j]]
+        hits += zip(thin[i[bad]], itertools.repeat(op), thin[j[bad]])
+    for i, op, j in sorted(hits):
+        report.fail("thin-closure", f"{sq[i]} {('o2', 'o1')[op]} {sq[j]} is not thin")
     # interchange
     mode = interchange
     if mode == "auto":
@@ -538,24 +533,28 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
         if bad:
             report.fail("interchange", f"{bad} violations, first at indices {first}")
     elif mode == "sampled":
+        # partners in model order, so each seed draws the same quadruples
+        a = c.arrows
+        by_left, by_top = _Groups(c.L, a), _Groups(c.T, a)
+        by_corner = _Groups(c.L * a + c.T, a * a)
         rng = random.Random(seed)
-        done = 0
-        while done < samples:
-            x = model.random_square(rng)
-            ys = model.squares_with(left=x.right)
-            zs = model.squares_with(top=x.bottom)
-            if not ys or not zs:
+        quads = []
+        while len(quads) < samples:
+            x = rng.randrange(n)
+            ys, zs = by_left.members(c.R[x]), by_top.members(c.B[x])
+            if not len(ys) or not len(zs):
                 continue
-            y = ys[rng.randrange(len(ys))]
-            z = zs[rng.randrange(len(zs))]
-            ws = model.squares_with(left=z.right, top=y.bottom)
-            if not ws:
+            y, z = ys[rng.randrange(len(ys))], zs[rng.randrange(len(zs))]
+            ws = by_corner.members(c.R[z] * a + c.B[y])
+            if not len(ws):
                 continue
-            w = ws[rng.randrange(len(ws))]
-            done += 1
-            report.count()
-            if comp_v(comp_h(x, y), comp_h(z, w)) != comp_h(comp_v(x, z), comp_v(y, w)):
-                report.fail("interchange", f"sampled violation at {x}, {y}, {z}, {w}")
+            quads.append((x, y, z, ws[rng.randrange(len(ws))]))
+        report.count(len(quads))
+        x, y, z, w = np.array(quads, np.intp).reshape(-1, 4).T
+        # tables() defines every entry an edge-compatible pair reads
+        for k in np.flatnonzero(V[H[x, y], H[z, w]] != H[V[x, z], V[y, w]]):
+            report.fail("interchange", "sampled violation at "
+                        + ", ".join(str(sq[q]) for q in quads[k]))
     else:
         raise ValueError(f"unknown interchange mode {interchange!r}")
     return report

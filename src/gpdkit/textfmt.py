@@ -140,6 +140,16 @@ def _expect(cond: bool, ln: _Line, message: str):
         raise ParseError(ln.path, ln.no, message)
 
 
+def _size_arg(ctor: str, least: int, ln: _Line) -> int:
+    """The integer ``n`` of a constructor ``name(n)``; ParseError below ``least``."""
+    try:
+        n = int(ctor[ctor.index("(") + 1:-1])
+    except ValueError:
+        n = None
+    _expect(n is not None and n >= least, ln, f"{ctor}: the argument must be an integer >= {least}")
+    return n
+
+
 def _arrow_ref(token: str, ln: _Line) -> tuple[str, str]:
     _expect("->" in token, ln, f"expected 'src -> dst' in {token!r}")
     src, dst = token.split("->", 1)
@@ -298,9 +308,9 @@ class _Parser:
     def _group_ctor(self, ctor: str, name: str, ln: _Line) -> FiniteGroup:
         ctor = ctor.strip()
         if ctor.startswith("cyclic(") and ctor.endswith(")"):
-            g = cyclic_group(int(ctor[7:-1]))
+            g = cyclic_group(_size_arg(ctor, 1, ln))
         elif ctor.startswith("symmetric(") and ctor.endswith(")"):
-            n = int(ctor[10:-1])
+            n = _size_arg(ctor, 0, ln)
             if n > 4:
                 raise ParseError(ln.path, ln.no, "symmetric(n) supported for n <= 4")
             g = symmetric_group(n)

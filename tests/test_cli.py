@@ -173,6 +173,20 @@ def test_battery_selection_flag(capsys):
     assert "s3_morphisms" not in out
 
 
+@pytest.mark.parametrize("command", ["check-universal", "count-morphisms"])
+def test_unknown_battery_name_fails_with_its_name(capsys, command):
+    code, out = run_cli(
+        ["--format", "machine", command, data("circle.vk"),
+         "--test-groupoid", "c3", "--test-groupoid", "nope"], capsys
+    )
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        f"COMMAND {command}",
+        "WITNESS no test groupoid named 'nope'; the battery has triv, c2, c3, s3",
+        "RESULT fail",
+    ]
+
+
 GOLDEN_CHECK_UNIVERSAL = """\
 FORMAT 1
 COMMAND check-universal

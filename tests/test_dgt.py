@@ -1,11 +1,14 @@
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gpdkit.crossed import CrossedModuleData, validate_crossed_module
 from gpdkit.dgt import (
+    SquareTables,
+    _assoc_sweep,
     comp_h_unconjugated,
     connection_transport_report,
     count_compatible_quadruples,
@@ -21,9 +24,10 @@ from gpdkit.dgt import (
     validate_dgt,
 )
 from gpdkit.errors import InvalidCrossedModule
-from gpdkit.finite import cyclic_group, group_as_groupoid, symmetric_group, trivial_group
+from gpdkit.finite import group_as_groupoid, interval_finite_groupoid, trivial_group
 from gpdkit.grids import Grid, grid_compose
-from gpdkit.squares import comp_h, comp_v, is_thin
+from gpdkit.report import Report
+from gpdkit.squares import comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary
 
 
 def brute_square_count(xm):
@@ -347,3 +351,180 @@ def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model):
     assert a3s3_model.squares_with() == list(a3s3_model.squares)
     with pytest.raises(ValueError):
         a3s3_model.squares_with(diagonal="e")
+
+
+def reference_validate_dgt(model, interchange, seed, samples):
+    """Reference: validate_dgt with units, inverses, thin closure and sampled
+    interchange evaluated by the object-level calculus, not the tables."""
+    report = Report(f"dgt {model.name}")
+    t = model.tables()
+    xm, P = model.xm, model.edges
+    for s in model.squares:
+        report.count()
+        if not recheck_boundary(s):
+            report.fail("boundary", f"square {s} violates the boundary law")
+    for a in sorted(P.arrows):
+        for sq, label in ((eps_v(xm, a), "eps_v"), (eps_h(xm, a), "eps_h"),
+                          (model.connections_minus[a], "conn-"), (model.connections_plus[a], "conn+")):
+            report.count()
+            if sq not in model:
+                report.fail("degeneracy-closure", f"{label}({a}) not in model")
+            elif not is_thin(sq):
+                report.fail("degeneracy-thin", f"{label}({a}) is not thin")
+    for a in sorted(P.arrows):
+        gm, gp = model.connections_minus[a], model.connections_plus[a]
+        e_dst, e_src = P.id_at(P.dst[a]), P.id_at(P.src[a])
+        report.count(2)
+        if (gm.top, gm.left, gm.right, gm.bottom) != (a, a, e_dst, e_dst):
+            report.fail("connection-boundary", f"conn-({a}) has wrong edges")
+        if (gp.bottom, gp.right, gp.top, gp.left) != (a, a, e_src, e_src):
+            report.fail("connection-boundary", f"conn+({a}) has wrong edges")
+    for s in model.squares:
+        report.count(4)
+        if comp_h(s, eps_h(xm, s.right)) != s or comp_h(eps_h(xm, s.left), s) != s:
+            report.fail("h-unit", f"eps_h unit law fails at {s}")
+        if comp_v(eps_v(xm, s.top), s) != s or comp_v(s, eps_v(xm, s.bottom)) != s:
+            report.fail("v-unit", f"eps_v unit law fails at {s}")
+        report.count(2)
+        hi = inv_h(s)
+        if hi not in model or comp_h(s, hi) != eps_h(xm, s.left):
+            report.fail("h-inverse", f"inv_h fails at {s}")
+        vi = inv_v(s)
+        if vi not in model or comp_v(s, vi) != eps_v(xm, s.top):
+            report.fail("v-inverse", f"inv_v fails at {s}")
+    report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
+    c = model.code()
+    for law, table, out, into in (("h", t.H, c.R, c.L), ("v", t.V, c.B, c.T)):
+        checked, bad = _assoc_sweep(model, table, out, into)
+        report.count(checked)
+        if bad:
+            report.fail(f"{law}-associativity", f"{bad} violating triples")
+    thin = model.thin_squares
+    thin_keys = {s.key() for s in thin}
+    for s in thin:
+        for u in model.squares_with(left=s.right):
+            if u.key() in thin_keys:
+                report.count()
+                if not is_thin(comp_h(s, u)):
+                    report.fail("thin-closure", f"{s} o2 {u} is not thin")
+        for u in model.squares_with(top=s.bottom):
+            if u.key() in thin_keys:
+                report.count()
+                if not is_thin(comp_v(s, u)):
+                    report.fail("thin-closure", f"{s} o1 {u} is not thin")
+    if interchange == "exhaustive":
+        checked, bad, first = interchange_exhaustive(model)
+        report.count(checked)
+        if bad:
+            report.fail("interchange", f"{bad} violations, first at indices {first}")
+        return report
+    rng = random.Random(seed)
+    done = 0
+    while done < samples:
+        x = model.random_square(rng)
+        ys = model.squares_with(left=x.right)
+        zs = model.squares_with(top=x.bottom)
+        if not ys or not zs:
+            continue
+        y = ys[rng.randrange(len(ys))]
+        z = zs[rng.randrange(len(zs))]
+        ws = model.squares_with(left=z.right, top=y.bottom)
+        if not ws:
+            continue
+        w = ws[rng.randrange(len(ws))]
+        done += 1
+        report.count()
+        if comp_v(comp_h(x, y), comp_h(z, w)) != comp_h(comp_v(x, z), comp_v(y, w)):
+            report.fail("interchange", f"sampled violation at {x}, {y}, {z}, {w}")
+    return report
+
+
+# checks of validate_dgt(model, mode) with seed 3 and 2,000 samples
+TABLE_LAW_CHECKS = [
+    ("sq_c2", "sampled", 2_452),
+    ("sq_c2", "exhaustive", 708),
+    ("sq_s3", "sampled", 594_524),
+    ("sq_s3", "exhaustive", 2_272_140),
+    ("aut_c3_model", "sampled", 9_732),
+    ("aut_c3_model", "exhaustive", 28_468),
+    ("sq_interval_s3", "sampled", 595_428),
+    ("sq_interval_s3", "exhaustive", 2_273_556),
+    ("a3s3_model", "sampled", 15_278_636),
+    ("aut_s3_model", "sampled", 121_518_884),
+]
+
+
+@pytest.mark.parametrize("fixture, mode, checks", TABLE_LAW_CHECKS,
+                         ids=[f"{f}-{m}" for f, m, _ in TABLE_LAW_CHECKS])
+def test_table_laws_match_the_object_level_reference(request, fixture, mode, checks):
+    model = request.getfixturevalue(fixture)
+    report = validate_dgt(model, interchange=mode, seed=3, samples=2000)
+    reference = reference_validate_dgt(model, mode, seed=3, samples=2000)
+    assert report.checks == reference.checks == checks
+    assert report.violations == reference.violations == []
+
+
+def test_absent_units_stay_degeneracy_closure_violations():
+    # the one square eps_v(a) is closed under V, but the model lacks the
+    # other degeneracies; the table laws skip an absent unit (index -1)
+    model = square_model(interval_finite_groupoid())
+    for a in sorted(model.edges.arrows):
+        one = replace(model, squares=(eps_v(model.xm, a),), index=None)
+        report = validate_dgt(one, interchange="exhaustive")
+        reference = reference_validate_dgt(one, "exhaustive", seed=0, samples=0)
+        assert report.checks == reference.checks
+        assert report.violations == reference.violations
+        assert {v.law for v in report.violations} <= {"degeneracy-closure", "h-inverse"}
+
+
+def with_swapped_filler(model, table, i, j, rng):
+    """A copy of ``model`` whose table entry [i, j] names another square
+    with the same four edges; every other entry is the model's own."""
+    t = model.tables()
+    tables = {"H": t.H.copy(), "V": t.V.copy()}
+    old = model.squares[tables[table][i, j]]
+    fillers = [k for k, q in enumerate(model.squares)
+               if q.key()[1:] == old.key()[1:] and q.elt != old.elt]
+    tables[table][i, j] = rng.choice(fillers)
+    mutant = replace(model)
+    mutant._tables = SquareTables(tables["H"], tables["V"])
+    return mutant
+
+
+def test_every_table_law_catches_a_swapped_filler(aut_c3_model):
+    # mu is trivial, so every commuting boundary has 3 fillers to swap
+    model = aut_c3_model
+    sq, index, xm = model.squares, model.index, model.xm
+    rng = random.Random(17)
+    s = rng.randrange(len(sq))
+    q = sq[s]
+    thin = [i for i, x in enumerate(sq) if is_thin(x)]
+    thin_pair = rng.choice([(i, j) for i in thin for j in thin if sq[i].right == sq[j].left])
+    h_pair = rng.choice([(i, j) for i in range(len(sq)) for j in range(len(sq))
+                         if sq[i].right == sq[j].left])
+    v_pair = rng.choice([(i, j) for i in range(len(sq)) for j in range(len(sq))
+                         if sq[i].bottom == sq[j].top])
+    mutations = {
+        "h-unit": ("H", s, index[eps_h(xm, q.right).key()], f"eps_h unit law fails at {q}"),
+        "v-unit": ("V", index[eps_v(xm, q.top).key()], s, f"eps_v unit law fails at {q}"),
+        "h-inverse": ("H", s, index[inv_h(q).key()], f"inv_h fails at {q}"),
+        "v-inverse": ("V", s, index[inv_v(q).key()], f"inv_v fails at {q}"),
+        "thin-closure": ("H", *thin_pair,
+                         f"{sq[thin_pair[0]]} o2 {sq[thin_pair[1]]} is not thin"),
+        "h-associativity": ("H", *h_pair, None),
+        "v-associativity": ("V", *v_pair, None),
+        "interchange": ("H", *h_pair, None),
+    }
+    assert validate_dgt(replace(model), interchange="exhaustive").ok
+    for law, (table, i, j, witness) in mutations.items():
+        mutant = with_swapped_filler(model, table, i, j, rng)
+        report = validate_dgt(mutant, interchange="exhaustive")
+        caught = [v for v in report.violations if v.law == law]
+        assert caught, (law, report.witnesses)
+        if witness is not None:
+            assert witness in [v.witness for v in caught], law
+    # the sampled evaluator reads the same tables
+    mutant = with_swapped_filler(model, "H", *h_pair, rng)
+    report = validate_dgt(mutant, interchange="sampled", seed=3, samples=2000)
+    assert any(v.law == "interchange" and v.witness.startswith("sampled violation at ")
+               for v in report.violations)

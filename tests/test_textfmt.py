@@ -164,3 +164,17 @@ def test_full_form_span_parses():
     ws = parse_workspace([("inline.vk", content)])
     po = pushout(ws.spans["w"])
     assert sorted(g.name for g in po.presentation.generators) == ["x", "y"]
+
+
+@pytest.mark.parametrize("ctor, least", [
+    ("cyclic(x)", 1),
+    ("cyclic(0)", 1),
+    ("cyclic(-2)", 1),
+    ("symmetric(-1)", 0),
+])
+def test_group_constructor_argument_fails_at_its_line(ctor, least):
+    content = f"group s3 = symmetric(3)\ngroup g = {ctor}\n"
+    with pytest.raises(ParseError) as err:
+        parse_workspace([("inline.vk", content)])
+    assert (err.value.path, err.value.line_no) == ("inline.vk", 2)
+    assert f"{ctor}: the argument must be an integer >= {least}" in str(err.value)
