@@ -12,7 +12,14 @@ import time
 from . import textfmt
 from .crossed import validate_crossed_module
 from .cubes import commutativity_oracle, fold_five_faces
-from .dgt import find_xmod_isomorphism, gamma, lambda_functor, validate_dgt
+from .dgt import (
+    check_table_size,
+    find_xmod_isomorphism,
+    gamma,
+    lambda_functor,
+    lambda_square_count,
+    validate_dgt,
+)
 from .eckmann import eckmann_hilton_scan
 from .errors import GpdError, UnknownCommand
 from .finite import standard_battery, validate_finite_group, validate_finite_groupoid
@@ -203,7 +210,10 @@ def cmd_xmod(args) -> Report:
     if args.action == "validate":
         r.merge(validate_crossed_module(xm))
     elif args.action == "lambda":
-        model = lambda_functor(xm)
+        # validate_dgt needs the tables: refuse them before building a square
+        name = f"squares({xm.name})"
+        check_table_size(name, lambda_square_count(xm))
+        model = lambda_functor(xm, name)
         r.counts["squares"] = model.size()
         r.counts["thin"] = len(model.thin_squares)
         r.merge(validate_dgt(model, interchange="sampled", seed=args.seed, samples=2000))

@@ -20,7 +20,10 @@ never a table, so it checks the sweeps' coverage independently.
 """
 
 import itertools
+import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +55,12 @@ MAX_TABLE_BYTES = 1 << 28
 
 # Partner tuples a sweep handles at once; bounds its temporaries.
 _CHUNK = 1 << 14
+
+# Fewest checks for which a law sweep forks a second worker.  A fork and its
+# wait cost about 5 ms on a 2-vCPU VM, where the kernel checks about 1e8
+# quadruples/s: 4.2M checks take some 40 ms serially, so halving them pays
+# several times over, while smaller sweeps stay in one process.
+_FORK_CHECKS = 1 << 22
 
 
 @dataclass
@@ -137,6 +146,18 @@ class _Groups:
             lo = hi
 
 
+def check_table_size(name: str, n: int) -> np.dtype:
+    """The tables' dtype for ``n`` squares; SizeLimit past MAX_TABLE_BYTES."""
+    dtype = np.dtype(np.int16 if n < 1 << 15 else np.int32)
+    need = 2 * n * n * dtype.itemsize
+    if need > MAX_TABLE_BYTES:
+        raise SizeLimit(
+            f"{name}: composition tables for {n} squares need "
+            f"{need} bytes, over the limit of {MAX_TABLE_BYTES}"
+        )
+    return dtype
+
+
 @dataclass
 class SquareTables:
     """Integer-indexed composition tables; -1 marks an undefined pasting.
@@ -206,13 +227,7 @@ class DgtModel:
         """Both composition tables, built once; SizeLimit past MAX_TABLE_BYTES."""
         if self._tables is None:
             n = len(self.squares)
-            dtype = np.dtype(np.int16 if n < 1 << 15 else np.int32)
-            need = 2 * n * n * dtype.itemsize
-            if need > MAX_TABLE_BYTES:
-                raise SizeLimit(
-                    f"{self.name}: composition tables for {n} squares need "
-                    f"{need} bytes, over the limit of {MAX_TABLE_BYTES}"
-                )
+            dtype = check_table_size(self.name, n)
             c = self.code()
             keys = c.key(c.E, c.T, c.R, c.L)
             order = np.argsort(keys)
@@ -279,6 +294,25 @@ def lambda_functor(x: CrossedModuleData, name: str | None = None) -> DgtModel:
     )
 
 
+def lambda_square_count(x: CrossedModuleData) -> int:
+    """How many squares ``lambda_functor(x)`` builds, from edges and fiber orders.
+
+    A square is its top t, a left from src t, a right r from dst t and an
+    element over dst r whose boundary fixes the bottom; as the bottom runs
+    over its hom-set, the boundary word runs over every loop at dst r, so the
+    elements number |M(dst r)|.  Reads neither mu nor the action, so it can
+    refuse an oversized model before any square is built.
+    """
+    P = x.base
+    out = dict.fromkeys(P.objects, 0)
+    fill = dict.fromkeys(P.objects, 0)  # sum of |M(dst r)| over r leaving it
+    for r in P.arrows:
+        out[P.src[r]] += 1
+        # a missing fiber is left for lambda_functor's validation to report
+        fill[P.src[r]] += len(x.fibers[P.dst[r]].elements) if P.dst[r] in x.fibers else 0
+    return sum(out[P.src[t]] * fill[P.dst[t]] for t in P.arrows)
+
+
 def square_model(g: FiniteGroupoid, name: str | None = None) -> DgtModel:
     """Commuting squares of a groupoid: the trivial-fiber model, all thin."""
     return lambda_functor(trivial_crossed_module(g), name=name or f"sq({g.name})")
@@ -309,7 +343,7 @@ def comp_h_unconjugated(left: Square, right: Square):
     )
 
 
-def _class_sweep(x_class: np.ndarray, classes: int, partners, evaluate):
+def _class_sweep(x_class: np.ndarray, classes: int, partners, evaluate, total: int):
     """Check one law for every outer square, grouped by its edge class.
 
     Every square x with ``x_class[x] == k`` shares the partner tuples that
@@ -318,26 +352,91 @@ def _class_sweep(x_class: np.ndarray, classes: int, partners, evaluate):
     handed to ``evaluate(x, aux)``, which returns the law's two sides.
     Returns (checks, violations, first) with ``first`` the violation
     ``(x, *partners)`` that comes first in (x, scan) order, or None.
+
+    Two workers at most: when ``total``, the sweep's exact check count, is
+    at least ``_FORK_CHECKS``, there are two classes or more and the process
+    may run on two CPUs, one ``os.fork()``ed child sweeps every other class
+    while this process sweeps the rest; otherwise the classes run serially
+    here.  Each x lies in exactly one class, so the sums of the counts and
+    the ``first`` with the smaller x equal the serial result.
     """
     groups = _Groups(x_class, classes)
-    checked = bad = 0
-    first = None
-    for k in np.flatnonzero(groups.count):
-        xs = groups.members(k)
-        for members, aux in partners(k):
-            checked += len(xs) * len(members[0])
-            for x in xs:
-                lhs, rhs = evaluate(x, aux)
-                miss = lhs != rhs
-                nb = int(np.count_nonzero(miss))
-                if nb:
-                    bad += nb
-                    # within a class chunks come in scan order, so the first
-                    # hit for x is its earliest
-                    if first is None or x < first[0]:
-                        i = int(np.argmax(miss))
-                        first = (int(x), *(int(m[i]) for m in members))
-    return checked, bad, first
+    ks = np.flatnonzero(groups.count)
+
+    def sweep(ks):
+        checked = bad = 0
+        first = None
+        for k in ks:
+            xs = groups.members(k)
+            for members, aux in partners(k):
+                checked += len(xs) * len(members[0])
+                for x in xs:
+                    lhs, rhs = evaluate(x, aux)
+                    miss = lhs != rhs
+                    nb = int(np.count_nonzero(miss))
+                    if nb:
+                        bad += nb
+                        # within a class chunks come in scan order, so the
+                        # first hit for x is its earliest
+                        if first is None or x < first[0]:
+                            i = int(np.argmax(miss))
+                            first = (int(x), *(int(m[i]) for m in members))
+        return checked, bad, first
+
+    if (total < _FORK_CHECKS or len(ks) < 2 or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        return sweep(ks)
+    return _forked(sweep, ks)
+
+
+def _forked(sweep, ks):
+    """``sweep(ks)``, with every other class swept by a forked child.
+
+    The child pickles its result, or the text of what it raised, down a
+    pipe and leaves with ``os._exit``; a child that fails makes this raise.
+    If this side raises, the child is killed; either way it is reaped before
+    this returns.  When no child can be forked, all classes run here.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return sweep(ks)
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                out = ("ok", sweep(ks[1::2]))
+            except BaseException as exc:  # reported to the parent, then exit
+                out = ("error", f"{type(exc).__name__}: {exc}")
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(out, pipe)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        c0, b0, f0 = sweep(ks[::2])
+        with os.fdopen(r, "rb") as pipe:
+            r = None
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = None
+    finally:
+        if r is not None:
+            os.close(r)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"sweep worker died without a result (wait status {status})")
+    kind, theirs = pickle.loads(data)
+    if kind != "ok":
+        raise RuntimeError(f"sweep worker failed: {theirs}")
+    c1, b1, f1 = theirs
+    # x leads each first, and the two halves share no x
+    return c0 + c1, b0 + b1, min((f for f in (f0, f1) if f is not None), default=None)
 
 
 def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
@@ -371,7 +470,8 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
         at += vyw
         return lhs, Hf.take(at)
 
-    return _class_sweep(c.R * a + c.B, a * a, partners, evaluate)
+    return _class_sweep(c.R * a + c.B, a * a, partners, evaluate,
+                        count_compatible_quadruples(model))
 
 
 def interchange_exhaustive(model: DgtModel) -> tuple[int, int, tuple | None]:
@@ -444,7 +544,10 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
         y, z, inner = aux
         return tf.take((table[x].astype(np.intp) * n).take(y) + z), table[x].take(inner)
 
-    checked, bad, _ = _class_sweep(edge_out, a, partners, evaluate)
+    # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
+    total = int((np.bincount(edge_out, minlength=a)[edge_in]
+                 * np.bincount(edge_in, minlength=a)[edge_out]).sum())
+    checked, bad, _ = _class_sweep(edge_out, a, partners, evaluate, total)
     return checked, bad
 
 
@@ -539,7 +642,9 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
         by_corner = _Groups(c.L * a + c.T, a * a)
         rng = random.Random(seed)
         quads = []
-        while len(quads) < samples:
+        # with no arrangement at all every draw would fail, so draw none
+        drawable = count_compatible_quadruples(model) > 0
+        while drawable and len(quads) < samples:
             x = rng.randrange(n)
             ys, zs = by_left.members(c.R[x]), by_top.members(c.B[x])
             if not len(ys) or not len(zs):

@@ -140,13 +140,14 @@ def _expect(cond: bool, ln: _Line, message: str):
         raise ParseError(ln.path, ln.no, message)
 
 
-def _size_arg(ctor: str, least: int, ln: _Line) -> int:
-    """The integer ``n`` of a constructor ``name(n)``; ParseError below ``least``."""
+def _size_arg(ctor: str, least: int, most: int, ln: _Line) -> int:
+    """The integer ``n`` of a constructor ``name(n)``; ParseError outside [least, most]."""
     try:
         n = int(ctor[ctor.index("(") + 1:-1])
     except ValueError:
         n = None
-    _expect(n is not None and n >= least, ln, f"{ctor}: the argument must be an integer >= {least}")
+    _expect(n is not None and least <= n <= most, ln,
+            f"{ctor}: the argument must be an integer >= {least} and <= {most}")
     return n
 
 
@@ -307,13 +308,11 @@ class _Parser:
 
     def _group_ctor(self, ctor: str, name: str, ln: _Line) -> FiniteGroup:
         ctor = ctor.strip()
+        # cyclic(256) has a 65,536-entry table; symmetric(4) has 24 elements
         if ctor.startswith("cyclic(") and ctor.endswith(")"):
-            g = cyclic_group(_size_arg(ctor, 1, ln))
+            g = cyclic_group(_size_arg(ctor, 1, 256, ln))
         elif ctor.startswith("symmetric(") and ctor.endswith(")"):
-            n = _size_arg(ctor, 0, ln)
-            if n > 4:
-                raise ParseError(ln.path, ln.no, "symmetric(n) supported for n <= 4")
-            g = symmetric_group(n)
+            g = symmetric_group(_size_arg(ctor, 0, 4, ln))
         elif ctor == "trivial()":
             g = trivial_group()
         else:

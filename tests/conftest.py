@@ -45,6 +45,13 @@ def aut_c3_model():
 
 
 @pytest.fixture(scope="session")
+def c2_in_c2_model():
+    # C2 -> C2, the identity: 16 squares, each boundary has one filler
+    c2 = cyclic_group(2)
+    return lambda_functor(from_normal_subgroup(c2, c2.elements, name="c2c2"))
+
+
+@pytest.fixture(scope="session")
 def sq_s3(s3):
     return square_model(group_as_groupoid(s3, name="s3"))
 

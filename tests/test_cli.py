@@ -353,3 +353,23 @@ def test_oversized_model_fails_before_allocating_its_tables(tmp_path):
     assert lines[1] == "COMMAND xmod-lambda"
     peak_kb = int(lines[-1].split()[1])
     assert peak_kb < 256 * 1024
+
+
+def test_oversized_model_is_refused_before_its_squares_are_built(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "v4s4.vk"
+    ws.write_text(
+        "group s4 = symmetric(4)\n"
+        "xmod v = normal(s4, {e, (12)(34), (13)(24), (14)(23)})\n"
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_functor ran")
+
+    monkeypatch.setattr("gpdkit.cli.lambda_functor", refuse)
+    code, out = run_cli(["--format", "machine", "xmod", "lambda", str(ws)], capsys)
+    assert code == 1
+    assert (
+        "WITNESS squares(v): composition tables for 55296 squares need "
+        "24461180928 bytes, over the limit of 268435456"
+    ) in out.splitlines()
+    assert out.rstrip().endswith("RESULT fail")

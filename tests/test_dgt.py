@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gpdkit import dgt
 from gpdkit.crossed import CrossedModuleData, validate_crossed_module
 from gpdkit.dgt import (
     SquareTables,
@@ -18,6 +22,7 @@ from gpdkit.dgt import (
     interchange_exhaustive,
     interchange_sweep,
     lambda_functor,
+    lambda_square_count,
     square_model,
     thin_candidate_family,
     transport_fill_search,
@@ -55,9 +60,12 @@ def brute_square_count(xm):
     return total
 
 
-def test_lambda_square_counts(a3s3, a3s3_model, aut_s3, aut_s3_model):
-    assert a3s3_model.size() == 648 == brute_square_count(a3s3)
-    assert aut_s3_model.size() == 1296 == brute_square_count(aut_s3)
+def test_lambda_square_counts(a3s3, a3s3_model, aut_s3, aut_s3_model, aut_c3_model,
+                              sq_interval_s3, c2_in_c2_model):
+    assert a3s3_model.size() == 648 == brute_square_count(a3s3) == lambda_square_count(a3s3)
+    assert aut_s3_model.size() == 1296 == brute_square_count(aut_s3) == lambda_square_count(aut_s3)
+    for model in (aut_c3_model, sq_interval_s3, c2_in_c2_model):
+        assert model.size() == brute_square_count(model.xm) == lambda_square_count(model.xm)
 
 
 def test_square_model_counts(sq_s3, sq_c2):
@@ -281,15 +289,20 @@ def test_tables_match_calculus_on_a_sample(a3s3_model, aut_s3_model):
         assert_tables_match_calculus(model, pairs)
 
 
+def unconjugated_h(model):
+    """H built from comp_h_unconjugated: interchange fails on it."""
+    n = model.size()
+    H = np.full((n, n), -1, np.int16)
+    for i, x in enumerate(model.squares):
+        for y in model.squares_with(left=x.right):
+            H[i, model.index[y.key()]] = model.index[comp_h_unconjugated(x, y).key()]
+    return H
+
+
 def test_sweep_counts_every_violation_of_a_corrupted_pasting(aut_c3_model):
     model = aut_c3_model
     sq = model.squares
-    n = model.size()
-    H = np.full((n, n), -1, np.int16)
-    for i, x in enumerate(sq):
-        for y in model.squares_with(left=x.right):
-            H[i, model.index[y.key()]] = model.index[comp_h_unconjugated(x, y).key()]
-    checked, bad, first = interchange_sweep(model, H, model.tables().V)
+    checked, bad, first = interchange_sweep(model, unconjugated_h(model), model.tables().V)
     # object-level brute force, in the sweep's scan order x, z, y, w
     violations = []
     for x in sq:
@@ -528,3 +541,206 @@ def test_every_table_law_catches_a_swapped_filler(aut_c3_model):
     report = validate_dgt(mutant, interchange="sampled", seed=3, samples=2000)
     assert any(v.law == "interchange" and v.witness.startswith("sampled violation at ")
                for v in report.violations)
+
+
+def planted_fault(model, fault):
+    """A copy of ``model`` with one fault planted, and the witness it must give."""
+    sq, xm = model.squares, model.xm
+    if fault == "boundary":
+        # another element over the same edges; the tables stay the model's
+        k = next(k for k, s in enumerate(sq) if not is_thin(s))
+        bad = replace(sq[k], elt=xm.fibers[sq[k].corner_se].identity)
+        mutant = replace(model, squares=sq[:k] + (bad,) + sq[k + 1:], index=None)
+        mutant._tables = model.tables()
+        return mutant, f"square {bad} violates the boundary law"
+    a = next(a for a in sorted(model.edges.arrows) if a not in model.edges.identity.values())
+    if fault == "degeneracy-thin":
+        conn = model.connections_minus[a]
+        filler = next(s for s in sq if s.key()[1:] == conn.key()[1:] and not is_thin(s))
+        return replace(model, connections_minus={**model.connections_minus, a: filler}), \
+            f"conn-({a}) is not thin"
+    other = next(b for b in sorted(model.edges.arrows) if b != a)
+    return replace(model, connections_plus={**model.connections_plus,
+                                            a: model.connections_plus[other]}), \
+        f"conn+({a}) has wrong edges"
+
+
+@pytest.mark.parametrize("fixture, fault", [
+    ("c2_in_c2_model", "boundary"),
+    ("aut_c3_model", "degeneracy-thin"),
+    ("aut_c3_model", "connection-boundary"),
+])
+def test_square_checks_catch_a_planted_fault(request, fixture, fault):
+    model = request.getfixturevalue(fixture)
+    assert validate_dgt(model, interchange="exhaustive").ok
+    mutant, witness = planted_fault(model, fault)
+    report = validate_dgt(mutant, interchange="exhaustive")
+    assert witness in [v.witness for v in report.violations if v.law == fault], report.witnesses
+
+
+def test_sampled_interchange_draws_nothing_without_an_arrangement():
+    # eps_v of a non-identity arrow: no square starts a complete 2x2
+    # arrangement, so every draw would fail
+    model = square_model(interval_finite_groupoid())
+    lonely = [replace(model, squares=(eps_v(model.xm, a),), index=None) for a in ("i", "i_inv")]
+
+    def stuck(signum, frame):
+        raise TimeoutError("sampled interchange is still drawing")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        for one in lonely:
+            assert count_compatible_quadruples(one) == 0
+            sampled = validate_dgt(one, interchange="sampled", samples=10)
+            exhaustive = validate_dgt(one, interchange="exhaustive")
+            assert sampled.checks == exhaustive.checks
+            assert sampled.violations == exhaustive.violations
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# -- the forked sweep -----------------------------------------------------------
+
+@pytest.fixture
+def sweep_path(monkeypatch):
+    """Sets which path a law sweep takes: "forked" (whenever it has two
+    classes, even on one CPU) or "serial"; records each sweep's exact count
+    given beforehand and its result."""
+    monkeypatch.setattr(dgt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    runs = []
+    sweep = dgt._class_sweep
+
+    def recorded(*args):
+        out = sweep(*args)
+        runs.append((args[-1], out))
+        return out
+
+    monkeypatch.setattr(dgt, "_class_sweep", recorded)
+
+    def use(path):
+        monkeypatch.setattr(dgt, "_FORK_CHECKS", 0 if path == "forked" else 1 << 62)
+        return runs
+
+    return use
+
+
+def law_sweeps(model, H=None):
+    t = model.tables()
+    H = t.H if H is None else H
+    c = model.code()
+    return (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, c.R, c.L),
+            _assoc_sweep(model, t.V, c.B, c.T))
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "aut_c3_model", "sq_interval_s3",
+                                     "a3s3_model"])
+def test_forked_sweeps_match_the_serial_ones(request, sweep_path, fixture):
+    model = request.getfixturevalue(fixture)
+    for H in [None, unconjugated_h(model)] if fixture == "aut_c3_model" else [None]:
+        runs = sweep_path("serial")
+        serial = law_sweeps(model, H)
+        sweep_path("forked")
+        assert law_sweeps(model, H) == serial
+        # the count each sweep is given beforehand is its exact check count
+        assert all(total == out[0] for total, out in runs)
+        if H is not None:
+            checked, bad, first = serial[0]
+            assert 0 < bad < checked and first is not None
+
+
+def test_forked_associativity_matches_the_serial_one_on_aut_s3(sweep_path, aut_s3_model):
+    t, c = aut_s3_model.tables(), aut_s3_model.code()
+    for path in ("serial", "forked"):
+        runs = sweep_path(path)
+        _assoc_sweep(aut_s3_model, t.H, c.R, c.L)
+        _assoc_sweep(aut_s3_model, t.V, c.B, c.T)
+    assert [out for _, out in runs[:2]] == [out for _, out in runs[2:]]
+    assert all(total == out[0] for total, out in runs)
+
+
+def toy_sweep(evaluate):
+    """_class_sweep over 8 outer squares in 4 classes, 5 partners each."""
+    def partners(k):
+        yield (np.arange(5),), None
+
+    return dgt._class_sweep(np.arange(8) % 4, 4, partners, evaluate, 40)
+
+
+@pytest.fixture
+def forks(monkeypatch, sweep_path):
+    """The pids of the children forked while the test runs."""
+    sweep_path("forked")
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(dgt.os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def one_miss_per_x(x, aux):
+    return np.arange(5), np.where(np.arange(5) == x % 5, -1, np.arange(5))
+
+
+def test_forked_toy_sweep_counts_and_reaps(forks):
+    fds = len(os.listdir("/proc/self/fd"))
+    assert toy_sweep(one_miss_per_x) == (40, 8, (0, 0))
+    assert_reaped(forks)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_sweep_runs_serially_when_no_child_can_be_forked(monkeypatch, sweep_path):
+    sweep_path("forked")
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(dgt.os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert toy_sweep(one_miss_per_x) == (40, 8, (0, 0))
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("failure, message", [
+    (lambda: 1 / 0, "sweep worker failed: ZeroDivisionError: division by zero"),
+    (lambda: os._exit(3), "sweep worker died without a result"),
+])
+def test_a_failing_child_makes_the_sweep_raise(forks, failure, message):
+    parent = os.getpid()
+
+    def evaluate(x, aux):
+        if os.getpid() != parent:
+            failure()
+        return np.zeros(5), np.zeros(5)
+
+    with pytest.raises(RuntimeError, match=message):
+        toy_sweep(evaluate)
+    assert_reaped(forks)
+
+
+def test_a_failing_parent_kills_and_reaps_its_child(forks):
+    parent = os.getpid()
+
+    def evaluate(x, aux):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise ValueError("parent half failed")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="parent half failed"):
+        toy_sweep(evaluate)
+    assert time.perf_counter() - start < 30
+    assert_reaped(forks)

@@ -170,11 +170,17 @@ def test_full_form_span_parses():
     ("cyclic(x)", 1),
     ("cyclic(0)", 1),
     ("cyclic(-2)", 1),
+    ("cyclic(257)", 1),
+    ("cyclic(100000000)", 1),
     ("symmetric(-1)", 0),
+    ("symmetric(5)", 0),
 ])
-def test_group_constructor_argument_fails_at_its_line(ctor, least):
+def test_group_constructor_argument_fails_at_its_line(monkeypatch, ctor, least):
+    # a missing bound must fail here, not build a 10^16-entry table
+    monkeypatch.setattr("gpdkit.textfmt.cyclic_group", lambda n: pytest.fail(f"cyclic({n}) built"))
+    most = 256 if ctor.startswith("cyclic") else 4
     content = f"group s3 = symmetric(3)\ngroup g = {ctor}\n"
     with pytest.raises(ParseError) as err:
         parse_workspace([("inline.vk", content)])
     assert (err.value.path, err.value.line_no) == ("inline.vk", 2)
-    assert f"{ctor}: the argument must be an integer >= {least}" in str(err.value)
+    assert f"{ctor}: the argument must be an integer >= {least} and <= {most}" in str(err.value)
