@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .errors import FiberMismatch, NotASubgroup, NotNormal, SizeLimit
+from .errors import FiberMismatch, NotASubgroup, NotNormal, PreconditionFailed, SizeLimit
 from .finite import (
     FiniteGroup,
     FiniteGroupoid,
@@ -253,8 +253,12 @@ def automorphism_xmod(g: FiniteGroup) -> CrossedModuleData:
 # -- perturbation fuzzing ---------------------------------------------------------
 
 def perturb_action_entry(x: CrossedModuleData, rng: random.Random) -> CrossedModuleData:
-    """Copy ``x`` with one action-table entry flipped to a different element."""
+    """Copy ``x`` with one action-table entry flipped to a different element.
+
+    Raises PreconditionFailed when no entry can change."""
     keys = sorted(x.action)
+    if not any(v != x.action[(m, p)] for m, p in keys for v in x.fibers[x.base.dst[p]].elements):
+        raise PreconditionFailed(f"{x.name}: no action entry has a second value")
     while True:
         m, p = keys[rng.randrange(len(keys))]
         t = x.base.dst[p]

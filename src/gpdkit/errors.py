@@ -107,25 +107,25 @@ class BaseMismatch(GpdError):
 
 # -- workspace / CLI ---------------------------------------------------------
 
-class ParseError(GpdError):
+class LocatedError(GpdError):
+    """An error at a line of a workspace file; its message starts with ``path:line:``."""
+
     def __init__(self, path, line_no, message):
         self.path = path
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-class UnresolvedReference(GpdError):
-    def __init__(self, path, line_no, message):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+class ParseError(LocatedError):
+    """A line does not parse, or its block does not build."""
 
 
-class DuplicateName(GpdError):
-    def __init__(self, path, line_no, message):
-        self.path = path
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+class UnresolvedReference(LocatedError):
+    """A line names an object that no block defines."""
+
+
+class DuplicateName(LocatedError):
+    """A block reuses the name of another block of its kind."""
 
 
 class UnreadableWorkspace(GpdError):

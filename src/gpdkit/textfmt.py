@@ -17,7 +17,7 @@ from .crossed import (
     from_normal_subgroup,
     trivial_crossed_module,
 )
-from .errors import DuplicateName, ParseError, UnreadableWorkspace, UnresolvedReference
+from .errors import DuplicateName, LocatedError, ParseError, UnreadableWorkspace, UnresolvedReference
 from .finite import (
     FiniteGroup,
     FiniteGroupoid,
@@ -32,7 +32,7 @@ from .grids import Grid
 from .morphisms import GroupoidMorphism
 from .presentations import GroupoidPresentation, discrete_presentation
 from .squares import Square, make_square
-from .cubes import Cube, make_cube
+from .cubes import FACE_SLOTS, Cube, make_cube
 from .vkt import Span
 from .words import ArrowGen, Word
 
@@ -91,22 +91,19 @@ def _strip(raw: str) -> str:
 
 
 def _blocks(path: str, content: str):
-    lines = [
-        _Line(path, i + 1, stripped)
-        for i, raw in enumerate(content.splitlines())
-        if (stripped := _strip(raw))
-    ]
+    """Each block as (kind, rest of its header line as a list of 0 or 1 items, lines)."""
     blocks = []
-    current = None
-    for ln in lines:
-        head = ln.text.split(None, 1)[0].rstrip(":")
-        if head in _HEADERS:
-            current = [ln]
-            blocks.append(current)
-        elif current is None:
-            raise ParseError(path, ln.no, f"expected a block header, got {ln.text!r}")
+    for i, raw in enumerate(content.splitlines()):
+        if not (text := _strip(raw)):
+            continue
+        ln = _Line(path, i + 1, text)
+        kind, *rest = text.split(None, 1)
+        if kind.rstrip(":") in _HEADERS:
+            blocks.append((kind.rstrip(":"), rest, [ln]))
+        elif not blocks:
+            raise ParseError(path, ln.no, f"expected a block header, got {text!r}")
         else:
-            current.append(ln)
+            blocks[-1][2].append(ln)
     return blocks
 
 
@@ -140,12 +137,16 @@ def _expect(cond: bool, ln: _Line, message: str):
         raise ParseError(ln.path, ln.no, message)
 
 
+def _int(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _size_arg(ctor: str, least: int, most: int, ln: _Line) -> int:
     """The integer ``n`` of a constructor ``name(n)``; ParseError outside [least, most]."""
-    try:
-        n = int(ctor[ctor.index("(") + 1:-1])
-    except ValueError:
-        n = None
+    n = _int(ctor[ctor.index("(") + 1:-1])
     _expect(n is not None and least <= n <= most, ln,
             f"{ctor}: the argument must be an integer >= {least} and <= {most}")
     return n
@@ -158,9 +159,16 @@ def _arrow_ref(token: str, ln: _Line) -> tuple[str, str]:
 
 
 class _Parser:
+    """Parses blocks in two passes.
+
+    ``parse_<kind>(block, rest)`` gets a block's lines and the rest of its
+    header line.  Self-contained blocks are built at once; blocks that name
+    other objects go into ``pending`` as ``(kind, name, header line, build)``
+    and ``resolve`` builds them in file order.
+    """
+
     def __init__(self):
         self.ws = Workspace()
-        # deferred blocks that reference other objects
         self.pending = []
 
     def add(self, kind: str, name: str, value, ln: _Line):
@@ -171,9 +179,8 @@ class _Parser:
 
     # -- first pass: self-contained blocks -------------------------------
 
-    def parse_groupoid(self, block):
+    def parse_groupoid(self, block, name):
         head = block[0]
-        name = head.text.split(None, 1)[1].strip()
         objects: list[str] = []
         gens: list[tuple[ArrowGen, _Line]] = []
         rel_lines = []
@@ -216,12 +223,11 @@ class _Parser:
             raise ParseError(head.path, head.no, str(exc)) from exc
         self.add("presentation", name, p, head)
 
-    def parse_finite(self, block):
+    def parse_finite(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1].strip()
         if "=" in rest:
             name, ctor = (x.strip() for x in rest.split("=", 1))
-            self.pending.append(("finite-ctor", name, ctor, head))
+            self.pending.append(("finite", name, head, lambda: self._finite_ctor(ctor, name, head)))
             return
         name = rest
         arrows = []
@@ -269,9 +275,8 @@ class _Parser:
         )
         self.add("finite", name, f, head)
 
-    def parse_group(self, block):
+    def parse_group(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1].strip()
         if "=" in rest:
             name, ctor = (x.strip() for x in rest.split("=", 1))
             g = self._group_ctor(ctor, name, head)
@@ -307,7 +312,6 @@ class _Parser:
         self.add("group", name, g, head)
 
     def _group_ctor(self, ctor: str, name: str, ln: _Line) -> FiniteGroup:
-        ctor = ctor.strip()
         # cyclic(256) has a 65,536-entry table; symmetric(4) has 24 elements
         if ctor.startswith("cyclic(") and ctor.endswith(")"):
             g = cyclic_group(_size_arg(ctor, 1, 256, ln))
@@ -322,17 +326,18 @@ class _Parser:
 
     # -- deferred blocks ---------------------------------------------------
 
-    def parse_morphism(self, block):
+    def parse_morphism(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1]
         _expect(":" in rest and "->" in rest, head, "expected 'morphism name: dom -> cod'")
         name, arrow = rest.split(":", 1)
         dom, cod = _arrow_ref(arrow, head)
-        self.pending.append(("morphism", name.strip(), (dom, cod, block[1:]), head))
+        name = name.strip()
+        self.pending.append(
+            ("morphism", name, head, lambda: self._morphism(name, dom, cod, block[1:], head))
+        )
 
-    def parse_span(self, block):
+    def parse_span(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1]
         if ":" in rest:
             name, body = rest.split(":", 1)
             toks = body.split()
@@ -341,9 +346,11 @@ class _Parser:
                 head,
                 "expected 'span name: left M1 right M2'",
             )
-            self.pending.append(("span-named", name.strip(), (toks[1], toks[3]), head))
+            self.pending.append(
+                ("span", name.strip(), head, lambda: self._span_named(toks[1], toks[3], head))
+            )
             return
-        name = rest.strip()
+        name = rest
         apex_objects = None
         legs = {}
         for ln in block[1:]:
@@ -364,20 +371,22 @@ class _Parser:
                 raise ParseError(ln.path, ln.no, f"unexpected line in span block: {ln.text!r}")
         _expect(apex_objects is not None, head, "span block needs 'apex objects:'")
         _expect("left" in legs and "right" in legs, head, "span block needs left and right legs")
-        self.pending.append(("span-inline", name, (apex_objects, legs), head))
+        self.pending.append(
+            ("span", name, head, lambda: self._span_inline(name, apex_objects, legs))
+        )
 
-    def parse_xmod(self, block):
+    def parse_xmod(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1].strip()
         if "=" in rest:
             name, ctor = (x.strip() for x in rest.split("=", 1))
-            self.pending.append(("xmod-ctor", name, ctor, head))
+            self.pending.append(("xmod", name, head, lambda: self._xmod_ctor(ctor, name, head)))
             return
-        self.pending.append(("xmod-literal", rest, block[1:], head))
+        self.pending.append(
+            ("xmod", rest, head, lambda: self._xmod_literal(rest, block[1:], head))
+        )
 
-    def parse_square(self, block):
+    def parse_square(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1]
         _expect("=" in rest, head, "expected 'square name = (elt; top,right,bottom,left) over X'")
         name, body = rest.split("=", 1)
         _expect(" over " in body, head, "square needs 'over <xmod>'")
@@ -389,36 +398,36 @@ class _Parser:
         elt, edges = inner.split(";", 1)
         parts = [x.strip() for x in edges.split(",")]
         _expect(len(parts) == 4, head, "expected four edges top,right,bottom,left")
-        self.pending.append(
-            ("square", name.strip(), (elt.strip(), parts, xm_name.strip()), head)
-        )
+        self.pending.append(("square", name.strip(), head, lambda: make_square(
+            self._need(self.ws.xmods, xm_name.strip(), "xmod", head), elt.strip(), *parts)))
 
-    def parse_grid(self, block):
+    def parse_grid(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1]
         _expect(":" in rest, head, "expected 'grid name RxC: s1 s2 ...'")
         left, names = rest.split(":", 1)
         toks = left.split()
         _expect(len(toks) == 2 and "x" in toks[1], head, "expected 'grid name RxC: ...'")
-        r, c = toks[1].split("x")
+        size = [_int(t) for t in toks[1].split("x")]
+        _expect(len(size) == 2 and None not in size and min(size) >= 1, head,
+                f"grid size {toks[1]!r}: expected RxC, two integers >= 1")
         self.pending.append(
-            ("grid", toks[0], (int(r), int(c), names.split()), head)
+            ("grid", toks[0], head, lambda: self._grid(*size, names.split(), head))
         )
 
-    def parse_cube(self, block):
+    def parse_cube(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1]
         _expect(":" in rest, head, "expected 'cube name: six face names'")
         name, names = rest.split(":", 1)
         faces = names.split()
         _expect(len(faces) == 6, head, "a cube needs exactly six faces (d1- d1+ d2- d2+ d3- d3+)")
-        self.pending.append(("cube", name.strip(), faces, head))
+        self.pending.append(("cube", name.strip(), head, lambda: make_cube(
+            *(self._need(self.ws.squares, f, "square", head) for f in faces))))
 
-    def parse_freemodule(self, block):
+    def parse_freemodule(self, block, rest):
         head = block[0]
-        rest = head.text.split(None, 1)[1]
         _expect(" over " in rest, head, "expected 'freemodule name over presentation'")
         name, base = rest.split(" over ", 1)
+        name = name.strip()
         gens = []
         for ln in block[1:]:
             if ln.text.startswith("mgen "):
@@ -427,7 +436,9 @@ class _Parser:
                 gens.append((toks[0], toks[2]))
             else:
                 raise ParseError(ln.path, ln.no, f"unexpected line in freemodule block: {ln.text!r}")
-        self.pending.append(("freemodule", name.strip(), (base.strip(), gens), head))
+        self.pending.append(("freemodule", name, head, lambda: FreeModule(
+            name, self._need(self.ws.presentations, base.strip(), "presentation", head),
+            tuple(gens))))
 
     # -- resolution ----------------------------------------------------------
 
@@ -437,38 +448,17 @@ class _Parser:
         return table[name]
 
     def resolve(self):
-        for entry in self.pending:
-            tag, name, payload, ln = entry
-            if tag == "finite-ctor":
-                self.add("finite", name, self._finite_ctor(payload, name, ln), ln)
-            elif tag == "xmod-ctor":
-                self.add("xmod", name, self._xmod_ctor(payload, name, ln), ln)
-            elif tag == "xmod-literal":
-                self.add("xmod", name, self._xmod_literal(name, payload, ln), ln)
-            elif tag == "morphism":
-                self.add("morphism", name, self._morphism(name, payload, ln), ln)
-            elif tag == "span-named":
-                l, r = payload
-                left = self._need(self.ws.morphisms, l, "morphism", ln)
-                right = self._need(self.ws.morphisms, r, "morphism", ln)
-                if left.domain != right.domain:
-                    raise UnresolvedReference(ln.path, ln.no, "span legs have different apexes")
-                self.add("span", name, Span(left.domain, left, right), ln)
-            elif tag == "span-inline":
-                self.add("span", name, self._span_inline(name, payload, ln), ln)
-            elif tag == "square":
-                self.add("square", name, self._square(payload, ln), ln)
-            elif tag == "grid":
-                self.add("grid", name, self._grid(payload, ln), ln)
-            elif tag == "cube":
-                self.add("cube", name, self._cube(payload, ln), ln)
-            elif tag == "freemodule":
-                base_name, gens = payload
-                base = self._need(self.ws.presentations, base_name, "presentation", ln)
-                self.add("freemodule", name, FreeModule(name, base, tuple(gens)), ln)
+        """Build every deferred block; a failure is located at its header."""
+        for kind, name, ln, build in self.pending:
+            try:
+                value = build()
+            except LocatedError:
+                raise
+            except Exception as exc:
+                raise ParseError(ln.path, ln.no, f"{kind}: {exc}") from exc
+            self.add(kind, name, value, ln)
 
     def _finite_ctor(self, ctor: str, name: str, ln: _Line) -> FiniteGroupoid:
-        ctor = ctor.strip()
         if ctor.startswith("group(") and ctor.endswith(")"):
             g = self._need(self.ws.groups, ctor[6:-1].strip(), "group", ln)
             return group_as_groupoid(g, name=name)
@@ -479,7 +469,6 @@ class _Parser:
         raise ParseError(ln.path, ln.no, f"unknown finite constructor {ctor!r}")
 
     def _xmod_ctor(self, ctor: str, name: str, ln: _Line) -> CrossedModuleData:
-        ctor = ctor.strip()
         if ctor.startswith("normal(") and ctor.endswith(")"):
             body = ctor[7:-1]
             _expect("," in body, ln, "expected normal(group, {elements})")
@@ -528,7 +517,7 @@ class _Parser:
                 mu.setdefault(site, {})[m] = p
             elif ln.text.startswith("act "):
                 body = ln.text[4:]
-                _expect("^" in body and "=" in body, ln, "expected 'act m ^ p = m2'")
+                _expect("=" in body.partition("^")[2], ln, "expected 'act m ^ p = m2'")
                 m, rest = body.split("^", 1)
                 p, m2 = rest.split("=", 1)
                 action[(m.strip(), p.strip())] = m2.strip()
@@ -537,8 +526,7 @@ class _Parser:
         _expect(base is not None, head, "xmod block needs a 'base' line")
         return CrossedModuleData(name, base, fibers, mu, action)
 
-    def _morphism(self, name: str, payload, head: _Line) -> GroupoidMorphism:
-        dom_name, cod_name, lines = payload
+    def _morphism(self, name: str, dom_name: str, cod_name: str, lines, head: _Line) -> GroupoidMorphism:
         dom = self._need(self.ws.presentations, dom_name, "presentation", head)
         if cod_name in self.ws.presentations:
             cod = self.ws.presentations[cod_name]
@@ -569,13 +557,16 @@ class _Parser:
                     gen_map[g] = image
             else:
                 raise ParseError(ln.path, ln.no, f"unexpected line in morphism block: {ln.text!r}")
-        try:
-            return GroupoidMorphism(name, dom, cod, object_map, gen_map)
-        except Exception as exc:
-            raise ParseError(head.path, head.no, f"morphism {name!r}: {exc}") from exc
+        return GroupoidMorphism(name, dom, cod, object_map, gen_map)
 
-    def _span_inline(self, name: str, payload, head: _Line) -> Span:
-        apex_objects, legs = payload
+    def _span_named(self, left_name: str, right_name: str, head: _Line) -> Span:
+        left = self._need(self.ws.morphisms, left_name, "morphism", head)
+        right = self._need(self.ws.morphisms, right_name, "morphism", head)
+        if left.domain != right.domain:
+            raise UnresolvedReference(head.path, head.no, "span legs have different apexes")
+        return Span(left.domain, left, right)
+
+    def _span_inline(self, name: str, apex_objects, legs) -> Span:
         apex = discrete_presentation(f"{name}.apex", tuple(apex_objects))
         morphs = {}
         for side in ("left", "right"):
@@ -589,52 +580,18 @@ class _Parser:
                 raise ParseError(ln.path, ln.no, f"span leg {side}: {exc}") from exc
         return Span(apex, morphs["left"], morphs["right"])
 
-    def _square(self, payload, head: _Line) -> Square:
-        elt, (top, right, bottom, left), xm_name = payload
-        xm = self._need(self.ws.xmods, xm_name, "xmod", head)
-        try:
-            return make_square(xm, elt, top, right, bottom, left)
-        except Exception as exc:
-            raise ParseError(head.path, head.no, f"square: {exc}") from exc
-
-    def _grid(self, payload, head: _Line) -> Grid:
-        rows, cols, names = payload
+    def _grid(self, rows: int, cols: int, names, head: _Line) -> Grid:
         _expect(len(names) == rows * cols, head, f"grid needs {rows * cols} squares, got {len(names)}")
-        cells = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                row.append(self._need(self.ws.squares, names[i * cols + j], "square", head))
-            cells.append(tuple(row))
-        try:
-            return Grid(tuple(cells))
-        except Exception as exc:
-            raise ParseError(head.path, head.no, f"grid: {exc}") from exc
-
-    def _cube(self, faces, head: _Line) -> Cube:
-        sq = [self._need(self.ws.squares, f, "square", head) for f in faces]
-        try:
-            return make_cube(*sq)
-        except Exception as exc:
-            raise ParseError(head.path, head.no, f"cube: {exc}") from exc
-
-
-_BLOCK_DISPATCH = {
-    "groupoid": _Parser.parse_groupoid,
-    "finite": _Parser.parse_finite,
-    "group": _Parser.parse_group,
-    "morphism": _Parser.parse_morphism,
-    "span": _Parser.parse_span,
-    "xmod": _Parser.parse_xmod,
-    "square": _Parser.parse_square,
-    "grid": _Parser.parse_grid,
-    "cube": _Parser.parse_cube,
-    "freemodule": _Parser.parse_freemodule,
-}
+        cells = [self._need(self.ws.squares, n, "square", head) for n in names]
+        return Grid(tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows)))
 
 
 def parse_workspace(files) -> Workspace:
-    """Parse one or more (path, content) pairs or file paths into a workspace."""
+    """Parse one or more (path, content) pairs or file paths into a workspace.
+
+    A file that cannot be read raises ``UnreadableWorkspace``; every other
+    failure raises a ``LocatedError`` whose message starts with ``path:line:``.
+    """
     parser = _Parser()
     for f in files:
         if isinstance(f, tuple):
@@ -647,9 +604,9 @@ def parse_workspace(files) -> Workspace:
             except (OSError, UnicodeDecodeError) as exc:
                 reason = getattr(exc, "strerror", None) or exc
                 raise UnreadableWorkspace(f"cannot read {path}: {reason}") from exc
-        for block in _blocks(path, content):
-            head = block[0].text.split(None, 1)[0].rstrip(":")
-            _BLOCK_DISPATCH[head](parser, block)
+        for kind, rest, block in _blocks(path, content):
+            _expect(rest, block[0], f"expected a name after {kind!r}")
+            getattr(parser, f"parse_{kind}")(block, rest[0])
     parser.resolve()
     return parser.ws
 
@@ -727,9 +684,9 @@ def print_square(name: str, s: Square) -> str:
 def print_workspace(ws: Workspace) -> str:
     """Canonical text for the self-contained parts of a workspace.
 
-    Spans with inline apexes, grids and cubes referencing named squares are
-    printed when their parts are nameable; everything prints in kind order
-    then name order so output is reproducible.
+    Spans with inline apexes, grids whose cells and cubes whose faces are
+    all named squares are printed; everything prints in kind order then name
+    order so output is reproducible.
     """
     chunks = []
     groups = dict(ws.groups)
@@ -753,6 +710,17 @@ def print_workspace(ws: Workspace) -> str:
         chunks.append(print_xmod(ws.xmods[name]))
     for name in sorted(ws.squares):
         chunks.append(print_square(name, ws.squares[name]))
+    # a square under two names prints as the first
+    square_names = {sq: name for name, sq in sorted(ws.squares.items(), reverse=True)}
+    for name in sorted(ws.grids):
+        g = ws.grids[name]
+        cells = [cell for row in g.cells for cell in row]
+        if all(cell in square_names for cell in cells):
+            chunks.append(f"grid {name} {g.rows}x{g.cols}: " + " ".join(square_names[c] for c in cells))
+    for name in sorted(ws.cubes):
+        faces = [ws.cubes[name].face(slot) for slot in FACE_SLOTS]
+        if all(f in square_names for f in faces):
+            chunks.append(f"cube {name}: " + " ".join(square_names[f] for f in faces))
     for name in sorted(ws.modules):
         m = ws.modules[name]
         lines = [f"freemodule {name} over {m.base.name}"]

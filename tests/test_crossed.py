@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -12,7 +13,7 @@ from gpdkit.crossed import (
     trivial_crossed_module,
     validate_crossed_module,
 )
-from gpdkit.errors import FiberMismatch, NotASubgroup, NotNormal, SizeLimit
+from gpdkit.errors import FiberMismatch, NotASubgroup, NotNormal, PreconditionFailed, SizeLimit
 from gpdkit.finite import (
     cyclic_group,
     even_elements,
@@ -138,6 +139,20 @@ def test_perturbation_always_caught(a3s3, aut_s3):
         rng = random.Random(k)
         assert not validate_crossed_module(perturb_action_entry(aut_s3, rng)).ok
         assert not validate_crossed_module(perturb_action_entry(a3s3, rng)).ok
+
+
+def test_perturbation_refuses_a_module_with_no_entry_to_change():
+    def stuck(signum, frame):
+        raise TimeoutError("perturb_action_entry is still drawing")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        with pytest.raises(PreconditionFailed, match="no action entry has a second value"):
+            perturb_action_entry(trivial_crossed_module(interval_finite_groupoid()), random.Random(0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_trivial_crossed_module_over_groupoid():

@@ -1,8 +1,10 @@
 import importlib.resources as resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gpdkit.errors import DuplicateName, ParseError, UnresolvedReference
+from gpdkit.cubes import FACE_SLOTS
+from gpdkit.errors import DuplicateName, LocatedError, ParseError, UnresolvedReference
 from gpdkit.textfmt import parse_workspace, print_workspace
 from gpdkit.vkt import pushout, tietze_simplify, vertex_group
 
@@ -121,15 +123,22 @@ def test_literal_finite_and_group_and_xmod():
     assert validate_crossed_module(ws.xmods["shadow"]).ok
 
 
+def _cell_keys(ws):
+    grids = {n: [[c.key() for c in row] for row in g.cells] for n, g in ws.grids.items()}
+    cubes = {n: [c.face(s).key() for s in FACE_SLOTS] for n, c in ws.cubes.items()}
+    return grids, cubes
+
+
 def test_roundtrip_print_parse():
     for name in ("circle.vk", "a3s3.vk", "squares.vk", "disk_module.vk", "wedge.vk"):
-        if name == "squares.vk":
-            # grids and cubes are not reprinted; use the printable subset
-            continue
         ws1 = parse_workspace([data(name)])
         text1 = print_workspace(ws1)
         ws2 = parse_workspace([("canon.vk", text1)])
         assert print_workspace(ws2) == text1
+        # Square equality also asks for the same crossed-module object
+        assert _cell_keys(ws2) == _cell_keys(ws1)
+        if name == "squares.vk":
+            assert (set(ws2.grids), set(ws2.cubes)) == ({"demo"}, {"box"})
 
 
 def test_roundtrip_squares_subset():
@@ -184,3 +193,76 @@ def test_group_constructor_argument_fails_at_its_line(monkeypatch, ctor, least):
         parse_workspace([("inline.vk", content)])
     assert (err.value.path, err.value.line_no) == ("inline.vk", 2)
     assert f"{ctor}: the argument must be an integer >= {least} and <= {most}" in str(err.value)
+
+
+_KINDS = ("groupoid", "finite", "group", "morphism", "span",
+          "xmod", "square", "grid", "cube", "freemodule")
+_A3 = "group s3 = symmetric(3)\nxmod a3 = normal(s3, {e, (123), (132)})\nsquare s = (e; e,e,e,e) over a3\n"
+
+
+@pytest.mark.parametrize("content, line", [
+    *((f"group one = trivial()\n{kind}\n", 2) for kind in _KINDS),
+    ("group one = trivial()\ncube:\n", 2),
+    ("group s3 = symmetric(3)\nxmod b = normal(s3, {e, (12)})\n", 2),
+    ("group s3 = symmetric(3)\nxmod b = normal(s3, {e, zz})\n", 2),
+    ("group s4 = symmetric(4)\nxmod b = autxmod(s4)\n", 2),
+    ("groupoid p\nobjects: 0\ngen a: 0 -> 0\nrel: a.a = id(0)\nfreemodule m over p\nmgen x at 0\n", 5),
+    (_A3 + "grid g 2xa: s s\n", 4),
+    (_A3 + "grid g 1x1x1: s\n", 4),
+    ("group c = trivial()\nfinite pt = group(c)\nxmod x\nbase pt\nact e = e ^ e\n", 5),
+], ids=[*_KINDS, "cube:", "not-normal", "not-an-element", "autxmod-s4", "freemodule-rel",
+        "grid-2xa", "grid-1x1x1", "act-equals-before-caret"])
+def test_bad_block_fails_at_its_line(content, line):
+    with pytest.raises(LocatedError) as err:
+        parse_workspace([("inline.vk", content)])
+    assert (err.value.path, err.value.line_no) == ("inline.vk", line)
+    assert str(err.value).startswith(f"inline.vk:{line}: ")
+
+
+_BUNDLED = {
+    name: resources.files("gpdkit").joinpath("data", name).read_text(encoding="utf-8")
+    for name in ("a3s3.vk", "bad_cube.vk", "bad_groupoid.vk", "circle.vk",
+                 "disk_module.vk", "squares.vk", "wedge.vk")
+}
+_SYMBOLS = ("", ":", "=", "->", "x", "0", "-1", "(", ")", "{", "}", ",", ";", ".", "^", "#",
+            "over", "id(0)", "e")
+
+
+@st.composite
+def edited_workspace(draw):
+    """A bundled workspace after one to three random line edits."""
+    lines = _BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))].splitlines()
+    lines = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
+    tokens = sorted({t for ln in lines for t in ln.split()}) + list(_SYMBOLS)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "duplicate", "move", "truncate", "token", "insert")))
+        if edit == "delete" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif edit == "truncate":
+            words = lines[i].split()
+            lines[i] = " ".join(words[:draw(st.integers(0, len(words)))])
+        elif edit == "token":
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(tokens))
+            lines[i] = " ".join(words)
+        elif edit == "insert":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(_SYMBOLS)) + lines[i][at:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(edited_workspace())
+def test_edited_workspace_parses_or_fails_at_a_line(content):
+    try:
+        ws = parse_workspace([("edited.vk", content)])
+    except LocatedError as exc:
+        assert 1 <= exc.line_no <= content.count("\n")
+        assert str(exc).startswith(f"edited.vk:{exc.line_no}: ")
+    else:
+        print_workspace(ws)
