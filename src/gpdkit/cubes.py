@@ -3,7 +3,9 @@
 Faces are indexed by axis and sign: axis 1 is vertical (lid ``d1-`` on top,
 base ``d1+`` underneath), axis 2 runs left to right, axis 3 front to back.
 A face inherits its own square orientation from the two remaining axes in
-increasing order, which pins down the twelve edge identifications below.
+increasing order, the first running top to bottom and the second left to
+right.  That rule and the twelve edge identifications in ``EDGE_SEAMS`` are
+the cube's whole geometry: enumeration, sampling and pasting derive from them.
 
 Folding flattens the five non-lid faces into a 3x3 grid around the base:
 the front and back faces enter through the diagonal reflection, the right
@@ -72,32 +74,27 @@ class Cube:
 
 
 def make_cube(lid, base, left, right, front, back) -> Cube:
-    return Cube(
-        {
-            "d1-": lid,
-            "d1+": base,
-            "d2-": left,
-            "d2+": right,
-            "d3-": front,
-            "d3+": back,
-        }
-    )
+    return Cube(dict(zip(FACE_SLOTS, (lid, base, left, right, front, back))))
 
 
-def fold_layout(front: Square, back: Square, left: Square, right: Square,
-                base: Square) -> Grid:
-    """The 3x3 fold of the five non-lid faces around the base.
+def _cube(faces: dict[str, Square]) -> Cube:
+    return Cube({slot: faces[slot] for slot in FACE_SLOTS})
+
+
+def fold_layout(faces: dict[str, Square]) -> Grid:
+    """The 3x3 fold of the five non-lid faces around the base, read by slot.
 
     Corner cells are the unique thin squares on the edges forced by their
     arm neighbours (outer edges identities); construction fails loudly if a
     corner boundary does not commute.
     """
+    base = faces["d1+"]
     xm = base.xm
     P = xm.base
-    l_cell = transpose(front)
-    r_cell = inv_h(transpose(back))
-    u_cell = left
-    d_cell = inv_v(right)
+    l_cell = transpose(faces["d3-"])
+    r_cell = inv_h(transpose(faces["d3+"]))
+    u_cell = faces["d2-"]
+    d_cell = inv_v(faces["d2+"])
 
     def ident(obj):
         return P.id_at(obj)
@@ -141,9 +138,7 @@ def fold_layout(front: Square, back: Square, left: Square, right: Square,
 
 def fold_five_faces(c: Cube) -> Square:
     """Compose the five non-lid faces into a single square."""
-    return grid_compose(
-        fold_layout(c.face("d3-"), c.face("d3+"), c.face("d2-"), c.face("d2+"), c.face("d1+"))
-    )
+    return grid_compose(fold_layout(c.faces))
 
 
 def is_commutative_cube(c: Cube) -> bool:
@@ -151,17 +146,21 @@ def is_commutative_cube(c: Cube) -> bool:
 
 
 def commutativity_oracle(c: Cube) -> bool:
-    """Scalar commutativity test over a one-object base.
+    """Scalar commutativity test over a one-object base with injective boundary.
 
     Evaluates a conjugated product of the six faces' boundary words directly
-    in the base group, with no square pasting involved.  Agrees with
-    ``is_commutative_cube`` whenever square fillers are unique (injective
-    boundaries), and in particular on commuting-square models.
+    in the base group, with no square pasting involved.  It reads no filler,
+    so it agrees with ``is_commutative_cube`` only where fillers are unique;
+    both preconditions (one object, injective ``mu``) raise
+    ``PreconditionFailed`` when they fail.
     """
     xm = c.face("d1-").xm
     P = xm.base
     if len(P.objects) != 1:
         raise PreconditionFailed("the scalar oracle needs a one-object base")
+    mu = xm.mu[P.objects[0]]
+    if len(set(mu.values())) != len(mu):
+        raise PreconditionFailed("the scalar oracle needs an injective boundary")
 
     def conj(x, p):
         return P.compose_all([P.inv(p), x, p])
@@ -186,44 +185,43 @@ def commutativity_oracle(c: Cube) -> bool:
 # -- cube composition -----------------------------------------------------------
 
 def compose_cubes(c1: Cube, c2: Cube, direction: int) -> Cube:
-    """Glue two cubes along the shared face in direction 1, 2 or 3."""
-    if direction == 1:
-        if c1.face("d1+") != c2.face("d1-"):
-            raise EdgeMismatch("direction-1 pasting needs base(c1) = lid(c2)")
-        return make_cube(
-            c1.face("d1-"),
-            c2.face("d1+"),
-            comp_v(c1.face("d2-"), c2.face("d2-")),
-            comp_v(c1.face("d2+"), c2.face("d2+")),
-            comp_v(c1.face("d3-"), c2.face("d3-")),
-            comp_v(c1.face("d3+"), c2.face("d3+")),
-        )
-    if direction == 2:
-        if c1.face("d2+") != c2.face("d2-"):
-            raise EdgeMismatch("direction-2 pasting needs right(c1) = left(c2)")
-        return make_cube(
-            comp_v(c1.face("d1-"), c2.face("d1-")),
-            comp_v(c1.face("d1+"), c2.face("d1+")),
-            c1.face("d2-"),
-            c2.face("d2+"),
-            comp_h(c1.face("d3-"), c2.face("d3-")),
-            comp_h(c1.face("d3+"), c2.face("d3+")),
-        )
-    if direction == 3:
-        if c1.face("d3+") != c2.face("d3-"):
-            raise EdgeMismatch("direction-3 pasting needs back(c1) = front(c2)")
-        return make_cube(
-            comp_h(c1.face("d1-"), c2.face("d1-")),
-            comp_h(c1.face("d1+"), c2.face("d1+")),
-            comp_h(c1.face("d2-"), c2.face("d2-")),
-            comp_h(c1.face("d2+"), c2.face("d2+")),
-            c1.face("d3-"),
-            c2.face("d3+"),
-        )
-    raise PreconditionFailed(f"direction must be 1, 2 or 3, got {direction}")
+    """Glue two cubes along the shared face in direction 1, 2 or 3.
+
+    The axis-d faces come from c1 (d-) and c2 (d+); every other face pastes
+    vertically when d is the first of its two remaining axes, else horizontally.
+    """
+    if direction not in (1, 2, 3):
+        raise PreconditionFailed(f"direction must be 1, 2 or 3, got {direction}")
+    minus, plus = f"d{direction}-", f"d{direction}+"
+    if c1.face(plus) != c2.face(minus):
+        raise EdgeMismatch(f"direction-{direction} pasting needs {plus}(c1) = {minus}(c2)")
+    faces = {minus: c1.face(minus), plus: c2.face(plus)}
+    for slot in FACE_SLOTS:
+        if slot not in faces:
+            first = 2 if slot[1] == "1" else 1  # the first of the face's remaining axes
+            paste = comp_v if direction == first else comp_h
+            faces[slot] = paste(c1.face(slot), c2.face(slot))
+    return _cube(faces)
 
 
 # -- enumeration and sampling -----------------------------------------------------
+
+# slot -> its four seams, each as (edge, other slot, other edge)
+_SEAMS_AT = {
+    slot: [(e, o, oe) for seam in EDGE_SEAMS for (s, e), (o, oe) in (seam, seam[::-1]) if s == slot]
+    for slot in FACE_SLOTS
+}
+# every face but the lid, in drawing order; the lid is drawn last or folded
+_DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
+
+
+def _forced(model: DgtModel, slot: str, placed: dict[str, Square]) -> list[Square]:
+    """The squares that fit ``slot`` along its seams with the faces placed so far."""
+    return model.squares_with(
+        **{edge: getattr(placed[other], o_edge)
+           for edge, other, o_edge in _SEAMS_AT[slot] if other in placed}
+    )
+
 
 def _pick(rng: random.Random, options: list[Square]) -> Square:
     if not options:
@@ -233,18 +231,15 @@ def _pick(rng: random.Random, options: list[Square]) -> Square:
 
 def enumerate_cubes(model: DgtModel):
     """Every cube over the model, in canonical order (small models only)."""
-    for front in model.squares:
-        for left in model.squares_with(left=front.left):
-            for base in model.squares_with(top=left.bottom, left=front.bottom):
-                for right in model.squares_with(left=front.right, bottom=base.bottom):
-                    for back in model.squares_with(
-                        left=left.right, bottom=base.right, right=right.right
-                    ):
-                        for lid in model.squares_with(
-                            top=left.top, left=front.top,
-                            bottom=right.top, right=back.top,
-                        ):
-                            yield make_cube(lid, base, left, right, front, back)
+    def fill(placed, slot, *rest):
+        for sq in _forced(model, slot, placed):
+            faces = {**placed, slot: sq}
+            if rest:
+                yield from fill(faces, *rest)
+            else:
+                yield _cube(faces)
+
+    return fill({}, *_DRAW_ORDER, "d1-")
 
 
 def random_commutative_cube(model: DgtModel, rng: random.Random,
@@ -255,52 +250,20 @@ def random_commutative_cube(model: DgtModel, rng: random.Random,
     (d1+); the lid is always the fold of the rest, so the result commutes by
     construction.
     """
-    slot = fixed[0] if fixed else None
-    if fixed and slot not in ("d3-", "d2-", "d1+"):
-        raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
-    if slot == "d1+":
-        base = fixed[1]
-        front = _pick(rng, model.squares_with(bottom=base.left))
-        left = _pick(rng, model.squares_with(left=front.left, bottom=base.top))
-        right = _pick(rng, model.squares_with(left=front.right, bottom=base.bottom))
-        back = _pick(
-            rng,
-            model.squares_with(left=left.right, right=right.right, bottom=base.right),
-        )
-    else:
-        if slot == "d3-":
-            front = fixed[1]
-            left = _pick(rng, model.squares_with(left=front.left))
-        elif slot == "d2-":
-            left = fixed[1]
-            front = _pick(rng, model.squares_with(left=left.left))
-        else:
-            front = model.random_square(rng)
-            left = _pick(rng, model.squares_with(left=front.left))
-        base = _pick(rng, model.squares_with(top=left.bottom, left=front.bottom))
-        right = _pick(rng, model.squares_with(left=front.right, bottom=base.bottom))
-        back = _pick(
-            rng,
-            model.squares_with(left=left.right, bottom=base.right, right=right.right),
-        )
-    lid = grid_compose(fold_layout(front, back, left, right, base))
-    if lid not in model:
+    faces = dict([fixed]) if fixed else {}
+    if faces.keys() - {"d3-", "d2-", "d1+"}:
+        raise PreconditionFailed(f"cannot pin face {fixed[0]!r} while sampling")
+    for slot in _DRAW_ORDER:
+        if slot not in faces:
+            faces[slot] = _pick(rng, _forced(model, slot, faces))
+    faces["d1-"] = grid_compose(fold_layout(faces))
+    if faces["d1-"] not in model:
         raise PreconditionFailed("fold escaped the model; sampling bug")
-    return make_cube(lid, base, left, right, front, back)
+    return _cube(faces)
 
 
 def random_cube(model: DgtModel, rng: random.Random) -> Cube:
     """Sample any cube: a commutative one with the lid filler re-rolled."""
-    cube = random_commutative_cube(model, rng)
-    lid = cube.face("d1-")
-    options = model.squares_with(
-        top=lid.top, right=lid.right, bottom=lid.bottom, left=lid.left
-    )
-    return make_cube(
-        _pick(rng, options),
-        cube.face("d1+"),
-        cube.face("d2-"),
-        cube.face("d2+"),
-        cube.face("d3-"),
-        cube.face("d3+"),
-    )
+    faces = dict(random_commutative_cube(model, rng).faces)
+    faces["d1-"] = _pick(rng, _forced(model, "d1-", faces))
+    return _cube(faces)

@@ -236,17 +236,13 @@ def criterion_8_cubes(seed: int = 0) -> Report:
         if not is_commutative_cube(c) or not commutativity_oracle(c):
             r.fail(f"cube in the 2-element model fails: {c.faces}")
         oracle_checked += 1
-    by_face = {d: {} for d in (1, 2, 3)}
-    slot = {1: ("d1+", "d1-"), 2: ("d2+", "d2-"), 3: ("d3+", "d3-")}
-    for d in (1, 2, 3):
-        plus, minus = slot[d]
-        for c in cubes:
-            by_face[d].setdefault(c.face(minus), []).append(c)
     composite_count = 0
     for d in (1, 2, 3):
-        plus, minus = slot[d]
+        by_minus = {}
+        for c in cubes:
+            by_minus.setdefault(c.face(f"d{d}-"), []).append(c)
         for c1 in cubes:
-            for c2 in by_face[d].get(c1.face(plus), ()):  # shared face
+            for c2 in by_minus.get(c1.face(f"d{d}+"), ()):  # shared face
                 comp = compose_cubes(c1, c2, d)
                 composite_count += 1
                 if not is_commutative_cube(comp) or not commutativity_oracle(comp):
@@ -257,14 +253,11 @@ def criterion_8_cubes(seed: int = 0) -> Report:
     rng = random.Random(seed)
     for _ in range(1000):
         d = rng.randrange(1, 4)
-        c1 = random_commutative_cube(model, rng)
-        if d == 1:
-            c2 = c1
-            c1 = random_commutative_cube(model, rng, fixed=("d1+", c2.face("d1-")))
-        elif d == 2:
-            c2 = random_commutative_cube(model, rng, fixed=("d2-", c1.face("d2+")))
-        else:
-            c2 = random_commutative_cube(model, rng, fixed=("d3-", c1.face("d3+")))
+        drawn = random_commutative_cube(model, rng)
+        # a lid is folded, never pinned: direction 1 pins the upper cube's base
+        pin, shared = ("d1+", "d1-") if d == 1 else (f"d{d}-", f"d{d}+")
+        other = random_commutative_cube(model, rng, fixed=(pin, drawn.face(shared)))
+        c1, c2 = (other, drawn) if d == 1 else (drawn, other)
         comp = compose_cubes(c1, c2, d)
         oracle_checked += 3
         for c in (c1, c2, comp):

@@ -1,6 +1,8 @@
 import importlib.resources as resources
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,35 @@ def test_cube_check_good_and_bad(capsys):
     assert code == 1
     assert "result: fail" in out
     assert "seam" in out  # witness names the failing seam
+
+
+def test_cube_check_gives_no_oracle_verdict_for_a_non_injective_boundary(capsys, tmp_path):
+    # C3 -> Aut(C3) has a trivial boundary, so every boundary has three fillers
+    # and the scalar oracle cannot tell the lid t from the fold e
+    ws = tmp_path / "noninjective.vk"
+    ws.write_text(
+        "group c3 = cyclic(3)\n"
+        "xmod x = autxmod(c3)\n"
+        "square e = (e; aut0,aut0,aut0,aut0) over x\n"
+        "square t = (t; aut0,aut0,aut0,aut0) over x\n"
+        "cube box: t e e e e e\n"
+    )
+    code, out = run_cli(["--format", "machine", "cube", "check", str(ws), "--name", "box"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "COUNT commutative 0" in lines
+    assert not any("oracle" in line for line in lines)
+
+
+def test_readme_invocations_run_on_the_bundled_workspaces(capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Common invocations:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    assert len(commands) == 13
+    monkeypatch.chdir(data(""))
+    for args in commands:
+        code, out = run_cli(args, capsys)
+        assert code == 0, (args, out)
 
 
 def test_check_negative_fixture(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gpdkit.crossed import CrossedModuleData
+from gpdkit.crossed import CrossedModuleData, automorphism_xmod
 from gpdkit.cubes import (
     EDGE_SEAMS,
     FACE_SLOTS,
@@ -12,6 +12,7 @@ from gpdkit.cubes import (
     compose_cubes,
     enumerate_cubes,
     fold_five_faces,
+    fold_layout,
     is_commutative_cube,
     make_cube,
     random_commutative_cube,
@@ -19,7 +20,8 @@ from gpdkit.cubes import (
 )
 from gpdkit.errors import EdgeMismatch, PreconditionFailed
 from gpdkit.finite import cyclic_group, group_as_groupoid, trivial_group
-from gpdkit.squares import Square, identity_square
+from gpdkit.grids import grid_compose
+from gpdkit.squares import Square, comp_h, comp_v, identity_square
 
 
 def shadow_module():
@@ -187,3 +189,174 @@ def test_oracle_needs_one_object(a3s3):
     assert is_commutative_cube(c)
     with pytest.raises(PreconditionFailed):
         commutativity_oracle(c)
+
+
+def test_oracle_needs_an_injective_boundary():
+    xm = automorphism_xmod(cyclic_group(3))  # trivial boundary on a 3-element fiber
+    c = identity_cube(xm)
+    assert is_commutative_cube(c)
+    with pytest.raises(PreconditionFailed):
+        commutativity_oracle(c)
+
+
+# -- the hand-written geometry that EDGE_SEAMS and the orientation rule replace --
+
+def _reference_pick(rng, options):
+    if not options:
+        raise PreconditionFailed("no square matches the edge constraints")
+    return options[rng.randrange(len(options))]
+
+
+def reference_compose_cubes(c1, c2, direction):
+    if direction == 1:
+        if c1.face("d1+") != c2.face("d1-"):
+            raise EdgeMismatch("direction-1 pasting needs base(c1) = lid(c2)")
+        return make_cube(
+            c1.face("d1-"),
+            c2.face("d1+"),
+            comp_v(c1.face("d2-"), c2.face("d2-")),
+            comp_v(c1.face("d2+"), c2.face("d2+")),
+            comp_v(c1.face("d3-"), c2.face("d3-")),
+            comp_v(c1.face("d3+"), c2.face("d3+")),
+        )
+    if direction == 2:
+        if c1.face("d2+") != c2.face("d2-"):
+            raise EdgeMismatch("direction-2 pasting needs right(c1) = left(c2)")
+        return make_cube(
+            comp_v(c1.face("d1-"), c2.face("d1-")),
+            comp_v(c1.face("d1+"), c2.face("d1+")),
+            c1.face("d2-"),
+            c2.face("d2+"),
+            comp_h(c1.face("d3-"), c2.face("d3-")),
+            comp_h(c1.face("d3+"), c2.face("d3+")),
+        )
+    if direction == 3:
+        if c1.face("d3+") != c2.face("d3-"):
+            raise EdgeMismatch("direction-3 pasting needs back(c1) = front(c2)")
+        return make_cube(
+            comp_h(c1.face("d1-"), c2.face("d1-")),
+            comp_h(c1.face("d1+"), c2.face("d1+")),
+            comp_h(c1.face("d2-"), c2.face("d2-")),
+            comp_h(c1.face("d2+"), c2.face("d2+")),
+            c1.face("d3-"),
+            c2.face("d3+"),
+        )
+    raise PreconditionFailed(f"direction must be 1, 2 or 3, got {direction}")
+
+
+def reference_enumerate_cubes(model):
+    for front in model.squares:
+        for left in model.squares_with(left=front.left):
+            for base in model.squares_with(top=left.bottom, left=front.bottom):
+                for right in model.squares_with(left=front.right, bottom=base.bottom):
+                    for back in model.squares_with(
+                        left=left.right, bottom=base.right, right=right.right
+                    ):
+                        for lid in model.squares_with(
+                            top=left.top, left=front.top,
+                            bottom=right.top, right=back.top,
+                        ):
+                            yield make_cube(lid, base, left, right, front, back)
+
+
+def reference_random_commutative_cube(model, rng, fixed=None):
+    slot = fixed[0] if fixed else None
+    if fixed and slot not in ("d3-", "d2-", "d1+"):
+        raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
+    if slot == "d1+":
+        base = fixed[1]
+        front = _reference_pick(rng, model.squares_with(bottom=base.left))
+        left = _reference_pick(rng, model.squares_with(left=front.left, bottom=base.top))
+        right = _reference_pick(rng, model.squares_with(left=front.right, bottom=base.bottom))
+        back = _reference_pick(
+            rng,
+            model.squares_with(left=left.right, right=right.right, bottom=base.right),
+        )
+    else:
+        if slot == "d3-":
+            front = fixed[1]
+            left = _reference_pick(rng, model.squares_with(left=front.left))
+        elif slot == "d2-":
+            left = fixed[1]
+            front = _reference_pick(rng, model.squares_with(left=left.left))
+        else:
+            front = model.random_square(rng)
+            left = _reference_pick(rng, model.squares_with(left=front.left))
+        base = _reference_pick(rng, model.squares_with(top=left.bottom, left=front.bottom))
+        right = _reference_pick(rng, model.squares_with(left=front.right, bottom=base.bottom))
+        back = _reference_pick(
+            rng,
+            model.squares_with(left=left.right, bottom=base.right, right=right.right),
+        )
+    faces = {"d1+": base, "d2-": left, "d2+": right, "d3-": front, "d3+": back}
+    lid = grid_compose(fold_layout(faces))
+    if lid not in model:
+        raise PreconditionFailed("fold escaped the model; sampling bug")
+    return make_cube(lid, base, left, right, front, back)
+
+
+def reference_random_cube(model, rng):
+    cube = reference_random_commutative_cube(model, rng)
+    lid = cube.face("d1-")
+    options = model.squares_with(
+        top=lid.top, right=lid.right, bottom=lid.bottom, left=lid.left
+    )
+    return make_cube(
+        _reference_pick(rng, options),
+        cube.face("d1+"),
+        cube.face("d2-"),
+        cube.face("d2+"),
+        cube.face("d3-"),
+        cube.face("d3+"),
+    )
+
+
+def face_keys(c):
+    return tuple(c.face(slot).key() for slot in FACE_SLOTS)
+
+
+@pytest.mark.parametrize("model_name", ["sq_c2", "c2_in_c2_model"])
+def test_enumeration_matches_the_reference(model_name, request):
+    model = request.getfixturevalue(model_name)
+    got = [face_keys(c) for c in enumerate_cubes(model)]
+    assert got == [face_keys(c) for c in reference_enumerate_cubes(model)]
+    assert len(got) > 0
+
+
+def _draws(model, seed, random_commutative_cube, random_cube):
+    """Seeded face keys of unpinned draws, a draw for each pin, and random_cube."""
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(40):
+        c = random_commutative_cube(model, rng)
+        keys.append(face_keys(c))
+        for slot in ("d3-", "d2-", "d1+"):
+            keys.append(face_keys(random_commutative_cube(model, rng, fixed=(slot, c.face(slot)))))
+        keys.append(face_keys(random_cube(model, rng)))
+    return keys
+
+
+@pytest.mark.parametrize("model_name", ["sq_s3", "aut_c3_model", "a3s3_model", "aut_s3_model"])
+def test_seeded_draws_match_the_reference(model_name, request):
+    model = request.getfixturevalue(model_name)
+    assert _draws(model, 8, random_commutative_cube, random_cube) == _draws(
+        model, 8, reference_random_commutative_cube, reference_random_cube
+    )
+
+
+def _outcome(compose, c1, c2, d):
+    try:
+        return face_keys(compose(c1, c2, d))
+    except (EdgeMismatch, PreconditionFailed) as exc:
+        return type(exc)
+
+
+def test_every_composite_matches_the_reference(sq_c2):
+    cubes = list(enumerate_cubes(sq_c2))
+    pasted = 0
+    for d in (1, 2, 3, 4):
+        for c1, c2 in itertools.product(cubes, repeat=2):
+            got = _outcome(compose_cubes, c1, c2, d)
+            assert got == _outcome(reference_compose_cubes, c1, c2, d)
+            pasted += not isinstance(got, type)
+    assert pasted == 3 * 2048
