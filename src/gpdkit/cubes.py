@@ -12,15 +12,28 @@ the front and back faces enter through the diagonal reflection, the right
 face upside down, and the four corners are the thin squares forced by the
 neighbouring edges (flipped connections).  A cube commutes when this fold
 equals its lid.
+
+``CubeKernel`` does all of this on square indices: a cube is a row of six
+indices in ``FACE_SLOTS`` order, folded and pasted with the model's tables
+``H``/``V`` and per-square index maps for the reflections, and enumerated
+and sampled through square groups keyed by the seam edges.
+``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
+rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces``, ``compose_cubes``
+and ``commutativity_oracle`` stay object-level: they serve single cubes read
+from a workspace and are the references the kernel is tested against.
 """
 
 import random
 from dataclasses import dataclass
 
-from .dgt import DgtModel
+from .dgt import DgtModel, _Groups
 from .errors import EdgeMismatch, PreconditionFailed
 from .grids import Grid, grid_compose
 from .squares import Square, boundary_word, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
+
+# Imported after .dgt, which imports numpy itself: importing numpy ahead of
+# .dgt's other imports raised the peak RSS of a whole vk session by 0.9 MB.
+import numpy as np
 
 FACE_SLOTS = ("d1-", "d1+", "d2-", "d2+", "d3-", "d3+")
 
@@ -75,10 +88,6 @@ class Cube:
 
 def make_cube(lid, base, left, right, front, back) -> Cube:
     return Cube(dict(zip(FACE_SLOTS, (lid, base, left, right, front, back))))
-
-
-def _cube(faces: dict[str, Square]) -> Cube:
-    return Cube({slot: faces[slot] for slot in FACE_SLOTS})
 
 
 def fold_layout(faces: dict[str, Square]) -> Grid:
@@ -184,62 +193,329 @@ def commutativity_oracle(c: Cube) -> bool:
 
 # -- cube composition -----------------------------------------------------------
 
+def _axis(direction: int) -> tuple[str, str]:
+    """The d- and d+ slots of a pasting direction, which must be 1, 2 or 3."""
+    if direction not in (1, 2, 3):
+        raise PreconditionFailed(f"direction must be 1, 2 or 3, got {direction}")
+    return f"d{direction}-", f"d{direction}+"
+
+
+def _pastes_vertically(slot: str, direction: int) -> bool:
+    """Whether the ``slot`` faces of two cubes glued in ``direction`` paste
+    vertically: when direction is the first of the face's remaining axes."""
+    return direction == (2 if slot[1] == "1" else 1)
+
+
 def compose_cubes(c1: Cube, c2: Cube, direction: int) -> Cube:
     """Glue two cubes along the shared face in direction 1, 2 or 3.
 
     The axis-d faces come from c1 (d-) and c2 (d+); every other face pastes
     vertically when d is the first of its two remaining axes, else horizontally.
     """
-    if direction not in (1, 2, 3):
-        raise PreconditionFailed(f"direction must be 1, 2 or 3, got {direction}")
-    minus, plus = f"d{direction}-", f"d{direction}+"
+    minus, plus = _axis(direction)
     if c1.face(plus) != c2.face(minus):
         raise EdgeMismatch(f"direction-{direction} pasting needs {plus}(c1) = {minus}(c2)")
     faces = {minus: c1.face(minus), plus: c2.face(plus)}
     for slot in FACE_SLOTS:
         if slot not in faces:
-            first = 2 if slot[1] == "1" else 1  # the first of the face's remaining axes
-            paste = comp_v if direction == first else comp_h
+            paste = comp_v if _pastes_vertically(slot, direction) else comp_h
             faces[slot] = paste(c1.face(slot), c2.face(slot))
-    return _cube(faces)
+    return Cube({slot: faces[slot] for slot in FACE_SLOTS})
 
 
-# -- enumeration and sampling -----------------------------------------------------
+# -- the cube kernel ----------------------------------------------------------------
 
-# slot -> its four seams, each as (edge, other slot, other edge)
+_SLOT = {slot: k for k, slot in enumerate(FACE_SLOTS)}
+# slot -> its four seams, each as (edge, other slot, other edge), by edge name
 _SEAMS_AT = {
-    slot: [(e, o, oe) for seam in EDGE_SEAMS for (s, e), (o, oe) in (seam, seam[::-1]) if s == slot]
+    slot: sorted((e, o, oe) for seam in EDGE_SEAMS for (s, e), (o, oe) in (seam, seam[::-1])
+                 if s == slot)
     for slot in FACE_SLOTS
 }
 # every face but the lid, in drawing order; the lid is drawn last or folded
 _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
 
 
-def _forced(model: DgtModel, slot: str, placed: dict[str, Square]) -> list[Square]:
-    """The squares that fit ``slot`` along its seams with the faces placed so far."""
-    return model.squares_with(
-        **{edge: getattr(placed[other], o_edge)
-           for edge, other, o_edge in _SEAMS_AT[slot] if other in placed}
-    )
+class _Fitting:
+    """Square indices grouped by the arrows on some of their edges.
+
+    ``edges`` holds one edge column per constrained edge, and ``pack`` turns
+    arrows on those edges into one key.  ``group`` maps keys to group ids,
+    each group in model order, the empty last group where no square fits;
+    ``options`` gives one key's group as a list, for single draws.
+    """
+
+    def __init__(self, arrows: int, n: int, edges: list[np.ndarray]):
+        self.arrows = arrows
+        keys, dense = np.unique(self.pack(edges, np.zeros(n, np.int64)), return_inverse=True)
+        # a sentinel above every key: a failed search lands on the empty group
+        self.keys = np.append(keys, np.iinfo(np.int64).max)
+        self.groups = _Groups(dense.reshape(-1), len(self.keys))
+        self.lists = {k: self.groups.members(g).tolist() for g, k in enumerate(keys.tolist())}
+
+    def pack(self, cols, key=0):
+        for col in cols:
+            key = key * self.arrows + col
+        return key
+
+    def group(self, key: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self.keys, key)
+        return np.where(self.keys[pos] == key, pos, len(self.keys) - 1)
+
+    def options(self, key) -> list[int]:
+        return self.lists.get(key, [])
 
 
-def _pick(rng: random.Random, options: list[Square]) -> Square:
-    if not options:
-        raise PreconditionFailed("no square matches the edge constraints")
-    return options[rng.randrange(len(options))]
+def _undefined(idx) -> bool:
+    """Whether an index, or any index of an array, is -1."""
+    return bool((idx < 0).any()) if idx.ndim else idx < 0
+
+
+def _paste(table: np.ndarray, x, y, how: str):
+    """``table[x, y]``; EdgeMismatch where the pasting is undefined (-1)."""
+    z = table[x, y]
+    if _undefined(z):
+        raise EdgeMismatch(f"{how} pasting of squares whose shared edge differs")
+    return z
+
+
+def _extend_all(groups: _Groups, prefix: tuple, key) -> tuple:
+    """``groups.extend`` with its chunks joined: each prefix tuple extended
+    by every member of its group, as one array per position."""
+    chunks = list(groups.extend(prefix, key))
+    if not chunks:
+        return tuple(np.empty(0, np.intp) for _ in range(len(prefix) + 1))
+    return tuple(np.concatenate(col) for col in zip(*chunks))
+
+
+class _IndexMaps:
+    """A model's index maps for the cube kernel, per square and per arrow.
+
+    Built once and kept on the model (``DgtModel._cubes``).  They refer to
+    no model, so a model and its maps form no reference cycle.
+    """
+
+    def __init__(self, model: DgtModel):
+        c = model.code()
+        self.edge = {"top": c.T, "right": c.R, "bottom": c.B, "left": c.L}
+        self.arrow_names = sorted(model.edges.arrows)
+        self.fits: dict[tuple, _Fitting] = {}  # by constrained edge names
+        # per square: its transpose, inv_h of its transpose and inv_v
+        elt_inv = c.elt_inv[c.E]
+        self.transpose = model.find(elt_inv, c.L, c.B, c.R, c.T)
+        inv_h = model.find(c.act[elt_inv, c.inv[c.B]], c.inv[c.T], c.L, c.inv[c.B], c.R)
+        self.flip = np.full_like(self.transpose, -1)
+        have = self.transpose >= 0
+        self.flip[have] = inv_h[self.transpose[have]]
+        self.inv_v = model.find(c.act[elt_inv, c.inv[c.R]], c.B, c.inv[c.R], c.T, c.inv[c.L])
+        # per arrow p: fold_layout's thin corners once the seams agree, keyed
+        # by p = u.left, u.right, l.bottom and d.right in turn
+        p = np.arange(c.arrows)
+        src, dst = c.comp[p, c.inv], c.comp[c.inv, p]  # identities at p's ends
+        self.corners = (
+            model.find(c.unit[p], src, p, p, src),
+            model.find(c.unit[src], src, src, c.inv, p),
+            model.find(c.unit[c.inv], p, c.inv, src, src),
+            model.find(c.unit[dst], p, dst, dst, p),
+        )
+
+
+class CubeKernel:
+    """Cubes over one model as rows of six square indices in ``FACE_SLOTS`` order.
+
+    An index never reads -1: an undefined pasting raises EdgeMismatch, and a
+    transpose, inverse or thin corner the model lacks raises
+    PreconditionFailed.  ``seams`` checks a whole batch of cubes at once;
+    ``fold``, ``compose`` and ``oracle`` check their input with it.  The
+    model's tables are read on the first pasting, its index maps built on
+    the first kernel.
+    """
+
+    def __init__(self, model: DgtModel):
+        self.model = model
+        self.code = model.code()
+        if model._cubes is None:
+            model._cubes = _IndexMaps(model)
+        self.maps = model._cubes
+
+    def _need(self, idx, what: str):
+        if _undefined(idx):
+            raise PreconditionFailed(f"{self.model.name} has no {what} a fold needs")
+        return idx
+
+    def seams(self, cubes) -> np.ndarray:
+        """The cubes as an int array, once every seam of every cube agrees.
+
+        Raises PreconditionFailed unless each cube is six square indices,
+        and EdgeMismatch for the first seam in ``EDGE_SEAMS`` order that a
+        cube breaks, naming the first such cube's arrows as ``Cube`` does.
+        """
+        rows = np.asarray(cubes)
+        n = len(self.model.squares)
+        if (rows.shape[-1:] != (6,) or rows.dtype.kind not in "iu"
+                or ((rows < 0) | (rows >= n)).any()):
+            raise PreconditionFailed(f"a cube over {self.model.name} is six square indices below {n}")
+        for (sa, ea), (sb, eb) in EDGE_SEAMS:
+            va = self.maps.edge[ea][rows[..., _SLOT[sa]]].ravel()
+            vb = self.maps.edge[eb][rows[..., _SLOT[sb]]].ravel()
+            if (va != vb).any():
+                i = np.argmax(va != vb)
+                a, b = self.maps.arrow_names[va[i]], self.maps.arrow_names[vb[i]]
+                raise EdgeMismatch(f"seam {sa}.{ea} = {a} does not match {sb}.{eb} = {b}")
+        return rows
+
+    def fold(self, cubes) -> np.ndarray:
+        """``fold_five_faces`` of each cube, as a square index."""
+        rows = self.seams(cubes)
+        return self._fold({slot: rows[..., k] for k, slot in enumerate(FACE_SLOTS)})
+
+    def _fold(self, f: dict):
+        """fold_layout and grid_compose on indices; the seams must agree.
+
+        ``f`` maps each non-lid slot to an index or an index array.
+        """
+        c = self.code
+        u, base = f["d2-"], f["d1+"]
+        l = self._need(self.maps.transpose[f["d3-"]], "transpose")
+        r = self._need(self.maps.flip[f["d3+"]], "transpose or horizontal inverse")
+        d = self._need(self.maps.inv_v[f["d2+"]], "vertical inverse")
+        c00, c02, c20, c22 = (self._need(corner[edge], "thin corner") for corner, edge in
+                              zip(self.maps.corners, (c.L[u], c.R[u], c.B[l], c.R[d])))
+        t = self.model.tables()
+        out = None
+        for row in ((c00, u, c02), (l, base, r), (c20, d, c22)):
+            acc = row[0]
+            for cell in row[1:]:
+                acc = _paste(t.H, acc, cell, "horizontal")
+            out = acc if out is None else _paste(t.V, out, acc, "vertical")
+        return out
+
+    def compose(self, c1, c2, direction: int) -> np.ndarray:
+        """``compose_cubes`` on paired rows of two batches of cubes."""
+        minus, plus = _axis(direction)
+        c1, c2 = self.seams(c1), self.seams(c2)
+        if (c1[..., _SLOT[plus]] != c2[..., _SLOT[minus]]).any():
+            raise EdgeMismatch(f"direction-{direction} pasting needs {plus}(c1) = {minus}(c2)")
+        t = self.model.tables()
+        out = np.empty_like(c1)
+        for k, slot in enumerate(FACE_SLOTS):
+            if slot == minus:
+                out[..., k] = c1[..., k]
+            elif slot == plus:
+                out[..., k] = c2[..., k]
+            elif _pastes_vertically(slot, direction):
+                out[..., k] = _paste(t.V, c1[..., k], c2[..., k], "vertical")
+            else:
+                out[..., k] = _paste(t.H, c1[..., k], c2[..., k], "horizontal")
+        return out
+
+    def pairs(self, cubes, direction: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every (i, j) whose cubes paste in ``direction``, i then j ascending."""
+        minus, plus = (_SLOT[slot] for slot in _axis(direction))
+        rows = self.seams(cubes)
+        by_minus = _Groups(rows[:, minus], len(self.model.squares))
+        return _extend_all(by_minus, (np.arange(len(rows)),), rows[:, plus])
+
+    def oracle(self, cubes) -> np.ndarray:
+        """``commutativity_oracle`` of each cube, with the same preconditions.
+
+        Reads each square's boundary word off the base composition, never
+        ``H``/``V``, so it stays independent of the fold.
+        """
+        xm = self.model.xm
+        P = xm.base
+        if len(P.objects) != 1:
+            raise PreconditionFailed("the scalar oracle needs a one-object base")
+        mu = xm.mu[P.objects[0]]
+        if len(set(mu.values())) != len(mu):
+            raise PreconditionFailed("the scalar oracle needs an injective boundary")
+        rows = self.seams(cubes)
+        c = self.code
+        inv = c.inv
+
+        def mul(*xs):  # one object: every composite is defined
+            out = xs[0]
+            for x in xs[1:]:
+                out = c.comp[out, x]
+            return out
+
+        def conj(x, p):
+            return mul(inv[p], x, p)
+
+        word = mul(inv[c.B], inv[c.L], c.T, c.R)
+        w = {slot: word[rows[..., k]] for k, slot in enumerate(FACE_SLOTS)}
+        a_r = c.R[rows[..., _SLOT["d2-"]]]
+        b_r = c.R[rows[..., _SLOT["d2+"]]]
+        s_b = c.B[rows[..., _SLOT["d1+"]]]
+        c_top = c.T[rows[..., _SLOT["d3+"]]]
+        product = mul(
+            conj(inv[w["d2+"]], inv[b_r]),
+            conj(inv[w["d3-"]], mul(s_b, inv[b_r])),
+            conj(w["d1+"], inv[b_r]),
+            conj(w["d3+"], inv[b_r]),
+            conj(w["d2-"], mul(inv[a_r], c_top)),
+        )
+        return product == w["d1-"]
+
+    def _fitting(self, slot: str, faces: dict):
+        """The squares grouped by ``slot``'s seams to the placed ``faces``,
+        and the key of the group that fits those faces."""
+        seams = [(e, o, oe) for e, o, oe in _SEAMS_AT[slot] if o in faces]
+        names = tuple(e for e, _, _ in seams)
+        fit = self.maps.fits.get(names)
+        if fit is None:
+            fit = self.maps.fits[names] = _Fitting(
+                self.code.arrows, len(self.model.squares), [self.maps.edge[e] for e in names])
+        return fit, fit.pack([self.maps.edge[oe][faces[o]] for _, o, oe in seams])
+
+    def enumerate(self) -> np.ndarray:
+        """Every cube over the model in canonical order: faces in draw order,
+        then the lid, each running over its fitting squares in model order."""
+        faces = {"d3-": np.arange(len(self.model.squares))}
+        for slot in (*_DRAW_ORDER[1:], "d1-"):
+            fit, key = self._fitting(slot, faces)
+            faces = dict(zip((*faces, slot),
+                             _extend_all(fit.groups, tuple(faces.values()), fit.group(key))))
+        return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
+
+    def _pick(self, rng: random.Random, slot: str, faces: dict) -> int:
+        fit, key = self._fitting(slot, faces)
+        options = fit.options(key)
+        if not options:
+            raise PreconditionFailed("no square matches the edge constraints")
+        return options[rng.randrange(len(options))]
+
+    def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
+        """A random commutative cube: the faces drawn in draw order, each
+        uniform over the squares fitting the faces before it, and the lid
+        folded.  ``fixed`` = (slot, square index) pins d3-, d2- or d1+."""
+        faces = dict([fixed]) if fixed else {}
+        if faces.keys() - {"d3-", "d2-", "d1+"}:
+            raise PreconditionFailed(f"cannot pin face {fixed[0]!r} while sampling")
+        if fixed and not 0 <= fixed[1] < len(self.model.squares):
+            raise PreconditionFailed(f"the pinned face is not a square of {self.model.name}")
+        for slot in _DRAW_ORDER:
+            if slot not in faces:
+                faces[slot] = self._pick(rng, slot, faces)
+        faces["d1-"] = int(self._fold(faces))
+        return tuple(faces[slot] for slot in FACE_SLOTS)
+
+    def reroll_lid(self, rng: random.Random, cube: tuple[int, ...]) -> tuple[int, ...]:
+        """The cube with its lid drawn anew among the squares that fit."""
+        faces = dict(zip(FACE_SLOTS, cube))
+        faces["d1-"] = self._pick(rng, "d1-", faces)
+        return tuple(faces[slot] for slot in FACE_SLOTS)
+
+
+# -- enumeration and sampling -----------------------------------------------------
+
+def _wrap(model: DgtModel, row) -> Cube:
+    return Cube({slot: model.squares[i] for slot, i in zip(FACE_SLOTS, row)})
 
 
 def enumerate_cubes(model: DgtModel):
     """Every cube over the model, in canonical order (small models only)."""
-    def fill(placed, slot, *rest):
-        for sq in _forced(model, slot, placed):
-            faces = {**placed, slot: sq}
-            if rest:
-                yield from fill(faces, *rest)
-            else:
-                yield _cube(faces)
-
-    return fill({}, *_DRAW_ORDER, "d1-")
+    return (_wrap(model, row) for row in CubeKernel(model).enumerate().tolist())
 
 
 def random_commutative_cube(model: DgtModel, rng: random.Random,
@@ -250,20 +526,13 @@ def random_commutative_cube(model: DgtModel, rng: random.Random,
     (d1+); the lid is always the fold of the rest, so the result commutes by
     construction.
     """
-    faces = dict([fixed]) if fixed else {}
-    if faces.keys() - {"d3-", "d2-", "d1+"}:
-        raise PreconditionFailed(f"cannot pin face {fixed[0]!r} while sampling")
-    for slot in _DRAW_ORDER:
-        if slot not in faces:
-            faces[slot] = _pick(rng, _forced(model, slot, faces))
-    faces["d1-"] = grid_compose(fold_layout(faces))
-    if faces["d1-"] not in model:
-        raise PreconditionFailed("fold escaped the model; sampling bug")
-    return _cube(faces)
+    if fixed:
+        slot, sq = fixed
+        fixed = (slot, model.index.get(sq.key(), -1) if sq.xm is model.xm else -1)
+    return _wrap(model, CubeKernel(model).draw(rng, fixed))
 
 
 def random_cube(model: DgtModel, rng: random.Random) -> Cube:
     """Sample any cube: a commutative one with the lid filler re-rolled."""
-    faces = dict(random_commutative_cube(model, rng).faces)
-    faces["d1-"] = _pick(rng, _forced(model, "d1-", faces))
-    return _cube(faces)
+    k = CubeKernel(model)
+    return _wrap(model, k.reroll_lid(rng, k.draw(rng)))

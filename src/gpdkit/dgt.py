@@ -69,18 +69,29 @@ class SquareCode:
 
     Arrows are numbered in sorted order and fiber elements globally, object
     by object.  ``E, T, R, B, L`` give each square's element and its top,
-    right, bottom and left edges.
+    right, bottom and left edges; ``order`` lists the squares by ``key``,
+    whose sorted values are ``sorted_keys``.
     """
 
     arrows: int
-    comp: np.ndarray  # arrow x arrow -> arrow
-    mul: np.ndarray   # element x element -> element, within one fiber
-    act: np.ndarray   # element x arrow -> element, m^p
+    comp: np.ndarray     # arrow x arrow -> arrow
+    inv: np.ndarray      # arrow -> its inverse
+    mul: np.ndarray      # element x element -> element, within one fiber
+    elt_inv: np.ndarray  # element -> its inverse in its fiber
+    unit: np.ndarray     # arrow -> the identity element of the fiber at its target
+    act: np.ndarray      # element x arrow -> element, m^p
     E: np.ndarray
     T: np.ndarray
     R: np.ndarray
     B: np.ndarray
     L: np.ndarray
+    order: np.ndarray = field(init=False, repr=False)
+    sorted_keys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        keys = self.key(self.E, self.T, self.R, self.L)
+        self.order = np.argsort(keys)
+        self.sorted_keys = keys[self.order]
 
     def key(self, elt, top, right, left):
         """One integer per (element, top, right, left); the bottom follows."""
@@ -98,11 +109,16 @@ def _encode(xm: CrossedModuleData, squares) -> SquareCode:
     comp = np.full((len(arrows), len(arrows)), -1, np.intp)
     for (a, b), ab in P.table.items():
         comp[arrows[a], arrows[b]] = arrows[ab]
+    inv = np.array([arrows[P.inv(a)] for a in arrows], np.intp)
+    unit = np.array([elts[(P.dst[a], xm.fibers[P.dst[a]].identity)] for a in arrows], np.intp)
     mul = np.full((len(elts), len(elts)), -1, np.intp)
+    elt_inv = np.empty(len(elts), np.intp)
     for s in P.objects:
         M = xm.fibers[s]
         for m, n in itertools.product(M.elements, repeat=2):
             mul[elts[(s, m)], elts[(s, n)]] = elts[(s, M.mul(m, n))]
+        for m in M.elements:
+            elt_inv[elts[(s, m)]] = elts[(s, M.inv(m))]
     act = np.full((len(elts), len(arrows)), -1, np.intp)
     for p, i in arrows.items():
         for m in xm.fibers[P.src[p]].elements:
@@ -112,7 +128,8 @@ def _encode(xm: CrossedModuleData, squares) -> SquareCode:
           arrows[s.bottom], arrows[s.left]) for s in squares],
         dtype=np.intp,
     ).reshape(-1, 5)
-    return SquareCode(len(arrows), comp, mul, act, *(cols[:, k].copy() for k in range(5)))
+    return SquareCode(len(arrows), comp, inv, mul, elt_inv, unit, act,
+                      *(cols[:, k].copy() for k in range(5)))
 
 
 class _Groups:
@@ -184,6 +201,7 @@ class DgtModel:
     _edge_index: dict = field(default_factory=dict, init=False, repr=False)
     _code: SquareCode = field(default=None, init=False, repr=False)
     _tables: SquareTables = field(default=None, init=False, repr=False)
+    _cubes: object = field(default=None, init=False, repr=False)  # the cube kernel's index maps
 
     def __post_init__(self):
         if self.index is None:
@@ -223,21 +241,32 @@ class DgtModel:
             self._code = _encode(self.xm, self.squares)
         return self._code
 
+    def find(self, elt, top, right, bottom, left) -> np.ndarray:
+        """Index of the square with each element and four edges, in ``code()``
+        numbering; -1 where the model has none or an argument is -1.
+
+        The arguments broadcast together; a search of the sorted keys.
+        """
+        c = self.code()
+        elt, top, right, bottom, left = np.broadcast_arrays(elt, top, right, bottom, left)
+        q = c.key(elt, top, right, left)
+        if not len(c.order):
+            return np.full(q.shape, -1, np.intp)
+        pos = np.minimum(np.searchsorted(c.sorted_keys, q), len(c.order) - 1)
+        idx = c.order[pos]
+        given = (elt >= 0) & (top >= 0) & (right >= 0) & (bottom >= 0) & (left >= 0)
+        return np.where(given & (c.sorted_keys[pos] == q) & (c.B[idx] == bottom), idx, -1)
+
     def tables(self) -> SquareTables:
         """Both composition tables, built once; SizeLimit past MAX_TABLE_BYTES."""
         if self._tables is None:
             n = len(self.squares)
             dtype = check_table_size(self.name, n)
             c = self.code()
-            keys = c.key(c.E, c.T, c.R, c.L)
-            order = np.argsort(keys)
-            sorted_keys = keys[order]
 
-            def fill(table, label, I, J, elt, top, right, bottom, left):
-                q = c.key(elt, top, right, left)
-                pos = np.minimum(np.searchsorted(sorted_keys, q), n - 1)
-                idx = order[pos]
-                if not ((sorted_keys[pos] == q) & (c.B[idx] == bottom)).all():
+            def fill(table, label, I, J, *square):
+                idx = self.find(*square)
+                if (idx < 0).any():
                     raise InvalidDgt(f"{self.name}: a {label} composite escapes the model")
                 table[np.ix_(I, J)] = idx
 

@@ -8,14 +8,10 @@ anywhere).
 
 import random
 
+import numpy as np
+
 from .crossed import from_normal_subgroup, automorphism_xmod, perturb_action_entry, validate_crossed_module
-from .cubes import (
-    commutativity_oracle,
-    compose_cubes,
-    enumerate_cubes,
-    is_commutative_cube,
-    random_commutative_cube,
-)
+from .cubes import FACE_SLOTS, CubeKernel
 from .dgt import (
     comp_h_unconjugated,
     connection_transport_report,
@@ -225,47 +221,61 @@ def criterion_7_connections(seed: int = 0) -> Report:
     return r
 
 
+def _commuting(kernel: CubeKernel, cubes: np.ndarray) -> np.ndarray:
+    """Per cube: its fold is its lid, and the scalar oracle agrees."""
+    return (kernel.fold(cubes) == cubes[:, 0]) & kernel.oracle(cubes)
+
+
+def _c2_cubes(r: Report) -> int:
+    """Every cube of sq(C2) and every composite of two; returns how many
+    cubes the oracle checked."""
+    model = square_model(group_as_groupoid(cyclic_group(2), name="c2"))
+    k = CubeKernel(model)
+    cubes = k.enumerate()
+    r.counts["c2_cubes"] = len(cubes)
+    for row in cubes[~_commuting(k, cubes)]:
+        faces = ", ".join(f"{slot} {model.squares[i]}" for slot, i in zip(FACE_SLOTS, row))
+        r.fail(f"cube in the 2-element model fails: {faces}")
+    composites = 0
+    for d in (1, 2, 3):
+        i, j = k.pairs(cubes, d)
+        comp = k.compose(cubes[i], cubes[j], d)
+        composites += len(comp)
+        for _ in range(int((~_commuting(k, comp)).sum())):
+            r.fail(f"direction-{d} composite is not commutative")
+    r.counts["c2_composites"] = composites
+    return len(cubes)
+
+
+def _s3_samples(r: Report, seed: int) -> int:
+    """Seeded pairs of commutative sq(S3) cubes sharing a face, and their
+    composites; returns how many cubes the oracle checked."""
+    rounds = 1000
+    k = CubeKernel(square_model(group_as_groupoid(symmetric_group(3), name="s3")))
+    rng = random.Random(seed)
+    d = np.empty(rounds, np.intp)
+    c1, c2 = np.empty((rounds, 6), np.intp), np.empty((rounds, 6), np.intp)
+    for n in range(rounds):
+        d[n] = e = rng.randrange(1, 4)
+        drawn = k.draw(rng)
+        # a lid is folded, never pinned: direction 1 pins the upper cube's base
+        pin, shared = ("d1+", "d1-") if e == 1 else (f"d{e}-", f"d{e}+")
+        other = k.draw(rng, fixed=(pin, drawn[FACE_SLOTS.index(shared)]))
+        c1[n], c2[n] = (other, drawn) if e == 1 else (drawn, other)
+    comp = np.empty_like(c1)
+    for e in (1, 2, 3):
+        comp[d == e] = k.compose(c1[d == e], c2[d == e], e)
+    ok = _commuting(k, c1) & _commuting(k, c2) & _commuting(k, comp)
+    for e in d[~ok]:
+        r.fail(f"sampled direction-{e} composite fails")
+    r.counts["s3_samples"] = rounds
+    return 3 * rounds
+
+
 def criterion_8_cubes(seed: int = 0) -> Report:
     """Cube composites stay commutative; fold agrees with the scalar oracle."""
     r = Report("criterion-8 commutative-cubes")
-    sq_c2 = square_model(group_as_groupoid(cyclic_group(2), name="c2"))
-    cubes = list(enumerate_cubes(sq_c2))
-    r.counts["c2_cubes"] = len(cubes)
-    oracle_checked = 0
-    for c in cubes:
-        if not is_commutative_cube(c) or not commutativity_oracle(c):
-            r.fail(f"cube in the 2-element model fails: {c.faces}")
-        oracle_checked += 1
-    composite_count = 0
-    for d in (1, 2, 3):
-        by_minus = {}
-        for c in cubes:
-            by_minus.setdefault(c.face(f"d{d}-"), []).append(c)
-        for c1 in cubes:
-            for c2 in by_minus.get(c1.face(f"d{d}+"), ()):  # shared face
-                comp = compose_cubes(c1, c2, d)
-                composite_count += 1
-                if not is_commutative_cube(comp) or not commutativity_oracle(comp):
-                    r.fail(f"direction-{d} composite is not commutative")
-    r.counts["c2_composites"] = composite_count
-
-    model = square_model(group_as_groupoid(symmetric_group(3), name="s3"))
-    rng = random.Random(seed)
-    for _ in range(1000):
-        d = rng.randrange(1, 4)
-        drawn = random_commutative_cube(model, rng)
-        # a lid is folded, never pinned: direction 1 pins the upper cube's base
-        pin, shared = ("d1+", "d1-") if d == 1 else (f"d{d}-", f"d{d}+")
-        other = random_commutative_cube(model, rng, fixed=(pin, drawn.face(shared)))
-        c1, c2 = (other, drawn) if d == 1 else (drawn, other)
-        comp = compose_cubes(c1, c2, d)
-        oracle_checked += 3
-        for c in (c1, c2, comp):
-            if not is_commutative_cube(c) or not commutativity_oracle(c):
-                r.fail(f"sampled direction-{d} composite fails")
-                break
-    r.counts["s3_samples"] = 1000
-    r.counts["oracle_agreements"] = oracle_checked
+    r.counts["oracle_agreements"] = _c2_cubes(r) + _s3_samples(r, seed)
     return r
 
 

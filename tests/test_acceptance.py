@@ -82,7 +82,9 @@ def test_criterion_4_exact_quadruple_count():
 def test_criterion_8_cube_counts():
     rep, _ = run_criterion("8")
     assert rep.counts["c2_cubes"] == 128
+    assert rep.counts["c2_composites"] == 6144
     assert rep.counts["s3_samples"] == 1000
+    assert rep.counts["oracle_agreements"] == 128 + 3 * 1000
 
 
 def test_criterion_11_totals():

@@ -300,6 +300,16 @@ COUNT checks 15278636
 COUNT violations 0
 RESULT ok
 """),
+    *((["--seed", seed, "suite", "--criteria", "8"], 0, """\
+FORMAT 1
+COMMAND suite
+COUNT criterion_8.c2_cubes 128
+COUNT criterion_8.c2_composites 6144
+COUNT criterion_8.s3_samples 1000
+COUNT criterion_8.oracle_agreements 3128
+DATA CRITERION 8 PASS commutative cubes compose; scalar oracle agrees
+RESULT ok
+""") for seed in ("0", "1", "5")),
     (["eh-scan", "--max-size", "2"], 0, """\
 FORMAT 1
 COMMAND eh-scan

@@ -1,6 +1,8 @@
 import itertools
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gpdkit.crossed import CrossedModuleData, automorphism_xmod
@@ -10,6 +12,7 @@ from gpdkit.cubes import (
     Cube,
     commutativity_oracle,
     compose_cubes,
+    CubeKernel,
     enumerate_cubes,
     fold_five_faces,
     fold_layout,
@@ -18,10 +21,11 @@ from gpdkit.cubes import (
     random_commutative_cube,
     random_cube,
 )
-from gpdkit.errors import EdgeMismatch, PreconditionFailed
+from gpdkit.dgt import SquareTables
+from gpdkit.errors import EdgeMismatch, GpdError, PreconditionFailed
 from gpdkit.finite import cyclic_group, group_as_groupoid, trivial_group
 from gpdkit.grids import grid_compose
-from gpdkit.squares import Square, comp_h, comp_v, identity_square
+from gpdkit.squares import Square, comp_h, comp_v, conn_plus, identity_square, transpose
 
 
 def shadow_module():
@@ -100,17 +104,14 @@ def test_all_c2_cubes_commutative(sq_c2):
 
 
 def test_compose_cubes_all_directions(sq_c2):
-    cubes = list(enumerate_cubes(sq_c2))
-    slot = {1: ("d1+", "d1-"), 2: ("d2+", "d2-"), 3: ("d3+", "d3-")}
+    k = CubeKernel(sq_c2)
+    cubes = k.enumerate()
     composed = 0
     for d in (1, 2, 3):
-        plus, minus = slot[d]
-        for c1, c2 in itertools.product(cubes, repeat=2):
-            if c1.face(plus) != c2.face(minus):
-                continue
-            comp = compose_cubes(c1, c2, d)
-            composed += 1
-            assert is_commutative_cube(comp)
+        i, j = k.pairs(cubes, d)
+        comp = k.compose(cubes[i], cubes[j], d)
+        composed += len(comp)
+        assert (k.fold(comp) == comp[:, 0]).all()
     assert composed > 0
 
 
@@ -360,3 +361,193 @@ def test_every_composite_matches_the_reference(sq_c2):
             assert got == _outcome(reference_compose_cubes, c1, c2, d)
             pasted += not isinstance(got, type)
     assert pasted == 3 * 2048
+
+
+# -- the index kernel against the object-level cubes ------------------------------
+
+def rows_of(model, cubes):
+    return np.array([[model.index[c.face(slot).key()] for slot in FACE_SLOTS] for c in cubes],
+                    np.intp).reshape(-1, 6)
+
+
+def _raised(fn, *args):
+    """``fn(*args)``, or the type and text of the GpdError it raised."""
+    try:
+        return fn(*args)
+    except GpdError as exc:
+        return type(exc), str(exc)
+
+
+def assert_kernel_matches(model, cubes):
+    """Kernel fold, oracle and seam check against fold_five_faces,
+    commutativity_oracle and Cube, on these cubes and on each with one face
+    swapped for another square."""
+    k, rows = CubeKernel(model), rows_of(model, cubes)
+    assert k.fold(rows).tolist() == [model.index[fold_five_faces(c).key()] for c in cubes]
+    oracle = [_raised(commutativity_oracle, c) for c in cubes]
+    if isinstance(oracle[0], tuple):  # a precondition fails on the whole model
+        assert oracle == [oracle[0]] * len(cubes)
+        assert _raised(k.oracle, rows) == oracle[0]
+    else:
+        assert k.oracle(rows).tolist() == oracle
+    rng = random.Random(len(cubes))
+    for c, row in zip(cubes, rows):
+        slot = rng.randrange(6)
+        other = row.copy()
+        other[slot] = rng.randrange(model.size())
+        faces = {**c.faces, FACE_SLOTS[slot]: model.squares[other[slot]]}
+        want, got = _raised(Cube, faces), _raised(k.seams, other)
+        if isinstance(want, tuple):
+            assert got == want, faces
+        else:
+            assert not isinstance(got, tuple) and (got == other).all(), faces
+
+
+def test_kernel_matches_the_object_level_reference_on_c2(sq_c2):
+    cubes = list(enumerate_cubes(sq_c2))
+    k, rows = CubeKernel(sq_c2), rows_of(sq_c2, cubes)
+    assert_kernel_matches(sq_c2, cubes)
+    pasted = 0
+    for d in (1, 2, 3):
+        i, j = k.pairs(rows, d)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (a, b) for a, b in itertools.product(range(len(cubes)), repeat=2)
+            if cubes[a].face(f"d{d}+") == cubes[b].face(f"d{d}-")]
+        comp = [compose_cubes(cubes[a], cubes[b], d) for a, b in zip(i, j)]
+        assert (k.compose(rows[i], rows[j], d) == rows_of(sq_c2, comp)).all()
+        assert_kernel_matches(sq_c2, comp)
+        pasted += len(comp)
+        # a batch holding one pair that does not paste fails as that pair does
+        a, b = next((a, b) for a, b in itertools.product(range(len(cubes)), repeat=2)
+                    if cubes[a].face(f"d{d}+") != cubes[b].face(f"d{d}-"))
+        want = _raised(compose_cubes, cubes[a], cubes[b], d)
+        assert _raised(k.compose, rows[[*i[:3], a]], rows[[*j[:3], b]], d) == want
+    assert pasted == 6144
+    assert _raised(k.compose, rows, rows, 4) == _raised(compose_cubes, cubes[0], cubes[0], 4)
+
+
+# Aut(S3) is the one model here whose oracle conjugates by an arrow and its
+# inverse to different effect (S3 acting on itself), so it tells them apart.
+@pytest.mark.parametrize("model_name", ["sq_s3", "c2_in_c2_model", "a3s3_model",
+                                        "aut_c3_model", "sq_interval_s3", "aut_s3_model"])
+def test_kernel_matches_the_object_level_reference(model_name, request):
+    model = request.getfixturevalue(model_name)
+    k = CubeKernel(model)
+    rng = random.Random(31)
+    cubes = [random_cube(model, rng) for _ in range(500)]
+    assert_kernel_matches(model, cubes)
+    # each cube pasted to a commutative partner that shares its face
+    for c in cubes:
+        d = rng.randrange(1, 4)
+        if d == 1:
+            c1, c2 = random_commutative_cube(model, rng, fixed=("d1+", c.face("d1-"))), c
+        else:
+            c1, c2 = c, random_commutative_cube(model, rng, fixed=(f"d{d}-", c.face(f"d{d}+")))
+        for a, b in ((c1, c2), (c2, c1)):  # the second pastes only by chance
+            want = _raised(compose_cubes, a, b, d)
+            got = _raised(k.compose, *rows_of(model, (a, b)), d)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert not isinstance(got, tuple) and got.tolist() == rows_of(model, [want])[0].tolist()
+
+
+def test_seam_broken_or_out_of_range_rows_never_fold(sq_s3):
+    k = CubeKernel(sq_s3)
+    row = np.array(k.draw(random.Random(4)))
+    broken = row.copy()
+    broken[FACE_SLOTS.index("d3+")] = next(
+        i for i, s in enumerate(sq_s3.squares) if s.left != sq_s3.squares[row[5]].left)
+    for fn in (k.seams, k.fold, k.oracle):
+        with pytest.raises(EdgeMismatch, match=r"^seam d2-\.right = .* does not match d3\+\.left"):
+            fn(broken)
+    with pytest.raises(EdgeMismatch):
+        k.compose(row, broken, 1)
+    for bad in ([*row[:5], -1], [*row[:5], sq_s3.size()], row[:5], row.astype(float)):
+        with pytest.raises(PreconditionFailed):
+            k.fold(np.array(bad))
+
+
+def test_a_missing_thin_corner_raises_rather_than_folding(sq_s3):
+    P = sq_s3.edges
+    x = next(a for a in sorted(P.arrows) if not P.is_identity(a))
+    corner = sq_s3.index[conn_plus(sq_s3.xm, x).key()]
+    hollow = replace(sq_s3, squares=sq_s3.squares[:corner] + sq_s3.squares[corner + 1:], index=None)
+    # every fold whose left face has left edge x needs conn+(x) in its corner
+    left = next(s for s in hollow.squares if s.left == x)
+    with pytest.raises(PreconditionFailed):
+        random_commutative_cube(hollow, random.Random(5), fixed=("d2-", left))
+    rows = CubeKernel(hollow).enumerate()
+    assert len(rows)
+    with pytest.raises(PreconditionFailed):
+        CubeKernel(hollow).fold(rows)
+
+
+def test_a_minus_one_in_h_raises_rather_than_wrapping(sq_s3):
+    k = CubeKernel(sq_s3)
+    rng = random.Random(6)
+    c1 = k.draw(rng)
+    c2 = k.draw(rng, fixed=("d3-", c1[FACE_SLOTS.index("d3+")]))
+    t = sq_s3.tables()
+    # the middle row of c1's fold pastes transpose(front) to the base
+    front, base = (sq_s3.squares[c1[FACE_SLOTS.index(s)]] for s in ("d3-", "d1+"))
+    H = t.H.copy()
+    H[sq_s3.index[transpose(front).key()], sq_s3.index[base.key()]] = -1
+    # direction 3 pastes the bases horizontally
+    H[c1[FACE_SLOTS.index("d1+")], c2[FACE_SLOTS.index("d1+")]] = -1
+    planted = replace(sq_s3)
+    planted._tables = SquareTables(H, t.V)
+    pk = CubeKernel(planted)
+    assert k.fold(np.array(c1)) == c1[0]
+    with pytest.raises(EdgeMismatch):
+        pk.fold(np.array(c1))
+    assert k.compose(np.array(c1), np.array(c2), 3).shape == (6,)
+    with pytest.raises(EdgeMismatch):
+        pk.compose(np.array(c1), np.array(c2), 3)
+
+
+# -- the cube checks can fail -----------------------------------------------------
+
+def test_c3_in_aut_c3_cubes_exhaustively(aut_c3_model):
+    # mu is trivial: every boundary has 3 fillers, so one lid in 3 commutes
+    k = CubeKernel(aut_c3_model)
+    rows = k.enumerate()
+    assert len(rows) == 2**7 * 3**6 == 93312
+    assert int((k.fold(rows) == rows[:, 0]).sum()) == 2**7 * 3**5 == 31104
+
+
+def test_a_swapped_h_entry_fails_the_sq_s3_cube_check(sq_s3):
+    k = CubeKernel(sq_s3)
+    rows = k.enumerate()
+    assert len(rows) == 6**7
+    assert (k.fold(rows) == rows[:, 0]).all()
+    # one filler per boundary: another square in H[i, j] has other edges,
+    # so some fold pastes it where its edges do not fit
+    t = sq_s3.tables()
+    i, j = 7, int(np.flatnonzero(t.H[7] >= 0)[3])
+    H = t.H.copy()
+    H[i, j] = next(q for q in range(sq_s3.size()) if q != t.H[i, j])
+    swapped = replace(sq_s3)
+    swapped._tables = SquareTables(H, t.V)
+    with pytest.raises(EdgeMismatch):
+        CubeKernel(swapped).fold(rows)
+
+
+def test_a_commutative_cube_pasted_to_a_non_commutative_one_does_not_commute(aut_c3_model):
+    k = CubeKernel(aut_c3_model)
+    rng = random.Random(9)
+    seen = 0
+    for _ in range(200):
+        d = rng.randrange(1, 4)
+        odd = k.reroll_lid(rng, k.draw(rng))
+        if k.fold(np.array(odd)) == odd[0]:
+            continue
+        # a lid cannot be pinned: in direction 1 odd is the lower cube
+        if d == 1:
+            c1, c2 = k.draw(rng, fixed=("d1+", odd[0])), odd
+        else:
+            c1, c2 = odd, k.draw(rng, fixed=(f"d{d}-", odd[FACE_SLOTS.index(f"d{d}+")]))
+        comp = k.compose(np.array(c1), np.array(c2), d)
+        assert k.fold(comp) != comp[0]
+        seen += 1
+    assert seen > 100

@@ -275,6 +275,20 @@ def test_tables_match_calculus_exhaustively(sq_c2, sq_s3, aut_c3_model, sq_inter
         assert_tables_match_calculus(model, itertools.product(range(n), repeat=2))
 
 
+def test_find_locates_each_square_and_nothing_else(aut_c3_model, sq_interval_s3):
+    for model in (aut_c3_model, sq_interval_s3):
+        c, n = model.code(), model.size()
+        assert (model.find(c.E, c.T, c.R, c.B, c.L) == np.arange(n)).all()
+        # another bottom, or any -1, finds nothing; with top = -1 the key
+        # of (elt, -1, ...) would be that of (elt - 1, arrows - 1, ...)
+        assert (model.find(c.E, c.T, c.R, (c.B + 1) % c.arrows, c.L) == -1).all()
+        for k in range(5):
+            cols = [c.E, c.T, c.R, c.B, c.L]
+            cols[k] = np.full(n, -1)
+            assert (model.find(*cols) == -1).all()
+        assert (model.find(c.E + 1, -1, c.R, c.B, c.L) == -1).all()
+
+
 def test_tables_match_calculus_on_a_sample(a3s3_model, aut_s3_model):
     rng = random.Random(11)
     for model in (a3s3_model, aut_s3_model):
