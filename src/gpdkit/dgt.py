@@ -11,8 +11,11 @@ Each model is encoded once as int arrays (``SquareCode``): base composition,
 fiber multiplication over global element ids, the action as element x arrow
 -> element, and per square its element and four edges.  ``DgtModel.tables``
 builds ``H``/``V`` from those arrays with numpy formulas, one block per
-pasting edge.  A sweep groups its outer square by edge class, so each costs
-two flat gathers per arrangement.  The object-level calculus
+pasting edge.  A law sweep splits its arrangements into blocks, one per
+tuple of shared edges, each the product of a few edge classes of squares;
+both sides of a block are row gathers from small sub-tables of ``H``/``V``,
+indexed by each inner pasting's rank among the squares with its forced
+edge, so a sweep never reads a -1 as an index.  The object-level calculus
 (``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
 and, in ``find_interchange_counterexample``, the readable scan for a
 corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
@@ -53,13 +56,17 @@ _EDGES = ("top", "right", "bottom", "left")
 # It also keeps every flat table index below 2**31.
 MAX_TABLE_BYTES = 1 << 28
 
-# Partner tuples a sweep handles at once; bounds its temporaries.
+# Partner tuples ``_Groups.extend`` yields at once; bounds its temporaries.
 _CHUNK = 1 << 14
 
+# Most arrangements a law sweep compares at once; bounds its temporaries.
+_PIECE = 1 << 16
+
 # Fewest checks for which a law sweep forks a second worker.  A fork and its
-# wait cost about 5 ms on a 2-vCPU VM, where the kernel checks about 1e8
-# quadruples/s: 4.2M checks take some 40 ms serially, so halving them pays
-# several times over, while smaller sweeps stay in one process.
+# wait cost about 5 ms on a 2-vCPU VM, where the block kernel checks some
+# 4e8 triples/s: near 2**22 checks a fork about breaks even (A3 in S3's
+# 7.6M-check associativity sweeps take 19-21 ms serially, 17-18 ms forked),
+# and past that halving the sweep pays, while smaller sweeps stay here.
 _FORK_CHECKS = 1 << 22
 
 
@@ -139,6 +146,12 @@ class _Groups:
         self.order = np.argsort(keys, kind="stable")
         self.count = np.bincount(keys, minlength=size)
         self.start = np.cumsum(self.count) - self.count
+
+    def rank(self) -> np.ndarray:
+        """Each square's position within its group."""
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(self.order)) - np.repeat(self.start, self.count)
+        return rank
 
     def members(self, k) -> np.ndarray:
         return self.order[self.start[k]:self.start[k] + self.count[k]]
@@ -372,59 +385,52 @@ def comp_h_unconjugated(left: Square, right: Square):
     )
 
 
-def _class_sweep(x_class: np.ndarray, classes: int, partners, evaluate, total: int):
-    """Check one law for every outer square, grouped by its edge class.
+def _class_sweep(blocks, pieces, total: int):
+    """Check one law on every block of its edge-compatible arrangements.
 
-    Every square x with ``x_class[x] == k`` shares the partner tuples that
-    ``partners(k)`` yields in scan order, as chunks ``(members, aux)``:
-    ``members`` holds one index array per partner square and ``aux`` is
-    handed to ``evaluate(x, aux)``, which returns the law's two sides.
-    Returns (checks, violations, first) with ``first`` the violation
-    ``(x, *partners)`` that comes first in (x, scan) order, or None.
+    ``blocks`` lists the blocks, one per row, in the order they are swept.
+    ``pieces(rows)`` yields the law's two sides on the arrangements of those
+    rows as ``(lhs, rhs, members)``: two equal-shaped arrays and one
+    ascending array of square indices per axis, so that position ``i``
+    holds the arrangement ``(members[0][i[0]], members[1][i[1]], ...)``.
+    The axes run in the law's scan order.  Returns (checks, violations,
+    first): the checks are the sizes of the compared arrays summed, and
+    ``first`` is the least violating arrangement in scan order, or None.
 
     Two workers at most: when ``total``, the sweep's exact check count, is
-    at least ``_FORK_CHECKS``, there are two classes or more and the process
-    may run on two CPUs, one ``os.fork()``ed child sweeps every other class
-    while this process sweeps the rest; otherwise the classes run serially
-    here.  Each x lies in exactly one class, so the sums of the counts and
-    the ``first`` with the smaller x equal the serial result.
+    at least ``_FORK_CHECKS``, there are two blocks or more and the process
+    may run on two CPUs, one ``os.fork()``ed child sweeps every other block
+    while this process sweeps the rest; otherwise the blocks run serially
+    here.  Each arrangement lies in exactly one block, so the sums of the
+    counts and the lesser ``first`` equal the serial result.
     """
-    groups = _Groups(x_class, classes)
-    ks = np.flatnonzero(groups.count)
-
-    def sweep(ks):
+    def sweep(rows):
         checked = bad = 0
         first = None
-        for k in ks:
-            xs = groups.members(k)
-            for members, aux in partners(k):
-                checked += len(xs) * len(members[0])
-                for x in xs:
-                    lhs, rhs = evaluate(x, aux)
-                    miss = lhs != rhs
-                    nb = int(np.count_nonzero(miss))
-                    if nb:
-                        bad += nb
-                        # within a class chunks come in scan order, so the
-                        # first hit for x is its earliest
-                        if first is None or x < first[0]:
-                            i = int(np.argmax(miss))
-                            first = (int(x), *(int(m[i]) for m in members))
+        for lhs, rhs, members in pieces(rows):
+            checked += lhs.size
+            miss = lhs != rhs
+            nb = int(np.count_nonzero(miss))
+            if nb:
+                bad += nb
+                at = np.unravel_index(np.argmax(miss), miss.shape)
+                hit = tuple(int(m[i]) for m, i in zip(members, at))
+                first = hit if first is None else min(first, hit)
         return checked, bad, first
 
-    if (total < _FORK_CHECKS or len(ks) < 2 or not hasattr(os, "fork")
+    if (total < _FORK_CHECKS or len(blocks) < 2 or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
-        return sweep(ks)
-    return _forked(sweep, ks)
+        return sweep(blocks)
+    return _forked(sweep, blocks)
 
 
-def _forked(sweep, ks):
-    """``sweep(ks)``, with every other class swept by a forked child.
+def _forked(sweep, blocks):
+    """``sweep(blocks)``, with every other block swept by a forked child.
 
     The child pickles its result, or the text of what it raised, down a
     pipe and leaves with ``os._exit``; a child that fails makes this raise.
     If this side raises, the child is killed; either way it is reaped before
-    this returns.  When no child can be forked, all classes run here.
+    this returns.  When no child can be forked, all blocks run here.
     """
     r, w = os.pipe()
     try:
@@ -432,12 +438,12 @@ def _forked(sweep, ks):
     except OSError:
         os.close(r)
         os.close(w)
-        return sweep(ks)
+        return sweep(blocks)
     if pid == 0:
         try:
             os.close(r)
             try:
-                out = ("ok", sweep(ks[1::2]))
+                out = ("ok", sweep(blocks[1::2]))
             except BaseException as exc:  # reported to the parent, then exit
                 out = ("error", f"{type(exc).__name__}: {exc}")
             with os.fdopen(w, "wb") as pipe:
@@ -446,7 +452,7 @@ def _forked(sweep, ks):
             os._exit(0)
     os.close(w)
     try:
-        c0, b0, f0 = sweep(ks[::2])
+        c0, b0, f0 = sweep(blocks[::2])
         with os.fdopen(r, "rb") as pipe:
             r = None
             data = pipe.read()
@@ -464,43 +470,83 @@ def _forked(sweep, ks):
     if kind != "ok":
         raise RuntimeError(f"sweep worker failed: {theirs}")
     c1, b1, f1 = theirs
-    # x leads each first, and the two halves share no x
+    # each first is the least violation of its half, in scan order
     return c0 + c1, b0 + b1, min((f for f in (f0, f1) if f is not None), default=None)
+
+
+def _pastings(model: DgtModel, table: np.ndarray, name: str, xs, ys, edge, want):
+    """``table[xs, ys]``, once every entry is a square whose ``edge`` is ``want``.
+
+    A sweep finds each such pasting by its rank among the squares with that
+    edge, so a -1 or a square off the edge the pasting forces would read
+    another square's row; InvalidDgt names the first such pair instead.
+    """
+    t = table.take(xs, 0).take(ys, 1)
+    wrong = (t < 0) | (edge.take(t) != want)
+    if wrong.any():
+        i, j = np.unravel_index(np.argmax(wrong), wrong.shape)
+        at = f"{model.name}: {name}[{xs[i]}, {ys[j]}]"
+        if t[i, j] < 0:
+            raise InvalidDgt(f"{at} is -1 on an edge-compatible pair")
+        raise InvalidDgt(f"{at} = {t[i, j]} is off the edge "
+                         f"{sorted(model.edges.arrows)[want]} that the pasting forces")
+    return t
 
 
 def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     """Interchange on every edge-compatible 2x2 arrangement, read from H/V.
 
     ``[[x, y], [z, w]]`` holds when V[H[x, y], H[z, w]] == H[V[x, z], V[y, w]].
-    Squares x are grouped by (x.right, x.bottom): all x in a class share
-    their (y, z, w) triples, so H[z, w] and V[y, w] are gathered once per
-    class.  Returns (checked, violations, first violating (x, y, z, w) in
-    the scan order x, z, y, w, or None).
+    The arrangements split into one block per edge tuple (r, b, beta, rho):
+    the x with right r and bottom b, times the y with left r and bottom
+    beta, the z with top b and right rho and the w with left rho and top
+    beta.  In a block every H[x, y] has bottom d = b beta and every V[x, z]
+    right e = r rho.  So the left side reads the sub-table V[u, H[z, w]],
+    laid out (z, u, w) over the squares u with bottom d, at u = the rank of
+    H[x, y] among them; the right side reads H[s, V[y, w]], laid out
+    (s, y, w) over the squares s with right e, at s = the rank of V[x, z].
+    Both come out as (z, x, y, w) arrays.  Returns (checked, violations,
+    first violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
     c = model.code()
-    a, n = c.arrows, len(model.squares)
-    by_left, by_top = _Groups(c.L, a), _Groups(c.T, a)
-    by_corner = _Groups(c.L * a + c.T, a * a)
-    Hf, Vf = H.ravel(), V.ravel()
+    a = c.arrows
+    by_bottom, by_right = _Groups(c.B, a), _Groups(c.R, a)
+    bottom_rank, right_rank = by_bottom.rank(), by_right.rank()
+    X, Y, Z, W = (_Groups(p * a + q, a * a)
+                  for p, q in ((c.R, c.B), (c.L, c.B), (c.T, c.R), (c.L, c.T)))
+    nx, ny, nz, nw = (g.count.reshape(a, a) for g in (X, Y, Z, W))
+    blocks = np.array([(beta, rho, b, r) for beta, rho in np.argwhere(nw.T).tolist()
+                       for b in np.flatnonzero(nz[:, rho]).tolist()
+                       for r in np.flatnonzero(nx[:, b] * ny[:, beta]).tolist()],
+                      np.intp).reshape(-1, 4)
 
-    def partners(k):
-        ys, zs = by_left.members(k // a), by_top.members(k % a)
-        z0, y0 = np.repeat(zs, len(ys)), np.tile(ys, len(zs))
-        for z, y, w in by_corner.extend((z0, y0), c.R[z0] * a + c.B[y0]):
-            yield (y, z, w), (y, z, Hf.take(z * n + w).astype(np.intp),
-                              Vf.take(y * n + w).astype(np.intp))
+    def pieces(rows):
+        lhs_at = rhs_at = None
+        for beta, rho, b, r in rows.tolist():
+            xs, ys = X.members(r * a + b), Y.members(r * a + beta)
+            zs, ws = Z.members(b * a + rho), W.members(rho * a + beta)
+            d, e = c.comp[b, beta], c.comp[r, rho]
+            if lhs_at != (beta, rho, b):
+                lhs_at = (beta, rho, b)
+                hzw = _pastings(model, H, "H", zs, ws, c.T, d)
+                lhs_table = np.ascontiguousarray(
+                    V.take(by_bottom.members(d), 0).take(hzw, 1).transpose(1, 0, 2))
+            if rhs_at != (beta, rho):
+                rhs_at, rhs_tables = (beta, rho), {}  # per r
+            if r not in rhs_tables:
+                vyw = _pastings(model, V, "V", ys, ws, c.L, e)
+                rhs_tables[r] = H.take(by_right.members(e), 0).take(vyw, 1)
+            hxy = bottom_rank.take(_pastings(model, H, "H", xs, ys, c.B, d))
+            vxz = right_rank.take(_pastings(model, V, "V", xs, zs, c.R, e)).T
+            step = max(1, _PIECE // (len(ys) * len(zs) * len(ws)))
+            for lo in range(0, len(xs), step):
+                part = slice(lo, lo + step)
+                lhs = lhs_table.take(hxy[part], axis=1)
+                rhs = rhs_tables[r].take(vxz[:, part], axis=0)
+                yield lhs.transpose(1, 0, 2, 3), rhs.transpose(1, 0, 2, 3), (xs[part], zs, ys, ws)
 
-    def evaluate(x, aux):
-        y, z, hzw, vyw = aux
-        at = (H[x].astype(np.intp) * n).take(y)
-        at += hzw
-        lhs = Vf.take(at)
-        at = (V[x].astype(np.intp) * n).take(z)
-        at += vyw
-        return lhs, Hf.take(at)
-
-    return _class_sweep(c.R * a + c.B, a * a, partners, evaluate,
-                        count_compatible_quadruples(model))
+    checked, bad, first = _class_sweep(blocks, pieces, count_compatible_quadruples(model))
+    return checked, bad, None if first is None else (first[0], first[2], first[1], first[3])
 
 
 def interchange_exhaustive(model: DgtModel) -> tuple[int, int, tuple | None]:
@@ -554,30 +600,44 @@ def find_interchange_counterexample(model: DgtModel, comp2=comp_h):
 
 
 def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
-                 edge_in: np.ndarray) -> tuple[int, int]:
+                 edge_in: np.ndarray) -> tuple[int, int, tuple | None]:
     """Exhaustive associativity over one composition table.
 
-    Squares x are grouped by their outgoing edge; every x in a class shares
-    its composable (y, z) pairs and their products table[y, z].
+    ``table[table[x, y], z] == table[x, table[y, z]]`` for every x, y, z
+    with out(x) = in(y) and out(y) = in(z).  One block per (e1, e2): the
+    product of the x with out e1, the y with in e1 and out e2 and the z with
+    in e2.  The left side takes, along u, the sub-table table[u, z] over the
+    squares u with out e2 at the rank of table[x, y] among them; the right
+    side takes element (x, v) of table[x, v] over the squares v with in e1,
+    at v the rank of table[y, z].  Returns (checked, violations, first
+    violating (x, y, z) or None).
     """
-    n, a = len(table), model.code().arrows
-    tf = table.ravel()
-    by_in = _Groups(edge_in, a)
+    a = model.code().arrows
+    by_out, by_in = _Groups(edge_out, a), _Groups(edge_in, a)
+    out_rank, in_rank = by_out.rank(), by_in.rank()
+    Y = _Groups(edge_in * a + edge_out, a * a)
+    blocks = np.argwhere(Y.count.reshape(a, a) * by_out.count[:, None] * by_in.count)
 
-    def partners(e):
-        ys = by_in.members(e)
-        for y, z in by_in.extend((ys,), edge_out[ys]):
-            yield (y, z), (y, z, tf.take(y * n + z))
-
-    def evaluate(x, aux):
-        y, z, inner = aux
-        return tf.take((table[x].astype(np.intp) * n).take(y) + z), table[x].take(inner)
+    def pieces(rows):
+        rhs_at = None
+        for e1, e2 in rows.tolist():
+            xs, ys, zs = by_out.members(e1), Y.members(e1 * a + e2), by_in.members(e2)
+            if rhs_at != e1:
+                rhs_at = e1
+                rhs_table = table.take(xs, 0).take(by_in.members(e1), 1)
+            lhs_table = table.take(by_out.members(e2), 0).take(zs, 1)
+            txy = out_rank.take(_pastings(model, table, "table", xs, ys, edge_out, e2))
+            tyz = in_rank.take(_pastings(model, table, "table", ys, zs, edge_in, e1))
+            step = max(1, _PIECE // (len(ys) * len(zs)))
+            for lo in range(0, len(xs), step):
+                part = slice(lo, lo + step)
+                yield (lhs_table.take(txy[part], axis=0), rhs_table[part].take(tyz, axis=1),
+                       (xs[part], ys, zs))
 
     # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
     total = int((np.bincount(edge_out, minlength=a)[edge_in]
                  * np.bincount(edge_in, minlength=a)[edge_out]).sum())
-    checked, bad, _ = _class_sweep(edge_out, a, partners, evaluate, total)
-    return checked, bad
+    return _class_sweep(blocks, pieces, total)
 
 
 def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
@@ -635,11 +695,11 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
             report.fail("v-inverse", f"inv_v fails at {s}")
     report.count(int((H >= 0).sum() + (V >= 0).sum()))
     # composites stay inside the model: tables() checked every one
-    ch, bh = _assoc_sweep(model, H, c.R, c.L)
+    ch, bh, _ = _assoc_sweep(model, H, c.R, c.L)
     report.count(ch)
     if bh:
         report.fail("h-associativity", f"{bh} violating triples")
-    cv, bv = _assoc_sweep(model, V, c.B, c.T)
+    cv, bv, _ = _assoc_sweep(model, V, c.B, c.T)
     report.count(cv)
     if bv:
         report.fail("v-associativity", f"{bv} violating triples")

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import signal
 import time
 from dataclasses import replace
@@ -28,7 +29,7 @@ from gpdkit.dgt import (
     transport_fill_search,
     validate_dgt,
 )
-from gpdkit.errors import InvalidCrossedModule
+from gpdkit.errors import InvalidCrossedModule, InvalidDgt
 from gpdkit.finite import group_as_groupoid, interval_finite_groupoid, trivial_group
 from gpdkit.grids import Grid, grid_compose
 from gpdkit.report import Report
@@ -422,7 +423,7 @@ def reference_validate_dgt(model, interchange, seed, samples):
     report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
     c = model.code()
     for law, table, out, into in (("h", t.H, c.R, c.L), ("v", t.V, c.B, c.T)):
-        checked, bad = _assoc_sweep(model, table, out, into)
+        checked, bad, _ = _assoc_sweep(model, table, out, into)
         report.count(checked)
         if bad:
             report.fail(f"{law}-associativity", f"{bad} violating triples")
@@ -620,7 +621,7 @@ def test_sampled_interchange_draws_nothing_without_an_arrangement():
 @pytest.fixture
 def sweep_path(monkeypatch):
     """Sets which path a law sweep takes: "forked" (whenever it has two
-    classes, even on one CPU) or "serial"; records each sweep's exact count
+    blocks, even on one CPU) or "serial"; records each sweep's exact count
     given beforehand and its result."""
     monkeypatch.setattr(dgt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     runs = []
@@ -674,12 +675,134 @@ def test_forked_associativity_matches_the_serial_one_on_aut_s3(sweep_path, aut_s
     assert all(total == out[0] for total, out in runs)
 
 
-def toy_sweep(evaluate):
-    """_class_sweep over 8 outer squares in 4 classes, 5 partners each."""
-    def partners(k):
-        yield (np.arange(5),), None
+def loop_interchange(model, H, V):
+    """Reference: interchange by a plain loop over table indices in the scan
+    order x, z, y, w; (checked, violations, first violating (x, y, z, w))."""
+    c = model.code()
+    T, R, B, L = (col.tolist() for col in (c.T, c.R, c.B, c.L))
+    H, V = H.tolist(), V.tolist()
+    by_left, by_top, by_corner = {}, {}, {}
+    for s in range(len(T)):
+        by_left.setdefault(L[s], []).append(s)
+        by_top.setdefault(T[s], []).append(s)
+        by_corner.setdefault((L[s], T[s]), []).append(s)
+    checked = bad = 0
+    first = None
+    for x in range(len(T)):
+        for z in by_top.get(B[x], ()):
+            for y in by_left.get(R[x], ()):
+                for w in by_corner.get((R[z], B[y]), ()):
+                    checked += 1
+                    if V[H[x][y]][H[z][w]] != H[V[x][z]][V[y][w]]:
+                        bad += 1
+                        first = first or (x, y, z, w)
+    return checked, bad, first
 
-    return dgt._class_sweep(np.arange(8) % 4, 4, partners, evaluate, 40)
+
+def loop_associativity(table, edge_out, edge_in):
+    """Reference: associativity by a plain loop over table indices in the
+    scan order x, y, z; (checked, violations, first violating (x, y, z))."""
+    out, into, table = edge_out.tolist(), edge_in.tolist(), table.tolist()
+    by_in = {}
+    for s in range(len(into)):
+        by_in.setdefault(into[s], []).append(s)
+    checked = bad = 0
+    first = None
+    for x in range(len(out)):
+        for y in by_in.get(out[x], ()):
+            for z in by_in.get(out[y], ()):
+                checked += 1
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    bad += 1
+                    first = first or (x, y, z)
+    return checked, bad, first
+
+
+def pasted_pairs(model, table):
+    """Every pair of square indices that ``table`` ("H" or "V") pastes."""
+    sq = model.squares
+    return [(i, j) for i in range(len(sq)) for j in range(len(sq))
+            if (sq[i].right == sq[j].left if table == "H" else sq[i].bottom == sq[j].top)]
+
+
+# model fixture, then how its tables are changed
+EXACT_CASES = [
+    ("sq_interval_s3", None),  # uneven and empty blocks
+    ("aut_c3_model", None),
+    ("aut_c3_model", "unconjugated"),
+    ("aut_c3_model", "V"),  # a swapped filler in V breaks v-associativity
+    # one in each table: the least violation in x, y, z, w order is not
+    # the first in scan order, so both workers' firsts must be compared
+    # in scan order
+    ("aut_c3_model", "HV"),
+]
+
+
+@pytest.mark.parametrize("fixture, change", EXACT_CASES,
+                         ids=[f"{f}-{c}" for f, c in EXACT_CASES])
+def test_sweeps_equal_the_plain_loops(request, sweep_path, fixture, change):
+    model = request.getfixturevalue(fixture)
+    rng = random.Random(5)
+    for table in change if change in ("V", "HV") else ():
+        model = with_swapped_filler(model, table, *rng.choice(pasted_pairs(model, table)), rng)
+    t, c = model.tables(), model.code()
+    H = unconjugated_h(model) if change == "unconjugated" else t.H
+    want = (loop_interchange(model, H, t.V), loop_associativity(H, c.R, c.L),
+            loop_associativity(t.V, c.B, c.T))
+    if change is not None:
+        assert want[0][1]  # every change breaks interchange
+    if change in ("V", "HV"):
+        assert want[2][1]  # and a swapped filler in V breaks v-associativity
+    for path in ("serial", "forked"):
+        sweep_path(path)
+        assert (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, c.R, c.L),
+                _assoc_sweep(model, t.V, c.B, c.T)) == want
+
+
+def planted(model, table, value):
+    """A copy of ``table`` whose entry at its first pasted pair is -1
+    ("undefined") or a square with four other edges ("off-edge")."""
+    c = model.code()
+    edges = np.stack([c.T, c.R, c.B, c.L], axis=1)
+    i, j = pasted_pairs(model, table)[0]
+    out = getattr(model.tables(), table).copy()
+    out[i, j] = -1 if value == "undefined" else np.flatnonzero(
+        (edges != edges[out[i, j]]).all(axis=1))[0]
+    return out, f"[{i}, {j}]"
+
+
+@pytest.mark.parametrize("value", ["undefined", "off-edge"])
+def test_sweeps_refuse_a_pasting_that_is_not_a_square_over_its_edges(aut_c3_model, value):
+    model = aut_c3_model
+    t, c = model.tables(), model.code()
+    H, at = planted(model, "H", value)
+    with pytest.raises(InvalidDgt, match=re.escape(f"H{at}")):
+        interchange_sweep(model, H, t.V)
+    with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
+        _assoc_sweep(model, H, c.R, c.L)
+    V, at = planted(model, "V", value)
+    with pytest.raises(InvalidDgt, match=re.escape(f"V{at}")):
+        interchange_sweep(model, t.H, V)
+    with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
+        _assoc_sweep(model, V, c.B, c.T)
+
+
+def test_forked_interchange_is_exhaustive_on_aut_s3(sweep_path, aut_s3_model):
+    sweep_path("forked")
+    quads = count_compatible_quadruples(aut_s3_model)
+    assert interchange_exhaustive(aut_s3_model) == (quads, 0, None)
+    assert quads == 2_176_782_336
+
+
+def toy_sweep(evaluate):
+    """_class_sweep over 4 blocks, each of 2 outer squares x by 5 partners."""
+    def pieces(rows):
+        for k in rows.tolist():
+            for x in (k, k + 4):
+                lhs, rhs = evaluate(x)
+                yield lhs[None], rhs[None], ([x], np.arange(5))
+
+    return dgt._class_sweep(np.arange(4), pieces, 40)
 
 
 @pytest.fixture
@@ -705,7 +828,7 @@ def assert_reaped(pids):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-def one_miss_per_x(x, aux):
+def one_miss_per_x(x):
     return np.arange(5), np.where(np.arange(5) == x % 5, -1, np.arange(5))
 
 
@@ -735,7 +858,7 @@ def test_sweep_runs_serially_when_no_child_can_be_forked(monkeypatch, sweep_path
 def test_a_failing_child_makes_the_sweep_raise(forks, failure, message):
     parent = os.getpid()
 
-    def evaluate(x, aux):
+    def evaluate(x):
         if os.getpid() != parent:
             failure()
         return np.zeros(5), np.zeros(5)
@@ -748,7 +871,7 @@ def test_a_failing_child_makes_the_sweep_raise(forks, failure, message):
 def test_a_failing_parent_kills_and_reaps_its_child(forks):
     parent = os.getpid()
 
-    def evaluate(x, aux):
+    def evaluate(x):
         if os.getpid() != parent:
             time.sleep(60)
         raise ValueError("parent half failed")
