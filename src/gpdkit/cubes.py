@@ -16,26 +16,29 @@ equals its lid.
 ``CubeKernel`` does all of this on square indices: a cube is a row of six
 indices in ``FACE_SLOTS`` order, folded and pasted with the model's tables
 ``H``/``V`` and per-square index maps for the reflections, and enumerated
-and sampled through square groups keyed by the seam edges.
+and sampled through the model's square groups keyed by the seam edges.
 ``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
-rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces``, ``compose_cubes``
-and ``commutativity_oracle`` stay object-level: they serve single cubes read
-from a workspace and are the references the kernel is tested against.
+rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces`` and
+``compose_cubes`` stay object-level: they serve single cubes read from a
+workspace and are the references the kernel is tested against, the fold also
+for the scalar oracle, one product over square indices that reads no filler.
 """
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
-from .dgt import DgtModel, _Groups
+from .dgt import DgtModel, SquareCode, _encode, _Groups
 from .errors import EdgeMismatch, PreconditionFailed
 from .grids import Grid, grid_compose
-from .squares import Square, boundary_word, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
+from .squares import Square, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
 
 # Imported after .dgt, which imports numpy itself: importing numpy ahead of
 # .dgt's other imports raised the peak RSS of a whole vk session by 0.9 MB.
 import numpy as np
 
 FACE_SLOTS = ("d1-", "d1+", "d2-", "d2+", "d3-", "d3+")
+_SLOT = {slot: k for k, slot in enumerate(FACE_SLOTS)}
 
 # The twelve shared edges: ((slot, edge attribute), (slot, edge attribute)).
 EDGE_SEAMS = (
@@ -154,16 +157,7 @@ def is_commutative_cube(c: Cube) -> bool:
     return fold_five_faces(c) == c.face("d1-")
 
 
-def commutativity_oracle(c: Cube) -> bool:
-    """Scalar commutativity test over a one-object base with injective boundary.
-
-    Evaluates a conjugated product of the six faces' boundary words directly
-    in the base group, with no square pasting involved.  It reads no filler,
-    so it agrees with ``is_commutative_cube`` only where fillers are unique;
-    both preconditions (one object, injective ``mu``) raise
-    ``PreconditionFailed`` when they fail.
-    """
-    xm = c.face("d1-").xm
+def _oracle_preconditions(xm):
     P = xm.base
     if len(P.objects) != 1:
         raise PreconditionFailed("the scalar oracle needs a one-object base")
@@ -171,24 +165,46 @@ def commutativity_oracle(c: Cube) -> bool:
     if len(set(mu.values())) != len(mu):
         raise PreconditionFailed("the scalar oracle needs an injective boundary")
 
-    def conj(x, p):
-        return P.compose_all([P.inv(p), x, p])
 
-    w = {slot: boundary_word(xm, f.top, f.right, f.bottom, f.left) for slot, f in c.faces.items()}
-    a_r = c.face("d2-").right
-    b_r = c.face("d2+").right
-    s_b = c.face("d1+").bottom
-    c_top = c.face("d3+").top
-    product = P.compose_all(
-        [
-            conj(P.inv(w["d2+"]), P.inv(b_r)),
-            conj(P.inv(w["d3-"]), P.compose(s_b, P.inv(b_r))),
-            conj(w["d1+"], P.inv(b_r)),
-            conj(w["d3+"], P.inv(b_r)),
-            conj(w["d2-"], P.compose(P.inv(a_r), c_top)),
-        ]
+def _oracle(c: SquareCode, rows) -> np.ndarray:
+    """The scalar oracle on rows of six square indices of ``c``, whose seams
+    agree: a conjugated product of the six faces' boundary words, taken in
+    the base group off ``c.comp``, never ``H``/``V``."""
+    inv = c.inv
+
+    def mul(*xs):  # one object: every composite is defined
+        return reduce(lambda x, y: c.comp[x, y], xs)
+
+    def conj(x, p):
+        return mul(inv[p], x, p)
+
+    word = mul(inv[c.B], inv[c.L], c.T, c.R)
+    w = {slot: word[rows[..., k]] for k, slot in enumerate(FACE_SLOTS)}
+    a_r = c.R[rows[..., _SLOT["d2-"]]]
+    b_r = c.R[rows[..., _SLOT["d2+"]]]
+    s_b = c.B[rows[..., _SLOT["d1+"]]]
+    c_top = c.T[rows[..., _SLOT["d3+"]]]
+    product = mul(
+        conj(inv[w["d2+"]], inv[b_r]),
+        conj(inv[w["d3-"]], mul(s_b, inv[b_r])),
+        conj(w["d1+"], inv[b_r]),
+        conj(w["d3+"], inv[b_r]),
+        conj(w["d2-"], mul(inv[a_r], c_top)),
     )
     return product == w["d1-"]
+
+
+def commutativity_oracle(c: Cube) -> bool:
+    """Scalar commutativity test over a one-object base with injective boundary.
+
+    ``_oracle`` on the cube's own six faces, with no square pasting involved.
+    It reads no filler, so it agrees with ``is_commutative_cube`` only where
+    fillers are unique; both preconditions (one object, injective ``mu``)
+    raise ``PreconditionFailed`` when they fail.
+    """
+    xm = c.face("d1-").xm
+    _oracle_preconditions(xm)
+    return bool(_oracle(_encode(xm, [c.face(slot) for slot in FACE_SLOTS]), np.arange(6)))
 
 
 # -- cube composition -----------------------------------------------------------
@@ -225,7 +241,6 @@ def compose_cubes(c1: Cube, c2: Cube, direction: int) -> Cube:
 
 # -- the cube kernel ----------------------------------------------------------------
 
-_SLOT = {slot: k for k, slot in enumerate(FACE_SLOTS)}
 # slot -> its four seams, each as (edge, other slot, other edge), by edge name
 _SEAMS_AT = {
     slot: sorted((e, o, oe) for seam in EDGE_SEAMS for (s, e), (o, oe) in (seam, seam[::-1])
@@ -234,36 +249,6 @@ _SEAMS_AT = {
 }
 # every face but the lid, in drawing order; the lid is drawn last or folded
 _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
-
-
-class _Fitting:
-    """Square indices grouped by the arrows on some of their edges.
-
-    ``edges`` holds one edge column per constrained edge, and ``pack`` turns
-    arrows on those edges into one key.  ``group`` maps keys to group ids,
-    each group in model order, the empty last group where no square fits;
-    ``options`` gives one key's group as a list, for single draws.
-    """
-
-    def __init__(self, arrows: int, n: int, edges: list[np.ndarray]):
-        self.arrows = arrows
-        keys, dense = np.unique(self.pack(edges, np.zeros(n, np.int64)), return_inverse=True)
-        # a sentinel above every key: a failed search lands on the empty group
-        self.keys = np.append(keys, np.iinfo(np.int64).max)
-        self.groups = _Groups(dense.reshape(-1), len(self.keys))
-        self.lists = {k: self.groups.members(g).tolist() for g, k in enumerate(keys.tolist())}
-
-    def pack(self, cols, key=0):
-        for col in cols:
-            key = key * self.arrows + col
-        return key
-
-    def group(self, key: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.keys, key)
-        return np.where(self.keys[pos] == key, pos, len(self.keys) - 1)
-
-    def options(self, key) -> list[int]:
-        return self.lists.get(key, [])
 
 
 def _undefined(idx) -> bool:
@@ -279,15 +264,6 @@ def _paste(table: np.ndarray, x, y, how: str):
     return z
 
 
-def _extend_all(groups: _Groups, prefix: tuple, key) -> tuple:
-    """``groups.extend`` with its chunks joined: each prefix tuple extended
-    by every member of its group, as one array per position."""
-    chunks = list(groups.extend(prefix, key))
-    if not chunks:
-        return tuple(np.empty(0, np.intp) for _ in range(len(prefix) + 1))
-    return tuple(np.concatenate(col) for col in zip(*chunks))
-
-
 class _IndexMaps:
     """A model's index maps for the cube kernel, per square and per arrow.
 
@@ -297,9 +273,7 @@ class _IndexMaps:
 
     def __init__(self, model: DgtModel):
         c = model.code()
-        self.edge = {"top": c.T, "right": c.R, "bottom": c.B, "left": c.L}
         self.arrow_names = sorted(model.edges.arrows)
-        self.fits: dict[tuple, _Fitting] = {}  # by constrained edge names
         # per square: its transpose, inv_h of its transpose and inv_v
         elt_inv = c.elt_inv[c.E]
         self.transpose = model.find(elt_inv, c.L, c.B, c.R, c.T)
@@ -356,8 +330,8 @@ class CubeKernel:
                 or ((rows < 0) | (rows >= n)).any()):
             raise PreconditionFailed(f"a cube over {self.model.name} is six square indices below {n}")
         for (sa, ea), (sb, eb) in EDGE_SEAMS:
-            va = self.maps.edge[ea][rows[..., _SLOT[sa]]].ravel()
-            vb = self.maps.edge[eb][rows[..., _SLOT[sb]]].ravel()
+            va = self.code.edge[ea][rows[..., _SLOT[sa]]].ravel()
+            vb = self.code.edge[eb][rows[..., _SLOT[sb]]].ravel()
             if (va != vb).any():
                 i = np.argmax(va != vb)
                 a, b = self.maps.arrow_names[va[i]], self.maps.arrow_names[vb[i]]
@@ -413,74 +387,34 @@ class CubeKernel:
         """Every (i, j) whose cubes paste in ``direction``, i then j ascending."""
         minus, plus = (_SLOT[slot] for slot in _axis(direction))
         rows = self.seams(cubes)
-        by_minus = _Groups(rows[:, minus], len(self.model.squares))
-        return _extend_all(by_minus, (np.arange(len(rows)),), rows[:, plus])
+        by_minus = _Groups(len(self.model.squares), len(rows), [rows[:, minus]])
+        return by_minus.extend((np.arange(len(rows)),), [rows[:, plus]])
 
     def oracle(self, cubes) -> np.ndarray:
-        """``commutativity_oracle`` of each cube, with the same preconditions.
-
-        Reads each square's boundary word off the base composition, never
-        ``H``/``V``, so it stays independent of the fold.
-        """
-        xm = self.model.xm
-        P = xm.base
-        if len(P.objects) != 1:
-            raise PreconditionFailed("the scalar oracle needs a one-object base")
-        mu = xm.mu[P.objects[0]]
-        if len(set(mu.values())) != len(mu):
-            raise PreconditionFailed("the scalar oracle needs an injective boundary")
-        rows = self.seams(cubes)
-        c = self.code
-        inv = c.inv
-
-        def mul(*xs):  # one object: every composite is defined
-            out = xs[0]
-            for x in xs[1:]:
-                out = c.comp[out, x]
-            return out
-
-        def conj(x, p):
-            return mul(inv[p], x, p)
-
-        word = mul(inv[c.B], inv[c.L], c.T, c.R)
-        w = {slot: word[rows[..., k]] for k, slot in enumerate(FACE_SLOTS)}
-        a_r = c.R[rows[..., _SLOT["d2-"]]]
-        b_r = c.R[rows[..., _SLOT["d2+"]]]
-        s_b = c.B[rows[..., _SLOT["d1+"]]]
-        c_top = c.T[rows[..., _SLOT["d3+"]]]
-        product = mul(
-            conj(inv[w["d2+"]], inv[b_r]),
-            conj(inv[w["d3-"]], mul(s_b, inv[b_r])),
-            conj(w["d1+"], inv[b_r]),
-            conj(w["d3+"], inv[b_r]),
-            conj(w["d2-"], mul(inv[a_r], c_top)),
-        )
-        return product == w["d1-"]
+        """``commutativity_oracle`` of each cube, with the same preconditions."""
+        _oracle_preconditions(self.model.xm)
+        return _oracle(self.code, self.seams(cubes))
 
     def _fitting(self, slot: str, faces: dict):
         """The squares grouped by ``slot``'s seams to the placed ``faces``,
-        and the key of the group that fits those faces."""
+        and the arrows of those faces on the seams, one per grouped edge."""
         seams = [(e, o, oe) for e, o, oe in _SEAMS_AT[slot] if o in faces]
-        names = tuple(e for e, _, _ in seams)
-        fit = self.maps.fits.get(names)
-        if fit is None:
-            fit = self.maps.fits[names] = _Fitting(
-                self.code.arrows, len(self.model.squares), [self.maps.edge[e] for e in names])
-        return fit, fit.pack([self.maps.edge[oe][faces[o]] for _, o, oe in seams])
+        fit = self.model.groups(*(e for e, _, _ in seams))
+        return fit, [self.code.edge[oe][faces[o]] for _, o, oe in seams]
 
     def enumerate(self) -> np.ndarray:
         """Every cube over the model in canonical order: faces in draw order,
-        then the lid, each running over its fitting squares in model order."""
+        then the lid, each running over its fitting squares in model order.
+        SizeLimit once a step's tuples would pass MAX_TABLE_BYTES."""
         faces = {"d3-": np.arange(len(self.model.squares))}
         for slot in (*_DRAW_ORDER[1:], "d1-"):
-            fit, key = self._fitting(slot, faces)
-            faces = dict(zip((*faces, slot),
-                             _extend_all(fit.groups, tuple(faces.values()), fit.group(key))))
+            fit, arrows = self._fitting(slot, faces)
+            faces = dict(zip((*faces, slot), fit.extend(tuple(faces.values()), arrows)))
         return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
 
     def _pick(self, rng: random.Random, slot: str, faces: dict) -> int:
-        fit, key = self._fitting(slot, faces)
-        options = fit.options(key)
+        fit, arrows = self._fitting(slot, faces)
+        options = fit.options(*arrows)
         if not options:
             raise PreconditionFailed("no square matches the edge constraints")
         return options[rng.randrange(len(options))]

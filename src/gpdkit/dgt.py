@@ -11,11 +11,13 @@ Each model is encoded once as int arrays (``SquareCode``): base composition,
 fiber multiplication over global element ids, the action as element x arrow
 -> element, and per square its element and four edges.  ``DgtModel.tables``
 builds ``H``/``V`` from those arrays with numpy formulas, one block per
-pasting edge.  A law sweep splits its arrangements into blocks, one per
-tuple of shared edges, each the product of a few edge classes of squares;
+pasting edge.  ``DgtModel.groups`` groups the squares by the arrows on a
+tuple of edges, once per model and tuple, for the tables, the sweeps, the
+sampled draws and the cube kernel.  A law sweep splits its arrangements
+into blocks, one per tuple of shared edges, each a product of such groups;
 both sides of a block are row gathers from small sub-tables of ``H``/``V``,
-indexed by each inner pasting's rank among the squares with its forced
-edge, so a sweep never reads a -1 as an index.  The object-level calculus
+at each inner pasting's rank in the group of its forced edge, so a sweep
+never reads a -1 as an index.  The object-level calculus
 (``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
 and, in ``find_interchange_counterexample``, the readable scan for a
 corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
@@ -56,9 +58,6 @@ _EDGES = ("top", "right", "bottom", "left")
 # It also keeps every flat table index below 2**31.
 MAX_TABLE_BYTES = 1 << 28
 
-# Partner tuples ``_Groups.extend`` yields at once; bounds its temporaries.
-_CHUNK = 1 << 14
-
 # Most arrangements a law sweep compares at once; bounds its temporaries.
 _PIECE = 1 << 16
 
@@ -76,8 +75,8 @@ class SquareCode:
 
     Arrows are numbered in sorted order and fiber elements globally, object
     by object.  ``E, T, R, B, L`` give each square's element and its top,
-    right, bottom and left edges; ``order`` lists the squares by ``key``,
-    whose sorted values are ``sorted_keys``.
+    right, bottom and left edges, also by name in ``edge``; ``order`` lists
+    the squares by ``key``, whose sorted values are ``sorted_keys``.
     """
 
     arrows: int
@@ -94,8 +93,10 @@ class SquareCode:
     L: np.ndarray
     order: np.ndarray = field(init=False, repr=False)
     sorted_keys: np.ndarray = field(init=False, repr=False)
+    edge: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.edge = dict(zip(_EDGES, (self.T, self.R, self.B, self.L)))
         keys = self.key(self.E, self.T, self.R, self.L)
         self.order = np.argsort(keys)
         self.sorted_keys = keys[self.order]
@@ -140,40 +141,73 @@ def _encode(xm: CrossedModuleData, squares) -> SquareCode:
 
 
 class _Groups:
-    """Square indices grouped by an integer key, each group in model order."""
+    """Indices grouped by their entries in ``cols``: squares by the arrows on
+    some of their edges, or cubes by one face.
 
-    def __init__(self, keys: np.ndarray, size: int):
-        self.order = np.argsort(keys, kind="stable")
-        self.count = np.bincount(keys, minlength=size)
+    Each column's entries lie below ``radix``, and a key packs one entry per
+    column in order.  The groups run in key order, each ascending; a key
+    that no index has lands on the empty last group.  Lookups take one
+    entry, or one array of entries, per column: arrays go through a search
+    of the keys, scalars through a dict.
+    """
+
+    def __init__(self, radix: int, n: int, cols=()):
+        self.radix = radix
+        keys, dense = np.unique(self.pack(cols, np.zeros(n, np.int64)), return_inverse=True)
+        self.ids = dict(zip(keys.tolist(), range(len(keys))))  # key -> group
+        # a sentinel above every key: a failed search lands on the empty group
+        self.keys = np.append(keys, np.iinfo(np.int64).max)
+        self.order = np.argsort(dense, kind="stable")
+        self.count = np.bincount(dense, minlength=len(self.keys))
         self.start = np.cumsum(self.count) - self.count
+        self.lists = {}
+
+    def pack(self, cols, key=0):
+        for col in cols:
+            key = key * self.radix + col
+        return key
+
+    def group(self, *cols) -> np.ndarray:
+        key = self.pack(cols)
+        pos = np.searchsorted(self.keys, key)
+        return np.where(self.keys[pos] == key, pos, len(self.keys) - 1)
+
+    def size(self, *cols) -> np.ndarray:
+        return self.count[self.group(*cols)]
+
+    def members(self, *arrows) -> np.ndarray:
+        g = self.ids.get(self.pack(arrows), len(self.keys) - 1)
+        return self.order[self.start[g]:self.start[g] + self.count[g]]
+
+    def options(self, *arrows) -> list[int]:
+        """``members`` as a list, kept per key for single draws."""
+        key = self.pack(arrows)
+        out = self.lists.get(key)
+        if out is None:
+            out = self.lists[key] = self.members(*arrows).tolist()
+        return out
 
     def rank(self) -> np.ndarray:
-        """Each square's position within its group."""
+        """Each index's position within its group."""
         rank = np.empty_like(self.order)
         rank[self.order] = np.arange(len(self.order)) - np.repeat(self.start, self.count)
         return rank
 
-    def members(self, k) -> np.ndarray:
-        return self.order[self.start[k]:self.start[k] + self.count[k]]
-
-    def extend(self, prefix: tuple, key: np.ndarray):
-        """Extend each prefix tuple by every member of its group ``key``.
-
-        Yields (*prefix, member) as arrays, in prefix order with members
-        ascending, in chunks of about ``_CHUNK`` tuples.
-        """
-        count = self.count[key]
-        ends = np.cumsum(count)
-        lo = 0
-        while lo < len(key):
-            base = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
-            c = count[lo:hi]
-            if ends[hi - 1] > base:
-                offset = np.repeat(self.start[key[lo:hi]] - (np.cumsum(c) - c), c)
-                member = self.order[offset + np.arange(ends[hi - 1] - base)]
-                yield (*(np.repeat(p[lo:hi], c) for p in prefix), member)
-            lo = hi
+    def extend(self, prefix: tuple, cols) -> tuple:
+        """Each prefix tuple extended by every member of the group of its
+        arrows in ``cols``, as one array per position, in prefix order with
+        members ascending.  SizeLimit, before any allocation, when those
+        arrays and the gather's two index arrays pass MAX_TABLE_BYTES."""
+        g = self.group(*cols)
+        count = self.count[g]
+        total = int(count.sum())
+        need = (len(prefix) + 3) * total * np.dtype(np.intp).itemsize
+        if need > MAX_TABLE_BYTES:
+            raise SizeLimit(f"{total} tuples of {len(prefix) + 1} indices need "
+                            f"{need} bytes, over the limit of {MAX_TABLE_BYTES}")
+        at = np.repeat(self.start[g] - (np.cumsum(count) - count), count)
+        at += np.arange(total)
+        return (*(np.repeat(p, count) for p in prefix), self.order[at])
 
 
 def check_table_size(name: str, n: int) -> np.dtype:
@@ -213,6 +247,7 @@ class DgtModel:
     index: dict[tuple, int] = field(default=None, repr=False)
     _edge_index: dict = field(default_factory=dict, init=False, repr=False)
     _code: SquareCode = field(default=None, init=False, repr=False)
+    _groups: dict = field(default_factory=dict, init=False, repr=False)
     _tables: SquareTables = field(default=None, init=False, repr=False)
     _cubes: object = field(default=None, init=False, repr=False)  # the cube kernel's index maps
 
@@ -254,6 +289,14 @@ class DgtModel:
             self._code = _encode(self.xm, self.squares)
         return self._code
 
+    def groups(self, *edges) -> _Groups:
+        """The squares grouped by the arrows on ``edges``, built once per tuple."""
+        g = self._groups.get(edges)
+        if g is None:
+            c = self.code()
+            g = self._groups[edges] = _Groups(c.arrows, len(self.squares), [c.edge[e] for e in edges])
+        return g
+
     def find(self, elt, top, right, bottom, left) -> np.ndarray:
         """Index of the square with each element and four edges, in ``code()``
         numbering; -1 where the model has none or an argument is -1.
@@ -285,15 +328,14 @@ class DgtModel:
 
             H = np.full((n, n), -1, dtype)
             V = np.full((n, n), -1, dtype)
-            by = {e: _Groups(getattr(c, e), c.arrows) for e in "TRBL"}
             for e in range(c.arrows):
                 # left square i, right square j pasted along their vertical edge e
-                I, J = by["R"].members(e), by["L"].members(e)
+                I, J = self.groups("right").members(e), self.groups("left").members(e)
                 i, j = I[:, None], J[None, :]
                 fill(H, "horizontal", I, J, c.mul[c.act[c.E[i], c.B[j]], c.E[j]],
                      c.comp[c.T[i], c.T[j]], c.R[j], c.comp[c.B[i], c.B[j]], c.L[i])
                 # upper square i, lower square j pasted along their horizontal edge e
-                I, J = by["B"].members(e), by["T"].members(e)
+                I, J = self.groups("bottom").members(e), self.groups("top").members(e)
                 i, j = I[:, None], J[None, :]
                 fill(V, "vertical", I, J, c.mul[c.E[j], c.act[c.E[i], c.R[j]]],
                      c.T[i], c.comp[c.R[i], c.R[j]], c.B[j], c.comp[c.L[i], c.L[j]])
@@ -509,12 +551,12 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     first violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
     c = model.code()
-    a = c.arrows
-    by_bottom, by_right = _Groups(c.B, a), _Groups(c.R, a)
+    by_bottom, by_right = model.groups("bottom"), model.groups("right")
     bottom_rank, right_rank = by_bottom.rank(), by_right.rank()
-    X, Y, Z, W = (_Groups(p * a + q, a * a)
-                  for p, q in ((c.R, c.B), (c.L, c.B), (c.T, c.R), (c.L, c.T)))
-    nx, ny, nz, nw = (g.count.reshape(a, a) for g in (X, Y, Z, W))
+    X, Y, Z, W = (model.groups(*e) for e in (("right", "bottom"), ("left", "bottom"),
+                                             ("top", "right"), ("left", "top")))
+    p = np.arange(c.arrows)
+    nx, ny, nz, nw = (g.size(p[:, None], p) for g in (X, Y, Z, W))
     blocks = np.array([(beta, rho, b, r) for beta, rho in np.argwhere(nw.T).tolist()
                        for b in np.flatnonzero(nz[:, rho]).tolist()
                        for r in np.flatnonzero(nx[:, b] * ny[:, beta]).tolist()],
@@ -523,8 +565,8 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     def pieces(rows):
         lhs_at = rhs_at = None
         for beta, rho, b, r in rows.tolist():
-            xs, ys = X.members(r * a + b), Y.members(r * a + beta)
-            zs, ws = Z.members(b * a + rho), W.members(rho * a + beta)
+            xs, ys = X.members(r, b), Y.members(r, beta)
+            zs, ws = Z.members(b, rho), W.members(rho, beta)
             d, e = c.comp[b, beta], c.comp[r, rho]
             if lhs_at != (beta, rho, b):
                 lhs_at = (beta, rho, b)
@@ -612,16 +654,16 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
     at v the rank of table[y, z].  Returns (checked, violations, first
     violating (x, y, z) or None).
     """
-    a = model.code().arrows
-    by_out, by_in = _Groups(edge_out, a), _Groups(edge_in, a)
+    a, n = model.code().arrows, len(edge_out)
+    by_out, by_in, Y = (_Groups(a, n, cols) for cols in ([edge_out], [edge_in], [edge_in, edge_out]))
     out_rank, in_rank = by_out.rank(), by_in.rank()
-    Y = _Groups(edge_in * a + edge_out, a * a)
-    blocks = np.argwhere(Y.count.reshape(a, a) * by_out.count[:, None] * by_in.count)
+    p = np.arange(a)
+    blocks = np.argwhere(Y.size(p[:, None], p) * by_out.size(p)[:, None] * by_in.size(p))
 
     def pieces(rows):
         rhs_at = None
         for e1, e2 in rows.tolist():
-            xs, ys, zs = by_out.members(e1), Y.members(e1 * a + e2), by_in.members(e2)
+            xs, ys, zs = by_out.members(e1), Y.members(e1, e2), by_in.members(e2)
             if rhs_at != e1:
                 rhs_at = e1
                 rhs_table = table.take(xs, 0).take(by_in.members(e1), 1)
@@ -635,8 +677,7 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
                        (xs[part], ys, zs))
 
     # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
-    total = int((np.bincount(edge_out, minlength=a)[edge_in]
-                 * np.bincount(edge_in, minlength=a)[edge_out]).sum())
+    total = int((by_out.size(edge_in) * by_in.size(edge_out)).sum())
     return _class_sweep(blocks, pieces, total)
 
 
@@ -726,9 +767,7 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
             report.fail("interchange", f"{bad} violations, first at indices {first}")
     elif mode == "sampled":
         # partners in model order, so each seed draws the same quadruples
-        a = c.arrows
-        by_left, by_top = _Groups(c.L, a), _Groups(c.T, a)
-        by_corner = _Groups(c.L * a + c.T, a * a)
+        by_left, by_top, by_corner = (model.groups(*e) for e in (("left",), ("top",), ("left", "top")))
         rng = random.Random(seed)
         quads = []
         # with no arrangement at all every draw would fail, so draw none
@@ -739,7 +778,7 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
             if not len(ys) or not len(zs):
                 continue
             y, z = ys[rng.randrange(len(ys))], zs[rng.randrange(len(zs))]
-            ws = by_corner.members(c.R[z] * a + c.B[y])
+            ws = by_corner.members(c.R[z], c.B[y])
             if not len(ws):
                 continue
             quads.append((x, y, z, ws[rng.randrange(len(ws))]))

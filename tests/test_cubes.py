@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from gpdkit.cubes import (
     random_cube,
 )
 from gpdkit.dgt import SquareTables
-from gpdkit.errors import EdgeMismatch, GpdError, PreconditionFailed
+from gpdkit.errors import EdgeMismatch, GpdError, PreconditionFailed, SizeLimit
 from gpdkit.finite import cyclic_group, group_as_groupoid, trivial_group
 from gpdkit.grids import grid_compose
 from gpdkit.squares import Square, comp_h, comp_v, conn_plus, identity_square, transpose
@@ -381,7 +383,8 @@ def _raised(fn, *args):
 def assert_kernel_matches(model, cubes):
     """Kernel fold, oracle and seam check against fold_five_faces,
     commutativity_oracle and Cube, on these cubes and on each with one face
-    swapped for another square."""
+    swapped for another square.  Both oracles evaluate one product, so the
+    fold is the kernel oracle's independent reference."""
     k, rows = CubeKernel(model), rows_of(model, cubes)
     assert k.fold(rows).tolist() == [model.index[fold_five_faces(c).key()] for c in cubes]
     oracle = [_raised(commutativity_oracle, c) for c in cubes]
@@ -390,6 +393,8 @@ def assert_kernel_matches(model, cubes):
         assert _raised(k.oracle, rows) == oracle[0]
     else:
         assert k.oracle(rows).tolist() == oracle
+        # the preconditions make fillers unique: the oracle holds iff the fold is the lid
+        assert k.oracle(rows).tolist() == (k.fold(rows) == rows[:, 0]).tolist()
     rng = random.Random(len(cubes))
     for c, row in zip(cubes, rows):
         slot = rng.randrange(6)
@@ -514,6 +519,41 @@ def test_c3_in_aut_c3_cubes_exhaustively(aut_c3_model):
     rows = k.enumerate()
     assert len(rows) == 2**7 * 3**6 == 93312
     assert int((k.fold(rows) == rows[:, 0]).sum()) == 2**7 * 3**5 == 31104
+
+
+def test_pairs_of_too_many_cubes_fail_before_allocating():
+    # each C3 -> Aut(C3) square is the shared face of 1,296 commutative cubes
+    # on each side: 40,310,784 pairs per direction, 645 MB of output alone
+    script = (
+        "import resource\n"
+        "from gpdkit.crossed import automorphism_xmod\n"
+        "from gpdkit.cubes import CubeKernel\n"
+        "from gpdkit.dgt import lambda_functor\n"
+        "from gpdkit.errors import SizeLimit\n"
+        "from gpdkit.finite import cyclic_group\n"
+        "k = CubeKernel(lambda_functor(automorphism_xmod(cyclic_group(3))))\n"
+        "rows = k.enumerate()\n"
+        "rows = rows[k.fold(rows) == rows[:, 0]]\n"
+        "print('COMMUTATIVE', len(rows))\n"
+        "for d in (1, 2, 3):\n"
+        "    try:\n"
+        "        k.pairs(rows, d)\n"
+        "    except SizeLimit as exc:\n"
+        "        print('REFUSED', exc)\n"
+        "print('PEAK_KB', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines[:4] == ["COMMUTATIVE 31104"] + 3 * [
+        "REFUSED 40310784 tuples of 2 indices need 1289945088 bytes, over the limit of 268435456"]
+    assert int(lines[4].split()[1]) < 256 * 1024
+
+
+def test_enumerating_the_cubes_of_aut_s3_fails_before_allocating(aut_s3_model):
+    # 2,176,782,336 cubes; the third face already gives 10,077,696 tuples
+    with pytest.raises(SizeLimit, match=r"^10077696 tuples of 3 indices need 403107840 bytes"):
+        CubeKernel(aut_s3_model).enumerate()
 
 
 def test_a_swapped_h_entry_fails_the_sq_s3_cube_check(sq_s3):

@@ -381,6 +381,80 @@ def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model):
         a3s3_model.squares_with(diagonal="e")
 
 
+# every edge tuple a kernel groups the squares by: the sweeps' edge pairs and
+# the sorted subsets of a cube face's seams
+_GROUPINGS = sorted({("right", "bottom"), ("left", "bottom"), ("top", "right"),
+                     *(e for k in range(5) for e in itertools.combinations(sorted(dgt._EDGES), k))})
+
+
+@pytest.mark.parametrize("fixture", ["sq_interval_s3", "aut_c3_model", "aut_s3_model"])
+def test_each_grouping_is_a_plain_filter_in_model_order(request, fixture):
+    model = request.getfixturevalue(fixture)
+    c, n = model.code(), model.size()
+    absent_seen = False
+    for edges in _GROUPINGS:
+        g = model.groups(*edges)
+        assert model.groups(*edges) is g
+        cols = [c.edge[e].tolist() for e in edges]
+        want = {}
+        for i in range(n):
+            want.setdefault(tuple(col[i] for col in cols), []).append(i)
+        keys = list(want)
+        absent = next((k for k in itertools.product(range(c.arrows), repeat=len(edges))
+                       if k not in want), None)
+        if absent is not None:
+            keys.append(absent)
+            absent_seen = True
+        for key in keys:
+            assert g.members(*key).tolist() == want.get(key, [])
+            assert g.options(*key) == want.get(key, [])
+        assert g.rank().tolist() == [
+            want[tuple(col[i] for col in cols)].index(i) for i in range(n)]
+        if not edges:  # an array lookup needs an array of arrows
+            continue
+        vector = [np.array(col) for col in zip(*keys)]
+        assert g.size(*vector).tolist() == [len(want.get(k, ())) for k in keys]
+        prefix = np.arange(len(keys))
+        assert [r.tolist() for r in g.extend((prefix,), vector)] == [
+            list(r) for r in zip(*[(p, i) for p, k in enumerate(keys)
+                                   for i in want.get(k, ())])]
+    # every square boundary over Aut(S3) has a filler, so no key is absent there
+    assert absent_seen == (fixture != "aut_s3_model")
+
+
+def test_the_kernels_build_each_grouping_once(monkeypatch, aut_c3_model):
+    from gpdkit.cubes import FACE_SLOTS, CubeKernel
+
+    model = replace(aut_c3_model)  # fresh caches
+    built = []
+    init = dgt._Groups.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(dgt._Groups, "__init__", counted)
+    # the associativity sweeps group the columns they are given, each call
+    monkeypatch.setattr(dgt, "_assoc_sweep", lambda *args: (0, 0, None))
+
+    def run():
+        interchange_exhaustive(model)
+        validate_dgt(model, interchange="sampled", samples=200)
+        k = CubeKernel(model)
+        k.enumerate()
+        rng = random.Random(1)
+        cube = k.draw(rng)
+        k.reroll_lid(rng, cube)
+        for slot in ("d3-", "d2-", "d1+"):
+            k.draw(rng, fixed=(slot, cube[FACE_SLOTS.index(slot)]))
+
+    run()
+    assert len(built) == len(model._groups) > 0
+    assert set(model._groups) <= set(_GROUPINGS)
+    run()
+    assert len(built) == len(model._groups)
+
+
 def reference_validate_dgt(model, interchange, seed, samples):
     """Reference: validate_dgt with units, inverses, thin closure and sampled
     interchange evaluated by the object-level calculus, not the tables."""
