@@ -15,8 +15,9 @@ equals its lid.
 
 ``CubeKernel`` does all of this on square indices: a cube is a row of six
 indices in ``FACE_SLOTS`` order, folded and pasted with the model's tables
-``H``/``V`` and per-square index maps for the reflections, and enumerated
-and sampled through the model's square groups keyed by the seam edges.
+``H``/``V`` and index maps (``DgtModel.maps``: reflections, inverses, thin
+corners), and enumerated and sampled through the model's square groups
+keyed by the seam edges; it builds no index of its own.
 ``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
 rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces`` and
 ``compose_cubes`` stay object-level: they serve single cubes read from a
@@ -264,36 +265,6 @@ def _paste(table: np.ndarray, x, y, how: str):
     return z
 
 
-class _IndexMaps:
-    """A model's index maps for the cube kernel, per square and per arrow.
-
-    Built once and kept on the model (``DgtModel._cubes``).  They refer to
-    no model, so a model and its maps form no reference cycle.
-    """
-
-    def __init__(self, model: DgtModel):
-        c = model.code()
-        self.arrow_names = sorted(model.edges.arrows)
-        # per square: its transpose, inv_h of its transpose and inv_v
-        elt_inv = c.elt_inv[c.E]
-        self.transpose = model.find(elt_inv, c.L, c.B, c.R, c.T)
-        inv_h = model.find(c.act[elt_inv, c.inv[c.B]], c.inv[c.T], c.L, c.inv[c.B], c.R)
-        self.flip = np.full_like(self.transpose, -1)
-        have = self.transpose >= 0
-        self.flip[have] = inv_h[self.transpose[have]]
-        self.inv_v = model.find(c.act[elt_inv, c.inv[c.R]], c.B, c.inv[c.R], c.T, c.inv[c.L])
-        # per arrow p: fold_layout's thin corners once the seams agree, keyed
-        # by p = u.left, u.right, l.bottom and d.right in turn
-        p = np.arange(c.arrows)
-        src, dst = c.comp[p, c.inv], c.comp[c.inv, p]  # identities at p's ends
-        self.corners = (
-            model.find(c.unit[p], src, p, p, src),
-            model.find(c.unit[src], src, src, c.inv, p),
-            model.find(c.unit[c.inv], p, c.inv, src, src),
-            model.find(c.unit[dst], p, dst, dst, p),
-        )
-
-
 class CubeKernel:
     """Cubes over one model as rows of six square indices in ``FACE_SLOTS`` order.
 
@@ -301,16 +272,14 @@ class CubeKernel:
     transpose, inverse or thin corner the model lacks raises
     PreconditionFailed.  ``seams`` checks a whole batch of cubes at once;
     ``fold``, ``compose`` and ``oracle`` check their input with it.  The
-    model's tables are read on the first pasting, its index maps built on
-    the first kernel.
+    tables, index maps and groupings it reads are its model's own.
     """
 
     def __init__(self, model: DgtModel):
         self.model = model
         self.code = model.code()
-        if model._cubes is None:
-            model._cubes = _IndexMaps(model)
-        self.maps = model._cubes
+        self.maps = model.maps()
+        self._fits = {}
 
     def _need(self, idx, what: str):
         if _undefined(idx):
@@ -334,7 +303,7 @@ class CubeKernel:
             vb = self.code.edge[eb][rows[..., _SLOT[sb]]].ravel()
             if (va != vb).any():
                 i = np.argmax(va != vb)
-                a, b = self.maps.arrow_names[va[i]], self.maps.arrow_names[vb[i]]
+                a, b = self.code.names[va[i]], self.code.names[vb[i]]
                 raise EdgeMismatch(f"seam {sa}.{ea} = {a} does not match {sb}.{eb} = {b}")
         return rows
 
@@ -397,27 +366,31 @@ class CubeKernel:
 
     def _fitting(self, slot: str, faces: dict):
         """The squares grouped by ``slot``'s seams to the placed ``faces``,
-        and the arrows of those faces on the seams, one per grouped edge."""
-        seams = [(e, o, oe) for e, o, oe in _SEAMS_AT[slot] if o in faces]
-        fit = self.model.groups(*(e for e, _, _ in seams))
-        return fit, [self.code.edge[oe][faces[o]] for _, o, oe in seams]
+        and the arrows of those faces on the seams, one per grouped edge.
+        The seams are sorted out once per slot and placed slots."""
+        key = (slot, *faces)
+        if key not in self._fits:
+            seams = [(e, o, self.code.edge[oe]) for e, o, oe in _SEAMS_AT[slot] if o in faces]
+            self._fits[key] = self.model.groups(*(e for e, _, _ in seams)), seams
+        fit, seams = self._fits[key]
+        return fit, [col[faces[o]] for _, o, col in seams]
 
     def enumerate(self) -> np.ndarray:
         """Every cube over the model in canonical order: faces in draw order,
         then the lid, each running over its fitting squares in model order.
         SizeLimit once a step's tuples would pass MAX_TABLE_BYTES."""
-        faces = {"d3-": np.arange(len(self.model.squares))}
-        for slot in (*_DRAW_ORDER[1:], "d1-"):
+        faces = {}
+        for slot in (*_DRAW_ORDER, "d1-"):
             fit, arrows = self._fitting(slot, faces)
             faces = dict(zip((*faces, slot), fit.extend(tuple(faces.values()), arrows)))
         return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
 
     def _pick(self, rng: random.Random, slot: str, faces: dict) -> int:
         fit, arrows = self._fitting(slot, faces)
-        options = fit.options(*arrows)
-        if not options:
+        members = fit.members(*arrows)
+        if not len(members):
             raise PreconditionFailed("no square matches the edge constraints")
-        return options[rng.randrange(len(options))]
+        return int(members[rng.randrange(len(members))])
 
     def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
         """A random commutative cube: the faces drawn in draw order, each

@@ -9,15 +9,18 @@ compositions and degeneracies.
 Every composition law in ``validate_dgt`` reads the tables ``H``/``V``.
 Each model is encoded once as int arrays (``SquareCode``): base composition,
 fiber multiplication over global element ids, the action as element x arrow
--> element, and per square its element and four edges.  ``DgtModel.tables``
-builds ``H``/``V`` from those arrays with numpy formulas, one block per
-pasting edge.  ``DgtModel.groups`` groups the squares by the arrows on a
-tuple of edges, once per model and tuple, for the tables, the sweeps, the
-sampled draws and the cube kernel.  A law sweep splits its arrangements
-into blocks, one per tuple of shared edges, each a product of such groups;
-both sides of a block are row gathers from small sub-tables of ``H``/``V``,
-at each inner pasting's rank in the group of its forced edge, so a sweep
-never reads a -1 as an index.  The object-level calculus
+-> element, and per square its element and four edges.  ``DgtModel`` is
+the one place that turns squares into indices, each lookup built once per
+model: ``groups`` groups the squares by the arrows on a tuple of edges, or
+by element and edges for ``find``; ``tables`` builds ``H``/``V`` with numpy
+formulas, one block per pasting edge; ``maps`` gives each square's
+transpose and inverses and each arrow's units and thin cube corners.  The
+law sweeps, the sampled draws and ``cubes.CubeKernel`` read only these.  A
+law sweep splits its arrangements into blocks, one per tuple of shared
+edges, each a product of such groups; both sides of a block are row
+gathers from small sub-tables of ``H``/``V``, at each inner pasting's rank
+in the group of its forced edge, so a sweep never reads a -1 as an index.
+The object-level calculus
 (``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
 and, in ``find_interchange_counterexample``, the readable scan for a
 corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
@@ -46,8 +49,6 @@ from .squares import (
     eps_h,
     eps_v,
     identity_square,
-    inv_h,
-    inv_v,
     is_thin,
     recheck_boundary,
 )
@@ -73,13 +74,13 @@ _FORK_CHECKS = 1 << 22
 class SquareCode:
     """A model's squares as int arrays; -1 marks an undefined product.
 
-    Arrows are numbered in sorted order and fiber elements globally, object
-    by object.  ``E, T, R, B, L`` give each square's element and its top,
-    right, bottom and left edges, also by name in ``edge``; ``order`` lists
-    the squares by ``key``, whose sorted values are ``sorted_keys``.
+    Arrows are numbered in sorted order, ``names`` lists them, and fiber
+    elements are numbered globally, object by object.  ``E, T, R, B, L``
+    give each square's element and its top, right, bottom and left edges,
+    also by name in ``edge``, where "elt" names ``E``.
     """
 
-    arrows: int
+    names: list          # arrow -> its name
     comp: np.ndarray     # arrow x arrow -> arrow
     inv: np.ndarray      # arrow -> its inverse
     mul: np.ndarray      # element x element -> element, within one fiber
@@ -91,20 +92,12 @@ class SquareCode:
     R: np.ndarray
     B: np.ndarray
     L: np.ndarray
-    order: np.ndarray = field(init=False, repr=False)
-    sorted_keys: np.ndarray = field(init=False, repr=False)
+    arrows: int = field(init=False)
     edge: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.edge = dict(zip(_EDGES, (self.T, self.R, self.B, self.L)))
-        keys = self.key(self.E, self.T, self.R, self.L)
-        self.order = np.argsort(keys)
-        self.sorted_keys = keys[self.order]
-
-    def key(self, elt, top, right, left):
-        """One integer per (element, top, right, left); the bottom follows."""
-        a = self.arrows
-        return ((elt * a + top) * a + right) * a + left
+        self.arrows = len(self.names)
+        self.edge = dict(zip(("elt", *_EDGES), (self.E, self.T, self.R, self.B, self.L)))
 
 
 def _encode(xm: CrossedModuleData, squares) -> SquareCode:
@@ -136,7 +129,7 @@ def _encode(xm: CrossedModuleData, squares) -> SquareCode:
           arrows[s.bottom], arrows[s.left]) for s in squares],
         dtype=np.intp,
     ).reshape(-1, 5)
-    return SquareCode(len(arrows), comp, inv, mul, elt_inv, unit, act,
+    return SquareCode(list(arrows), comp, inv, mul, elt_inv, unit, act,
                       *(cols[:, k].copy() for k in range(5)))
 
 
@@ -160,7 +153,6 @@ class _Groups:
         self.order = np.argsort(dense, kind="stable")
         self.count = np.bincount(dense, minlength=len(self.keys))
         self.start = np.cumsum(self.count) - self.count
-        self.lists = {}
 
     def pack(self, cols, key=0):
         for col in cols:
@@ -179,14 +171,6 @@ class _Groups:
         g = self.ids.get(self.pack(arrows), len(self.keys) - 1)
         return self.order[self.start[g]:self.start[g] + self.count[g]]
 
-    def options(self, *arrows) -> list[int]:
-        """``members`` as a list, kept per key for single draws."""
-        key = self.pack(arrows)
-        out = self.lists.get(key)
-        if out is None:
-            out = self.lists[key] = self.members(*arrows).tolist()
-        return out
-
     def rank(self) -> np.ndarray:
         """Each index's position within its group."""
         rank = np.empty_like(self.order)
@@ -199,6 +183,8 @@ class _Groups:
         members ascending.  SizeLimit, before any allocation, when those
         arrays and the gather's two index arrays pass MAX_TABLE_BYTES."""
         g = self.group(*cols)
+        if prefix:  # over no columns, one group for every prefix tuple
+            g = np.broadcast_to(g, np.shape(prefix[0]))
         count = self.count[g]
         total = int(count.sum())
         need = (len(prefix) + 3) * total * np.dtype(np.intp).itemsize
@@ -234,6 +220,32 @@ class SquareTables:
     V: np.ndarray
 
 
+class IndexMaps:
+    """Square indices, -1 where the model lacks the square.  Per square: its
+    ``transpose``, ``inv_h``, ``inv_v`` and ``flip`` (inv_h of the
+    transpose).  Per arrow p: ``eps_h``, ``eps_v`` and the four ``corners``
+    of ``cubes.fold_layout`` once the seams agree, keyed by p = u.left,
+    u.right, l.bottom and d.right.  No reference to the model: no cycle."""
+
+    def __init__(self, model: "DgtModel"):
+        c = model.code()
+        elt_inv = c.elt_inv[c.E]
+        self.transpose = model.find(elt_inv, c.L, c.B, c.R, c.T)
+        self.inv_h = model.find(c.act[elt_inv, c.inv[c.B]], c.inv[c.T], c.L, c.inv[c.B], c.R)
+        self.inv_v = model.find(c.act[elt_inv, c.inv[c.R]], c.B, c.inv[c.R], c.T, c.inv[c.L])
+        self.flip = np.where(self.transpose >= 0, self.inv_h[self.transpose], -1)
+        p = np.arange(c.arrows)
+        src, dst = c.comp[p, c.inv], c.comp[c.inv, p]  # identities at p's ends
+        self.eps_h = model.find(c.unit[p], src, p, dst, p)
+        self.eps_v = model.find(c.unit[p], p, dst, p, src)
+        self.corners = (
+            model.find(c.unit[p], src, p, p, src),
+            model.find(c.unit[src], src, src, c.inv, p),
+            model.find(c.unit[c.inv], p, c.inv, src, src),
+            model.find(c.unit[dst], p, dst, dst, p),
+        )
+
+
 @dataclass
 class DgtModel:
     """Edge groupoid plus the full set of squares with both compositions."""
@@ -249,7 +261,7 @@ class DgtModel:
     _code: SquareCode = field(default=None, init=False, repr=False)
     _groups: dict = field(default_factory=dict, init=False, repr=False)
     _tables: SquareTables = field(default=None, init=False, repr=False)
-    _cubes: object = field(default=None, init=False, repr=False)  # the cube kernel's index maps
+    _maps: IndexMaps = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -301,17 +313,23 @@ class DgtModel:
         """Index of the square with each element and four edges, in ``code()``
         numbering; -1 where the model has none or an argument is -1.
 
-        The arguments broadcast together; a search of the sorted keys.
+        The arguments broadcast together; a lookup in the grouping by
+        element, top, right and left, which fix the bottom.
         """
-        c = self.code()
+        g = self.groups("elt", "top", "right", "left")
         elt, top, right, bottom, left = np.broadcast_arrays(elt, top, right, bottom, left)
-        q = c.key(elt, top, right, left)
-        if not len(c.order):
-            return np.full(q.shape, -1, np.intp)
-        pos = np.minimum(np.searchsorted(c.sorted_keys, q), len(c.order) - 1)
-        idx = c.order[pos]
+        if not len(self.squares):
+            return np.full(elt.shape, -1, np.intp)
+        at = g.group(elt, top, right, left)
+        idx = g.order[np.minimum(g.start[at], len(g.order) - 1)]
         given = (elt >= 0) & (top >= 0) & (right >= 0) & (bottom >= 0) & (left >= 0)
-        return np.where(given & (c.sorted_keys[pos] == q) & (c.B[idx] == bottom), idx, -1)
+        return np.where(given & (g.count[at] > 0) & (self.code().B[idx] == bottom), idx, -1)
+
+    def maps(self) -> IndexMaps:
+        """The squares under reflections and degeneracies, built once."""
+        if self._maps is None:
+            self._maps = IndexMaps(self)
+        return self._maps
 
     def tables(self) -> SquareTables:
         """Both composition tables, built once; SizeLimit past MAX_TABLE_BYTES."""
@@ -531,7 +549,7 @@ def _pastings(model: DgtModel, table: np.ndarray, name: str, xs, ys, edge, want)
         if t[i, j] < 0:
             raise InvalidDgt(f"{at} is -1 on an edge-compatible pair")
         raise InvalidDgt(f"{at} = {t[i, j]} is off the edge "
-                         f"{sorted(model.edges.arrows)[want]} that the pasting forces")
+                         f"{model.code().names[want]} that the pasting forces")
     return t
 
 
@@ -641,9 +659,10 @@ def find_interchange_counterexample(model: DgtModel, comp2=comp_h):
     return None
 
 
-def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
-                 edge_in: np.ndarray) -> tuple[int, int, tuple | None]:
-    """Exhaustive associativity over one composition table.
+def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
+                 into: str) -> tuple[int, int, tuple | None]:
+    """Exhaustive associativity over one composition table, which pastes
+    the edge ``out`` of one square to the edge ``into`` of the next.
 
     ``table[table[x, y], z] == table[x, table[y, z]]`` for every x, y, z
     with out(x) = in(y) and out(y) = in(z).  One block per (e1, e2): the
@@ -654,10 +673,10 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
     at v the rank of table[y, z].  Returns (checked, violations, first
     violating (x, y, z) or None).
     """
-    a, n = model.code().arrows, len(edge_out)
-    by_out, by_in, Y = (_Groups(a, n, cols) for cols in ([edge_out], [edge_in], [edge_in, edge_out]))
+    c = model.code()
+    by_out, by_in, Y = model.groups(out), model.groups(into), model.groups(into, out)
     out_rank, in_rank = by_out.rank(), by_in.rank()
-    p = np.arange(a)
+    p = np.arange(c.arrows)
     blocks = np.argwhere(Y.size(p[:, None], p) * by_out.size(p)[:, None] * by_in.size(p))
 
     def pieces(rows):
@@ -668,8 +687,8 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
                 rhs_at = e1
                 rhs_table = table.take(xs, 0).take(by_in.members(e1), 1)
             lhs_table = table.take(by_out.members(e2), 0).take(zs, 1)
-            txy = out_rank.take(_pastings(model, table, "table", xs, ys, edge_out, e2))
-            tyz = in_rank.take(_pastings(model, table, "table", ys, zs, edge_in, e1))
+            txy = out_rank.take(_pastings(model, table, "table", xs, ys, c.edge[out], e2))
+            tyz = in_rank.take(_pastings(model, table, "table", ys, zs, c.edge[into], e1))
             step = max(1, _PIECE // (len(ys) * len(zs)))
             for lo in range(0, len(xs), step):
                 part = slice(lo, lo + step)
@@ -677,7 +696,7 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, edge_out: np.ndarray,
                        (xs[part], ys, zs))
 
     # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
-    total = int((by_out.size(edge_in) * by_in.size(edge_out)).sum())
+    total = int((by_out.size(c.edge[into]) * by_in.size(c.edge[out])).sum())
     return _class_sweep(blocks, pieces, total)
 
 
@@ -685,9 +704,10 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
                  samples: int = 20000) -> Report:
     """Sweep the double-groupoid axioms over the whole model.
 
-    Every composition law reads the tables ``H``/``V``; the object-level
-    calculus only builds the squares they are checked against (degeneracies,
-    connections, inverses).  ``interchange`` is "exhaustive", "sampled", or
+    Every composition law reads the tables ``H``/``V``, the unit and inverse
+    laws at the indices of ``model.maps()``; the object-level calculus only
+    builds the degeneracies and connections checked for presence and
+    thinness.  ``interchange`` is "exhaustive", "sampled", or
     "auto" (exhaustive when the quadruple count stays below 2e8, sampled
     otherwise).
     """
@@ -699,13 +719,9 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
         report.count()
         if not recheck_boundary(s):
             report.fail("boundary", f"square {s} violates the boundary law")
-    # degeneracies and connections are present and thin; eh/ev give the
-    # index of eps_h/eps_v per arrow, -1 when absent
-    eh, ev = {}, {}
+    # degeneracies and connections are present and thin
     for a in sorted(P.arrows):
-        unit_v, unit_h = eps_v(xm, a), eps_h(xm, a)
-        ev[a], eh[a] = model.index.get(unit_v.key(), -1), model.index.get(unit_h.key(), -1)
-        for s, label in ((unit_v, "eps_v"), (unit_h, "eps_h"),
+        for s, label in ((eps_v(xm, a), "eps_v"), (eps_h(xm, a), "eps_h"),
                          (model.connections_minus[a], "conn-"), (model.connections_plus[a], "conn+")):
             report.count()
             if s not in model:
@@ -721,31 +737,34 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
         if (gp.bottom, gp.right, gp.top, gp.left) != (a, a, e_src, e_src):
             report.fail("connection-boundary", f"conn+({a}) has wrong edges")
     # units and inverses; a law whose unit is absent is left to
-    # degeneracy-closure, so -1 never indexes a table
+    # degeneracy-closure, so a read at a -1 never counts
+    m, i = model.maps(), np.arange(n)
+    right, left, top, bottom = m.eps_h[c.R], m.eps_h[c.L], m.eps_v[c.T], m.eps_v[c.B]
+
+    def fails(unit, table, x, y, want):
+        return (unit >= 0) & (table[x, y] != want)
+
+    laws = (("h-unit", "eps_h unit law", fails(right, H, i, right, i) | fails(left, H, left, i, i)),
+            ("v-unit", "eps_v unit law", fails(top, V, top, i, i) | fails(bottom, V, i, bottom, i)),
+            ("h-inverse", "inv_h", (m.inv_h < 0) | fails(left, H, i, m.inv_h, left)),
+            ("v-inverse", "inv_v", (m.inv_v < 0) | fails(top, V, i, m.inv_v, top)))
     report.count(6 * n)
-    for i, s in enumerate(sq):
-        right, left, top, bottom = eh[s.right], eh[s.left], ev[s.top], ev[s.bottom]
-        hi, vi = model.index.get(inv_h(s).key(), -1), model.index.get(inv_v(s).key(), -1)
-        if (right >= 0 and H[i, right] != i) or (left >= 0 and H[left, i] != i):
-            report.fail("h-unit", f"eps_h unit law fails at {s}")
-        if (top >= 0 and V[top, i] != i) or (bottom >= 0 and V[i, bottom] != i):
-            report.fail("v-unit", f"eps_v unit law fails at {s}")
-        if hi < 0 or (left >= 0 and H[i, hi] != left):
-            report.fail("h-inverse", f"inv_h fails at {s}")
-        if vi < 0 or (top >= 0 and V[i, vi] != top):
-            report.fail("v-inverse", f"inv_v fails at {s}")
+    for k in np.flatnonzero(np.any([bad for _, _, bad in laws], axis=0)):
+        for law, what, bad in laws:
+            if bad[k]:
+                report.fail(law, f"{what} fails at {sq[k]}")
     report.count(int((H >= 0).sum() + (V >= 0).sum()))
     # composites stay inside the model: tables() checked every one
-    ch, bh, _ = _assoc_sweep(model, H, c.R, c.L)
+    ch, bh, _ = _assoc_sweep(model, H, "right", "left")
     report.count(ch)
     if bh:
         report.fail("h-associativity", f"{bh} violating triples")
-    cv, bv, _ = _assoc_sweep(model, V, c.B, c.T)
+    cv, bv, _ = _assoc_sweep(model, V, "bottom", "top")
     report.count(cv)
     if bv:
         report.fail("v-associativity", f"{bv} violating triples")
     # thin squares closed under both compositions: the thin x thin blocks
-    thin_at = np.array([is_thin(q) for q in sq], bool)
+    thin_at = c.E == c.unit[c.R]
     thin = np.flatnonzero(thin_at)
     hits = []
     for op, table in enumerate((H, V)):

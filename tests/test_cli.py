@@ -254,6 +254,73 @@ def test_golden_machine_outputs(capsys):
     assert code == 0 and out == GOLDEN_VERTEX_GROUP
 
 
+# Every criterion's counts, as `vk --format machine suite` prints them.
+GOLDEN_SUITE = """\
+FORMAT 1
+COMMAND suite
+COUNT criterion_1.generators 1
+COUNT criterion_1.relators 0
+COUNT criterion_2.triv_morphisms 1
+COUNT criterion_2.triv_cocones 1
+COUNT criterion_2.c2_morphisms 4
+COUNT criterion_2.c2_cocones 4
+COUNT criterion_2.c3_morphisms 9
+COUNT criterion_2.c3_cocones 9
+COUNT criterion_2.s3_morphisms 36
+COUNT criterion_2.s3_cocones 36
+COUNT criterion_3.a3s3_checks 222
+COUNT criterion_3.aut_xmod_s3_checks 588
+COUNT criterion_3.aut_xmod_c3_checks 66
+COUNT criterion_3.trivial_module_checks 8
+COUNT criterion_3.perturbations_caught 50
+COUNT criterion_4.squares 648
+COUNT criterion_4.quadruples 136048896
+COUNT criterion_4.violations 0
+COUNT criterion_4.corrupted_counterexample 1
+COUNT criterion_5.composites 2000
+COUNT criterion_5.violations 0
+COUNT criterion_6.grids 500
+COUNT criterion_6.disagreements 0
+COUNT criterion_7.checks 36
+COUNT criterion_7.violations 0
+COUNT criterion_8.c2_cubes 128
+COUNT criterion_8.c2_composites 6144
+COUNT criterion_8.s3_samples 1000
+COUNT criterion_8.oracle_agreements 3128
+COUNT criterion_9.chains 200
+COUNT criterion_9.failures 0
+COUNT criterion_9.negative_fixture 1
+COUNT criterion_10.a3s3_iso 1
+COUNT criterion_10.aut_xmod_s3_iso 1
+COUNT criterion_10.trivial_module_iso 1
+COUNT criterion_11.size1_pairs 1
+COUNT criterion_11.size1_interchange 1
+COUNT criterion_11.size2_pairs 16
+COUNT criterion_11.size2_interchange 4
+COUNT criterion_11.size3_pairs 1089
+COUNT criterion_11.size3_interchange 27
+COUNT criterion_11.checks 96
+COUNT criterion_11.violations 0
+COUNT criterion_12.rank 1
+COUNT criterion_12.action_checks 343
+DATA CRITERION 1 PASS circle pushout reduces to one free generator
+DATA CRITERION 2 PASS universal property counts agree on the battery
+DATA CRITERION 3 PASS crossed-module axioms and perturbation fuzzing
+DATA CRITERION 4 PASS exhaustive interchange plus corrupted control
+DATA CRITERION 5 PASS composites satisfy the boundary law
+DATA CRITERION 6 PASS grid folds are order-independent
+DATA CRITERION 7 PASS connections thin; transport layout unique
+DATA CRITERION 8 PASS commutative cubes compose; scalar oracle agrees
+DATA CRITERION 9 PASS row collapse forces top = bottom
+DATA CRITERION 10 PASS gamma after lambda recovers the module
+DATA CRITERION 11 PASS interchange collapses monoid pairs
+DATA CRITERION 12 PASS induced free module of rank one
+RESULT ok
+"""
+
+# Workspaces a golden names that are not bundled, written out before it runs.
+WORKSPACES = {"auts3.vk": "group s3 = symmetric(3)\nxmod auts3 = autxmod(s3)\n"}
+
 # Validator-backed commands: each report folds one or more law sweeps.
 GOLDEN_VALIDATED = [
     (["check", "a3s3.vk"], 0, """\
@@ -310,6 +377,16 @@ COUNT criterion_8.oracle_agreements 3128
 DATA CRITERION 8 PASS commutative cubes compose; scalar oracle agrees
 RESULT ok
 """) for seed in ("0", "1", "5")),
+    (["--seed", "1", "xmod", "lambda", "auts3.vk"], 0, """\
+FORMAT 1
+COMMAND xmod-lambda
+COUNT squares 1296
+COUNT thin 216
+COUNT checks 121518884
+COUNT violations 0
+RESULT ok
+"""),
+    (["suite"], 0, GOLDEN_SUITE),
     (["eh-scan", "--max-size", "2"], 0, """\
 FORMAT 1
 COMMAND eh-scan
@@ -328,8 +405,11 @@ RESULT ok
 
 @pytest.mark.parametrize("args, code, golden", GOLDEN_VALIDATED,
                          ids=[" ".join(a) for a, _, _ in GOLDEN_VALIDATED])
-def test_golden_validated_machine_outputs(capsys, args, code, golden):
-    argv = [data(a) if a.endswith(".vk") else a for a in args]
+def test_golden_validated_machine_outputs(capsys, tmp_path, args, code, golden):
+    for name, text in WORKSPACES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in WORKSPACES else data(a) if a.endswith(".vk") else a
+            for a in args]
     assert run_cli(["--format", "machine", *argv], capsys) == (code, golden)
 
 

@@ -457,6 +457,18 @@ def test_kernel_matches_the_object_level_reference(model_name, request):
                 assert not isinstance(got, tuple) and got.tolist() == rows_of(model, [want])[0].tolist()
 
 
+@pytest.mark.parametrize("model_name", ["sq_s3", "aut_c3_model", "sq_interval_s3"])
+def test_the_index_map_corners_are_the_fold_layout_corners(model_name, request):
+    model = request.getfixturevalue(model_name)
+    corners, arrows = model.maps().corners, sorted(model.edges.arrows)
+    rng = random.Random(8)
+    for _ in range(200):
+        (c00, u, c02), (l, _, _), (c20, d, c22) = fold_layout(random_cube(model, rng).faces).cells
+        for k, (corner, p) in enumerate(((c00, u.left), (c02, u.right), (c20, l.bottom),
+                                         (c22, d.right))):
+            assert corners[k][arrows.index(p)] == model.index[corner.key()]
+
+
 def test_seam_broken_or_out_of_range_rows_never_fold(sq_s3):
     k = CubeKernel(sq_s3)
     row = np.array(k.draw(random.Random(4)))

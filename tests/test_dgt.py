@@ -33,7 +33,8 @@ from gpdkit.errors import InvalidCrossedModule, InvalidDgt
 from gpdkit.finite import group_as_groupoid, interval_finite_groupoid, trivial_group
 from gpdkit.grids import Grid, grid_compose
 from gpdkit.report import Report
-from gpdkit.squares import comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary
+from gpdkit.squares import (comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary,
+                             thin_square, transpose)
 
 
 def brute_square_count(xm):
@@ -290,6 +291,82 @@ def test_find_locates_each_square_and_nothing_else(aut_c3_model, sq_interval_s3)
         assert (model.find(c.E + 1, -1, c.R, c.B, c.L) == -1).all()
 
 
+def test_find_on_a_model_without_squares(sq_c2):
+    empty = replace(sq_c2, squares=(), index=None)
+    assert empty.find(np.array([0]), 0, 0, 0, 0).tolist() == [-1]
+
+
+def thin_corners(xm, p):
+    """cubes.fold_layout's four thin corners once the seams agree, with the
+    arrow p at u.left, u.right, l.bottom and d.right in turn."""
+    P = xm.base
+    s, t, q = P.id_at(P.src[p]), P.id_at(P.dst[p]), P.inv(p)
+    return (thin_square(xm, s, p, p, s), thin_square(xm, s, s, q, p),
+            thin_square(xm, p, q, s, s), thin_square(xm, p, t, t, p))
+
+
+def assert_maps_match_calculus(model):
+    """Each entry of ``model.maps()`` is the position in ``model.index`` of
+    the square that the object-level calculus gives, or -1 if it is absent."""
+    m, xm, sq = model.maps(), model.xm, model.squares
+    assert model.maps() is m
+
+    def at(s):
+        return model.index.get(s.key(), -1)
+
+    assert m.transpose.tolist() == [at(transpose(s)) for s in sq]
+    assert m.inv_h.tolist() == [at(inv_h(s)) for s in sq]
+    assert m.inv_v.tolist() == [at(inv_v(s)) for s in sq]
+    assert m.flip.tolist() == [at(inv_h(transpose(s))) if transpose(s) in model else -1
+                               for s in sq]
+    arrows = sorted(model.edges.arrows)
+    assert m.eps_h.tolist() == [at(eps_h(xm, a)) for a in arrows]
+    assert m.eps_v.tolist() == [at(eps_v(xm, a)) for a in arrows]
+    assert [c.tolist() for c in m.corners] == [
+        list(c) for c in zip(*([at(q) for q in thin_corners(xm, a)] for a in arrows))]
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "c2_in_c2_model", "aut_c3_model",
+                                     "sq_interval_s3", "a3s3_model", "aut_s3_model"])
+def test_index_maps_match_the_calculus(request, fixture):
+    model = request.getfixturevalue(fixture)
+    assert_maps_match_calculus(model)
+    m = model.maps()  # a whole model has every square the maps name
+    assert all((x >= 0).all() for x in (m.transpose, m.inv_h, m.inv_v, m.flip, m.eps_h, m.eps_v,
+                                        *m.corners))
+
+
+def test_index_maps_of_a_hollow_model_say_minus_one(aut_c3_model):
+    model, xm = aut_c3_model, aut_c3_model.xm
+    a = next(a for a in sorted(model.edges.arrows) if not model.edges.is_identity(a))
+    s = next(s for s in model.squares if inv_h(s) != s and not is_thin(s))
+    gone = {eps_h(xm, a), inv_h(s)}
+    hollow = replace(model, squares=tuple(q for q in model.squares if q not in gone), index=None)
+    assert_maps_match_calculus(hollow)
+    m = hollow.maps()
+    assert m.eps_h[sorted(model.edges.arrows).index(a)] == -1
+    assert m.inv_h[hollow.index[s.key()]] == -1
+
+
+def test_a_hollow_model_fails_the_laws_as_the_reference_does():
+    # the horizontal degeneracies of the interval are closed under both
+    # pastings; without eps_h(i_inv) = inv_v(eps_h(i)) and the unit
+    # eps_h(id1) = eps_v(id1) they still are, and those two are absent
+    model = square_model(interval_finite_groupoid())
+    xm = model.xm
+    keep = {eps_h(xm, "id0"), eps_h(xm, "i")}
+    hollow = replace(model, squares=tuple(q for q in model.squares if q in keep), index=None)
+    assert_maps_match_calculus(hollow)
+    m, i = hollow.maps(), hollow.index[eps_h(xm, "i").key()]
+    assert m.inv_v[i] == -1 and m.inv_h[i] == i
+    assert m.eps_v[sorted(model.edges.arrows).index("id1")] == -1
+    report = validate_dgt(hollow, interchange="exhaustive")
+    reference = reference_validate_dgt(hollow, "exhaustive", seed=0, samples=0)
+    assert report.checks == reference.checks
+    assert report.violations == reference.violations
+    assert {v.law for v in report.violations} == {"degeneracy-closure", "v-inverse"}
+
+
 def test_tables_match_calculus_on_a_sample(a3s3_model, aut_s3_model):
     rng = random.Random(11)
     for model in (a3s3_model, aut_s3_model):
@@ -381,9 +458,10 @@ def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model):
         a3s3_model.squares_with(diagonal="e")
 
 
-# every edge tuple a kernel groups the squares by: the sweeps' edge pairs and
-# the sorted subsets of a cube face's seams
-_GROUPINGS = sorted({("right", "bottom"), ("left", "bottom"), ("top", "right"),
+# every edge tuple a kernel groups the squares by: the sweeps' edge pairs,
+# the sorted subsets of a cube face's seams and find's element and edges
+_GROUPINGS = sorted({("right", "bottom"), ("left", "bottom"), ("top", "right"), ("top", "bottom"),
+                     ("elt", "top", "right", "left"),
                      *(e for k in range(5) for e in itertools.combinations(sorted(dgt._EDGES), k))})
 
 
@@ -407,17 +485,17 @@ def test_each_grouping_is_a_plain_filter_in_model_order(request, fixture):
             absent_seen = True
         for key in keys:
             assert g.members(*key).tolist() == want.get(key, [])
-            assert g.options(*key) == want.get(key, [])
         assert g.rank().tolist() == [
             want[tuple(col[i] for col in cols)].index(i) for i in range(n)]
-        if not edges:  # an array lookup needs an array of arrows
-            continue
+        # each key twice, so that over no edges the prefix outnumbers the groups
+        keys *= 2
         vector = [np.array(col) for col in zip(*keys)]
-        assert g.size(*vector).tolist() == [len(want.get(k, ())) for k in keys]
         prefix = np.arange(len(keys))
         assert [r.tolist() for r in g.extend((prefix,), vector)] == [
             list(r) for r in zip(*[(p, i) for p, k in enumerate(keys)
                                    for i in want.get(k, ())])]
+        if edges:  # size() over no edges has no array to take a length from
+            assert g.size(*vector).tolist() == [len(want.get(k, ())) for k in keys]
     # every square boundary over Aut(S3) has a filler, so no key is absent there
     assert absent_seen == (fixture != "aut_s3_model")
 
@@ -434,11 +512,10 @@ def test_the_kernels_build_each_grouping_once(monkeypatch, aut_c3_model):
         init(self, *args)
 
     monkeypatch.setattr(dgt._Groups, "__init__", counted)
-    # the associativity sweeps group the columns they are given, each call
-    monkeypatch.setattr(dgt, "_assoc_sweep", lambda *args: (0, 0, None))
 
     def run():
         interchange_exhaustive(model)
+        validate_dgt(model, interchange="exhaustive")
         validate_dgt(model, interchange="sampled", samples=200)
         k = CubeKernel(model)
         k.enumerate()
@@ -495,8 +572,7 @@ def reference_validate_dgt(model, interchange, seed, samples):
         if vi not in model or comp_v(s, vi) != eps_v(xm, s.top):
             report.fail("v-inverse", f"inv_v fails at {s}")
     report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
-    c = model.code()
-    for law, table, out, into in (("h", t.H, c.R, c.L), ("v", t.V, c.B, c.T)):
+    for law, table, out, into in (("h", t.H, "right", "left"), ("v", t.V, "bottom", "top")):
         checked, bad, _ = _assoc_sweep(model, table, out, into)
         report.count(checked)
         if bad:
@@ -718,9 +794,8 @@ def sweep_path(monkeypatch):
 def law_sweeps(model, H=None):
     t = model.tables()
     H = t.H if H is None else H
-    c = model.code()
-    return (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, c.R, c.L),
-            _assoc_sweep(model, t.V, c.B, c.T))
+    return (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, "right", "left"),
+            _assoc_sweep(model, t.V, "bottom", "top"))
 
 
 @pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "aut_c3_model", "sq_interval_s3",
@@ -740,11 +815,11 @@ def test_forked_sweeps_match_the_serial_ones(request, sweep_path, fixture):
 
 
 def test_forked_associativity_matches_the_serial_one_on_aut_s3(sweep_path, aut_s3_model):
-    t, c = aut_s3_model.tables(), aut_s3_model.code()
+    t = aut_s3_model.tables()
     for path in ("serial", "forked"):
         runs = sweep_path(path)
-        _assoc_sweep(aut_s3_model, t.H, c.R, c.L)
-        _assoc_sweep(aut_s3_model, t.V, c.B, c.T)
+        _assoc_sweep(aut_s3_model, t.H, "right", "left")
+        _assoc_sweep(aut_s3_model, t.V, "bottom", "top")
     assert [out for _, out in runs[:2]] == [out for _, out in runs[2:]]
     assert all(total == out[0] for total, out in runs)
 
@@ -829,8 +904,8 @@ def test_sweeps_equal_the_plain_loops(request, sweep_path, fixture, change):
         assert want[2][1]  # and a swapped filler in V breaks v-associativity
     for path in ("serial", "forked"):
         sweep_path(path)
-        assert (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, c.R, c.L),
-                _assoc_sweep(model, t.V, c.B, c.T)) == want
+        assert (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, "right", "left"),
+                _assoc_sweep(model, t.V, "bottom", "top")) == want
 
 
 def planted(model, table, value):
@@ -848,17 +923,17 @@ def planted(model, table, value):
 @pytest.mark.parametrize("value", ["undefined", "off-edge"])
 def test_sweeps_refuse_a_pasting_that_is_not_a_square_over_its_edges(aut_c3_model, value):
     model = aut_c3_model
-    t, c = model.tables(), model.code()
+    t = model.tables()
     H, at = planted(model, "H", value)
     with pytest.raises(InvalidDgt, match=re.escape(f"H{at}")):
         interchange_sweep(model, H, t.V)
     with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
-        _assoc_sweep(model, H, c.R, c.L)
+        _assoc_sweep(model, H, "right", "left")
     V, at = planted(model, "V", value)
     with pytest.raises(InvalidDgt, match=re.escape(f"V{at}")):
         interchange_sweep(model, t.H, V)
     with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
-        _assoc_sweep(model, V, c.B, c.T)
+        _assoc_sweep(model, V, "bottom", "top")
 
 
 def test_forked_interchange_is_exhaustive_on_aut_s3(sweep_path, aut_s3_model):
