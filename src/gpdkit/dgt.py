@@ -256,7 +256,7 @@ class DgtModel:
     squares: tuple[Square, ...]
     connections_minus: dict[str, Square]
     connections_plus: dict[str, Square]
-    index: dict[tuple, int] = field(default=None, repr=False)
+    index: dict[tuple, int] = field(init=False, repr=False)
     _edge_index: dict = field(default_factory=dict, init=False, repr=False)
     _code: SquareCode = field(default=None, init=False, repr=False)
     _groups: dict = field(default_factory=dict, init=False, repr=False)
@@ -264,8 +264,11 @@ class DgtModel:
     _maps: IndexMaps = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = {s.key(): i for i, s in enumerate(self.squares)}
+        self.index = {}
+        for i, s in enumerate(self.squares):
+            first = self.index.setdefault(s.key(), i)
+            if first != i:
+                raise InvalidDgt(f"{self.name}: square {s} is at both {first} and {i}")
 
     def __contains__(self, s: Square) -> bool:
         return s.key() in self.index
@@ -275,7 +278,8 @@ class DgtModel:
 
     @property
     def thin_squares(self) -> list[Square]:
-        return [s for s in self.squares if is_thin(s)]
+        c = self.code()
+        return [self.squares[k] for k in np.flatnonzero(c.E == c.unit[c.R])]
 
     def squares_with(self, **edges) -> list[Square]:
         """All squares whose named edges carry the given arrows, in model order."""
@@ -704,29 +708,31 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
                  samples: int = 20000) -> Report:
     """Sweep the double-groupoid axioms over the whole model.
 
-    Every composition law reads the tables ``H``/``V``, the unit and inverse
-    laws at the indices of ``model.maps()``; the object-level calculus only
-    builds the degeneracies and connections checked for presence and
-    thinness.  ``interchange`` is "exhaustive", "sampled", or
-    "auto" (exhaustive when the quadruple count stays below 2e8, sampled
-    otherwise).
+    Every composition law reads the tables ``H``/``V``; the degeneracies
+    and the unit and inverse laws read the indices of ``model.maps()``.
+    Only the connections, the model's given data, are checked as objects.
+    ``interchange`` is "exhaustive", "sampled", or "auto" (exhaustive when
+    the quadruple count stays below 2e8, sampled otherwise).
     """
     report = Report(f"dgt {model.name}")
     t = model.tables()  # first, so an oversized model fails before any sweep
     H, V, c = t.H, t.V, model.code()
-    xm, P, sq, n = model.xm, model.edges, model.squares, len(model.squares)
+    P, sq, n = model.edges, model.squares, len(model.squares)
     for s in sq:
         report.count()
         if not recheck_boundary(s):
             report.fail("boundary", f"square {s} violates the boundary law")
-    # degeneracies and connections are present and thin
-    for a in sorted(P.arrows):
-        for s, label in ((eps_v(xm, a), "eps_v"), (eps_h(xm, a), "eps_h"),
-                         (model.connections_minus[a], "conn-"), (model.connections_plus[a], "conn+")):
+    # degeneracies and connections are present and thin; a degeneracy that
+    # maps() finds carries its fiber's unit, so only a connection can be thick
+    m = model.maps()
+    for k, a in enumerate(c.names):
+        cm, cp = model.connections_minus[a], model.connections_plus[a]
+        for present, s, label in ((m.eps_v[k] >= 0, None, "eps_v"), (m.eps_h[k] >= 0, None, "eps_h"),
+                                  (cm in model, cm, "conn-"), (cp in model, cp, "conn+")):
             report.count()
-            if s not in model:
+            if not present:
                 report.fail("degeneracy-closure", f"{label}({a}) not in model")
-            elif not is_thin(s):
+            elif s is not None and not is_thin(s):
                 report.fail("degeneracy-thin", f"{label}({a}) is not thin")
     for a in sorted(P.arrows):
         gm, gp = model.connections_minus[a], model.connections_plus[a]
@@ -738,7 +744,7 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
             report.fail("connection-boundary", f"conn+({a}) has wrong edges")
     # units and inverses; a law whose unit is absent is left to
     # degeneracy-closure, so a read at a -1 never counts
-    m, i = model.maps(), np.arange(n)
+    i = np.arange(n)
     right, left, top, bottom = m.eps_h[c.R], m.eps_h[c.L], m.eps_v[c.T], m.eps_v[c.B]
 
     def fails(unit, table, x, y, want):
@@ -755,14 +761,11 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
                 report.fail(law, f"{what} fails at {sq[k]}")
     report.count(int((H >= 0).sum() + (V >= 0).sum()))
     # composites stay inside the model: tables() checked every one
-    ch, bh, _ = _assoc_sweep(model, H, "right", "left")
-    report.count(ch)
-    if bh:
-        report.fail("h-associativity", f"{bh} violating triples")
-    cv, bv, _ = _assoc_sweep(model, V, "bottom", "top")
-    report.count(cv)
-    if bv:
-        report.fail("v-associativity", f"{bv} violating triples")
+    for law, table, out, into in (("h", H, "right", "left"), ("v", V, "bottom", "top")):
+        checked, bad, _ = _assoc_sweep(model, table, out, into)
+        report.count(checked)
+        if bad:
+            report.fail(f"{law}-associativity", f"{bad} violating triples")
     # thin squares closed under both compositions: the thin x thin blocks
     thin_at = c.E == c.unit[c.R]
     thin = np.flatnonzero(thin_at)

@@ -4,6 +4,9 @@ A grid is composable exactly when horizontally adjacent cells share their
 vertical edge and vertically adjacent cells share their horizontal edge.  By
 the interchange law every way of cutting the rectangle into sub-rectangles
 evaluates to the same square, which is what lets a subdivision be undone.
+
+Every fold here is ``grid_compose_bracketed`` under some cut rule: rows
+first, columns first, alternating halves, or seeded random cuts.
 """
 
 from dataclasses import dataclass
@@ -49,49 +52,39 @@ class Grid:
 
 def grid_compose(g: Grid) -> Square:
     """Fold each row left to right, then the rows top to bottom."""
-    row_composites = []
-    for row in g.cells:
-        acc = row[0]
-        for cell in row[1:]:
-            acc = comp_h(acc, cell)
-        row_composites.append(acc)
-    out = row_composites[0]
-    for r in row_composites[1:]:
-        out = comp_v(out, r)
-    return out
+    return grid_compose_bracketed(
+        g, lambda r0, r1, c0, c1, depth: ("h", r1 - 1) if r1 - r0 > 1 else ("v", c1 - 1))
 
 
 def grid_compose_columns_first(g: Grid) -> Square:
     """Fold each column top to bottom, then the columns left to right."""
-    col_composites = []
-    for j in range(g.cols):
-        acc = g.cells[0][j]
-        for i in range(1, g.rows):
-            acc = comp_v(acc, g.cells[i][j])
-        col_composites.append(acc)
-    out = col_composites[0]
-    for c in col_composites[1:]:
-        out = comp_h(out, c)
-    return out
+    return grid_compose_bracketed(
+        g, lambda r0, r1, c0, c1, depth: ("v", c1 - 1) if c1 - c0 > 1 else ("h", r1 - 1))
 
 
 def grid_compose_bracketed(g: Grid, choose_cut) -> Square:
-    """Evaluate by recursive rectangle cuts.
+    """Evaluate by nested rectangle cuts, each first part before its second.
 
     ``choose_cut(r0, r1, c0, c1, depth)`` inspects a sub-rectangle (half-open
     bounds) and returns ``("h", i)`` to cut between rows i-1 and i, or
     ``("v", j)`` to cut between columns j-1 and j.
     """
-
-    def go(r0, r1, c0, c1, depth):
-        if r1 - r0 == 1 and c1 - c0 == 1:
-            return g.cells[r0][c0]
-        direction, at = choose_cut(r0, r1, c0, c1, depth)
-        if direction == "h":
-            return comp_v(go(r0, at, c0, c1, depth + 1), go(at, r1, c0, c1, depth + 1))
-        return comp_h(go(r0, r1, c0, at, depth + 1), go(r0, r1, at, c1, depth + 1))
-
-    return go(0, g.rows, 0, g.cols, 0)
+    done, todo = [], [(0, g.rows, 0, g.cols, 0)]
+    while todo:  # a stack, not recursion, so a long row or column fits
+        job = todo.pop()
+        if callable(job):  # paste the last two composites
+            second = done.pop()
+            done.append(job(done.pop(), second))
+        elif job[1] - job[0] == 1 and job[3] - job[2] == 1:
+            done.append(g.cells[job[0]][job[2]])
+        else:
+            r0, r1, c0, c1, depth = job
+            direction, at = choose_cut(r0, r1, c0, c1, depth)
+            if direction == "h":
+                todo += [comp_v, (at, r1, c0, c1, depth + 1), (r0, at, c0, c1, depth + 1)]
+            else:
+                todo += [comp_h, (r0, r1, at, c1, depth + 1), (r0, r1, c0, at, depth + 1)]
+    return done.pop()
 
 
 def alternating_cut(first: str):

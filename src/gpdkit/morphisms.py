@@ -100,26 +100,27 @@ def evaluate(m: GroupoidMorphism, w: Word):
     """
     if w.base not in m.object_map:
         raise EndpointMismatch(f"word base {w.base!r} not in domain of {m.name}")
-    cod = m.codomain
-    if isinstance(cod, FiniteGroupoid):
-        out = cod.id_at(m.object_map[w.base])
-        for gen, exp in w.letters:
-            if gen.name not in m.gen_map:
-                raise UndefinedGenerator(f"{m.name}: {gen.name} has no image")
-            arrow = m.gen_map[gen.name]
-            if exp == -1:
-                arrow = cod.inv(arrow)
-            out = cod.compose(out, arrow)
-        return out
-    out = Word(m.object_map[w.base], ())
-    for gen, exp in w.letters:
+    for gen, _ in w.letters:
         if gen.name not in m.gen_map:
             raise UndefinedGenerator(f"{m.name}: {gen.name} has no image")
+    cod = m.codomain
+    if isinstance(cod, FiniteGroupoid):
+        return _arrow(cod, m.object_map, m.gen_map, w)
+    out = Word(m.object_map[w.base], ())
+    for gen, exp in w.letters:
         image = m.gen_map[gen.name]
-        if exp == -1:
-            image = word_inverse(image)
-        out = out * image
+        out = out * (image if exp == 1 else word_inverse(image))
     return free_reduce(out)
+
+
+def _arrow(f: FiniteGroupoid, object_map: dict[str, str], gen_map: dict[str, str],
+           w: Word) -> str:
+    """The arrow of ``f`` that ``w`` names once its generators map to arrows."""
+    out = f.id_at(object_map[w.base])
+    for gen, exp in w.letters:
+        arrow = gen_map[gen.name]
+        out = f.compose(out, arrow if exp == 1 else f.inv(arrow))
+    return out
 
 
 def compose_morphisms(f: GroupoidMorphism, g: GroupoidMorphism, name: str | None = None) -> GroupoidMorphism:
@@ -135,23 +136,6 @@ def compose_morphisms(f: GroupoidMorphism, g: GroupoidMorphism, name: str | None
         {o: g.object_map[f.object_map[o]] for o in f.domain.objects},
         {k: evaluate(g, w) for k, w in f.gen_map.items()},
     )
-
-
-def _relations_hold(p: GroupoidPresentation, f: FiniteGroupoid,
-                    object_map: dict[str, str], gen_map: dict[str, str]) -> bool:
-    for lhs, rhs in p.relations:
-        vals = []
-        for w in (lhs, rhs):
-            out = f.id_at(object_map[w.base])
-            for gen, exp in w.letters:
-                arrow = gen_map[gen.name]
-                if exp == -1:
-                    arrow = f.inv(arrow)
-                out = f.compose(out, arrow)
-            vals.append(out)
-        if vals[0] != vals[1]:
-            return False
-    return True
 
 
 def enumerate_morphisms(p: GroupoidPresentation, f: FiniteGroupoid) -> list[GroupoidMorphism]:
@@ -173,7 +157,8 @@ def enumerate_morphisms(p: GroupoidPresentation, f: FiniteGroupoid) -> list[Grou
             continue
         for gen_images in itertools.product(*choice_lists):
             gen_map = dict(zip((g.name for g in generators), gen_images))
-            if _relations_hold(p, f, object_map, gen_map):
+            if all(_arrow(f, object_map, gen_map, lhs) == _arrow(f, object_map, gen_map, rhs)
+                   for lhs, rhs in p.relations):
                 found.append(
                     GroupoidMorphism(
                         f"{p.name}->{f.name}#{len(found)}", p, f, object_map, gen_map

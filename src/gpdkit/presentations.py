@@ -4,9 +4,11 @@ Relations are stored as pairs of coterminal words (``w1 = w2``) rather than
 relators, since relators only make sense for loops.  Decidable normal forms
 exist only for free presentations; presentations with relations get their
 semantics through morphisms into finite groupoids.
+
+Components, spanning trees and tree paths all read one breadth-first walk,
+``_walk``, so they break ties between edges the same way.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -88,58 +90,50 @@ def interval_groupoid() -> GroupoidPresentation:
     )
 
 
+def _walk(p: GroupoidPresentation, start: str, gens) -> dict[str, Word]:
+    """Words from ``start`` to every object it reaches along ``gens``.
+
+    Breadth first, one level at a time: a level's objects in name order, at
+    each object its incident generators in name order, taken +1 at their
+    source and -1 at their target.  The first word to reach an object wins.
+    """
+    steps: dict[str, list] = {o: [] for o in p.objects}
+    for g in sorted(gens, key=lambda g: g.name):
+        steps[g.src].append((g, 1, g.dst))
+        steps[g.dst].append((g, -1, g.src))
+    words = {start: Word(start, ())}
+    level = [start]
+    while level:
+        reached = []
+        for v in sorted(level):
+            for g, exp, other in steps[v]:
+                if other not in words:
+                    words[other] = words[v] * Word(v, ((g, exp),))
+                    reached.append(other)
+        level = reached
+    return words
+
+
 def _components(p: GroupoidPresentation) -> list[set[str]]:
-    adjacency: dict[str, set[str]] = {o: set() for o in p.objects}
-    for g in p.generators:
-        adjacency[g.src].add(g.dst)
-        adjacency[g.dst].add(g.src)
-    seen: set[str] = set()
-    comps = []
+    comps: list[set[str]] = []
     for start in p.sorted_objects():
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(comp)
+        if not any(start in c for c in comps):
+            comps.append(set(_walk(p, start, p.generators)))
     return comps
 
 
 def spanning_tree(p: GroupoidPresentation) -> set[ArrowGen]:
     """Breadth-first spanning tree from the lexicographically least object.
 
-    Ties between candidate edges are broken by generator name, so the result
-    is reproducible for a given presentation.  Raises Disconnected with the
-    component list when no single tree can reach every object.
+    The tree edge into each object is the last letter of its ``_walk`` word,
+    so ties are broken by generator name and the result is reproducible for
+    a given presentation.  Raises Disconnected with the component list when
+    no single tree can reach every object.
     """
-    comps = _components(p)
-    if len(comps) > 1:
-        raise Disconnected(comps)
-    incident: dict[str, list[ArrowGen]] = {o: [] for o in p.objects}
-    for g in p.sorted_generators():
-        incident[g.src].append(g)
-        incident[g.dst].append(g)
-    root = p.sorted_objects()[0]
-    visited = {root}
-    tree: set[ArrowGen] = set()
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for v in sorted(frontier):
-            for g in incident[v]:
-                other = g.dst if g.src == v else g.src
-                if other not in visited:
-                    visited.add(other)
-                    tree.add(g)
-                    next_frontier.append(other)
-        frontier = next_frontier
-    return tree
+    words = _walk(p, p.sorted_objects()[0], p.generators)
+    if len(words) < len(p.objects):
+        raise Disconnected(_components(p))
+    return {w.letters[-1][0] for w in words.values() if w.letters}
 
 
 def tree_paths(p: GroupoidPresentation, base: str, tree: set[ArrowGen]) -> dict[str, Word]:
@@ -155,22 +149,8 @@ def tree_paths(p: GroupoidPresentation, base: str, tree: set[ArrowGen]) -> dict[
     for g in tree:
         if g not in gens:
             raise TreeInvalid(f"edge {g.name} is not a generator of {p.name}")
-    component = next(c for c in _components(p) if base in c)
-    incident: dict[str, list[ArrowGen]] = {o: [] for o in p.objects}
-    for g in sorted(tree, key=lambda g: g.name):
-        incident[g.src].append(g)
-        incident[g.dst].append(g)
-    paths = {base: Word(base, ())}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for g in incident[v]:
-            other = g.dst if g.src == v else g.src
-            exp = 1 if g.src == v else -1
-            if other in paths:
-                continue
-            paths[other] = paths[v] * Word(v, ((g, exp),))
-            queue.append(other)
+    component = set(_walk(p, base, p.generators))
+    paths = _walk(p, base, tree)
     if set(paths) != component:
         raise TreeInvalid(
             f"tree does not span the component of {base!r}: "

@@ -158,6 +158,15 @@ def _arrow_ref(token: str, ln: _Line) -> tuple[str, str]:
     return src.strip(), dst.strip()
 
 
+def _mul(ln: _Line) -> tuple[str, str, str]:
+    """``mul x y = z`` of a finite or group block, as (x, y, z)."""
+    parts = ln.text[4:].split("=")
+    _expect(len(parts) == 2, ln, "expected 'mul x y = z'")
+    xy = parts[0].split()
+    _expect(len(xy) == 2, ln, "expected 'mul x y = z'")
+    return xy[0], xy[1], parts[1].strip()
+
+
 class _Parser:
     """Parses blocks in two passes.
 
@@ -249,11 +258,7 @@ class _Parser:
                     _expect(a_src == a_dst, ln, "identity arrows must be loops")
                     identity[a_src] = aname
             elif ln.text.startswith("mul "):
-                parts = ln.text[4:].split("=")
-                _expect(len(parts) == 2, ln, "expected 'mul x y = z'")
-                xy = parts[0].split()
-                _expect(len(xy) == 2, ln, "expected 'mul x y = z'")
-                muls.append((xy[0], xy[1], parts[1].strip(), ln))
+                muls.append((*_mul(ln), ln))
             else:
                 raise ParseError(ln.path, ln.no, f"unexpected line in finite block: {ln.text!r}")
         table = {}
@@ -289,11 +294,8 @@ class _Parser:
             if ln.text.startswith("elements:"):
                 elements.extend(ln.text[len("elements:"):].split())
             elif ln.text.startswith("mul "):
-                parts = ln.text[4:].split("=")
-                _expect(len(parts) == 2, ln, "expected 'mul x y = z'")
-                xy = parts[0].split()
-                _expect(len(xy) == 2, ln, "expected 'mul x y = z'")
-                table[(xy[0], xy[1])] = parts[1].strip()
+                x, y, z = _mul(ln)
+                table[(x, y)] = z
             else:
                 raise ParseError(ln.path, ln.no, f"unexpected line in group block: {ln.text!r}")
         identity = None

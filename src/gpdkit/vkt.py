@@ -20,7 +20,7 @@ from .morphisms import (
     enumerate_morphisms,
     evaluate,
 )
-from .presentations import GroupoidPresentation, spanning_tree, tree_paths
+from .presentations import GroupoidPresentation, _components, spanning_tree, tree_paths
 from .words import ArrowGen, Word, generator_word, reduce_letters
 
 
@@ -67,8 +67,7 @@ def pushout(s: Span, name: str | None = None) -> Pushout:
     """
     g1: GroupoidPresentation = s.left.codomain
     g2: GroupoidPresentation = s.right.codomain
-    from .presentations import _components
-
+    legs = (("1", g1), ("2", g2))
     for leg, g in ((s.left, g1), (s.right, g2)):
         hit = {leg.object_map[o] for o in s.apex.objects}
         for comp in _components(g):
@@ -78,7 +77,7 @@ def pushout(s: Span, name: str | None = None) -> Pushout:
                     "not meeting the apex; the union theorem hypothesis fails",
                     stacklevel=2,
                 )
-    tagged = [("1", o) for o in sorted(g1.objects)] + [("2", o) for o in sorted(g2.objects)]
+    tagged = [(tag, o) for tag, g in legs for o in sorted(g.objects)]
     parent = {t: t for t in tagged}
 
     def find(t):
@@ -105,7 +104,7 @@ def pushout(s: Span, name: str | None = None) -> Pushout:
 
     gen_taken: set[str] = set()
     new_gens: dict[tuple[str, str], ArrowGen] = {}
-    for tag, g in (("1", g1), ("2", g2)):
+    for tag, g in legs:
         for gen in g.sorted_generators():
             nm = _fresh(gen.name, gen_taken)
             new_gens[(tag, gen.name)] = ArrowGen(
@@ -117,7 +116,7 @@ def pushout(s: Span, name: str | None = None) -> Pushout:
         return Word(obj_name[(tag, w.base)], letters)
 
     relations = []
-    for tag, g in (("1", g1), ("2", g2)):
+    for tag, g in legs:
         for lhs, rhs in g.relations:
             relations.append((move_word(tag, lhs), move_word(tag, rhs)))
     for gen in s.apex.sorted_generators():
@@ -132,21 +131,16 @@ def pushout(s: Span, name: str | None = None) -> Pushout:
         tuple(new_gens[k] for k in sorted(new_gens)),
         tuple(relations),
     )
-    left_inc = GroupoidMorphism(
-        f"{g1.name}->po",
-        g1,
-        out,
-        {o: obj_name[("1", o)] for o in g1.objects},
-        {g.name: Word(obj_name[("1", g.src)], ((new_gens[("1", g.name)], 1),))
-         for g in g1.generators},
-    )
-    right_inc = GroupoidMorphism(
-        f"{g2.name}->po",
-        g2,
-        out,
-        {o: obj_name[("2", o)] for o in g2.objects},
-        {g.name: Word(obj_name[("2", g.src)], ((new_gens[("2", g.name)], 1),))
-         for g in g2.generators},
+    left_inc, right_inc = (
+        GroupoidMorphism(
+            f"{g.name}->po",
+            g,
+            out,
+            {o: obj_name[(tag, o)] for o in g.objects},
+            {x.name: Word(obj_name[(tag, x.src)], ((new_gens[(tag, x.name)], 1),))
+             for x in g.generators},
+        )
+        for tag, g in legs
     )
     return Pushout(out, left_inc, right_inc)
 

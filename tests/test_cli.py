@@ -254,6 +254,66 @@ def test_golden_machine_outputs(capsys):
     assert code == 0 and out == GOLDEN_VERTEX_GROUP
 
 
+# Van Kampen and grid commands on the bundled workspaces, besides circle.vk's.
+GOLDEN_VAN_KAMPEN = [
+    (["pushout", "wedge.vk"], """\
+FORMAT 1
+COMMAND pushout
+COUNT objects 1
+COUNT generators 2
+COUNT relations 0
+DATA ⟨x, y | ⟩
+DATA groupoid po(loop_x,loop_y)
+DATA objects: p
+DATA gen x: p -> p
+DATA gen y: p -> p
+RESULT ok
+"""),
+    *((["vertex-group", "wedge.vk", "--base", "p", *raw], """\
+FORMAT 1
+COMMAND vertex-group
+COUNT generators 2
+COUNT relators 0
+DATA ⟨x_x, x_y | ⟩
+RESULT ok
+""") for raw in ([], ["--raw"])),
+    (["check-universal", "wedge.vk"], GOLDEN_CHECK_UNIVERSAL),
+    (["count-morphisms", "wedge.vk"], """\
+FORMAT 1
+COMMAND count-morphisms
+COUNT triv 1
+COUNT c2 4
+COUNT c3 9
+COUNT s3 36
+RESULT ok
+"""),
+    *((["count-morphisms", "disk_module.vk", "--presentation", name], """\
+FORMAT 1
+COMMAND count-morphisms
+COUNT triv 1
+COUNT c2 2
+COUNT c3 3
+COUNT s3 6
+RESULT ok
+""") for name in ("interval", "cinf")),
+    (["grid", "compose", "squares.vk", "--name", "demo"], """\
+FORMAT 1
+COMMAND grid-compose
+COUNT rows 2
+COUNT cols 2
+DATA (e; (132),e,(123),(123))
+RESULT ok
+"""),
+]
+
+
+@pytest.mark.parametrize("args, golden", GOLDEN_VAN_KAMPEN,
+                         ids=[" ".join(a) for a, _ in GOLDEN_VAN_KAMPEN])
+def test_golden_van_kampen_and_grid_outputs(capsys, args, golden):
+    argv = [data(a) if a.endswith(".vk") else a for a in args]
+    assert run_cli(["--format", "machine", *argv], capsys) == (0, golden)
+
+
 # Every criterion's counts, as `vk --format machine suite` prints them.
 GOLDEN_SUITE = """\
 FORMAT 1

@@ -489,7 +489,7 @@ def test_a_missing_thin_corner_raises_rather_than_folding(sq_s3):
     P = sq_s3.edges
     x = next(a for a in sorted(P.arrows) if not P.is_identity(a))
     corner = sq_s3.index[conn_plus(sq_s3.xm, x).key()]
-    hollow = replace(sq_s3, squares=sq_s3.squares[:corner] + sq_s3.squares[corner + 1:], index=None)
+    hollow = replace(sq_s3, squares=sq_s3.squares[:corner] + sq_s3.squares[corner + 1:])
     # every fold whose left face has left edge x needs conn+(x) in its corner
     left = next(s for s in hollow.squares if s.left == x)
     with pytest.raises(PreconditionFailed):

@@ -238,7 +238,7 @@ def test_gamma_rejects_hollow_model(a3s3_model):
         s for s in a3s3_model.squares
         if not (s.top == "e" and s.left == "e" and s.right == "e")
     )
-    hollow = replace(a3s3_model, squares=kept, index=None)
+    hollow = replace(a3s3_model, squares=kept)
     with pytest.raises(InvalidDgt):
         gamma(hollow)
 
@@ -292,7 +292,7 @@ def test_find_locates_each_square_and_nothing_else(aut_c3_model, sq_interval_s3)
 
 
 def test_find_on_a_model_without_squares(sq_c2):
-    empty = replace(sq_c2, squares=(), index=None)
+    empty = replace(sq_c2, squares=())
     assert empty.find(np.array([0]), 0, 0, 0, 0).tolist() == [-1]
 
 
@@ -341,7 +341,7 @@ def test_index_maps_of_a_hollow_model_say_minus_one(aut_c3_model):
     a = next(a for a in sorted(model.edges.arrows) if not model.edges.is_identity(a))
     s = next(s for s in model.squares if inv_h(s) != s and not is_thin(s))
     gone = {eps_h(xm, a), inv_h(s)}
-    hollow = replace(model, squares=tuple(q for q in model.squares if q not in gone), index=None)
+    hollow = replace(model, squares=tuple(q for q in model.squares if q not in gone))
     assert_maps_match_calculus(hollow)
     m = hollow.maps()
     assert m.eps_h[sorted(model.edges.arrows).index(a)] == -1
@@ -355,7 +355,7 @@ def test_a_hollow_model_fails_the_laws_as_the_reference_does():
     model = square_model(interval_finite_groupoid())
     xm = model.xm
     keep = {eps_h(xm, "id0"), eps_h(xm, "i")}
-    hollow = replace(model, squares=tuple(q for q in model.squares if q in keep), index=None)
+    hollow = replace(model, squares=tuple(q for q in model.squares if q in keep))
     assert_maps_match_calculus(hollow)
     m, i = hollow.maps(), hollow.index[eps_h(xm, "i").key()]
     assert m.inv_v[i] == -1 and m.inv_h[i] == i
@@ -642,12 +642,21 @@ def test_table_laws_match_the_object_level_reference(request, fixture, mode, che
     assert report.violations == reference.violations == []
 
 
+def test_a_copy_rebuilds_its_index_and_refuses_a_duplicated_square():
+    model = square_model(interval_finite_groupoid())
+    kept = replace(model, squares=model.squares[:3])
+    assert [s in kept for s in model.squares] == [True] * 3 + [False] * 13
+    twice = (eps_h(model.xm, "id0"),) * 2
+    with pytest.raises(InvalidDgt, match=r"square \(e; id0,id0,id0,id0\) is at both 0 and 1"):
+        replace(model, squares=twice)
+
+
 def test_absent_units_stay_degeneracy_closure_violations():
     # the one square eps_v(a) is closed under V, but the model lacks the
     # other degeneracies; the table laws skip an absent unit (index -1)
     model = square_model(interval_finite_groupoid())
     for a in sorted(model.edges.arrows):
-        one = replace(model, squares=(eps_v(model.xm, a),), index=None)
+        one = replace(model, squares=(eps_v(model.xm, a),))
         report = validate_dgt(one, interchange="exhaustive")
         reference = reference_validate_dgt(one, "exhaustive", seed=0, samples=0)
         assert report.checks == reference.checks
@@ -715,7 +724,7 @@ def planted_fault(model, fault):
         # another element over the same edges; the tables stay the model's
         k = next(k for k, s in enumerate(sq) if not is_thin(s))
         bad = replace(sq[k], elt=xm.fibers[sq[k].corner_se].identity)
-        mutant = replace(model, squares=sq[:k] + (bad,) + sq[k + 1:], index=None)
+        mutant = replace(model, squares=sq[:k] + (bad,) + sq[k + 1:])
         mutant._tables = model.tables()
         return mutant, f"square {bad} violates the boundary law"
     a = next(a for a in sorted(model.edges.arrows) if a not in model.edges.identity.values())
@@ -747,7 +756,7 @@ def test_sampled_interchange_draws_nothing_without_an_arrangement():
     # eps_v of a non-identity arrow: no square starts a complete 2x2
     # arrangement, so every draw would fail
     model = square_model(interval_finite_groupoid())
-    lonely = [replace(model, squares=(eps_v(model.xm, a),), index=None) for a in ("i", "i_inv")]
+    lonely = [replace(model, squares=(eps_v(model.xm, a),)) for a in ("i", "i_inv")]
 
     def stuck(signum, frame):
         raise TimeoutError("sampled interchange is still drawing")

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from gpdkit import grids
 from gpdkit.errors import EdgeMismatch, PreconditionFailed
 from gpdkit.grids import (
     Grid,
@@ -70,6 +72,28 @@ def test_fold_orders_agree(a3s3_model):
             grid_compose_bracketed(grid, random_cut(rng)),
         }
         assert len(results) == 1
+
+
+def test_fold_orders_bracket_a_3x3_grid_differently(monkeypatch):
+    # the folds only read rows, cols and cells, so letters can stand in for
+    # squares and recording pastings show each bracketing
+    monkeypatch.setattr(grids, "comp_h", lambda x, y: f"({x}|{y})")
+    monkeypatch.setattr(grids, "comp_v", lambda x, y: f"({x}/{y})")
+    g = SimpleNamespace(cells=("abc", "def", "ghi"), rows=3, cols=3)
+    assert [grid_compose(g), grid_compose_columns_first(g),
+            grid_compose_bracketed(g, alternating_cut("h")),
+            grid_compose_bracketed(g, alternating_cut("v"))] == [
+        "((((a|b)|c)/((d|e)|f))/((g|h)|i))",
+        "((((a/d)/g)|((b/e)/h))|((c/f)/i))",
+        "((a|(b|c))/((d/g)|((e|f)/(h|i))))",
+        "((a/(d/g))|((b|c)/((e/h)|(f/i))))",
+    ]
+
+
+def test_a_row_past_the_recursion_limit_folds(monkeypatch):
+    monkeypatch.setattr(grids, "comp_h", lambda x, y: x + y)
+    g = SimpleNamespace(cells=((1,) * 1500,), rows=1, cols=1500)
+    assert grid_compose(g) == grid_compose_columns_first(g) == 1500
 
 
 def test_collapse_commutative_row(sq_s3):
