@@ -27,11 +27,11 @@ for the scalar oracle, one product over square indices that reads no filler.
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, partial, reduce
 
 from .dgt import DgtModel, SquareCode, _encode, _Groups
 from .errors import EdgeMismatch, PreconditionFailed
-from .grids import Grid, grid_compose
+from .grids import Grid, _fixed_plan, _fold, grid_compose, rows_first_cut
 from .squares import Square, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
 
 # Imported after .dgt, which imports numpy itself: importing numpy ahead of
@@ -250,6 +250,10 @@ _SEAMS_AT = {
 }
 # every face but the lid, in drawing order; the lid is drawn last or folded
 _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
+# grid_compose's bracketing of fold_layout's 3x3 grid
+_FOLD_PLAN = _fixed_plan(3, 3, rows_first_cut)
+# what a fold lacks where an index of its layout is -1: l, r, d, then corners
+_NEEDS = ("transpose", "transpose or horizontal inverse", "vertical inverse") + ("thin corner",) * 4
 
 
 def _undefined(idx) -> bool:
@@ -257,10 +261,10 @@ def _undefined(idx) -> bool:
     return bool((idx < 0).any()) if idx.ndim else idx < 0
 
 
-def _paste(table: np.ndarray, x, y, how: str):
-    """``table[x, y]``; EdgeMismatch where the pasting is undefined (-1)."""
+def _paste(how: str, table: np.ndarray, x, y):
+    """``table[x, y]``; EdgeMismatch where the ``how`` pasting is undefined (-1)."""
     z = table[x, y]
-    if _undefined(z):
+    if (z < 0).any() if z.ndim else z < 0:  # _undefined, inlined: folds paste often
         raise EdgeMismatch(f"{how} pasting of squares whose shared edge differs")
     return z
 
@@ -280,11 +284,6 @@ class CubeKernel:
         self.code = model.code()
         self.maps = model.maps()
         self._fits = {}
-
-    def _need(self, idx, what: str):
-        if _undefined(idx):
-            raise PreconditionFailed(f"{self.model.name} has no {what} a fold needs")
-        return idx
 
     def seams(self, cubes) -> np.ndarray:
         """The cubes as an int array, once every seam of every cube agrees.
@@ -317,21 +316,23 @@ class CubeKernel:
 
         ``f`` maps each non-lid slot to an index or an index array.
         """
-        c = self.code
+        m = self.maps
         u, base = f["d2-"], f["d1+"]
-        l = self._need(self.maps.transpose[f["d3-"]], "transpose")
-        r = self._need(self.maps.flip[f["d3+"]], "transpose or horizontal inverse")
-        d = self._need(self.maps.inv_v[f["d2+"]], "vertical inverse")
-        c00, c02, c20, c22 = (self._need(corner[edge], "thin corner") for corner, edge in
-                              zip(self.maps.corners, (c.L[u], c.R[u], c.B[l], c.R[d])))
+        l, r, d = m.transpose[f["d3-"]], m.flip[f["d3+"]], m.inv_v[f["d2+"]]
+        # a corner keyed by a -1 reads a wrapped index, but the -1 fails first
+        k00, k02, k20, k22 = m.fold_corners
+        c00, c02, c20, c22 = k00[u], k02[u], k20[l], k22[d]
+        if _undefined(l | r | d | c00 | c02 | c20 | c22):  # negative iff one is -1
+            what = next(what for idx, what in zip((l, r, d, c00, c02, c20, c22), _NEEDS)
+                        if _undefined(idx))
+            raise PreconditionFailed(f"{self.model.name} has no {what} a fold needs")
+        return _fold(_FOLD_PLAN, ((c00, u, c02), (l, base, r), (c20, d, c22)), *self._pastes)
+
+    @cached_property
+    def _pastes(self):
+        """Horizontal and vertical ``_paste`` in the model's tables."""
         t = self.model.tables()
-        out = None
-        for row in ((c00, u, c02), (l, base, r), (c20, d, c22)):
-            acc = row[0]
-            for cell in row[1:]:
-                acc = _paste(t.H, acc, cell, "horizontal")
-            out = acc if out is None else _paste(t.V, out, acc, "vertical")
-        return out
+        return partial(_paste, "horizontal", t.H), partial(_paste, "vertical", t.V)
 
     def compose(self, c1, c2, direction: int) -> np.ndarray:
         """``compose_cubes`` on paired rows of two batches of cubes."""
@@ -339,17 +340,15 @@ class CubeKernel:
         c1, c2 = self.seams(c1), self.seams(c2)
         if (c1[..., _SLOT[plus]] != c2[..., _SLOT[minus]]).any():
             raise EdgeMismatch(f"direction-{direction} pasting needs {plus}(c1) = {minus}(c2)")
-        t = self.model.tables()
+        h, v = self._pastes
         out = np.empty_like(c1)
         for k, slot in enumerate(FACE_SLOTS):
             if slot == minus:
                 out[..., k] = c1[..., k]
             elif slot == plus:
                 out[..., k] = c2[..., k]
-            elif _pastes_vertically(slot, direction):
-                out[..., k] = _paste(t.V, c1[..., k], c2[..., k], "vertical")
             else:
-                out[..., k] = _paste(t.H, c1[..., k], c2[..., k], "horizontal")
+                out[..., k] = (v if _pastes_vertically(slot, direction) else h)(c1[..., k], c2[..., k])
         return out
 
     def pairs(self, cubes, direction: int) -> tuple[np.ndarray, np.ndarray]:

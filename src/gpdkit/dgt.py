@@ -147,12 +147,14 @@ class _Groups:
     def __init__(self, radix: int, n: int, cols=()):
         self.radix = radix
         keys, dense = np.unique(self.pack(cols, np.zeros(n, np.int64)), return_inverse=True)
-        self.ids = dict(zip(keys.tolist(), range(len(keys))))  # key -> group
         # a sentinel above every key: a failed search lands on the empty group
         self.keys = np.append(keys, np.iinfo(np.int64).max)
         self.order = np.argsort(dense, kind="stable")
         self.count = np.bincount(dense, minlength=len(self.keys))
         self.start = np.cumsum(self.count) - self.count
+        # key -> its group's bounds in order, as ints for scalar lookups
+        self.spans = {k: (a, a + m) for k, a, m in
+                      zip(keys.tolist(), self.start.tolist(), self.count.tolist())}
 
     def pack(self, cols, key=0):
         for col in cols:
@@ -168,8 +170,8 @@ class _Groups:
         return self.count[self.group(*cols)]
 
     def members(self, *arrows) -> np.ndarray:
-        g = self.ids.get(self.pack(arrows), len(self.keys) - 1)
-        return self.order[self.start[g]:self.start[g] + self.count[g]]
+        lo, hi = self.spans.get(self.pack(arrows), (0, 0))
+        return self.order[lo:hi]
 
     def rank(self) -> np.ndarray:
         """Each index's position within its group."""
@@ -225,7 +227,8 @@ class IndexMaps:
     ``transpose``, ``inv_h``, ``inv_v`` and ``flip`` (inv_h of the
     transpose).  Per arrow p: ``eps_h``, ``eps_v`` and the four ``corners``
     of ``cubes.fold_layout`` once the seams agree, keyed by p = u.left,
-    u.right, l.bottom and d.right.  No reference to the model: no cycle."""
+    u.right, l.bottom and d.right; ``fold_corners`` are the same four keyed
+    by the square u, u, l and d.  No reference to the model: no cycle."""
 
     def __init__(self, model: "DgtModel"):
         c = model.code()
@@ -244,6 +247,7 @@ class IndexMaps:
             model.find(c.unit[c.inv], p, c.inv, src, src),
             model.find(c.unit[dst], p, dst, dst, p),
         )
+        self.fold_corners = tuple(k[e] for k, e in zip(self.corners, (c.L, c.R, c.B, c.R)))
 
 
 @dataclass

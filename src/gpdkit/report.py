@@ -52,7 +52,7 @@ class Report:
         return self.counts.get("checks", 0)
 
     def count(self, n: int = 1):
-        self.counts["checks"] = self.checks + n
+        self.counts["checks"] = self.counts.get("checks", 0) + n
 
     def fail(self, law: str, witness: str = ""):
         self.violations.append(Violation(law, witness))

@@ -15,11 +15,11 @@ BUDGET_SECONDS = {
     "1": 1,
     "2": 5,
     "3": 10,
-    "4": 300,
+    "4": 20,
     "5": 10,
-    "6": 60,
+    "6": 5,
     "7": 60,
-    "8": 300,
+    "8": 20,
     "9": 10,
     "10": 60,
     "11": 120,

@@ -15,6 +15,8 @@ from gpdkit.grids import (
     random_cut,
 )
 from gpdkit.squares import eps_h, eps_v, identity_square, thin_square
+from gpdkit.suite import _draw_grids, _grid_folds, a3_s3_model
+from test_dgt import with_swapped_filler
 
 
 def random_grid(model, rows, cols, rng):
@@ -94,6 +96,62 @@ def test_a_row_past_the_recursion_limit_folds(monkeypatch):
     monkeypatch.setattr(grids, "comp_h", lambda x, y: x + y)
     g = SimpleNamespace(cells=((1,) * 1500,), rows=1, cols=1500)
     assert grid_compose(g) == grid_compose_columns_first(g) == 1500
+
+
+def test_random_cuts_bracket_a_3x4_grid_by_their_seed(monkeypatch):
+    # planning a fold asks the cut rule in the same order as folding did,
+    # so a seeded random rule draws the same cuts
+    monkeypatch.setattr(grids, "comp_h", lambda x, y: f"({x}|{y})")
+    monkeypatch.setattr(grids, "comp_v", lambda x, y: f"({x}/{y})")
+    g = SimpleNamespace(cells=("abcd", "efgh", "ijkl"), rows=3, cols=4)
+    assert [grid_compose_bracketed(g, random_cut(random.Random(k))) for k in range(3)] == [
+        "((((a|b)/(e|f))/(i|j))|((c/(g/k))|((d/h)/l)))",
+        "(((a|b)|(c|d))/(((e/i)|(f/j))|((g|h)/(k|l))))",
+        "((a/(e/i))|(((b|c)|d)/((f/j)|((g/k)|(h/l)))))",
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_criterion_6_batch_matches_the_object_folds(seed):
+    model = a3_s3_model()
+    rng = random.Random(seed)
+    objects = [random_grid(model, 3, 3, rng) for _ in range(500)]
+    drawn = _draw_grids(model, seed)
+    assert drawn.tolist() == [[[model.index[c.key()] for c in row] for row in g.cells]
+                              for g in objects]
+    t = model.tables()
+    folds = _grid_folds(t.H, t.V, drawn)
+    for k, g in enumerate(objects):
+        want = [grid_compose(g), grid_compose_columns_first(g),
+                grid_compose_bracketed(g, alternating_cut("h")),
+                grid_compose_bracketed(g, alternating_cut("v"))]
+        assert folds[:, k].tolist() == [model.index[s.key()] for s in want]
+
+
+def test_criterion_6_fold_catches_doctored_tables(aut_c3_model, monkeypatch):
+    model = aut_c3_model
+    drawn = _draw_grids(model, 0)
+    t = model.tables()
+    folds = _grid_folds(t.H, t.V, drawn)
+    assert not (folds != folds[0]).any()
+    # rows first pastes the first two cells of every grid; no other order does
+    pair = drawn[0, 0, 0], drawn[0, 0, 1]
+    mutant = with_swapped_filler(model, "H", *pair, random.Random(3)).tables()
+    folds = _grid_folds(mutant.H, mutant.V, drawn)
+    assert (folds != folds[0]).any(axis=0).sum() >= 1
+    # where the orders disagree, each batch fold is still its own order's
+    monkeypatch.setattr(grids, "comp_h", lambda x, y: int(mutant.H[x, y]))
+    monkeypatch.setattr(grids, "comp_v", lambda x, y: int(mutant.V[x, y]))
+    for k, cells in enumerate(drawn.tolist()):
+        g = SimpleNamespace(cells=cells, rows=3, cols=3)
+        assert folds[:, k].tolist() == [
+            grid_compose(g), grid_compose_columns_first(g),
+            grid_compose_bracketed(g, alternating_cut("h")),
+            grid_compose_bracketed(g, alternating_cut("v"))]
+    H = t.H.copy()
+    H[pair] = -1
+    with pytest.raises(EdgeMismatch, match="horizontal pasting"):
+        _grid_folds(H, t.V, drawn)
 
 
 def test_collapse_commutative_row(sq_s3):
