@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from contextlib import suppress
+from functools import cache
 
 from . import textfmt
 from .crossed import validate_crossed_module
@@ -383,9 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls, built on first use.
+
+    Sharing is safe: parsing leaves the parser as it was, ``--format`` and
+    ``--seed`` default to SUPPRESS and are filled in per call, argparse
+    copies an ``append`` default before appending to it, and the handlers
+    read the module's names when they run.  Built lazily, not at import, so
+    importing the module builds no parser.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if not hasattr(args, "format"):
         args.format = "text"
     if not hasattr(args, "seed"):

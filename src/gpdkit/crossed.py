@@ -70,23 +70,23 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
     for s in P.objects:
         M = x.fibers[s]
         loops = set(P.vertex_arrows(s))
+        report.count(len(M.elements))
         for m in M.elements:
-            report.count()
             img = x.mu.get(s, {}).get(m)
             if img is None or img not in loops:
                 report.fail("mu-typing", f"mu({m}) at {s!r} is not a loop at {s!r}")
         if report.violations:
             return report
+        report.count(len(M.elements) ** 2)
         for m, n in itertools.product(M.elements, repeat=2):
-            report.count()
             if x.mu[s][M.mul(m, n)] != P.compose(x.mu[s][m], x.mu[s][n]):
                 report.fail("mu-homomorphism", f"mu({m}*{n}) != mu({m})mu({n}) at {s!r}")
 
     # action totality and typing
     for p in P.arrows:
         s, t = P.src[p], P.dst[p]
+        report.count(len(x.fibers[s].elements))
         for m in x.fibers[s].elements:
-            report.count()
             out = x.action.get((m, p))
             if out is None or out not in x.fibers[t].elements:
                 report.fail("action-typing", f"{m}^{p} missing or outside M({t!r})")
@@ -96,32 +96,32 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
     # action laws: identity, composition, multiplicativity
     for s in P.objects:
         e = P.id_at(s)
+        report.count(len(x.fibers[s].elements))
         for m in x.fibers[s].elements:
-            report.count()
             if x.action[(m, e)] != m:
                 report.fail("action-identity", f"{m}^id != {m} at {s!r}")
     for p, q in itertools.product(P.arrows, repeat=2):
         if P.dst[p] != P.src[q]:
             continue
         pq = P.compose(p, q)
+        report.count(len(x.fibers[P.src[p]].elements))
         for m in x.fibers[P.src[p]].elements:
-            report.count()
             if x.action[(x.action[(m, p)], q)] != x.action[(m, pq)]:
                 report.fail("action-composition", f"({m}^{p})^{q} != {m}^({p}{q})")
     for p in P.arrows:
         s = P.src[p]
         M = x.fibers[s]
         Mt = x.fibers[P.dst[p]]
+        report.count(len(M.elements) ** 2)
         for m, n in itertools.product(M.elements, repeat=2):
-            report.count()
             if x.action[(M.mul(m, n), p)] != Mt.mul(x.action[(m, p)], x.action[(n, p)]):
                 report.fail("action-multiplicative", f"({m}{n})^{p} != {m}^{p} {n}^{p}")
 
     # CM1: mu(m^p) = p^-1 mu(m) p
     for p in P.arrows:
         s, t = P.src[p], P.dst[p]
+        report.count(len(x.fibers[s].elements))
         for m in x.fibers[s].elements:
-            report.count()
             lhs = x.mu[t][x.action[(m, p)]]
             rhs = P.compose_all([P.inv(p), x.mu[s][m], p])
             if lhs != rhs:
@@ -130,8 +130,8 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
     # CM2: n^-1 m n = m^(mu n)
     for s in P.objects:
         M = x.fibers[s]
+        report.count(len(M.elements) ** 2)
         for m, n in itertools.product(M.elements, repeat=2):
-            report.count()
             lhs = M.mul(M.mul(M.inv(n), m), n)
             rhs = x.action[(m, x.mu[s][n])]
             if lhs != rhs:

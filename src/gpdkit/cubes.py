@@ -363,16 +363,18 @@ class CubeKernel:
         _oracle_preconditions(self.model.xm)
         return _oracle(self.code, self.seams(cubes))
 
-    def _fitting(self, slot: str, faces: dict):
-        """The squares grouped by ``slot``'s seams to the placed ``faces``,
-        and the arrows of those faces on the seams, one per grouped edge.
-        The seams are sorted out once per slot and placed slots."""
-        key = (slot, *faces)
+    def _fitting(self, slot: str, placed) -> tuple:
+        """The squares grouped by ``slot``'s seams to the ``placed`` slots,
+        and per grouped edge the placed slot across the seam with that
+        slot's edge column: as arrays for ``enumerate``, as lists for
+        ``_pick``.  Sorted out once per slot and placed slots."""
+        key = (slot, *placed)
         if key not in self._fits:
-            seams = [(e, o, self.code.edge[oe]) for e, o, oe in _SEAMS_AT[slot] if o in faces]
-            self._fits[key] = self.model.groups(*(e for e, _, _ in seams)), seams
-        fit, seams = self._fits[key]
-        return fit, [col[faces[o]] for _, o, col in seams]
+            seams = [(e, o, self.code.edge[oe]) for e, o, oe in _SEAMS_AT[slot] if o in placed]
+            self._fits[key] = (self.model.groups(*(e for e, _, _ in seams)),
+                               [(o, col) for _, o, col in seams],
+                               [(o, col.tolist()) for _, o, col in seams])
+        return self._fits[key]
 
     def enumerate(self) -> np.ndarray:
         """Every cube over the model in canonical order: faces in draw order,
@@ -380,21 +382,20 @@ class CubeKernel:
         SizeLimit once a step's tuples would pass MAX_TABLE_BYTES."""
         faces = {}
         for slot in (*_DRAW_ORDER, "d1-"):
-            fit, arrows = self._fitting(slot, faces)
+            fit, cols, _ = self._fitting(slot, faces)
+            arrows = [col[faces[o]] for o, col in cols]
             faces = dict(zip((*faces, slot), fit.extend(tuple(faces.values()), arrows)))
         return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
 
     def _pick(self, rng: random.Random, slot: str, faces: dict) -> int:
-        fit, arrows = self._fitting(slot, faces)
-        members = fit.members(*arrows)
-        if not len(members):
+        fit, _, cols = self._fitting(slot, faces)
+        picked = fit.pick(rng, fit.pack([col[faces[o]] for o, col in cols]))
+        if picked is None:
             raise PreconditionFailed("no square matches the edge constraints")
-        return int(members[rng.randrange(len(members))])
+        return picked
 
-    def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
-        """A random commutative cube: the faces drawn in draw order, each
-        uniform over the squares fitting the faces before it, and the lid
-        folded.  ``fixed`` = (slot, square index) pins d3-, d2- or d1+."""
+    def draw_faces(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> dict:
+        """The five non-lid faces of a ``draw``, by slot, drawn as it draws them."""
         faces = dict([fixed]) if fixed else {}
         if faces.keys() - {"d3-", "d2-", "d1+"}:
             raise PreconditionFailed(f"cannot pin face {fixed[0]!r} while sampling")
@@ -403,6 +404,13 @@ class CubeKernel:
         for slot in _DRAW_ORDER:
             if slot not in faces:
                 faces[slot] = self._pick(rng, slot, faces)
+        return faces
+
+    def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
+        """A random commutative cube: the faces drawn in draw order, each
+        uniform over the squares fitting the faces before it, and the lid
+        folded.  ``fixed`` = (slot, square index) pins d3-, d2- or d1+."""
+        faces = self.draw_faces(rng, fixed)
         faces["d1-"] = int(self._fold(faces))
         return tuple(faces[slot] for slot in FACE_SLOTS)
 

@@ -33,6 +33,7 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +173,21 @@ class _Groups:
     def members(self, *arrows) -> np.ndarray:
         lo, hi = self.spans.get(self.pack(arrows), (0, 0))
         return self.order[lo:hi]
+
+    @cached_property
+    def _order(self) -> list:
+        return self.order.tolist()
+
+    def pick(self, rng: random.Random, key: int) -> int | None:
+        """A uniform member of the group of the packed ``key`` (over one
+        column, the key is that column's entry), by one ``rng.randrange``
+        over the group's size: the draw ``members[rng.randrange(len(members))]``
+        makes, as a plain int.  None, with no draw, when the group is empty."""
+        span = self.spans.get(key)
+        if span is None:
+            return None
+        lo, hi = span
+        return self._order[lo + rng.randrange(hi - lo)]
 
     def rank(self) -> np.ndarray:
         """Each index's position within its group."""
@@ -798,16 +814,16 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
         quads = []
         # with no arrangement at all every draw would fail, so draw none
         drawable = count_compatible_quadruples(model) > 0
+        R, B = c.R.tolist(), c.B.tolist()
         while drawable and len(quads) < samples:
             x = rng.randrange(n)
-            ys, zs = by_left.members(c.R[x]), by_top.members(c.B[x])
-            if not len(ys) or not len(zs):
+            # draw y only once the groups of y and z are both non-empty
+            if R[x] not in by_left.spans or B[x] not in by_top.spans:
                 continue
-            y, z = ys[rng.randrange(len(ys))], zs[rng.randrange(len(zs))]
-            ws = by_corner.members(c.R[z], c.B[y])
-            if not len(ws):
-                continue
-            quads.append((x, y, z, ws[rng.randrange(len(ws))]))
+            y, z = by_left.pick(rng, R[x]), by_top.pick(rng, B[x])
+            w = by_corner.pick(rng, by_corner.pack((R[z], B[y])))
+            if w is not None:
+                quads.append((x, y, z, w))
         report.count(len(quads))
         x, y, z, w = np.array(quads, np.intp).reshape(-1, 4).T
         # tables() defines every entry an edge-compatible pair reads

@@ -190,21 +190,23 @@ def _draw_grids(model, seed: int) -> np.ndarray:
     c = model.code()
     R, B = c.R.tolist(), c.B.tolist()
     by_left, by_top = model.groups("left"), model.groups("top")
-    by_both, every = model.groups("left", "top"), range(len(model.squares))
+    by_both, n = model.groups("left", "top"), len(model.squares)
     rng = random.Random(seed)
     grids = []
     for _ in range(500):
         g = [[0] * 3 for _ in range(3)]
         for i, j in itertools.product(range(3), repeat=2):
             if i and j:
-                options = by_both.members(R[g[i][j - 1]], B[g[i - 1][j]])
+                cell = by_both.pick(rng, by_both.pack((R[g[i][j - 1]], B[g[i - 1][j]])))
             elif j:
-                options = by_left.members(R[g[i][j - 1]])
+                cell = by_left.pick(rng, R[g[i][j - 1]])
             elif i:
-                options = by_top.members(B[g[i - 1][j]])
+                cell = by_top.pick(rng, B[g[i - 1][j]])
             else:
-                options = every
-            g[i][j] = int(options[rng.randrange(len(options))])
+                cell = rng.randrange(n)
+            if cell is None:  # what the draw from no squares raised
+                raise ValueError("empty range for randrange()")
+            g[i][j] = cell
         grids.append(g)
     return np.array(grids, np.intp)
 
@@ -288,14 +290,20 @@ def _s3_samples(r: Report, seed: int) -> int:
     k = CubeKernel(square_model(group_as_groupoid(symmetric_group(3), name="s3")))
     rng = random.Random(seed)
     d = np.empty(rounds, np.intp)
-    c1, c2 = np.empty((rounds, 6), np.intp), np.empty((rounds, 6), np.intp)
+    pairs = np.empty((rounds, 2, 6), np.intp)  # each round's c1 and c2, lids -1 until folded
     for n in range(rounds):
         d[n] = e = rng.randrange(1, 4)
-        drawn = k.draw(rng)
-        # a lid is folded, never pinned: direction 1 pins the upper cube's base
-        pin, shared = ("d1+", "d1-") if e == 1 else (f"d{e}-", f"d{e}+")
-        other = k.draw(rng, fixed=(pin, drawn[FACE_SLOTS.index(shared)]))
-        c1[n], c2[n] = (other, drawn) if e == 1 else (drawn, other)
+        drawn = k.draw_faces(rng)
+        if e == 1:  # a lid is folded, never pinned: pin the upper cube's base to it
+            drawn["d1-"] = int(k._fold(drawn))
+            other = k.draw_faces(rng, fixed=("d1+", drawn["d1-"]))
+        else:
+            other = k.draw_faces(rng, fixed=(f"d{e}-", drawn[f"d{e}+"]))
+        for row, faces in zip(pairs[n], (other, drawn) if e == 1 else (drawn, other)):
+            row[:] = [faces.get(slot, -1) for slot in FACE_SLOTS]
+    lidless = pairs[..., 0] < 0
+    pairs[lidless, 0] = k._fold(dict(zip(FACE_SLOTS, pairs[lidless].T)))
+    c1, c2 = pairs[:, 0], pairs[:, 1]
     comp = np.empty_like(c1)
     for e in (1, 2, 3):
         comp[d == e] = k.compose(c1[d == e], c2[d == e], e)

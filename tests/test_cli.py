@@ -1,12 +1,19 @@
+import argparse
+import contextlib
 import importlib.resources as resources
+import io
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpdkit import cli
 from gpdkit.cli import main
+from gpdkit.report import Report
 
 
 def data(name: str) -> str:
@@ -554,3 +561,154 @@ def test_oversized_model_is_refused_before_its_squares_are_built(tmp_path, capsy
         "24461180928 bytes, over the limit of 268435456"
     ) in out.splitlines()
     assert out.rstrip().endswith("RESULT fail")
+
+
+# -- the parser main shares across calls ----------------------------------------
+
+def fresh_process(args) -> str:
+    """What ``vk`` prints for ``args`` in a new interpreter, which builds its own parser."""
+    proc = subprocess.run([sys.executable, "-m", "gpdkit.cli", *args],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout
+
+
+def test_importing_the_cli_builds_no_parser_and_a_process_builds_one():
+    script = (
+        "import gpdkit.cli as cli\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        "cli.main(['eh-scan', '--max-size', '1'])\n"
+        "cli.main(['eh-scan', '--max-size', '2'])\n"
+        "info = cli._parser.cache_info()\n"
+        "assert (info.misses, info.hits) == (1, 1), info\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_second_main_call_constructs_no_parser(capsys, monkeypatch):
+    run_cli(["eh-scan", "--max-size", "1"], capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out = run_cli(["eh-scan", "--max-size", "2"], capsys)
+    assert code == 0 and "result: ok" in out
+    assert built == []
+
+
+def test_a_battery_selection_does_not_leak_into_the_next_call(capsys):
+    args = ["--format", "machine", "count-morphisms", data("wedge.vk")]
+    code, out = run_cli([*args, "--test-groupoid", "s3"], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("COUNT")] == ["COUNT s3 36"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == fresh_process(args)
+
+
+@pytest.mark.parametrize("first", [
+    ["--format", "text", "--seed", "5", "suite"],
+    ["--format", "machine", "--seed", "5", "suite"],
+    ["suite", "--format", "machine", "--seed", "5"],
+])
+def test_format_and_seed_fall_back_to_their_defaults_on_every_call(capsys, monkeypatch, first):
+    seeds = []
+
+    def suite(seed, only):
+        seeds.append(seed)
+        return Report("suite")
+
+    monkeypatch.setattr("gpdkit.cli.run_suite", suite)
+    run_cli(first, capsys)
+    code, out = run_cli(["suite"], capsys)
+    assert code == 0
+    assert seeds == [5, 0]
+    assert out.startswith("command: suite\n")  # the text format
+
+
+@pytest.mark.parametrize("bad", [
+    ["check", "--no-such-option"],
+    ["square", "frobnicate", data("squares.vk")],
+    ["vertex-group", data("circle.vk")],  # --base is required
+    ["eh-scan", "--max-size", "three"],
+    ["no-such-command"],
+])
+def test_an_argparse_error_leaves_the_next_call_intact(capsys, bad):
+    args = ["--format", "machine", "check", data("a3s3.vk")]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == fresh_process(args)
+
+
+# -- fuzzing the command line -------------------------------------------------------
+
+DATA = Path(data(""))
+BUNDLED = sorted(str(p) for p in DATA.glob("*.vk"))  # the bad ones too
+PATHS = [*BUNDLED, str(DATA / "no-such-workspace.vk")]
+# every word in the bundled workspaces: names of objects, arrows, groups, ...
+NAMES = sorted({w for p in BUNDLED
+                for w in re.findall(r"\(\w+\)|\w+", re.sub("#.*", "", Path(p).read_text()))})
+
+
+def _commands() -> dict:
+    """Each subcommand but ``suite``: its positional choices, if any, and its
+    options other than --help, --format and --seed, read off the parser."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    for name, parser in sub.choices.items():
+        if name == "suite":
+            continue
+        actions = [a for a in parser._actions if a.dest not in ("help", "format", "seed")]
+        choices = [a.choices for a in actions if not a.option_strings and a.choices]
+        out[name] = (choices[0] if choices else None, [a for a in actions if a.option_strings])
+    return out
+
+
+COMMANDS = _commands()
+
+
+def _value(action):
+    if action.nargs == 0:
+        return st.just([])
+    if action.type is int:
+        # --max-size 4 is a legitimate scan of several seconds; larger sizes are refused
+        values = st.integers(-1, 3).map(str)
+    else:
+        values = st.sampled_from([*(action.choices or ()), *NAMES])
+    return values.map(lambda v: [v])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    action, options = COMMANDS[command]
+    argv = ["--format", "machine", command]
+    if action:
+        argv.append(draw(st.sampled_from([*action, "nope"])))
+    argv += draw(st.lists(st.sampled_from(PATHS), max_size=2))
+    for option in draw(st.lists(st.sampled_from(options), unique=True)) if options else ():
+        argv += [draw(st.sampled_from(option.option_strings)), *draw(_value(option))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_fuzzed_command_lines_end_in_a_verdict_or_a_usage_error(argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    last = out.getvalue().splitlines()[-1]
+    assert (code, last) in ((0, "RESULT ok"), (1, "RESULT fail")), argv
