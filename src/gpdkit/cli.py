@@ -3,6 +3,10 @@
 One logical command per invocation; exit status is 0 exactly when the
 report says ok.  ``--format machine`` produces the stable line format for
 golden-file testing, ``--seed`` pins every randomized sweep.
+
+Each handler imports the layers it calls in its own body, so importing this
+module loads only the errors and report modules, and a command loads only
+the layers it runs: a workspace without cubes never loads numpy.
 """
 
 import argparse
@@ -11,27 +15,8 @@ import time
 from contextlib import suppress
 from functools import cache
 
-from . import textfmt
-from .crossed import validate_crossed_module
-from .cubes import commutativity_oracle, fold_five_faces
-from .dgt import (
-    check_table_size,
-    find_xmod_isomorphism,
-    gamma,
-    lambda_functor,
-    lambda_square_count,
-    validate_dgt,
-)
-from .eckmann import eckmann_hilton_scan
 from .errors import GpdError, PreconditionFailed, UnknownCommand
-from .finite import standard_battery, validate_finite_group, validate_finite_groupoid
-from .freemodules import induce_free_module
-from .grids import grid_compose
-from .morphisms import enumerate_morphisms
 from .report import Report, emit
-from .squares import comp_h, comp_v, inv_h, inv_v, recheck_boundary
-from .suite import run_suite
-from .vkt import check_pushout_universal, pushout, tietze_simplify, vertex_group, Pushout
 
 
 def _name(args) -> str:
@@ -40,8 +25,10 @@ def _name(args) -> str:
     return f"{args.command}-{action}" if action else args.command
 
 
-def _load(args) -> textfmt.Workspace:
-    return textfmt.parse_workspace(args.files)
+def _load(args):
+    from .textfmt import parse_workspace
+
+    return parse_workspace(args.files)
 
 
 def _the(table: dict, kind: str, name: str | None):
@@ -57,6 +44,8 @@ def _the(table: dict, kind: str, name: str | None):
 
 
 def _battery(args):
+    from .finite import standard_battery
+
     battery = {f.name: f for f in standard_battery()}
     for n in args.test_groupoid:
         if n not in battery:
@@ -67,6 +56,10 @@ def _battery(args):
 
 
 def cmd_check(args) -> Report:
+    from .crossed import validate_crossed_module
+    from .finite import validate_finite_group, validate_finite_groupoid
+    from .squares import recheck_boundary
+
     ws = _load(args)
     r = Report("check")
     names = (
@@ -97,6 +90,9 @@ def cmd_check(args) -> Report:
 
 
 def cmd_pushout(args) -> Report:
+    from .textfmt import print_presentation
+    from .vkt import pushout
+
     ws = _load(args)
     span = _the(ws.spans, "span", args.name)
     po = pushout(span)
@@ -105,12 +101,14 @@ def cmd_pushout(args) -> Report:
     r.counts["generators"] = len(po.presentation.generators)
     r.counts["relations"] = len(po.presentation.relations)
     r.payload.append(po.presentation.pretty())
-    r.payload.extend(textfmt.print_presentation(po.presentation).splitlines())
+    r.payload.extend(print_presentation(po.presentation).splitlines())
     return r
 
 
 def _resolve_presentation(ws, args):
     """A presentation to work on: named, sole, or the sole span's pushout."""
+    from .vkt import pushout
+
     if args.presentation:
         return _the(ws.presentations, "presentation", args.presentation)
     if getattr(args, "span", None):
@@ -123,6 +121,8 @@ def _resolve_presentation(ws, args):
 
 
 def cmd_vertex_group(args) -> Report:
+    from .vkt import tietze_simplify, vertex_group
+
     ws = _load(args)
     p = _resolve_presentation(ws, args)
     tree = None
@@ -142,6 +142,8 @@ def cmd_vertex_group(args) -> Report:
 
 
 def cmd_check_universal(args) -> Report:
+    from .vkt import Pushout, check_pushout_universal, pushout
+
     ws = _load(args)
     span = _the(ws.spans, "span", args.span or args.name)
     if args.candidate:
@@ -162,6 +164,8 @@ def cmd_check_universal(args) -> Report:
 
 
 def cmd_square(args) -> Report:
+    from .squares import comp_h, comp_v, inv_h, inv_v, recheck_boundary
+
     ws = _load(args)
     r = Report(_name(args))
     if args.action == "compose":
@@ -179,6 +183,8 @@ def cmd_square(args) -> Report:
 
 
 def cmd_grid(args) -> Report:
+    from .grids import grid_compose
+
     ws = _load(args)
     grid = _the(ws.grids, "grid", args.name)
     out = grid_compose(grid)
@@ -190,6 +196,8 @@ def cmd_grid(args) -> Report:
 
 
 def cmd_cube(args) -> Report:
+    from .cubes import commutativity_oracle, fold_five_faces
+
     ws = _load(args)
     cube = _the(ws.cubes, "cube", args.name)
     r = Report(_name(args))
@@ -206,12 +214,16 @@ def cmd_cube(args) -> Report:
 
 
 def cmd_xmod(args) -> Report:
+    from .crossed import validate_crossed_module
+
     ws = _load(args)
     xm = _the(ws.xmods, "xmod", args.name)
     r = Report(_name(args))
     if args.action == "validate":
         r.merge(validate_crossed_module(xm))
     elif args.action == "lambda":
+        from .dgt import check_table_size, lambda_functor, lambda_square_count, validate_dgt
+
         # validate_dgt needs the tables: refuse them before building a square
         name = f"squares({xm.name})"
         check_table_size(name, lambda_square_count(xm))
@@ -220,6 +232,8 @@ def cmd_xmod(args) -> Report:
         r.counts["thin"] = len(model.thin_squares)
         r.merge(validate_dgt(model, interchange="sampled", seed=args.seed, samples=2000))
     elif args.action == "gamma":
+        from .dgt import find_xmod_isomorphism, gamma, lambda_functor
+
         model = lambda_functor(xm)
         back = gamma(model)
         r.merge(validate_crossed_module(back))
@@ -233,6 +247,8 @@ def cmd_xmod(args) -> Report:
 
 
 def cmd_eh_scan(args) -> Report:
+    from .eckmann import eckmann_hilton_scan
+
     r = Report("eh-scan")
     law = eckmann_hilton_scan(args.max_size)
     for n, t in law.totals.items():
@@ -244,6 +260,8 @@ def cmd_eh_scan(args) -> Report:
 
 
 def cmd_induce(args) -> Report:
+    from .freemodules import induce_free_module
+
     ws = _load(args)
     mod = _the(ws.modules, "freemodule", args.module)
     f = _the(ws.morphisms, "morphism", args.morphism)
@@ -256,6 +274,8 @@ def cmd_induce(args) -> Report:
 
 
 def cmd_suite(args) -> Report:
+    from .suite import run_suite
+
     only = None
     if args.criteria is not None:
         only = {k.strip() for k in args.criteria.split(",")} - {""}
@@ -263,6 +283,8 @@ def cmd_suite(args) -> Report:
 
 
 def cmd_morphisms(args) -> Report:
+    from .morphisms import enumerate_morphisms
+
     ws = _load(args)
     p = _resolve_presentation(ws, args)
     r = Report("count-morphisms")
@@ -272,9 +294,11 @@ def cmd_morphisms(args) -> Report:
 
 
 def cmd_print(args) -> Report:
+    from .textfmt import print_workspace
+
     ws = _load(args)
     r = Report("print")
-    r.payload.extend(textfmt.print_workspace(ws).splitlines())
+    r.payload.extend(print_workspace(ws).splitlines())
     return r
 
 
@@ -391,7 +415,7 @@ def _parser() -> argparse.ArgumentParser:
     Sharing is safe: parsing leaves the parser as it was, ``--format`` and
     ``--seed`` default to SUPPRESS and are filled in per call, argparse
     copies an ``append`` default before appending to it, and the handlers
-    read the module's names when they run.  Built lazily, not at import, so
+    import what they call when they run.  Built lazily, not at import, so
     importing the module builds no parser.
     """
     return build_parser()

@@ -52,22 +52,46 @@ def _is_monoid(n: int, op: Table, e: int) -> bool:
 
 
 def enumerate_monoids(n: int) -> list[tuple[Table, int]]:
-    """All monoid tables on {0..n-1}, each with its (unique) identity."""
+    """All monoid tables on {0..n-1}, each with its (unique) identity.
+
+    For each identity e, the cells off e's row and column are filled one at
+    a time in row-major order, each with 0..n-1 in turn, so the tables come
+    out in the order of a product over those cells.  A partial table is
+    dropped as soon as a triple whose four cells are all filled breaks
+    associativity, so every table that comes out is associative.
+    """
     found = []
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    triples = list(itertools.product(range(n), repeat=3))
     for e in range(n):
-        free = [(i, j) for i, j in cells if i != e and j != e]
-        for values in itertools.product(range(n), repeat=len(free)):
-            table = [[0] * n for _ in range(n)]
-            for x in range(n):
-                table[e][x] = x
-                table[x][e] = x
-            for (i, j), v in zip(free, values):
+        table = [[-1] * n for _ in range(n)]  # -1: not filled yet
+        for x in range(n):
+            table[e][x] = table[x][e] = x
+        free = [(i, j) for i in range(n) for j in range(n) if i != e and j != e]
+
+        def fill(k):
+            if k == len(free):
+                found.append((tuple(map(tuple, table)), e))
+                return
+            i, j = free[k]
+            for v in range(n):
                 table[i][j] = v
-            op = tuple(tuple(row) for row in table)
-            if _is_associative(n, op):
-                found.append((op, e))
+                if not _breaks_associativity(table, triples):
+                    fill(k + 1)
+            table[i][j] = -1
+
+        fill(0)
     return found
+
+
+def _breaks_associativity(table: list[list[int]], triples) -> bool:
+    """Whether some triple whose four cells are filled (>= 0) is not associative."""
+    for a, b, c in triples:
+        x, y = table[a][b], table[b][c]
+        if x >= 0 and y >= 0:
+            left, right = table[x][c], table[a][y]
+            if left != right and left >= 0 and right >= 0:
+                return True
+    return False
 
 
 def interchange_holds(n: int, op1: Table, op2: Table) -> bool:
@@ -78,6 +102,32 @@ def interchange_holds(n: int, op1: Table, op2: Table) -> bool:
         for c in range(n)
         for d in range(n)
     )
+
+
+def _interchange_pairs(n: int, monoids: list[tuple[Table, int]]):
+    """Each ordered pair of ``monoids`` that satisfies the interchange law, in
+    the order of ``itertools.product(monoids, repeat=2)``: ``interchange_holds``
+    over the whole list at once.
+
+    For each first table the list of second tables, flattened row-major,
+    shrinks one quadruple at a time; quadruples over four distinct cells go
+    first because they drop most tables soonest.
+    """
+    quads = sorted(
+        ((a * n + b, c * n + d, a * n + c, b * n + d)
+         for a, b, c, d in itertools.product(range(n), repeat=4)),
+        key=lambda q: -len(set(q)),
+    )
+    flat = {sum(op, ()): (op, e) for op, e in monoids}
+    for o1, first in flat.items():
+        seconds = list(flat)
+        for ab, cd, ac, bd in quads:
+            lhs = o1[ab] * n + o1[cd]
+            seconds = [o2 for o2 in seconds if o2[lhs] == o1[o2[ac] * n + o2[bd]]]
+            if not seconds:
+                break
+        for o2 in seconds:
+            yield first, flat[o2]
 
 
 def eckmann_hilton_scan(max_size: int) -> Report:
@@ -96,12 +146,9 @@ def eckmann_hilton_scan(max_size: int) -> Report:
     totals = {}
     for n in range(1, max_size + 1):
         monoids = enumerate_monoids(n)
-        pairs = 0
+        pairs = len(monoids) ** 2
         passing = 0
-        for (op1, e1), (op2, e2) in itertools.product(monoids, repeat=2):
-            pairs += 1
-            if not interchange_holds(n, op1, op2):
-                continue
+        for (op1, e1), (op2, e2) in _interchange_pairs(n, monoids):
             passing += 1
             report.count(3)
             if e1 != e2:

@@ -58,6 +58,15 @@ class GroupoidMorphism:
                         f"{self.name}: relation {lhs} = {rhs} not preserved"
                     )
 
+    @classmethod
+    def _trusted(cls, name, domain, codomain, object_map, gen_map) -> "GroupoidMorphism":
+        """A morphism whose caller built every image and checked every
+        relation: the same fields, without ``__post_init__``'s second pass."""
+        m = object.__new__(cls)
+        m.__dict__.update(name=name, domain=domain, codomain=codomain,
+                          object_map=object_map, gen_map=gen_map)
+        return m
+
     def canonical(self):
         """Hashable form used to compare morphisms into finite targets."""
         gm = []
@@ -159,9 +168,7 @@ def enumerate_morphisms(p: GroupoidPresentation, f: FiniteGroupoid) -> list[Grou
             gen_map = dict(zip((g.name for g in generators), gen_images))
             if all(_arrow(f, object_map, gen_map, lhs) == _arrow(f, object_map, gen_map, rhs)
                    for lhs, rhs in p.relations):
-                found.append(
-                    GroupoidMorphism(
-                        f"{p.name}->{f.name}#{len(found)}", p, f, object_map, gen_map
-                    )
-                )
+                found.append(GroupoidMorphism._trusted(
+                    f"{p.name}->{f.name}#{len(found)}", p, f, object_map, gen_map
+                ))
     return found

@@ -10,6 +10,7 @@ Words are dot-separated signed letters (``a.b^-1.c``) or ``id(obj)``.
 """
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .crossed import (
     CrossedModuleData,
@@ -32,9 +33,11 @@ from .grids import Grid
 from .morphisms import GroupoidMorphism
 from .presentations import GroupoidPresentation, discrete_presentation
 from .squares import Square, make_square
-from .cubes import FACE_SLOTS, Cube, make_cube
 from .vkt import Span
 from .words import ArrowGen, Word
+
+if TYPE_CHECKING:  # cubes load the square kernel and numpy: only a cube block imports them
+    from .cubes import Cube
 
 
 @dataclass
@@ -47,7 +50,7 @@ class Workspace:
     xmods: dict[str, CrossedModuleData] = field(default_factory=dict)
     squares: dict[str, Square] = field(default_factory=dict)
     grids: dict[str, Grid] = field(default_factory=dict)
-    cubes: dict[str, Cube] = field(default_factory=dict)
+    cubes: "dict[str, Cube]" = field(default_factory=dict)
     modules: dict[str, FreeModule] = field(default_factory=dict)
 
     def kinds(self):
@@ -422,8 +425,7 @@ class _Parser:
         name, names = rest.split(":", 1)
         faces = names.split()
         _expect(len(faces) == 6, head, "a cube needs exactly six faces (d1- d1+ d2- d2+ d3- d3+)")
-        self.pending.append(("cube", name.strip(), head, lambda: make_cube(
-            *(self._need(self.ws.squares, f, "square", head) for f in faces))))
+        self.pending.append(("cube", name.strip(), head, lambda: self._cube(faces, head)))
 
     def parse_freemodule(self, block, rest):
         head = block[0]
@@ -587,6 +589,11 @@ class _Parser:
         cells = [self._need(self.ws.squares, n, "square", head) for n in names]
         return Grid(tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows)))
 
+    def _cube(self, faces, head: _Line) -> "Cube":
+        from .cubes import make_cube
+
+        return make_cube(*(self._need(self.ws.squares, f, "square", head) for f in faces))
+
 
 def parse_workspace(files) -> Workspace:
     """Parse one or more (path, content) pairs or file paths into a workspace.
@@ -720,6 +727,8 @@ def print_workspace(ws: Workspace) -> str:
         if all(cell in square_names for cell in cells):
             chunks.append(f"grid {name} {g.rows}x{g.cols}: " + " ".join(square_names[c] for c in cells))
     for name in sorted(ws.cubes):
+        from .cubes import FACE_SLOTS
+
         faces = [ws.cubes[name].face(slot) for slot in FACE_SLOTS]
         if all(f in square_names for f in faces):
             chunks.append(f"cube {name}: " + " ".join(square_names[f] for f in faces))

@@ -9,11 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpdkit import cli
 from gpdkit.cli import main
 from gpdkit.report import Report
+from test_textfmt import _BUNDLED, edited_workspace
 
 
 def data(name: str) -> str:
@@ -553,7 +554,7 @@ def test_oversized_model_is_refused_before_its_squares_are_built(tmp_path, capsy
     def refuse(*args, **kwargs):
         raise AssertionError("lambda_functor ran")
 
-    monkeypatch.setattr("gpdkit.cli.lambda_functor", refuse)
+    monkeypatch.setattr("gpdkit.dgt.lambda_functor", refuse)
     code, out = run_cli(["--format", "machine", "xmod", "lambda", str(ws)], capsys)
     assert code == 1
     assert (
@@ -622,7 +623,7 @@ def test_format_and_seed_fall_back_to_their_defaults_on_every_call(capsys, monke
         seeds.append(seed)
         return Report("suite")
 
-    monkeypatch.setattr("gpdkit.cli.run_suite", suite)
+    monkeypatch.setattr("gpdkit.suite.run_suite", suite)
     run_cli(first, capsys)
     code, out = run_cli(["suite"], capsys)
     assert code == 0
@@ -645,6 +646,39 @@ def test_an_argparse_error_leaves_the_next_call_intact(capsys, bad):
     code, out = run_cli(args, capsys)
     assert code == 0
     assert out == fresh_process(args)
+
+
+# -- what a command loads ------------------------------------------------------------
+
+LOADS = """
+import contextlib, io, sys
+import gpdkit.cli as cli
+
+def gpdkit_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "gpdkit")
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+circle, wedge, a3s3 = sys.argv[1:]
+assert gpdkit_modules() == ["gpdkit", "gpdkit.cli", "gpdkit.errors", "gpdkit.report"], gpdkit_modules()
+assert "numpy" not in sys.modules
+run("pushout", circle)
+run("count-morphisms", wedge)
+run("eh-scan", "--max-size", "2")
+assert "numpy" not in sys.modules and "gpdkit.dgt" not in sys.modules, gpdkit_modules()
+run("xmod", "lambda", a3s3)
+assert "gpdkit.dgt" in sys.modules and "gpdkit.suite" not in sys.modules, gpdkit_modules()
+"""
+
+
+def test_a_command_loads_only_the_layers_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS, data("circle.vk"), data("wedge.vk"), data("a3s3.vk")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- fuzzing the command line -------------------------------------------------------
@@ -678,7 +712,7 @@ def _value(action):
     if action.nargs == 0:
         return st.just([])
     if action.type is int:
-        # --max-size 4 is a legitimate scan of several seconds; larger sizes are refused
+        # --max-size 4 is a legitimate scan of a few tenths of a second; larger sizes are refused
         values = st.integers(-1, 3).map(str)
     else:
         values = st.sampled_from([*(action.choices or ()), *NAMES])
@@ -710,5 +744,65 @@ def test_fuzzed_command_lines_end_in_a_verdict_or_a_usage_error(argv):
     except SystemExit as exc:
         assert exc.code == 2, argv
         return
+    last = out.getvalue().splitlines()[-1]
+    assert (code, last) in ((0, "RESULT ok"), (1, "RESULT fail")), argv
+
+
+# -- fuzzing workspace text through the command line ---------------------------------
+
+# every command that reads a workspace, with each of its actions
+EDITED_COMMANDS = [
+    [name, *([action] if action else [])]
+    for name, (actions, _) in sorted(COMMANDS.items()) if name != "eh-scan"
+    for action in (actions or [None])
+]
+
+
+@st.composite
+def edited_runs(draw):
+    """A workspace, bundled or edited, one command that reads it, and options
+    valued from the names it declares, each value one that argparse accepts."""
+    content = draw(st.one_of(st.sampled_from(sorted(_BUNDLED)).map(_BUNDLED.get), edited_workspace()))
+    command = draw(st.sampled_from(EDITED_COMMANDS))
+    names = re.findall(r"^(?:groupoid|finite|group|morphism|span|xmod|square|grid|cube|freemodule)"
+                       r" +(\w+)", content, re.M) or ["none"]
+    argv = ["--base", "0"] if command[0] == "vertex-group" else []
+    options = COMMANDS[command[0]][1]
+    for option in draw(st.lists(st.sampled_from(options), unique=True)) if options else ():
+        value = [] if option.nargs == 0 else [draw(st.sampled_from(option.choices or names))]
+        argv += [option.option_strings[0], *value]
+    return content, command, argv
+
+
+@pytest.fixture(scope="module")
+def edited_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "edited.vk"
+
+
+# one run of each command that gets past its lookups, so that each handler's
+# imports run whatever the draws reach
+@example(run=(_BUNDLED["a3s3.vk"], ["check"], []))
+@example(run=(_BUNDLED["circle.vk"], ["check-universal"], ["--test-groupoid", "c2"]))
+@example(run=(_BUNDLED["wedge.vk"], ["count-morphisms"], []))
+@example(run=(_BUNDLED["squares.vk"], ["cube", "check"], ["--name", "box"]))
+@example(run=(_BUNDLED["squares.vk"], ["grid", "compose"], ["--name", "demo"]))
+@example(run=(_BUNDLED["disk_module.vk"], ["induce"], ["--module", "disk", "--morphism", "wrap"]))
+@example(run=(_BUNDLED["squares.vk"], ["print"], []))
+@example(run=(_BUNDLED["circle.vk"], ["pushout"], []))
+@example(run=(_BUNDLED["squares.vk"], ["square", "compose"], ["--left", "sq_left", "--right", "sq_right"]))
+@example(run=(_BUNDLED["squares.vk"], ["square", "invert"], ["--name", "sq_left"]))
+@example(run=(_BUNDLED["circle.vk"], ["vertex-group"], ["--base", "0"]))
+@example(run=(_BUNDLED["a3s3.vk"], ["xmod", "validate"], []))
+@example(run=(_BUNDLED["a3s3.vk"], ["xmod", "lambda"], []))
+@example(run=(_BUNDLED["a3s3.vk"], ["xmod", "gamma"], []))
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(run=edited_runs())
+def test_edited_workspaces_end_in_a_verdict(edited_path, run):
+    content, command, options = run
+    edited_path.write_text(content)
+    argv = ["--format", "machine", *command, str(edited_path), *options]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
     last = out.getvalue().splitlines()[-1]
     assert (code, last) in ((0, "RESULT ok"), (1, "RESULT fail")), argv

@@ -4,6 +4,7 @@ import pytest
 
 from gpdkit.eckmann import (
     MonoidPair,
+    _interchange_pairs,
     eckmann_hilton_scan,
     enumerate_monoids,
     interchange_holds,
@@ -69,6 +70,43 @@ def test_scan_confirms_collapse_up_to_three():
     for op1, op2 in survivors:
         assert op1 == op2
         assert all(op1[a][b] == op1[b][a] for a in range(3) for b in range(3))
+
+
+def test_size_four_keeps_its_totals():
+    rep = eckmann_hilton_scan(4)
+    assert rep.ok
+    assert rep.totals[4] == {
+        "monoids": 624,
+        "pairs": 389_376,
+        "interchange_pairs": 376,
+        "filtered_out": 389_000,
+    }
+
+
+def test_monoids_come_out_in_product_order():
+    """Each table is a monoid with its identity, and per identity the cells
+    off its row and column rise strictly: with the count, that is the list a
+    product over those cells gives."""
+    n = 4
+    monoids = enumerate_monoids(n)
+    for op, e in monoids:
+        MonoidPair(n, op, e, op, e)
+    keys = [
+        (e, tuple(op[i][j] for i in range(n) for j in range(n) if e not in (i, j)))
+        for op, e in monoids
+    ]
+    assert keys == sorted(set(keys))
+    assert len(keys) == 624
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_interchange_filter_matches_the_pairwise_check(n):
+    monoids = enumerate_monoids(n)
+    assert list(_interchange_pairs(n, monoids)) == [
+        (m1, m2)
+        for m1, m2 in itertools.product(monoids, repeat=2)
+        if interchange_holds(n, m1[0], m2[0])
+    ]
 
 
 def test_mixed_pair_is_filtered():

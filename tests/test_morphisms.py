@@ -1,9 +1,15 @@
+import importlib.resources as resources
 import itertools
 
 import pytest
 
 from gpdkit.errors import EndpointMismatch, InvalidMorphism
-from gpdkit.finite import group_as_groupoid, interval_finite_groupoid, symmetric_group
+from gpdkit.finite import (
+    group_as_groupoid,
+    interval_finite_groupoid,
+    standard_battery,
+    symmetric_group,
+)
 from gpdkit.morphisms import (
     GroupoidMorphism,
     compose_morphisms,
@@ -12,6 +18,8 @@ from gpdkit.morphisms import (
     identity_morphism,
 )
 from gpdkit.presentations import GroupoidPresentation, interval_groupoid
+from gpdkit.textfmt import parse_workspace
+from gpdkit.vkt import pushout
 from gpdkit.words import ArrowGen, Word, free_reduce, generator_word
 
 
@@ -117,6 +125,26 @@ def test_enumeration_matches_brute_force_oracle():
             ]
             assert ours == sorted(brute_force_assignments(p, f)) or ours == brute_force_assignments(p, f)
             assert sorted(ours) == sorted(brute_force_assignments(p, f))
+
+
+def assignment(m):
+    return tuple(sorted(m.object_map.items())), tuple(sorted(m.gen_map.items()))
+
+
+@pytest.mark.parametrize("workspace", ["circle.vk", "wedge.vk"])
+def test_enumerated_morphisms_pass_the_public_constructor(workspace):
+    """Enumeration skips the constructor's checks; each result must still pass them."""
+    path = resources.files("gpdkit").joinpath("data", workspace)
+    (span,) = parse_workspace([str(path)]).spans.values()
+    p = pushout(span).presentation
+    for f in standard_battery():
+        found = enumerate_morphisms(p, f)
+        rebuilt = [GroupoidMorphism(m.name, m.domain, m.codomain, m.object_map, m.gen_map)
+                   for m in found]
+        assert [(m.name, m.canonical()) for m in rebuilt] == [(m.name, m.canonical()) for m in found]
+        assert sorted(map(assignment, found)) == sorted(brute_force_assignments(p, f))
+        # two generators, no relations, one-object targets: |G|^2 morphisms
+        assert len(found) == {"triv": 1, "c2": 4, "c3": 9, "s3": 36}[f.name]
 
 
 def test_enumeration_is_deterministic():
