@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from .errors import FiberMismatch, NotASubgroup, NotNormal, PreconditionFailed, SizeLimit
+from .errors import FiberMismatch, MissingEntry, NotASubgroup, NotNormal, PreconditionFailed, SizeLimit
 from .finite import (
     FiniteGroup,
     FiniteGroupoid,
@@ -35,16 +35,22 @@ class CrossedModuleData:
     action: dict[tuple[str, str], str]       # (element of M(src p), arrow p) -> element
 
     def boundary(self, obj: str, m: str) -> str:
-        return self.mu[obj][m]
+        try:
+            return self.mu[obj][m]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no boundary of {m} at {obj!r}") from None
 
     def act(self, m: str, p: str) -> str:
         """Apply the stored action ``m^p`` where p runs src -> dst."""
         s = self.base.src[p]
-        if m not in self.fibers[s].elements:
+        if s not in self.fibers or m not in self.fibers[s].elements:
             raise FiberMismatch(
                 f"{self.name}: element {m!r} is not in the fiber at {s!r}"
             )
-        return self.action[(m, p)]
+        try:
+            return self.action[(m, p)]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no action {m}^{p}") from None
 
 
 def validate_crossed_module(x: CrossedModuleData) -> Report:
@@ -237,7 +243,12 @@ def automorphism_xmod(g: FiniteGroup) -> CrossedModuleData:
     P = FiniteGroup(f"aut_{g.name}", tuple(names), table, ident, inverse)
     obj = "*"
     base = group_as_groupoid(P, obj)
-    inner = {m: index[aut_key({x: g.conj(x, m) for x in g.elements})] for m in g.elements}
+    inner = {}
+    for m in g.elements:
+        key = aut_key({x: g.conj(x, m) for x in g.elements})
+        if key not in index:
+            raise PreconditionFailed(f"conjugation by {m} is not an automorphism of {g.name}")
+        inner[m] = index[key]
     action = {
         (m, nm): by_name[nm][m] for m in g.elements for nm in names
     }

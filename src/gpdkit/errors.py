@@ -57,6 +57,10 @@ class NotNormal(GpdError):
         super().__init__(message)
 
 
+class MissingEntry(GpdError):
+    """A table of a finite model lacks the entry an operation looks up."""
+
+
 class FiberMismatch(GpdError):
     """Element does not belong to the fiber an operation expects."""
 

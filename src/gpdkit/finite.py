@@ -9,6 +9,7 @@ to right throughout: ``mul(x, y)`` means "x then y", and for permutations
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import MissingEntry
 from .report import Report
 
 
@@ -23,10 +24,16 @@ class FiniteGroup:
     inverse: dict[str, str]
 
     def mul(self, x: str, y: str) -> str:
-        return self.table[(x, y)]
+        try:
+            return self.table[(x, y)]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no product {x} * {y}") from None
 
     def inv(self, x: str) -> str:
-        return self.inverse[x]
+        try:
+            return self.inverse[x]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no inverse of {x}") from None
 
     def conj(self, m: str, p: str) -> str:
         """Right conjugation p^-1 * m * p."""
@@ -59,7 +66,10 @@ class FiniteGroupoid:
     _hom: dict[tuple[str, str], list[str]] = field(default=None, repr=False, compare=False)
 
     def compose(self, x: str, y: str) -> str:
-        return self.table[(x, y)]
+        try:
+            return self.table[(x, y)]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no composite {x} . {y}") from None
 
     def compose_all(self, arrows) -> str:
         """Fold a nonempty chain of composable arrows left to right."""
@@ -70,10 +80,16 @@ class FiniteGroupoid:
         return out
 
     def inv(self, x: str) -> str:
-        return self.inverse[x]
+        try:
+            return self.inverse[x]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no inverse of {x}") from None
 
     def id_at(self, obj: str) -> str:
-        return self.identity[obj]
+        try:
+            return self.identity[obj]
+        except KeyError:
+            raise MissingEntry(f"{self.name} has no identity at {obj!r}") from None
 
     def is_identity(self, x: str) -> bool:
         return self.identity.get(self.src[x]) == x

@@ -74,7 +74,7 @@ def make_square(xm: CrossedModuleData, elt: str, top: str, right: str,
     if P.dst[bottom] != P.dst[right]:
         raise EndpointMismatch("bottom and right must end at the same corner")
     z = P.dst[right]
-    if elt not in xm.fibers[z].elements:
+    if z not in xm.fibers or elt not in xm.fibers[z].elements:
         raise BoundaryMismatch(f"element {elt!r} is not in the fiber at {z!r}")
     want = boundary_word(xm, top, right, bottom, left)
     have = xm.boundary(z, elt)

@@ -4,57 +4,27 @@ Each criterion returns a Report with its counts and witnesses; `run_suite`
 executes any subset and gathers them into the one report ``vk suite``
 prints.  All randomness is seeded; every assertion is exact (no tolerances
 anywhere).
+
+Each criterion imports the layers it calls in its own body, so importing
+this module loads neither numpy nor any kernel layer, and a criterion
+loads only what it runs: criterion 4 loads the finite groups, crossed
+modules, squares and the double-groupoid tables, and nothing else.
 """
 
 import itertools
 import random
-from functools import partial
 
-import numpy as np
-
-from .crossed import from_normal_subgroup, automorphism_xmod, perturb_action_entry, validate_crossed_module
-from .cubes import FACE_SLOTS, CubeKernel, _paste
-from .dgt import (
-    comp_h_unconjugated,
-    connection_transport_report,
-    count_compatible_quadruples,
-    find_interchange_counterexample,
-    find_xmod_isomorphism,
-    gamma,
-    interchange_exhaustive,
-    lambda_functor,
-    square_model,
-)
-from .eckmann import eckmann_hilton_scan
 from .errors import PreconditionFailed, UnknownCommand
-from .finite import (
-    cyclic_group,
-    even_elements,
-    group_as_groupoid,
-    standard_battery,
-    symmetric_group,
-    trivial_group,
-)
-from .grids import (
-    Grid,
-    _fold,
-    _plan,
-    alternating_cut,
-    collapse_commutative_row,
-    columns_first_cut,
-    rows_first_cut,
-)
-from .morphisms import GroupoidMorphism
-from .presentations import GroupoidPresentation, discrete_presentation
 from .report import Report
-from .squares import comp_h, comp_v, conn_minus, conn_plus, is_thin, recheck_boundary, thin_square
-from .vkt import Span, check_pushout_universal, pushout, tietze_simplify, vertex_group
-from .freemodules import FreeModule, induce_free_module
-from .words import ArrowGen, Word, generator_word
 
 
-def circle_span() -> Span:
+def circle_span() -> "Span":
     """Two interval legs glued over the discrete two-point apex."""
+    from .morphisms import GroupoidMorphism
+    from .presentations import GroupoidPresentation, discrete_presentation
+    from .vkt import Span
+    from .words import ArrowGen
+
     apex = discrete_presentation("apex01", ("0", "1"))
     arc1 = GroupoidPresentation("arc1", ("0", "1"), (ArrowGen("a", "0", "1"),))
     arc2 = GroupoidPresentation("arc2", ("0", "1"), (ArrowGen("b", "0", "1"),))
@@ -67,6 +37,9 @@ def circle_span() -> Span:
 
 
 def a3_s3_xmod():
+    from .crossed import from_normal_subgroup
+    from .finite import even_elements, symmetric_group
+
     s3 = symmetric_group(3)
     return from_normal_subgroup(s3, even_elements(s3), name="a3s3")
 
@@ -76,12 +49,16 @@ _MODEL_CACHE = {}
 
 def a3_s3_model():
     if "a3s3" not in _MODEL_CACHE:
+        from .dgt import lambda_functor
+
         _MODEL_CACHE["a3s3"] = lambda_functor(a3_s3_xmod())
     return _MODEL_CACHE["a3s3"]
 
 
 def criterion_1_circle(seed: int = 0) -> Report:
     """Circle via two base points reduces to one free generator."""
+    from .vkt import pushout, tietze_simplify, vertex_group
+
     r = Report("criterion-1 circle-vertex-group")
     po = pushout(circle_span(), name="circle")
     vg = tietze_simplify(vertex_group(po.presentation, "0"))
@@ -95,6 +72,9 @@ def criterion_1_circle(seed: int = 0) -> Report:
 
 def criterion_2_universal(seed: int = 0) -> Report:
     """Universal property of the circle pushout against the battery."""
+    from .finite import standard_battery
+    from .vkt import check_pushout_universal, pushout
+
     r = Report("criterion-2 universal-property")
     span = circle_span()
     po = pushout(span, name="circle")
@@ -111,6 +91,9 @@ def criterion_2_universal(seed: int = 0) -> Report:
 
 def criterion_3_crossed_modules(seed: int = 0) -> Report:
     """Axiom sweeps pass; all 50 seeded action perturbations are caught."""
+    from .crossed import automorphism_xmod, from_normal_subgroup, perturb_action_entry, validate_crossed_module
+    from .finite import cyclic_group, symmetric_group, trivial_group
+
     r = Report("criterion-3 crossed-module-axioms")
     s3 = symmetric_group(3)
     modules = [
@@ -139,6 +122,13 @@ def criterion_3_crossed_modules(seed: int = 0) -> Report:
 
 def criterion_4_interchange(seed: int = 0) -> Report:
     """Exhaustive interchange over the 648-square model; corrupted control."""
+    from .dgt import (
+        comp_h_unconjugated,
+        count_compatible_quadruples,
+        find_interchange_counterexample,
+        interchange_exhaustive,
+    )
+
     r = Report("criterion-4 interchange")
     model = a3_s3_model()
     r.counts["squares"] = model.size()
@@ -161,6 +151,8 @@ def criterion_4_interchange(seed: int = 0) -> Report:
 
 def criterion_5_boundary(seed: int = 0) -> Report:
     """mu(composite) always re-evaluates to the boundary word."""
+    from .squares import comp_h, comp_v, recheck_boundary
+
     r = Report("criterion-5 boundary-law")
     model = a3_s3_model()
     rng = random.Random(seed)
@@ -182,11 +174,13 @@ def criterion_5_boundary(seed: int = 0) -> Report:
     return r
 
 
-def _draw_grids(model, seed: int) -> np.ndarray:
+def _draw_grids(model, seed: int) -> "np.ndarray":
     """500 seeded 3x3 grids over ``model``, as a (500, 3, 3) array of
     square indices.  Each cell is uniform, in model order, over the
     squares whose left and top edges fit the cells drawn before it: the
     draws ``squares_with`` makes, one ``rng`` call per cell."""
+    import numpy as np
+
     c = model.code()
     R, B = c.R.tolist(), c.B.tolist()
     by_left, by_top = model.groups("left"), model.groups("top")
@@ -211,11 +205,18 @@ def _draw_grids(model, seed: int) -> np.ndarray:
     return np.array(grids, np.intp)
 
 
-def _grid_folds(H: np.ndarray, V: np.ndarray, grids: np.ndarray) -> np.ndarray:
+def _grid_folds(H: "np.ndarray", V: "np.ndarray", grids: "np.ndarray") -> "np.ndarray":
     """The (4, n) square indices that a batch of n 3x3 grids folds to in
     the tables ``H``/``V``: rows first, columns first, then alternating
     cuts starting horizontally and vertically, each plan evaluated once on
     the whole batch.  EdgeMismatch where a pasting reads -1."""
+    from functools import partial
+
+    import numpy as np
+
+    from .cubes import _paste
+    from .grids import _fold, _plan, alternating_cut, columns_first_cut, rows_first_cut
+
     cells = grids.transpose(1, 2, 0)  # cells[i][j]: cell (i, j) of every grid
     h, v = partial(_paste, "horizontal", H), partial(_paste, "vertical", V)
     cuts = (rows_first_cut, columns_first_cut, alternating_cut("h"), alternating_cut("v"))
@@ -245,6 +246,9 @@ def criterion_6_grids(seed: int = 0) -> Report:
 
 def criterion_7_connections(seed: int = 0) -> Report:
     """Connections are thin with commuting boundaries; transport is unique."""
+    from .dgt import connection_transport_report
+    from .squares import conn_minus, conn_plus, is_thin, recheck_boundary
+
     r = Report("criterion-7 connections")
     model = a3_s3_model()
     xm = model.xm
@@ -257,7 +261,7 @@ def criterion_7_connections(seed: int = 0) -> Report:
     return r
 
 
-def _commuting(kernel: CubeKernel, cubes: np.ndarray) -> np.ndarray:
+def _commuting(kernel: "CubeKernel", cubes: "np.ndarray") -> "np.ndarray":
     """Per cube: its fold is its lid, and the scalar oracle agrees."""
     return (kernel.fold(cubes) == cubes[:, 0]) & kernel.oracle(cubes)
 
@@ -265,6 +269,10 @@ def _commuting(kernel: CubeKernel, cubes: np.ndarray) -> np.ndarray:
 def _c2_cubes(r: Report) -> int:
     """Every cube of sq(C2) and every composite of two; returns how many
     cubes the oracle checked."""
+    from .cubes import FACE_SLOTS, CubeKernel
+    from .dgt import square_model
+    from .finite import cyclic_group, group_as_groupoid
+
     model = square_model(group_as_groupoid(cyclic_group(2), name="c2"))
     k = CubeKernel(model)
     cubes = k.enumerate()
@@ -286,6 +294,12 @@ def _c2_cubes(r: Report) -> int:
 def _s3_samples(r: Report, seed: int) -> int:
     """Seeded pairs of commutative sq(S3) cubes sharing a face, and their
     composites; returns how many cubes the oracle checked."""
+    import numpy as np
+
+    from .cubes import FACE_SLOTS, CubeKernel
+    from .dgt import square_model
+    from .finite import group_as_groupoid, symmetric_group
+
     rounds = 1000
     k = CubeKernel(square_model(group_as_groupoid(symmetric_group(3), name="s3")))
     rng = random.Random(seed)
@@ -323,6 +337,11 @@ def criterion_8_cubes(seed: int = 0) -> Report:
 
 def criterion_9_row_collapse(seed: int = 0) -> Report:
     """Identity-framed chains of commutative squares force a = b."""
+    from .dgt import square_model
+    from .finite import group_as_groupoid, symmetric_group
+    from .grids import Grid, collapse_commutative_row
+    from .squares import thin_square
+
     r = Report("criterion-9 row-collapse")
     model = square_model(group_as_groupoid(symmetric_group(3), name="s3"))
     xm = model.xm
@@ -359,6 +378,10 @@ def criterion_9_row_collapse(seed: int = 0) -> Report:
 
 def criterion_10_roundtrip(seed: int = 0) -> Report:
     """gamma(lambda(X)) is isomorphic to X by an explicit matching."""
+    from .crossed import automorphism_xmod, from_normal_subgroup, validate_crossed_module
+    from .dgt import find_xmod_isomorphism, gamma, lambda_functor
+    from .finite import symmetric_group, trivial_group
+
     r = Report("criterion-10 equivalence-roundtrip")
     s3 = symmetric_group(3)
     modules = [
@@ -382,6 +405,8 @@ def criterion_10_roundtrip(seed: int = 0) -> Report:
 
 def criterion_11_eckmann_hilton(seed: int = 0, max_size: int = 3) -> Report:
     """Interchange forces one commutative monoid structure."""
+    from .eckmann import eckmann_hilton_scan
+
     r = Report("criterion-11 eckmann-hilton")
     law = eckmann_hilton_scan(max_size)
     for n, t in law.totals.items():
@@ -393,9 +418,12 @@ def criterion_11_eckmann_hilton(seed: int = 0, max_size: int = 3) -> Report:
 
 def criterion_12_free_module(seed: int = 0) -> Report:
     """Induced interval module is free of rank one with a working action."""
-    r = Report("criterion-12 free-module")
-    from .presentations import interval_groupoid
+    from .freemodules import FreeModule, induce_free_module
+    from .morphisms import GroupoidMorphism
+    from .presentations import GroupoidPresentation, interval_groupoid
+    from .words import ArrowGen, Word, generator_word
 
+    r = Report("criterion-12 free-module")
     iv = interval_groupoid()
     mod = FreeModule("disk_module", iv, (("x", "0"),))
     t = ArrowGen("t", "*", "*")

@@ -7,7 +7,18 @@ A file is a sequence of blocks.  Each block starts with a header line
 ``#`` starts a comment; blank lines separate nothing in particular.
 
 Words are dot-separated signed letters (``a.b^-1.c``) or ``id(obj)``.
+
+The builders of groupoid, morphism, span, grid, freemodule and cube
+blocks import their layers in their own bodies, so a workspace of groups,
+crossed modules and squares never loads presentations, morphisms, grids,
+free modules or the van Kampen engine, and only a cube block loads the
+square kernel and numpy.  Words, finite groupoids, crossed modules and
+squares stay at module top: every word goes through ``parse_word_text``,
+and square blocks come by the dozen, where an import per block would
+cost a microsecond or two each.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -18,7 +29,7 @@ from .crossed import (
     from_normal_subgroup,
     trivial_crossed_module,
 )
-from .errors import DuplicateName, LocatedError, ParseError, UnreadableWorkspace, UnresolvedReference
+from .errors import DuplicateName, GpdError, LocatedError, ParseError, UnreadableWorkspace, UnresolvedReference
 from .finite import (
     FiniteGroup,
     FiniteGroupoid,
@@ -28,16 +39,16 @@ from .finite import (
     symmetric_group,
     trivial_group,
 )
-from .freemodules import FreeModule
-from .grids import Grid
-from .morphisms import GroupoidMorphism
-from .presentations import GroupoidPresentation, discrete_presentation
 from .squares import Square, make_square
-from .vkt import Span
 from .words import ArrowGen, Word
 
-if TYPE_CHECKING:  # cubes load the square kernel and numpy: only a cube block imports them
+if TYPE_CHECKING:
     from .cubes import Cube
+    from .freemodules import FreeModule
+    from .grids import Grid
+    from .morphisms import GroupoidMorphism
+    from .presentations import GroupoidPresentation
+    from .vkt import Span
 
 
 @dataclass
@@ -50,7 +61,7 @@ class Workspace:
     xmods: dict[str, CrossedModuleData] = field(default_factory=dict)
     squares: dict[str, Square] = field(default_factory=dict)
     grids: dict[str, Grid] = field(default_factory=dict)
-    cubes: "dict[str, Cube]" = field(default_factory=dict)
+    cubes: dict[str, Cube] = field(default_factory=dict)
     modules: dict[str, FreeModule] = field(default_factory=dict)
 
     def kinds(self):
@@ -131,7 +142,7 @@ def parse_word_text(text: str, resolve_gen, ln: _Line) -> Word:
     base = letters[0][0].src if letters[0][1] == 1 else letters[0][0].dst
     try:
         return Word(base, tuple(letters))
-    except Exception as exc:
+    except GpdError as exc:
         raise ParseError(ln.path, ln.no, f"bad word {text!r}: {exc}") from exc
 
 
@@ -192,6 +203,8 @@ class _Parser:
     # -- first pass: self-contained blocks -------------------------------
 
     def parse_groupoid(self, block, name):
+        from .presentations import GroupoidPresentation
+
         head = block[0]
         objects: list[str] = []
         gens: list[tuple[ArrowGen, _Line]] = []
@@ -231,7 +244,7 @@ class _Parser:
             )
         try:
             p = GroupoidPresentation(name, tuple(objects), tuple(gens), tuple(relations))
-        except Exception as exc:
+        except GpdError as exc:
             raise ParseError(head.path, head.no, str(exc)) from exc
         self.add("presentation", name, p, head)
 
@@ -293,14 +306,19 @@ class _Parser:
         name = rest
         elements: list[str] = []
         table = {}
+        muls = []
         for ln in block[1:]:
             if ln.text.startswith("elements:"):
                 elements.extend(ln.text[len("elements:"):].split())
             elif ln.text.startswith("mul "):
-                x, y, z = _mul(ln)
-                table[(x, y)] = z
+                muls.append((*_mul(ln), ln))
             else:
                 raise ParseError(ln.path, ln.no, f"unexpected line in group block: {ln.text!r}")
+        for x, y, z, ln in muls:
+            for t in (x, y, z):
+                if t not in elements:
+                    raise UnresolvedReference(ln.path, ln.no, f"unknown element {t!r}")
+            table[(x, y)] = z
         identity = None
         for e in elements:
             if all(table.get((e, x)) == x and table.get((x, e)) == x for x in elements):
@@ -428,6 +446,8 @@ class _Parser:
         self.pending.append(("cube", name.strip(), head, lambda: self._cube(faces, head)))
 
     def parse_freemodule(self, block, rest):
+        from .freemodules import FreeModule
+
         head = block[0]
         _expect(" over " in rest, head, "expected 'freemodule name over presentation'")
         name, base = rest.split(" over ", 1)
@@ -452,13 +472,17 @@ class _Parser:
         return table[name]
 
     def resolve(self):
-        """Build every deferred block; a failure is located at its header."""
+        """Build every deferred block; a kernel error is located at its header.
+
+        Any other exception is a fault of the program, not of the file, and
+        propagates as it is.
+        """
         for kind, name, ln, build in self.pending:
             try:
                 value = build()
             except LocatedError:
                 raise
-            except Exception as exc:
+            except GpdError as exc:
                 raise ParseError(ln.path, ln.no, f"{kind}: {exc}") from exc
             self.add(kind, name, value, ln)
 
@@ -531,6 +555,8 @@ class _Parser:
         return CrossedModuleData(name, base, fibers, mu, action)
 
     def _morphism(self, name: str, dom_name: str, cod_name: str, lines, head: _Line) -> GroupoidMorphism:
+        from .morphisms import GroupoidMorphism
+
         dom = self._need(self.ws.presentations, dom_name, "presentation", head)
         if cod_name in self.ws.presentations:
             cod = self.ws.presentations[cod_name]
@@ -542,7 +568,8 @@ class _Parser:
             )
         object_map = {}
         gen_map = {}
-        gen_lookup = {g.name: g for g in (cod.generators if isinstance(cod, GroupoidPresentation) else ())}
+        into_finite = isinstance(cod, FiniteGroupoid)
+        gen_lookup = {} if into_finite else {g.name: g for g in cod.generators}
         for ln in lines:
             if ln.text.startswith("obj "):
                 o, oi = _arrow_ref(ln.text[4:], ln)
@@ -550,20 +577,22 @@ class _Parser:
             elif ln.text.startswith("gen "):
                 body = ln.text[4:]
                 g, image = _arrow_ref(body, ln)
-                if isinstance(cod, GroupoidPresentation):
-                    gen_map[g] = parse_word_text(image, gen_lookup.get, ln)
-                else:
+                if into_finite:
                     image = image.strip()
                     if image.startswith("id(") and image.endswith(")"):
                         image = cod.id_at(image[3:-1].strip())
                     if image not in cod.arrows:
                         raise UnresolvedReference(ln.path, ln.no, f"unknown arrow {image!r}")
                     gen_map[g] = image
+                else:
+                    gen_map[g] = parse_word_text(image, gen_lookup.get, ln)
             else:
                 raise ParseError(ln.path, ln.no, f"unexpected line in morphism block: {ln.text!r}")
         return GroupoidMorphism(name, dom, cod, object_map, gen_map)
 
     def _span_named(self, left_name: str, right_name: str, head: _Line) -> Span:
+        from .vkt import Span
+
         left = self._need(self.ws.morphisms, left_name, "morphism", head)
         right = self._need(self.ws.morphisms, right_name, "morphism", head)
         if left.domain != right.domain:
@@ -571,6 +600,10 @@ class _Parser:
         return Span(left.domain, left, right)
 
     def _span_inline(self, name: str, apex_objects, legs) -> Span:
+        from .morphisms import GroupoidMorphism
+        from .presentations import discrete_presentation
+        from .vkt import Span
+
         apex = discrete_presentation(f"{name}.apex", tuple(apex_objects))
         morphs = {}
         for side in ("left", "right"):
@@ -580,16 +613,18 @@ class _Parser:
                 morphs[side] = GroupoidMorphism(
                     f"{name}.{side}", apex, target, dict(pairs), {}
                 )
-            except Exception as exc:
+            except GpdError as exc:
                 raise ParseError(ln.path, ln.no, f"span leg {side}: {exc}") from exc
         return Span(apex, morphs["left"], morphs["right"])
 
     def _grid(self, rows: int, cols: int, names, head: _Line) -> Grid:
+        from .grids import Grid
+
         _expect(len(names) == rows * cols, head, f"grid needs {rows * cols} squares, got {len(names)}")
         cells = [self._need(self.ws.squares, n, "square", head) for n in names]
         return Grid(tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows)))
 
-    def _cube(self, faces, head: _Line) -> "Cube":
+    def _cube(self, faces, head: _Line) -> Cube:
         from .cubes import make_cube
 
         return make_cube(*(self._need(self.ws.squares, f, "square", head) for f in faces))
@@ -726,9 +761,9 @@ def print_workspace(ws: Workspace) -> str:
         cells = [cell for row in g.cells for cell in row]
         if all(cell in square_names for cell in cells):
             chunks.append(f"grid {name} {g.rows}x{g.cols}: " + " ".join(square_names[c] for c in cells))
-    for name in sorted(ws.cubes):
+    if ws.cubes:
         from .cubes import FACE_SLOTS
-
+    for name in sorted(ws.cubes):
         faces = [ws.cubes[name].face(slot) for slot in FACE_SLOTS]
         if all(f in square_names for f in faces):
             chunks.append(f"cube {name}: " + " ".join(square_names[f] for f in faces))

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import importlib.resources as resources
 import io
+import json
 import re
 import shlex
 import subprocess
@@ -651,33 +652,70 @@ def test_an_argparse_error_leaves_the_next_call_intact(capsys, bad):
 # -- what a command loads ------------------------------------------------------------
 
 LOADS = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import gpdkit.cli as cli
 
-def gpdkit_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "gpdkit")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "gpdkit" or m == "numpy")
 
-def run(*argv):
+print(json.dumps(loaded()))
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(list(argv)) == 0, argv
-
-circle, wedge, a3s3 = sys.argv[1:]
-assert gpdkit_modules() == ["gpdkit", "gpdkit.cli", "gpdkit.errors", "gpdkit.report"], gpdkit_modules()
-assert "numpy" not in sys.modules
-run("pushout", circle)
-run("count-morphisms", wedge)
-run("eh-scan", "--max-size", "2")
-assert "numpy" not in sys.modules and "gpdkit.dgt" not in sys.modules, gpdkit_modules()
-run("xmod", "lambda", a3s3)
-assert "gpdkit.dgt" in sys.modules and "gpdkit.suite" not in sys.modules, gpdkit_modules()
+        assert cli.main(argv) == 0, argv
+    print(json.dumps(loaded()))
 """
 
 
+def loads_after(*argvs) -> list[set[str]]:
+    """The gpdkit modules, and numpy if loaded, that a fresh process holds
+    after ``import gpdkit.cli`` and then after each vk command of ``argvs``."""
+    proc = subprocess.run([sys.executable, "-c", LOADS, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
 def test_a_command_loads_only_the_layers_it_runs():
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADS, data("circle.vk"), data("wedge.vk"), data("a3s3.vk")],
-        capture_output=True, text=True,
+    imported, *after = loads_after(
+        ["pushout", data("circle.vk")],
+        ["count-morphisms", data("wedge.vk")],
+        ["eh-scan", "--max-size", "2"],
     )
+    assert imported == {"gpdkit", "gpdkit.cli", "gpdkit.errors", "gpdkit.report"}
+    assert not {"numpy", "gpdkit.dgt"} & after[-1], sorted(after[-1])
+
+
+def test_xmod_lambda_loads_only_the_tables_and_what_they_read():
+    _, after = loads_after(["xmod", "lambda", data("a3s3.vk")])
+    assert "gpdkit.dgt" in after
+    unused = {f"gpdkit.{m}" for m in ("grids", "freemodules", "morphisms", "presentations",
+                                      "vkt", "cubes", "eckmann", "suite")}
+    assert not unused & after, sorted(unused & after)
+
+
+def test_the_eckmann_hilton_criterion_loads_neither_numpy_nor_the_tables():
+    _, after = loads_after(["suite", "--criteria", "11"])
+    assert not {"numpy", "gpdkit.dgt"} & after, sorted(after)
+
+
+SUITE_LOADS = """
+import sys
+import gpdkit.suite as suite
+
+def gpdkit_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "gpdkit"}
+
+imported = gpdkit_modules()
+assert imported == {"gpdkit", "gpdkit.errors", "gpdkit.report", "gpdkit.suite"}, sorted(imported)
+assert "numpy" not in sys.modules
+assert suite.criterion_4_interchange().ok
+grown = gpdkit_modules() - imported
+assert grown == {"gpdkit.crossed", "gpdkit.dgt", "gpdkit.finite", "gpdkit.squares"}, sorted(grown)
+"""
+
+
+def test_a_criterion_loads_only_the_layers_it_runs():
+    proc = subprocess.run([sys.executable, "-c", SUITE_LOADS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

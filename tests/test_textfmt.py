@@ -197,6 +197,7 @@ def test_group_constructor_argument_fails_at_its_line(monkeypatch, ctor, least):
 
 _KINDS = ("groupoid", "finite", "group", "morphism", "span",
           "xmod", "square", "grid", "cube", "freemodule")
+_GAPPY = "group g\nelements: e a\nmul e e = e\nmul e a = a\nmul a e = a\n"  # no a * a
 _A3 = "group s3 = symmetric(3)\nxmod a3 = normal(s3, {e, (123), (132)})\nsquare s = (e; e,e,e,e) over a3\n"
 
 
@@ -210,13 +211,37 @@ _A3 = "group s3 = symmetric(3)\nxmod a3 = normal(s3, {e, (123), (132)})\nsquare 
     (_A3 + "grid g 2xa: s s\n", 4),
     (_A3 + "grid g 1x1x1: s\n", 4),
     ("group c = trivial()\nfinite pt = group(c)\nxmod x\nbase pt\nact e = e ^ e\n", 5),
+    # tables with gaps: the entry a build looks up is missing
+    (_GAPPY + "xmod x = normal(g, {e, a})\n", 6),
+    (_GAPPY + "xmod x = autxmod(g)\n", 6),
+    # a product outside the declared elements; a closed table that is not associative
+    (_GAPPY + "mul a a = b\nxmod x = autxmod(g)\n", 6),
+    ("group g\nelements: e a b\nmul e e = e\nmul e a = a\nmul e b = b\nmul a e = a\nmul b e = b\n"
+     "mul a a = e\nmul a b = a\nmul b a = e\nmul b b = e\nxmod x = autxmod(g)\n", 12),
+    ("finite k\narrow u: x -> y\narrow v: y -> x\nxmod t = trivial(k)\n", 4),
+    ("group c = trivial()\nfinite pt = group(c)\nxmod x\nbase pt\nfiber * c\n"
+     "square s = (e; e,e,e,e) over x\n", 6),
+    ("groupoid p\nobjects: 0\ngen g: 0 -> 0\ngroup c = trivial()\nfinite f = group(c)\n"
+     "morphism m: p -> f\nobj 0 -> *\ngen g -> id(zz)\n", 6),
 ], ids=[*_KINDS, "cube:", "not-normal", "not-an-element", "autxmod-s4", "freemodule-rel",
-        "grid-2xa", "grid-1x1x1", "act-equals-before-caret"])
+        "grid-2xa", "grid-1x1x1", "act-equals-before-caret", "normal-gap", "autxmod-gap",
+        "mul-unknown-element", "autxmod-not-associative",
+        "trivial-no-identity", "square-no-boundary", "morphism-no-identity"])
 def test_bad_block_fails_at_its_line(content, line):
     with pytest.raises(LocatedError) as err:
         parse_workspace([("inline.vk", content)])
     assert (err.value.path, err.value.line_no) == ("inline.vk", line)
     assert str(err.value).startswith(f"inline.vk:{line}: ")
+
+
+def test_a_program_fault_in_a_build_is_not_read_as_a_bad_file(monkeypatch):
+    # only a GpdError is located at the block's header
+    def broken(*args):
+        raise NameError("name 'Grid' is not defined")
+
+    monkeypatch.setattr("gpdkit.textfmt._Parser._grid", broken)
+    with pytest.raises(NameError):
+        parse_workspace([data("squares.vk")])
 
 
 _BUNDLED = {
@@ -264,5 +289,33 @@ def test_edited_workspace_parses_or_fails_at_a_line(content):
     except LocatedError as exc:
         assert 1 <= exc.line_no <= content.count("\n")
         assert str(exc).startswith(f"edited.vk:{exc.line_no}: ")
+    else:
+        print_workspace(ws)
+
+
+@st.composite
+def group_literal_workspace(draw):
+    """A group literal with unit e and any other products over its elements,
+    some missing, and every constructor that reads a group built on it."""
+    elements = ("e", "a", "b", "c")[:draw(st.integers(1, 4))]
+    lines = ["group g", "elements: " + " ".join(elements)]
+    for x in elements:
+        for y in elements:
+            z = y if x == "e" else x if y == "e" else draw(st.sampled_from((*elements, None)))
+            if z is not None:
+                lines.append(f"mul {x} {y} = {z}")
+    subset = draw(st.lists(st.sampled_from(elements), unique=True))
+    lines += ["finite f = group(g)", "xmod n = normal(g, {" + ", ".join(subset) + "})",
+              "xmod a = autxmod(g)", "xmod t = trivial(f)"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(group_literal_workspace())
+def test_group_literal_builds_or_fails_at_a_line(content):
+    try:
+        ws = parse_workspace([("group.vk", content)])
+    except LocatedError as exc:
+        assert str(exc).startswith(f"group.vk:{exc.line_no}: ")
     else:
         print_workspace(ws)
