@@ -11,18 +11,21 @@ Each model is encoded once as int arrays (``SquareCode``): base composition,
 fiber multiplication over global element ids, the action as element x arrow
 -> element, and per square its element and four edges.  ``DgtModel`` is
 the one place that turns squares into indices, each lookup built once per
-model: ``groups`` groups the squares by the arrows on a tuple of edges, or
-by element and edges for ``find``; ``tables`` builds ``H``/``V`` with numpy
-formulas, one block per pasting edge; ``maps`` gives each square's
-transpose and inverses and each arrow's units and thin cube corners.  The
-law sweeps, the sampled draws and ``cubes.CubeKernel`` read only these.  A
-law sweep splits its arrangements into blocks, one per tuple of shared
-edges, each a product of such groups; both sides of a block are row
-gathers from small sub-tables of ``H``/``V``, at each inner pasting's rank
-in the group of its forced edge, so a sweep never reads a -1 as an index.
-The object-level calculus
-(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
-and, in ``find_interchange_counterexample``, the readable scan for a
+model: ``groups`` groups the squares by the arrows on a tuple of edges;
+``find`` reads a square off its element and edges through a dense slot
+index, one slot per square that ``lambda_square_count`` counts, so a lookup
+is arithmetic on per-arrow and per-element arrays and one gather; ``tables``
+builds ``H``/``V`` with numpy formulas and ``find``, one block per pasting
+edge; ``maps`` gives each square's transpose and inverses and each arrow's
+units and thin cube corners.  The law sweeps, the sampled draws and
+``cubes.CubeKernel`` read only these.  A law sweep first checks that every
+pasting in its tables is a square on the edges the pasting forces, then
+splits its arrangements into blocks, one per tuple of shared edges, each a
+product of such groups; both sides of a block are row gathers from small
+sub-tables of ``H``/``V``, at each inner pasting's rank in the group of its
+forced edge, so a sweep never reads a -1 as an index.  The object-level
+calculus (``squares.comp_h``/``comp_v``) is the oracle the tables are tested
+against and, in ``find_interchange_counterexample``, the readable scan for a
 corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
 never a table, so it checks the sweeps' coverage independently.
 """
@@ -63,12 +66,14 @@ MAX_TABLE_BYTES = 1 << 28
 # Most arrangements a law sweep compares at once; bounds its temporaries.
 _PIECE = 1 << 16
 
-# Fewest checks for which a law sweep forks a second worker.  A fork and its
-# wait cost about 5 ms on a 2-vCPU VM, where the block kernel checks some
-# 4e8 triples/s: near 2**22 checks a fork about breaks even (A3 in S3's
-# 7.6M-check associativity sweeps take 19-21 ms serially, 17-18 ms forked),
-# and past that halving the sweep pays, while smaller sweeps stay here.
-_FORK_CHECKS = 1 << 22
+# Fewest checks for which a law sweep forks a second worker.  On a 2-vCPU
+# VM the row-gather kernels check about 7e8 triples/s serially, and a fork
+# adds some 5-10 ms, its child faulting in temporaries of its own.  In three
+# rounds of alternating in-process runs (medians), A3 in S3's 7.6M-check
+# associativity sweep took 11.1-14.6 ms serially against 12.4-21.6 ms
+# forked, and Aut(S3)'s 60M-check one 85-89 ms against 50-51 ms: a fork
+# breaks even near 1e7 checks.
+_FORK_CHECKS = 1 << 24
 
 
 @dataclass
@@ -214,6 +219,70 @@ class _Groups:
         return (*(np.repeat(p, count) for p in prefix), self.order[at])
 
 
+def _sub(table: np.ndarray, rows, cols) -> np.ndarray:
+    """``table[rows[:, None], cols]``, as a row take then a column take."""
+    return table.take(rows, 0).take(cols, 1)
+
+
+def _odd_rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of the 2-d ``a`` with rows of odd length, one
+    unset column longer where ``a``'s rows have even length.  A compare through the
+    transpose of its row gathers then never strides by a multiple of 256
+    bytes, which maps every read to the same few cache sets: on
+    D4 -> Aut(D4), rows of 128 made such a compare three times slower."""
+    out = np.empty((a.shape[0], a.shape[1] | 1), a.dtype)
+    out[:, :a.shape[1]] = a
+    return out
+
+
+class _SlotIndex:
+    """One slot per square ``lambda_square_count`` counts: by top t, then the
+    rank of the left among the arrows leaving src t, of the right among
+    those leaving dst t and of the element in the fiber at dst right.
+
+    ``at`` maps each slot to the first square there (only a square off the
+    boundary law shares one) or -1, then a -1 sentinel; ``key`` holds each
+    square's element and four edges, then the -1s the sentinel reads.  The
+    per-arrow and per-element arrays end in the pad an argument of -1
+    reads.  All int32: SizeLimit where a slot sum could pass 2**31.
+    """
+
+    def __init__(self, c: SquareCode):
+        p = np.arange(c.arrows)
+        src, dst = c.comp[p, c.inv], c.comp[c.inv, p]  # identities at p's ends
+        in_fiber = c.mul >= 0
+        width = in_fiber.sum(1)[c.unit]  # |M(dst p)|
+        leaving = src[:, None] == src  # [p, q]: q leaves where p does
+        before = np.tril(leaving, -1)  # [p, q]: ... and comes before p
+        fill = (dst[:, None] == src) @ width  # per top t: fill(dst t)
+        size = leaving.sum(1) * fill
+        self.count = count = int(size.sum())
+        rank, offset = before.sum(1), before @ width
+        elt_rank = np.tril(in_fiber, -1).sum(1)  # fibers are numbered in runs
+        # the largest sum slot() can form from any arguments, pads included
+        most = (count + fill.max(initial=0) * rank.max(initial=0)
+                + offset.max(initial=0) + elt_rank.max(initial=0))
+        if most >= 1 << 31:
+            raise SizeLimit(f"{count} square slots over {c.arrows} arrows pass the int32 range")
+
+        def pad(a, value=0):
+            return np.append(a, value).astype(np.int32)
+
+        self.base, self.stride = pad(np.cumsum(size) - size, count), pad(fill)
+        self.rank, self.offset, self.elt_rank = pad(rank), pad(offset), pad(elt_rank)
+        self.key = tuple(pad(col, -1) for col in (c.E, c.T, c.R, c.B, c.L))
+        # the first square at each slot
+        slots, first = np.unique(self.slot(c.E, c.T, c.R, c.L), return_index=True)
+        self.at = np.full(count + 1, -1, np.int32)
+        self.at[slots[slots < count]] = first[slots < count]
+
+    def slot(self, elt, top, right, left):
+        """The slot of a square with these coordinates; the sentinel
+        ``count`` for a top of -1 or a sum past the end."""
+        return np.minimum(self.base.take(top) + self.stride.take(top) * self.rank.take(left)
+                          + self.offset.take(right) + self.elt_rank.take(elt), self.count)
+
+
 def check_table_size(name: str, n: int) -> np.dtype:
     """The tables' dtype for ``n`` squares; SizeLimit past MAX_TABLE_BYTES."""
     dtype = np.dtype(np.int16 if n < 1 << 15 else np.int32)
@@ -279,6 +348,7 @@ class DgtModel:
     index: dict[tuple, int] = field(init=False, repr=False)
     _edge_index: dict = field(default_factory=dict, init=False, repr=False)
     _code: SquareCode = field(default=None, init=False, repr=False)
+    _slots: _SlotIndex = field(default=None, init=False, repr=False)
     _groups: dict = field(default_factory=dict, init=False, repr=False)
     _tables: SquareTables = field(default=None, init=False, repr=False)
     _maps: IndexMaps = field(default=None, init=False, repr=False)
@@ -333,21 +403,28 @@ class DgtModel:
             g = self._groups[edges] = _Groups(c.arrows, len(self.squares), [c.edge[e] for e in edges])
         return g
 
+    def slots(self) -> _SlotIndex:
+        """The slot index behind ``find``, built once."""
+        if self._slots is None:
+            self._slots = _SlotIndex(self.code())
+        return self._slots
+
     def find(self, elt, top, right, bottom, left) -> np.ndarray:
         """Index of the square with each element and four edges, in ``code()``
         numbering; -1 where the model has none or an argument is -1.
 
-        The arguments broadcast together; a lookup in the grouping by
-        element, top, right and left, which fix the bottom.
+        The arguments broadcast together.  The element, top, right and left
+        give a slot (``slots()``), the slot gives a square, and the square
+        counts only if all five of its coordinates are the ones asked for:
+        so edges that do not compose, an element of another fiber and an
+        argument of -1 all give -1.
         """
-        g = self.groups("elt", "top", "right", "left")
-        elt, top, right, bottom, left = np.broadcast_arrays(elt, top, right, bottom, left)
-        if not len(self.squares):
-            return np.full(elt.shape, -1, np.intp)
-        at = g.group(elt, top, right, left)
-        idx = g.order[np.minimum(g.start[at], len(g.order) - 1)]
-        given = (elt >= 0) & (top >= 0) & (right >= 0) & (bottom >= 0) & (left >= 0)
-        return np.where(given & (g.count[at] > 0) & (self.code().B[idx] == bottom), idx, -1)
+        s = self.slots()
+        idx = s.at.take(s.slot(elt, top, right, left))
+        E, T, R, B, L = s.key
+        hit = ((E.take(idx) == elt) & (T.take(idx) == top) & (R.take(idx) == right)
+               & (B.take(idx) == bottom) & (L.take(idx) == left))
+        return np.where(hit, idx, -1)
 
     def maps(self) -> IndexMaps:
         """The squares under reflections and degeneracies, built once."""
@@ -361,6 +438,10 @@ class DgtModel:
             n = len(self.squares)
             dtype = check_table_size(self.name, n)
             c = self.code()
+            # the int32 square columns and int32 copies of the base and fiber
+            # tables: every temporary of a block is then an int32 or a bool
+            E, T, R, B, L = self.slots().key
+            comp, mul, act = (a.astype(np.int32) for a in (c.comp, c.mul, c.act))
 
             def fill(table, label, I, J, *square):
                 idx = self.find(*square)
@@ -373,14 +454,14 @@ class DgtModel:
             for e in range(c.arrows):
                 # left square i, right square j pasted along their vertical edge e
                 I, J = self.groups("right").members(e), self.groups("left").members(e)
-                i, j = I[:, None], J[None, :]
-                fill(H, "horizontal", I, J, c.mul[c.act[c.E[i], c.B[j]], c.E[j]],
-                     c.comp[c.T[i], c.T[j]], c.R[j], c.comp[c.B[i], c.B[j]], c.L[i])
+                elt = mul.take(_sub(act, E.take(I), B.take(J)) * len(mul) + E.take(J))
+                fill(H, "horizontal", I, J, elt, _sub(comp, T.take(I), T.take(J)), R.take(J),
+                     _sub(comp, B.take(I), B.take(J)), L.take(I)[:, None])
                 # upper square i, lower square j pasted along their horizontal edge e
                 I, J = self.groups("bottom").members(e), self.groups("top").members(e)
-                i, j = I[:, None], J[None, :]
-                fill(V, "vertical", I, J, c.mul[c.E[j], c.act[c.E[i], c.R[j]]],
-                     c.T[i], c.comp[c.R[i], c.R[j]], c.B[j], c.comp[c.L[i], c.L[j]])
+                elt = mul.take(E.take(J) * len(mul) + _sub(act, E.take(I), R.take(J)))
+                fill(V, "vertical", I, J, elt, T.take(I)[:, None], _sub(comp, R.take(I), R.take(J)),
+                     B.take(J), _sub(comp, L.take(I), L.take(J)))
             self._tables = SquareTables(H, V)
         return self._tables
 
@@ -558,23 +639,41 @@ def _forked(sweep, blocks):
     return c0 + c1, b0 + b1, min((f for f in (f0, f1) if f is not None), default=None)
 
 
-def _pastings(model: DgtModel, table: np.ndarray, name: str, xs, ys, edge, want):
-    """``table[xs, ys]``, once every entry is a square whose ``edge`` is ``want``.
+def _check_pastings(model: DgtModel, table: np.ndarray, name: str, out: str, into: str,
+                    composed: tuple = ()):
+    """Check that every pasting in ``table`` is a square on the edges it forces.
 
-    A sweep finds each such pasting by its rank among the squares with that
-    edge, so a -1 or a square off the edge the pasting forces would read
-    another square's row; InvalidDgt names the first such pair instead.
+    A pasting is a pair (i, j) with out(i) = into(j); its square must have
+    into(i) on ``into``, out(j) on ``out`` and, on each edge in ``composed``,
+    the composite of i's and j's.  A sweep finds a pasting by its rank among
+    the squares with one of these edges, so a -1 or a square off them would
+    read another square's row; InvalidDgt names the least such (i, j) in
+    row-major order instead.  One vectorised check per pasting edge.
     """
-    t = table.take(xs, 0).take(ys, 1)
-    wrong = (t < 0) | (edge.take(t) != want)
-    if wrong.any():
-        i, j = np.unravel_index(np.argmax(wrong), wrong.shape)
-        at = f"{model.name}: {name}[{xs[i]}, {ys[j]}]"
-        if t[i, j] < 0:
+    c = model.code()
+
+    def forced(i, j):  # (edge column, what the pasting of i and j puts there)
+        return [(c.edge[into], c.edge[into].take(i)), (c.edge[out], c.edge[out].take(j))] + [
+            (c.edge[k], c.comp[c.edge[k].take(i), c.edge[k].take(j)]) for k in composed]
+
+    wrong = []
+    for e in range(c.arrows):
+        I, J = model.groups(out).members(e), model.groups(into).members(e)
+        t = _sub(table, I, J)
+        bad = t < 0
+        for col, want in forced(I[:, None], J):
+            bad |= col.take(t) != want  # a -1 reads a wrapped edge, but is bad already
+        if bad.any():
+            a, b = np.unravel_index(np.argmax(bad), bad.shape)
+            wrong.append((int(I[a]), int(J[b])))
+    if wrong:
+        i, j = min(wrong)
+        t = int(table[i, j])
+        at = f"{model.name}: {name}[{i}, {j}]"
+        if t < 0:
             raise InvalidDgt(f"{at} is -1 on an edge-compatible pair")
-        raise InvalidDgt(f"{at} = {t[i, j]} is off the edge "
-                         f"{model.code().names[want]} that the pasting forces")
-    return t
+        want = next(int(w) for col, w in forced(i, j) if col[t] != w)
+        raise InvalidDgt(f"{at} = {t} is off the edge {c.names[want]} that the pasting forces")
 
 
 def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
@@ -593,6 +692,8 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     first violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
     c = model.code()
+    _check_pastings(model, H, "H", "right", "left", ("top", "bottom"))
+    _check_pastings(model, V, "V", "bottom", "top", ("left", "right"))
     by_bottom, by_right = model.groups("bottom"), model.groups("right")
     bottom_rank, right_rank = by_bottom.rank(), by_right.rank()
     X, Y, Z, W = (model.groups(*e) for e in (("right", "bottom"), ("left", "bottom"),
@@ -612,16 +713,14 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
             d, e = c.comp[b, beta], c.comp[r, rho]
             if lhs_at != (beta, rho, b):
                 lhs_at = (beta, rho, b)
-                hzw = _pastings(model, H, "H", zs, ws, c.T, d)
                 lhs_table = np.ascontiguousarray(
-                    V.take(by_bottom.members(d), 0).take(hzw, 1).transpose(1, 0, 2))
+                    _sub(V, by_bottom.members(d), _sub(H, zs, ws)).transpose(1, 0, 2))
             if rhs_at != (beta, rho):
                 rhs_at, rhs_tables = (beta, rho), {}  # per r
             if r not in rhs_tables:
-                vyw = _pastings(model, V, "V", ys, ws, c.L, e)
-                rhs_tables[r] = H.take(by_right.members(e), 0).take(vyw, 1)
-            hxy = bottom_rank.take(_pastings(model, H, "H", xs, ys, c.B, d))
-            vxz = right_rank.take(_pastings(model, V, "V", xs, zs, c.R, e)).T
+                rhs_tables[r] = _sub(H, by_right.members(e), _sub(V, ys, ws))
+            hxy = bottom_rank.take(_sub(H, xs, ys))
+            vxz = right_rank.take(_sub(V, xs, zs)).T
             step = max(1, _PIECE // (len(ys) * len(zs) * len(ws)))
             for lo in range(0, len(xs), step):
                 part = slice(lo, lo + step)
@@ -691,33 +790,43 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
     ``table[table[x, y], z] == table[x, table[y, z]]`` for every x, y, z
     with out(x) = in(y) and out(y) = in(z).  One block per (e1, e2): the
     product of the x with out e1, the y with in e1 and out e2 and the z with
-    in e2.  The left side takes, along u, the sub-table table[u, z] over the
-    squares u with out e2 at the rank of table[x, y] among them; the right
-    side takes element (x, v) of table[x, v] over the squares v with in e1,
-    at v the rank of table[y, z].  Returns (checked, violations, first
-    violating (x, y, z) or None).
+    in e2.  Both sides are row gathers, per chunk of x and of y: rows of
+    table[u, zs], over the squares u with out e2, at the rank of table[x, y]
+    among them, laid out (x, y, z); and rows of table[xs, v].T, over the
+    squares v with in e1, built once per e1, at the rank of table[y, z],
+    laid out (y, z, x) and compared through a transposed view.  Returns
+    (checked, violations, first violating (x, y, z) or None).
     """
     c = model.code()
+    _check_pastings(model, table, "table", out, into)
     by_out, by_in, Y = model.groups(out), model.groups(into), model.groups(into, out)
     out_rank, in_rank = by_out.rank(), by_in.rank()
     p = np.arange(c.arrows)
     blocks = np.argwhere(Y.size(p[:, None], p) * by_out.size(p)[:, None] * by_in.size(p))
+
+    # chunks of x sized by the largest group of z, so that one y's
+    # arrangements within a chunk stay within _PIECE
+    x_step = max(1, _PIECE // max(1, int(by_in.count.max())))
 
     def pieces(rows):
         rhs_at = None
         for e1, e2 in rows.tolist():
             xs, ys, zs = by_out.members(e1), Y.members(e1, e2), by_in.members(e2)
             if rhs_at != e1:
-                rhs_at = e1
-                rhs_table = table.take(xs, 0).take(by_in.members(e1), 1)
-            lhs_table = table.take(by_out.members(e2), 0).take(zs, 1)
-            txy = out_rank.take(_pastings(model, table, "table", xs, ys, c.edge[out], e2))
-            tyz = in_rank.take(_pastings(model, table, "table", ys, zs, c.edge[into], e1))
-            step = max(1, _PIECE // (len(ys) * len(zs)))
-            for lo in range(0, len(xs), step):
-                part = slice(lo, lo + step)
-                yield (lhs_table.take(txy[part], axis=0), rhs_table[part].take(tyz, axis=1),
-                       (xs[part], ys, zs))
+                rhs_at, vs = e1, by_in.members(e1)
+                rhs_parts = [_odd_rows(_sub(table, xs[lo:lo + x_step], vs).T)
+                             for lo in range(0, len(xs), x_step)]
+            lhs_table = _sub(table, by_out.members(e2), zs)
+            txy, tyz = out_rank.take(_sub(table, xs, ys)), in_rank.take(_sub(table, ys, zs))
+            for k, rhs_part in enumerate(rhs_parts):
+                xp = slice(k * x_step, (k + 1) * x_step)
+                nx = len(xs[xp])
+                y_step = max(1, _PIECE // (nx * len(zs)))
+                for lo in range(0, len(ys), y_step):
+                    yp = slice(lo, lo + y_step)
+                    yield (lhs_table.take(txy[xp, yp], axis=0),
+                           rhs_part.take(tyz[yp], axis=0)[..., :nx].transpose(2, 0, 1),
+                           (xs[xp], ys[yp], zs))
 
     # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
     total = int((by_out.size(c.edge[into]) * by_in.size(c.edge[out])).sum())

@@ -108,7 +108,7 @@ def criterion_3_crossed_modules(seed: int = 0) -> Report:
         if not law.ok:
             r.fail(f"{xm.name}: {law.violations[0]}")
     caught = 0
-    base = a3_s3_xmod()
+    base = modules[0]
     for k in range(50):
         rng = random.Random(seed + k)
         bad = perturb_action_entry(base, rng)

@@ -296,6 +296,47 @@ def test_find_on_a_model_without_squares(sq_c2):
     assert empty.find(np.array([0]), 0, 0, 0, 0).tolist() == [-1]
 
 
+def find_oracle(model):
+    """Reference: each square's element and four edges in ``code()``
+    numbering, read off ``model.index``, mapped to its position there."""
+    xm, names = model.xm, model.code().names
+    arrow = {a: i for i, a in enumerate(names)}
+    elt = {}
+    for s in sorted(xm.base.objects):
+        for m in xm.fibers[s].elements:
+            elt[(s, m)] = len(elt)
+    return {(elt[(xm.base.dst[r], m)], arrow[t], arrow[r], arrow[b], arrow[lf]): i
+            for (m, t, r, b, lf), i in model.index.items()}, len(elt)
+
+
+@pytest.mark.parametrize("fixture, hollow", [("aut_c3_model", False), ("sq_interval_s3", False),
+                                             ("a3s3_model", True)])
+def test_find_matches_a_dict_oracle_on_every_coordinate_tuple(request, fixture, hollow):
+    # every tuple in [-1, elements) x [-1, arrows)^4, so -1 arguments, edges
+    # that do not compose and elements of another fiber all come up
+    model = request.getfixturevalue(fixture)
+    if hollow:  # a third of the squares gone, the rest out of order
+        model = replace(model, squares=model.squares[::3] + model.squares[1::3])
+    oracle, elts = find_oracle(model)
+    a = model.code().arrows
+    args = (np.indices((elts + 1, a + 1, a + 1, a + 1, a + 1)) - 1).reshape(5, -1)
+    got = model.find(*args)
+    assert got.tolist() == [oracle.get(k, -1) for k in zip(*args.tolist())]
+    assert (got >= 0).sum() == model.size()
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "c2_in_c2_model", "aut_c3_model",
+                                     "sq_interval_s3", "a3s3_model", "aut_s3_model"])
+def test_the_slot_index_has_one_slot_per_counted_square(request, fixture):
+    model = request.getfixturevalue(fixture)
+    for m in (model, replace(model, squares=model.squares[::2])):
+        s = m.slots()
+        # one slot per square lambda_square_count counts, then the sentinel
+        assert len(s.at) == s.count + 1 == lambda_square_count(m.xm) + 1
+        assert s.at[-1] == -1
+        assert sorted(s.at[s.at >= 0].tolist()) == list(range(m.size()))
+
+
 def thin_corners(xm, p):
     """cubes.fold_layout's four thin corners once the seams agree, with the
     arrow p at u.left, u.right, l.bottom and d.right in turn."""
@@ -917,6 +958,38 @@ def test_sweeps_equal_the_plain_loops(request, sweep_path, fixture, change):
                 _assoc_sweep(model, t.V, "bottom", "top")) == want
 
 
+def associativity_violations(table, edge_out, edge_in):
+    """Every (x, y, z) that ``loop_associativity`` counts as a violation."""
+    out, into, t = edge_out.tolist(), edge_in.tolist(), table.tolist()
+    n = len(out)
+    return [(x, y, z) for x in range(n) for y in range(n) if out[x] == into[y]
+            for z in range(n) if out[y] == into[z] and t[t[x][y]][z] != t[x][t[y][z]]]
+
+
+def test_associativity_reports_the_least_violation_in_x_y_z_order(sweep_path, aut_c3_model):
+    # two swapped fillers in H, drawn until the least violation in x, y, z
+    # order is not the least in y-major order, the layout that the right
+    # side's rows come in: a sweep that took its first violation in that
+    # layout would report another triple
+    model, c = aut_c3_model, aut_c3_model.code()
+    rng = random.Random(3)
+    for _ in range(50):
+        mutant = model
+        for _ in range(2):
+            mutant = with_swapped_filler(mutant, "H", *rng.choice(pasted_pairs(model, "H")), rng)
+        H = mutant.tables().H
+        bad = associativity_violations(H, c.R, c.L)
+        if bad and min(bad) != min(bad, key=lambda v: (v[1], v[2], v[0])):
+            break
+    else:
+        pytest.fail("no draw put the least violation after another in y-major order")
+    want = loop_associativity(H, c.R, c.L)
+    assert want[1:] == (len(bad), min(bad))
+    for path in ("serial", "forked"):
+        sweep_path(path)
+        assert _assoc_sweep(mutant, H, "right", "left") == want
+
+
 def planted(model, table, value):
     """A copy of ``table`` whose entry at its first pasted pair is -1
     ("undefined") or a square with four other edges ("off-edge")."""
@@ -943,6 +1016,34 @@ def test_sweeps_refuse_a_pasting_that_is_not_a_square_over_its_edges(aut_c3_mode
         interchange_sweep(model, t.H, V)
     with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
         _assoc_sweep(model, V, "bottom", "top")
+
+
+def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
+    model, c = aut_c3_model, aut_c3_model.code()
+    t = model.tables()
+    pairs = pasted_pairs(model, "H")
+    # p1 pastes along a later edge than p2 but comes first in row-major order
+    p1 = next((i, j) for i, j in pairs if c.R[i] != 0)
+    p2 = [(i, j) for i, j in pairs if c.R[i] == 0][-1]
+    assert p2 > p1
+    H = t.H.copy()
+    H[p1] = H[p2] = -1
+    with pytest.raises(InvalidDgt, match=re.escape(f"H[{p1[0]}, {p1[1]}] is -1")):
+        interchange_sweep(model, H, t.V)
+    with pytest.raises(InvalidDgt, match=re.escape(f"table[{p1[0]}, {p1[1]}] is -1")):
+        _assoc_sweep(model, H, "right", "left")
+    # a square with the forced left and right but another top and bottom:
+    # interchange reads the top and bottom, associativity only the sides
+    i, j = pairs[0]
+    old = t.H[i, j]
+    other = next(q for q in range(model.size())
+                 if (c.L[q], c.R[q]) == (c.L[old], c.R[old]) and c.T[q] != c.T[old])
+    H = t.H.copy()
+    H[i, j] = other
+    with pytest.raises(InvalidDgt, match=re.escape(f"H[{i}, {j}] = {other} is off the edge")):
+        interchange_sweep(model, H, t.V)
+    checked, bad, _ = _assoc_sweep(model, H, "right", "left")
+    assert (checked, bad) == loop_associativity(H, c.R, c.L)[:2]
 
 
 def test_forked_interchange_is_exhaustive_on_aut_s3(sweep_path, aut_s3_model):
