@@ -20,8 +20,8 @@ from .finite import (
     FiniteGroupoid,
     group_as_groupoid,
     subgroup_table,
-    validate_finite_group,
-    validate_finite_groupoid,
+    sweep_group,
+    sweep_groupoid,
 )
 from .report import Report
 
@@ -54,94 +54,131 @@ class CrossedModuleData:
 
 
 def validate_crossed_module(x: CrossedModuleData) -> Report:
-    """Sweep every axiom; each failure is reported with a witness triple."""
+    """Sweep every axiom; each failure is reported with a witness triple.
+
+    The sweeps read the integer encodings of the base and the fibers, with
+    the boundary and the action as int lists over them (-1 for an entry
+    that is missing or foreign); names are read back only for a witness."""
     report = Report(f"xmod {x.name}")
-    base_report = validate_finite_groupoid(x.base)
+    base_report, P = sweep_groupoid(x.base)
     if not base_report.ok:
         for v in base_report.violations:
             report.fail("base-" + v.law, v.witness)
         return report
-    P = x.base
-    for s in P.objects:
+    objects, arrows, rows = x.base.objects, P.names, P.rows
+    M = [None] * len(objects)  # the fiber's encoding at each object position
+    for s in objects:
         if s not in x.fibers:
             report.fail("fibers", f"no fiber at object {s!r}")
             return report
-        fib = validate_finite_group(x.fibers[s])
+        fib, M[P.obj_index[s]] = sweep_group(x.fibers[s])
         if not fib.ok:
             for v in fib.violations:
                 report.fail("fiber-" + v.law, f"at {s!r}: {v.witness}")
             return report
 
     # mu lands in vertex groups and is a homomorphism per object
-    for s in P.objects:
-        M = x.fibers[s]
-        loops = set(P.vertex_arrows(s))
-        report.count(len(M.elements))
-        for m in M.elements:
-            img = x.mu.get(s, {}).get(m)
-            if img is None or img not in loops:
-                report.fail("mu-typing", f"mu({m}) at {s!r} is not a loop at {s!r}")
+    mu = [None] * len(objects)  # mu[o][m]: the arrow mu(m) at object position o
+    for s in objects:
+        o = P.obj_index[s]
+        F = M[o]
+        images = x.mu.get(s, {})
+        mu_s = mu[o] = [P.index.get(images.get(m), -1) for m in F.names]
+        report.count(len(F.names))
+        for k, a in enumerate(mu_s):
+            if a < 0 or P.src[a] != o or P.dst[a] != o:
+                report.fail("mu-typing", f"mu({F.names[k]}) at {s!r} is not a loop at {s!r}")
         if report.violations:
             return report
-        report.count(len(M.elements) ** 2)
-        for m, n in itertools.product(M.elements, repeat=2):
-            if x.mu[s][M.mul(m, n)] != P.compose(x.mu[s][m], x.mu[s][n]):
-                report.fail("mu-homomorphism", f"mu({m}*{n}) != mu({m})mu({n}) at {s!r}")
+        report.count(len(F.names) ** 2)
+        for k, m in enumerate(F.names):
+            row = rows[mu_s[k]]
+            if [mu_s[mn] for mn in F.rows[k]] != [row[b] for b in mu_s]:
+                for l, n in enumerate(F.names):
+                    if mu_s[F.rows[k][l]] != row[mu_s[l]]:
+                        report.fail("mu-homomorphism", f"mu({m}*{n}) != mu({m})mu({n}) at {s!r}")
 
-    # action totality and typing
-    for p in P.arrows:
-        s, t = P.src[p], P.dst[p]
-        report.count(len(x.fibers[s].elements))
-        for m in x.fibers[s].elements:
-            out = x.action.get((m, p))
-            if out is None or out not in x.fibers[t].elements:
-                report.fail("action-typing", f"{m}^{p} missing or outside M({t!r})")
+    # action totality and typing; act[p][m]: the position of m^p in M(dst p)
+    act = []
+    checks = 0
+    for i, p in enumerate(arrows):
+        F, t = M[P.src[i]], objects[P.dst[i]]
+        index = M[P.dst[i]].index
+        ap = [index.get(x.action.get((m, p)), -1) for m in F.names]
+        act.append(ap)
+        checks += len(ap)
+        if -1 in ap:
+            for k, m in enumerate(F.names):
+                if ap[k] < 0:
+                    report.fail("action-typing", f"{m}^{p} missing or outside M({t!r})")
+    report.count(checks)
     if report.violations:
         return report
 
     # action laws: identity, composition, multiplicativity
-    for s in P.objects:
-        e = P.id_at(s)
-        report.count(len(x.fibers[s].elements))
-        for m in x.fibers[s].elements:
-            if x.action[(m, e)] != m:
+    checks = 0
+    for s in objects:
+        F = M[P.obj_index[s]]
+        ae = act[P.unit[P.obj_index[s]]]
+        checks += len(ae)
+        for k, m in enumerate(F.names):
+            if ae[k] != F.ids[k]:
                 report.fail("action-identity", f"{m}^id != {m} at {s!r}")
-    for p, q in itertools.product(P.arrows, repeat=2):
-        if P.dst[p] != P.src[q]:
-            continue
-        pq = P.compose(p, q)
-        report.count(len(x.fibers[P.src[p]].elements))
-        for m in x.fibers[P.src[p]].elements:
-            if x.action[(x.action[(m, p)], q)] != x.action[(m, pq)]:
-                report.fail("action-composition", f"({m}^{p})^{q} != {m}^({p}{q})")
-    for p in P.arrows:
-        s = P.src[p]
-        M = x.fibers[s]
-        Mt = x.fibers[P.dst[p]]
-        report.count(len(M.elements) ** 2)
-        for m, n in itertools.product(M.elements, repeat=2):
-            if x.action[(M.mul(m, n), p)] != Mt.mul(x.action[(m, p)], x.action[(n, p)]):
-                report.fail("action-multiplicative", f"({m}{n})^{p} != {m}^{p} {n}^{p}")
+    report.count(checks)
+    checks = 0
+    for i, p in enumerate(arrows):
+        ap, names = act[i], M[P.src[i]].names
+        for j in P.after[i]:
+            apq, aq = act[rows[i][j]], act[j]
+            checks += len(ap)
+            if [aq[mp] for mp in ap] != apq:
+                q = arrows[j]
+                for k, m in enumerate(names):
+                    if aq[ap[k]] != apq[k]:
+                        report.fail("action-composition", f"({m}^{p})^{q} != {m}^({p}{q})")
+    report.count(checks)
+    checks = 0
+    for i, p in enumerate(arrows):
+        F, T, ap = M[P.src[i]], M[P.dst[i]], act[i]
+        checks += len(ap) ** 2
+        for k, m in enumerate(F.names):
+            row = T.rows[ap[k]]
+            if [ap[mn] for mn in F.rows[k]] != [row[b] for b in ap]:
+                for l, n in enumerate(F.names):
+                    if ap[F.rows[k][l]] != row[ap[l]]:
+                        report.fail("action-multiplicative", f"({m}{n})^{p} != {m}^{p} {n}^{p}")
+    report.count(checks)
 
     # CM1: mu(m^p) = p^-1 mu(m) p
-    for p in P.arrows:
-        s, t = P.src[p], P.dst[p]
-        report.count(len(x.fibers[s].elements))
-        for m in x.fibers[s].elements:
-            lhs = x.mu[t][x.action[(m, p)]]
-            rhs = P.compose_all([P.inv(p), x.mu[s][m], p])
-            if lhs != rhs:
-                report.fail("CM1", f"mu({m}^{p}) = {lhs} but p^-1 mu({m}) p = {rhs}")
+    checks = 0
+    for i, p in enumerate(arrows):
+        F, ap = M[P.src[i]], act[i]
+        mu_s, mu_t, back = mu[P.src[i]], mu[P.dst[i]], rows[P.inv[i]]
+        checks += len(ap)
+        lhs = [mu_t[mp] for mp in ap]
+        rhs = [rows[back[a]][i] for a in mu_s]
+        if lhs != rhs:
+            for k, m in enumerate(F.names):
+                if lhs[k] != rhs[k]:
+                    report.fail("CM1", f"mu({m}^{p}) = {arrows[lhs[k]]} but p^-1 mu({m}) p = {arrows[rhs[k]]}")
+    report.count(checks)
 
     # CM2: n^-1 m n = m^(mu n)
-    for s in P.objects:
-        M = x.fibers[s]
-        report.count(len(M.elements) ** 2)
-        for m, n in itertools.product(M.elements, repeat=2):
-            lhs = M.mul(M.mul(M.inv(n), m), n)
-            rhs = x.action[(m, x.mu[s][n])]
+    checks = 0
+    for s in objects:
+        F = M[P.obj_index[s]]
+        mu_s, frows = mu[P.obj_index[s]], F.rows
+        checks += len(F.names) ** 2
+        by_mu = [act[a] for a in mu_s]  # by_mu[n]: the action of mu(n)
+        for k, m in enumerate(F.names):
+            lhs = [frows[frows[F.inv[l]][k]][l] for l in range(len(F.names))]
+            rhs = [by_n[k] for by_n in by_mu]
             if lhs != rhs:
-                report.fail("CM2", f"n^-1 m n = {lhs} but {m}^mu({n}) = {rhs}  (m={m}, n={n})")
+                for l, n in enumerate(F.names):
+                    if lhs[l] != rhs[l]:
+                        report.fail("CM2", f"n^-1 m n = {F.names[lhs[l]]} but {m}^mu({n}) = "
+                                           f"{F.names[rhs[l]]}  (m={m}, n={n})")
+    report.count(checks)
     return report
 
 

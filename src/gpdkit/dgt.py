@@ -847,18 +847,18 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     t = model.tables()  # first, so an oversized model fails before any sweep
     H, V, c = t.H, t.V, model.code()
     P, sq, n = model.edges, model.squares, len(model.squares)
+    report.count(n)
     for s in sq:
-        report.count()
         if not recheck_boundary(s):
             report.fail("boundary", f"square {s} violates the boundary law")
     # degeneracies and connections are present and thin; a degeneracy that
     # maps() finds carries its fiber's unit, so only a connection can be thick
     m = model.maps()
+    report.count(4 * len(c.names))
     for k, a in enumerate(c.names):
         cm, cp = model.connections_minus[a], model.connections_plus[a]
         for present, s, label in ((m.eps_v[k] >= 0, None, "eps_v"), (m.eps_h[k] >= 0, None, "eps_h"),
                                   (cm in model, cm, "conn-"), (cp in model, cp, "conn+")):
-            report.count()
             if not present:
                 report.fail("degeneracy-closure", f"{label}({a}) not in model")
             elif s is not None and not is_thin(s):

@@ -109,78 +109,182 @@ class FiniteGroupoid:
         return len(self.arrows)
 
 
+@dataclass
+class Encoded:
+    """A group's or groupoid's tables as plain int lists, built once per sweep.
+
+    Each name stands for its first position in ``names``; ``ids[k]`` is the
+    position standing for ``names[k]`` (``k`` unless a name repeats).
+    ``rows[i][j]`` is the position of the product of positions ``i`` and
+    ``j`` and ``inv[k]`` that of the inverse, -1 where the entry is missing
+    or names something outside ``names``.  A groupoid also carries its
+    objects' positions (``obj_index``), its arrows' endpoints as object
+    positions, the identity at each object position (``unit``) and, for
+    each arrow, the arrows that compose after it (``after``).
+    """
+
+    names: tuple[str, ...]
+    index: dict[str, int]
+    ids: list[int]
+    rows: list[list[int]]
+    inv: list[int]
+    obj_index: dict[str, int] | None = None
+    src: list[int] | None = None
+    dst: list[int] | None = None
+    unit: list[int] | None = None
+    after: list[list[int]] | None = None
+
+
+def _positions(names) -> tuple[dict[str, int], list[int]]:
+    index: dict[str, int] = {}
+    for k, x in enumerate(names):
+        index.setdefault(x, k)
+    return index, [index[x] for x in names]
+
+
+def _associativity(report: Report, names, rows, after) -> None:
+    """(x*y)*z against x*(y*z) for every composable triple, in x, y, z order."""
+    # composites[w]: w composed with each arrow that composes after w; a
+    # composite x*y has the target of y, so composites[x*y] lines up with
+    # composites[y]
+    composites = [[row[z] for z in after[w]] for w, row in enumerate(rows)]
+    checks = 0
+    for x, rx in enumerate(rows):
+        for y in after[x]:
+            checks += len(after[y])
+            if composites[rx[y]] != [rx[yz] for yz in composites[y]]:
+                rxy, ry = rows[rx[y]], rows[y]
+                for z in after[y]:
+                    if rxy[z] != rx[ry[z]]:
+                        x_, y_, z_ = names[x], names[y], names[z]
+                        report.fail("associativity", f"({x_}*{y_})*{z_} != {x_}*({y_}*{z_})")
+    report.count(checks)
+
+
 def validate_finite_group(g: FiniteGroup) -> Report:
+    return sweep_group(g)[0]
+
+
+def sweep_group(g: FiniteGroup) -> tuple[Report, Encoded]:
+    """Sweep the group axioms over ``g``'s integer encoding; return the
+    report and the encoding.
+
+    The encoding is whole only when the report is ok."""
     report = Report(f"group {g.name}")
     elems = g.elements
-    for x, y in itertools.product(elems, repeat=2):
-        report.count()
-        if g.table.get((x, y)) not in elems:
-            report.fail("closure", f"{x}*{y} undefined or escapes")
+    n = len(elems)
+    index, ids = _positions(elems)
+    get = g.table.get
+    rows = [[index.get(get((x, y)), -1) for y in elems] for x in elems]
+    code = Encoded(elems, index, ids, rows, [])
+    if not n:
+        return report, code
+    report.count(n * n)
+    for i, row in enumerate(rows):
+        if -1 in row:
+            for j, z in enumerate(row):
+                if z < 0:
+                    report.fail("closure", f"{elems[i]}*{elems[j]} undefined or escapes")
     if report.violations:
-        return report
-    for x in elems:
-        report.count(2)
-        if g.mul(g.identity, x) != x or g.mul(x, g.identity) != x:
-            report.fail("identity", f"identity fails on {x}")
-        report.count(2)
-        if g.mul(x, g.inv(x)) != g.identity or g.mul(g.inv(x), x) != g.identity:
-            report.fail("inverse", f"inverse fails on {x}")
-    for x, y, z in itertools.product(elems, repeat=3):
-        report.count()
-        if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
-            report.fail("associativity", f"({x}*{y})*{z} != {x}*({y}*{z})")
-    return report
+        return report, code
+    # the products below are all defined once the identity and every
+    # inverse are elements; otherwise raise as the first lookup would
+    e = index.get(g.identity, -1)
+    if e < 0:
+        raise MissingEntry(f"{g.name} has no product {g.identity} * {elems[0]}")
+    inverse = g.inverse
+    inv = code.inv = [index.get(inverse.get(x), -1) for x in elems]
+    if -1 in inv:
+        x = elems[inv.index(-1)]
+        if x not in inverse:
+            raise MissingEntry(f"{g.name} has no inverse of {x}")
+        raise MissingEntry(f"{g.name} has no product {x} * {inverse[x]}")
+    report.count(4 * n)
+    left_by_e = rows[e]
+    for k, x in enumerate(ids):
+        if left_by_e[x] != x or rows[x][e] != x:
+            report.fail("identity", f"identity fails on {elems[k]}")
+        if rows[x][inv[k]] != e or rows[inv[k]][x] != e:
+            report.fail("inverse", f"inverse fails on {elems[k]}")
+    everything = list(range(n))
+    _associativity(report, elems, rows, [everything] * n)
+    return report, code
+
+
+_ABSENT = object()
 
 
 def validate_finite_groupoid(f: FiniteGroupoid) -> Report:
     """Exhaustively check every groupoid axiom, with a witness per failure."""
+    return sweep_groupoid(f)[0]
+
+
+def sweep_groupoid(f: FiniteGroupoid) -> tuple[Report, Encoded | None]:
+    """Sweep the groupoid axioms over ``f``'s integer encoding; return the
+    report and the encoding.
+
+    The encoding is whole only when the report is ok.  An identity, inverse
+    or composite outside ``f.arrows`` counts as foreign, whatever ``f.src``
+    says of it."""
     report = Report(f"groupoid {f.name}")
     if not f.objects:
         report.fail("objects", "groupoid has no objects")
-        return report
+        return report, None
     arrows = f.arrows
-    for a in arrows:
-        if f.src.get(a) not in f.objects or f.dst.get(a) not in f.objects:
+    index, ids = _positions(arrows)
+    objs, _ = _positions(f.objects)
+    src = [objs.get(f.src.get(a), -1) for a in arrows]
+    dst = [objs.get(f.dst.get(a), -1) for a in arrows]
+    for k, a in enumerate(arrows):
+        if src[k] < 0 or dst[k] < 0:
             report.fail("endpoints", f"arrow {a} has undeclared endpoints")
-            return report
+            return report, None
+    report.count(len(f.objects))
+    unit = [-1] * len(f.objects)
     for obj in f.objects:
-        report.count()
-        e = f.identity.get(obj)
-        if e is None or f.src.get(e) != obj or f.dst.get(e) != obj:
+        o = objs[obj]
+        e = unit[o] = index.get(f.identity.get(obj), -1)
+        if e < 0 or src[e] != o or dst[e] != o:
             report.fail("identity-arrow", f"object {obj} lacks an identity loop")
     if report.violations:
-        return report
-    for x, y in itertools.product(arrows, repeat=2):
-        report.count()
-        defined = (x, y) in f.table
-        should = f.dst[x] == f.src[y]
-        if defined != should:
-            report.fail("domain", f"{x}*{y} defined={defined}, composable={should}")
-        elif defined:
-            z = f.table[(x, y)]
-            if f.src.get(z) != f.src[x] or f.dst.get(z) != f.dst[y]:
+        return report, None
+    get = f.table.get
+    rows = []
+    report.count(len(arrows) ** 2)
+    for i, x in enumerate(arrows):
+        sx, dx = src[i], dst[i]
+        row = []
+        for j, y in enumerate(arrows):
+            z = get((x, y), _ABSENT)
+            row.append(-1 if z is _ABSENT else index.get(z, -1))
+            defined, should = z is not _ABSENT, dx == src[j]
+            if defined != should:
+                report.fail("domain", f"{x}*{y} defined={defined}, composable={should}")
+            elif defined and (row[j] < 0 or src[row[j]] != sx or dst[row[j]] != dst[j]):
                 report.fail("endpoints", f"{x}*{y}={z} breaks endpoint bookkeeping")
+        rows.append(row)
     if report.violations:
-        return report
-    for x in arrows:
-        report.count(2)
-        if f.compose(f.id_at(f.src[x]), x) != x or f.compose(x, f.id_at(f.dst[x])) != x:
-            report.fail("unit", f"identity law fails at {x}")
-        report.count(2)
-        xi = f.inverse.get(x)
-        if xi is None or f.src.get(xi) != f.dst[x] or f.dst.get(xi) != f.src[x]:
-            report.fail("inverse", f"{x} lacks a well-typed inverse")
-        elif (
-            f.compose(x, xi) != f.id_at(f.src[x])
-            or f.compose(xi, x) != f.id_at(f.dst[x])
-        ):
-            report.fail("inverse", f"{x} * {xi} is not the identity")
-    for x, y, z in itertools.product(arrows, repeat=3):
-        if f.dst[x] == f.src[y] and f.dst[y] == f.src[z]:
-            report.count()
-            if f.compose(f.compose(x, y), z) != f.compose(x, f.compose(y, z)):
-                report.fail("associativity", f"({x}*{y})*{z} != {x}*({y}*{z})")
-    return report
+        return report, None
+    # every composite of composable arrows is now an arrow
+    report.count(4 * len(arrows))
+    inverse = f.inverse
+    inv = []
+    for k, x in enumerate(ids):
+        a, s, t = arrows[k], src[k], dst[k]
+        if rows[unit[s]][x] != x or rows[x][unit[t]] != x:
+            report.fail("unit", f"identity law fails at {a}")
+        xi = index.get(inverse.get(a), -1)
+        inv.append(xi)
+        if xi < 0 or src[xi] != t or dst[xi] != s:
+            report.fail("inverse", f"{a} lacks a well-typed inverse")
+        elif rows[x][xi] != unit[s] or rows[xi][x] != unit[t]:
+            report.fail("inverse", f"{a} * {inverse[a]} is not the identity")
+    leaving: list[list[int]] = [[] for _ in f.objects]
+    for k, s in enumerate(src):
+        leaving[s].append(k)
+    after = [leaving[t] for t in dst]
+    _associativity(report, arrows, rows, after)
+    return report, Encoded(arrows, index, ids, rows, inv, objs, src, dst, unit, after)
 
 
 # -- standard groups ----------------------------------------------------------
@@ -305,39 +409,6 @@ def interval_finite_groupoid() -> FiniteGroupoid:
         table,
         {"0": "id0", "1": "id1"},
         {"id0": "id0", "id1": "id1", "i": "i_inv", "i_inv": "i"},
-    )
-
-
-def disjoint_union(f1: FiniteGroupoid, f2: FiniteGroupoid, name: str | None = None) -> FiniteGroupoid:
-    """Place two groupoids side by side, prefixing names on collision."""
-    def tag(needed, label, items):
-        return {x: (f"{label}.{x}" if needed else x) for x in items}
-
-    clash_obj = bool(set(f1.objects) & set(f2.objects))
-    clash_arr = bool(set(f1.arrows) & set(f2.arrows))
-    o1 = tag(clash_obj, "1", f1.objects)
-    o2 = tag(clash_obj, "2", f2.objects)
-    a1 = tag(clash_arr, "1", f1.arrows)
-    a2 = tag(clash_arr, "2", f2.arrows)
-    src = {a1[x]: o1[f1.src[x]] for x in f1.arrows}
-    src.update({a2[x]: o2[f2.src[x]] for x in f2.arrows})
-    dst = {a1[x]: o1[f1.dst[x]] for x in f1.arrows}
-    dst.update({a2[x]: o2[f2.dst[x]] for x in f2.arrows})
-    table = {(a1[x], a1[y]): a1[z] for (x, y), z in f1.table.items()}
-    table.update({(a2[x], a2[y]): a2[z] for (x, y), z in f2.table.items()})
-    identity = {o1[o]: a1[e] for o, e in f1.identity.items()}
-    identity.update({o2[o]: a2[e] for o, e in f2.identity.items()})
-    inverse = {a1[x]: a1[y] for x, y in f1.inverse.items()}
-    inverse.update({a2[x]: a2[y] for x, y in f2.inverse.items()})
-    return FiniteGroupoid(
-        name or f"{f1.name}+{f2.name}",
-        tuple(o1[x] for x in f1.objects) + tuple(o2[x] for x in f2.objects),
-        tuple(a1[x] for x in f1.arrows) + tuple(a2[x] for x in f2.arrows),
-        src,
-        dst,
-        table,
-        identity,
-        inverse,
     )
 
 

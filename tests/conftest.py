@@ -4,12 +4,13 @@ from gpdkit.crossed import automorphism_xmod, from_normal_subgroup
 from gpdkit.dgt import lambda_functor, square_model
 from gpdkit.finite import (
     cyclic_group,
-    disjoint_union,
     even_elements,
     group_as_groupoid,
     interval_finite_groupoid,
     symmetric_group,
 )
+
+from reference import disjoint_union
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,214 @@
+"""The dict-walking axiom sweeps, kept as the oracle of the integer ones.
+
+``gpdkit.finite`` and ``gpdkit.crossed`` sweep the group, groupoid and
+crossed-module axioms over integer tables.  The functions here are the plain
+loops those sweeps replaced: every check is a lookup in the objects' own
+dicts, one ``Report.count()`` per check.  ``tests/test_reference.py``
+requires both to give the same counts, the same violations in the same
+order, and the same exception.  ``disjoint_union`` is a test-only builder.
+"""
+
+import itertools
+
+from gpdkit.crossed import CrossedModuleData
+from gpdkit.finite import FiniteGroup, FiniteGroupoid
+from gpdkit.report import Report
+
+
+def reference_validate_finite_group(g: FiniteGroup) -> Report:
+    report = Report(f"group {g.name}")
+    elems = g.elements
+    for x, y in itertools.product(elems, repeat=2):
+        report.count()
+        if g.table.get((x, y)) not in elems:
+            report.fail("closure", f"{x}*{y} undefined or escapes")
+    if report.violations:
+        return report
+    for x in elems:
+        report.count(2)
+        if g.mul(g.identity, x) != x or g.mul(x, g.identity) != x:
+            report.fail("identity", f"identity fails on {x}")
+        report.count(2)
+        if g.mul(x, g.inv(x)) != g.identity or g.mul(g.inv(x), x) != g.identity:
+            report.fail("inverse", f"inverse fails on {x}")
+    for x, y, z in itertools.product(elems, repeat=3):
+        report.count()
+        if g.mul(g.mul(x, y), z) != g.mul(x, g.mul(y, z)):
+            report.fail("associativity", f"({x}*{y})*{z} != {x}*({y}*{z})")
+    return report
+
+
+def reference_validate_finite_groupoid(f: FiniteGroupoid) -> Report:
+    """Exhaustively check every groupoid axiom, with a witness per failure."""
+    report = Report(f"groupoid {f.name}")
+    if not f.objects:
+        report.fail("objects", "groupoid has no objects")
+        return report
+    arrows = f.arrows
+    for a in arrows:
+        if f.src.get(a) not in f.objects or f.dst.get(a) not in f.objects:
+            report.fail("endpoints", f"arrow {a} has undeclared endpoints")
+            return report
+    for obj in f.objects:
+        report.count()
+        e = f.identity.get(obj)
+        if e is None or f.src.get(e) != obj or f.dst.get(e) != obj:
+            report.fail("identity-arrow", f"object {obj} lacks an identity loop")
+    if report.violations:
+        return report
+    for x, y in itertools.product(arrows, repeat=2):
+        report.count()
+        defined = (x, y) in f.table
+        should = f.dst[x] == f.src[y]
+        if defined != should:
+            report.fail("domain", f"{x}*{y} defined={defined}, composable={should}")
+        elif defined:
+            z = f.table[(x, y)]
+            if f.src.get(z) != f.src[x] or f.dst.get(z) != f.dst[y]:
+                report.fail("endpoints", f"{x}*{y}={z} breaks endpoint bookkeeping")
+    if report.violations:
+        return report
+    for x in arrows:
+        report.count(2)
+        if f.compose(f.id_at(f.src[x]), x) != x or f.compose(x, f.id_at(f.dst[x])) != x:
+            report.fail("unit", f"identity law fails at {x}")
+        report.count(2)
+        xi = f.inverse.get(x)
+        if xi is None or f.src.get(xi) != f.dst[x] or f.dst.get(xi) != f.src[x]:
+            report.fail("inverse", f"{x} lacks a well-typed inverse")
+        elif (
+            f.compose(x, xi) != f.id_at(f.src[x])
+            or f.compose(xi, x) != f.id_at(f.dst[x])
+        ):
+            report.fail("inverse", f"{x} * {xi} is not the identity")
+    for x, y, z in itertools.product(arrows, repeat=3):
+        if f.dst[x] == f.src[y] and f.dst[y] == f.src[z]:
+            report.count()
+            if f.compose(f.compose(x, y), z) != f.compose(x, f.compose(y, z)):
+                report.fail("associativity", f"({x}*{y})*{z} != {x}*({y}*{z})")
+    return report
+
+
+def reference_validate_crossed_module(x: CrossedModuleData) -> Report:
+    """Sweep every axiom; each failure is reported with a witness triple."""
+    report = Report(f"xmod {x.name}")
+    base_report = reference_validate_finite_groupoid(x.base)
+    if not base_report.ok:
+        for v in base_report.violations:
+            report.fail("base-" + v.law, v.witness)
+        return report
+    P = x.base
+    for s in P.objects:
+        if s not in x.fibers:
+            report.fail("fibers", f"no fiber at object {s!r}")
+            return report
+        fib = reference_validate_finite_group(x.fibers[s])
+        if not fib.ok:
+            for v in fib.violations:
+                report.fail("fiber-" + v.law, f"at {s!r}: {v.witness}")
+            return report
+
+    # mu lands in vertex groups and is a homomorphism per object
+    for s in P.objects:
+        M = x.fibers[s]
+        loops = set(P.vertex_arrows(s))
+        report.count(len(M.elements))
+        for m in M.elements:
+            img = x.mu.get(s, {}).get(m)
+            if img is None or img not in loops:
+                report.fail("mu-typing", f"mu({m}) at {s!r} is not a loop at {s!r}")
+        if report.violations:
+            return report
+        report.count(len(M.elements) ** 2)
+        for m, n in itertools.product(M.elements, repeat=2):
+            if x.mu[s][M.mul(m, n)] != P.compose(x.mu[s][m], x.mu[s][n]):
+                report.fail("mu-homomorphism", f"mu({m}*{n}) != mu({m})mu({n}) at {s!r}")
+
+    # action totality and typing
+    for p in P.arrows:
+        s, t = P.src[p], P.dst[p]
+        report.count(len(x.fibers[s].elements))
+        for m in x.fibers[s].elements:
+            out = x.action.get((m, p))
+            if out is None or out not in x.fibers[t].elements:
+                report.fail("action-typing", f"{m}^{p} missing or outside M({t!r})")
+    if report.violations:
+        return report
+
+    # action laws: identity, composition, multiplicativity
+    for s in P.objects:
+        e = P.id_at(s)
+        report.count(len(x.fibers[s].elements))
+        for m in x.fibers[s].elements:
+            if x.action[(m, e)] != m:
+                report.fail("action-identity", f"{m}^id != {m} at {s!r}")
+    for p, q in itertools.product(P.arrows, repeat=2):
+        if P.dst[p] != P.src[q]:
+            continue
+        pq = P.compose(p, q)
+        report.count(len(x.fibers[P.src[p]].elements))
+        for m in x.fibers[P.src[p]].elements:
+            if x.action[(x.action[(m, p)], q)] != x.action[(m, pq)]:
+                report.fail("action-composition", f"({m}^{p})^{q} != {m}^({p}{q})")
+    for p in P.arrows:
+        s = P.src[p]
+        M = x.fibers[s]
+        Mt = x.fibers[P.dst[p]]
+        report.count(len(M.elements) ** 2)
+        for m, n in itertools.product(M.elements, repeat=2):
+            if x.action[(M.mul(m, n), p)] != Mt.mul(x.action[(m, p)], x.action[(n, p)]):
+                report.fail("action-multiplicative", f"({m}{n})^{p} != {m}^{p} {n}^{p}")
+
+    # CM1: mu(m^p) = p^-1 mu(m) p
+    for p in P.arrows:
+        s, t = P.src[p], P.dst[p]
+        report.count(len(x.fibers[s].elements))
+        for m in x.fibers[s].elements:
+            lhs = x.mu[t][x.action[(m, p)]]
+            rhs = P.compose_all([P.inv(p), x.mu[s][m], p])
+            if lhs != rhs:
+                report.fail("CM1", f"mu({m}^{p}) = {lhs} but p^-1 mu({m}) p = {rhs}")
+
+    # CM2: n^-1 m n = m^(mu n)
+    for s in P.objects:
+        M = x.fibers[s]
+        report.count(len(M.elements) ** 2)
+        for m, n in itertools.product(M.elements, repeat=2):
+            lhs = M.mul(M.mul(M.inv(n), m), n)
+            rhs = x.action[(m, x.mu[s][n])]
+            if lhs != rhs:
+                report.fail("CM2", f"n^-1 m n = {lhs} but {m}^mu({n}) = {rhs}  (m={m}, n={n})")
+    return report
+
+
+def disjoint_union(f1: FiniteGroupoid, f2: FiniteGroupoid, name: str | None = None) -> FiniteGroupoid:
+    """Place two groupoids side by side, prefixing names on collision."""
+    def tag(needed, label, items):
+        return {x: (f"{label}.{x}" if needed else x) for x in items}
+
+    clash_obj = bool(set(f1.objects) & set(f2.objects))
+    clash_arr = bool(set(f1.arrows) & set(f2.arrows))
+    o1 = tag(clash_obj, "1", f1.objects)
+    o2 = tag(clash_obj, "2", f2.objects)
+    a1 = tag(clash_arr, "1", f1.arrows)
+    a2 = tag(clash_arr, "2", f2.arrows)
+    src = {a1[x]: o1[f1.src[x]] for x in f1.arrows}
+    src.update({a2[x]: o2[f2.src[x]] for x in f2.arrows})
+    dst = {a1[x]: o1[f1.dst[x]] for x in f1.arrows}
+    dst.update({a2[x]: o2[f2.dst[x]] for x in f2.arrows})
+    table = {(a1[x], a1[y]): a1[z] for (x, y), z in f1.table.items()}
+    table.update({(a2[x], a2[y]): a2[z] for (x, y), z in f2.table.items()})
+    identity = {o1[o]: a1[e] for o, e in f1.identity.items()}
+    identity.update({o2[o]: a2[e] for o, e in f2.identity.items()})
+    inverse = {a1[x]: a1[y] for x, y in f1.inverse.items()}
+    inverse.update({a2[x]: a2[y] for x, y in f2.inverse.items()})
+    return FiniteGroupoid(
+        name or f"{f1.name}+{f2.name}",
+        tuple(o1[x] for x in f1.objects) + tuple(o2[x] for x in f2.objects),
+        tuple(a1[x] for x in f1.arrows) + tuple(a2[x] for x in f2.arrows),
+        src,
+        dst,
+        table,
+        identity,
+        inverse,
+    )

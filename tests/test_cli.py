@@ -659,17 +659,19 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "gpdkit" or m == "numpy")
 
 print(json.dumps(loaded()))
-for argv in json.loads(sys.argv[1]):
+for argv, code in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
+        assert cli.main(argv) == code, argv
     print(json.dumps(loaded()))
 """
 
 
-def loads_after(*argvs) -> list[set[str]]:
+def loads_after(*argvs, exits=None) -> list[set[str]]:
     """The gpdkit modules, and numpy if loaded, that a fresh process holds
-    after ``import gpdkit.cli`` and then after each vk command of ``argvs``."""
-    proc = subprocess.run([sys.executable, "-c", LOADS, json.dumps(argvs)],
+    after ``import gpdkit.cli`` and then after each vk command of ``argvs``,
+    each of which must exit with its code in ``exits`` (0 by default)."""
+    plan = list(zip(argvs, exits or [0] * len(argvs)))
+    proc = subprocess.run([sys.executable, "-c", LOADS, json.dumps(plan)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return [set(json.loads(line)) for line in proc.stdout.splitlines()]
@@ -691,6 +693,17 @@ def test_xmod_lambda_loads_only_the_tables_and_what_they_read():
     unused = {f"gpdkit.{m}" for m in ("grids", "freemodules", "morphisms", "presentations",
                                       "vkt", "cubes", "eckmann", "suite")}
     assert not unused & after, sorted(unused & after)
+
+
+def test_validating_tables_loads_neither_numpy_nor_the_tables():
+    _, *after = loads_after(
+        ["xmod", "validate", data("a3s3.vk")],
+        ["check", data("a3s3.vk")],
+        ["check", data("bad_groupoid.vk")],
+        exits=[0, 0, 1],
+    )
+    assert "gpdkit.crossed" in after[0]
+    assert not {"numpy", "gpdkit.dgt"} & after[-1], sorted(after[-1])
 
 
 def test_the_eckmann_hilton_criterion_loads_neither_numpy_nor_the_tables():

