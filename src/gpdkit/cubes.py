@@ -17,7 +17,11 @@ equals its lid.
 indices in ``FACE_SLOTS`` order, folded and pasted with the model's tables
 ``H``/``V`` and index maps (``DgtModel.maps``: reflections, inverses, thin
 corners), and enumerated and sampled through the model's square groups
-keyed by the seam edges; it builds no index of its own.
+keyed by the seam edges; it builds no index of its own.  Sampling runs a
+draw plan, one per pinned face and one for a re-rolled lid, built once per
+kernel from those groups as plain ints and lists: each face packs its seam
+edges into a key, looks up its group's span and makes one
+``rng.randrange``.
 ``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
 rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces`` and
 ``compose_cubes`` stay object-level: they serve single cubes read from a
@@ -250,6 +254,11 @@ _SEAMS_AT = {
 }
 # every face but the lid, in drawing order; the lid is drawn last or folded
 _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
+# the faces a draw may pin, the first three it draws; per pinned face (or
+# None), the faces placed before the draw and the faces it then draws
+_PINNABLE = _DRAW_ORDER[:3]
+_DRAWS = {None: ((), _DRAW_ORDER),
+          **{s: ((s,), tuple(t for t in _DRAW_ORDER if t != s)) for s in _PINNABLE}}
 # grid_compose's bracketing of fold_layout's 3x3 grid
 _FOLD_PLAN = _fixed_plan(3, 3, rows_first_cut)
 # what a fold lacks where an index of its layout is -1: l, r, d, then corners
@@ -283,7 +292,7 @@ class CubeKernel:
         self.model = model
         self.code = model.code()
         self.maps = model.maps()
-        self._fits = {}
+        self._plans = {}
 
     def seams(self, cubes) -> np.ndarray:
         """The cubes as an int array, once every seam of every cube agrees.
@@ -366,15 +375,10 @@ class CubeKernel:
     def _fitting(self, slot: str, placed) -> tuple:
         """The squares grouped by ``slot``'s seams to the ``placed`` slots,
         and per grouped edge the placed slot across the seam with that
-        slot's edge column: as arrays for ``enumerate``, as lists for
-        ``_pick``.  Sorted out once per slot and placed slots."""
-        key = (slot, *placed)
-        if key not in self._fits:
-            seams = [(e, o, self.code.edge[oe]) for e, o, oe in _SEAMS_AT[slot] if o in placed]
-            self._fits[key] = (self.model.groups(*(e for e, _, _ in seams)),
-                               [(o, col) for _, o, col in seams],
-                               [(o, col.tolist()) for _, o, col in seams])
-        return self._fits[key]
+        slot's edge column."""
+        seams = [(e, o, self.code.edge[oe]) for e, o, oe in _SEAMS_AT[slot] if o in placed]
+        return (self.model.groups(*(e for e, _, _ in seams)),
+                [(o, col) for _, o, col in seams])
 
     def enumerate(self) -> np.ndarray:
         """Every cube over the model in canonical order: faces in draw order,
@@ -382,43 +386,68 @@ class CubeKernel:
         SizeLimit once a step's tuples would pass MAX_TABLE_BYTES."""
         faces = {}
         for slot in (*_DRAW_ORDER, "d1-"):
-            fit, cols, _ = self._fitting(slot, faces)
+            fit, cols = self._fitting(slot, faces)
             arrows = [col[faces[o]] for o, col in cols]
             faces = dict(zip((*faces, slot), fit.extend(tuple(faces.values()), arrows)))
         return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
 
-    def _pick(self, rng: random.Random, slot: str, faces: dict) -> int:
-        fit, _, cols = self._fitting(slot, faces)
-        picked = fit.pick(rng, fit.pack([col[faces[o]] for o, col in cols]))
-        if picked is None:
-            raise PreconditionFailed("no square matches the edge constraints")
-        return picked
+    def _plan(self, placed: tuple, slots: tuple) -> tuple:
+        """The draw plan for ``slots`` in order, the ``placed`` slots given:
+        per slot its position in a row, its group's ``spans``, member order
+        and radix, and per seam to a face placed before it that face's
+        position and edge column, all plain ints and lists.  Built once."""
+        key = (placed, slots)
+        if key not in self._plans:
+            steps = []
+            for slot in slots:
+                fit, cols = self._fitting(slot, placed)
+                steps.append((_SLOT[slot], fit.spans, fit._order, fit.radix,
+                              tuple((_SLOT[o], col.tolist()) for o, col in cols)))
+                placed = (*placed, slot)
+            self._plans[key] = tuple(steps)
+        return self._plans[key]
 
-    def draw_faces(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> dict:
-        """The five non-lid faces of a ``draw``, by slot, drawn as it draws them."""
-        faces = dict([fixed]) if fixed else {}
-        if faces.keys() - {"d3-", "d2-", "d1+"}:
-            raise PreconditionFailed(f"cannot pin face {fixed[0]!r} while sampling")
-        if fixed and not 0 <= fixed[1] < len(self.model.squares):
-            raise PreconditionFailed(f"the pinned face is not a square of {self.model.name}")
-        for slot in _DRAW_ORDER:
-            if slot not in faces:
-                faces[slot] = self._pick(rng, slot, faces)
-        return faces
+    @staticmethod
+    def _run(plan: tuple, rng: random.Random, row: list) -> list:
+        """Fill ``row``'s positions by ``plan``: per face one packed key, one
+        group lookup and one ``rng.randrange`` over the group's size, the
+        draw ``members[rng.randrange(len(members))]`` makes."""
+        randrange = rng.randrange
+        for at, spans, order, radix, seams in plan:
+            key = 0
+            for o, col in seams:
+                key = key * radix + col[row[o]]
+            span = spans.get(key)
+            if span is None:
+                raise PreconditionFailed("no square matches the edge constraints")
+            lo, hi = span
+            row[at] = order[lo + randrange(hi - lo)]
+        return row
+
+    def draw_faces(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> list:
+        """The five non-lid faces of a ``draw``, drawn as it draws them, in a
+        list of six indices in ``FACE_SLOTS`` order with the lid -1."""
+        row, slot = [-1] * 6, None
+        if fixed:
+            slot, idx = fixed
+            if slot not in _PINNABLE:
+                raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
+            if not 0 <= idx < len(self.model.squares):
+                raise PreconditionFailed(f"the pinned face is not a square of {self.model.name}")
+            row[_SLOT[slot]] = idx
+        return self._run(self._plan(*_DRAWS[slot]), rng, row)
 
     def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
         """A random commutative cube: the faces drawn in draw order, each
         uniform over the squares fitting the faces before it, and the lid
         folded.  ``fixed`` = (slot, square index) pins d3-, d2- or d1+."""
-        faces = self.draw_faces(rng, fixed)
-        faces["d1-"] = int(self._fold(faces))
-        return tuple(faces[slot] for slot in FACE_SLOTS)
+        row = self.draw_faces(rng, fixed)
+        row[0] = int(self._fold(dict(zip(FACE_SLOTS, row))))
+        return tuple(row)
 
     def reroll_lid(self, rng: random.Random, cube: tuple[int, ...]) -> tuple[int, ...]:
         """The cube with its lid drawn anew among the squares that fit."""
-        faces = dict(zip(FACE_SLOTS, cube))
-        faces["d1-"] = self._pick(rng, "d1-", faces)
-        return tuple(faces[slot] for slot in FACE_SLOTS)
+        return tuple(self._run(self._plan(_DRAW_ORDER, ("d1-",)), rng, list(cube)))
 
 
 # -- enumeration and sampling -----------------------------------------------------

@@ -42,7 +42,7 @@ import numpy as np
 
 from .crossed import CrossedModuleData, trivial_crossed_module, validate_crossed_module
 from .errors import InvalidCrossedModule, InvalidDgt, SizeLimit
-from .finite import FiniteGroup, FiniteGroupoid
+from .finite import FiniteGroup, FiniteGroupoid, sweep_groupoid
 from .report import Report
 from .squares import (
     Square,
@@ -467,37 +467,47 @@ class DgtModel:
 
 
 def lambda_functor(x: CrossedModuleData, name: str | None = None) -> DgtModel:
-    """All filled squares over a valid crossed module, with its structure."""
+    """All filled squares over a valid crossed module, with its structure.
+
+    Each candidate boundary bottom^-1 * left^-1 * top * right is composed
+    on the base's integer encoding (``sweep_groupoid``), whole once the
+    module is valid; ``validate_dgt`` rechecks every square's boundary on
+    the objects."""
     report = validate_crossed_module(x)
     if not report.ok:
         raise InvalidCrossedModule(report)
     P = x.base
-    arrows = sorted(P.arrows)
-    preimage: dict[str, dict[str, list[str]]] = {
-        s: {} for s in P.objects
-    }
+    code = sweep_groupoid(P)[1]
+    names, index, rows, inv = code.names, code.index, code.rows, code.inv
+    src, dst = code.src, code.dst
+    arrows = [index[a] for a in sorted(P.arrows)]
+    leaving = [[] for _ in P.objects]  # per object position, the arrows from it in name order
+    hom = {}  # (src, dst) object positions -> the arrows between them in name order
+    for a in arrows:
+        leaving[src[a]].append(a)
+        hom.setdefault((src[a], dst[a]), []).append(a)
+    preimage: dict[int, list[str]] = {}  # loop -> the elements over it, by fiber order
     for s in P.objects:
         for m in x.fibers[s].elements:
-            preimage[s].setdefault(x.mu[s][m], []).append(m)
-    squares = []
+            preimage.setdefault(index[x.mu[s][m]], []).append(m)
+    keys = []
     for top in arrows:
-        rights = [a for a in arrows if P.src[a] == P.dst[top]]
-        lefts = [a for a in arrows if P.src[a] == P.src[top]]
-        for left in lefts:
+        rights = leaving[dst[top]]
+        for left in leaving[src[top]]:
+            lt = rows[inv[left]][top]
             for right in rights:
-                z = P.dst[right]
-                for bottom in P.hom(P.dst[left], z):
-                    word = P.compose_all([P.inv(bottom), P.inv(left), top, right])
-                    for elt in preimage[z].get(word, ()):
-                        squares.append(Square(x, elt, top, right, bottom, left))
-    squares.sort(key=lambda s: s.key())
+                ltr = rows[lt][right]
+                for bottom in hom.get((dst[left], dst[right]), ()):
+                    for elt in preimage.get(rows[inv[bottom]][ltr], ()):
+                        keys.append((elt, names[top], names[right], names[bottom], names[left]))
+    keys.sort()  # Square.key() order
     return DgtModel(
         name or f"squares({x.name})",
         x,
         P,
-        tuple(squares),
-        {a: conn_minus(x, a) for a in arrows},
-        {a: conn_plus(x, a) for a in arrows},
+        tuple(Square(x, *k) for k in keys),
+        {names[a]: conn_minus(x, names[a]) for a in arrows},
+        {names[a]: conn_plus(x, names[a]) for a in arrows},
     )
 
 

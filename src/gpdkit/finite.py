@@ -63,7 +63,7 @@ class FiniteGroupoid:
     table: dict[tuple[str, str], str]
     identity: dict[str, str]
     inverse: dict[str, str]
-    _hom: dict[tuple[str, str], list[str]] = field(default=None, repr=False, compare=False)
+    _hom: dict[tuple[str, str], list[str]] = field(default=None, init=False, repr=False, compare=False)
 
     def compose(self, x: str, y: str) -> str:
         try:

@@ -291,32 +291,44 @@ def _c2_cubes(r: Report) -> int:
     return len(cubes)
 
 
+def _s3_draws(kernel: "CubeKernel", seed: int):
+    """Criterion 8's 1,000 seeded rounds: per round a direction d in 1..3 and
+    two commutative cubes that paste in d, as arrays (1000,) and (1000, 2, 6).
+
+    Each cube is kept as a list of six ints with its lid -1 until a fold
+    fills it; the lids not needed in the loop are folded in one batch."""
+    import numpy as np
+
+    from .cubes import FACE_SLOTS
+
+    rng = random.Random(seed)
+    d, pairs = [], []
+    for _ in range(1000):
+        d.append(e := rng.randrange(1, 4))
+        drawn = kernel.draw_faces(rng)
+        if e == 1:  # a lid is folded, never pinned: pin the upper cube's base to it
+            drawn[0] = int(kernel._fold(dict(zip(FACE_SLOTS, drawn))))
+            pairs.append((kernel.draw_faces(rng, fixed=("d1+", drawn[0])), drawn))
+        else:
+            plus = FACE_SLOTS.index(f"d{e}+")
+            pairs.append((drawn, kernel.draw_faces(rng, fixed=(f"d{e}-", drawn[plus]))))
+    d, pairs = np.array(d, np.intp), np.array(pairs, np.intp)
+    lidless = pairs[..., 0] < 0
+    pairs[lidless, 0] = kernel._fold(dict(zip(FACE_SLOTS, pairs[lidless].T)))
+    return d, pairs
+
+
 def _s3_samples(r: Report, seed: int) -> int:
     """Seeded pairs of commutative sq(S3) cubes sharing a face, and their
     composites; returns how many cubes the oracle checked."""
     import numpy as np
 
-    from .cubes import FACE_SLOTS, CubeKernel
+    from .cubes import CubeKernel
     from .dgt import square_model
     from .finite import group_as_groupoid, symmetric_group
 
-    rounds = 1000
     k = CubeKernel(square_model(group_as_groupoid(symmetric_group(3), name="s3")))
-    rng = random.Random(seed)
-    d = np.empty(rounds, np.intp)
-    pairs = np.empty((rounds, 2, 6), np.intp)  # each round's c1 and c2, lids -1 until folded
-    for n in range(rounds):
-        d[n] = e = rng.randrange(1, 4)
-        drawn = k.draw_faces(rng)
-        if e == 1:  # a lid is folded, never pinned: pin the upper cube's base to it
-            drawn["d1-"] = int(k._fold(drawn))
-            other = k.draw_faces(rng, fixed=("d1+", drawn["d1-"]))
-        else:
-            other = k.draw_faces(rng, fixed=(f"d{e}-", drawn[f"d{e}+"]))
-        for row, faces in zip(pairs[n], (other, drawn) if e == 1 else (drawn, other)):
-            row[:] = [faces.get(slot, -1) for slot in FACE_SLOTS]
-    lidless = pairs[..., 0] < 0
-    pairs[lidless, 0] = k._fold(dict(zip(FACE_SLOTS, pairs[lidless].T)))
+    d, pairs = _s3_draws(k, seed)
     c1, c2 = pairs[:, 0], pairs[:, 1]
     comp = np.empty_like(c1)
     for e in (1, 2, 3):
@@ -324,8 +336,8 @@ def _s3_samples(r: Report, seed: int) -> int:
     ok = _commuting(k, c1) & _commuting(k, c2) & _commuting(k, comp)
     for e in d[~ok]:
         r.fail(f"sampled direction-{e} composite fails")
-    r.counts["s3_samples"] = rounds
-    return 3 * rounds
+    r.counts["s3_samples"] = len(d)
+    return 3 * len(d)
 
 
 def criterion_8_cubes(seed: int = 0) -> Report:
@@ -337,15 +349,14 @@ def criterion_8_cubes(seed: int = 0) -> Report:
 
 def criterion_9_row_collapse(seed: int = 0) -> Report:
     """Identity-framed chains of commutative squares force a = b."""
-    from .dgt import square_model
+    from .crossed import trivial_crossed_module
     from .finite import group_as_groupoid, symmetric_group
     from .grids import Grid, collapse_commutative_row
     from .squares import thin_square
 
     r = Report("criterion-9 row-collapse")
-    model = square_model(group_as_groupoid(symmetric_group(3), name="s3"))
-    xm = model.xm
-    P = model.edges
+    xm = trivial_crossed_module(group_as_groupoid(symmetric_group(3), name="s3"))
+    P = xm.base
     rng = random.Random(seed)
     arrows = sorted(P.arrows)
     failures = 0
@@ -384,13 +395,13 @@ def criterion_10_roundtrip(seed: int = 0) -> Report:
 
     r = Report("criterion-10 equivalence-roundtrip")
     s3 = symmetric_group(3)
-    modules = [
-        a3_s3_xmod(),
-        automorphism_xmod(s3),
-        from_normal_subgroup(trivial_group(), {"e"}, name="trivial_module"),
+    models = [
+        a3_s3_model(),
+        lambda_functor(automorphism_xmod(s3)),
+        lambda_functor(from_normal_subgroup(trivial_group(), {"e"}, name="trivial_module")),
     ]
-    for xm in modules:
-        model = lambda_functor(xm)
+    for model in models:
+        xm = model.xm
         back = gamma(model)
         law = validate_crossed_module(back)
         if not law.ok:

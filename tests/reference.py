@@ -5,7 +5,9 @@ crossed-module axioms over integer tables.  The functions here are the plain
 loops those sweeps replaced: every check is a lookup in the objects' own
 dicts, one ``Report.count()`` per check.  ``tests/test_reference.py``
 requires both to give the same counts, the same violations in the same
-order, and the same exception.  ``disjoint_union`` is a test-only builder.
+order, and the same exception.  ``reference_lambda_keys`` is the name-walking
+square enumeration that ``gpdkit.dgt.lambda_functor`` replaced with integer
+words.  ``disjoint_union`` is a test-only builder.
 """
 
 import itertools
@@ -179,6 +181,29 @@ def reference_validate_crossed_module(x: CrossedModuleData) -> Report:
             if lhs != rhs:
                 report.fail("CM2", f"n^-1 m n = {lhs} but {m}^mu({n}) = {rhs}  (m={m}, n={n})")
     return report
+
+
+def reference_lambda_keys(x: CrossedModuleData) -> list[tuple]:
+    """The keys of every square over a valid ``x``, in model order: each
+    boundary word composed over names with ``compose_all``."""
+    P = x.base
+    arrows = sorted(P.arrows)
+    preimage: dict[str, dict[str, list[str]]] = {s: {} for s in P.objects}
+    for s in P.objects:
+        for m in x.fibers[s].elements:
+            preimage[s].setdefault(x.mu[s][m], []).append(m)
+    keys = []
+    for top in arrows:
+        rights = [a for a in arrows if P.src[a] == P.dst[top]]
+        lefts = [a for a in arrows if P.src[a] == P.src[top]]
+        for left in lefts:
+            for right in rights:
+                z = P.dst[right]
+                for bottom in P.hom(P.dst[left], z):
+                    word = P.compose_all([P.inv(bottom), P.inv(left), top, right])
+                    for elt in preimage[z].get(word, ()):
+                        keys.append((elt, top, right, bottom, left))
+    return sorted(keys)
 
 
 def disjoint_union(f1: FiniteGroupoid, f2: FiniteGroupoid, name: str | None = None) -> FiniteGroupoid:

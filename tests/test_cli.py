@@ -711,6 +711,12 @@ def test_the_eckmann_hilton_criterion_loads_neither_numpy_nor_the_tables():
     assert not {"numpy", "gpdkit.dgt"} & after, sorted(after)
 
 
+def test_the_row_collapse_criterion_loads_neither_numpy_nor_the_tables():
+    _, after = loads_after(["suite", "--criteria", "9"])
+    assert "gpdkit.grids" in after
+    assert not {"numpy", "gpdkit.dgt"} & after, sorted(after)
+
+
 SUITE_LOADS = """
 import sys
 import gpdkit.suite as suite

@@ -28,6 +28,7 @@ from gpdkit.errors import EdgeMismatch, GpdError, PreconditionFailed, SizeLimit
 from gpdkit.finite import cyclic_group, group_as_groupoid, trivial_group
 from gpdkit.grids import grid_compose
 from gpdkit.squares import Square, comp_h, comp_v, conn_plus, identity_square, transpose
+from gpdkit.suite import _s3_draws
 
 
 def shadow_module():
@@ -345,6 +346,26 @@ def test_seeded_draws_match_the_reference(model_name, request):
     assert _draws(model, 8, random_commutative_cube, random_cube) == _draws(
         model, 8, reference_random_commutative_cube, reference_random_cube
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_criterion_8_draws_match_the_reference(seed, sq_s3):
+    """Criterion 8's rounds, drawn by the kernel, against the same loop of
+    object-level draws: the directions and both cubes of every round."""
+    d, pairs = _s3_draws(CubeKernel(sq_s3), seed)
+    rng = random.Random(seed)
+    want_d, want = [], []
+    for _ in range(1000):
+        want_d.append(e := rng.randrange(1, 4))
+        c1 = reference_random_commutative_cube(sq_s3, rng)
+        if e == 1:
+            fixed = ("d1+", c1.face("d1-"))
+            want.append((reference_random_commutative_cube(sq_s3, rng, fixed=fixed), c1))
+        else:
+            fixed = (f"d{e}-", c1.face(f"d{e}+"))
+            want.append((c1, reference_random_commutative_cube(sq_s3, rng, fixed=fixed)))
+    assert d.tolist() == want_d
+    assert pairs.tolist() == [rows_of(sq_s3, cubes).tolist() for cubes in want]
 
 
 def _outcome(compose, c1, c2, d):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 from gpdkit.finite import (
     cyclic_group,
@@ -93,3 +94,12 @@ def test_standard_battery_contents():
     assert [f.name for f in battery] == ["triv", "c2", "c3", "s3"]
     assert [len(f.arrows) for f in battery] == [1, 2, 3, 6]
     assert all(validate_finite_groupoid(f).ok for f in battery)
+
+
+def test_a_replaced_groupoid_builds_its_own_hom_sets():
+    f = interval_finite_groupoid()
+    assert f.hom("0", "1") == ["i"]  # fills f's cache
+    swapped = replace(f, src={**f.src, "i": "1", "i_inv": "0"}, dst={**f.dst, "i": "0", "i_inv": "1"})
+    assert swapped.hom("0", "1") == ["i_inv"]
+    assert swapped.hom("1", "0") == ["i"]
+    assert f.hom("0", "1") == ["i"]

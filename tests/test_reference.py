@@ -18,11 +18,13 @@ from gpdkit.crossed import (
     trivial_crossed_module,
     validate_crossed_module,
 )
+from gpdkit.dgt import lambda_functor
 from gpdkit.finite import (
     FiniteGroup,
     FiniteGroupoid,
     cyclic_group,
     even_elements,
+    group_as_groupoid,
     interval_finite_groupoid,
     standard_battery,
     symmetric_group,
@@ -34,6 +36,7 @@ from gpdkit.textfmt import parse_workspace
 
 from reference import (
     disjoint_union,
+    reference_lambda_keys,
     reference_validate_crossed_module,
     reference_validate_finite_group,
     reference_validate_finite_groupoid,
@@ -235,3 +238,14 @@ def test_one_corrupted_entry_is_judged_as_the_reference_judges_it():
             "identity-arrow", "unit", "associativity", "base-domain", "fiber-closure",
             "mu-typing", "mu-homomorphism", "action-typing", "action-identity",
             "action-composition", "action-multiplicative", "CM1", "CM2"} <= seen, seen
+
+
+# -- the squares of lambda_functor ---------------------------------------------------
+
+def test_lambda_functor_squares_match_the_reference():
+    """The same squares in the same order as the enumeration over names, on
+    one- and several-object bases."""
+    squares_over = [trivial_crossed_module(group_as_groupoid(g, name=g.name))
+                    for g in (cyclic_group(2), symmetric_group(3))]
+    for xm in squares_over + MODULES:
+        assert [s.key() for s in lambda_functor(xm).squares] == reference_lambda_keys(xm), xm.name
