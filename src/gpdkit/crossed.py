@@ -8,6 +8,9 @@ M(s) per object, a boundary mu: M(s) -> P(s, s), and a right action
     CM2:  n^-1 * m * n = m^(mu n)
 
 and both are checked by plain enumeration, since everything is a table.
+
+``sweep_crossed_module`` checks them on the module's one integer encoding
+(``EncodedXmod``), which ``dgt.lambda_functor`` and ``dgt.SquareCode`` read.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from .errors import FiberMismatch, MissingEntry, NotASubgroup, NotNormal, PreconditionFailed, SizeLimit
 from .finite import (
+    Encoded,
     FiniteGroup,
     FiniteGroupoid,
     group_as_groupoid,
@@ -53,8 +57,33 @@ class CrossedModuleData:
             raise MissingEntry(f"{self.name} has no action {m}^{p}") from None
 
 
+@dataclass
+class EncodedXmod:
+    """A crossed module as plain int lists over its base's and fibers'
+    ``finite.Encoded`` numberings: arrows and elements in declared order.
+
+    ``fibers[o]`` encodes the fiber at object position ``o`` (None at a
+    repeated object).  Its element ``k`` is ``start[o] + k`` globally, in
+    runs over the sorted objects, ``size`` in all; ``mu[o][k]`` is its
+    boundary arrow, and ``act[p][k]`` the position of ``m^p`` in the fiber
+    at ``dst p``, for element ``k`` of the fiber at ``src p``.
+    """
+
+    base: Encoded
+    fibers: list[Encoded | None]
+    start: list[int]
+    size: int
+    mu: list[list[int] | None]
+    act: list[list[int]]
+
+
 def validate_crossed_module(x: CrossedModuleData) -> Report:
+    return sweep_crossed_module(x)[0]
+
+
+def sweep_crossed_module(x: CrossedModuleData) -> tuple[Report, EncodedXmod | None]:
     """Sweep every axiom; each failure is reported with a witness triple.
+    Return the report and, once it is ok, the module's encoding.
 
     The sweeps read the integer encodings of the base and the fibers, with
     the boundary and the action as int lists over them (-1 for an entry
@@ -64,18 +93,18 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
     if not base_report.ok:
         for v in base_report.violations:
             report.fail("base-" + v.law, v.witness)
-        return report
+        return report, None
     objects, arrows, rows = x.base.objects, P.names, P.rows
     M = [None] * len(objects)  # the fiber's encoding at each object position
     for s in objects:
         if s not in x.fibers:
             report.fail("fibers", f"no fiber at object {s!r}")
-            return report
+            return report, None
         fib, M[P.obj_index[s]] = sweep_group(x.fibers[s])
         if not fib.ok:
             for v in fib.violations:
                 report.fail("fiber-" + v.law, f"at {s!r}: {v.witness}")
-            return report
+            return report, None
 
     # mu lands in vertex groups and is a homomorphism per object
     mu = [None] * len(objects)  # mu[o][m]: the arrow mu(m) at object position o
@@ -89,7 +118,7 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
             if a < 0 or P.src[a] != o or P.dst[a] != o:
                 report.fail("mu-typing", f"mu({F.names[k]}) at {s!r} is not a loop at {s!r}")
         if report.violations:
-            return report
+            return report, None
         report.count(len(F.names) ** 2)
         for k, m in enumerate(F.names):
             row = rows[mu_s[k]]
@@ -113,7 +142,7 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
                     report.fail("action-typing", f"{m}^{p} missing or outside M({t!r})")
     report.count(checks)
     if report.violations:
-        return report
+        return report, None
 
     # action laws: identity, composition, multiplicativity
     checks = 0
@@ -179,7 +208,13 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
                         report.fail("CM2", f"n^-1 m n = {F.names[lhs[l]]} but {m}^mu({n}) = "
                                            f"{F.names[rhs[l]]}  (m={m}, n={n})")
     report.count(checks)
-    return report
+    if report.violations:
+        return report, None
+    start, size = [0] * len(objects), 0
+    for s in sorted(P.obj_index):
+        o = P.obj_index[s]
+        start[o], size = size, size + len(M[o].names)
+    return report, EncodedXmod(P, M, start, size, mu, act)
 
 
 # -- constructors ---------------------------------------------------------------

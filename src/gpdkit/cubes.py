@@ -33,7 +33,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
-from .dgt import DgtModel, SquareCode, _encode, _Groups
+from .crossed import EncodedXmod, sweep_crossed_module
+from .dgt import _EDGES, DgtModel, _Groups
 from .errors import EdgeMismatch, PreconditionFailed
 from .grids import Grid, _fixed_plan, _fold, grid_compose, rows_first_cut
 from .squares import Square, comp_h, comp_v, inv_h, inv_v, thin_square, transpose
@@ -162,33 +163,32 @@ def is_commutative_cube(c: Cube) -> bool:
     return fold_five_faces(c) == c.face("d1-")
 
 
-def _oracle_preconditions(xm):
-    P = xm.base
-    if len(P.objects) != 1:
+def _oracle_preconditions(x: EncodedXmod):
+    if len(x.fibers) != 1:
         raise PreconditionFailed("the scalar oracle needs a one-object base")
-    mu = xm.mu[P.objects[0]]
-    if len(set(mu.values())) != len(mu):
+    if len(set(x.mu[0])) != len(x.mu[0]):
         raise PreconditionFailed("the scalar oracle needs an injective boundary")
 
 
-def _oracle(c: SquareCode, rows) -> np.ndarray:
-    """The scalar oracle on rows of six square indices of ``c``, whose seams
-    agree: a conjugated product of the six faces' boundary words, taken in
-    the base group off ``c.comp``, never ``H``/``V``."""
-    inv = c.inv
+def _oracle(comp: np.ndarray, inv: np.ndarray, edges, rows) -> np.ndarray:
+    """The scalar oracle on ``rows`` of six square indices whose seams agree,
+    where ``edges`` holds the squares' top, right, bottom and left arrows as
+    four arrays: a conjugated product of the six faces' boundary words, taken
+    in the base group off ``comp``, never ``H``/``V``."""
+    T, R, B, L = edges
 
     def mul(*xs):  # one object: every composite is defined
-        return reduce(lambda x, y: c.comp[x, y], xs)
+        return reduce(lambda x, y: comp[x, y], xs)
 
     def conj(x, p):
         return mul(inv[p], x, p)
 
-    word = mul(inv[c.B], inv[c.L], c.T, c.R)
+    word = mul(inv[B], inv[L], T, R)
     w = {slot: word[rows[..., k]] for k, slot in enumerate(FACE_SLOTS)}
-    a_r = c.R[rows[..., _SLOT["d2-"]]]
-    b_r = c.R[rows[..., _SLOT["d2+"]]]
-    s_b = c.B[rows[..., _SLOT["d1+"]]]
-    c_top = c.T[rows[..., _SLOT["d3+"]]]
+    a_r = R[rows[..., _SLOT["d2-"]]]
+    b_r = R[rows[..., _SLOT["d2+"]]]
+    s_b = B[rows[..., _SLOT["d1+"]]]
+    c_top = T[rows[..., _SLOT["d3+"]]]
     product = mul(
         conj(inv[w["d2+"]], inv[b_r]),
         conj(inv[w["d3-"]], mul(s_b, inv[b_r])),
@@ -202,14 +202,20 @@ def _oracle(c: SquareCode, rows) -> np.ndarray:
 def commutativity_oracle(c: Cube) -> bool:
     """Scalar commutativity test over a one-object base with injective boundary.
 
-    ``_oracle`` on the cube's own six faces, with no square pasting involved.
-    It reads no filler, so it agrees with ``is_commutative_cube`` only where
-    fillers are unique; both preconditions (one object, injective ``mu``)
-    raise ``PreconditionFailed`` when they fail.
+    ``_oracle`` on the cube's own six faces in the module's encoding, with
+    no square pasting involved.  It reads no filler, so it agrees with
+    ``is_commutative_cube`` only where fillers are unique; an invalid module
+    and both preconditions (one object, injective ``mu``) raise
+    ``PreconditionFailed``.
     """
     xm = c.face("d1-").xm
-    _oracle_preconditions(xm)
-    return bool(_oracle(_encode(xm, [c.face(slot) for slot in FACE_SLOTS]), np.arange(6)))
+    x = sweep_crossed_module(xm)[1]
+    if x is None:
+        raise PreconditionFailed(f"the scalar oracle needs a valid crossed module, not {xm.name}")
+    _oracle_preconditions(x)
+    P = x.base
+    edges = [[P.index[getattr(c.face(slot), e)] for slot in FACE_SLOTS] for e in _EDGES]
+    return bool(_oracle(np.array(P.rows), np.array(P.inv), np.array(edges), np.arange(6)))
 
 
 # -- cube composition -----------------------------------------------------------
@@ -369,8 +375,9 @@ class CubeKernel:
 
     def oracle(self, cubes) -> np.ndarray:
         """``commutativity_oracle`` of each cube, with the same preconditions."""
-        _oracle_preconditions(self.model.xm)
-        return _oracle(self.code, self.seams(cubes))
+        _oracle_preconditions(self.model.encoded)
+        c = self.code
+        return _oracle(c.comp, c.inv, (c.T, c.R, c.B, c.L), self.seams(cubes))
 
     def _fitting(self, slot: str, placed) -> tuple:
         """The squares grouped by ``slot``'s seams to the ``placed`` slots,

@@ -6,26 +6,27 @@ are exactly the commuting edge quadruples of the base groupoid.  ``gamma``
 goes back: it reads a crossed module off a model using only the model's own
 compositions and degeneracies.
 
-Every composition law in ``validate_dgt`` reads the tables ``H``/``V``.
-Each model is encoded once as int arrays (``SquareCode``): base composition,
-fiber multiplication over global element ids, the action as element x arrow
--> element, and per square its element and four edges.  ``DgtModel`` is
-the one place that turns squares into indices, each lookup built once per
-model: ``groups`` groups the squares by the arrows on a tuple of edges;
-``find`` reads a square off its element and edges through a dense slot
-index, one slot per square that ``lambda_square_count`` counts, so a lookup
-is arithmetic on per-arrow and per-element arrays and one gather; ``tables``
-builds ``H``/``V`` with numpy formulas and ``find``, one block per pasting
-edge; ``maps`` gives each square's transpose and inverses and each arrow's
-units and thin cube corners.  The law sweeps, the sampled draws and
-``cubes.CubeKernel`` read only these.  A law sweep first checks that every
-pasting in its tables is a square on the edges the pasting forces, then
-splits its arrangements into blocks, one per tuple of shared edges, each a
-product of such groups; both sides of a block are row gathers from small
-sub-tables of ``H``/``V``, at each inner pasting's rank in the group of its
-forced edge, so a sweep never reads a -1 as an index.  The object-level
-calculus (``squares.comp_h``/``comp_v``) is the oracle the tables are tested
-against and, in ``find_interchange_counterexample``, the readable scan for a
+Every composition law in ``validate_dgt`` reads the tables ``H``/``V``.  A
+model keeps its module's one integer encoding (``crossed.EncodedXmod``), on
+which ``lambda_functor`` composed its squares; ``DgtModel.code`` turns it
+into int arrays (``SquareCode``) in the same numbering, with each square's
+element and four edges.  ``DgtModel`` is the one place that turns squares
+into indices, each lookup built once per model: ``groups`` groups the
+squares by the arrows on a tuple of edges; ``find`` reads a square off its
+element and edges through a dense slot index, one slot per square that
+``lambda_square_count`` counts, so a lookup is arithmetic on per-arrow and
+per-element arrays and one gather; ``tables`` builds ``H``/``V`` with numpy
+formulas and ``find``, one block per pasting edge; ``maps`` gives each
+square's transpose and inverses and each arrow's units and thin cube
+corners.  The law sweeps, the sampled draws and ``cubes.CubeKernel`` read
+only these.  A law sweep first checks that every pasting in its tables is a
+square on the edges the pasting forces, then splits its arrangements into
+blocks, one per tuple of shared edges, each a product of such groups; both
+sides of a block are row gathers from small sub-tables of ``H``/``V``, at
+each inner pasting's rank in the group of its forced edge, so a sweep never
+reads a -1 as an index.  The object-level calculus
+(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
+and, in ``find_interchange_counterexample``, the readable scan for a
 corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
 never a table, so it checks the sweeps' coverage independently.
 """
@@ -40,9 +41,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .crossed import CrossedModuleData, trivial_crossed_module, validate_crossed_module
+from .crossed import CrossedModuleData, EncodedXmod, sweep_crossed_module, trivial_crossed_module
 from .errors import InvalidCrossedModule, InvalidDgt, SizeLimit
-from .finite import FiniteGroup, FiniteGroupoid, sweep_groupoid
+from .finite import FiniteGroup, FiniteGroupoid
 from .report import Report
 from .squares import (
     Square,
@@ -80,17 +81,22 @@ _FORK_CHECKS = 1 << 24
 class SquareCode:
     """A model's squares as int arrays; -1 marks an undefined product.
 
-    Arrows are numbered in sorted order, ``names`` lists them, and fiber
-    elements are numbered globally, object by object.  ``E, T, R, B, L``
-    give each square's element and its top, right, bottom and left edges,
-    also by name in ``edge``, where "elt" names ``E``.
+    The numbering is the module's encoding (``crossed.EncodedXmod``): arrows
+    in declared order, listed by ``names``, and fiber elements globally, in
+    runs over the sorted objects.  ``E, T, R, B, L`` give each square's
+    element and its top, right, bottom and left edges, also by name in
+    ``edge``, where "elt" names ``E``.
     """
 
     names: list          # arrow -> its name
     comp: np.ndarray     # arrow x arrow -> arrow
     inv: np.ndarray      # arrow -> its inverse
+    src: np.ndarray      # arrow -> the identity arrow at its source
+    dst: np.ndarray      # arrow -> the identity arrow at its target
+    width: np.ndarray    # arrow -> the order of the fiber at its target
     mul: np.ndarray      # element x element -> element, within one fiber
     elt_inv: np.ndarray  # element -> its inverse in its fiber
+    elt_rank: np.ndarray  # element -> its position in its fiber
     unit: np.ndarray     # arrow -> the identity element of the fiber at its target
     act: np.ndarray      # element x arrow -> element, m^p
     E: np.ndarray
@@ -104,39 +110,6 @@ class SquareCode:
     def __post_init__(self):
         self.arrows = len(self.names)
         self.edge = dict(zip(("elt", *_EDGES), (self.E, self.T, self.R, self.B, self.L)))
-
-
-def _encode(xm: CrossedModuleData, squares) -> SquareCode:
-    P = xm.base
-    arrows = {a: i for i, a in enumerate(sorted(P.arrows))}
-    elts = {}
-    for s in sorted(P.objects):
-        for m in xm.fibers[s].elements:
-            elts[(s, m)] = len(elts)
-    comp = np.full((len(arrows), len(arrows)), -1, np.intp)
-    for (a, b), ab in P.table.items():
-        comp[arrows[a], arrows[b]] = arrows[ab]
-    inv = np.array([arrows[P.inv(a)] for a in arrows], np.intp)
-    unit = np.array([elts[(P.dst[a], xm.fibers[P.dst[a]].identity)] for a in arrows], np.intp)
-    mul = np.full((len(elts), len(elts)), -1, np.intp)
-    elt_inv = np.empty(len(elts), np.intp)
-    for s in P.objects:
-        M = xm.fibers[s]
-        for m, n in itertools.product(M.elements, repeat=2):
-            mul[elts[(s, m)], elts[(s, n)]] = elts[(s, M.mul(m, n))]
-        for m in M.elements:
-            elt_inv[elts[(s, m)]] = elts[(s, M.inv(m))]
-    act = np.full((len(elts), len(arrows)), -1, np.intp)
-    for p, i in arrows.items():
-        for m in xm.fibers[P.src[p]].elements:
-            act[elts[(P.src[p], m)], i] = elts[(P.dst[p], xm.action[(m, p)])]
-    cols = np.array(
-        [(elts[(P.dst[s.right], s.elt)], arrows[s.top], arrows[s.right],
-          arrows[s.bottom], arrows[s.left]) for s in squares],
-        dtype=np.intp,
-    ).reshape(-1, 5)
-    return SquareCode(list(arrows), comp, inv, mul, elt_inv, unit, act,
-                      *(cols[:, k].copy() for k in range(5)))
 
 
 class _Groups:
@@ -248,17 +221,12 @@ class _SlotIndex:
     """
 
     def __init__(self, c: SquareCode):
-        p = np.arange(c.arrows)
-        src, dst = c.comp[p, c.inv], c.comp[c.inv, p]  # identities at p's ends
-        in_fiber = c.mul >= 0
-        width = in_fiber.sum(1)[c.unit]  # |M(dst p)|
-        leaving = src[:, None] == src  # [p, q]: q leaves where p does
+        leaving = c.src[:, None] == c.src  # [p, q]: q leaves where p does
         before = np.tril(leaving, -1)  # [p, q]: ... and comes before p
-        fill = (dst[:, None] == src) @ width  # per top t: fill(dst t)
+        fill = (c.dst[:, None] == c.src) @ c.width  # per top t: fill(dst t)
         size = leaving.sum(1) * fill
         self.count = count = int(size.sum())
-        rank, offset = before.sum(1), before @ width
-        elt_rank = np.tril(in_fiber, -1).sum(1)  # fibers are numbered in runs
+        rank, offset, elt_rank = before.sum(1), before @ c.width, c.elt_rank
         # the largest sum slot() can form from any arguments, pads included
         most = (count + fill.max(initial=0) * rank.max(initial=0)
                 + offset.max(initial=0) + elt_rank.max(initial=0))
@@ -322,8 +290,7 @@ class IndexMaps:
         self.inv_h = model.find(c.act[elt_inv, c.inv[c.B]], c.inv[c.T], c.L, c.inv[c.B], c.R)
         self.inv_v = model.find(c.act[elt_inv, c.inv[c.R]], c.B, c.inv[c.R], c.T, c.inv[c.L])
         self.flip = np.where(self.transpose >= 0, self.inv_h[self.transpose], -1)
-        p = np.arange(c.arrows)
-        src, dst = c.comp[p, c.inv], c.comp[c.inv, p]  # identities at p's ends
+        p, src, dst = np.arange(c.arrows), c.src, c.dst
         self.eps_h = model.find(c.unit[p], src, p, dst, p)
         self.eps_v = model.find(c.unit[p], p, dst, p, src)
         self.corners = (
@@ -345,6 +312,7 @@ class DgtModel:
     squares: tuple[Square, ...]
     connections_minus: dict[str, Square]
     connections_plus: dict[str, Square]
+    encoded: EncodedXmod = field(repr=False, compare=False)  # xm's, as lambda_functor swept it
     index: dict[tuple, int] = field(init=False, repr=False)
     _edge_index: dict = field(default_factory=dict, init=False, repr=False)
     _code: SquareCode = field(default=None, init=False, repr=False)
@@ -391,8 +359,36 @@ class DgtModel:
         return self.squares[rng.randrange(len(self.squares))]
 
     def code(self) -> SquareCode:
+        """``encoded`` as arrays, with each square's element and edges, built once."""
         if self._code is None:
-            self._code = _encode(self.xm, self.squares)
+            x = self.encoded
+            P, fibers, start, n = x.base, x.fibers, x.start, x.size
+            mul = np.full((n, n), -1, np.intp)
+            elt_inv, elt_rank = np.empty(n, np.intp), np.empty(n, np.intp)
+            for o in P.obj_index.values():
+                F, k = fibers[o], start[o]
+                run = slice(k, k + len(F.names))
+                mul[run, run] = np.array(F.rows, np.intp) + k
+                elt_inv[run] = np.array(F.inv, np.intp) + k
+                elt_rank[run] = np.arange(len(F.names))
+            act = np.full((n, len(P.names)), -1, np.intp)
+            for p, ap in enumerate(x.act):
+                k = start[P.src[p]]
+                act[k:k + len(ap), p] = np.array(ap, np.intp) + start[P.dst[p]]
+            index, cols = P.index, []
+            for s in self.squares:
+                r = index[s.right]
+                cols.append((start[P.dst[r]] + fibers[P.dst[r]].index[s.elt], index[s.top], r,
+                             index[s.bottom], index[s.left]))
+            cols = np.array(cols, np.intp).reshape(-1, 5)
+            self._code = SquareCode(
+                list(P.names), np.array(P.rows, np.intp), np.array(P.inv, np.intp),
+                np.array([P.unit[o] for o in P.src], np.intp),
+                np.array([P.unit[o] for o in P.dst], np.intp),
+                np.array([len(fibers[o].names) for o in P.dst], np.intp),
+                mul, elt_inv, elt_rank,
+                np.array([start[o] + fibers[o].unit[0] for o in P.dst], np.intp),
+                act, *(cols[:, k].copy() for k in range(5)))
         return self._code
 
     def groups(self, *edges) -> _Groups:
@@ -470,45 +466,35 @@ def lambda_functor(x: CrossedModuleData, name: str | None = None) -> DgtModel:
     """All filled squares over a valid crossed module, with its structure.
 
     Each candidate boundary bottom^-1 * left^-1 * top * right is composed
-    on the base's integer encoding (``sweep_groupoid``), whole once the
-    module is valid; ``validate_dgt`` rechecks every square's boundary on
-    the objects."""
-    report = validate_crossed_module(x)
+    on the module's integer encoding (``sweep_crossed_module``), which the
+    model keeps; ``validate_dgt`` rechecks every square's boundary on the
+    objects."""
+    report, code = sweep_crossed_module(x)
     if not report.ok:
         raise InvalidCrossedModule(report)
-    P = x.base
-    code = sweep_groupoid(P)[1]
-    names, index, rows, inv = code.names, code.index, code.rows, code.inv
-    src, dst = code.src, code.dst
-    arrows = [index[a] for a in sorted(P.arrows)]
-    leaving = [[] for _ in P.objects]  # per object position, the arrows from it in name order
-    hom = {}  # (src, dst) object positions -> the arrows between them in name order
-    for a in arrows:
-        leaving[src[a]].append(a)
+    P = code.base
+    names, rows, inv, src, dst, after = P.names, P.rows, P.inv, P.src, P.dst, P.after
+    hom = {}  # (src, dst) object positions -> the arrows between them
+    for a in range(len(names)):
         hom.setdefault((src[a], dst[a]), []).append(a)
     preimage: dict[int, list[str]] = {}  # loop -> the elements over it, by fiber order
-    for s in P.objects:
-        for m in x.fibers[s].elements:
-            preimage.setdefault(index[x.mu[s][m]], []).append(m)
+    for o in P.obj_index.values():
+        for m, a in zip(code.fibers[o].names, code.mu[o]):
+            preimage.setdefault(a, []).append(m)
     keys = []
-    for top in arrows:
-        rights = leaving[dst[top]]
-        for left in leaving[src[top]]:
+    for top in range(len(names)):
+        for left in after[inv[top]]:  # the arrows leaving src top
             lt = rows[inv[left]][top]
-            for right in rights:
+            for right in after[top]:
                 ltr = rows[lt][right]
                 for bottom in hom.get((dst[left], dst[right]), ()):
                     for elt in preimage.get(rows[inv[bottom]][ltr], ()):
                         keys.append((elt, names[top], names[right], names[bottom], names[left]))
     keys.sort()  # Square.key() order
-    return DgtModel(
-        name or f"squares({x.name})",
-        x,
-        P,
-        tuple(Square(x, *k) for k in keys),
-        {names[a]: conn_minus(x, names[a]) for a in arrows},
-        {names[a]: conn_plus(x, names[a]) for a in arrows},
-    )
+    arrows = sorted(x.base.arrows)
+    return DgtModel(name or f"squares({x.name})", x, x.base, tuple(Square(x, *k) for k in keys),
+                    {a: conn_minus(x, a) for a in arrows}, {a: conn_plus(x, a) for a in arrows},
+                    code)
 
 
 def lambda_square_count(x: CrossedModuleData) -> int:
@@ -865,8 +851,9 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     # maps() finds carries its fiber's unit, so only a connection can be thick
     m = model.maps()
     report.count(4 * len(c.names))
-    for k, a in enumerate(c.names):
-        cm, cp = model.connections_minus[a], model.connections_plus[a]
+    index = model.encoded.base.index
+    for a in sorted(P.arrows):
+        k, cm, cp = index[a], model.connections_minus[a], model.connections_plus[a]
         for present, s, label in ((m.eps_v[k] >= 0, None, "eps_v"), (m.eps_h[k] >= 0, None, "eps_h"),
                                   (cm in model, cm, "conn-"), (cp in model, cp, "conn+")):
             if not present:
@@ -1048,11 +1035,8 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
         if identity_square(d.xm, s) not in members:
             raise InvalidDgt(f"{d.name}: no identity square at {s!r}")
         fiber_squares[s] = members
-        names = {}
-        for i, q in enumerate(members):
-            nm = f"q{i}"
-            names[q.key()] = nm
-            elt_name[q.key()] = nm
+        names = {q.key(): f"q{i}" for i, q in enumerate(members)}
+        elt_name.update(names)
         table = {}
         for q1 in members:
             for q2 in members:
@@ -1070,13 +1054,7 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
                     inverse[names[q1.key()]] = names[q2.key()]
         if len(inverse) != len(members):
             raise InvalidDgt(f"{d.name}: fiber at {s!r} has no inverses")
-        fibers[s] = FiniteGroup(
-            f"gamma@{s}",
-            tuple(sorted(names.values(), key=lambda nm: int(nm[1:]))),
-            table,
-            ident,
-            inverse,
-        )
+        fibers[s] = FiniteGroup(f"gamma@{s}", tuple(names.values()), table, ident, inverse)
         mu[s] = {names[q.key()]: q.bottom for q in members}
     action: dict[tuple[str, str], str] = {}
     for p in P.arrows:

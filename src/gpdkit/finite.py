@@ -4,6 +4,10 @@ These are the brute-force semantic targets: every law the kernel cares about
 can be checked on them by plain enumeration.  Multiplication is written left
 to right throughout: ``mul(x, y)`` means "x then y", and for permutations
 ``(p * q)(i) = q(p(i))``.
+
+The axiom sweeps run on, and return, an integer encoding (``Encoded``) that
+numbers names in declared order: the one numbering crossed modules and their
+square models build on.
 """
 
 import itertools
@@ -111,16 +115,17 @@ class FiniteGroupoid:
 
 @dataclass
 class Encoded:
-    """A group's or groupoid's tables as plain int lists, built once per sweep.
+    """A group's or groupoid's tables as plain int lists, built by its sweep.
 
-    Each name stands for its first position in ``names``; ``ids[k]`` is the
-    position standing for ``names[k]`` (``k`` unless a name repeats).
-    ``rows[i][j]`` is the position of the product of positions ``i`` and
-    ``j`` and ``inv[k]`` that of the inverse, -1 where the entry is missing
-    or names something outside ``names``.  A groupoid also carries its
-    objects' positions (``obj_index``), its arrows' endpoints as object
-    positions, the identity at each object position (``unit``) and, for
-    each arrow, the arrows that compose after it (``after``).
+    Names are numbered in declared order, each standing for its first
+    position in ``names``; ``ids[k]`` is the position standing for
+    ``names[k]`` (``k`` unless a name repeats).  ``rows[i][j]`` is the
+    position of the product of positions ``i`` and ``j`` and ``inv[k]`` that
+    of the inverse, -1 where the entry is missing or names something outside
+    ``names``.  ``unit`` holds the identity at each object position, one for
+    a group.  A groupoid also carries its objects' positions (``obj_index``),
+    its arrows' endpoints as object positions and, for each arrow, the
+    arrows that compose after it (``after``).
     """
 
     names: tuple[str, ...]
@@ -128,10 +133,10 @@ class Encoded:
     ids: list[int]
     rows: list[list[int]]
     inv: list[int]
+    unit: list[int] | None = None
     obj_index: dict[str, int] | None = None
     src: list[int] | None = None
     dst: list[int] | None = None
-    unit: list[int] | None = None
     after: list[list[int]] | None = None
 
 
@@ -192,6 +197,7 @@ def sweep_group(g: FiniteGroup) -> tuple[Report, Encoded]:
     e = index.get(g.identity, -1)
     if e < 0:
         raise MissingEntry(f"{g.name} has no product {g.identity} * {elems[0]}")
+    code.unit = [e]
     inverse = g.inverse
     inv = code.inv = [index.get(inverse.get(x), -1) for x in elems]
     if -1 in inv:
@@ -284,7 +290,7 @@ def sweep_groupoid(f: FiniteGroupoid) -> tuple[Report, Encoded | None]:
         leaving[s].append(k)
     after = [leaving[t] for t in dst]
     _associativity(report, arrows, rows, after)
-    return report, Encoded(arrows, index, ids, rows, inv, objs, src, dst, unit, after)
+    return report, Encoded(arrows, index, ids, rows, inv, unit, objs, src, dst, after)
 
 
 # -- standard groups ----------------------------------------------------------

@@ -10,9 +10,9 @@ coefficient words in normal form.
 from dataclasses import dataclass, field
 
 from .errors import BaseMismatch, SiteUndefined
-from .morphisms import GroupoidMorphism, evaluate
+from .morphisms import GroupoidMorphism
 from .presentations import GroupoidPresentation
-from .words import Word, free_reduce, word_compose
+from .words import Word, word_compose
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,3 @@ def induce_free_module(m: FreeModule, f: GroupoidMorphism, name: str | None = No
             raise SiteUndefined(f"site {site!r} of {g} has no image under {f.name}")
         sites.append((g, f.object_map[site]))
     return FreeModule(name or f"{m.name}*{f.name}", f.codomain, tuple(sites))
-
-
-def induce_element(e: ModuleElement, m_ind: FreeModule, f: GroupoidMorphism) -> ModuleElement:
-    """Push a formal sum along the morphism used to induce the module."""
-    terms: dict[Term, int] = {}
-    for (gen, letters), c in e.terms.items():
-        path = Word(e.module.site(gen), letters)
-        moved = free_reduce(evaluate(f, path))
-        key = (gen, moved.letters)
-        terms[key] = terms.get(key, 0) + c
-    return ModuleElement(m_ind, f.object_map[e.at], terms)

@@ -6,7 +6,7 @@ the interchange law every way of cutting the rectangle into sub-rectangles
 evaluates to the same square, which is what lets a subdivision be undone.
 
 Every fold here is the bracketing that a cut rule picks: rows first,
-columns first, alternating halves, or seeded random cuts.  ``_plan`` writes
+columns first, alternating halves, or any rule a caller passes.  ``_plan`` writes
 a rule's bracketing in postfix, once per shape for a rule that draws
 nothing, and ``_fold`` evaluates a plan with any two pastings:
 ``comp_h``/``comp_v`` on a ``Grid`` here, the tables ``H``/``V`` on square
@@ -141,19 +141,6 @@ def alternating_cut(first: str):
         if c1 - c0 > 1:
             return ("v", c0 + (c1 - c0) // 2)
         return ("h", r0 + (r1 - r0) // 2)
-
-    return choose
-
-
-def random_cut(rng):
-    """Seeded random cut strategy for fold-order fuzzing."""
-
-    def choose(r0, r1, c0, c1, depth):
-        can_h = r1 - r0 > 1
-        can_v = c1 - c0 > 1
-        if can_h and (not can_v or rng.random() < 0.5):
-            return ("h", rng.randrange(r0 + 1, r1))
-        return ("v", rng.randrange(c0 + 1, c1))
 
     return choose
 

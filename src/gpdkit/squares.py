@@ -208,14 +208,3 @@ def recheck_boundary(s: Square) -> bool:
     return s.xm.boundary(s.corner_se, s.elt) == boundary_word(
         s.xm, s.top, s.right, s.bottom, s.left
     )
-
-
-def interchange_check(x: Square, y: Square, z: Square, w: Square) -> bool:
-    """Compare the two evaluation orders of the 2x2 arrangement [[x, y], [z, w]]."""
-    if x.right != y.left or z.right != w.left:
-        raise EdgeMismatch("rows of the 2x2 arrangement do not paste")
-    if x.bottom != z.top or y.bottom != w.top:
-        raise EdgeMismatch("columns of the 2x2 arrangement do not paste")
-    rows_first = comp_v(comp_h(x, y), comp_h(z, w))
-    cols_first = comp_h(comp_v(x, z), comp_v(y, w))
-    return rows_first == cols_first

@@ -323,11 +323,14 @@ def _s3_samples(r: Report, seed: int) -> int:
     composites; returns how many cubes the oracle checked."""
     import numpy as np
 
-    from .cubes import CubeKernel
-    from .dgt import square_model
-    from .finite import group_as_groupoid, symmetric_group
+    if "s3" not in _MODEL_CACHE:  # the kernel keeps its tables and draw plans
+        from .cubes import CubeKernel
+        from .dgt import square_model
+        from .finite import group_as_groupoid, symmetric_group
 
-    k = CubeKernel(square_model(group_as_groupoid(symmetric_group(3), name="s3")))
+        s3 = group_as_groupoid(symmetric_group(3), name="s3")
+        _MODEL_CACHE["s3"] = CubeKernel(square_model(s3))
+    k = _MODEL_CACHE["s3"]
     d, pairs = _s3_draws(k, seed)
     c1, c2 = pairs[:, 0], pairs[:, 1]
     comp = np.empty_like(c1)

@@ -112,13 +112,6 @@ def reduce_letters(letters) -> tuple:
     return tuple(stack)
 
 
-def is_reduced(w: Word) -> bool:
-    return all(
-        not (x[0] == y[0] and x[1] == -y[1])
-        for x, y in zip(w.letters, w.letters[1:])
-    )
-
-
 def word_compose(w1: Word, w2: Word) -> Word:
     """Concatenate two words and freely reduce the result."""
     if w1.end != w2.base:

@@ -7,14 +7,22 @@ dicts, one ``Report.count()`` per check.  ``tests/test_reference.py``
 requires both to give the same counts, the same violations in the same
 order, and the same exception.  ``reference_lambda_keys`` is the name-walking
 square enumeration that ``gpdkit.dgt.lambda_functor`` replaced with integer
-words.  ``disjoint_union`` is a test-only builder.
+words.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
+``interchange_check`` evaluates one 2x2 arrangement both ways, ``random_cut``
+is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
+``induce_element`` pushes a module element along a morphism.
 """
 
 import itertools
 
 from gpdkit.crossed import CrossedModuleData
+from gpdkit.errors import EdgeMismatch
 from gpdkit.finite import FiniteGroup, FiniteGroupoid
+from gpdkit.freemodules import FreeModule, ModuleElement, Term
+from gpdkit.morphisms import GroupoidMorphism, evaluate
 from gpdkit.report import Report
+from gpdkit.squares import Square, comp_h, comp_v
+from gpdkit.words import Word, free_reduce
 
 
 def reference_validate_finite_group(g: FiniteGroup) -> Report:
@@ -237,3 +245,45 @@ def disjoint_union(f1: FiniteGroupoid, f2: FiniteGroupoid, name: str | None = No
         identity,
         inverse,
     )
+
+
+def interchange_check(x: Square, y: Square, z: Square, w: Square) -> bool:
+    """Compare the two evaluation orders of the 2x2 arrangement [[x, y], [z, w]]."""
+    if x.right != y.left or z.right != w.left:
+        raise EdgeMismatch("rows of the 2x2 arrangement do not paste")
+    if x.bottom != z.top or y.bottom != w.top:
+        raise EdgeMismatch("columns of the 2x2 arrangement do not paste")
+    rows_first = comp_v(comp_h(x, y), comp_h(z, w))
+    cols_first = comp_h(comp_v(x, z), comp_v(y, w))
+    return rows_first == cols_first
+
+
+def random_cut(rng):
+    """Seeded random cut strategy for fold-order fuzzing."""
+
+    def choose(r0, r1, c0, c1, depth):
+        can_h = r1 - r0 > 1
+        can_v = c1 - c0 > 1
+        if can_h and (not can_v or rng.random() < 0.5):
+            return ("h", rng.randrange(r0 + 1, r1))
+        return ("v", rng.randrange(c0 + 1, c1))
+
+    return choose
+
+
+def is_reduced(w: Word) -> bool:
+    return all(
+        not (x[0] == y[0] and x[1] == -y[1])
+        for x, y in zip(w.letters, w.letters[1:])
+    )
+
+
+def induce_element(e: ModuleElement, m_ind: FreeModule, f: GroupoidMorphism) -> ModuleElement:
+    """Push a formal sum along the morphism used to induce the module."""
+    terms: dict[Term, int] = {}
+    for (gen, letters), c in e.terms.items():
+        path = Word(e.module.site(gen), letters)
+        moved = free_reduce(evaluate(f, path))
+        key = (gen, moved.letters)
+        terms[key] = terms.get(key, 0) + c
+    return ModuleElement(m_ind, f.object_map[e.at], terms)

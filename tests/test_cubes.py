@@ -203,6 +203,14 @@ def test_oracle_needs_an_injective_boundary():
         commutativity_oracle(c)
 
 
+def test_oracle_needs_a_valid_module(a3s3):
+    from gpdkit.crossed import perturb_action_entry
+
+    c = identity_cube(perturb_action_entry(a3s3, random.Random(0)))
+    with pytest.raises(PreconditionFailed, match="needs a valid crossed module"):
+        commutativity_oracle(c)
+
+
 # -- the hand-written geometry that EDGE_SEAMS and the orientation rule replace --
 
 def _reference_pick(rng, options):
@@ -481,7 +489,7 @@ def test_kernel_matches_the_object_level_reference(model_name, request):
 @pytest.mark.parametrize("model_name", ["sq_s3", "aut_c3_model", "sq_interval_s3"])
 def test_the_index_map_corners_are_the_fold_layout_corners(model_name, request):
     model = request.getfixturevalue(model_name)
-    corners, arrows = model.maps().corners, sorted(model.edges.arrows)
+    corners, arrows = model.maps().corners, model.code().names
     rng = random.Random(8)
     for _ in range(200):
         (c00, u, c02), (l, _, _), (c20, d, c22) = fold_layout(random_cube(model, rng).faces).cells

@@ -212,6 +212,30 @@ def test_gamma_fiber_matches_inverse_matching(a3s3, a3s3_model):
         assert iso["*"][n] == name_of[by_elt[M.inv(n)].key()]
 
 
+def test_gamma_refuses_a_model_whose_fibers_are_cut(s3):
+    from gpdkit.crossed import from_normal_subgroup
+    from gpdkit.squares import identity_square
+
+    model = lambda_functor(from_normal_subgroup(s3, s3.elements, name="s3s3"))
+
+    def cut(keep):  # the fiber squares at * kept only for the elements in keep
+        fiber = ("e", "e", "e")
+        return replace(model, squares=tuple(q for q in model.squares
+                                            if (q.top, q.left, q.right) != fiber or q.elt in keep))
+
+    no_unit = replace(model, squares=tuple(q for q in model.squares
+                                           if q != identity_square(model.xm, "*")))
+    for hollow, text in (
+        (no_unit, "no identity square at '*'"),
+        (cut({"e", "(12)", "(13)"}), "fiber at '*' is not closed under pasting"),
+        # {e, (12)} is a subgroup, but not a normal one: (123) moves (12) out
+        (cut({"e", "(12)"}), "sandwich of ((12); e,e,(12),e) along (123) escapes the fibers"),
+    ):
+        with pytest.raises(InvalidDgt) as exc:
+            gamma(hollow)
+        assert str(exc.value) == f"squares(s3s3): {text}"
+
+
 def test_isomorphism_rejects_mismatched_modules(a3s3, s3):
     from gpdkit.crossed import automorphism_xmod
 
@@ -293,6 +317,24 @@ def test_find_locates_each_square_and_nothing_else(aut_c3_model, sq_interval_s3)
         assert (model.find(c.E + 1, -1, c.R, c.B, c.L) == -1).all()
 
 
+def test_a_model_and_its_code_sweep_the_base_and_each_fiber_once(monkeypatch):
+    from gpdkit import crossed, finite
+
+    xm = crossed.trivial_crossed_module(interval_finite_groupoid())
+    swept = []
+    for module in (crossed, dgt):
+        for name in ("sweep_group", "sweep_groupoid"):
+            def counted(obj, sweep=getattr(finite, name)):
+                swept.append(obj.name)
+                return sweep(obj)
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+    c = lambda_functor(xm).code()
+    assert swept == ["interval4", "triv@0", "triv@1"]
+    # the sweep's numbering: arrows in declared order, not sorted
+    assert c.names == ["id0", "id1", "i", "i_inv"]
+
+
 def test_find_on_a_model_without_squares(sq_c2):
     empty = replace(sq_c2, squares=())
     assert empty.find(np.array([0]), 0, 0, 0, 0).tolist() == [-1]
@@ -362,7 +404,7 @@ def assert_maps_match_calculus(model):
     assert m.inv_v.tolist() == [at(inv_v(s)) for s in sq]
     assert m.flip.tolist() == [at(inv_h(transpose(s))) if transpose(s) in model else -1
                                for s in sq]
-    arrows = sorted(model.edges.arrows)
+    arrows = model.code().names
     assert m.eps_h.tolist() == [at(eps_h(xm, a)) for a in arrows]
     assert m.eps_v.tolist() == [at(eps_v(xm, a)) for a in arrows]
     assert [c.tolist() for c in m.corners] == [
@@ -387,7 +429,7 @@ def test_index_maps_of_a_hollow_model_say_minus_one(aut_c3_model):
     hollow = replace(model, squares=tuple(q for q in model.squares if q not in gone))
     assert_maps_match_calculus(hollow)
     m = hollow.maps()
-    assert m.eps_h[sorted(model.edges.arrows).index(a)] == -1
+    assert m.eps_h[model.code().names.index(a)] == -1
     assert m.inv_h[hollow.index[s.key()]] == -1
 
 
@@ -402,12 +444,28 @@ def test_a_hollow_model_fails_the_laws_as_the_reference_does():
     assert_maps_match_calculus(hollow)
     m, i = hollow.maps(), hollow.index[eps_h(xm, "i").key()]
     assert m.inv_v[i] == -1 and m.inv_h[i] == i
-    assert m.eps_v[sorted(model.edges.arrows).index("id1")] == -1
+    assert m.eps_v[model.code().names.index("id1")] == -1
     report = validate_dgt(hollow, interchange="exhaustive")
     reference = reference_validate_dgt(hollow, "exhaustive", seed=0, samples=0)
     assert report.checks == reference.checks
     assert report.violations == reference.violations
     assert {v.law for v in report.violations} == {"degeneracy-closure", "v-inverse"}
+
+
+@pytest.mark.parametrize("label, paste, edges, other", [
+    ("horizontal", comp_h, ("right", "left"), ("bottom", "top")),
+    ("vertical", comp_v, ("bottom", "top"), ("right", "left")),
+])
+def test_tables_refuse_a_model_missing_a_composite(aut_c3_model, label, paste, edges, other):
+    # two squares that paste as x then y in this direction and not at all in
+    # the other, kept without their composite
+    model, (out, into), (out2, into2) = aut_c3_model, edges, other
+    x, y = next((x, y) for x in model.squares for y in model.squares
+                if getattr(x, out) == getattr(y, into) and paste(x, y) not in (x, y)
+                and not any(getattr(a, out2) == getattr(b, into2) for a in (x, y) for b in (x, y)))
+    with pytest.raises(InvalidDgt) as exc:
+        replace(model, squares=(x, y)).tables()
+    assert str(exc.value) == f"squares(aut_xmod_c3): a {label} composite escapes the model"
 
 
 def test_tables_match_calculus_on_a_sample(a3s3_model, aut_s3_model):

@@ -12,10 +12,10 @@ from gpdkit.grids import (
     grid_compose,
     grid_compose_bracketed,
     grid_compose_columns_first,
-    random_cut,
 )
 from gpdkit.squares import eps_h, eps_v, identity_square, thin_square
 from gpdkit.suite import _draw_grids, _grid_folds, a3_s3_model
+from reference import random_cut
 from test_dgt import with_swapped_filler
 
 

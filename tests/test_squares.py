@@ -12,7 +12,6 @@ from gpdkit.squares import (
     eps_h,
     eps_v,
     identity_square,
-    interchange_check,
     inv_h,
     inv_v,
     is_thin,
@@ -21,6 +20,8 @@ from gpdkit.squares import (
     thin_square,
     transpose,
 )
+
+from reference import interchange_check
 
 
 def test_identity_square(a3s3):

@@ -8,10 +8,11 @@ from gpdkit.words import (
     free_reduce,
     generator_word,
     identity_word,
-    is_reduced,
     word_compose,
     word_inverse,
 )
+
+from reference import is_reduced
 
 A = ArrowGen("a", "0", "1")
 B = ArrowGen("b", "0", "1")
