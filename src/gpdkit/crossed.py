@@ -62,18 +62,18 @@ class EncodedXmod:
     """A crossed module as plain int lists over its base's and fibers'
     ``finite.Encoded`` numberings: arrows and elements in declared order.
 
-    ``fibers[o]`` encodes the fiber at object position ``o`` (None at a
-    repeated object).  Its element ``k`` is ``start[o] + k`` globally, in
-    runs over the sorted objects, ``size`` in all; ``mu[o][k]`` is its
-    boundary arrow, and ``act[p][k]`` the position of ``m^p`` in the fiber
-    at ``dst p``, for element ``k`` of the fiber at ``src p``.
+    ``fibers[o]`` encodes the fiber at object position ``o``.  Its element
+    ``k`` is ``start[o] + k`` globally, in runs over the sorted objects,
+    ``size`` in all; ``mu[o][k]`` is its boundary arrow, and ``act[p][k]``
+    the position of ``m^p`` in the fiber at ``dst p``, for element ``k`` of
+    the fiber at ``src p``.
     """
 
     base: Encoded
-    fibers: list[Encoded | None]
+    fibers: list[Encoded]
     start: list[int]
     size: int
-    mu: list[list[int] | None]
+    mu: list[list[int]]
     act: list[list[int]]
 
 
@@ -151,7 +151,7 @@ def sweep_crossed_module(x: CrossedModuleData) -> tuple[Report, EncodedXmod | No
         ae = act[P.unit[P.obj_index[s]]]
         checks += len(ae)
         for k, m in enumerate(F.names):
-            if ae[k] != F.ids[k]:
+            if ae[k] != k:
                 report.fail("action-identity", f"{m}^id != {m} at {s!r}")
     report.count(checks)
     checks = 0

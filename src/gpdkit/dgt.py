@@ -24,7 +24,13 @@ square on the edges the pasting forces, then splits its arrangements into
 blocks, one per tuple of shared edges, each a product of such groups; both
 sides of a block are row gathers from small sub-tables of ``H``/``V``, at
 each inner pasting's rank in the group of its forced edge, so a sweep never
-reads a -1 as an index.  The object-level calculus
+reads a -1 as an index.  The interchange sweep's sub-tables hold element
+ranks packed into int64 words, one word per row of an arrangement's last
+square: both sides are squares on the same four edges, so they are equal
+exactly when their elements are.  A sweep of at least ``_FORK_CHECKS``
+checks runs on two workers, the process and one forked child, each taking
+every other row of the sweep's blocks: a block of associativity, a (beta,
+rho) group of interchange blocks.  The object-level calculus
 (``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
 and, in ``find_interchange_counterexample``, the readable scan for a
 corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
@@ -64,17 +70,23 @@ _EDGES = ("top", "right", "bottom", "left")
 # It also keeps every flat table index below 2**31.
 MAX_TABLE_BYTES = 1 << 28
 
-# Most arrangements a law sweep compares at once; bounds its temporaries.
+# Most arrangements, or packed words, a law sweep compares at once; bounds
+# its temporaries.
 _PIECE = 1 << 16
 
-# Fewest checks for which a law sweep forks a second worker.  On a 2-vCPU
-# VM the row-gather kernels check about 7e8 triples/s serially, and a fork
-# adds some 5-10 ms, its child faulting in temporaries of its own.  In three
-# rounds of alternating in-process runs (medians), A3 in S3's 7.6M-check
-# associativity sweep took 11.1-14.6 ms serially against 12.4-21.6 ms
-# forked, and Aut(S3)'s 60M-check one 85-89 ms against 50-51 ms: a fork
-# breaks even near 1e7 checks.
+# Fewest checks for which a law sweep forks a second worker.  A fork costs
+# some 5-10 ms, its child faulting in temporaries of its own.  In three
+# rounds of alternating in-process runs on a 2-vCPU VM (medians of 11), the
+# associativity kernel checked 4e8-8e8 triples/s serially: A3 in S3's
+# 7.6M-check sweep took 12-20 ms serially against 13-17 ms forked, and
+# Aut(S3)'s 60M-check one 76-78 ms against 44-85 ms.  The packed
+# interchange kernel checked 2e9-7e9 arrangements/s: A3 in S3's 136M took
+# 46-80 ms against 44-53 ms, and Aut(S3)'s 2.2e9 0.32-0.48 s against
+# 0.23-0.26 s.  A fork breaks even near 1e7 associativity checks.
 _FORK_CHECKS = 1 << 24
+
+# The word an interchange sweep packs element ranks into (``_packed``).
+_WORD = np.dtype(np.int64)
 
 
 @dataclass
@@ -549,26 +561,32 @@ def comp_h_unconjugated(left: Square, right: Square):
 def _class_sweep(blocks, pieces, total: int):
     """Check one law on every block of its edge-compatible arrangements.
 
-    ``blocks`` lists the blocks, one per row, in the order they are swept.
-    ``pieces(rows)`` yields the law's two sides on the arrangements of those
-    rows as ``(lhs, rhs, members)``: two equal-shaped arrays and one
-    ascending array of square indices per axis, so that position ``i``
-    holds the arrangement ``(members[0][i[0]], members[1][i[1]], ...)``.
-    The axes run in the law's scan order.  Returns (checks, violations,
-    first): the checks are the sizes of the compared arrays summed, and
-    ``first`` is the least violating arrangement in scan order, or None.
+    ``blocks`` lists the blocks, or groups of blocks, one per row, in the
+    order they are swept.  ``pieces(rows)`` yields the law's two sides on
+    the arrangements of those rows as ``(lhs, rhs, members)``: two
+    equal-shaped arrays and one ascending array of square indices per axis,
+    so that position ``i`` holds the arrangement ``(members[0][i[0]],
+    members[1][i[1]], ...)``.  The axes run in the law's scan order.  It
+    may yield a count instead, of arrangements it has already found to
+    hold.  Returns (checks, violations, first): the checks are the counts
+    and the sizes of the compared arrays summed, and ``first`` is the least
+    violating arrangement in scan order, or None.
 
     Two workers at most: when ``total``, the sweep's exact check count, is
-    at least ``_FORK_CHECKS``, there are two blocks or more and the process
-    may run on two CPUs, one ``os.fork()``ed child sweeps every other block
-    while this process sweeps the rest; otherwise the blocks run serially
-    here.  Each arrangement lies in exactly one block, so the sums of the
+    at least ``_FORK_CHECKS``, there are two rows or more and the process
+    may run on two CPUs, one ``os.fork()``ed child sweeps every other row
+    while this process sweeps the rest; otherwise the rows run serially
+    here.  Each arrangement lies in exactly one row, so the sums of the
     counts and the lesser ``first`` equal the serial result.
     """
     def sweep(rows):
         checked = bad = 0
         first = None
-        for lhs, rhs, members in pieces(rows):
+        for piece in pieces(rows):
+            if isinstance(piece, int):
+                checked += piece
+                continue
+            lhs, rhs, members = piece
             checked += lhs.size
             miss = lhs != rhs
             nb = int(np.count_nonzero(miss))
@@ -586,7 +604,7 @@ def _class_sweep(blocks, pieces, total: int):
 
 
 def _forked(sweep, blocks):
-    """``sweep(blocks)``, with every other block swept by a forked child.
+    """``sweep(blocks)``, with every other row swept by a forked child.
 
     The child pickles its result, or the text of what it raised, down a
     pipe and leaves with ``os._exit``; a child that fails makes this raise.
@@ -672,6 +690,29 @@ def _check_pastings(model: DgtModel, table: np.ndarray, name: str, out: str, int
         raise InvalidDgt(f"{at} = {t} is off the edge {c.names[want]} that the pasting forces")
 
 
+def _packed(fields: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows of a table at each row of the 2-d ``at``, packed into ``_WORD``s.
+
+    ``fields[i]`` is the table, values below 2**bits in unsigned ints (the
+    lanes), shifted left by bits * i, for i below the values a lane holds;
+    each ends in a row of zeros.  ``out[a, u]`` holds column u at the rows
+    at[a]: value k in lane k % lanes at field k // lanes, the lanes zero
+    padded to whole words.  Shape (len(at), columns, words); rows of ``at``
+    of one length pack equal columns to equal words, and only those.
+    """
+    per, rows, cols = fields.shape
+    m, n = at.shape
+    lanes = -(-n // per)
+    idx = np.full((m, per * lanes), rows - 1)
+    idx[:, :n] = at
+    idx = idx.reshape(m, per, lanes) + rows * np.arange(per)[:, None]
+    packed = np.bitwise_or.reduce(fields.reshape(per * rows, cols).take(idx, axis=0), axis=1)
+    lane, word = fields.itemsize, _WORD.itemsize
+    out = np.zeros((m, cols, -(-lanes * lane // word) * word // lane), fields.dtype)
+    out[..., :lanes] = packed.transpose(0, 2, 1)
+    return out.view(_WORD)
+
+
 def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     """Interchange on every edge-compatible 2x2 arrangement, read from H/V.
 
@@ -684,7 +725,23 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     laid out (z, u, w) over the squares u with bottom d, at u = the rank of
     H[x, y] among them; the right side reads H[s, V[y, w]], laid out
     (s, y, w) over the squares s with right e, at s = the rank of V[x, z].
-    Both come out as (z, x, y, w) arrays.  Returns (checked, violations,
+
+    Once ``_check_pastings`` has passed on H and V, each pasting is a
+    square with the outer edges of its two squares, so both sides are
+    squares on the same four edges: top x.top y.top, right y.right w.right,
+    bottom z.bottom w.bottom and left x.left z.left.  A model holds one
+    square per element and four edges, so the two sides are equal exactly
+    when their elements are, that is when the elements' ranks in the fiber
+    at the target of that right edge are.  The sub-tables therefore hold
+    those ranks, ``bits`` apiece, packed along w into int64 words
+    (``_packed``), and a block compares one word per (z, x, y) row where it
+    compared one square per arrangement.  Only a piece whose words differ
+    is compared again square by square, as (z, x, y, w) arrays of H/V
+    entries, which counts its violations and finds the first.
+
+    The workers split the (beta, rho) pairs, one per row of the blocks
+    ``_class_sweep`` gets: all blocks of one pair, which share their w and
+    their sub-tables, run in one worker.  Returns (checked, violations,
     first violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
     c = model.code()
@@ -696,34 +753,69 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
                                              ("top", "right"), ("left", "top")))
     p = np.arange(c.arrows)
     nx, ny, nz, nw = (g.size(p[:, None], p) for g in (X, Y, Z, W))
-    blocks = np.array([(beta, rho, b, r) for beta, rho in np.argwhere(nw.T).tolist()
-                       for b in np.flatnonzero(nz[:, rho]).tolist()
-                       for r in np.flatnonzero(nx[:, b] * ny[:, beta]).tolist()],
-                      np.intp).reshape(-1, 4)
+    by_top, by_left = model.groups("top"), model.groups("left")
+    top_rank, left_rank = by_top.rank(), by_left.rank()
+    bits = max(1, (int(c.width.max(initial=1)) - 1).bit_length())
+    # two-byte lanes where they hold more values a byte (at 3 and 5 bits):
+    # 36 ranks of 3 bits then take 2 words, not 3; all per shifted copies
+    # of a table take at most 10 bytes a pasting
+    lane = np.dtype(np.uint16 if 16 // bits > 2 * (8 // bits) else np.uint8)
+    per = 8 * lane.itemsize // bits
+    rank = c.elt_rank[c.E].astype(lane)
+
+    # per arrow d, the element ranks of the pastings along d, as _packed
+    # reads them: of V[u, t], one row per t with top d and one column per u
+    # with bottom d, each by its rank there; of H[s, v], one row per v with
+    # left d and one column per s with right d
+    def fields(table, rows, cols):
+        t = np.zeros((len(cols) + 1, len(rows)), lane)
+        t[:-1] = rank.take(_sub(table, rows, cols)).T
+        return np.stack([t << (bits * i) for i in range(per)])
+
+    V_ranks = [fields(V, by_bottom.members(d), by_top.members(d)) for d in p]
+    H_ranks = [fields(H, by_right.members(d), by_left.members(d)) for d in p]
+
+    def unpacked(xs, ys, zs, ws, d, e, hzw, hxy, vxz):
+        lhs_table = np.ascontiguousarray(_sub(V, by_bottom.members(d), hzw).transpose(1, 0, 2))
+        rhs_table = _sub(H, by_right.members(e), _sub(V, ys, ws))
+        step = max(1, _PIECE // (len(ys) * len(zs) * len(ws)))
+        for lo in range(0, len(xs), step):
+            part = slice(lo, lo + step)
+            lhs = lhs_table.take(hxy[part], axis=1)
+            rhs = rhs_table.take(vxz[:, part], axis=0)
+            yield lhs.transpose(1, 0, 2, 3), rhs.transpose(1, 0, 2, 3), (xs[part], zs, ys, ws)
+
+    comp = c.comp.tolist()
 
     def pieces(rows):
-        lhs_at = rhs_at = None
-        for beta, rho, b, r in rows.tolist():
-            xs, ys = X.members(r, b), Y.members(r, beta)
-            zs, ws = Z.members(b, rho), W.members(rho, beta)
-            d, e = c.comp[b, beta], c.comp[r, rho]
-            if lhs_at != (beta, rho, b):
-                lhs_at = (beta, rho, b)
-                lhs_table = np.ascontiguousarray(
-                    _sub(V, by_bottom.members(d), _sub(H, zs, ws)).transpose(1, 0, 2))
-            if rhs_at != (beta, rho):
-                rhs_at, rhs_tables = (beta, rho), {}  # per r
-            if r not in rhs_tables:
-                rhs_tables[r] = _sub(H, by_right.members(e), _sub(V, ys, ws))
-            hxy = bottom_rank.take(_sub(H, xs, ys))
-            vxz = right_rank.take(_sub(V, xs, zs)).T
-            step = max(1, _PIECE // (len(ys) * len(zs) * len(ws)))
-            for lo in range(0, len(xs), step):
-                part = slice(lo, lo + step)
-                lhs = lhs_table.take(hxy[part], axis=1)
-                rhs = rhs_tables[r].take(vxz[:, part], axis=0)
-                yield lhs.transpose(1, 0, 2, 3), rhs.transpose(1, 0, 2, 3), (xs[part], zs, ys, ws)
+        for beta, rho in rows.tolist():
+            ws = W.members(rho, beta)
+            rhs_words = {}  # per r
+            for b in np.flatnonzero(nz[:, rho]).tolist():
+                rs = np.flatnonzero(nx[:, b] * ny[:, beta]).tolist()
+                if not rs:
+                    continue
+                zs, d = Z.members(b, rho), comp[b][beta]
+                hzw = _sub(H, zs, ws)
+                lhs_words = _packed(V_ranks[d], top_rank.take(hzw))
+                for r in rs:
+                    xs, ys, e = X.members(r, b), Y.members(r, beta), comp[r][rho]
+                    if r not in rhs_words:
+                        rhs_words[r] = np.ascontiguousarray(
+                            _packed(H_ranks[e], left_rank.take(_sub(V, ys, ws))).transpose(1, 0, 2))
+                    hxy = bottom_rank.take(_sub(H, xs, ys))
+                    vxz = right_rank.take(_sub(V, xs, zs)).T
+                    step = max(1, _PIECE // lhs_words[:, 0].size // len(ys))
+                    for lo in range(0, len(xs), step):
+                        part = slice(lo, lo + step)
+                        if (lhs_words.take(hxy[part], axis=1)
+                                == rhs_words[r].take(vxz[:, part], axis=0)).all():
+                            yield len(xs[part]) * len(ys) * len(zs) * len(ws)
+                        else:
+                            yield from unpacked(xs[part], ys, zs, ws, d, e, hzw,
+                                                hxy[part], vxz[:, part])
 
+    blocks = np.argwhere(nw.T)  # (beta, rho)
     checked, bad, first = _class_sweep(blocks, pieces, count_compatible_quadruples(model))
     return checked, bad, None if first is None else (first[0], first[2], first[1], first[3])
 

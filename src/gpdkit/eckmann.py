@@ -7,7 +7,6 @@ commutative operation.  Anything else would be a violation worth reporting.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import SizeLimit
 from .report import Report
@@ -15,40 +14,6 @@ from .report import Report
 MAX_CARRIER = 4
 
 Table = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class MonoidPair:
-    carrier: int
-    op1: Table
-    e1: int
-    op2: Table
-    e2: int
-
-    def __post_init__(self):
-        for op, e in ((self.op1, self.e1), (self.op2, self.e2)):
-            if not _is_monoid(self.carrier, op, e):
-                raise ValueError("not a monoid structure")
-
-
-def _is_associative(n: int, op: Table) -> bool:
-    return all(
-        op[op[a][b]][c] == op[a][op[b][c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
-
-
-def _identity_of(n: int, op: Table) -> int | None:
-    for e in range(n):
-        if all(op[e][x] == x and op[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
-def _is_monoid(n: int, op: Table, e: int) -> bool:
-    return _identity_of(n, op) == e and _is_associative(n, op)
 
 
 def enumerate_monoids(n: int) -> list[tuple[Table, int]]:

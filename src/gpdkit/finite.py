@@ -117,20 +117,18 @@ class FiniteGroupoid:
 class Encoded:
     """A group's or groupoid's tables as plain int lists, built by its sweep.
 
-    Names are numbered in declared order, each standing for its first
-    position in ``names``; ``ids[k]`` is the position standing for
-    ``names[k]`` (``k`` unless a name repeats).  ``rows[i][j]`` is the
-    position of the product of positions ``i`` and ``j`` and ``inv[k]`` that
-    of the inverse, -1 where the entry is missing or names something outside
-    ``names``.  ``unit`` holds the identity at each object position, one for
-    a group.  A groupoid also carries its objects' positions (``obj_index``),
-    its arrows' endpoints as object positions and, for each arrow, the
-    arrows that compose after it (``after``).
+    Names, which the sweep requires to be distinct, are numbered in
+    declared order.  ``rows[i][j]`` is the position of the product of
+    positions ``i`` and ``j`` and ``inv[k]`` that of the inverse, -1 where
+    the entry is missing or names something outside ``names``.  ``unit``
+    holds the identity at each object position, one for a group.  A
+    groupoid also carries its objects' positions (``obj_index``), its
+    arrows' endpoints as object positions and, for each arrow, the arrows
+    that compose after it (``after``).
     """
 
     names: tuple[str, ...]
     index: dict[str, int]
-    ids: list[int]
     rows: list[list[int]]
     inv: list[int]
     unit: list[int] | None = None
@@ -140,11 +138,13 @@ class Encoded:
     after: list[list[int]] | None = None
 
 
-def _positions(names) -> tuple[dict[str, int], list[int]]:
+def _positions(report: Report, kind: str, names) -> dict[str, int]:
+    """Each name's position; a name that repeats fails ``names``."""
     index: dict[str, int] = {}
     for k, x in enumerate(names):
-        index.setdefault(x, k)
-    return index, [index[x] for x in names]
+        if index.setdefault(x, k) != k:
+            report.fail("names", f"{kind} {x} is repeated")
+    return index
 
 
 def _associativity(report: Report, names, rows, after) -> None:
@@ -178,11 +178,13 @@ def sweep_group(g: FiniteGroup) -> tuple[Report, Encoded]:
     report = Report(f"group {g.name}")
     elems = g.elements
     n = len(elems)
-    index, ids = _positions(elems)
+    index = _positions(report, "element", elems)
     get = g.table.get
     rows = [[index.get(get((x, y)), -1) for y in elems] for x in elems]
-    code = Encoded(elems, index, ids, rows, [])
+    code = Encoded(elems, index, rows, [])
     if not n:
+        report.fail("identity", f"group has no elements, so no identity {g.identity}")
+    if report.violations:
         return report, code
     report.count(n * n)
     for i, row in enumerate(rows):
@@ -207,11 +209,11 @@ def sweep_group(g: FiniteGroup) -> tuple[Report, Encoded]:
         raise MissingEntry(f"{g.name} has no product {x} * {inverse[x]}")
     report.count(4 * n)
     left_by_e = rows[e]
-    for k, x in enumerate(ids):
+    for x in range(n):
         if left_by_e[x] != x or rows[x][e] != x:
-            report.fail("identity", f"identity fails on {elems[k]}")
-        if rows[x][inv[k]] != e or rows[inv[k]][x] != e:
-            report.fail("inverse", f"inverse fails on {elems[k]}")
+            report.fail("identity", f"identity fails on {elems[x]}")
+        if rows[x][inv[x]] != e or rows[inv[x]][x] != e:
+            report.fail("inverse", f"inverse fails on {elems[x]}")
     everything = list(range(n))
     _associativity(report, elems, rows, [everything] * n)
     return report, code
@@ -237,8 +239,10 @@ def sweep_groupoid(f: FiniteGroupoid) -> tuple[Report, Encoded | None]:
         report.fail("objects", "groupoid has no objects")
         return report, None
     arrows = f.arrows
-    index, ids = _positions(arrows)
-    objs, _ = _positions(f.objects)
+    objs = _positions(report, "object", f.objects)
+    index = _positions(report, "arrow", arrows)
+    if report.violations:
+        return report, None
     src = [objs.get(f.src.get(a), -1) for a in arrows]
     dst = [objs.get(f.dst.get(a), -1) for a in arrows]
     for k, a in enumerate(arrows):
@@ -275,8 +279,8 @@ def sweep_groupoid(f: FiniteGroupoid) -> tuple[Report, Encoded | None]:
     report.count(4 * len(arrows))
     inverse = f.inverse
     inv = []
-    for k, x in enumerate(ids):
-        a, s, t = arrows[k], src[k], dst[k]
+    for x, a in enumerate(arrows):
+        s, t = src[x], dst[x]
         if rows[unit[s]][x] != x or rows[x][unit[t]] != x:
             report.fail("unit", f"identity law fails at {a}")
         xi = index.get(inverse.get(a), -1)
@@ -290,7 +294,7 @@ def sweep_groupoid(f: FiniteGroupoid) -> tuple[Report, Encoded | None]:
         leaving[s].append(k)
     after = [leaving[t] for t in dst]
     _associativity(report, arrows, rows, after)
-    return report, Encoded(arrows, index, ids, rows, inv, unit, objs, src, dst, after)
+    return report, Encoded(arrows, index, rows, inv, unit, objs, src, dst, after)
 
 
 # -- standard groups ----------------------------------------------------------

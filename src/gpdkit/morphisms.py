@@ -89,18 +89,6 @@ class GroupoidMorphism:
         return hash(self.canonical())
 
 
-def identity_morphism(p: GroupoidPresentation) -> GroupoidMorphism:
-    from .words import generator_word
-
-    return GroupoidMorphism(
-        f"id_{p.name}",
-        p,
-        p,
-        {o: o for o in p.objects},
-        {g.name: generator_word(g) for g in p.generators},
-    )
-
-
 def evaluate(m: GroupoidMorphism, w: Word):
     """Image of a word; a reduced word or an arrow depending on the codomain.
 

@@ -306,12 +306,3 @@ def morphism_count(gp: GroupPresentation | GroupoidPresentation, f: FiniteGroupo
     """Number of morphisms into a finite test groupoid."""
     p = gp.as_groupoid() if isinstance(gp, GroupPresentation) else gp
     return len(enumerate_morphisms(p, f))
-
-
-def morphism_signature(gp, battery) -> tuple[int, ...]:
-    """Morphism counts into a battery of finite groupoids.
-
-    Agreement of signatures is the falsifiable stand-in for isomorphism of
-    presentations used by all the cross-checks here.
-    """
-    return tuple(morphism_count(gp, f) for f in battery)

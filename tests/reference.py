@@ -10,24 +10,45 @@ square enumeration that ``gpdkit.dgt.lambda_functor`` replaced with integer
 words.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
 ``interchange_check`` evaluates one 2x2 arrangement both ways, ``random_cut``
 is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
-``induce_element`` pushes a module element along a morphism.
+``induce_element`` pushes a module element along a morphism,
+``identity_morphism`` is a presentation's identity, ``morphism_signature``
+counts morphisms into a battery, and ``MonoidPair`` checks two monoid
+structures on one carrier.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from gpdkit.crossed import CrossedModuleData
+from gpdkit.eckmann import Table
 from gpdkit.errors import EdgeMismatch
 from gpdkit.finite import FiniteGroup, FiniteGroupoid
 from gpdkit.freemodules import FreeModule, ModuleElement, Term
 from gpdkit.morphisms import GroupoidMorphism, evaluate
+from gpdkit.presentations import GroupoidPresentation
 from gpdkit.report import Report
 from gpdkit.squares import Square, comp_h, comp_v
-from gpdkit.words import Word, free_reduce
+from gpdkit.vkt import morphism_count
+from gpdkit.words import Word, free_reduce, generator_word
+
+
+def _repeats(report: Report, kind: str, names) -> None:
+    seen = set()
+    for x in names:
+        if x in seen:
+            report.fail("names", f"{kind} {x} is repeated")
+        seen.add(x)
 
 
 def reference_validate_finite_group(g: FiniteGroup) -> Report:
     report = Report(f"group {g.name}")
     elems = g.elements
+    if not elems:
+        report.fail("identity", f"group has no elements, so no identity {g.identity}")
+        return report
+    _repeats(report, "element", elems)
+    if report.violations:
+        return report
     for x, y in itertools.product(elems, repeat=2):
         report.count()
         if g.table.get((x, y)) not in elems:
@@ -53,6 +74,10 @@ def reference_validate_finite_groupoid(f: FiniteGroupoid) -> Report:
     report = Report(f"groupoid {f.name}")
     if not f.objects:
         report.fail("objects", "groupoid has no objects")
+        return report
+    _repeats(report, "object", f.objects)
+    _repeats(report, "arrow", f.arrows)
+    if report.violations:
         return report
     arrows = f.arrows
     for a in arrows:
@@ -287,3 +312,43 @@ def induce_element(e: ModuleElement, m_ind: FreeModule, f: GroupoidMorphism) -> 
         key = (gen, moved.letters)
         terms[key] = terms.get(key, 0) + c
     return ModuleElement(m_ind, f.object_map[e.at], terms)
+
+
+def identity_morphism(p: GroupoidPresentation) -> GroupoidMorphism:
+    return GroupoidMorphism(
+        f"id_{p.name}",
+        p,
+        p,
+        {o: o for o in p.objects},
+        {g.name: generator_word(g) for g in p.generators},
+    )
+
+
+def morphism_signature(gp, battery) -> tuple[int, ...]:
+    """Morphism counts into a battery of finite groupoids.
+
+    Agreement of signatures is the falsifiable stand-in for isomorphism of
+    presentations used by all the cross-checks here.
+    """
+    return tuple(morphism_count(gp, f) for f in battery)
+
+
+def _is_monoid(n: int, op: Table, e: int) -> bool:
+    """``e`` is the first two-sided identity of ``op`` and ``op`` associates."""
+    identities = [u for u in range(n) if all(op[u][x] == x and op[x][u] == x for x in range(n))]
+    return identities[:1] == [e] and all(
+        op[op[a][b]][c] == op[a][op[b][c]] for a in range(n) for b in range(n) for c in range(n))
+
+
+@dataclass(frozen=True)
+class MonoidPair:
+    carrier: int
+    op1: Table
+    e1: int
+    op2: Table
+    e2: int
+
+    def __post_init__(self):
+        for op, e in ((self.op1, self.e1), (self.op2, self.e2)):
+            if not _is_monoid(self.carrier, op, e):
+                raise ValueError("not a monoid structure")

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 import random
 import signal
 
@@ -15,6 +16,7 @@ from gpdkit.crossed import (
 )
 from gpdkit.errors import FiberMismatch, NotASubgroup, NotNormal, PreconditionFailed, SizeLimit
 from gpdkit.finite import (
+    FiniteGroup,
     cyclic_group,
     even_elements,
     group_as_groupoid,
@@ -159,3 +161,17 @@ def test_trivial_crossed_module_over_groupoid():
     xm = trivial_crossed_module(interval_finite_groupoid())
     assert validate_crossed_module(xm).ok
     assert set(xm.fibers) == {"0", "1"}
+
+
+def test_a_module_over_an_empty_fiber_fails_validation():
+    empty = FiniteGroup("z", (), {}, "e", {})
+    xm = CrossedModuleData("hollow", group_as_groupoid(trivial_group()), {"*": empty}, {"*": {}}, {})
+    r = validate_crossed_module(xm)
+    assert [(v.law, v.witness) for v in r.violations] == [
+        ("fiber-identity", "at '*': group has no elements, so no identity e")]
+
+
+def test_a_module_over_a_repeated_object_fails_validation():
+    base = replace(group_as_groupoid(cyclic_group(2)), objects=("*", "*"))
+    r = validate_crossed_module(trivial_crossed_module(base))
+    assert [(v.law, v.witness) for v in r.violations] == [("base-names", "object * is repeated")]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gpdkit import dgt
-from gpdkit.crossed import CrossedModuleData, validate_crossed_module
+from gpdkit.crossed import (CrossedModuleData, automorphism_xmod, from_normal_subgroup,
+                            validate_crossed_module)
 from gpdkit.dgt import (
     SquareTables,
     _assoc_sweep,
@@ -30,11 +31,14 @@ from gpdkit.dgt import (
     validate_dgt,
 )
 from gpdkit.errors import InvalidCrossedModule, InvalidDgt
-from gpdkit.finite import group_as_groupoid, interval_finite_groupoid, trivial_group
+from gpdkit.finite import (cyclic_group, group_as_groupoid, interval_finite_groupoid,
+                           trivial_group)
 from gpdkit.grids import Grid, grid_compose
 from gpdkit.report import Report
 from gpdkit.squares import (comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary,
                              thin_square, transpose)
+
+from reference import disjoint_union
 
 
 def brute_square_count(xm):
@@ -1202,3 +1206,81 @@ def test_a_failing_parent_kills_and_reaps_its_child(forks):
         toy_sweep(evaluate)
     assert time.perf_counter() - start < 30
     assert_reaped(forks)
+
+
+# -- the packed interchange rows ------------------------------------------------
+
+def side_by_side(x1, x2):
+    """Two crossed modules over the disjoint union of their bases."""
+    base = disjoint_union(x1.base, x2.base)
+    fibers, mu, action = {}, {}, {}
+    for label, x in (("1", x1), ("2", x2)):
+        def obj(s):
+            return s if s in base.objects else f"{label}.{s}"
+
+        def arrow(p):
+            return p if p in base.arrows else f"{label}.{p}"
+
+        for s, g in x.fibers.items():
+            fibers[obj(s)] = g
+            mu[obj(s)] = {m: arrow(p) for m, p in x.mu[s].items()}
+        action.update({(m, arrow(p)): n for (m, p), n in x.action.items()})
+    return CrossedModuleData(f"{x1.name}+{x2.name}", base, fibers, mu, action)
+
+
+@pytest.fixture(scope="module")
+def c3_beside_c2():
+    # C3 -> Aut(C3) beside C2 -> C2: fibers of orders 3 and 2, and groups
+    # of 6 and of 4 squares w per (left, top)
+    c2 = cyclic_group(2)
+    xm = side_by_side(automorphism_xmod(cyclic_group(3)), from_normal_subgroup(c2, c2.elements))
+    assert validate_crossed_module(xm).ok
+    return lambda_functor(xm)
+
+
+@pytest.mark.parametrize("fixture, change", [("sq_interval_s3", None), ("c3_beside_c2", None),
+                                             ("c3_beside_c2", "unconjugated"), ("c3_beside_c2", "V")])
+def test_rows_of_several_words_sweep_as_the_plain_loop(request, monkeypatch, sweep_path, fixture,
+                                                       change):
+    # one-byte words: a row of more than 4 two-bit ranks spans two of them
+    monkeypatch.setattr(dgt, "_WORD", np.dtype(np.int8))
+    model = request.getfixturevalue(fixture)
+    sizes = set(model.groups("left", "top").count[:-1].tolist())
+    assert len(sizes) > 1
+    if change == "V":
+        rng = random.Random(2)
+        sq, V = model.squares, model.tables().V
+        swappable = [(i, j) for i, j in pasted_pairs(model, "V")
+                     if sum(q.key()[1:] == sq[V[i, j]].key()[1:] for q in sq) > 1]
+        model = with_swapped_filler(model, "V", *rng.choice(swappable), rng)
+    t = model.tables()
+    H = unconjugated_h(model) if change == "unconjugated" else t.H
+    want = loop_interchange(model, H, t.V)
+    assert bool(want[1]) == (change is not None)
+    for path in ("serial", "forked"):
+        sweep_path(path)
+        assert interchange_sweep(model, H, t.V) == want
+
+
+@pytest.mark.parametrize("word, n, bits, lane", [
+    (np.int64, 18, 2, np.uint8), (np.int64, 36, 3, np.uint16), (np.int8, 6, 2, np.uint8),
+    (np.int8, 5, 9, np.uint16), (np.int16, 40, 1, np.uint8)])
+def test_packed_rows_are_equal_exactly_when_their_values_are(word, n, bits, lane, monkeypatch):
+    monkeypatch.setattr(dgt, "_WORD", np.dtype(word))
+    rng = np.random.default_rng(bits)
+    per = np.iinfo(lane).bits // bits
+    table = rng.integers(0, 1 << bits, (12, 7)).astype(lane)
+    table[:, 0] = table[:, 1]  # two equal columns
+    shifted = np.zeros((per, len(table) + 1, table.shape[1]), lane)
+    for i in range(per):
+        shifted[i, :-1] = table << (bits * i)
+    at = rng.integers(0, len(table), (9, n))
+    at[1] = at[0]  # two equal rows of at
+    at[2] = at[0]
+    at[2, -1] = (at[0, -1] + 1) % len(table)  # a row that differs in its last place
+    words = dgt._packed(shifted, at)
+    assert words.dtype == np.dtype(word) and words.shape[:2] == (len(at), table.shape[1])
+    values = table[at]  # (row of at, k, column)
+    for a, b in itertools.product(range(len(at)), repeat=2):
+        for u, v in itertools.product(range(table.shape[1]), repeat=2):
+            assert (words[a, u] == words[b, v]).all() == (values[a, :, u] == values[b, :, v]).all()

@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from gpdkit.eckmann import (
-    MonoidPair,
     _interchange_pairs,
     eckmann_hilton_scan,
     enumerate_monoids,
     interchange_holds,
 )
 from gpdkit.errors import SizeLimit
+
+from reference import MonoidPair
 
 
 def brute_monoid_count(n):

@@ -2,6 +2,7 @@ import itertools
 from dataclasses import replace
 
 from gpdkit.finite import (
+    FiniteGroup,
     cyclic_group,
     even_elements,
     group_as_groupoid,
@@ -103,3 +104,22 @@ def test_a_replaced_groupoid_builds_its_own_hom_sets():
     assert swapped.hom("0", "1") == ["i_inv"]
     assert swapped.hom("1", "0") == ["i"]
     assert f.hom("0", "1") == ["i"]
+
+
+def test_a_group_with_no_elements_has_no_identity():
+    r = validate_finite_group(FiniteGroup("z", (), {}, "e", {}))
+    assert [(v.law, v.witness) for v in r.violations] == [
+        ("identity", "group has no elements, so no identity e")]
+    assert r.checks == 0
+
+
+def test_a_repeated_name_is_a_violation_naming_it():
+    c2 = cyclic_group(2)
+    doubled = replace(c2, elements=c2.elements + c2.elements[:1])
+    assert [(v.law, v.witness) for v in validate_finite_group(doubled).violations] == [
+        ("names", f"element {c2.elements[0]} is repeated")]
+    g = group_as_groupoid(c2)
+    for field, value, witness in [("objects", ("*", "*"), "object * is repeated"),
+                                  ("arrows", g.arrows + g.arrows[-1:], f"arrow {g.arrows[-1]} is repeated")]:
+        r = validate_finite_groupoid(replace(g, **{field: value}))
+        assert [(v.law, v.witness) for v in r.violations] == [("names", witness)]

@@ -84,7 +84,7 @@ def test_induction_preserves_rank():
 
 
 def test_induction_along_identity():
-    from gpdkit.morphisms import identity_morphism
+    from reference import identity_morphism
 
     mod = interval_module()
     ind = induce_free_module(mod, identity_morphism(mod.base))

@@ -15,12 +15,13 @@ from gpdkit.morphisms import (
     compose_morphisms,
     enumerate_morphisms,
     evaluate,
-    identity_morphism,
 )
 from gpdkit.presentations import GroupoidPresentation, interval_groupoid
 from gpdkit.textfmt import parse_workspace
 from gpdkit.vkt import pushout
 from gpdkit.words import ArrowGen, Word, free_reduce, generator_word
+
+from reference import identity_morphism
 
 
 def one_object_free(name, gen_names):

@@ -14,12 +14,13 @@ from gpdkit.vkt import (
     Span,
     check_pushout_universal,
     morphism_count,
-    morphism_signature,
     pushout,
     tietze_simplify,
     vertex_group,
 )
 from gpdkit.words import ArrowGen, Word, generator_word
+
+from reference import morphism_signature
 
 BATTERY = standard_battery()
 S3 = BATTERY[3]
