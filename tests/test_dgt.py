@@ -1284,3 +1284,122 @@ def test_packed_rows_are_equal_exactly_when_their_values_are(word, n, bits, lane
     for a, b in itertools.product(range(len(at)), repeat=2):
         for u, v in itertools.product(range(table.shape[1]), repeat=2):
             assert (words[a, u] == words[b, v]).all() == (values[a, :, u] == values[b, :, v]).all()
+
+
+# -- v-associativity read off h-associativity -------------------------------------
+
+def validate_recording_sweeps(monkeypatch, model, **kwargs):
+    """validate_dgt's report, and the (edge out, result) of each
+    associativity sweep it ran."""
+    sweeps, sweep = [], dgt._assoc_sweep
+
+    def recorded(model, table, out, into):
+        result = sweep(model, table, out, into)
+        sweeps.append((out, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dgt, "_assoc_sweep", recorded)
+        return validate_dgt(model, **kwargs), sweeps
+
+
+def v_associativity_witnesses(report):
+    return [v.witness for v in report.violations if v.law == "v-associativity"]
+
+
+def test_validate_dgt_refuses_an_unknown_mode_before_any_sweep(monkeypatch, aut_s3_model):
+    model, calls = replace(aut_s3_model), []
+    for name in ("_assoc_sweep", "_class_sweep", "count_compatible_quadruples"):
+        def recorded(*args, name=name, run=getattr(dgt, name)):
+            calls.append(name)
+            return run(*args)
+        monkeypatch.setattr(dgt, name, recorded)
+    with pytest.raises(ValueError, match=r"^unknown interchange mode 'bogus'$"):
+        validate_dgt(model, interchange="bogus")
+    assert calls == [] and model._tables is None
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "c2_in_c2_model", "aut_c3_model",
+                                     "sq_interval_s3", "a3s3_model", "aut_s3_model"])
+def test_v_associativity_is_h_associativity_transposed(request, monkeypatch, fixture):
+    model = request.getfixturevalue(fixture)
+    t = model.tables()
+    assert dgt._v_is_transposed_h(model, t.H, t.V)
+    h, v = _assoc_sweep(model, t.H, "right", "left"), _assoc_sweep(model, t.V, "bottom", "top")
+    assert h[:2] == v[:2] and h[0] > 0
+    report, sweeps = validate_recording_sweeps(monkeypatch, model, interchange="sampled",
+                                               samples=200)
+    assert sweeps == [("right", h)]  # V's sweep did not run
+    # the same report as with V swept in full
+    with monkeypatch.context() as patch:
+        patch.setattr(dgt, "_v_is_transposed_h", lambda *args: False)
+        full, sweeps = validate_recording_sweeps(monkeypatch, model, interchange="sampled",
+                                                 samples=200)
+    assert sweeps == [("right", h), ("bottom", v)]
+    assert (report.checks, report.violations) == (full.checks, full.violations)
+
+
+def hollow_interval():
+    """The interval's four horizontal degeneracies alone: a model whose
+    transposes are missing, with 4 horizontal and 16 vertical triples."""
+    model = square_model(interval_finite_groupoid())
+    return replace(model, squares=tuple(eps_h(model.xm, a) for a in sorted(model.edges.arrows)))
+
+
+@pytest.mark.parametrize("mutant", ["V", "H", "hollow"])
+def test_a_model_that_is_not_transposed_gets_the_full_v_sweep(monkeypatch, aut_c3_model, mutant):
+    rng = random.Random(7)
+    if mutant == "hollow":
+        model = hollow_interval()
+        assert (model.maps().transpose < 0).any()
+    else:
+        model = with_swapped_filler(aut_c3_model, mutant,
+                                    *rng.choice(pasted_pairs(aut_c3_model, mutant)), rng)
+    t = model.tables()
+    assert not dgt._v_is_transposed_h(model, t.H, t.V)
+    h, v = _assoc_sweep(model, t.H, "right", "left"), _assoc_sweep(model, t.V, "bottom", "top")
+    assert h[:2] != v[:2]  # H's counts would be wrong for V
+    report, sweeps = validate_recording_sweeps(monkeypatch, model, interchange="exhaustive")
+    assert sweeps == [("right", h), ("bottom", v)]
+    assert v_associativity_witnesses(report) == ([f"{v[1]} violating triples"] if v[1] else [])
+
+
+def test_a_filler_swapped_with_its_transpose_keeps_the_shortcut(monkeypatch, aut_c3_model):
+    model, rng = aut_c3_model, random.Random(7)
+    i, j = rng.choice(pasted_pairs(model, "H"))
+    mutant = with_swapped_filler(model, "H", i, j, rng)
+    tau, t = model.maps().transpose, mutant.tables()
+    t.V[tau[i], tau[j]] = tau[t.H[i, j]]
+    assert t.V[tau[i], tau[j]] != model.tables().V[tau[i], tau[j]]
+    assert dgt._v_is_transposed_h(mutant, t.H, t.V)
+    v = _assoc_sweep(mutant, t.V, "bottom", "top")
+    report, sweeps = validate_recording_sweeps(monkeypatch, mutant, interchange="exhaustive")
+    assert [out for out, _ in sweeps] == ["right"]
+    assert sweeps[0][1][:2] == v[:2] and v[1] > 0
+    assert v_associativity_witnesses(report) == [f"{v[1]} violating triples"]
+
+
+# -- connection verdicts ------------------------------------------------------------
+
+def test_a_doctored_conn_minus_fails_its_boundary_and_transport_checks(aut_c3_model):
+    model = aut_c3_model
+    cm = model.connections_minus
+    assert validate_dgt(model, interchange="exhaustive").ok and connection_transport_report(model).ok
+    pairs = [("aut0", "aut0"), ("aut0", "aut1"), ("aut1", "aut0"), ("aut1", "aut1")]
+    # conn-(aut0) is given aut1's: its edges are wrong, and no corner fills fit
+    moved = replace(model, connections_minus={**cm, "aut0": cm["aut1"]})
+    assert validate_dgt(moved, interchange="exhaustive").witnesses == [
+        "connection-boundary: conn-(aut0) has wrong edges"]
+    assert connection_transport_report(moved).witnesses == [
+        f"transport-uniqueness: conn-({a}*{b}): 0 edge-compatible fills" for a, b in pairs]
+    # a thick filler of conn-(aut0)'s edges: it widens the thin family and
+    # is not what the 2x2 layouts compose to
+    thick = next(s for s in model.squares
+                 if s.key()[1:] == cm["aut0"].key()[1:] and not is_thin(s))
+    swapped = replace(model, connections_minus={**cm, "aut0": thick})
+    assert connection_transport_report(swapped).witnesses == [
+        "transport-uniqueness: conn-(aut0*aut0): 4 edge-compatible fills",
+        "transport-value: conn-(aut0*aut1) not reproduced",
+        "transport-uniqueness: conn-(aut1*aut0): 4 edge-compatible fills",
+        "transport-value: conn-(aut1*aut1) not reproduced",
+    ]
