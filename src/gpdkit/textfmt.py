@@ -1,26 +1,27 @@
 """Line-oriented text format for workspaces of named kernel objects.
 
-A file is a sequence of blocks.  Each block starts with a header line
-(``groupoid N``, ``finite N``, ``group N``, ``morphism N: D -> C``,
-``span N``, ``xmod N``, ``square N = (...) over X``, ``grid N RxC: ...``,
-``cube N: ...``, ``freemodule N over P``) followed by its field lines.
-``#`` starts a comment; blank lines separate nothing in particular.
+A file is a sequence of blocks: a header line, whose first word names the
+block's kind, then that kind's field lines.  ``#`` starts a comment; blank
+lines separate nothing in particular.  Words are dot-separated signed
+letters (``a.b^-1.c``) or ``id(obj)``.
 
-Words are dot-separated signed letters (``a.b^-1.c``) or ``id(obj)``.
-
-The builders of groupoid, morphism, span, grid, freemodule and cube
-blocks import their layers in their own bodies, so a workspace of groups,
-crossed modules and squares never loads presentations, morphisms, grids,
-free modules or the van Kampen engine, and only a cube block loads the
-square kernel and numpy.  Words, finite groupoids, crossed modules and
-squares stay at module top: every word goes through ``parse_word_text``,
-and square blocks come by the dozen, where an import per block would
-cost a microsecond or two each.
+``_TEMPLATES`` is the grammar.  Each line form is one template, such as
+``gen {name}: {src} -> {dst}``: the pattern its lines match, the
+``expected '...'`` error when a line does not, and the printer's format.
+A template reads a line by four rules.  Every slot is stripped; whitespace
+is optional next to a separator (``:`` ``=`` ``;`` ``,`` ``^`` ``->``) and
+required at any other template space.  A slot stops at the first
+occurrence of the separator after it, or, before a closing bracket, holds
+no occurrence of the separator before it.  A slot next to a word or
+another slot (``mul {x} {y}``, ``{x} at``) is one word.  The last slot
+takes the rest of the line, up to the closing literal.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .crossed import (
@@ -85,40 +86,136 @@ class Workspace:
         ]
 
 
-_HEADERS = (
-    "groupoid", "finite", "group", "morphism", "span",
-    "xmod", "square", "grid", "cube", "freemodule",
-)
+# Kinds in printing order: header forms, and indented under the last of them
+# the field forms it takes.  A label is the words of a template after the kind.
+_TEMPLATES = """
+group {name} = cyclic({n})
+group {name} = symmetric({n})
+group {name} = trivial()
+group {name}
+    elements: {elements}
+    mul {x} {y} = {z}
+finite {name} = group({group})
+finite {name} = interval()
+finite {name}
+    arrow {name}: {src} -> {dst} id
+    arrow {name}: {src} -> {dst}
+    mul {x} {y} = {z}
+groupoid {name}
+    objects: {objects}
+    gen {name}: {src} -> {dst}
+    rel: {lhs} = {rhs}
+morphism {name}: {dom} -> {cod}
+    obj {object} -> {image}
+    gen {name} -> {image}
+span {name}: left {M1} right {M2}
+span {name}
+    apex objects: {objects}
+    left {target}: {pairs}
+    right {target}: {pairs}
+xmod {name} = normal({group}, {subset})
+xmod {name} = autxmod({group})
+xmod {name} = trivial({finite})
+xmod {name}
+    base {finite}
+    fiber {obj} {groupname}
+    mu {m} -> {p}
+    act {m} ^ {p} = {m2}
+square {name} = ({elt}; {top},{right},{bottom},{left}) over {X}
+grid {name} {R}x{C}: {squares}
+cube {name}: {faces}
+freemodule {name} over {presentation}
+    mgen {x} at {obj}
+"""
+
+_ATOM = re.compile(r"\{(\w+)\}|->|[A-Za-z]+|\s+|.")
+_SLOT = re.compile(r"\{(\w+)\}")
 
 
-@dataclass
-class _Line:
-    path: str
-    no: int
-    text: str
+def _slot(prev, nxt, first: bool, last: bool) -> str:
+    """The pattern of one slot, from the (slot/word/sep/bracket, text) items beside it."""
+    if nxt is None:
+        return ".*"
+    what, t = nxt
+    if last and what != "sep":
+        return ".*?"  # the rest of the line, up to the closing literal
+    if what == "bracket":
+        return ".*?" if prev[0] == "bracket" else f"[^{re.escape(prev[1])}]*?"
+    if what != "sep" or (not first and prev[0] in ("word", "slot")):
+        return r"\S+?" if what != "sep" else f"[^\\s{re.escape(t)}]+?"  # one word
+    return f"[^{re.escape(t)}]*?" if len(t) == 1 else f"(?:(?!{re.escape(t)}).)*?"
 
 
-def _strip(raw: str) -> str:
-    if "#" in raw:
-        raw = raw[: raw.index("#")]
-    return raw.strip()
+class _Form:
+    """One line form, compiled from its template by the rules above.  It claims
+    the lines that start with its key, its leading literal, or for a header
+    form the headers that hold its key, the literal after its first slot."""
+
+    def __init__(self, template: str, kind: str = ""):
+        self.fmt, self.shown = _SLOT.sub("{}", template), _SLOT.sub(r"\1", template)
+        body = template[len(kind):].lstrip()  # a header is read after its kind word
+        lead = body.partition("{")[0]
+        self.key = lead if lead[-2:-1].isalpha() else lead.rstrip()  # "gen " claims no "general"
+        self.label = " ".join(re.findall("[A-Za-z]+", _SLOT.sub(" ", body)))
+        items = []  # (slot/word/sep/bracket, text, whether a space comes before)
+        for m in _ATOM.finditer(body, len(lead)):
+            if not m[0].isspace():
+                t = m[1] or m[0]
+                what = "slot" if m[1] else "word" if t.isalpha() else "bracket" if t in "()[]{}" else "sep"
+                items.append((what, t, m.start() > len(lead) and body[m.start() - 1] == " "))
+        last = max(i for i, item in enumerate(items) if item[0] == "slot")
+        out = [re.escape(self.key) + r"\s*"] if lead else []
+        for i, (what, t, spaced) in enumerate(items):
+            prev = items[i - 1][:2] if i else (None, None)
+            pair = {prev[0], what}
+            if spaced:
+                out.append(r"\s*" if "sep" in pair else r"\s+")
+            elif "slot" in pair and pair & {"sep", "bracket"}:
+                out.append(r"\s*")
+            nxt = items[i + 1][:2] if i + 1 < len(items) else None
+            out.append(f"({_slot(prev, nxt, i == 0, i == last)})" if what == "slot" else re.escape(t))
+        self.rx, self.groups = "".join(out), sum(what == "slot" for what, _, _ in items)
+        if kind:
+            self.key = items[1][1] if len(items) > 1 and items[1][0] != "slot" else ""
 
 
-def _blocks(path: str, content: str):
-    """Each block as (kind, rest of its header line as a list of 0 or 1 items, lines)."""
-    blocks = []
-    for i, raw in enumerate(content.splitlines()):
-        if not (text := _strip(raw)):
-            continue
-        ln = _Line(path, i + 1, text)
-        kind, *rest = text.split(None, 1)
-        if kind.rstrip(":") in _HEADERS:
-            blocks.append((kind.rstrip(":"), rest, [ln]))
-        elif not blocks:
-            raise ParseError(path, ln.no, f"expected a block header, got {text!r}")
-        else:
-            blocks[-1][2].append(ln)
-    return blocks
+class _Kind:
+    """A kind's header and field forms, and the two alternations that read
+    them, compiled on first use.  By the last group of a match, ``ends`` gives
+    its form's label and groups.  A keyless header form takes the headers
+    that no keyed form claims."""
+
+    def __init__(self, kind: str, templates: list[str]):
+        self.heads = [_Form(t, kind) for t in templates if not t.startswith(" ")]
+        self.fields = [_Form(t.strip()) for t in templates[len(self.heads):]]
+        self.forms = {f.label: f for f in self.heads + self.fields}
+
+    @cached_property
+    def patterns(self):
+        guard = "".join(sorted({f"(?!.*{re.escape(f.key)})" for f in self.heads if f.key}))
+        out = []
+        for forms in (self.heads, self.fields):
+            ends, n = {}, 0
+            for f in forms:
+                ends[n + f.groups] = f.label, n, n + f.groups
+                n += f.groups
+            out.append((re.compile("|".join(("" if f.key else guard) + f.rx for f in forms)), ends))
+        return out
+
+
+def _grammar() -> dict[str, _Kind]:
+    kinds = {}
+    for t in _TEMPLATES.strip("\n").splitlines():
+        if not t.startswith(" "):
+            kind = t.split()[0]
+        kinds.setdefault(kind, []).append(t)
+    return {kind: _Kind(kind, templates) for kind, templates in kinds.items()}
+
+
+_GRAMMAR = _grammar()
+
+
+_Line = tuple[str, int]  # a path and a line number
 
 
 def parse_word_text(text: str, resolve_gen, ln: _Line) -> Word:
@@ -127,28 +224,26 @@ def parse_word_text(text: str, resolve_gen, ln: _Line) -> Word:
     if text.startswith("id(") and text.endswith(")"):
         return Word(text[3:-1].strip(), ())
     letters = []
-    for token in text.split("."):
-        token = token.strip()
-        if not token:
-            raise ParseError(ln.path, ln.no, f"empty letter in word {text!r}")
-        if token.endswith("^-1"):
-            name, exp = token[:-3], -1
-        else:
-            name, exp = token, 1
-        gen = resolve_gen(name)
-        if gen is None:
-            raise UnresolvedReference(ln.path, ln.no, f"unknown generator {name!r}")
-        letters.append((gen, exp))
+    for token in map(str.strip, text.split(".")):
+        _expect(token, ln, f"empty letter in word {text!r}")
+        name = token.removesuffix("^-1")
+        if (gen := resolve_gen(name)) is None:
+            raise UnresolvedReference(*ln, f"unknown generator {name!r}")
+        letters.append((gen, 1 if name == token else -1))
     base = letters[0][0].src if letters[0][1] == 1 else letters[0][0].dst
     try:
         return Word(base, tuple(letters))
     except GpdError as exc:
-        raise ParseError(ln.path, ln.no, f"bad word {text!r}: {exc}") from exc
+        raise ParseError(*ln, f"bad word {text!r}: {exc}") from exc
 
 
 def _expect(cond: bool, ln: _Line, message: str):
     if not cond:
-        raise ParseError(ln.path, ln.no, message)
+        raise ParseError(*ln, message)
+
+
+def _expected(forms, ln: _Line):
+    raise ParseError(*ln, "expected " + " or ".join(f"'{f.shown}'" for f in forms))
 
 
 def _int(text: str) -> int | None:
@@ -158,484 +253,268 @@ def _int(text: str) -> int | None:
         return None
 
 
-def _size_arg(ctor: str, least: int, most: int, ln: _Line) -> int:
-    """The integer ``n`` of a constructor ``name(n)``; ParseError outside [least, most]."""
-    n = _int(ctor[ctor.index("(") + 1:-1])
-    _expect(n is not None and least <= n <= most, ln,
-            f"{ctor}: the argument must be an integer >= {least} and <= {most}")
-    return n
-
-
-def _arrow_ref(token: str, ln: _Line) -> tuple[str, str]:
-    _expect("->" in token, ln, f"expected 'src -> dst' in {token!r}")
-    src, dst = token.split("->", 1)
-    return src.strip(), dst.strip()
-
-
-def _mul(ln: _Line) -> tuple[str, str, str]:
-    """``mul x y = z`` of a finite or group block, as (x, y, z)."""
-    parts = ln.text[4:].split("=")
-    _expect(len(parts) == 2, ln, "expected 'mul x y = z'")
-    xy = parts[0].split()
-    _expect(len(xy) == 2, ln, "expected 'mul x y = z'")
-    return xy[0], xy[1], parts[1].strip()
+def _table(lines, known, what: str) -> dict:
+    """The product table of the ``mul x y = z`` lines of a finite or group block."""
+    muls = [(xyz, ln) for label, xyz, ln in lines if label == "mul"]
+    for xyz, ln in muls:
+        if unknown := [t for t in xyz if t not in known]:
+            raise UnresolvedReference(*ln, f"unknown {what} {unknown[0]!r}")
+    return {xyz[:2]: xyz[2] for xyz, _ in muls}
 
 
 class _Parser:
-    """Parses blocks in two passes.
+    """Reads every line, then builds the blocks in two passes in file order.
 
-    ``parse_<kind>(block, rest)`` gets a block's lines and the rest of its
-    header line.  Self-contained blocks are built at once; blocks that name
-    other objects go into ``pending`` as ``(kind, name, header line, build)``
-    and ``resolve`` builds them in file order.
+    A block is ``(kind, header form label, header slot values, header line,
+    [(field form label, slot values, line), ...])``.  ``resolve`` builds the
+    blocks that name no other object (groupoids, groups, literal finite
+    groupoids), then the rest, each by the method named after its kind.
     """
 
     def __init__(self):
         self.ws = Workspace()
-        self.pending = []
+        self.tables = self.ws.kinds()
+        self.first, self.pending = [], []
 
-    def add(self, kind: str, name: str, value, ln: _Line):
-        table = self.ws.kinds()[kind]
-        if name in table:
-            raise DuplicateName(ln.path, ln.no, f"duplicate {kind} {name!r}")
-        table[name] = value
-
-    # -- first pass: self-contained blocks -------------------------------
-
-    def parse_groupoid(self, block, name):
-        from .presentations import GroupoidPresentation
-
-        head = block[0]
-        objects: list[str] = []
-        gens: list[tuple[ArrowGen, _Line]] = []
-        rel_lines = []
-        for ln in block[1:]:
-            if ln.text.startswith("objects:"):
-                objects.extend(ln.text[len("objects:"):].split())
-            elif ln.text.startswith("gen "):
-                body = ln.text[4:]
-                _expect(":" in body, ln, "expected 'gen name: src -> dst'")
-                gname, arrow = body.split(":", 1)
-                src, dst = _arrow_ref(arrow, ln)
-                gens.append((ArrowGen(gname.strip(), src, dst), ln))
-            elif ln.text.startswith("rel:"):
-                rel_lines.append(ln)
-            else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in groupoid block: {ln.text!r}")
-        declared = set(objects)
-        for g, ln in gens:
-            for obj in (g.src, g.dst):
-                if obj not in declared:
-                    raise UnresolvedReference(
-                        ln.path, ln.no, f"generator {g.name} uses undeclared object {obj!r}"
-                    )
-        gens = [g for g, _ in gens]
-        by_name = {g.name: g for g in gens}
-        relations = []
-        for ln in rel_lines:
-            body = ln.text[len("rel:"):]
-            _expect("=" in body, ln, "expected 'rel: word = word'")
-            lhs, rhs = body.split("=", 1)
-            relations.append(
-                (
-                    parse_word_text(lhs, by_name.get, ln),
-                    parse_word_text(rhs, by_name.get, ln),
-                )
-            )
-        try:
-            p = GroupoidPresentation(name, tuple(objects), tuple(gens), tuple(relations))
-        except GpdError as exc:
-            raise ParseError(head.path, head.no, str(exc)) from exc
-        self.add("presentation", name, p, head)
-
-    def parse_finite(self, block, rest):
-        head = block[0]
-        if "=" in rest:
-            name, ctor = (x.strip() for x in rest.split("=", 1))
-            self.pending.append(("finite", name, head, lambda: self._finite_ctor(ctor, name, head)))
-            return
-        name = rest
-        arrows = []
-        src, dst, identity = {}, {}, {}
-        muls = []
-        for ln in block[1:]:
-            if ln.text.startswith("arrow "):
-                body = ln.text[6:]
-                _expect(":" in body, ln, "expected 'arrow name: src -> dst [id]'")
-                aname, arrow = body.split(":", 1)
-                aname = aname.strip()
-                flag_id = arrow.strip().endswith(" id")
-                if flag_id:
-                    arrow = arrow.strip()[:-3]
-                a_src, a_dst = _arrow_ref(arrow, ln)
-                arrows.append(aname)
-                src[aname], dst[aname] = a_src, a_dst
-                if flag_id:
-                    _expect(a_src == a_dst, ln, "identity arrows must be loops")
-                    identity[a_src] = aname
-            elif ln.text.startswith("mul "):
-                muls.append((*_mul(ln), ln))
-            else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in finite block: {ln.text!r}")
-        table = {}
-        for x, y, z, ln in muls:
-            for t in (x, y, z):
-                if t not in src:
-                    raise UnresolvedReference(ln.path, ln.no, f"unknown arrow {t!r}")
-            table[(x, y)] = z
-        objects = tuple(sorted({*src.values(), *dst.values()}))
-        inverse = {}
-        for x in arrows:
-            e = identity.get(src[x])
-            for y in arrows:
-                if table.get((x, y)) == e and table.get((y, x)) == identity.get(dst[x]):
-                    inverse[x] = y
-                    break
-        f = FiniteGroupoid(
-            name, objects, tuple(arrows), src, dst, table, identity, inverse
-        )
-        self.add("finite", name, f, head)
-
-    def parse_group(self, block, rest):
-        head = block[0]
-        if "=" in rest:
-            name, ctor = (x.strip() for x in rest.split("=", 1))
-            g = self._group_ctor(ctor, name, head)
-            self.add("group", name, g, head)
-            return
-        name = rest
-        elements: list[str] = []
-        table = {}
-        muls = []
-        for ln in block[1:]:
-            if ln.text.startswith("elements:"):
-                elements.extend(ln.text[len("elements:"):].split())
-            elif ln.text.startswith("mul "):
-                muls.append((*_mul(ln), ln))
-            else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in group block: {ln.text!r}")
-        for x, y, z, ln in muls:
-            for t in (x, y, z):
-                if t not in elements:
-                    raise UnresolvedReference(ln.path, ln.no, f"unknown element {t!r}")
-            table[(x, y)] = z
-        identity = None
-        for e in elements:
-            if all(table.get((e, x)) == x and table.get((x, e)) == x for x in elements):
-                identity = e
-                break
-        _expect(identity is not None, head, f"group {name!r} has no identity element")
-        inverse = {}
-        for x in elements:
-            for y in elements:
-                if table.get((x, y)) == identity and table.get((y, x)) == identity:
-                    inverse[x] = y
-                    break
-        g = FiniteGroup(name, tuple(elements), table, identity, inverse)
-        self.add("group", name, g, head)
-
-    def _group_ctor(self, ctor: str, name: str, ln: _Line) -> FiniteGroup:
-        # cyclic(256) has a 65,536-entry table; symmetric(4) has 24 elements
-        if ctor.startswith("cyclic(") and ctor.endswith(")"):
-            g = cyclic_group(_size_arg(ctor, 1, 256, ln))
-        elif ctor.startswith("symmetric(") and ctor.endswith(")"):
-            g = symmetric_group(_size_arg(ctor, 0, 4, ln))
-        elif ctor == "trivial()":
-            g = trivial_group()
-        else:
-            raise ParseError(ln.path, ln.no, f"unknown group constructor {ctor!r}")
-        g.name = name
-        return g
-
-    # -- deferred blocks ---------------------------------------------------
-
-    def parse_morphism(self, block, rest):
-        head = block[0]
-        _expect(":" in rest and "->" in rest, head, "expected 'morphism name: dom -> cod'")
-        name, arrow = rest.split(":", 1)
-        dom, cod = _arrow_ref(arrow, head)
-        name = name.strip()
-        self.pending.append(
-            ("morphism", name, head, lambda: self._morphism(name, dom, cod, block[1:], head))
-        )
-
-    def parse_span(self, block, rest):
-        head = block[0]
-        if ":" in rest:
-            name, body = rest.split(":", 1)
-            toks = body.split()
-            _expect(
-                len(toks) == 4 and toks[0] == "left" and toks[2] == "right",
-                head,
-                "expected 'span name: left M1 right M2'",
-            )
-            self.pending.append(
-                ("span", name.strip(), head, lambda: self._span_named(toks[1], toks[3], head))
-            )
-            return
-        name = rest
-        apex_objects = None
-        legs = {}
-        for ln in block[1:]:
-            if ln.text.startswith("apex objects:"):
-                apex_objects = ln.text[len("apex objects:"):].split()
-            elif ln.text.startswith(("left ", "right ")):
-                side, body = ln.text.split(None, 1)
-                _expect(":" in body, ln, f"expected '{side} target: o -> o, ...'")
-                target, maps = body.split(":", 1)
-                pairs = []
-                for part in maps.split(","):
-                    part = part.strip()
-                    if part:
-                        o, oi = _arrow_ref(part, ln)
-                        pairs.append((o, oi))
-                legs[side] = (target.strip(), pairs, ln)
-            else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in span block: {ln.text!r}")
-        _expect(apex_objects is not None, head, "span block needs 'apex objects:'")
-        _expect("left" in legs and "right" in legs, head, "span block needs left and right legs")
-        self.pending.append(
-            ("span", name, head, lambda: self._span_inline(name, apex_objects, legs))
-        )
-
-    def parse_xmod(self, block, rest):
-        head = block[0]
-        if "=" in rest:
-            name, ctor = (x.strip() for x in rest.split("=", 1))
-            self.pending.append(("xmod", name, head, lambda: self._xmod_ctor(ctor, name, head)))
-            return
-        self.pending.append(
-            ("xmod", rest, head, lambda: self._xmod_literal(rest, block[1:], head))
-        )
-
-    def parse_square(self, block, rest):
-        head = block[0]
-        _expect("=" in rest, head, "expected 'square name = (elt; top,right,bottom,left) over X'")
-        name, body = rest.split("=", 1)
-        _expect(" over " in body, head, "square needs 'over <xmod>'")
-        tup, xm_name = body.rsplit(" over ", 1)
-        tup = tup.strip()
-        _expect(tup.startswith("(") and tup.endswith(")"), head, "square tuple must be parenthesized")
-        inner = tup[1:-1]
-        _expect(";" in inner, head, "expected '(elt; top,right,bottom,left)'")
-        elt, edges = inner.split(";", 1)
-        parts = [x.strip() for x in edges.split(",")]
-        _expect(len(parts) == 4, head, "expected four edges top,right,bottom,left")
-        self.pending.append(("square", name.strip(), head, lambda: make_square(
-            self._need(self.ws.xmods, xm_name.strip(), "xmod", head), elt.strip(), *parts)))
-
-    def parse_grid(self, block, rest):
-        head = block[0]
-        _expect(":" in rest, head, "expected 'grid name RxC: s1 s2 ...'")
-        left, names = rest.split(":", 1)
-        toks = left.split()
-        _expect(len(toks) == 2 and "x" in toks[1], head, "expected 'grid name RxC: ...'")
-        size = [_int(t) for t in toks[1].split("x")]
-        _expect(len(size) == 2 and None not in size and min(size) >= 1, head,
-                f"grid size {toks[1]!r}: expected RxC, two integers >= 1")
-        self.pending.append(
-            ("grid", toks[0], head, lambda: self._grid(*size, names.split(), head))
-        )
-
-    def parse_cube(self, block, rest):
-        head = block[0]
-        _expect(":" in rest, head, "expected 'cube name: six face names'")
-        name, names = rest.split(":", 1)
-        faces = names.split()
-        _expect(len(faces) == 6, head, "a cube needs exactly six faces (d1- d1+ d2- d2+ d3- d3+)")
-        self.pending.append(("cube", name.strip(), head, lambda: self._cube(faces, head)))
-
-    def parse_freemodule(self, block, rest):
-        from .freemodules import FreeModule
-
-        head = block[0]
-        _expect(" over " in rest, head, "expected 'freemodule name over presentation'")
-        name, base = rest.split(" over ", 1)
-        name = name.strip()
-        gens = []
-        for ln in block[1:]:
-            if ln.text.startswith("mgen "):
-                toks = ln.text[5:].split()
-                _expect(len(toks) == 3 and toks[1] == "at", ln, "expected 'mgen x at obj'")
-                gens.append((toks[0], toks[2]))
-            else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in freemodule block: {ln.text!r}")
-        self.pending.append(("freemodule", name, head, lambda: FreeModule(
-            name, self._need(self.ws.presentations, base.strip(), "presentation", head),
-            tuple(gens))))
-
-    # -- resolution ----------------------------------------------------------
-
-    def _need(self, table: dict, name: str, kind: str, ln: _Line):
-        if name not in table:
-            raise UnresolvedReference(ln.path, ln.no, f"unknown {kind} {name!r}")
-        return table[name]
+    def read(self, path: str, content: str):
+        block = fields = None  # fields: the block's field forms, if it takes field lines
+        for no, raw in enumerate(content.splitlines(), 1):
+            if not (text := raw.partition("#")[0].strip()):
+                continue
+            ln = path, no
+            if fields and (m := fields[0].fullmatch(text)):
+                label, i, j = fields[1][m.lastindex]
+                block[4].append((label, m.groups()[i:j], ln))
+                continue
+            word, *rest = text.split(None, 1)
+            kind = word.rstrip(":")
+            if kind not in _GRAMMAR:
+                _expect(block, ln, f"expected a block header, got {text!r}")
+                claims = [f for f in _GRAMMAR[block[0]].fields if fields and text.startswith(f.key)]
+                _expect(claims, ln, f"unexpected line in {block[0]} block: {text!r}")
+                _expected(claims, ln)
+            _expect(rest, ln, f"expected a name after {kind!r}")
+            g = _GRAMMAR[kind]
+            head, lines = g.patterns
+            if not (m := head[0].fullmatch(rest[0])):
+                _expected([f for f in g.heads if f.key and f.key in rest[0]] or g.heads, ln)
+            label, i, j = head[1][m.lastindex]
+            block = kind, label, m.groups()[i:j], ln, []
+            first = kind == "group" or not label and kind in ("groupoid", "finite")
+            (self.first if first else self.pending).append(block)
+            fields = lines if g.fields and label == g.heads[-1].label else None
 
     def resolve(self):
-        """Build every deferred block; a kernel error is located at its header.
+        for block in self.first + self.pending:
+            self.build(*block)
 
-        Any other exception is a fault of the program, not of the file, and
-        propagates as it is.
-        """
-        for kind, name, ln, build in self.pending:
-            try:
-                value = build()
-            except LocatedError:
-                raise
-            except GpdError as exc:
-                raise ParseError(ln.path, ln.no, f"{kind}: {exc}") from exc
-            self.add(kind, name, value, ln)
+    def build(self, kind: str, form: str, values, head: _Line, lines):
+        """Build one block and add it.  A kernel error is located at its header;
+        any other exception is a fault of the program and propagates as it is."""
+        try:
+            value = getattr(self, kind)(form, values, lines, head)
+        except LocatedError:
+            raise
+        except GpdError as exc:
+            raise ParseError(*head, f"{kind}: {exc}") from exc
+        kind = "presentation" if kind == "groupoid" else kind
+        if values[0] in self.tables[kind]:
+            raise DuplicateName(*head, f"duplicate {kind} {values[0]!r}")
+        self.tables[kind][values[0]] = value
 
-    def _finite_ctor(self, ctor: str, name: str, ln: _Line) -> FiniteGroupoid:
-        if ctor.startswith("group(") and ctor.endswith(")"):
-            g = self._need(self.ws.groups, ctor[6:-1].strip(), "group", ln)
-            return group_as_groupoid(g, name=name)
-        if ctor == "interval()":
+    def need(self, kind: str, name: str, ln: _Line):
+        if name not in self.tables[kind]:
+            raise UnresolvedReference(*ln, f"unknown {kind} {name!r}")
+        return self.tables[kind][name]
+
+    # -- one builder per kind: the semantic checks.  Each imports its own layer,
+    # but words, finite groupoids, crossed modules and squares, which square
+    # blocks need by the dozen, stay at module top.
+
+    def group(self, form, values, lines, head) -> FiniteGroup:
+        if form == "trivial":
+            g = trivial_group()
+        elif form:
+            # cyclic(256) has a 65,536-entry table; symmetric(4) has 24 elements
+            least, most = (1, 256) if form == "cyclic" else (0, 4)
+            n = _int(values[1])
+            _expect(n is not None and least <= n <= most, head,
+                    f"{form}({values[1]}): the argument must be an integer >= {least} and <= {most}")
+            g = (cyclic_group if form == "cyclic" else symmetric_group)(n)
+        else:
+            elements = [e for label, v, _ in lines if label == "elements" for e in v[0].split()]
+            table = _table(lines, elements, "element")
+            e = next((e for e in elements if all(
+                table.get((e, x)) == x and table.get((x, e)) == x for x in elements)), None)
+            _expect(e is not None, head, f"group {values[0]!r} has no identity element")
+            inverse = {}
+            for x in elements:
+                for y in elements:
+                    if table.get((x, y)) == e and table.get((y, x)) == e:
+                        inverse[x] = y
+                        break
+            return FiniteGroup(values[0], tuple(elements), table, e, inverse)
+        g.name = values[0]
+        return g
+
+    def finite(self, form, values, lines, head) -> FiniteGroupoid:
+        if form == "group":
+            return group_as_groupoid(self.need("group", values[1], head), name=values[0])
+        if form == "interval":
             f = interval_finite_groupoid()
-            f.name = name
+            f.name = values[0]
             return f
-        raise ParseError(ln.path, ln.no, f"unknown finite constructor {ctor!r}")
+        arrows, src, dst, identity = [], {}, {}, {}
+        for label, (a, s, d), ln in lines:
+            if label != "mul":
+                arrows.append(a)
+                src[a], dst[a] = s, d
+            if label == "arrow id":
+                _expect(s == d, ln, "identity arrows must be loops")
+                identity[s] = a
+        table = _table(lines, src, "arrow")
+        inverse = {}
+        for x in arrows:
+            for y in arrows:
+                if table.get((x, y)) == identity.get(src[x]) and table.get((y, x)) == identity.get(dst[x]):
+                    inverse[x] = y
+                    break
+        objects = tuple(sorted({*src.values(), *dst.values()}))
+        return FiniteGroupoid(values[0], objects, tuple(arrows), src, dst, table, identity, inverse)
 
-    def _xmod_ctor(self, ctor: str, name: str, ln: _Line) -> CrossedModuleData:
-        if ctor.startswith("normal(") and ctor.endswith(")"):
-            body = ctor[7:-1]
-            _expect("," in body, ln, "expected normal(group, {elements})")
-            gname, subset = body.split(",", 1)
-            subset = subset.strip()
-            _expect(
-                subset.startswith("{") and subset.endswith("}"),
-                ln,
-                "subset must be brace-enclosed",
-            )
+    def groupoid(self, form, values, lines, head) -> GroupoidPresentation:
+        from .presentations import GroupoidPresentation
+
+        objects = [o for label, v, _ in lines if label == "objects" for o in v[0].split()]
+        gens = [(ArrowGen(*v), ln) for label, v, ln in lines if label == "gen"]
+        for g, ln in gens:
+            for obj in (g.src, g.dst):
+                if obj not in objects:
+                    raise UnresolvedReference(*ln, f"generator {g.name} uses undeclared object {obj!r}")
+        by_name = {g.name: g for g, _ in gens}
+        relations = tuple(tuple(parse_word_text(w, by_name.get, ln) for w in v)
+                          for label, v, ln in lines if label == "rel")
+        return GroupoidPresentation(values[0], tuple(objects), tuple(g for g, _ in gens), relations)
+
+    def morphism(self, form, values, lines, head) -> GroupoidMorphism:
+        from .morphisms import GroupoidMorphism
+
+        name, dom, cod = values
+        dom = self.need("presentation", dom, head)
+        cod = self.ws.presentations.get(cod, self.ws.finites.get(cod, cod))
+        if isinstance(cod, str):
+            raise UnresolvedReference(*head, f"unknown codomain {cod!r}")
+        into_finite = isinstance(cod, FiniteGroupoid)
+        gens = {} if into_finite else {g.name: g for g in cod.generators}
+        object_map, gen_map = {}, {}
+        for label, (x, image), ln in lines:
+            if label == "obj":
+                object_map[x] = image
+            elif into_finite:
+                if image.startswith("id(") and image.endswith(")"):
+                    image = cod.id_at(image[3:-1].strip())
+                if image not in cod.arrows:
+                    raise UnresolvedReference(*ln, f"unknown arrow {image!r}")
+                gen_map[x] = image
+            else:
+                gen_map[x] = parse_word_text(image, gens.get, ln)
+        return GroupoidMorphism(name, dom, cod, object_map, gen_map)
+
+    def span(self, form, values, lines, head) -> Span:
+        from .vkt import Span
+
+        if form:
+            left, right = (self.need("morphism", m, head) for m in values[1:])
+            if left.domain != right.domain:
+                raise UnresolvedReference(*head, "span legs have different apexes")
+            return Span(left.domain, left, right)
+        from .morphisms import GroupoidMorphism
+        from .presentations import discrete_presentation
+
+        apex, legs = None, {}
+        for label, v, ln in lines:  # a later line overwrites an earlier one
+            if label == "apex objects":
+                apex = v[0].split()
+                continue
+            legs[label] = v[0], {}, ln
+            for part in filter(None, map(str.strip, v[1].split(","))):
+                o, arrow, image = part.partition("->")
+                _expect(arrow, ln, f"expected 'src -> dst' in {part!r}")
+                legs[label][1][o.strip()] = image.strip()
+        _expect(apex is not None, head, "span block needs 'apex objects:'")
+        _expect(len(legs) == 2, head, "span block needs left and right legs")
+        apex = discrete_presentation(f"{values[0]}.apex", tuple(apex))
+        for side in ("left", "right"):
+            target, pairs, ln = legs[side]
+            target = self.need("presentation", target, ln)
+            try:
+                legs[side] = GroupoidMorphism(f"{values[0]}.{side}", apex, target, pairs, {})
+            except GpdError as exc:
+                raise ParseError(*ln, f"span leg {side}: {exc}") from exc
+        return Span(apex, legs["left"], legs["right"])
+
+    def xmod(self, form, values, lines, head) -> CrossedModuleData:
+        name = values[0]
+        if form == "normal":
+            subset = values[2]
+            _expect(subset.startswith("{") and subset.endswith("}"), head, "subset must be brace-enclosed")
             elems = [x.strip() for x in subset[1:-1].split(",") if x.strip()]
-            g = self._need(self.ws.groups, gname.strip(), "group", ln)
-            return from_normal_subgroup(g, elems, name=name)
-        if ctor.startswith("autxmod(") and ctor.endswith(")"):
-            g = self._need(self.ws.groups, ctor[8:-1].strip(), "group", ln)
-            x = automorphism_xmod(g)
+            return from_normal_subgroup(self.need("group", values[1], head), elems, name=name)
+        if form == "autxmod":
+            x = automorphism_xmod(self.need("group", values[1], head))
             x.name = name
             return x
-        if ctor.startswith("trivial(") and ctor.endswith(")"):
-            f = self._need(self.ws.finites, ctor[8:-1].strip(), "finite", ln)
-            return trivial_crossed_module(f, name=name)
-        raise ParseError(ln.path, ln.no, f"unknown xmod constructor {ctor!r}")
-
-    def _xmod_literal(self, name: str, lines, head: _Line) -> CrossedModuleData:
-        base = None
-        fibers = {}
-        mu: dict[str, dict[str, str]] = {}
-        action = {}
-        for ln in lines:
-            if ln.text.startswith("base "):
-                base = self._need(self.ws.finites, ln.text[5:].strip(), "finite", ln)
-            elif ln.text.startswith("fiber "):
-                toks = ln.text[6:].split()
-                _expect(len(toks) == 2, ln, "expected 'fiber obj groupname'")
-                fibers[toks[0]] = self._need(self.ws.groups, toks[1], "group", ln)
-            elif ln.text.startswith("mu "):
-                body = ln.text[3:]
-                m, p = _arrow_ref(body, ln)
+        if form == "trivial":
+            return trivial_crossed_module(self.need("finite", values[1], head), name=name)
+        base, fibers, mu, action = None, {}, {}, {}
+        for label, v, ln in lines:
+            if label == "base":
+                base = self.need("finite", v[0], ln)
+            elif label == "fiber":
+                fibers[v[0]] = self.need("group", v[1], ln)
+            elif label == "mu":
                 _expect(base is not None, ln, "'base' must come before 'mu' lines")
-                site = None
-                for obj, g in fibers.items():
-                    if m in g.elements:
-                        _expect(site is None, ln, f"element {m!r} is ambiguous across fibers")
-                        site = obj
-                _expect(site is not None, ln, f"element {m!r} not found in any fiber")
-                mu.setdefault(site, {})[m] = p
-            elif ln.text.startswith("act "):
-                body = ln.text[4:]
-                _expect("=" in body.partition("^")[2], ln, "expected 'act m ^ p = m2'")
-                m, rest = body.split("^", 1)
-                p, m2 = rest.split("=", 1)
-                action[(m.strip(), p.strip())] = m2.strip()
+                sites = [obj for obj, g in fibers.items() if v[0] in g.elements]
+                _expect(len(sites) < 2, ln, f"element {v[0]!r} is ambiguous across fibers")
+                _expect(sites, ln, f"element {v[0]!r} not found in any fiber")
+                mu.setdefault(sites[0], {})[v[0]] = v[1]
             else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in xmod block: {ln.text!r}")
+                action[v[:2]] = v[2]
         _expect(base is not None, head, "xmod block needs a 'base' line")
         return CrossedModuleData(name, base, fibers, mu, action)
 
-    def _morphism(self, name: str, dom_name: str, cod_name: str, lines, head: _Line) -> GroupoidMorphism:
-        from .morphisms import GroupoidMorphism
+    def square(self, form, values, lines, head) -> Square:
+        return make_square(self.need("xmod", values[6], head), *values[1:6])
 
-        dom = self._need(self.ws.presentations, dom_name, "presentation", head)
-        if cod_name in self.ws.presentations:
-            cod = self.ws.presentations[cod_name]
-        elif cod_name in self.ws.finites:
-            cod = self.ws.finites[cod_name]
-        else:
-            raise UnresolvedReference(
-                head.path, head.no, f"unknown codomain {cod_name!r}"
-            )
-        object_map = {}
-        gen_map = {}
-        into_finite = isinstance(cod, FiniteGroupoid)
-        gen_lookup = {} if into_finite else {g.name: g for g in cod.generators}
-        for ln in lines:
-            if ln.text.startswith("obj "):
-                o, oi = _arrow_ref(ln.text[4:], ln)
-                object_map[o] = oi
-            elif ln.text.startswith("gen "):
-                body = ln.text[4:]
-                g, image = _arrow_ref(body, ln)
-                if into_finite:
-                    image = image.strip()
-                    if image.startswith("id(") and image.endswith(")"):
-                        image = cod.id_at(image[3:-1].strip())
-                    if image not in cod.arrows:
-                        raise UnresolvedReference(ln.path, ln.no, f"unknown arrow {image!r}")
-                    gen_map[g] = image
-                else:
-                    gen_map[g] = parse_word_text(image, gen_lookup.get, ln)
-            else:
-                raise ParseError(ln.path, ln.no, f"unexpected line in morphism block: {ln.text!r}")
-        return GroupoidMorphism(name, dom, cod, object_map, gen_map)
-
-    def _span_named(self, left_name: str, right_name: str, head: _Line) -> Span:
-        from .vkt import Span
-
-        left = self._need(self.ws.morphisms, left_name, "morphism", head)
-        right = self._need(self.ws.morphisms, right_name, "morphism", head)
-        if left.domain != right.domain:
-            raise UnresolvedReference(head.path, head.no, "span legs have different apexes")
-        return Span(left.domain, left, right)
-
-    def _span_inline(self, name: str, apex_objects, legs) -> Span:
-        from .morphisms import GroupoidMorphism
-        from .presentations import discrete_presentation
-        from .vkt import Span
-
-        apex = discrete_presentation(f"{name}.apex", tuple(apex_objects))
-        morphs = {}
-        for side in ("left", "right"):
-            target_name, pairs, ln = legs[side]
-            target = self._need(self.ws.presentations, target_name, "presentation", ln)
-            try:
-                morphs[side] = GroupoidMorphism(
-                    f"{name}.{side}", apex, target, dict(pairs), {}
-                )
-            except GpdError as exc:
-                raise ParseError(ln.path, ln.no, f"span leg {side}: {exc}") from exc
-        return Span(apex, morphs["left"], morphs["right"])
-
-    def _grid(self, rows: int, cols: int, names, head: _Line) -> Grid:
+    def grid(self, form, values, lines, head) -> Grid:
         from .grids import Grid
 
+        _, r, c, names = values
+        rows, cols, names = _int(r), _int(c), names.split()
+        _expect(None not in (rows, cols) and min(rows, cols) >= 1, head,
+                f"grid size {r + 'x' + c!r}: expected RxC, two integers >= 1")
         _expect(len(names) == rows * cols, head, f"grid needs {rows * cols} squares, got {len(names)}")
-        cells = [self._need(self.ws.squares, n, "square", head) for n in names]
+        cells = [self.need("square", n, head) for n in names]
         return Grid(tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows)))
 
-    def _cube(self, faces, head: _Line) -> Cube:
+    def cube(self, form, values, lines, head) -> Cube:
         from .cubes import make_cube
 
-        return make_cube(*(self._need(self.ws.squares, f, "square", head) for f in faces))
+        faces = values[1].split()
+        _expect(len(faces) == 6, head, "a cube needs exactly six faces (d1- d1+ d2- d2+ d3- d3+)")
+        return make_cube(*(self.need("square", f, head) for f in faces))
+
+    def freemodule(self, form, values, lines, head) -> FreeModule:
+        from .freemodules import FreeModule
+
+        base = self.need("presentation", values[1], head)
+        return FreeModule(values[0], base, tuple(v for _, v, _ in lines))
 
 
 def parse_workspace(files) -> Workspace:
-    """Parse one or more (path, content) pairs or file paths into a workspace.
-
-    A file that cannot be read raises ``UnreadableWorkspace``; every other
-    failure raises a ``LocatedError`` whose message starts with ``path:line:``.
-    """
+    """Parse (path, content) pairs or file paths into a workspace.  A file that
+    cannot be read raises ``UnreadableWorkspace``; every other failure raises
+    a ``LocatedError`` whose message starts with ``path:line:``."""
     parser = _Parser()
     for f in files:
         if isinstance(f, tuple):
@@ -648,9 +527,7 @@ def parse_workspace(files) -> Workspace:
             except (OSError, UnicodeDecodeError) as exc:
                 reason = getattr(exc, "strerror", None) or exc
                 raise UnreadableWorkspace(f"cannot read {path}: {reason}") from exc
-        for kind, rest, block in _blocks(path, content):
-            _expect(rest, block[0], f"expected a name after {kind!r}")
-            getattr(parser, f"parse_{kind}")(block, rest[0])
+        parser.read(path, content)
     parser.resolve()
     return parser.ws
 
@@ -658,118 +535,85 @@ def parse_workspace(files) -> Workspace:
 # -- canonical printing --------------------------------------------------------
 
 
+def _rows(kind: str, name: str, x, names):
+    """One block as rows of a form label and slot values; ``names`` names squares."""
+    if kind in ("group", "finite", "groupoid", "xmod"):
+        yield "", x.name
+    if kind == "group":
+        yield "elements", " ".join(x.elements)
+    elif kind == "finite":
+        ids = set(x.identity.values())
+        for a in sorted(x.arrows):
+            yield "arrow id" if a in ids else "arrow", a, x.src[a], x.dst[a]
+    elif kind == "groupoid":
+        yield "objects", " ".join(x.sorted_objects())
+        for g in x.sorted_generators():
+            yield "gen", g.name, g.src, g.dst
+        for lhs, rhs in x.relations:
+            yield "rel", lhs, rhs
+    elif kind == "morphism":
+        yield "", x.name, x.domain.name, x.codomain.name
+        for o in sorted(x.object_map):
+            yield "obj", o, x.object_map[o]
+        for g in sorted(x.gen_map):
+            yield "gen", g, x.gen_map[g]
+    elif kind == "span" and x.apex.generators:
+        yield "left right", name, x.left.name, x.right.name  # only a discrete apex prints inline
+    elif kind == "span":
+        objects = x.apex.sorted_objects()
+        yield "", name
+        yield "apex objects", " ".join(objects)
+        for side, leg in (("left", x.left), ("right", x.right)):
+            yield side, leg.codomain.name, ", ".join(f"{o} -> {leg.object_map[o]}" for o in objects)
+    elif kind == "xmod":
+        yield "base", x.base.name
+        for s in sorted(x.fibers):
+            yield "fiber", s, x.fibers[s].name
+        for s in sorted(x.mu):
+            for m in sorted(x.mu[s]):
+                yield "mu", m, x.mu[s][m]
+        for m, p in sorted(x.action):
+            yield "act", m, p, x.action[m, p]
+    elif kind == "square":
+        yield "over", name, x.elt, x.top, x.right, x.bottom, x.left, x.xm.name
+    elif kind == "grid":
+        yield "x", name, x.rows, x.cols, " ".join(names[c] for row in x.cells for c in row)
+    elif kind == "cube":
+        from .cubes import FACE_SLOTS
+
+        yield "", name, " ".join(names[x.face(s)] for s in FACE_SLOTS)
+    elif kind == "freemodule":
+        yield "over", name, x.base.name
+        for g, site in x.generators:
+            yield "mgen at", g, site
+    if kind in ("group", "finite"):
+        for xy in sorted(x.table):
+            yield "mul", *xy, x.table[xy]
+
+
+def _render(kind: str, rows) -> str:
+    forms = _GRAMMAR[kind].forms
+    return "\n".join(forms[label].fmt.format(*values) for label, *values in rows)
+
+
 def print_presentation(p: GroupoidPresentation) -> str:
-    lines = [f"groupoid {p.name}", "objects: " + " ".join(p.sorted_objects())]
-    for g in p.sorted_generators():
-        lines.append(f"gen {g.name}: {g.src} -> {g.dst}")
-    for lhs, rhs in p.relations:
-        lines.append(f"rel: {lhs} = {rhs}")
-    return "\n".join(lines)
-
-
-def print_finite(f: FiniteGroupoid) -> str:
-    lines = [f"finite {f.name}"]
-    ids = set(f.identity.values())
-    for a in sorted(f.arrows):
-        flag = " id" if a in ids else ""
-        lines.append(f"arrow {a}: {f.src[a]} -> {f.dst[a]}{flag}")
-    for (x, y) in sorted(f.table):
-        lines.append(f"mul {x} {y} = {f.table[(x, y)]}")
-    return "\n".join(lines)
-
-
-def print_group(g: FiniteGroup) -> str:
-    lines = [f"group {g.name}", "elements: " + " ".join(g.elements)]
-    for (x, y) in sorted(g.table):
-        lines.append(f"mul {x} {y} = {g.table[(x, y)]}")
-    return "\n".join(lines)
-
-
-def print_morphism(m: GroupoidMorphism) -> str:
-    cod_name = m.codomain.name
-    lines = [f"morphism {m.name}: {m.domain.name} -> {cod_name}"]
-    for o in sorted(m.object_map):
-        lines.append(f"obj {o} -> {m.object_map[o]}")
-    for g in sorted(m.gen_map):
-        lines.append(f"gen {g} -> {m.gen_map[g]}")
-    return "\n".join(lines)
-
-
-def print_span(name: str, s: Span) -> str:
-    if s.apex.generators:
-        # only discrete apexes have an inline form; fall back to references
-        return f"span {name}: left {s.left.name} right {s.right.name}"
-    lines = [f"span {name}", "apex objects: " + " ".join(s.apex.sorted_objects())]
-    for side, leg in (("left", s.left), ("right", s.right)):
-        pairs = ", ".join(f"{o} -> {leg.object_map[o]}" for o in s.apex.sorted_objects())
-        lines.append(f"{side} {leg.codomain.name}: {pairs}")
-    return "\n".join(lines)
-
-
-def print_xmod(x: CrossedModuleData) -> str:
-    lines = [f"xmod {x.name}", f"base {x.base.name}"]
-    for s in sorted(x.fibers):
-        lines.append(f"fiber {s} {x.fibers[s].name}")
-    for s in sorted(x.mu):
-        for m in sorted(x.mu[s]):
-            lines.append(f"mu {m} -> {x.mu[s][m]}")
-    for (m, p) in sorted(x.action):
-        lines.append(f"act {m} ^ {p} = {x.action[(m, p)]}")
-    return "\n".join(lines)
-
-
-def print_square(name: str, s: Square) -> str:
-    return (
-        f"square {name} = ({s.elt}; {s.top},{s.right},{s.bottom},{s.left}) "
-        f"over {s.xm.name}"
-    )
+    return _render("groupoid", _rows("groupoid", p.name, p, {}))
 
 
 def print_workspace(ws: Workspace) -> str:
-    """Canonical text for the self-contained parts of a workspace.
-
-    Spans with inline apexes, grids whose cells and cubes whose faces are
-    all named squares are printed; everything prints in kind order then name
-    order so output is reproducible.
-    """
-    chunks = []
-    groups = dict(ws.groups)
-    finites = dict(ws.finites)
+    """Canonical text of a workspace, in kind order then name order.  A grid or
+    cube prints only when all its squares are named."""
+    groups, finites = dict(ws.groups), dict(ws.finites)
     for xm in ws.xmods.values():
         # constructor-built modules carry bases and fibers never declared
         finites.setdefault(xm.base.name, xm.base)
         for fib in xm.fibers.values():
             groups.setdefault(fib.name, fib)
-    for name in sorted(groups):
-        chunks.append(print_group(groups[name]))
-    for name in sorted(finites):
-        chunks.append(print_finite(finites[name]))
-    for name in sorted(ws.presentations):
-        chunks.append(print_presentation(ws.presentations[name]))
-    for name in sorted(ws.morphisms):
-        chunks.append(print_morphism(ws.morphisms[name]))
-    for name in sorted(ws.spans):
-        chunks.append(print_span(name, ws.spans[name]))
-    for name in sorted(ws.xmods):
-        chunks.append(print_xmod(ws.xmods[name]))
-    for name in sorted(ws.squares):
-        chunks.append(print_square(name, ws.squares[name]))
     # a square under two names prints as the first
-    square_names = {sq: name for name, sq in sorted(ws.squares.items(), reverse=True)}
-    for name in sorted(ws.grids):
-        g = ws.grids[name]
-        cells = [cell for row in g.cells for cell in row]
-        if all(cell in square_names for cell in cells):
-            chunks.append(f"grid {name} {g.rows}x{g.cols}: " + " ".join(square_names[c] for c in cells))
-    if ws.cubes:
-        from .cubes import FACE_SLOTS
-    for name in sorted(ws.cubes):
-        faces = [ws.cubes[name].face(slot) for slot in FACE_SLOTS]
-        if all(f in square_names for f in faces):
-            chunks.append(f"cube {name}: " + " ".join(square_names[f] for f in faces))
-    for name in sorted(ws.modules):
-        m = ws.modules[name]
-        lines = [f"freemodule {name} over {m.base.name}"]
-        lines.extend(f"mgen {g} at {site}" for g, site in m.generators)
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
+    names = {sq: name for name, sq in sorted(ws.squares.items(), reverse=True)}
+    grids = {n: g for n, g in ws.grids.items() if all(c in names for row in g.cells for c in row)}
+    cubes = {n: c for n, c in ws.cubes.items() if all(f in names for f in c.faces.values())}
+    tables = (groups, finites, ws.presentations, ws.morphisms, ws.spans, ws.xmods, ws.squares,
+              grids, cubes, ws.modules)
+    return "\n\n".join(_render(kind, _rows(kind, name, table[name], names))
+                       for kind, table in zip(_GRAMMAR, tables) for name in sorted(table)) + "\n"

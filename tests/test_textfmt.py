@@ -1,11 +1,12 @@
 import importlib.resources as resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpdkit.cubes import FACE_SLOTS
 from gpdkit.errors import DuplicateName, LocatedError, ParseError, UnresolvedReference
-from gpdkit.textfmt import parse_workspace, print_workspace
+from gpdkit.textfmt import _GRAMMAR, _Parser, parse_workspace, print_workspace
 from gpdkit.vkt import pushout, tietze_simplify, vertex_group
 
 
@@ -239,7 +240,7 @@ def test_a_program_fault_in_a_build_is_not_read_as_a_bad_file(monkeypatch):
     def broken(*args):
         raise NameError("name 'Grid' is not defined")
 
-    monkeypatch.setattr("gpdkit.textfmt._Parser._grid", broken)
+    monkeypatch.setattr("gpdkit.textfmt._Parser.grid", broken)
     with pytest.raises(NameError):
         parse_workspace([data("squares.vk")])
 
@@ -319,3 +320,42 @@ def test_group_literal_builds_or_fails_at_a_line(content):
         assert str(exc).startswith(f"group.vk:{exc.line_no}: ")
     else:
         print_workspace(ws)
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("group", "group s3 = symmetric(3)\nmul e e = (12)\n"),
+    ("finite", "group s3 = symmetric(3)\nfinite f = group(s3)\narrow x: * -> * id\n"),
+    ("xmod", "group s3 = symmetric(3)\nxmod a3 = normal(s3, {e, (123), (132)})\nbase f\n"),
+    ("square", _A3 + "elements: e\n"),
+    ("grid", _A3 + "grid g 1x1: s\nmul e e = e\n"),
+    ("cube", _A3 + "cube c: s s s s s s\nobjects: 0\n"),
+    ("span", "groupoid p\nobjects: 0\nmorphism m: p -> p\nobj 0 -> 0\nspan w: left m right m\napex objects: 0\n"),
+])
+def test_a_field_line_under_a_header_that_takes_none_fails_at_its_line(kind, content):
+    # a constructor or header-only header takes no field lines; none is dropped unread
+    with pytest.raises(ParseError) as err:
+        parse_workspace([("inline.vk", content)])
+    assert (err.value.path, err.value.line_no) == ("inline.vk", content.count("\n"))
+    assert f"unexpected line in {kind} block: " in str(err.value)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(st.one_of(edited_workspace(), group_literal_workspace()))
+def test_a_printed_workspace_reads_back_to_the_same_print(content):
+    try:
+        ws = parse_workspace([("edited.vk", content)])
+    except LocatedError:
+        return
+    text = print_workspace(ws)
+    assert print_workspace(parse_workspace([("canon.vk", text)])) == text
+
+
+def test_the_readme_format_block_shows_every_line_form():
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## The `vk` command line", 1)[1].split("```")[1]
+    parser = _Parser()
+    parser.read("README.md", block)
+    blocks = parser.first + parser.pending
+    shown = {(kind, label) for kind, label, *_ in blocks}
+    shown |= {(kind, label) for kind, _, _, _, lines in blocks for label, _, _ in lines}
+    assert shown == {(kind, f.label) for kind, g in _GRAMMAR.items() for f in g.heads + g.fields}
