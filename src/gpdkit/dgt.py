@@ -27,18 +27,29 @@ each inner pasting's rank in the group of its forced edge, so a sweep never
 reads a -1 as an index.  The interchange sweep's sub-tables hold element
 ranks packed into int64 words, one word per row of an arrangement's last
 square: both sides are squares on the same four edges, so they are equal
-exactly when their elements are.  Associativity is swept on H alone when V
-is H under the transpose: tau (``maps().transpose``, the element inverted,
-edges (t, r, b, l) -> (l, b, r, t)) then maps V's triples one to one onto
-H's and both sides with them, so the two laws' counts agree, violations
-included; a model without that symmetry (a hollow one, doctored tables)
-gets the full sweep of V.  A sweep of at least ``_FORK_CHECKS``
-checks runs on two workers, the process and one forked child, each taking
-every other row of the sweep's blocks: a block of associativity, a (beta,
-rho) group of interchange blocks.  The object-level calculus
+exactly when their elements are.  A square's three reflections in
+``maps()``, the transpose tau (the element inverted, edges (t, r, b, l) ->
+(l, b, r, t)) and the inverses inv_h and inv_v, are the symmetries the laws
+are swept modulo, each used only once it is checked on every pasting of
+the tables at hand.  Associativity is swept on H alone when V is H under
+tau: tau then maps V's triples one to one onto H's and both sides with
+them, so the two laws' counts agree, violations included.  Interchange
+compares one block per orbit of the verified reflections, each of which
+maps arrangements one to one onto arrangements and both sides with them,
+and counts that block once per block of its orbit: ``checked`` counts the
+arrangements covered, compared or carried there by a reflection.  A model
+without these symmetries (a hollow one, doctored tables) gets the full
+sweeps, and so does interchange whenever the orbit sweep finds a
+violation, for the exact count and the first witness.  An associativity
+sweep of at least ``_FORK_CHECKS`` checks, or an interchange sweep that
+compares at least ``_FORK_ARRANGEMENTS`` arrangements, runs on two
+workers, the process and one forked child, each taking every other row of
+the sweep's blocks: a block of associativity, a (beta, rho) group of
+interchange blocks.  The object-level calculus
 (``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
 and, in ``find_interchange_counterexample``, the readable scan for a
-corrupted pasting; ``count_compatible_quadruples`` reads only the edges,
+corrupted pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN`` arrangements;
+``count_compatible_quadruples`` reads only the edges,
 never a table, so it checks the sweeps' coverage independently.
 """
 
@@ -75,20 +86,30 @@ _EDGES = ("top", "right", "bottom", "left")
 # It also keeps every flat table index below 2**31.
 MAX_TABLE_BYTES = 1 << 28
 
+# Most arrangements find_interchange_counterexample scans: about 2 s at the
+# 1e5 arrangements/s its object-level calculus runs on a 2-vCPU VM.
+MAX_COUNTEREXAMPLE_SCAN = 1 << 18
+
 # Most arrangements, or packed words, a law sweep compares at once; bounds
 # its temporaries.
 _PIECE = 1 << 16
 
-# Fewest checks for which a law sweep forks a second worker.  A fork costs
-# some 5-10 ms, its child faulting in temporaries of its own.  In three
-# rounds of alternating in-process runs on a 2-vCPU VM (medians of 11), the
-# associativity kernel checked 4e8-8e8 triples/s serially: A3 in S3's
-# 7.6M-check sweep took 12-20 ms serially against 13-17 ms forked, and
-# Aut(S3)'s 60M-check one 76-78 ms against 44-85 ms.  The packed
-# interchange kernel checked 2e9-7e9 arrangements/s: A3 in S3's 136M took
-# 46-80 ms against 44-53 ms, and Aut(S3)'s 2.2e9 0.32-0.48 s against
-# 0.23-0.26 s.  A fork breaks even near 1e7 associativity checks.
+# Fewest checks for which an associativity sweep forks a second worker.  A
+# fork costs some 5-10 ms, its child faulting in temporaries of its own.
+# In three rounds of alternating in-process runs on a 2-vCPU VM (medians
+# of 11), the associativity kernel checked 4e8-8e8 triples/s serially:
+# A3 in S3's 7.6M-check sweep took 12-20 ms serially against 13-17 ms
+# forked, and Aut(S3)'s 60M-check one 76-78 ms against 44-85 ms.  A fork
+# breaks even near 1e7 associativity checks.
 _FORK_CHECKS = 1 << 24
+
+# Fewest arrangements compared for which an interchange sweep forks.  The
+# packed kernel compares 1e9-3e9 arrangements/s, so a fork pays later.  In
+# fresh processes on a 2-vCPU VM (20 alternating runs each, after
+# tables()), A3 in S3's 24M compared arrangements (one block per orbit of
+# its reflections) took 16-24 ms serially (median 19) against 19-25 ms
+# forked (median 22); Aut(S3)'s 388M took 91-150 ms against 63-103 ms.
+_FORK_ARRANGEMENTS = 1 << 26
 
 # The word an interchange sweep packs element ranks into (``_packed``).
 _WORD = np.dtype(np.int64)
@@ -563,7 +584,7 @@ def comp_h_unconjugated(left: Square, right: Square):
     )
 
 
-def _class_sweep(blocks, pieces, total: int):
+def _class_sweep(blocks, pieces, total: int, fork_at: int):
     """Check one law on every block of its edge-compatible arrangements.
 
     ``blocks`` lists the blocks, or groups of blocks, one per row, in the
@@ -578,7 +599,7 @@ def _class_sweep(blocks, pieces, total: int):
     violating arrangement in scan order, or None.
 
     Two workers at most: when ``total``, the sweep's exact check count, is
-    at least ``_FORK_CHECKS``, there are two rows or more and the process
+    at least ``fork_at``, there are two rows or more and the process
     may run on two CPUs, one ``os.fork()``ed child sweeps every other row
     while this process sweeps the rest; otherwise the rows run serially
     here.  Each arrangement lies in exactly one row, so the sums of the
@@ -602,7 +623,7 @@ def _class_sweep(blocks, pieces, total: int):
                 first = hit if first is None else min(first, hit)
         return checked, bad, first
 
-    if (total < _FORK_CHECKS or len(blocks) < 2 or not hasattr(os, "fork")
+    if (total < fork_at or len(blocks) < 2 or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
         return sweep(blocks)
     return _forked(sweep, blocks)
@@ -718,6 +739,69 @@ def _packed(fields: np.ndarray, at: np.ndarray) -> np.ndarray:
     return out.view(_WORD)
 
 
+# Each reflection's image of a block (beta, rho, r, b) of interchange
+# arrangements, given the base's arrow inverses ``inv``.  The transpose
+# takes [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to
+# [[iy, ix], [iw, iz]] and inv_v to [[iz, iw], [ix, iy]].
+_BLOCK_MAPS = {
+    "transpose": lambda inv, beta, rho, r, b: (rho, beta, b, r),
+    "inv_h": lambda inv, beta, rho, r, b: (inv[b], rho, r, inv[beta]),
+    "inv_v": lambda inv, beta, rho, r, b: (beta, inv[r], inv[rho], b),
+}
+
+
+def _reflections(model: DgtModel, H: np.ndarray, V: np.ndarray) -> list[str]:
+    """The names of the reflections in ``model.maps()`` that carry the
+    interchange law on H/V onto itself, each checked on every pasting.
+
+    The transpose tau must make V = tau H tau (``_v_is_transposed_h``).  inv_h
+    must be an anti-automorphism of H, H[i y, i x] = i H[x, y], and an
+    automorphism of V; inv_v an automorphism of H and an anti-automorphism
+    of V.  Each must be a permutation of the squares that is its own
+    inverse.  H's and V's pastings must have passed ``_check_pastings``.
+    """
+    m = model.maps()
+    found = ["transpose"] if _v_is_transposed_h(model, H, V) else []
+    for name, h_anti in (("inv_h", True), ("inv_v", False)):
+        i = getattr(m, name)
+        if (_is_involution(i) and _carries(model, i, H, "right", "left", H, h_anti)
+                and _carries(model, i, V, "bottom", "top", V, not h_anti)):
+            found.append(name)
+    return found
+
+
+def _joined(rows: np.ndarray, col: int, pairs: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` followed by every v with (row[col], v) in
+    ``pairs``, a sorted (k, 2) array; in the order of rows, then of v."""
+    lo, hi = (np.searchsorted(pairs[:, 0], rows[:, col], side) for side in ("left", "right"))
+    count = hi - lo
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return np.column_stack([np.repeat(rows, count, axis=0), pairs[at, 1]])
+
+
+def _orbits(blocks: np.ndarray, arrows: int, images) -> np.ndarray:
+    """Per block, the size of its orbit under the maps ``images`` (blocks
+    to blocks) where it is the least block of that orbit, else 0.
+
+    ``blocks`` runs in ascending lexicographic order, and each image is a
+    block of the list, as an array of its columns.
+    """
+    def key(cols):
+        return ((cols[0] * arrows + cols[1]) * arrows + cols[2]) * arrows + cols[3]
+
+    keys = key(blocks.T)
+    moves = [np.searchsorted(keys, key(img)) for img in images]
+    least = np.arange(len(blocks))
+    while True:  # each block takes the least label among its images
+        new = least
+        for at in moves:
+            new = np.minimum(new, new.take(at))
+        if np.array_equal(new, least):
+            break
+        least = new
+    return np.where(least == np.arange(len(blocks)), np.bincount(least, minlength=len(blocks)), 0)
+
+
 def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     """Interchange on every edge-compatible 2x2 arrangement, read from H/V.
 
@@ -744,10 +828,25 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     is compared again square by square, as (z, x, y, w) arrays of H/V
     entries, which counts its violations and finds the first.
 
+    A square's reflections carry the law onto itself where the tables
+    respect them (``_reflections``, each checked on every pasting): the
+    transpose tau maps [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to
+    [[iy, ix], [iw, iz]] and inv_v to [[iz, iw], [ix, iy]], one to one, and
+    each arrangement's two sides onto its image's, so an image holds
+    exactly when the arrangement does.  Each maps whole blocks to blocks
+    (``_BLOCK_MAPS``).  The sweep compares only the least block of each
+    orbit under the verified reflections, in (beta, rho, r, b) order, and
+    counts it once per block of its orbit: ``checked`` counts the
+    arrangements covered, compared or carried there by a reflection.  When
+    that finds a violation, or no reflection verifies (a hollow model,
+    doctored tables), every block is compared, for the exact count and the
+    first violation in scan order.
+
     The workers split the (beta, rho) pairs, one per row of the blocks
     ``_class_sweep`` gets: all blocks of one pair, which share their w and
-    their sub-tables, run in one worker.  Returns (checked, violations,
-    first violating (x, y, z, w) in the scan order x, z, y, w, or None).
+    their sub-tables, run in one worker; a sweep forks from the number of
+    arrangements it compares.  Returns (checked, violations, first
+    violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
     c = model.code()
     _check_pastings(model, H, "H", "right", "left", ("top", "bottom"))
@@ -793,13 +892,10 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     comp = c.comp.tolist()
 
     def pieces(rows):
-        for beta, rho in rows.tolist():
+        for beta, rho, bs in rows:
             ws = W.members(rho, beta)
             rhs_words = {}  # per r
-            for b in np.flatnonzero(nz[:, rho]).tolist():
-                rs = np.flatnonzero(nx[:, b] * ny[:, beta]).tolist()
-                if not rs:
-                    continue
+            for b, rs in bs:
                 zs, d = Z.members(b, rho), comp[b][beta]
                 hzw = _sub(H, zs, ws)
                 lhs_words = _packed(V_ranks[d], top_rank.take(hzw))
@@ -820,8 +916,28 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
                             yield from unpacked(xs[part], ys, zs, ws, d, e, hzw,
                                                 hxy[part], vxz[:, part])
 
-    blocks = np.argwhere(nw.T)  # (beta, rho)
-    checked, bad, first = _class_sweep(blocks, pieces, count_compatible_quadruples(model))
+    def size(blocks):
+        beta, rho, r, b = blocks.T
+        return nx[r, b] * ny[r, beta] * nz[b, rho] * nw[rho, beta]
+
+    def sweep(blocks):
+        # one row per (beta, rho): (beta, rho, [(b, [r, ...]), ...]), b ascending
+        rows = {}
+        for beta, rho, r, b in blocks.tolist():
+            rows.setdefault((beta, rho), {}).setdefault(b, []).append(r)
+        rows = [(beta, rho, sorted(bs.items())) for (beta, rho), bs in rows.items()]
+        return _class_sweep(rows, pieces, int(size(blocks).sum()), _FORK_ARRANGEMENTS)
+
+    # every non-empty block (beta, rho, r, b), in that order
+    blocks = _joined(_joined(np.argwhere(nw.T), 0, np.argwhere(ny.T)), 2, np.argwhere(nx))
+    blocks = blocks[nz[blocks[:, 3], blocks[:, 1]] > 0]
+    maps = [_BLOCK_MAPS[name](c.inv, *blocks.T) for name in _reflections(model, H, V)]
+    if maps:
+        orbit = _orbits(blocks, c.arrows, maps)
+        least = orbit > 0
+        if not sweep(blocks[least])[1]:
+            return int((size(blocks[least]) * orbit[least]).sum()), 0, None
+    checked, bad, first = sweep(blocks)
     return checked, bad, None if first is None else (first[0], first[2], first[1], first[3])
 
 
@@ -861,13 +977,22 @@ def find_interchange_counterexample(model: DgtModel, comp2=comp_h):
 
     Scans quadruples in the model's canonical order using ``comp2`` for the
     horizontal pasting; with the real composition this returns None.
+    SizeLimit, naming the count, once ``MAX_COUNTEREXAMPLE_SCAN``
+    arrangements have been scanned without a counterexample.
     """
+    scanned = 0
     for x in model.squares:
         for y in model.squares_with(left=x.right):
             upper = comp2(x, y)
             for z in model.squares_with(top=x.bottom):
                 left_side = comp_v(x, z)
                 for w in model.squares_with(left=z.right, top=y.bottom):
+                    if scanned == MAX_COUNTEREXAMPLE_SCAN:
+                        raise SizeLimit(
+                            f"{model.name}: no counterexample in the first {scanned} of "
+                            f"{count_compatible_quadruples(model)} arrangements, the most "
+                            f"the object-level scan takes")
+                    scanned += 1
                     lhs = comp_v(upper, comp2(z, w))
                     rhs = comp2(left_side, comp_v(y, w))
                     if lhs != rhs:
@@ -923,7 +1048,30 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
 
     # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
     total = int((by_out.size(c.edge[into]) * by_in.size(c.edge[out])).sum())
-    return _class_sweep(blocks, pieces, total)
+    return _class_sweep(blocks, pieces, total, _FORK_CHECKS)
+
+
+def _is_involution(m: np.ndarray) -> bool:
+    """Whether the square map ``m`` is a permutation that is its own inverse."""
+    return not (m < 0).any() and np.array_equal(m.take(m), np.arange(len(m)))
+
+
+def _carries(model: DgtModel, m: np.ndarray, table: np.ndarray, out: str, into: str,
+             source: np.ndarray, anti: bool = False) -> bool:
+    """Whether table[x, y] = m(source[m x, m y]), or m(source[m y, m x])
+    when ``anti``, on every pasting (x, y) of ``table``: out(x) = into(y).
+
+    ``source`` is read only at the images of those pastings, which must be
+    pastings of it that ``_check_pastings`` has passed; ``table`` may hold
+    anything.  One check per pasting edge, O(n^2) in all.
+    """
+    by_out, by_into = model.groups(out), model.groups(into)
+    for e in range(model.code().arrows):
+        I, J = by_out.members(e), by_into.members(e)
+        image = _sub(source, m.take(J), m.take(I)).T if anti else _sub(source, m.take(I), m.take(J))
+        if not np.array_equal(_sub(table, I, J), m.take(image)):
+            return False
+    return True
 
 
 def _v_is_transposed_h(model: DgtModel, H: np.ndarray, V: np.ndarray) -> bool:
@@ -938,17 +1086,10 @@ def _v_is_transposed_h(model: DgtModel, H: np.ndarray, V: np.ndarray) -> bool:
     V[x, V[y, z]] = tau H[tau x, H[tau y, tau z]], so v-associativity
     checks and breaks exactly as often as h-associativity.  Each V[x, y] is
     then tau of a square on H's forced edges, so it lies on V's: V's own
-    pasting check would pass.  One check per pasting edge, O(n^2) in all.
+    pasting check would pass.
     """
     tau = model.maps().transpose
-    if (tau < 0).any() or (tau.take(tau) != np.arange(len(tau))).any():
-        return False
-    by_bottom, by_top = model.groups("bottom"), model.groups("top")
-    for e in range(model.code().arrows):
-        I, J = by_bottom.members(e), by_top.members(e)
-        if not np.array_equal(_sub(V, I, J), tau.take(_sub(H, tau.take(I), tau.take(J)))):
-            return False
-    return True
+    return _is_involution(tau) and _carries(model, tau, V, "bottom", "top", H)
 
 
 def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,

@@ -299,6 +299,7 @@ class _Parser:
             if not (m := head[0].fullmatch(rest[0])):
                 _expected([f for f in g.heads if f.key and f.key in rest[0]] or g.heads, ln)
             label, i, j = head[1][m.lastindex]
+            _expect(m[i + 1], ln, f"expected a name after {kind!r}")  # every header names its block first
             block = kind, label, m.groups()[i:j], ln, []
             first = kind == "group" or not label and kind in ("groupoid", "finite")
             (self.first if first else self.pending).append(block)

@@ -30,7 +30,7 @@ from gpdkit.dgt import (
     transport_fill_search,
     validate_dgt,
 )
-from gpdkit.errors import InvalidCrossedModule, InvalidDgt
+from gpdkit.errors import InvalidCrossedModule, InvalidDgt, SizeLimit
 from gpdkit.finite import (cyclic_group, group_as_groupoid, interval_finite_groupoid,
                            trivial_group)
 from gpdkit.grids import Grid, grid_compose
@@ -135,6 +135,24 @@ def test_interchange_sweep_small_model(sq_c2, sq_interval_s3):
 
 def test_interchange_counterexample_scan(sq_c2):
     assert find_interchange_counterexample(sq_c2) is None
+
+
+def test_the_counterexample_scan_stops_at_its_cap(monkeypatch, sq_c2):
+    # C3 in C3: an abelian fiber acted on trivially, so the unconjugated
+    # pasting is the real one and the scan can find nothing
+    c3 = cyclic_group(3)
+    model = lambda_functor(from_normal_subgroup(c3, c3.elements, name="c3c3"))
+    monkeypatch.setattr(dgt, "MAX_COUNTEREXAMPLE_SCAN", 2000)
+    with pytest.raises(SizeLimit, match=r"^squares\(c3c3\): no counterexample in the first 2000 "
+                                        r"of 531441 arrangements"):
+        find_interchange_counterexample(model, comp2=comp_h_unconjugated)
+    # the cap bounds what is scanned, not the model
+    total = count_compatible_quadruples(sq_c2)
+    monkeypatch.setattr(dgt, "MAX_COUNTEREXAMPLE_SCAN", total)
+    assert find_interchange_counterexample(sq_c2) is None
+    monkeypatch.setattr(dgt, "MAX_COUNTEREXAMPLE_SCAN", total - 1)
+    with pytest.raises(SizeLimit, match=f"first {total - 1} of {total} arrangements"):
+        find_interchange_counterexample(sq_c2)
 
 
 def test_corrupted_composition_fails_interchange(a3s3_model):
@@ -487,12 +505,13 @@ def test_tables_match_calculus_on_a_sample(a3s3_model, aut_s3_model):
 
 
 def unconjugated_h(model):
-    """H built from comp_h_unconjugated: interchange fails on it."""
+    """H built from comp_h_unconjugated, -1 where its composite is no
+    square of the model: interchange fails on it."""
     n = model.size()
     H = np.full((n, n), -1, np.int16)
     for i, x in enumerate(model.squares):
         for y in model.squares_with(left=x.right):
-            H[i, model.index[y.key()]] = model.index[comp_h_unconjugated(x, y).key()]
+            H[i, model.index[y.key()]] = model.index.get(comp_h_unconjugated(x, y).key(), -1)
     return H
 
 
@@ -895,13 +914,14 @@ def sweep_path(monkeypatch):
 
     def recorded(*args):
         out = sweep(*args)
-        runs.append((args[-1], out))
+        runs.append((args[2], out))
         return out
 
     monkeypatch.setattr(dgt, "_class_sweep", recorded)
 
     def use(path):
-        monkeypatch.setattr(dgt, "_FORK_CHECKS", 0 if path == "forked" else 1 << 62)
+        for name in ("_FORK_CHECKS", "_FORK_ARRANGEMENTS"):
+            monkeypatch.setattr(dgt, name, 0 if path == "forked" else 1 << 62)
         return runs
 
     return use
@@ -1127,7 +1147,7 @@ def toy_sweep(evaluate):
                 lhs, rhs = evaluate(x)
                 yield lhs[None], rhs[None], ([x], np.arange(5))
 
-    return dgt._class_sweep(np.arange(4), pieces, 40)
+    return dgt._class_sweep(np.arange(4), pieces, 40, dgt._FORK_CHECKS)
 
 
 @pytest.fixture
@@ -1284,6 +1304,193 @@ def test_packed_rows_are_equal_exactly_when_their_values_are(word, n, bits, lane
     for a, b in itertools.product(range(len(at)), repeat=2):
         for u, v in itertools.product(range(table.shape[1]), repeat=2):
             assert (words[a, u] == words[b, v]).all() == (values[a, :, u] == values[b, :, v]).all()
+
+
+# -- interchange by orbits of the reflections ----------------------------------------
+
+REFLECTIONS = ["transpose", "inv_h", "inv_v"]
+
+# each reflection's image of the arrangement [[x, y], [z, w]], given the
+# reflected squares, and whether it swaps the law's two sides
+ARRANGEMENT_MAPS = {
+    "transpose": (lambda x, y, z, w: (x, z, y, w), True),
+    "inv_h": (lambda x, y, z, w: (y, x, w, z), False),
+    "inv_v": (lambda x, y, z, w: (z, w, x, y), False),
+}
+
+
+def arrangements(model):
+    """Every edge-compatible (x, y, z, w), as four index arrays."""
+    c = model.code()
+    T, R, B, L = (col.tolist() for col in (c.T, c.R, c.B, c.L))
+    quads = [(x, y, z, w) for x in range(len(T)) for y in range(len(T)) if L[y] == R[x]
+             for z in range(len(T)) if T[z] == B[x]
+             for w in range(len(T)) if (L[w], T[w]) == (R[z], B[y])]
+    return np.array(quads, np.intp).T
+
+
+@pytest.fixture(scope="module")
+def sq_c3():
+    # arrows that are not their own inverses, which inv_h and inv_v invert
+    return square_model(group_as_groupoid(cyclic_group(3), name="c3"))
+
+
+@pytest.fixture(scope="module")
+def sq_interval():
+    return square_model(interval_finite_groupoid())
+
+
+@pytest.mark.parametrize("fixture", ["sq_c3", "sq_interval", "aut_c3_model", "c3_beside_c2"])
+def test_each_block_map_is_its_reflection_on_every_arrangement(request, fixture):
+    model = request.getfixturevalue(fixture)
+    c, m, t = model.code(), model.maps(), model.tables()
+    assert dgt._reflections(model, t.H, t.V) == REFLECTIONS
+    x, y, z, w = quads = arrangements(model)
+
+    def block(x, y, z, w):  # (beta, rho, r, b)
+        return np.stack([c.B[y], c.R[z], c.R[x], c.B[x]])
+
+    def sides(x, y, z, w):
+        return t.V[t.H[x, y], t.H[z, w]], t.H[t.V[x, z], t.V[y, w]]
+
+    for name, (arrange, swaps) in ARRANGEMENT_MAPS.items():
+        f = getattr(m, name)
+        image = np.stack(arrange(*f[quads]))
+        # one to one onto the arrangements
+        assert {*map(tuple, image.T.tolist())} == {*map(tuple, quads.T.tolist())}
+        assert np.array_equal(np.stack(dgt._BLOCK_MAPS[name](c.inv, *block(x, y, z, w))),
+                              block(*image))
+        lhs, rhs = sides(x, y, z, w)
+        assert np.array_equal(f[np.stack((rhs, lhs) if swaps else (lhs, rhs))], np.stack(sides(*image)))
+
+
+def every_block_sweep(monkeypatch, model, H, V):
+    """interchange_sweep with no reflection verified."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dgt, "_reflections", lambda *args: [])
+        return interchange_sweep(model, H, V)
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "c2_in_c2_model", "aut_c3_model",
+                                     "sq_interval_s3", "a3s3_model", "aut_s3_model"])
+def test_one_block_per_orbit_covers_every_arrangement(request, monkeypatch, sweep_path, fixture):
+    model = request.getfixturevalue(fixture)
+    t = model.tables()
+    assert dgt._reflections(model, t.H, t.V) == REFLECTIONS
+    total = count_compatible_quadruples(model)
+    for path in ("serial", "forked"):
+        runs = sweep_path(path)
+        runs.clear()
+        assert interchange_sweep(model, t.H, t.V) == (total, 0, None)
+        [(compared, _)] = runs  # one sweep, over the least block of each orbit
+        assert 0 < compared < total
+        assert every_block_sweep(monkeypatch, model, t.H, t.V) == (total, 0, None)
+        assert runs[1][0] == total
+
+
+@pytest.mark.parametrize("table", ["H", "V"])
+@pytest.mark.parametrize("fixture", ["aut_c3_model", "c3_beside_c2"])
+def test_a_swapped_filler_is_swept_as_the_plain_loop(request, monkeypatch, sweep_path, fixture,
+                                                     table):
+    # V is no longer H transposed; inv_h or inv_v may still hold where the
+    # swapped entry's pair and its filler are their own images
+    model = request.getfixturevalue(fixture)
+    sq, rng = model.squares, random.Random(13)
+    swappable = [(i, j) for i, j in pasted_pairs(model, table)
+                 if sum(q.key()[1:] == sq[getattr(model.tables(), table)[i, j]].key()[1:]
+                        for q in sq) > 1]
+    for _ in range(3):
+        mutant = with_swapped_filler(model, table, *rng.choice(swappable), rng)
+        t = mutant.tables()
+        assert "transpose" not in dgt._reflections(mutant, t.H, t.V)
+        want = loop_interchange(mutant, t.H, t.V)
+        assert want[1]
+        for path in ("serial", "forked"):
+            sweep_path(path)
+            assert interchange_sweep(mutant, t.H, t.V) == want
+            assert every_block_sweep(monkeypatch, mutant, t.H, t.V) == want
+
+
+def doctored_along_an_orbit(model, i, j, rng):
+    """A copy of ``model`` whose H[i, j] names another square with the same
+    four edges, and every entry the reflections carry that one to names
+    that square's image, so that the tables keep each reflection where
+    they stay consistent; and the number of entries changed."""
+    m, t = model.maps(), model.tables()
+    tables = {"H": t.H.copy(), "V": t.V.copy()}
+    old = model.squares[t.H[i, j]]
+    new = rng.choice([k for k, q in enumerate(model.squares)
+                      if q.key()[1:] == old.key()[1:] and q.elt != old.elt])
+    tau, ih, iv = (f.tolist() for f in (m.transpose, m.inv_h, m.inv_v))
+    moves = (lambda tb, x, y, s: ("V" if tb == "H" else "H", tau[x], tau[y], tau[s]),
+             lambda tb, x, y, s: (tb, *((ih[y], ih[x]) if tb == "H" else (ih[x], ih[y])), ih[s]),
+             lambda tb, x, y, s: (tb, *((iv[x], iv[y]) if tb == "H" else (iv[y], iv[x])), iv[s]))
+    entries, frontier = {("H", i, j): new}, [("H", i, j, new)]
+    while frontier:
+        entry = frontier.pop()
+        for move in moves:
+            tb, x, y, s = move(*entry)
+            if (tb, x, y) not in entries:
+                entries[tb, x, y] = s
+                frontier.append((tb, x, y, s))
+    for (tb, x, y), s in entries.items():
+        tables[tb][x, y] = s
+    mutant = replace(model)
+    mutant._tables = SquareTables(tables["H"], tables["V"])
+    return mutant, len(entries)
+
+
+@pytest.mark.parametrize("fixture", ["aut_c3_model", "c3_beside_c2"])
+def test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block(request, monkeypatch, sweep_path,
+                                                                 fixture):
+    # every reflection still holds, so the least block of each orbit is
+    # compared first; its violations send the sweep over every block
+    model = request.getfixturevalue(fixture)
+    rng = random.Random(19)
+    for _ in range(200):
+        i, j = rng.choice(pasted_pairs(model, "H"))
+        mutant, changed = doctored_along_an_orbit(model, i, j, rng)
+        t = mutant.tables()
+        want = loop_interchange(mutant, t.H, t.V)
+        if dgt._reflections(mutant, t.H, t.V) == REFLECTIONS and want[1]:
+            break
+    else:
+        pytest.fail("no draw kept the reflections and broke interchange")
+    assert changed == 8
+    for path in ("serial", "forked"):
+        runs = sweep_path(path)
+        runs.clear()
+        assert interchange_sweep(mutant, t.H, t.V) == want
+        assert [total for total, _ in runs][1] == count_compatible_quadruples(model) > runs[0][0]
+        assert every_block_sweep(monkeypatch, mutant, t.H, t.V) == want
+
+
+@pytest.mark.parametrize("fixture", ["aut_c3_model", "c3_beside_c2"])
+def test_the_unconjugated_pasting_fails_the_table_sweep(request, monkeypatch, sweep_path, fixture):
+    # the table-level negative control: a count of violations, not one witness
+    model = request.getfixturevalue(fixture)
+    H, V = unconjugated_h(model), model.tables().V
+    assert (H >= 0).sum() == len(pasted_pairs(model, "H"))  # the composites stay in the model
+    want = loop_interchange(model, H, V)
+    for path in ("serial", "forked"):
+        sweep_path(path)
+        got = interchange_sweep(model, H, V)
+        assert got == every_block_sweep(monkeypatch, model, H, V) == want
+        assert 0 < got[1] < got[0]
+
+
+def test_the_unconjugated_pasting_leaves_the_a3s3_model(a3s3_model):
+    # mu is injective: each boundary has one filler, so the only H with the
+    # forced edges is the real one, and the unconjugated pasting, where it
+    # differs, names no square at all
+    model = a3s3_model
+    H = unconjugated_h(model)
+    sq, index = model.squares, model.index
+    i, j = min((i, index[y.key()]) for i, x in enumerate(sq) for y in model.squares_with(left=x.right)
+               if comp_h_unconjugated(x, y) not in model)
+    assert H[i, j] == -1 and (H < 0).sum() > 0
+    with pytest.raises(InvalidDgt, match=re.escape(f"H[{i}, {j}] is -1 on an edge-compatible pair")):
+        interchange_sweep(model, H, model.tables().V)
 
 
 # -- v-associativity read off h-associativity -------------------------------------

@@ -294,32 +294,54 @@ def test_edited_workspace_parses_or_fails_at_a_line(content):
         print_workspace(ws)
 
 
+# the laws of the cyclic groups of order 1 to 4 and of the Klein four-group
+# on positions 0..n-1, position 0 the identity
+_SMALL_GROUPS = [(n, lambda i, j, n=n: (i + j) % n) for n in (1, 2, 3, 4)] + [(4, int.__xor__)]
+
+
 @st.composite
 def group_literal_workspace(draw):
-    """A group literal with unit e and any other products over its elements,
-    some missing, and every constructor that reads a group built on it."""
-    elements = ("e", "a", "b", "c")[:draw(st.integers(1, 4))]
+    """The table of a small real group, its elements relabelled by a drawn
+    permutation and at times one product changed or dropped, and every
+    constructor that reads a group built on it: normal on the subgroup
+    one drawn element generates, autxmod and trivial."""
+    n, law = draw(st.sampled_from(_SMALL_GROUPS))
+    elements = draw(st.permutations(("e", "a", "b", "c")[:n]))
+    table = {(elements[i], elements[j]): elements[law(i, j)] for i in range(n) for j in range(n)}
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(sorted(table)))
+        table[x, y] = draw(st.sampled_from((*elements, None)))
     lines = ["group g", "elements: " + " ".join(elements)]
-    for x in elements:
-        for y in elements:
-            z = y if x == "e" else x if y == "e" else draw(st.sampled_from((*elements, None)))
-            if z is not None:
-                lines.append(f"mul {x} {y} = {z}")
-    subset = draw(st.lists(st.sampled_from(elements), unique=True))
+    lines += [f"mul {x} {y} = {z}" for (x, y), z in table.items() if z is not None]
+    k = power = draw(st.integers(0, n - 1))
+    subgroup = {0}
+    while power not in subgroup:
+        subgroup.add(power)
+        power = law(power, k)
+    subset = sorted(elements[i] for i in subgroup)
     lines += ["finite f = group(g)", "xmod n = normal(g, {" + ", ".join(subset) + "})",
               "xmod a = autxmod(g)", "xmod t = trivial(f)"]
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(group_literal_workspace())
-def test_group_literal_builds_or_fails_at_a_line(content):
-    try:
-        ws = parse_workspace([("group.vk", content)])
-    except LocatedError as exc:
-        assert str(exc).startswith(f"group.vk:{exc.line_no}: ")
-    else:
-        print_workspace(ws)
+def test_group_literal_builds_or_fails_at_a_line():
+    parsed = []
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(group_literal_workspace())
+    def check(content):
+        try:
+            ws = parse_workspace([("group.vk", content)])
+        except LocatedError as exc:
+            assert str(exc).startswith(f"group.vk:{exc.line_no}: ")
+            parsed.append(False)
+        else:
+            print_workspace(ws)
+            parsed.append(True)
+
+    check()
+    # most draws are real groups, so the accept path runs
+    assert 3 * sum(parsed) >= len(parsed) > 0
 
 
 @pytest.mark.parametrize("kind, content", [
@@ -337,6 +359,25 @@ def test_a_field_line_under_a_header_that_takes_none_fails_at_its_line(kind, con
         parse_workspace([("inline.vk", content)])
     assert (err.value.path, err.value.line_no) == ("inline.vk", content.count("\n"))
     assert f"unexpected line in {kind} block: " in str(err.value)
+
+
+@pytest.mark.parametrize("content", [
+    "group  = cyclic(3)\n",
+    "group  = symmetric(3)\n",
+    "group  = trivial()\n",
+    "group s3 = symmetric(3)\nfinite  = group(s3)\n",
+    "finite  = interval()\n",
+    "group s3 = symmetric(3)\nxmod  = normal(s3, {e, (123), (132)})\n",
+    "group s3 = symmetric(3)\nxmod  = autxmod(s3)\n",
+    "finite i = interval()\nxmod  = trivial(i)\n",
+])
+def test_a_constructor_header_with_no_name_fails_at_its_line(content):
+    # such a block would be stored under "" and printed under a name of its own
+    kind = content.splitlines()[-1].split()[0]
+    with pytest.raises(ParseError) as err:
+        parse_workspace([("inline.vk", content)])
+    assert (err.value.path, err.value.line_no) == ("inline.vk", content.count("\n"))
+    assert str(err.value).endswith(f"expected a name after {kind!r}")
 
 
 @settings(max_examples=600, derandomize=True, deadline=None, database=None)
