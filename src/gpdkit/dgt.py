@@ -105,10 +105,10 @@ _FORK_CHECKS = 1 << 24
 
 # Fewest arrangements compared for which an interchange sweep forks.  The
 # packed kernel compares 1e9-3e9 arrangements/s, so a fork pays later.  In
-# fresh processes on a 2-vCPU VM (20 alternating runs each, after
-# tables()), A3 in S3's 24M compared arrangements (one block per orbit of
-# its reflections) took 16-24 ms serially (median 19) against 19-25 ms
-# forked (median 22); Aut(S3)'s 388M took 91-150 ms against 63-103 ms.
+# fresh processes on a 2-vCPU VM, after tables(), A3 in S3's 24M compared
+# arrangements (one block per orbit of its reflections) took a median of
+# 19 ms serially (quartiles 16-24) against 22 ms forked (19-25) over 20
+# alternating runs, and Aut(S3)'s 388M 91-150 ms against 63-103 ms over 8.
 _FORK_ARRANGEMENTS = 1 << 26
 
 # The word an interchange sweep packs element ranks into (``_packed``).

@@ -1461,7 +1461,8 @@ def test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block(request, monke
         runs = sweep_path(path)
         runs.clear()
         assert interchange_sweep(mutant, t.H, t.V) == want
-        assert [total for total, _ in runs][1] == count_compatible_quadruples(model) > runs[0][0]
+        (compared, _), (swept, _) = runs  # the least blocks, then every block
+        assert compared < swept == count_compatible_quadruples(model)
         assert every_block_sweep(monkeypatch, mutant, t.H, t.V) == want
 
 
