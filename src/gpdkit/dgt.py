@@ -27,37 +27,30 @@ each inner pasting's rank in the group of its forced edge, so a sweep never
 reads a -1 as an index.  The interchange sweep's sub-tables hold element
 ranks packed into int64 words, one word per row of an arrangement's last
 square: both sides are squares on the same four edges, so they are equal
-exactly when their elements are.  A square's three reflections in
-``maps()``, the transpose tau (the element inverted, edges (t, r, b, l) ->
-(l, b, r, t)) and the inverses inv_h and inv_v, are the symmetries the laws
-are swept modulo, each used only once it is checked on every pasting of
-the tables at hand.  Associativity is swept on H alone when V is H under
-tau: tau then maps V's triples one to one onto H's and both sides with
-them, so the two laws' counts agree, violations included.  Interchange
-compares one block per orbit of the verified reflections, each of which
-maps arrangements one to one onto arrangements and both sides with them,
-and counts that block once per block of its orbit: ``checked`` counts the
-arrangements covered, compared or carried there by a reflection.  A model
-without these symmetries (a hollow one, doctored tables) gets the full
-sweeps, and so does interchange whenever the orbit sweep finds a
-violation, for the exact count and the first witness.  An associativity
-sweep of at least ``_FORK_CHECKS`` checks, or an interchange sweep that
-compares at least ``_FORK_ARRANGEMENTS`` arrangements, runs on two
-workers, the process and one forked child, each taking every other row of
-the sweep's blocks: a block of associativity, a (beta, rho) group of
-interchange blocks.  The object-level calculus
-(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
-and, in ``find_interchange_counterexample``, the readable scan for a
-corrupted pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN`` arrangements;
-``count_compatible_quadruples`` reads only the edges,
-never a table, so it checks the sweeps' coverage independently.
+exactly when their elements are.  Both sweeps work modulo one list of
+symmetries of the squares (``_symmetries``): the transpose tau and the
+inverses inv_h and inv_v of ``maps()`` and, on a one-object base, the
+conjugations by the base's generators.  Each is used only once it is
+checked on every pasting of the tables at hand (``_holds``); it then maps
+a law's arrangements one to one onto arrangements, both sides with them,
+and blocks onto blocks, so a sweep compares only the least block of each
+orbit and counts it once per block of its orbit: ``checked`` counts the
+arrangements covered, compared or carried there by a symmetry.
+Associativity is swept on H alone when tau carries H onto V, since the
+two laws' counts then agree, violations included.  A model without these
+symmetries (a hollow one, doctored tables) gets the full sweeps, and so
+does a sweep whose orbit pass finds a violation, for the exact count and
+the first witness in scan order.  Every sweep runs in this one process.
+The object-level calculus (``squares.comp_h``/``comp_v``) is the oracle
+the tables are tested against and, in ``find_interchange_counterexample``,
+the readable scan for a corrupted pasting, which stops at
+``MAX_COUNTEREXAMPLE_SCAN`` arrangements; ``count_compatible_quadruples``
+reads only the edges, never a table, so it checks the sweeps' coverage
+independently.
 """
 
 import itertools
-import os
-import pickle
 import random
-import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,23 +86,6 @@ MAX_COUNTEREXAMPLE_SCAN = 1 << 18
 # Most arrangements, or packed words, a law sweep compares at once; bounds
 # its temporaries.
 _PIECE = 1 << 16
-
-# Fewest checks for which an associativity sweep forks a second worker.  A
-# fork costs some 5-10 ms, its child faulting in temporaries of its own.
-# In three rounds of alternating in-process runs on a 2-vCPU VM (medians
-# of 11), the associativity kernel checked 4e8-8e8 triples/s serially:
-# A3 in S3's 7.6M-check sweep took 12-20 ms serially against 13-17 ms
-# forked, and Aut(S3)'s 60M-check one 76-78 ms against 44-85 ms.  A fork
-# breaks even near 1e7 associativity checks.
-_FORK_CHECKS = 1 << 24
-
-# Fewest arrangements compared for which an interchange sweep forks.  The
-# packed kernel compares 1e9-3e9 arrangements/s, so a fork pays later.  In
-# fresh processes on a 2-vCPU VM, after tables(), A3 in S3's 24M compared
-# arrangements (one block per orbit of its reflections) took a median of
-# 19 ms serially (quartiles 16-24) against 22 ms forked (19-25) over 20
-# alternating runs, and Aut(S3)'s 388M 91-150 ms against 63-103 ms over 8.
-_FORK_ARRANGEMENTS = 1 << 26
 
 # The word an interchange sweep packs element ranks into (``_packed``).
 _WORD = np.dtype(np.int64)
@@ -584,12 +560,12 @@ def comp_h_unconjugated(left: Square, right: Square):
     )
 
 
-def _class_sweep(blocks, pieces, total: int, fork_at: int):
+def _class_sweep(blocks, pieces):
     """Check one law on every block of its edge-compatible arrangements.
 
     ``blocks`` lists the blocks, or groups of blocks, one per row, in the
-    order they are swept.  ``pieces(rows)`` yields the law's two sides on
-    the arrangements of those rows as ``(lhs, rhs, members)``: two
+    order they are swept.  ``pieces(blocks)`` yields the law's two sides on
+    the arrangements of its rows as ``(lhs, rhs, members)``: two
     equal-shaped arrays and one ascending array of square indices per axis,
     so that position ``i`` holds the arrangement ``(members[0][i[0]],
     members[1][i[1]], ...)``.  The axes run in the law's scan order.  It
@@ -597,86 +573,23 @@ def _class_sweep(blocks, pieces, total: int, fork_at: int):
     hold.  Returns (checks, violations, first): the checks are the counts
     and the sizes of the compared arrays summed, and ``first`` is the least
     violating arrangement in scan order, or None.
-
-    Two workers at most: when ``total``, the sweep's exact check count, is
-    at least ``fork_at``, there are two rows or more and the process
-    may run on two CPUs, one ``os.fork()``ed child sweeps every other row
-    while this process sweeps the rest; otherwise the rows run serially
-    here.  Each arrangement lies in exactly one row, so the sums of the
-    counts and the lesser ``first`` equal the serial result.
     """
-    def sweep(rows):
-        checked = bad = 0
-        first = None
-        for piece in pieces(rows):
-            if isinstance(piece, int):
-                checked += piece
-                continue
-            lhs, rhs, members = piece
-            checked += lhs.size
-            miss = lhs != rhs
-            nb = int(np.count_nonzero(miss))
-            if nb:
-                bad += nb
-                at = np.unravel_index(np.argmax(miss), miss.shape)
-                hit = tuple(int(m[i]) for m, i in zip(members, at))
-                first = hit if first is None else min(first, hit)
-        return checked, bad, first
-
-    if (total < fork_at or len(blocks) < 2 or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
-        return sweep(blocks)
-    return _forked(sweep, blocks)
-
-
-def _forked(sweep, blocks):
-    """``sweep(blocks)``, with every other row swept by a forked child.
-
-    The child pickles its result, or the text of what it raised, down a
-    pipe and leaves with ``os._exit``; a child that fails makes this raise.
-    If this side raises, the child is killed; either way it is reaped before
-    this returns.  When no child can be forked, all blocks run here.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return sweep(blocks)
-    if pid == 0:
-        try:
-            os.close(r)
-            try:
-                out = ("ok", sweep(blocks[1::2]))
-            except BaseException as exc:  # reported to the parent, then exit
-                out = ("error", f"{type(exc).__name__}: {exc}")
-            with os.fdopen(w, "wb") as pipe:
-                pickle.dump(out, pipe)
-        finally:
-            os._exit(0)
-    os.close(w)
-    try:
-        c0, b0, f0 = sweep(blocks[::2])
-        with os.fdopen(r, "rb") as pipe:
-            r = None
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-    finally:
-        if r is not None:
-            os.close(r)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError(f"sweep worker died without a result (wait status {status})")
-    kind, theirs = pickle.loads(data)
-    if kind != "ok":
-        raise RuntimeError(f"sweep worker failed: {theirs}")
-    c1, b1, f1 = theirs
-    # each first is the least violation of its half, in scan order
-    return c0 + c1, b0 + b1, min((f for f in (f0, f1) if f is not None), default=None)
+    checked = bad = 0
+    first = None
+    for piece in pieces(blocks):
+        if isinstance(piece, int):
+            checked += piece
+            continue
+        lhs, rhs, members = piece
+        checked += lhs.size
+        miss = lhs != rhs
+        nb = int(np.count_nonzero(miss))
+        if nb:
+            bad += nb
+            at = np.unravel_index(np.argmax(miss), miss.shape)
+            hit = tuple(int(m[i]) for m, i in zip(members, at))
+            first = hit if first is None else min(first, hit)
+    return checked, bad, first
 
 
 def _check_pastings(model: DgtModel, table: np.ndarray, name: str, out: str, into: str,
@@ -739,37 +652,6 @@ def _packed(fields: np.ndarray, at: np.ndarray) -> np.ndarray:
     return out.view(_WORD)
 
 
-# Each reflection's image of a block (beta, rho, r, b) of interchange
-# arrangements, given the base's arrow inverses ``inv``.  The transpose
-# takes [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to
-# [[iy, ix], [iw, iz]] and inv_v to [[iz, iw], [ix, iy]].
-_BLOCK_MAPS = {
-    "transpose": lambda inv, beta, rho, r, b: (rho, beta, b, r),
-    "inv_h": lambda inv, beta, rho, r, b: (inv[b], rho, r, inv[beta]),
-    "inv_v": lambda inv, beta, rho, r, b: (beta, inv[r], inv[rho], b),
-}
-
-
-def _reflections(model: DgtModel, H: np.ndarray, V: np.ndarray) -> list[str]:
-    """The names of the reflections in ``model.maps()`` that carry the
-    interchange law on H/V onto itself, each checked on every pasting.
-
-    The transpose tau must make V = tau H tau (``_v_is_transposed_h``).  inv_h
-    must be an anti-automorphism of H, H[i y, i x] = i H[x, y], and an
-    automorphism of V; inv_v an automorphism of H and an anti-automorphism
-    of V.  Each must be a permutation of the squares that is its own
-    inverse.  H's and V's pastings must have passed ``_check_pastings``.
-    """
-    m = model.maps()
-    found = ["transpose"] if _v_is_transposed_h(model, H, V) else []
-    for name, h_anti in (("inv_h", True), ("inv_v", False)):
-        i = getattr(m, name)
-        if (_is_involution(i) and _carries(model, i, H, "right", "left", H, h_anti)
-                and _carries(model, i, V, "bottom", "top", V, not h_anti)):
-            found.append(name)
-    return found
-
-
 def _joined(rows: np.ndarray, col: int, pairs: np.ndarray) -> np.ndarray:
     """Each row of ``rows`` followed by every v with (row[col], v) in
     ``pairs``, a sorted (k, 2) array; in the order of rows, then of v."""
@@ -779,18 +661,129 @@ def _joined(rows: np.ndarray, col: int, pairs: np.ndarray) -> np.ndarray:
     return np.column_stack([np.repeat(rows, count, axis=0), pairs[at, 1]])
 
 
+# -- symmetries of the squares -----------------------------------------------
+
+# Each table's pastings: (the first square's edge, the second's) they share.
+_PASTES = {"H": ("right", "left"), "V": ("bottom", "top")}
+
+# Each kind of symmetry's image of a block (beta, rho, r, b) of interchange
+# arrangements, through its arrow map ``f``.  The transpose takes
+# [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to [[iy, ix], [iw, iz]],
+# inv_v to [[iz, iw], [ix, iy]] and a conjugation s to [[sx, sy], [sz, sw]].
+_BLOCK_MAPS = {
+    "transpose": lambda f, beta, rho, r, b: (rho, beta, b, r),
+    "inv_h": lambda f, beta, rho, r, b: (f[b], rho, r, f[beta]),
+    "inv_v": lambda f, beta, rho, r, b: (beta, f[r], f[rho], b),
+    "conjugation": lambda f, beta, rho, r, b: (f[beta], f[rho], f[r], f[b]),
+}
+
+
+@dataclass
+class _Symmetry:
+    """A map ``squares`` of a model's squares, -1 where the model lacks an
+    image, which moves edges as its ``kind`` does and through the arrow
+    map ``arrow``.  ``carries`` claims, per table "H" and "V", the table a
+    pasting's image lands in and whether the image reverses the pasting:
+    target[m y, m x] = m table[x, y] if it does, else target[m x, m y] =
+    m table[x, y].  A sweep uses it only once ``_holds`` has checked that."""
+
+    name: str
+    kind: str
+    squares: np.ndarray
+    arrow: np.ndarray
+    carries: dict
+
+    def quad_block(self, beta, rho, r, b):
+        """The block of interchange arrangements block (beta, rho, r, b) maps onto."""
+        return _BLOCK_MAPS[self.kind](self.arrow, beta, rho, r, b)
+
+    def triple_block(self, table: str, e1, e2):
+        """The block that block (e1, e2) of ``table``'s associativity triples
+        maps onto: (x, y, z) goes to (m x, m y, m z), or to (m z, m y, m x)
+        where m reverses, as inv_h does on H and inv_v on V, each putting a
+        square's in-edge unchanged on its image's out-edge."""
+        return (e2, e1) if self.carries[table][1] else (self.arrow[e1], self.arrow[e2])
+
+
+def _generators(c: SquareCode) -> list[int]:
+    """Arrows generating a one-object base, each outside the subgroup of those before it."""
+    gens, reached = [], np.zeros(c.arrows, bool)
+    reached[c.src[0]] = True
+    for g in range(c.arrows):
+        if not reached[g]:
+            gens.append(g)
+            while not reached[step := c.comp[np.flatnonzero(reached)][:, gens]].all():
+                reached[step] = True
+    return gens
+
+
+def _symmetries(model: DgtModel) -> list[_Symmetry]:
+    """The transpose tau (the element inverted, edges (t, r, b, l) ->
+    (l, b, r, t)), which turns H into V and back; inv_h, an
+    anti-automorphism of H and an automorphism of V; inv_v, the other way
+    round (``maps()``); and on a one-object base the conjugation by each
+    generator g that moves an arrow, (m; t, r, b, l) -> (m^g; g^-1 t g,
+    g^-1 r g, g^-1 b g, g^-1 l g), an automorphism of both.  A central g
+    moves no block, so its conjugation is left out."""
+    c, m = model.code(), model.maps()
+    out = [_Symmetry("transpose", "transpose", m.transpose, np.arange(c.arrows),
+                     {"H": ("V", False), "V": ("H", False)}),
+           _Symmetry("inv_h", "inv_h", m.inv_h, c.inv, {"H": ("H", True), "V": ("V", False)}),
+           _Symmetry("inv_v", "inv_v", m.inv_v, c.inv, {"H": ("H", False), "V": ("V", True)})]
+    for g in _generators(c) if len(model.edges.objects) == 1 else ():
+        f = c.comp[c.comp[c.inv[g]], g]  # p -> g^-1 p g
+        if (f != np.arange(c.arrows)).any():
+            out.append(_Symmetry(f"conjugation by {c.names[g]}", "conjugation",
+                                 model.find(c.act[c.E, g], f[c.T], f[c.R], f[c.B], f[c.L]), f,
+                                 {"H": ("H", False), "V": ("V", False)}))
+    return out
+
+
+def _carries(model: DgtModel, m: np.ndarray, table: np.ndarray, out: str, into: str,
+             target: np.ndarray, anti: bool = False) -> bool:
+    """Whether target[m x, m y], or target[m y, m x] when ``anti``, is
+    m table[x, y] on every pasting (x, y) of ``table``: out(x) = into(y).
+    ``m`` must hold no -1, and ``table`` must have passed
+    ``_check_pastings``, since ``m`` reads its entries.  O(n^2) in all."""
+    by_out, by_into = model.groups(out), model.groups(into)
+    values = m.astype(table.dtype)  # m, as the tables' entries: compared without a cast
+    for e in range(model.code().arrows):
+        I, J = by_out.members(e), by_into.members(e)
+        image = _sub(target, m.take(J), m.take(I)).T if anti else _sub(target, m.take(I), m.take(J))
+        if not np.array_equal(image, values.take(_sub(table, I, J))):
+            return False
+    return True
+
+
+def _holds(model: DgtModel, s: _Symmetry, tables: dict, claims) -> bool:
+    """Whether ``s`` is a permutation of the squares and carries each
+    table named in ``claims`` into ``tables`` as it claims.  It then maps a
+    law's arrangements, a finite set, into and so onto themselves (its
+    edges move by a bijection of the arrows), and both sides with them."""
+    m = s.squares
+    return (not (m < 0).any() and (np.bincount(m, minlength=len(m)) == 1).all()
+            and all(_carries(model, m, tables[k], *_PASTES[k], tables[s.carries[k][0]],
+                             s.carries[k][1]) for k in claims))
+
+
+def _verified(model: DgtModel, tables: dict) -> list[_Symmetry]:
+    """The symmetries that carry the tables ``tables`` into themselves,
+    each checked on every pasting; their pastings must have passed."""
+    return [s for s in _symmetries(model)
+            if all(s.carries[k][0] in tables for k in tables) and _holds(model, s, tables, tables)]
+
+
 def _orbits(blocks: np.ndarray, arrows: int, images) -> np.ndarray:
     """Per block, the size of its orbit under the maps ``images`` (blocks
     to blocks) where it is the least block of that orbit, else 0.
 
-    ``blocks`` runs in ascending lexicographic order, and each image is a
-    block of the list, as an array of its columns.
+    ``blocks`` runs in ascending lexicographic order, each column below
+    ``arrows``, and each image is a block of the list, as a tuple of its
+    columns.
     """
-    def key(cols):
-        return ((cols[0] * arrows + cols[1]) * arrows + cols[2]) * arrows + cols[3]
-
-    keys = key(blocks.T)
-    moves = [np.searchsorted(keys, key(img)) for img in images]
+    shape = (arrows,) * blocks.shape[1]
+    keys = np.ravel_multi_index(tuple(blocks.T), shape)
+    moves = [np.searchsorted(keys, np.ravel_multi_index(img, shape)) for img in images]
     least = np.arange(len(blocks))
     while True:  # each block takes the least label among its images
         new = least
@@ -800,6 +793,23 @@ def _orbits(blocks: np.ndarray, arrows: int, images) -> np.ndarray:
             break
         least = new
     return np.where(least == np.arange(len(blocks)), np.bincount(least, minlength=len(blocks)), 0)
+
+
+def _orbit_sweep(sweep, blocks: np.ndarray, arrows: int, images, size):
+    """``sweep(blocks)``, the (checked, violations, first) of a law on the
+    given rows of ``blocks``, where each of ``images`` maps every block to
+    the one a verified symmetry maps its arrangements onto, both sides
+    with them.  A block then holds exactly when its images do: only the
+    least block of each orbit is swept, counted once per block of its
+    orbit (``size`` gives each block's arrangements).  If that finds a
+    violation, or there is no image, every block is swept, for the exact
+    count and the first violation in scan order."""
+    if images:
+        orbit = _orbits(blocks, arrows, images)
+        least = orbit > 0
+        if not sweep(blocks[least])[1]:
+            return int((size(blocks[least]) * orbit[least]).sum()), 0, None
+    return sweep(blocks)
 
 
 def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
@@ -828,24 +838,22 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     is compared again square by square, as (z, x, y, w) arrays of H/V
     entries, which counts its violations and finds the first.
 
-    A square's reflections carry the law onto itself where the tables
-    respect them (``_reflections``, each checked on every pasting): the
-    transpose tau maps [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to
-    [[iy, ix], [iw, iz]] and inv_v to [[iz, iw], [ix, iy]], one to one, and
-    each arrangement's two sides onto its image's, so an image holds
-    exactly when the arrangement does.  Each maps whole blocks to blocks
-    (``_BLOCK_MAPS``).  The sweep compares only the least block of each
-    orbit under the verified reflections, in (beta, rho, r, b) order, and
-    counts it once per block of its orbit: ``checked`` counts the
-    arrangements covered, compared or carried there by a reflection.  When
-    that finds a violation, or no reflection verifies (a hollow model,
-    doctored tables), every block is compared, for the exact count and the
-    first violation in scan order.
+    The symmetries that the tables respect (``_verified``, each checked
+    on every pasting of both) carry the law onto itself: the transpose tau
+    maps [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to
+    [[iy, ix], [iw, iz]], inv_v to [[iz, iw], [ix, iy]] and a conjugation
+    s to [[sx, sy], [sz, sw]], one to one, and each arrangement's two sides
+    onto its image's, so an image holds exactly when the arrangement does.
+    Each maps whole blocks to blocks (``_Symmetry.quad_block``).  The
+    sweep compares only the least block of each orbit, in (beta, rho, r, b)
+    order, and counts it once per block of its orbit (``_orbit_sweep``):
+    ``checked`` counts the arrangements covered, compared or carried there
+    by a symmetry.  When that finds a violation, or no symmetry verifies (a
+    hollow model, doctored tables), every block is compared, for the exact
+    count and the first violation in scan order.
 
-    The workers split the (beta, rho) pairs, one per row of the blocks
-    ``_class_sweep`` gets: all blocks of one pair, which share their w and
-    their sub-tables, run in one worker; a sweep forks from the number of
-    arrangements it compares.  Returns (checked, violations, first
+    ``_class_sweep`` gets one row per (beta, rho) pair: its blocks share
+    their w and their sub-tables.  Returns (checked, violations, first
     violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
     c = model.code()
@@ -926,18 +934,13 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
         for beta, rho, r, b in blocks.tolist():
             rows.setdefault((beta, rho), {}).setdefault(b, []).append(r)
         rows = [(beta, rho, sorted(bs.items())) for (beta, rho), bs in rows.items()]
-        return _class_sweep(rows, pieces, int(size(blocks).sum()), _FORK_ARRANGEMENTS)
+        return _class_sweep(rows, pieces)
 
     # every non-empty block (beta, rho, r, b), in that order
     blocks = _joined(_joined(np.argwhere(nw.T), 0, np.argwhere(ny.T)), 2, np.argwhere(nx))
     blocks = blocks[nz[blocks[:, 3], blocks[:, 1]] > 0]
-    maps = [_BLOCK_MAPS[name](c.inv, *blocks.T) for name in _reflections(model, H, V)]
-    if maps:
-        orbit = _orbits(blocks, c.arrows, maps)
-        least = orbit > 0
-        if not sweep(blocks[least])[1]:
-            return int((size(blocks[least]) * orbit[least]).sum()), 0, None
-    checked, bad, first = sweep(blocks)
+    images = [s.quad_block(*blocks.T) for s in _verified(model, {"H": H, "V": V})]
+    checked, bad, first = _orbit_sweep(sweep, blocks, c.arrows, images, size)
     return checked, bad, None if first is None else (first[0], first[2], first[1], first[3])
 
 
@@ -1012,15 +1015,24 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
     table[u, zs], over the squares u with out e2, at the rank of table[x, y]
     among them, laid out (x, y, z); and rows of table[xs, v].T, over the
     squares v with in e1, built once per e1, at the rank of table[y, z],
-    laid out (y, z, x) and compared through a transposed view.  Returns
-    (checked, violations, first violating (x, y, z) or None).
+    laid out (y, z, x) and compared through a transposed view.
+
+    The table is H or V, named by its pasting edges (``_PASTES``).  A
+    symmetry that carries it onto itself (``_verified``) maps (x, y, z) to
+    (m x, m y, m z), or to (m z, m y, m x) where it reverses the pastings,
+    one to one onto the triples and both sides with them, and whole blocks
+    onto blocks (``_Symmetry.triple_block``): inv_h and inv_v, and the
+    conjugations.  Only the least block of each orbit is compared, unless
+    that finds a violation (``_orbit_sweep``).  Returns (checked,
+    violations, first violating (x, y, z) or None).
     """
     c = model.code()
     _check_pastings(model, table, "table", out, into)
     by_out, by_in, Y = model.groups(out), model.groups(into), model.groups(into, out)
     out_rank, in_rank = by_out.rank(), by_in.rank()
     p = np.arange(c.arrows)
-    blocks = np.argwhere(Y.size(p[:, None], p) * by_out.size(p)[:, None] * by_in.size(p))
+    sizes = Y.size(p[:, None], p) * by_out.size(p)[:, None] * by_in.size(p)  # per (e1, e2)
+    blocks = np.argwhere(sizes)
 
     # chunks of x sized by the largest group of z, so that one y's
     # arrangements within a chunk stay within _PIECE
@@ -1046,50 +1058,26 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
                            rhs_part.take(tyz[yp], axis=0)[..., :nx].transpose(2, 0, 1),
                            (xs[xp], ys[yp], zs))
 
-    # (x, y, z) with x.out = y.in and y.out = z.in: summed over y
-    total = int((by_out.size(c.edge[into]) * by_in.size(c.edge[out])).sum())
-    return _class_sweep(blocks, pieces, total, _FORK_CHECKS)
-
-
-def _is_involution(m: np.ndarray) -> bool:
-    """Whether the square map ``m`` is a permutation that is its own inverse."""
-    return not (m < 0).any() and np.array_equal(m.take(m), np.arange(len(m)))
-
-
-def _carries(model: DgtModel, m: np.ndarray, table: np.ndarray, out: str, into: str,
-             source: np.ndarray, anti: bool = False) -> bool:
-    """Whether table[x, y] = m(source[m x, m y]), or m(source[m y, m x])
-    when ``anti``, on every pasting (x, y) of ``table``: out(x) = into(y).
-
-    ``source`` is read only at the images of those pastings, which must be
-    pastings of it that ``_check_pastings`` has passed; ``table`` may hold
-    anything.  One check per pasting edge, O(n^2) in all.
-    """
-    by_out, by_into = model.groups(out), model.groups(into)
-    for e in range(model.code().arrows):
-        I, J = by_out.members(e), by_into.members(e)
-        image = _sub(source, m.take(J), m.take(I)).T if anti else _sub(source, m.take(I), m.take(J))
-        if not np.array_equal(_sub(table, I, J), m.take(image)):
-            return False
-    return True
+    name = {edges: k for k, edges in _PASTES.items()}[out, into]
+    images = [s.triple_block(name, *blocks.T) for s in _verified(model, {name: table})]
+    return _orbit_sweep(lambda rows: _class_sweep(rows, pieces), blocks, c.arrows, images,
+                        lambda rows: sizes[rows[:, 0], rows[:, 1]])
 
 
 def _v_is_transposed_h(model: DgtModel, H: np.ndarray, V: np.ndarray) -> bool:
-    """Whether V[x, y] = tau(H[tau x, tau y]) on every vertical pasting, with
-    tau = ``maps().transpose`` a permutation of the squares that is its own
-    inverse.  H's pastings must have passed ``_check_pastings``: the right
-    side reads H only at tau x, tau y, a horizontal pasting when x, y is a
-    vertical one (x.bottom = y.top is tau x.right = tau y.left).
+    """Whether V is H under the transpose tau: tau a permutation of the
+    squares with V[tau x, tau y] = tau H[x, y] on every horizontal pasting
+    (``_holds``).  H's pastings must have passed ``_check_pastings``.
 
-    Then tau maps V's triples (x, y, z) one to one onto H's (tau x, tau y,
-    tau z), with V[V[x, y], z] = tau H[H[tau x, tau y], tau z] and
-    V[x, V[y, z]] = tau H[tau x, H[tau y, tau z]], so v-associativity
-    checks and breaks exactly as often as h-associativity.  Each V[x, y] is
-    then tau of a square on H's forced edges, so it lies on V's: V's own
-    pasting check would pass.
+    tau maps H's pastings one to one onto V's (x.right = y.left is
+    tau x.bottom = tau y.top), so every V pasting is then tau of a square on
+    H's forced edges, which lies on V's: V's own pasting check would pass.
+    And tau maps H's triples (x, y, z) one to one onto V's, with
+    V[V[tau x, tau y], tau z] = tau H[H[x, y], z] and
+    V[tau x, V[tau y, tau z]] = tau H[x, H[y, z]], so v-associativity
+    checks and breaks exactly as often as h-associativity.
     """
-    tau = model.maps().transpose
-    return _is_involution(tau) and _carries(model, tau, V, "bottom", "top", H)
+    return _holds(model, _symmetries(model)[0], {"H": H, "V": V}, "H")
 
 
 def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
@@ -1104,8 +1092,8 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     value is a ValueError before any table is built.
 
     v-associativity takes h-associativity's counts where V is H under the
-    transpose tau, V[x, y] = tau(H[tau x, tau y]), which maps V's triples
-    and both their sides onto H's (``_v_is_transposed_h``); otherwise, as in
+    transpose tau, V[tau x, tau y] = tau H[x, y], which maps H's triples
+    and both their sides onto V's (``_v_is_transposed_h``); otherwise, as in
     a hollow model or doctored tables, V gets its own full sweep.
     """
     if interchange not in ("auto", "exhaustive", "sampled"):

@@ -39,6 +39,7 @@ from .finite import (
     interval_finite_groupoid,
     symmetric_group,
     trivial_group,
+    validate_finite_group,
 )
 from .squares import Square, make_square
 from .words import ArrowGen, Word
@@ -354,7 +355,11 @@ class _Parser:
                     if table.get((x, y)) == e and table.get((y, x)) == e:
                         inverse[x] = y
                         break
-            return FiniteGroup(values[0], tuple(elements), table, e, inverse)
+            g = FiniteGroup(values[0], tuple(elements), table, e, inverse)
+            # the group sweep raises, not reports, where a closed table has no
+            # inverse of an element: raised here, it is located at the header
+            validate_finite_group(g)
+            return g
         g.name = values[0]
         return g
 

@@ -506,6 +506,20 @@ def test_suite_rejects_unknown_or_empty_selection(capsys, selection, witness):
     assert out.rstrip().endswith("RESULT fail")
 
 
+def test_a_literal_group_without_an_inverse_fails_at_its_header(capsys, tmp_path):
+    # a closed table with an identity, in which a has no inverse: checked
+    # alone or read by autxmod, the error names the group block's header
+    table = "group g\nelements: e a\nmul e e = e\nmul e a = a\nmul a e = a\nmul a a = a\n"
+    for content in (table, "# one group\n" + table + "xmod x = autxmod(g)\n"):
+        path = tmp_path / "g.vk"
+        path.write_text(content, encoding="utf-8")
+        line = content.splitlines().index("group g") + 1
+        code, out = run_cli(["--format", "machine", "check", str(path)], capsys)
+        assert code == 1
+        assert out.splitlines()[2:] == [f"WITNESS {path}:{line}: group: g has no inverse of a",
+                                        "RESULT fail"]
+
+
 def test_missing_workspace_file_fails_with_its_name(capsys, tmp_path):
     missing = tmp_path / "missing.vk"
     code, out = run_cli(["--format", "machine", "check", str(missing)], capsys)

@@ -1,9 +1,7 @@
 import itertools
-import os
 import random
 import re
 import signal
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -31,8 +29,8 @@ from gpdkit.dgt import (
     validate_dgt,
 )
 from gpdkit.errors import InvalidCrossedModule, InvalidDgt, SizeLimit
-from gpdkit.finite import (cyclic_group, group_as_groupoid, interval_finite_groupoid,
-                           trivial_group)
+from gpdkit.finite import (FiniteGroup, cyclic_group, group_as_groupoid,
+                           interval_finite_groupoid, trivial_group)
 from gpdkit.grids import Grid, grid_compose
 from gpdkit.report import Report
 from gpdkit.squares import (comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary,
@@ -263,6 +261,48 @@ def test_isomorphism_rejects_mismatched_modules(a3s3, s3):
 
     other = automorphism_xmod(s3)
     assert find_xmod_isomorphism(a3s3, other) is None
+
+
+def over_trivial_boundary(base_group, fiber, act, name):
+    """``fiber`` -> ``base_group`` with trivial boundary, m^p = act(m, p)."""
+    base = group_as_groupoid(base_group)
+    xm = CrossedModuleData(name, base, {"*": fiber},
+                           {"*": dict.fromkeys(fiber.elements, base.id_at("*"))},
+                           {(m, p): act(m, p) for m in fiber.elements for p in base.arrows})
+    assert validate_crossed_module(xm).ok
+    return xm
+
+
+def klein_four_group():
+    names = ("e", "a", "b", "c")
+    return FiniteGroup("v4", names, {(x, y): names[i ^ j] for i, x in enumerate(names)
+                                     for j, y in enumerate(names)}, "e", {x: x for x in names})
+
+
+def test_isomorphism_needs_isomorphic_fibers():
+    # C4 -> 1 and C2 x C2 -> 1: one base, trivial boundaries, fibers of one
+    # order, and no group isomorphism between the fibers
+    c4, v4 = (over_trivial_boundary(trivial_group(), g, lambda m, p: m, f"{g.name}_1")
+              for g in (cyclic_group(4), klein_four_group()))
+    assert find_xmod_isomorphism(c4, v4) is None
+    assert find_xmod_isomorphism(v4, c4) is None
+    assert find_xmod_isomorphism(c4, c4) == {"*": {m: m for m in c4.fibers["*"].elements}}
+
+
+def test_isomorphism_needs_the_fiber_map_to_respect_the_action():
+    # C3 -> C2 with trivial boundary, C2 acting trivially or by inversion:
+    # both automorphisms of C3 match the fibers and boundaries, and neither
+    # carries one action to the other
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    fixed = over_trivial_boundary(c2, c3, lambda m, p: m, "c3_fixed")
+    inverted = over_trivial_boundary(c2, c3, lambda m, p: c3.inv(m) if p == "t" else m, "c3_inverted")
+    assert lambda_square_count(fixed) == lambda_square_count(inverted) == 24
+    fiber_maps = list(dgt._fiber_isos(c3, c3, fixed.mu["*"], inverted.mu["*"]))
+    assert len(fiber_maps) == 2
+    assert find_xmod_isomorphism(fixed, inverted) is None
+    assert find_xmod_isomorphism(inverted, fixed) is None
+    for x in (fixed, inverted):
+        assert find_xmod_isomorphism(x, x) == {"*": {m: m for m in c3.elements}}
 
 
 def test_validate_dgt_sq_s3_exhaustive(sq_s3):
@@ -901,30 +941,26 @@ def test_sampled_interchange_draws_nothing_without_an_arrangement():
         signal.signal(signal.SIGALRM, previous)
 
 
-# -- the forked sweep -----------------------------------------------------------
+# -- the serial sweeps and their orbit passes ----------------------------------
 
 @pytest.fixture
-def sweep_path(monkeypatch):
-    """Sets which path a law sweep takes: "forked" (whenever it has two
-    blocks, even on one CPU) or "serial"; records each sweep's exact count
-    given beforehand and its result."""
-    monkeypatch.setattr(dgt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    runs = []
-    sweep = dgt._class_sweep
+def class_sweeps(monkeypatch):
+    """The result of each ``_class_sweep`` run while the test runs, in order."""
+    runs, sweep = [], dgt._class_sweep
 
     def recorded(*args):
-        out = sweep(*args)
-        runs.append((args[2], out))
-        return out
+        runs.append(sweep(*args))
+        return runs[-1]
 
     monkeypatch.setattr(dgt, "_class_sweep", recorded)
+    return runs
 
-    def use(path):
-        for name in ("_FORK_CHECKS", "_FORK_ARRANGEMENTS"):
-            monkeypatch.setattr(dgt, name, 0 if path == "forked" else 1 << 62)
-        return runs
 
-    return use
+def every_block(monkeypatch, sweep, *args):
+    """``sweep(*args)`` with no symmetry verified: every block is compared."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dgt, "_symmetries", lambda model: [])
+        return sweep(*args)
 
 
 def law_sweeps(model, H=None):
@@ -934,30 +970,56 @@ def law_sweeps(model, H=None):
             _assoc_sweep(model, t.V, "bottom", "top"))
 
 
+def names(symmetries):
+    return [s.name for s in symmetries]
+
+
+def verified(model, H=None, V=None, only=None):
+    """The names of the symmetries that ``model``'s tables, or H and V,
+    verify for interchange, or for the associativity of the table ``only``."""
+    t = model.tables()
+    tables = {"H": t.H if H is None else H, "V": t.V if V is None else V}
+    return names(dgt._verified(model, tables if only is None else {only: tables[only]}))
+
+
 @pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "aut_c3_model", "sq_interval_s3",
                                      "a3s3_model"])
-def test_forked_sweeps_match_the_serial_ones(request, sweep_path, fixture):
+def test_orbit_sweeps_match_the_every_block_ones(request, monkeypatch, class_sweeps, fixture):
     model = request.getfixturevalue(fixture)
     for H in [None, unconjugated_h(model)] if fixture == "aut_c3_model" else [None]:
-        runs = sweep_path("serial")
-        serial = law_sweeps(model, H)
-        sweep_path("forked")
-        assert law_sweeps(model, H) == serial
-        # the count each sweep is given beforehand is its exact check count
-        assert all(total == out[0] for total, out in runs)
+        got = law_sweeps(model, H)
+        assert every_block(monkeypatch, law_sweeps, model, H) == got
         if H is not None:
-            checked, bad, first = serial[0]
+            checked, bad, first = got[0]
             assert 0 < bad < checked and first is not None
+    # on the real tables each orbit pass compares fewer arrangements than
+    # it counts, and the every-block sweeps compare every one
+    class_sweeps.clear()
+    got = law_sweeps(model)
+    every_block(monkeypatch, law_sweeps, model)
+    orbit, full = class_sweeps[:3], class_sweeps[3:]
+    assert full == list(got)
+    assert all(0 < a[0] < b[0] for a, b in zip(orbit, full))
 
 
-def test_forked_associativity_matches_the_serial_one_on_aut_s3(sweep_path, aut_s3_model):
-    t = aut_s3_model.tables()
-    for path in ("serial", "forked"):
-        runs = sweep_path(path)
-        _assoc_sweep(aut_s3_model, t.H, "right", "left")
-        _assoc_sweep(aut_s3_model, t.V, "bottom", "top")
-    assert [out for _, out in runs[:2]] == [out for _, out in runs[2:]]
-    assert all(total == out[0] for total, out in runs)
+def test_associativity_by_orbits_matches_every_block_on_aut_s3(monkeypatch, class_sweeps,
+                                                               aut_s3_model):
+    model, t = aut_s3_model, aut_s3_model.tables()
+
+    def sweeps():
+        return _assoc_sweep(model, t.H, "right", "left"), _assoc_sweep(model, t.V, "bottom", "top")
+
+    assert verified(model, only="H") == verified(model, only="V") == [
+        "inv_h", "inv_v", "conjugation by aut1", "conjugation by aut2"]
+    assert sweeps() == every_block(monkeypatch, sweeps) == ((60_466_176, 0, None),) * 2
+    (h, _, _), (v, _, _), (full, _, _), _ = class_sweeps
+    assert h == v < full == 60_466_176
+    # the conjugations cut the blocks compared below the reflections' cut
+    class_sweeps.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(dgt, "_symmetries", lambda model, all=dgt._symmetries: all(model)[:3])
+        assert sweeps() == ((60_466_176, 0, None),) * 2
+    assert h < class_sweeps[0][0] < full
 
 
 def loop_interchange(model, H, V):
@@ -1017,15 +1079,14 @@ EXACT_CASES = [
     ("aut_c3_model", "unconjugated"),
     ("aut_c3_model", "V"),  # a swapped filler in V breaks v-associativity
     # one in each table: the least violation in x, y, z, w order is not
-    # the first in scan order, so both workers' firsts must be compared
-    # in scan order
+    # the first in scan order, which is the one reported
     ("aut_c3_model", "HV"),
 ]
 
 
 @pytest.mark.parametrize("fixture, change", EXACT_CASES,
                          ids=[f"{f}-{c}" for f, c in EXACT_CASES])
-def test_sweeps_equal_the_plain_loops(request, sweep_path, fixture, change):
+def test_sweeps_equal_the_plain_loops(request, fixture, change):
     model = request.getfixturevalue(fixture)
     rng = random.Random(5)
     for table in change if change in ("V", "HV") else ():
@@ -1038,10 +1099,8 @@ def test_sweeps_equal_the_plain_loops(request, sweep_path, fixture, change):
         assert want[0][1]  # every change breaks interchange
     if change in ("V", "HV"):
         assert want[2][1]  # and a swapped filler in V breaks v-associativity
-    for path in ("serial", "forked"):
-        sweep_path(path)
-        assert (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, "right", "left"),
-                _assoc_sweep(model, t.V, "bottom", "top")) == want
+    assert (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, "right", "left"),
+            _assoc_sweep(model, t.V, "bottom", "top")) == want
 
 
 def associativity_violations(table, edge_out, edge_in):
@@ -1052,7 +1111,7 @@ def associativity_violations(table, edge_out, edge_in):
             for z in range(n) if out[y] == into[z] and t[t[x][y]][z] != t[x][t[y][z]]]
 
 
-def test_associativity_reports_the_least_violation_in_x_y_z_order(sweep_path, aut_c3_model):
+def test_associativity_reports_the_least_violation_in_x_y_z_order(aut_c3_model):
     # two swapped fillers in H, drawn until the least violation in x, y, z
     # order is not the least in y-major order, the layout that the right
     # side's rows come in: a sweep that took its first violation in that
@@ -1071,9 +1130,7 @@ def test_associativity_reports_the_least_violation_in_x_y_z_order(sweep_path, au
         pytest.fail("no draw put the least violation after another in y-major order")
     want = loop_associativity(H, c.R, c.L)
     assert want[1:] == (len(bad), min(bad))
-    for path in ("serial", "forked"):
-        sweep_path(path)
-        assert _assoc_sweep(mutant, H, "right", "left") == want
+    assert _assoc_sweep(mutant, H, "right", "left") == want
 
 
 def planted(model, table, value):
@@ -1132,100 +1189,21 @@ def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
     assert (checked, bad) == loop_associativity(H, c.R, c.L)[:2]
 
 
-def test_forked_interchange_is_exhaustive_on_aut_s3(sweep_path, aut_s3_model):
-    sweep_path("forked")
+def test_interchange_is_exhaustive_on_aut_s3(aut_s3_model):
     quads = count_compatible_quadruples(aut_s3_model)
     assert interchange_exhaustive(aut_s3_model) == (quads, 0, None)
     assert quads == 2_176_782_336
 
 
-def toy_sweep(evaluate):
-    """_class_sweep over 4 blocks, each of 2 outer squares x by 5 partners."""
+def test_class_sweep_counts_a_toy_sweep():
+    # 4 blocks, each of 2 outer squares x by 5 partners, one miss per x
     def pieces(rows):
         for k in rows.tolist():
             for x in (k, k + 4):
-                lhs, rhs = evaluate(x)
-                yield lhs[None], rhs[None], ([x], np.arange(5))
+                miss = np.where(np.arange(5) == x % 5, -1, np.arange(5))
+                yield np.arange(5)[None], miss[None], ([x], np.arange(5))
 
-    return dgt._class_sweep(np.arange(4), pieces, 40, dgt._FORK_CHECKS)
-
-
-@pytest.fixture
-def forks(monkeypatch, sweep_path):
-    """The pids of the children forked while the test runs."""
-    sweep_path("forked")
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(dgt.os, "fork", recorded)
-    return pids
-
-
-def assert_reaped(pids):
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
-
-
-def one_miss_per_x(x):
-    return np.arange(5), np.where(np.arange(5) == x % 5, -1, np.arange(5))
-
-
-def test_forked_toy_sweep_counts_and_reaps(forks):
-    fds = len(os.listdir("/proc/self/fd"))
-    assert toy_sweep(one_miss_per_x) == (40, 8, (0, 0))
-    assert_reaped(forks)
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-def test_sweep_runs_serially_when_no_child_can_be_forked(monkeypatch, sweep_path):
-    sweep_path("forked")
-
-    def no_fork():
-        raise BlockingIOError("no process to spare")
-
-    monkeypatch.setattr(dgt.os, "fork", no_fork)
-    fds = len(os.listdir("/proc/self/fd"))
-    assert toy_sweep(one_miss_per_x) == (40, 8, (0, 0))
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-@pytest.mark.parametrize("failure, message", [
-    (lambda: 1 / 0, "sweep worker failed: ZeroDivisionError: division by zero"),
-    (lambda: os._exit(3), "sweep worker died without a result"),
-])
-def test_a_failing_child_makes_the_sweep_raise(forks, failure, message):
-    parent = os.getpid()
-
-    def evaluate(x):
-        if os.getpid() != parent:
-            failure()
-        return np.zeros(5), np.zeros(5)
-
-    with pytest.raises(RuntimeError, match=message):
-        toy_sweep(evaluate)
-    assert_reaped(forks)
-
-
-def test_a_failing_parent_kills_and_reaps_its_child(forks):
-    parent = os.getpid()
-
-    def evaluate(x):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise ValueError("parent half failed")
-
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="parent half failed"):
-        toy_sweep(evaluate)
-    assert time.perf_counter() - start < 30
-    assert_reaped(forks)
+    assert dgt._class_sweep(np.arange(4), pieces) == (40, 8, (0, 0))
 
 
 # -- the packed interchange rows ------------------------------------------------
@@ -1260,8 +1238,7 @@ def c3_beside_c2():
 
 @pytest.mark.parametrize("fixture, change", [("sq_interval_s3", None), ("c3_beside_c2", None),
                                              ("c3_beside_c2", "unconjugated"), ("c3_beside_c2", "V")])
-def test_rows_of_several_words_sweep_as_the_plain_loop(request, monkeypatch, sweep_path, fixture,
-                                                       change):
+def test_rows_of_several_words_sweep_as_the_plain_loop(request, monkeypatch, fixture, change):
     # one-byte words: a row of more than 4 two-bit ranks spans two of them
     monkeypatch.setattr(dgt, "_WORD", np.dtype(np.int8))
     model = request.getfixturevalue(fixture)
@@ -1277,9 +1254,7 @@ def test_rows_of_several_words_sweep_as_the_plain_loop(request, monkeypatch, swe
     H = unconjugated_h(model) if change == "unconjugated" else t.H
     want = loop_interchange(model, H, t.V)
     assert bool(want[1]) == (change is not None)
-    for path in ("serial", "forked"):
-        sweep_path(path)
-        assert interchange_sweep(model, H, t.V) == want
+    assert interchange_sweep(model, H, t.V) == want
 
 
 @pytest.mark.parametrize("word, n, bits, lane", [
@@ -1306,16 +1281,17 @@ def test_packed_rows_are_equal_exactly_when_their_values_are(word, n, bits, lane
             assert (words[a, u] == words[b, v]).all() == (values[a, :, u] == values[b, :, v]).all()
 
 
-# -- interchange by orbits of the reflections ----------------------------------------
+# -- the law sweeps by orbits of the verified symmetries -------------------------
 
 REFLECTIONS = ["transpose", "inv_h", "inv_v"]
 
-# each reflection's image of the arrangement [[x, y], [z, w]], given the
-# reflected squares, and whether it swaps the law's two sides
+# each kind of symmetry's image of the arrangement [[x, y], [z, w]], given
+# the mapped squares, and whether it swaps the law's two sides
 ARRANGEMENT_MAPS = {
     "transpose": (lambda x, y, z, w: (x, z, y, w), True),
     "inv_h": (lambda x, y, z, w: (y, x, w, z), False),
     "inv_v": (lambda x, y, z, w: (z, w, x, y), False),
+    "conjugation": (lambda x, y, z, w: (x, y, z, w), False),
 }
 
 
@@ -1329,6 +1305,74 @@ def arrangements(model):
     return np.array(quads, np.intp).T
 
 
+def arrangements_by_x(model, xs=None):
+    """Every edge-compatible (x, y, z, w), or those with x in ``xs``, as
+    four index arrays per x."""
+    c = model.code()
+    by_left, by_top, by_corner = (model.groups(*e) for e in (("left",), ("top",), ("left", "top")))
+    for x in range(model.size()) if xs is None else xs:
+        ys, zs = by_left.members(c.R[x]), by_top.members(c.B[x])
+        y, z = np.repeat(ys, len(zs)), np.tile(zs, len(ys))
+        y, z, w = by_corner.extend((y, z), (c.R[z], c.B[y]))
+        yield np.full(len(w), x), y, z, w
+
+
+def triples(model, table, xs=None):
+    """Every (x, y, z) that ``table`` ("H" or "V") pastes twice, or those
+    with x in ``xs``, as three index arrays."""
+    c = model.code()
+    out, into = dgt._PASTES[table]
+    by_into = model.groups(into)
+    x = np.arange(model.size()) if xs is None else np.asarray(xs)
+    x, y = by_into.extend((x,), (c.edge[out][x],))
+    return by_into.extend((x, y), (c.edge[out][y],))
+
+
+def assert_block_maps_on(model, quads, symmetries):
+    """Each symmetry maps each arrangement of ``quads`` onto an arrangement,
+    its block onto the image's and its two sides onto the image's."""
+    c, t = model.code(), model.tables()
+
+    def block(x, y, z, w):  # (beta, rho, r, b)
+        return np.stack([c.B[y], c.R[z], c.R[x], c.B[x]])
+
+    def sides(x, y, z, w):
+        return t.V[t.H[x, y], t.H[z, w]], t.H[t.V[x, z], t.V[y, w]]
+
+    for s in symmetries:
+        arrange, swaps = ARRANGEMENT_MAPS[s.kind]
+        x, y, z, w = image = np.stack(arrange(*s.squares[quads]))
+        assert ((c.R[x] == c.L[y]) & (c.B[x] == c.T[z]) & (c.R[z] == c.L[w])
+                & (c.B[y] == c.T[w])).all()
+        assert np.array_equal(np.stack(s.quad_block(*block(*quads))), block(*image))
+        lhs, rhs = sides(*quads)
+        assert np.array_equal(s.squares[np.stack((rhs, lhs) if swaps else (lhs, rhs))],
+                              np.stack(sides(*image)))
+
+
+def assert_triple_maps_on(model, table, trips, symmetries):
+    """Each symmetry maps each triple of ``trips`` that ``table`` ("H" or
+    "V") pastes onto such a triple, its block onto the image's and its two
+    sides onto the image's."""
+    c = model.code()
+    T = getattr(model.tables(), table)
+    out, into = (c.edge[e] for e in dgt._PASTES[table])
+
+    def sides(x, y, z):
+        return T[T[x, y], z], T[x, T[y, z]]
+
+    for s in symmetries:
+        anti = s.carries[table][1]
+        m = s.squares[trips]
+        x, y, z = image = m[::-1] if anti else m
+        assert ((out[x] == into[y]) & (out[y] == into[z])).all()
+        assert np.array_equal(np.stack(s.triple_block(table, out[trips[0]], out[trips[1]])),
+                              np.stack([out[x], out[y]]))
+        lhs, rhs = sides(*trips)
+        assert np.array_equal(s.squares[np.stack((rhs, lhs) if anti else (lhs, rhs))],
+                              np.stack(sides(*image)))
+
+
 @pytest.fixture(scope="module")
 def sq_c3():
     # arrows that are not their own inverses, which inv_h and inv_v invert
@@ -1340,58 +1384,87 @@ def sq_interval():
     return square_model(interval_finite_groupoid())
 
 
+@pytest.fixture(scope="module")
+def c2_over_s3(s3):
+    # C2 -> S3 with trivial boundary and action: 432 squares, two fillers
+    # to each commuting boundary, and a base whose conjugations move arrows
+    c2, base = cyclic_group(2), group_as_groupoid(s3, name="s3")
+    xm = CrossedModuleData("c2s3", base, {"*": c2}, {"*": dict.fromkeys(c2.elements, "e")},
+                           {(m, p): m for m in c2.elements for p in base.arrows})
+    assert validate_crossed_module(xm).ok
+    return lambda_functor(xm)
+
+
 @pytest.mark.parametrize("fixture", ["sq_c3", "sq_interval", "aut_c3_model", "c3_beside_c2"])
 def test_each_block_map_is_its_reflection_on_every_arrangement(request, fixture):
     model = request.getfixturevalue(fixture)
-    c, m, t = model.code(), model.maps(), model.tables()
-    assert dgt._reflections(model, t.H, t.V) == REFLECTIONS
-    x, y, z, w = quads = arrangements(model)
-
-    def block(x, y, z, w):  # (beta, rho, r, b)
-        return np.stack([c.B[y], c.R[z], c.R[x], c.B[x]])
-
-    def sides(x, y, z, w):
-        return t.V[t.H[x, y], t.H[z, w]], t.H[t.V[x, z], t.V[y, w]]
-
-    for name, (arrange, swaps) in ARRANGEMENT_MAPS.items():
-        f = getattr(m, name)
-        image = np.stack(arrange(*f[quads]))
-        # one to one onto the arrangements
+    assert verified(model) == REFLECTIONS
+    quads = arrangements(model)
+    symmetries = dgt._verified(model, {"H": model.tables().H, "V": model.tables().V})
+    assert_block_maps_on(model, quads, symmetries)
+    for s in symmetries:  # one to one onto the arrangements
+        image = np.stack(ARRANGEMENT_MAPS[s.kind][0](*s.squares[quads]))
         assert {*map(tuple, image.T.tolist())} == {*map(tuple, quads.T.tolist())}
-        assert np.array_equal(np.stack(dgt._BLOCK_MAPS[name](c.inv, *block(x, y, z, w))),
-                              block(*image))
-        lhs, rhs = sides(x, y, z, w)
-        assert np.array_equal(f[np.stack((rhs, lhs) if swaps else (lhs, rhs))], np.stack(sides(*image)))
 
 
-def every_block_sweep(monkeypatch, model, H, V):
-    """interchange_sweep with no reflection verified."""
-    with monkeypatch.context() as patch:
-        patch.setattr(dgt, "_reflections", lambda *args: [])
-        return interchange_sweep(model, H, V)
+def test_each_conjugation_block_map_is_its_symmetry_on_every_arrangement(sq_s3):
+    # the symmetries are permutations, so into the arrangements is onto them
+    model = sq_s3
+    symmetries = dgt._verified(model, {"H": model.tables().H, "V": model.tables().V})
+    assert names(symmetries) == REFLECTIONS + ["conjugation by (12)", "conjugation by (123)"]
+    for quads in arrangements_by_x(model):
+        assert_block_maps_on(model, np.stack(quads), symmetries[3:])
+
+
+@pytest.mark.parametrize("fixture", ["sq_c3", "sq_interval", "aut_c3_model", "c3_beside_c2",
+                                     "sq_s3"])
+@pytest.mark.parametrize("table", ["H", "V"])
+def test_each_triple_block_map_is_its_symmetry_on_every_triple(request, fixture, table):
+    model = request.getfixturevalue(fixture)
+    c, T = model.code(), getattr(model.tables(), table)
+    symmetries = dgt._verified(model, {table: T})
+    assert names(symmetries) == names(dgt._symmetries(model))[1:]  # all but the transpose
+    trips = np.stack(triples(model, table))
+    assert len(trips[0]) == loop_associativity(T, *(c.edge[e] for e in dgt._PASTES[table]))[0]
+    assert_triple_maps_on(model, table, trips, symmetries)
+
+
+@pytest.mark.parametrize("fixture", ["a3s3_model", "c2_over_s3"])
+def test_the_conjugations_carry_the_arrangements_and_triples_of_sampled_squares(request, fixture):
+    # fibers of 3 and 2 elements, acted on by conjugation (A3 in S3) or not
+    # at all: every arrangement and triple that starts at 3 drawn squares
+    model = request.getfixturevalue(fixture)
+    t = model.tables()
+    xs = random.Random(29).sample(range(model.size()), 3)
+    symmetries = dgt._verified(model, {"H": t.H, "V": t.V})
+    assert names(symmetries) == REFLECTIONS + ["conjugation by (12)", "conjugation by (123)"]
+    for quads in arrangements_by_x(model, xs):
+        assert_block_maps_on(model, np.stack(quads), symmetries)
+    for table in ("H", "V"):
+        assert_triple_maps_on(model, table, np.stack(triples(model, table, xs)),
+                              dgt._verified(model, {table: getattr(t, table)}))
 
 
 @pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "c2_in_c2_model", "aut_c3_model",
                                      "sq_interval_s3", "a3s3_model", "aut_s3_model"])
-def test_one_block_per_orbit_covers_every_arrangement(request, monkeypatch, sweep_path, fixture):
+def test_one_block_per_orbit_covers_every_arrangement(request, monkeypatch, class_sweeps, fixture):
+    # the two generators of S3 conjugate; a conjugation by a central
+    # generator, as in C2 or Aut(C3), moves no block and is left out
     model = request.getfixturevalue(fixture)
     t = model.tables()
-    assert dgt._reflections(model, t.H, t.V) == REFLECTIONS
+    conjugations = 2 if fixture in ("sq_s3", "a3s3_model", "aut_s3_model") else 0
+    assert verified(model)[:3] == REFLECTIONS and len(verified(model)) == 3 + conjugations
     total = count_compatible_quadruples(model)
-    for path in ("serial", "forked"):
-        runs = sweep_path(path)
-        runs.clear()
-        assert interchange_sweep(model, t.H, t.V) == (total, 0, None)
-        [(compared, _)] = runs  # one sweep, over the least block of each orbit
-        assert 0 < compared < total
-        assert every_block_sweep(monkeypatch, model, t.H, t.V) == (total, 0, None)
-        assert runs[1][0] == total
+    assert interchange_sweep(model, t.H, t.V) == (total, 0, None)
+    [(compared, _, _)] = class_sweeps  # one sweep, over the least block of each orbit
+    assert 0 < compared < total
+    assert every_block(monkeypatch, interchange_sweep, model, t.H, t.V) == (total, 0, None)
+    assert class_sweeps[1][0] == total
 
 
 @pytest.mark.parametrize("table", ["H", "V"])
 @pytest.mark.parametrize("fixture", ["aut_c3_model", "c3_beside_c2"])
-def test_a_swapped_filler_is_swept_as_the_plain_loop(request, monkeypatch, sweep_path, fixture,
-                                                     table):
+def test_a_swapped_filler_is_swept_as_the_plain_loop(request, monkeypatch, fixture, table):
     # V is no longer H transposed; inv_h or inv_v may still hold where the
     # swapped entry's pair and its filler are their own images
     model = request.getfixturevalue(fixture)
@@ -1402,47 +1475,45 @@ def test_a_swapped_filler_is_swept_as_the_plain_loop(request, monkeypatch, sweep
     for _ in range(3):
         mutant = with_swapped_filler(model, table, *rng.choice(swappable), rng)
         t = mutant.tables()
-        assert "transpose" not in dgt._reflections(mutant, t.H, t.V)
+        assert "transpose" not in verified(mutant)
         want = loop_interchange(mutant, t.H, t.V)
         assert want[1]
-        for path in ("serial", "forked"):
-            sweep_path(path)
-            assert interchange_sweep(mutant, t.H, t.V) == want
-            assert every_block_sweep(monkeypatch, mutant, t.H, t.V) == want
+        assert interchange_sweep(mutant, t.H, t.V) == want
+        assert every_block(monkeypatch, interchange_sweep, mutant, t.H, t.V) == want
 
 
-def doctored_along_an_orbit(model, i, j, rng):
+def doctored_along_an_orbit(model, i, j, rng, symmetries=None):
     """A copy of ``model`` whose H[i, j] names another square with the same
-    four edges, and every entry the reflections carry that one to names
-    that square's image, so that the tables keep each reflection where
-    they stay consistent; and the number of entries changed."""
-    m, t = model.maps(), model.tables()
+    four edges, and every entry that ``symmetries`` (by default all the
+    model's) carry that one to names that square's image, so that the
+    tables keep each of them where they stay consistent; and the number of
+    entries changed."""
+    t = model.tables()
     tables = {"H": t.H.copy(), "V": t.V.copy()}
     old = model.squares[t.H[i, j]]
     new = rng.choice([k for k, q in enumerate(model.squares)
                       if q.key()[1:] == old.key()[1:] and q.elt != old.elt])
-    tau, ih, iv = (f.tolist() for f in (m.transpose, m.inv_h, m.inv_v))
-    moves = (lambda tb, x, y, s: ("V" if tb == "H" else "H", tau[x], tau[y], tau[s]),
-             lambda tb, x, y, s: (tb, *((ih[y], ih[x]) if tb == "H" else (ih[x], ih[y])), ih[s]),
-             lambda tb, x, y, s: (tb, *((iv[x], iv[y]) if tb == "H" else (iv[y], iv[x])), iv[s]))
+    moves = [(s.squares.tolist(), s.carries)
+             for s in (dgt._symmetries(model) if symmetries is None else symmetries)]
     entries, frontier = {("H", i, j): new}, [("H", i, j, new)]
     while frontier:
-        entry = frontier.pop()
-        for move in moves:
-            tb, x, y, s = move(*entry)
-            if (tb, x, y) not in entries:
-                entries[tb, x, y] = s
-                frontier.append((tb, x, y, s))
-    for (tb, x, y), s in entries.items():
-        tables[tb][x, y] = s
+        tb, x, y, sq = frontier.pop()
+        for m, carries in moves:
+            target, anti = carries[tb]
+            key = (target, *((m[y], m[x]) if anti else (m[x], m[y])))
+            if key not in entries:
+                entries[key] = m[sq]
+                frontier.append((*key, m[sq]))
+    for (tb, x, y), sq in entries.items():
+        tables[tb][x, y] = sq
     mutant = replace(model)
     mutant._tables = SquareTables(tables["H"], tables["V"])
     return mutant, len(entries)
 
 
 @pytest.mark.parametrize("fixture", ["aut_c3_model", "c3_beside_c2"])
-def test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block(request, monkeypatch, sweep_path,
-                                                                 fixture):
+def test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block(request, monkeypatch,
+                                                                 class_sweeps, fixture):
     # every reflection still holds, so the least block of each orbit is
     # compared first; its violations send the sweep over every block
     model = request.getfixturevalue(fixture)
@@ -1452,32 +1523,67 @@ def test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block(request, monke
         mutant, changed = doctored_along_an_orbit(model, i, j, rng)
         t = mutant.tables()
         want = loop_interchange(mutant, t.H, t.V)
-        if dgt._reflections(mutant, t.H, t.V) == REFLECTIONS and want[1]:
+        if verified(mutant) == REFLECTIONS and want[1]:
             break
     else:
         pytest.fail("no draw kept the reflections and broke interchange")
     assert changed == 8
-    for path in ("serial", "forked"):
-        runs = sweep_path(path)
-        runs.clear()
-        assert interchange_sweep(mutant, t.H, t.V) == want
-        (compared, _), (swept, _) = runs  # the least blocks, then every block
-        assert compared < swept == count_compatible_quadruples(model)
-        assert every_block_sweep(monkeypatch, mutant, t.H, t.V) == want
+    class_sweeps.clear()
+    assert interchange_sweep(mutant, t.H, t.V) == want
+    (compared, _, _), (swept, _, _) = class_sweeps  # the least blocks, then every block
+    assert compared < swept == count_compatible_quadruples(model)
+    assert every_block(monkeypatch, interchange_sweep, mutant, t.H, t.V) == want
+
+
+# model, the names of the symmetries the doctoring follows (None: all of
+# them), and the symmetries of H that then verify
+ASSOCIATIVITY_DOCTORED = [
+    ("aut_c3_model", None, ["inv_h", "inv_v"]),
+    ("c3_beside_c2", None, ["inv_h", "inv_v"]),
+    ("aut_c3_model", ["inv_h"], ["inv_h"]),
+    ("c2_over_s3", None, ["inv_h", "inv_v", "conjugation by (12)", "conjugation by (123)"]),
+    ("c2_over_s3", REFLECTIONS, ["inv_h", "inv_v"]),
+]
+
+
+@pytest.mark.parametrize("fixture, follow, holds", ASSOCIATIVITY_DOCTORED,
+                         ids=[f"{f}-{'+'.join(w or ['all'])}" for f, w, _ in ASSOCIATIVITY_DOCTORED])
+def test_associativity_doctored_along_an_orbit_is_swept_as_the_plain_loop(
+        request, monkeypatch, class_sweeps, fixture, follow, holds):
+    # the symmetries followed still hold on H, and only those: the orbit
+    # pass finds the violations and sends the sweep over every block
+    model, rng = request.getfixturevalue(fixture), random.Random(23)
+    c, pairs = model.code(), pasted_pairs(model, "H")
+    symmetries = [s for s in dgt._symmetries(model) if follow is None or s.name in follow]
+    for _ in range(50):
+        mutant, _ = doctored_along_an_orbit(model, *rng.choice(pairs), rng, symmetries)
+        H = mutant.tables().H
+        want = loop_associativity(H, c.R, c.L)
+        if verified(mutant, only="H") == holds and want[1]:
+            break
+    else:
+        pytest.fail("no draw kept just those symmetries and broke associativity")
+    class_sweeps.clear()
+    assert _assoc_sweep(mutant, H, "right", "left") == want
+    (compared, _, _), (swept, _, _) = class_sweeps
+    assert compared < swept == want[0]
+    assert every_block(monkeypatch, _assoc_sweep, mutant, H, "right", "left") == want
+    # interchange, too, is swept modulo the symmetries that still hold
+    t = mutant.tables()
+    assert interchange_sweep(mutant, t.H, t.V) == every_block(monkeypatch, interchange_sweep,
+                                                              mutant, t.H, t.V)
 
 
 @pytest.mark.parametrize("fixture", ["aut_c3_model", "c3_beside_c2"])
-def test_the_unconjugated_pasting_fails_the_table_sweep(request, monkeypatch, sweep_path, fixture):
+def test_the_unconjugated_pasting_fails_the_table_sweep(request, monkeypatch, fixture):
     # the table-level negative control: a count of violations, not one witness
     model = request.getfixturevalue(fixture)
     H, V = unconjugated_h(model), model.tables().V
     assert (H >= 0).sum() == len(pasted_pairs(model, "H"))  # the composites stay in the model
     want = loop_interchange(model, H, V)
-    for path in ("serial", "forked"):
-        sweep_path(path)
-        got = interchange_sweep(model, H, V)
-        assert got == every_block_sweep(monkeypatch, model, H, V) == want
-        assert 0 < got[1] < got[0]
+    got = interchange_sweep(model, H, V)
+    assert got == every_block(monkeypatch, interchange_sweep, model, H, V) == want
+    assert 0 < got[1] < got[0]
 
 
 def test_the_unconjugated_pasting_leaves_the_a3s3_model(a3s3_model):

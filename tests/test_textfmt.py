@@ -219,6 +219,8 @@ _A3 = "group s3 = symmetric(3)\nxmod a3 = normal(s3, {e, (123), (132)})\nsquare 
     (_GAPPY + "mul a a = b\nxmod x = autxmod(g)\n", 6),
     ("group g\nelements: e a b\nmul e e = e\nmul e a = a\nmul e b = b\nmul a e = a\nmul b e = b\n"
      "mul a a = e\nmul a b = a\nmul b a = e\nmul b b = e\nxmod x = autxmod(g)\n", 12),
+    # a closed table in which a has no inverse: the group block itself fails
+    ("group g\nelements: e a\nmul e e = e\nmul e a = a\nmul a e = a\nmul a a = a\n", 1),
     ("finite k\narrow u: x -> y\narrow v: y -> x\nxmod t = trivial(k)\n", 4),
     ("group c = trivial()\nfinite pt = group(c)\nxmod x\nbase pt\nfiber * c\n"
      "square s = (e; e,e,e,e) over x\n", 6),
@@ -226,7 +228,7 @@ _A3 = "group s3 = symmetric(3)\nxmod a3 = normal(s3, {e, (123), (132)})\nsquare 
      "morphism m: p -> f\nobj 0 -> *\ngen g -> id(zz)\n", 6),
 ], ids=[*_KINDS, "cube:", "not-normal", "not-an-element", "autxmod-s4", "freemodule-rel",
         "grid-2xa", "grid-1x1x1", "act-equals-before-caret", "normal-gap", "autxmod-gap",
-        "mul-unknown-element", "autxmod-not-associative",
+        "mul-unknown-element", "autxmod-not-associative", "group-no-inverse",
         "trivial-no-identity", "square-no-boundary", "morphism-no-identity"])
 def test_bad_block_fails_at_its_line(content, line):
     with pytest.raises(LocatedError) as err:
