@@ -974,11 +974,11 @@ def names(symmetries):
     return [s.name for s in symmetries]
 
 
-def verified(model, H=None, V=None, only=None):
-    """The names of the symmetries that ``model``'s tables, or H and V,
-    verify for interchange, or for the associativity of the table ``only``."""
+def verified(model, only=None):
+    """The names of the symmetries that ``model``'s tables verify for
+    interchange, or for the associativity of the table ``only``."""
     t = model.tables()
-    tables = {"H": t.H if H is None else H, "V": t.V if V is None else V}
+    tables = {"H": t.H, "V": t.V}
     return names(dgt._verified(model, tables if only is None else {only: tables[only]}))
 
 
