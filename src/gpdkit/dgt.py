@@ -30,23 +30,23 @@ square: both sides are squares on the same four edges, so they are equal
 exactly when their elements are.  Both sweeps work modulo one list of
 symmetries of the squares (``_symmetries``): the transpose tau and the
 inverses inv_h and inv_v of ``maps()`` and, on a one-object base, the
-conjugations by the base's generators.  Each is used only once it is
-checked on every pasting of the tables at hand (``_holds``); it then maps
-a law's arrangements one to one onto arrangements, both sides with them,
-and blocks onto blocks, so a sweep compares only the least block of each
-orbit and counts it once per block of its orbit: ``checked`` counts the
-arrangements covered, compared or carried there by a symmetry.
-Associativity is swept on H alone when tau carries H onto V, since the
-two laws' counts then agree, violations included.  A model without these
-symmetries (a hollow one, doctored tables) gets the full sweeps, and so
-does a sweep whose orbit pass finds a violation, for the exact count and
-the first witness in scan order.  Every sweep runs in this one process.
-The object-level calculus (``squares.comp_h``/``comp_v``) is the oracle
-the tables are tested against and, in ``find_interchange_counterexample``,
-the readable scan for a corrupted pasting, which stops at
-``MAX_COUNTEREXAMPLE_SCAN`` arrangements; ``count_compatible_quadruples``
-reads only the edges, never a table, so it checks the sweeps' coverage
-independently.
+conjugations by the base's generators.  ``_verify`` checks the list and
+the tables once for every sweep: H's pastings, tau, then each other
+claim on H; where tau holds, V = tau H tau gives V's pastings and V's
+claims.  A symmetry that holds maps a law's arrangements one to one onto
+arrangements, both sides with them, and blocks onto blocks, so a sweep
+compares only the least block of each orbit and counts it once per block
+of its orbit: ``checked`` counts the arrangements covered, compared or
+carried there by a symmetry.  Associativity is swept on H alone where tau
+holds.  A model without these symmetries (a hollow one, doctored tables)
+gets the full sweeps, and so does a sweep whose orbit pass finds a
+violation, for the exact count and the first witness in scan order.
+Every sweep runs in this one process.  The object-level calculus
+(``squares.comp_h``/``comp_v``) is the oracle the tables are tested
+against and, in ``find_interchange_counterexample``, the readable scan
+for a corrupted pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN``
+arrangements; ``count_compatible_quadruples`` reads only the edges, never
+a table, so it checks the sweeps' coverage independently.
 """
 
 import itertools
@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .crossed import CrossedModuleData, EncodedXmod, sweep_crossed_module, trivial_crossed_module
-from .errors import InvalidCrossedModule, InvalidDgt, SizeLimit
+from .errors import EdgeMismatch, InvalidCrossedModule, InvalidDgt, SizeLimit
 from .finite import FiniteGroup, FiniteGroupoid
 from .report import Report
 from .squares import (
@@ -544,8 +544,6 @@ def comp_h_unconjugated(left: Square, right: Square):
     the interchange law, which the sweep must be able to detect.
     """
     if left.right != right.left:
-        from .errors import EdgeMismatch
-
         raise EdgeMismatch("shared vertical edge differs")
     xm = left.xm
     P = xm.base
@@ -605,16 +603,16 @@ def _check_pastings(model: DgtModel, table: np.ndarray, name: str, out: str, int
     """
     c = model.code()
 
-    def forced(i, j):  # (edge column, what the pasting of i and j puts there)
-        return [(c.edge[into], c.edge[into].take(i)), (c.edge[out], c.edge[out].take(j))] + [
-            (c.edge[k], c.comp[c.edge[k].take(i), c.edge[k].take(j)]) for k in composed]
+    def forced(I, J):  # (edge column, what each pasting of I x J puts there)
+        return [(c.edge[into], c.edge[into].take(I)[:, None]), (c.edge[out], c.edge[out].take(J))] + [
+            (c.edge[k], _sub(c.comp, c.edge[k].take(I), c.edge[k].take(J))) for k in composed]
 
     wrong = []
     for e in range(c.arrows):
         I, J = model.groups(out).members(e), model.groups(into).members(e)
         t = _sub(table, I, J)
         bad = t < 0
-        for col, want in forced(I[:, None], J):
+        for col, want in forced(I, J):
             bad |= col.take(t) != want  # a -1 reads a wrapped edge, but is bad already
         if bad.any():
             a, b = np.unravel_index(np.argmax(bad), bad.shape)
@@ -625,7 +623,7 @@ def _check_pastings(model: DgtModel, table: np.ndarray, name: str, out: str, int
         at = f"{model.name}: {name}[{i}, {j}]"
         if t < 0:
             raise InvalidDgt(f"{at} is -1 on an edge-compatible pair")
-        want = next(int(w) for col, w in forced(i, j) if col[t] != w)
+        want = next(w.item() for col, w in forced([i], [j]) if col[t] != w.item())
         raise InvalidDgt(f"{at} = {t} is off the edge {c.names[want]} that the pasting forces")
 
 
@@ -677,21 +675,28 @@ _BLOCK_MAPS = {
     "conjugation": lambda f, beta, rho, r, b: (f[beta], f[rho], f[r], f[b]),
 }
 
+# tau s tau, by name, for each listed symmetry s that tau does not commute with
+_PARTNERS = {"inv_h": "inv_v", "inv_v": "inv_h"}
+
 
 @dataclass
 class _Symmetry:
     """A map ``squares`` of a model's squares, -1 where the model lacks an
     image, which moves edges as its ``kind`` does and through the arrow
-    map ``arrow``.  ``carries`` claims, per table "H" and "V", the table a
-    pasting's image lands in and whether the image reverses the pasting:
-    target[m y, m x] = m table[x, y] if it does, else target[m x, m y] =
-    m table[x, y].  A sweep uses it only once ``_holds`` has checked that."""
+    map ``arrow``.  A sweep uses it only once ``_verify`` has checked its
+    ``claim`` on the tables at hand."""
 
     name: str
     kind: str
     squares: np.ndarray
     arrow: np.ndarray
-    carries: dict
+
+    def claim(self, table: str) -> tuple[str, bool]:
+        """The table m carries ``table``'s pastings into, and whether it
+        reverses them (target[m y, m x] = m table[x, y]) or not (target[m x,
+        m y] = m table[x, y]).  tau swaps H and V; inv_h reverses H, inv_v V."""
+        return ({"H": "V", "V": "H"}[table] if self.kind == "transpose" else table,
+                self.kind == "inv_" + table.lower())
 
     def quad_block(self, beta, rho, r, b):
         """The block of interchange arrangements block (beta, rho, r, b) maps onto."""
@@ -702,7 +707,7 @@ class _Symmetry:
         maps onto: (x, y, z) goes to (m x, m y, m z), or to (m z, m y, m x)
         where m reverses, as inv_h does on H and inv_v on V, each putting a
         square's in-edge unchanged on its image's out-edge."""
-        return (e2, e1) if self.carries[table][1] else (self.arrow[e1], self.arrow[e2])
+        return (e2, e1) if self.claim(table)[1] else (self.arrow[e1], self.arrow[e2])
 
 
 def _generators(c: SquareCode) -> list[int]:
@@ -719,58 +724,84 @@ def _generators(c: SquareCode) -> list[int]:
 
 def _symmetries(model: DgtModel) -> list[_Symmetry]:
     """The transpose tau (the element inverted, edges (t, r, b, l) ->
-    (l, b, r, t)), which turns H into V and back; inv_h, an
-    anti-automorphism of H and an automorphism of V; inv_v, the other way
-    round (``maps()``); and on a one-object base the conjugation by each
-    generator g that moves an arrow, (m; t, r, b, l) -> (m^g; g^-1 t g,
-    g^-1 r g, g^-1 b g, g^-1 l g), an automorphism of both.  A central g
-    moves no block, so its conjugation is left out."""
+    (l, b, r, t)), inv_h and inv_v (``maps()``), and on a one-object base
+    the conjugation by each generator g that moves an arrow, (m; t, r, b, l)
+    -> (m^g; g^-1 t g, g^-1 r g, g^-1 b g, g^-1 l g); ``_Symmetry.claim``
+    says how each carries the tables.  A central g moves no block."""
     c, m = model.code(), model.maps()
-    out = [_Symmetry("transpose", "transpose", m.transpose, np.arange(c.arrows),
-                     {"H": ("V", False), "V": ("H", False)}),
-           _Symmetry("inv_h", "inv_h", m.inv_h, c.inv, {"H": ("H", True), "V": ("V", False)}),
-           _Symmetry("inv_v", "inv_v", m.inv_v, c.inv, {"H": ("H", False), "V": ("V", True)})]
+    out = [_Symmetry("transpose", "transpose", m.transpose, np.arange(c.arrows)),
+           _Symmetry("inv_h", "inv_h", m.inv_h, c.inv), _Symmetry("inv_v", "inv_v", m.inv_v, c.inv)]
     for g in _generators(c) if len(model.edges.objects) == 1 else ():
         f = c.comp[c.comp[c.inv[g]], g]  # p -> g^-1 p g
         if (f != np.arange(c.arrows)).any():
             out.append(_Symmetry(f"conjugation by {c.names[g]}", "conjugation",
-                                 model.find(c.act[c.E, g], f[c.T], f[c.R], f[c.B], f[c.L]), f,
-                                 {"H": ("H", False), "V": ("V", False)}))
+                                 model.find(c.act[c.E, g], f[c.T], f[c.R], f[c.B], f[c.L]), f))
     return out
 
 
-def _carries(model: DgtModel, m: np.ndarray, table: np.ndarray, out: str, into: str,
-             target: np.ndarray, anti: bool = False) -> bool:
-    """Whether target[m x, m y], or target[m y, m x] when ``anti``, is
-    m table[x, y] on every pasting (x, y) of ``table``: out(x) = into(y).
-    ``m`` must hold no -1, and ``table`` must have passed
-    ``_check_pastings``, since ``m`` reads its entries.  O(n^2) in all."""
-    by_out, by_into = model.groups(out), model.groups(into)
+def _holds(model: DgtModel, s: _Symmetry, tables: dict, k: str) -> bool:
+    """Whether the permutation ``s`` carries the table ``k`` into ``tables``
+    as it claims on every pasting of ``k``, and so maps a law's
+    arrangements and both their sides onto themselves.  ``k`` must have
+    passed ``_check_pastings``, since ``s`` reads its entries.  O(n^2)."""
+    (target, anti), m, table = s.claim(k), s.squares, tables[k]
+    by_out, by_into = (model.groups(e) for e in _PASTES[k])
     values = m.astype(table.dtype)  # m, as the tables' entries: compared without a cast
     for e in range(model.code().arrows):
         I, J = by_out.members(e), by_into.members(e)
-        image = _sub(target, m.take(J), m.take(I)).T if anti else _sub(target, m.take(I), m.take(J))
+        image = (_sub(tables[target], m.take(J), m.take(I)).T if anti
+                 else _sub(tables[target], m.take(I), m.take(J)))
         if not np.array_equal(image, values.take(_sub(table, I, J))):
             return False
     return True
 
 
-def _holds(model: DgtModel, s: _Symmetry, tables: dict, claims) -> bool:
-    """Whether ``s`` is a permutation of the squares and carries each
-    table named in ``claims`` into ``tables`` as it claims.  It then maps a
-    law's arrangements, a finite set, into and so onto themselves (its
-    edges move by a bijection of the arrows), and both sides with them."""
-    m = s.squares
-    return (not (m < 0).any() and (np.bincount(m, minlength=len(m)) == 1).all()
-            and all(_carries(model, m, tables[k], *_PASTES[k], tables[s.carries[k][0]],
-                             s.carries[k][1]) for k in claims))
+@dataclass
+class _Verified:
+    """Tables H and V as ``_verify`` found them: whether tau holds, the
+    symmetries that permute the squares, and per table those that hold on it."""
+
+    tables: dict
+    transposed: bool
+    symmetries: list
+    holds: dict
+
+    def on(self, *tables) -> list[_Symmetry]:
+        """The symmetries that carry ``tables`` into themselves."""
+        return [s for s in self.symmetries
+                if all(s.name in self.holds[k] and s.claim(k)[0] in tables for k in tables)]
 
 
-def _verified(model: DgtModel, tables: dict) -> list[_Symmetry]:
-    """The symmetries that carry the tables ``tables`` into themselves,
-    each checked on every pasting; their pastings must have passed."""
-    return [s for s in _symmetries(model)
-            if all(s.carries[k][0] in tables for k in tables) and _holds(model, s, tables, tables)]
+def _verify(model: DgtModel, H: np.ndarray, V: np.ndarray, composed: bool = False) -> _Verified:
+    """Check H and V once for every sweep that reads them: H's pastings
+    (``_check_pastings``, with the composed edges where ``composed``), then
+    tau, a permutation that is its own inverse and carries H onto V, then
+    each other symmetry that permutes the squares on H.  Where tau holds,
+    V = tau H tau: tau maps H's pastings one to one onto V's, each onto a
+    square on V's forced edges; and where tau s tau is, as an array, a
+    listed s', s V[a, b] = tau s' H[tau a, tau b], so s holds on V exactly
+    when s' holds on H.  Otherwise V's pastings and claims are checked."""
+    tables, n = {"H": H, "V": V}, model.size()
+    _check_pastings(model, H, "H", *_PASTES["H"], ("top", "bottom") if composed else ())
+    symmetries = [s for s in _symmetries(model)
+                  if not (s.squares < 0).any() and (np.bincount(s.squares, minlength=n) == 1).all()]
+    by_name = {s.name: s for s in symmetries}
+    tau = by_name.get("transpose")
+    transposed = (tau is not None and np.array_equal(tau.squares.take(tau.squares), np.arange(n))
+                  and _holds(model, tau, tables, "H"))
+    on_h = {s.name for s in symmetries if (transposed if s is tau else _holds(model, s, tables, "H"))}
+    if not transposed:
+        _check_pastings(model, V, "V", *_PASTES["V"], ("left", "right") if composed else ())
+
+    def on_v(s):
+        partner = by_name.get(_PARTNERS.get(s.name, s.name))
+        if transposed and partner is not None and np.array_equal(
+                tau.squares.take(s.squares.take(tau.squares)), partner.squares):
+            return partner.name in on_h
+        return s is not tau and _holds(model, s, tables, "V")
+
+    return _Verified(tables, transposed, symmetries,
+                     {"H": on_h, "V": {s.name for s in symmetries if on_v(s)}})
 
 
 def _orbits(blocks: np.ndarray, arrows: int, images) -> np.ndarray:
@@ -838,27 +869,23 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     is compared again square by square, as (z, x, y, w) arrays of H/V
     entries, which counts its violations and finds the first.
 
-    The symmetries that the tables respect (``_verified``, each checked
-    on every pasting of both) carry the law onto itself: the transpose tau
-    maps [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to
-    [[iy, ix], [iw, iz]], inv_v to [[iz, iw], [ix, iy]] and a conjugation
-    s to [[sx, sy], [sz, sw]], one to one, and each arrangement's two sides
-    onto its image's, so an image holds exactly when the arrangement does.
-    Each maps whole blocks to blocks (``_Symmetry.quad_block``).  The
-    sweep compares only the least block of each orbit, in (beta, rho, r, b)
-    order, and counts it once per block of its orbit (``_orbit_sweep``):
-    ``checked`` counts the arrangements covered, compared or carried there
-    by a symmetry.  When that finds a violation, or no symmetry verifies (a
-    hollow model, doctored tables), every block is compared, for the exact
-    count and the first violation in scan order.
+    The sweep first checks the tables and symmetries (``_verify``).  Each
+    symmetry that holds on both maps the arrangements and both their sides
+    one to one onto themselves and whole blocks onto blocks
+    (``_BLOCK_MAPS``): only the least block of each orbit, in (beta, rho,
+    r, b) order, is compared, unless that finds a violation (``_orbit_sweep``).
 
     ``_class_sweep`` gets one row per (beta, rho) pair: its blocks share
     their w and their sub-tables.  Returns (checked, violations, first
     violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
-    c = model.code()
-    _check_pastings(model, H, "H", "right", "left", ("top", "bottom"))
-    _check_pastings(model, V, "V", "bottom", "top", ("left", "right"))
+    return _interchange(model, _verify(model, H, V, composed=True))
+
+
+def _interchange(model: DgtModel, verified: _Verified):
+    """``interchange_sweep`` on tables that ``_verify`` has checked with
+    their composed edges."""
+    c, H, V = model.code(), verified.tables["H"], verified.tables["V"]
     by_bottom, by_right = model.groups("bottom"), model.groups("right")
     bottom_rank, right_rank = by_bottom.rank(), by_right.rank()
     X, Y, Z, W = (model.groups(*e) for e in (("right", "bottom"), ("left", "bottom"),
@@ -939,7 +966,7 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     # every non-empty block (beta, rho, r, b), in that order
     blocks = _joined(_joined(np.argwhere(nw.T), 0, np.argwhere(ny.T)), 2, np.argwhere(nx))
     blocks = blocks[nz[blocks[:, 3], blocks[:, 1]] > 0]
-    images = [s.quad_block(*blocks.T) for s in _verified(model, {"H": H, "V": V})]
+    images = [s.quad_block(*blocks.T) for s in verified.on("H", "V")]
     checked, bad, first = _orbit_sweep(sweep, blocks, c.arrows, images, size)
     return checked, bad, None if first is None else (first[0], first[2], first[1], first[3])
 
@@ -1003,10 +1030,10 @@ def find_interchange_counterexample(model: DgtModel, comp2=comp_h):
     return None
 
 
-def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
-                 into: str) -> tuple[int, int, tuple | None]:
-    """Exhaustive associativity over one composition table, which pastes
-    the edge ``out`` of one square to the edge ``into`` of the next.
+def _assoc_sweep(model: DgtModel, verified: _Verified, name: str) -> tuple[int, int, tuple | None]:
+    """Exhaustive associativity over the table ``name``, "H" or "V", of
+    ``verified``, which pastes the edge ``out`` of one square to the edge
+    ``into`` of the next (``_PASTES``).
 
     ``table[table[x, y], z] == table[x, table[y, z]]`` for every x, y, z
     with out(x) = in(y) and out(y) = in(z).  One block per (e1, e2): the
@@ -1017,17 +1044,14 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
     squares v with in e1, built once per e1, at the rank of table[y, z],
     laid out (y, z, x) and compared through a transposed view.
 
-    The table is H or V, named by its pasting edges (``_PASTES``).  A
-    symmetry that carries it onto itself (``_verified``) maps (x, y, z) to
-    (m x, m y, m z), or to (m z, m y, m x) where it reverses the pastings,
-    one to one onto the triples and both sides with them, and whole blocks
-    onto blocks (``_Symmetry.triple_block``): inv_h and inv_v, and the
-    conjugations.  Only the least block of each orbit is compared, unless
-    that finds a violation (``_orbit_sweep``).  Returns (checked,
-    violations, first violating (x, y, z) or None).
+    Each symmetry that ``_verify`` found to carry the table onto itself
+    (inv_h, inv_v, the conjugations) maps the triples and both their sides
+    one to one onto themselves and whole blocks onto blocks
+    (``_Symmetry.triple_block``): only the least block of each orbit is
+    compared, unless that finds a violation (``_orbit_sweep``).  Returns
+    (checked, violations, first violating (x, y, z) or None).
     """
-    c = model.code()
-    _check_pastings(model, table, "table", out, into)
+    c, table, (out, into) = model.code(), verified.tables[name], _PASTES[name]
     by_out, by_in, Y = model.groups(out), model.groups(into), model.groups(into, out)
     out_rank, in_rank = by_out.rank(), by_in.rank()
     p = np.arange(c.arrows)
@@ -1058,26 +1082,9 @@ def _assoc_sweep(model: DgtModel, table: np.ndarray, out: str,
                            rhs_part.take(tyz[yp], axis=0)[..., :nx].transpose(2, 0, 1),
                            (xs[xp], ys[yp], zs))
 
-    name = {edges: k for k, edges in _PASTES.items()}[out, into]
-    images = [s.triple_block(name, *blocks.T) for s in _verified(model, {name: table})]
+    images = [s.triple_block(name, *blocks.T) for s in verified.on(name)]
     return _orbit_sweep(lambda rows: _class_sweep(rows, pieces), blocks, c.arrows, images,
                         lambda rows: sizes[rows[:, 0], rows[:, 1]])
-
-
-def _v_is_transposed_h(model: DgtModel, H: np.ndarray, V: np.ndarray) -> bool:
-    """Whether V is H under the transpose tau: tau a permutation of the
-    squares with V[tau x, tau y] = tau H[x, y] on every horizontal pasting
-    (``_holds``).  H's pastings must have passed ``_check_pastings``.
-
-    tau maps H's pastings one to one onto V's (x.right = y.left is
-    tau x.bottom = tau y.top), so every V pasting is then tau of a square on
-    H's forced edges, which lies on V's: V's own pasting check would pass.
-    And tau maps H's triples (x, y, z) one to one onto V's, with
-    V[V[tau x, tau y], tau z] = tau H[H[x, y], z] and
-    V[tau x, V[tau y, tau z]] = tau H[x, H[y, z]], so v-associativity
-    checks and breaks exactly as often as h-associativity.
-    """
-    return _holds(model, _symmetries(model)[0], {"H": H, "V": V}, "H")
 
 
 def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
@@ -1091,10 +1098,10 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     the quadruple count is at most 2e8, sampled otherwise); any other
     value is a ValueError before any table is built.
 
-    v-associativity takes h-associativity's counts where V is H under the
-    transpose tau, V[tau x, tau y] = tau H[x, y], which maps H's triples
-    and both their sides onto V's (``_v_is_transposed_h``); otherwise, as in
-    a hollow model or doctored tables, V gets its own full sweep.
+    Every law sweep reads one check of the tables and symmetries
+    (``_verify``).  Where the transpose tau holds, it maps H's triples and
+    both their sides one to one onto V's, so v-associativity takes
+    h-associativity's counts; otherwise V gets its own sweep.
     """
     if interchange not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown interchange mode {interchange!r}")
@@ -1145,9 +1152,14 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
             if bad[k]:
                 report.fail(law, f"{what} fails at {sq[k]}")
     report.count(int((H >= 0).sum() + (V >= 0).sum()))
-    # composites stay inside the model: tables() checked every one
-    h = _assoc_sweep(model, H, "right", "left")
-    v = h if _v_is_transposed_h(model, H, V) else _assoc_sweep(model, V, "bottom", "top")
+    # composites stay inside the model: tables() checked every one; the
+    # pastings' composed edges only where interchange is swept in full
+    mode = interchange
+    if mode == "auto":
+        mode = "exhaustive" if count_compatible_quadruples(model) <= 2 * 10**8 else "sampled"
+    verified = _verify(model, H, V, composed=mode == "exhaustive")
+    h = _assoc_sweep(model, verified, "H")
+    v = h if verified.transposed else _assoc_sweep(model, verified, "V")
     for law, (checked, bad, _) in (("h", h), ("v", v)):
         report.count(checked)
         if bad:
@@ -1165,11 +1177,8 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     for i, op, j in sorted(hits):
         report.fail("thin-closure", f"{sq[i]} {('o2', 'o1')[op]} {sq[j]} is not thin")
     # interchange
-    mode = interchange
-    if mode == "auto":
-        mode = "exhaustive" if count_compatible_quadruples(model) <= 2 * 10**8 else "sampled"
     if mode == "exhaustive":
-        checked, bad, first = interchange_exhaustive(model)
+        checked, bad, first = _interchange(model, verified)
         report.count(checked)
         if bad:
             report.fail("interchange", f"{bad} violations, first at indices {first}")
@@ -1305,21 +1314,16 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
                     )
                 table[(names[q1.key()], names[q2.key()])] = names[prod.key()]
         ident = names[identity_square(d.xm, s).key()]
-        inverse = {}
-        for q1 in members:
-            for q2 in members:
-                if table[(names[q1.key()], names[q2.key()])] == ident:
-                    inverse[names[q1.key()]] = names[q2.key()]
+        inverse = {n1: n2 for (n1, n2), prod in table.items() if prod == ident}
         if len(inverse) != len(members):
             raise InvalidDgt(f"{d.name}: fiber at {s!r} has no inverses")
         fibers[s] = FiniteGroup(f"gamma@{s}", tuple(names.values()), table, ident, inverse)
         mu[s] = {names[q.key()]: q.bottom for q in members}
     action: dict[tuple[str, str], str] = {}
     for p in P.arrows:
-        s, t = P.src[p], P.dst[p]
         left_wall = eps_v(d.xm, P.inv(p))
         right_wall = eps_v(d.xm, p)
-        for q in fiber_squares[s]:
+        for q in fiber_squares[P.src[p]]:
             moved = comp_h(comp_h(left_wall, q), right_wall)
             nm = elt_name.get(moved.key())
             if nm is None or moved not in d:
@@ -1360,15 +1364,8 @@ def _fiber_isos(ma: FiniteGroup, mb: FiniteGroup, mu_a: dict[str, str], mu_b: di
                 continue
             phi[m] = n
             used.add(n)
-            ok = True
-            for m2 in list(phi):
-                if phi.get(ma.mul(m, m2)) not in (None, mb.mul(n, phi[m2])):
-                    ok = False
-                    break
-                if phi.get(ma.mul(m2, m)) not in (None, mb.mul(phi[m2], n)):
-                    ok = False
-                    break
-            if ok:
+            if all(phi.get(ma.mul(m, k)) in (None, mb.mul(n, phi[k]))
+                   and phi.get(ma.mul(k, m)) in (None, mb.mul(phi[k], n)) for k in list(phi)):
                 yield from extend(i + 1, phi, used)
             used.discard(n)
             del phi[m]

@@ -263,6 +263,62 @@ def test_golden_machine_outputs(capsys):
     assert code == 0 and out == GOLDEN_VERTEX_GROUP
 
 
+# circle.vk's pushout as a workspace block, with its two cocone legs
+CIRCLE_CANDIDATE = """
+groupoid po
+objects: 0 1
+gen a: 0 -> 1
+gen b: 0 -> 1{extra}
+
+morphism inl: arc1 -> po
+obj 0 -> 0
+obj 1 -> 1
+gen a -> a
+
+morphism inr: arc2 -> po
+obj 0 -> 0
+obj 1 -> 1
+gen b -> b
+"""
+
+
+@pytest.mark.parametrize("extra, code, tail", [
+    ("", 0, GOLDEN_CHECK_UNIVERSAL.split("\n", 2)[2]),
+    ("\ngen c: 0 -> 1", 1, """\
+COUNT triv_morphisms 1
+COUNT triv_cocones 1
+COUNT c2_morphisms 8
+COUNT c2_cocones 4
+COUNT c3_morphisms 27
+COUNT c3_cocones 9
+COUNT s3_morphisms 216
+COUNT s3_cocones 36
+WITNESS c2: universal property FAIL: 8 morphisms vs 4 compatible cocones
+WITNESS c3: universal property FAIL: 27 morphisms vs 9 compatible cocones
+WITNESS s3: universal property FAIL: 216 morphisms vs 36 compatible cocones
+RESULT fail
+""")], ids=["pushout", "extra-generator"])
+def test_check_universal_tests_a_named_candidate(capsys, tmp_path, extra, code, tail):
+    # the computed pushout passes; one more generator has more morphisms
+    # out than there are cocones
+    path = tmp_path / "candidate.vk"
+    path.write_text(Path(data("circle.vk")).read_text() + CIRCLE_CANDIDATE.format(extra=extra))
+    assert run_cli(["--format", "machine", "check-universal", str(path), "--span", "circle",
+                    "--candidate", "po", "--candidate-left", "inl", "--candidate-right", "inr"],
+                   capsys) == (code, "FORMAT 1\nCOMMAND check-universal\n" + tail)
+
+
+@pytest.mark.parametrize("tree, code, body", [
+    ("a", 0, GOLDEN_VERTEX_GROUP.split("\n", 2)[2]),
+    ("b", 0, GOLDEN_VERTEX_GROUP.split("\n", 2)[2].replace("x_b", "x_a")),
+    ("zz", 1, "WITNESS unknown tree generators in 'zz'\nRESULT fail\n"),
+    ("a,zz", 1, "WITNESS unknown tree generators in 'a,zz'\nRESULT fail\n")])
+def test_vertex_group_takes_a_named_spanning_tree(capsys, tree, code, body):
+    # either arc spans the circle's two objects: the default run's counts
+    assert run_cli(["--format", "machine", "vertex-group", data("circle.vk"), "--base", "0",
+                    "--tree", tree], capsys) == (code, "FORMAT 1\nCOMMAND vertex-group\n" + body)
+
+
 # Van Kampen and grid commands on the bundled workspaces, besides circle.vk's.
 GOLDEN_VAN_KAMPEN = [
     (["pushout", "wedge.vk"], """\

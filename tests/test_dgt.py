@@ -738,11 +738,11 @@ def reference_validate_dgt(model, interchange, seed, samples):
         if vi not in model or comp_v(s, vi) != eps_v(xm, s.top):
             report.fail("v-inverse", f"inv_v fails at {s}")
     report.count(int((t.H >= 0).sum() + (t.V >= 0).sum()))
-    for law, table, out, into in (("h", t.H, "right", "left"), ("v", t.V, "bottom", "top")):
-        checked, bad, _ = _assoc_sweep(model, table, out, into)
+    for table in ("H", "V"):
+        checked, bad, _ = assoc_sweep(model, table)
         report.count(checked)
         if bad:
-            report.fail(f"{law}-associativity", f"{bad} violating triples")
+            report.fail(f"{table.lower()}-associativity", f"{bad} violating triples")
     thin = model.thin_squares
     thin_keys = {s.key() for s in thin}
     for s in thin:
@@ -963,11 +963,18 @@ def every_block(monkeypatch, sweep, *args):
         return sweep(*args)
 
 
+def assoc_sweep(model, table, H=None, V=None):
+    """Associativity of ``table`` ("H" or "V") after one ``_verify`` of H
+    and V, by default the model's own."""
+    t = model.tables()
+    return _assoc_sweep(model, dgt._verify(model, t.H if H is None else H,
+                                           t.V if V is None else V), table)
+
+
 def law_sweeps(model, H=None):
     t = model.tables()
     H = t.H if H is None else H
-    return (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, "right", "left"),
-            _assoc_sweep(model, t.V, "bottom", "top"))
+    return interchange_sweep(model, H, t.V), assoc_sweep(model, "H", H), assoc_sweep(model, "V", H)
 
 
 def names(symmetries):
@@ -978,8 +985,7 @@ def verified(model, only=None):
     """The names of the symmetries that ``model``'s tables verify for
     interchange, or for the associativity of the table ``only``."""
     t = model.tables()
-    tables = {"H": t.H, "V": t.V}
-    return names(dgt._verified(model, tables if only is None else {only: tables[only]}))
+    return names(dgt._verify(model, t.H, t.V).on(*("HV" if only is None else only)))
 
 
 @pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "aut_c3_model", "sq_interval_s3",
@@ -1007,7 +1013,7 @@ def test_associativity_by_orbits_matches_every_block_on_aut_s3(monkeypatch, clas
     model, t = aut_s3_model, aut_s3_model.tables()
 
     def sweeps():
-        return _assoc_sweep(model, t.H, "right", "left"), _assoc_sweep(model, t.V, "bottom", "top")
+        return assoc_sweep(model, "H"), assoc_sweep(model, "V")
 
     assert verified(model, only="H") == verified(model, only="V") == [
         "inv_h", "inv_v", "conjugation by aut1", "conjugation by aut2"]
@@ -1099,8 +1105,7 @@ def test_sweeps_equal_the_plain_loops(request, fixture, change):
         assert want[0][1]  # every change breaks interchange
     if change in ("V", "HV"):
         assert want[2][1]  # and a swapped filler in V breaks v-associativity
-    assert (interchange_sweep(model, H, t.V), _assoc_sweep(model, H, "right", "left"),
-            _assoc_sweep(model, t.V, "bottom", "top")) == want
+    assert law_sweeps(model, H) == want
 
 
 def associativity_violations(table, edge_out, edge_in):
@@ -1130,7 +1135,7 @@ def test_associativity_reports_the_least_violation_in_x_y_z_order(aut_c3_model):
         pytest.fail("no draw put the least violation after another in y-major order")
     want = loop_associativity(H, c.R, c.L)
     assert want[1:] == (len(bad), min(bad))
-    assert _assoc_sweep(mutant, H, "right", "left") == want
+    assert assoc_sweep(mutant, "H", H) == want
 
 
 def planted(model, table, value):
@@ -1152,13 +1157,13 @@ def test_sweeps_refuse_a_pasting_that_is_not_a_square_over_its_edges(aut_c3_mode
     H, at = planted(model, "H", value)
     with pytest.raises(InvalidDgt, match=re.escape(f"H{at}")):
         interchange_sweep(model, H, t.V)
-    with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
-        _assoc_sweep(model, H, "right", "left")
+    with pytest.raises(InvalidDgt, match=re.escape(f"H{at}")):
+        assoc_sweep(model, "H", H)
     V, at = planted(model, "V", value)
     with pytest.raises(InvalidDgt, match=re.escape(f"V{at}")):
         interchange_sweep(model, t.H, V)
-    with pytest.raises(InvalidDgt, match=re.escape(f"table{at}")):
-        _assoc_sweep(model, V, "bottom", "top")
+    with pytest.raises(InvalidDgt, match=re.escape(f"V{at}")):
+        assoc_sweep(model, "V", V=V)
 
 
 def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
@@ -1173,8 +1178,8 @@ def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
     H[p1] = H[p2] = -1
     with pytest.raises(InvalidDgt, match=re.escape(f"H[{p1[0]}, {p1[1]}] is -1")):
         interchange_sweep(model, H, t.V)
-    with pytest.raises(InvalidDgt, match=re.escape(f"table[{p1[0]}, {p1[1]}] is -1")):
-        _assoc_sweep(model, H, "right", "left")
+    with pytest.raises(InvalidDgt, match=re.escape(f"H[{p1[0]}, {p1[1]}] is -1")):
+        assoc_sweep(model, "H", H)
     # a square with the forced left and right but another top and bottom:
     # interchange reads the top and bottom, associativity only the sides
     i, j = pairs[0]
@@ -1185,7 +1190,7 @@ def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
     H[i, j] = other
     with pytest.raises(InvalidDgt, match=re.escape(f"H[{i}, {j}] = {other} is off the edge")):
         interchange_sweep(model, H, t.V)
-    checked, bad, _ = _assoc_sweep(model, H, "right", "left")
+    checked, bad, _ = assoc_sweep(model, "H", H)
     assert (checked, bad) == loop_associativity(H, c.R, c.L)[:2]
 
 
@@ -1362,7 +1367,7 @@ def assert_triple_maps_on(model, table, trips, symmetries):
         return T[T[x, y], z], T[x, T[y, z]]
 
     for s in symmetries:
-        anti = s.carries[table][1]
+        anti = s.claim(table)[1]
         m = s.squares[trips]
         x, y, z = image = m[::-1] if anti else m
         assert ((out[x] == into[y]) & (out[y] == into[z])).all()
@@ -1400,7 +1405,7 @@ def test_each_block_map_is_its_reflection_on_every_arrangement(request, fixture)
     model = request.getfixturevalue(fixture)
     assert verified(model) == REFLECTIONS
     quads = arrangements(model)
-    symmetries = dgt._verified(model, {"H": model.tables().H, "V": model.tables().V})
+    symmetries = dgt._verify(model, model.tables().H, model.tables().V).on("H", "V")
     assert_block_maps_on(model, quads, symmetries)
     for s in symmetries:  # one to one onto the arrangements
         image = np.stack(ARRANGEMENT_MAPS[s.kind][0](*s.squares[quads]))
@@ -1410,7 +1415,7 @@ def test_each_block_map_is_its_reflection_on_every_arrangement(request, fixture)
 def test_each_conjugation_block_map_is_its_symmetry_on_every_arrangement(sq_s3):
     # the symmetries are permutations, so into the arrangements is onto them
     model = sq_s3
-    symmetries = dgt._verified(model, {"H": model.tables().H, "V": model.tables().V})
+    symmetries = dgt._verify(model, model.tables().H, model.tables().V).on("H", "V")
     assert names(symmetries) == REFLECTIONS + ["conjugation by (12)", "conjugation by (123)"]
     for quads in arrangements_by_x(model):
         assert_block_maps_on(model, np.stack(quads), symmetries[3:])
@@ -1421,8 +1426,9 @@ def test_each_conjugation_block_map_is_its_symmetry_on_every_arrangement(sq_s3):
 @pytest.mark.parametrize("table", ["H", "V"])
 def test_each_triple_block_map_is_its_symmetry_on_every_triple(request, fixture, table):
     model = request.getfixturevalue(fixture)
-    c, T = model.code(), getattr(model.tables(), table)
-    symmetries = dgt._verified(model, {table: T})
+    c, t = model.code(), model.tables()
+    T = getattr(t, table)
+    symmetries = dgt._verify(model, t.H, t.V).on(table)
     assert names(symmetries) == names(dgt._symmetries(model))[1:]  # all but the transpose
     trips = np.stack(triples(model, table))
     assert len(trips[0]) == loop_associativity(T, *(c.edge[e] for e in dgt._PASTES[table]))[0]
@@ -1436,13 +1442,13 @@ def test_the_conjugations_carry_the_arrangements_and_triples_of_sampled_squares(
     model = request.getfixturevalue(fixture)
     t = model.tables()
     xs = random.Random(29).sample(range(model.size()), 3)
-    symmetries = dgt._verified(model, {"H": t.H, "V": t.V})
+    symmetries = dgt._verify(model, t.H, t.V).on("H", "V")
     assert names(symmetries) == REFLECTIONS + ["conjugation by (12)", "conjugation by (123)"]
     for quads in arrangements_by_x(model, xs):
         assert_block_maps_on(model, np.stack(quads), symmetries)
     for table in ("H", "V"):
         assert_triple_maps_on(model, table, np.stack(triples(model, table, xs)),
-                              dgt._verified(model, {table: getattr(t, table)}))
+                              dgt._verify(model, t.H, t.V).on(table))
 
 
 @pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "c2_in_c2_model", "aut_c3_model",
@@ -1493,13 +1499,13 @@ def doctored_along_an_orbit(model, i, j, rng, symmetries=None):
     old = model.squares[t.H[i, j]]
     new = rng.choice([k for k, q in enumerate(model.squares)
                       if q.key()[1:] == old.key()[1:] and q.elt != old.elt])
-    moves = [(s.squares.tolist(), s.carries)
+    moves = [(s.squares.tolist(), s.claim)
              for s in (dgt._symmetries(model) if symmetries is None else symmetries)]
     entries, frontier = {("H", i, j): new}, [("H", i, j, new)]
     while frontier:
         tb, x, y, sq = frontier.pop()
-        for m, carries in moves:
-            target, anti = carries[tb]
+        for m, claim in moves:
+            target, anti = claim(tb)
             key = (target, *((m[y], m[x]) if anti else (m[x], m[y])))
             if key not in entries:
                 entries[key] = m[sq]
@@ -1564,10 +1570,10 @@ def test_associativity_doctored_along_an_orbit_is_swept_as_the_plain_loop(
     else:
         pytest.fail("no draw kept just those symmetries and broke associativity")
     class_sweeps.clear()
-    assert _assoc_sweep(mutant, H, "right", "left") == want
+    assert assoc_sweep(mutant, "H", H) == want
     (compared, _, _), (swept, _, _) = class_sweeps
     assert compared < swept == want[0]
-    assert every_block(monkeypatch, _assoc_sweep, mutant, H, "right", "left") == want
+    assert every_block(monkeypatch, assoc_sweep, mutant, "H", H) == want
     # interchange, too, is swept modulo the symmetries that still hold
     t = mutant.tables()
     assert interchange_sweep(mutant, t.H, t.V) == every_block(monkeypatch, interchange_sweep,
@@ -1603,13 +1609,13 @@ def test_the_unconjugated_pasting_leaves_the_a3s3_model(a3s3_model):
 # -- v-associativity read off h-associativity -------------------------------------
 
 def validate_recording_sweeps(monkeypatch, model, **kwargs):
-    """validate_dgt's report, and the (edge out, result) of each
+    """validate_dgt's report, and the (table, result) of each
     associativity sweep it ran."""
     sweeps, sweep = [], dgt._assoc_sweep
 
-    def recorded(model, table, out, into):
-        result = sweep(model, table, out, into)
-        sweeps.append((out, result))
+    def recorded(model, verified, table):
+        result = sweep(model, verified, table)
+        sweeps.append((table, result))
         return result
 
     with monkeypatch.context() as patch:
@@ -1623,7 +1629,7 @@ def v_associativity_witnesses(report):
 
 def test_validate_dgt_refuses_an_unknown_mode_before_any_sweep(monkeypatch, aut_s3_model):
     model, calls = replace(aut_s3_model), []
-    for name in ("_assoc_sweep", "_class_sweep", "count_compatible_quadruples"):
+    for name in ("_verify", "_assoc_sweep", "_class_sweep", "count_compatible_quadruples"):
         def recorded(*args, name=name, run=getattr(dgt, name)):
             calls.append(name)
             return run(*args)
@@ -1638,18 +1644,19 @@ def test_validate_dgt_refuses_an_unknown_mode_before_any_sweep(monkeypatch, aut_
 def test_v_associativity_is_h_associativity_transposed(request, monkeypatch, fixture):
     model = request.getfixturevalue(fixture)
     t = model.tables()
-    assert dgt._v_is_transposed_h(model, t.H, t.V)
-    h, v = _assoc_sweep(model, t.H, "right", "left"), _assoc_sweep(model, t.V, "bottom", "top")
+    assert dgt._verify(model, t.H, t.V).transposed
+    h, v = assoc_sweep(model, "H"), assoc_sweep(model, "V")
     assert h[:2] == v[:2] and h[0] > 0
     report, sweeps = validate_recording_sweeps(monkeypatch, model, interchange="sampled",
                                                samples=200)
-    assert sweeps == [("right", h)]  # V's sweep did not run
+    assert sweeps == [("H", h)]  # V's sweep did not run
     # the same report as with V swept in full
     with monkeypatch.context() as patch:
-        patch.setattr(dgt, "_v_is_transposed_h", lambda *args: False)
+        patch.setattr(dgt, "_verify",
+                      lambda *args, run=dgt._verify, **kw: replace(run(*args, **kw), transposed=False))
         full, sweeps = validate_recording_sweeps(monkeypatch, model, interchange="sampled",
                                                  samples=200)
-    assert sweeps == [("right", h), ("bottom", v)]
+    assert sweeps == [("H", h), ("V", v)]
     assert (report.checks, report.violations) == (full.checks, full.violations)
 
 
@@ -1670,11 +1677,11 @@ def test_a_model_that_is_not_transposed_gets_the_full_v_sweep(monkeypatch, aut_c
         model = with_swapped_filler(aut_c3_model, mutant,
                                     *rng.choice(pasted_pairs(aut_c3_model, mutant)), rng)
     t = model.tables()
-    assert not dgt._v_is_transposed_h(model, t.H, t.V)
-    h, v = _assoc_sweep(model, t.H, "right", "left"), _assoc_sweep(model, t.V, "bottom", "top")
+    assert not dgt._verify(model, t.H, t.V).transposed
+    h, v = assoc_sweep(model, "H"), assoc_sweep(model, "V")
     assert h[:2] != v[:2]  # H's counts would be wrong for V
     report, sweeps = validate_recording_sweeps(monkeypatch, model, interchange="exhaustive")
-    assert sweeps == [("right", h), ("bottom", v)]
+    assert sweeps == [("H", h), ("V", v)]
     assert v_associativity_witnesses(report) == ([f"{v[1]} violating triples"] if v[1] else [])
 
 
@@ -1685,12 +1692,168 @@ def test_a_filler_swapped_with_its_transpose_keeps_the_shortcut(monkeypatch, aut
     tau, t = model.maps().transpose, mutant.tables()
     t.V[tau[i], tau[j]] = tau[t.H[i, j]]
     assert t.V[tau[i], tau[j]] != model.tables().V[tau[i], tau[j]]
-    assert dgt._v_is_transposed_h(mutant, t.H, t.V)
-    v = _assoc_sweep(mutant, t.V, "bottom", "top")
+    assert dgt._verify(mutant, t.H, t.V).transposed
+    v = assoc_sweep(mutant, "V")
     report, sweeps = validate_recording_sweeps(monkeypatch, mutant, interchange="exhaustive")
-    assert [out for out, _ in sweeps] == ["right"]
+    assert [table for table, _ in sweeps] == ["H"]
     assert sweeps[0][1][:2] == v[:2] and v[1] > 0
     assert v_associativity_witnesses(report) == [f"{v[1]} violating triples"]
+
+
+# -- the one check of the tables and the symmetries -------------------------------
+
+# each kind of symmetry's claim per table: the table a pasting's image
+# lands in, and whether the image reverses the pasting
+CLAIMS = {"transpose": {"H": ("V", False), "V": ("H", False)},
+          "inv_h": {"H": ("H", True), "V": ("V", False)},
+          "inv_v": {"H": ("H", False), "V": ("V", True)},
+          "conjugation": {"H": ("H", False), "V": ("V", False)}}
+
+
+def direct_verdicts(model, H, V):
+    """Per listed symmetry, the tables on which its claim holds, each
+    checked on its own: the map permutes the squares (tau is also its own
+    inverse), and target[m x, m y], or target[m y, m x] where it reverses,
+    is m table[x, y] on every pair that the table pastes."""
+    c, n, tables = model.code(), model.size(), {"H": H, "V": V}
+    out = {}
+    for s in dgt._symmetries(model):
+        m = s.squares
+        ok = (sorted(m.tolist()) == list(range(n))
+              and (s.kind != "transpose" or (m[m] == np.arange(n)).all()))
+        out[s.name] = set()
+        for k, (edge_out, edge_in) in dgt._PASTES.items():
+            x, y = np.nonzero(c.edge[edge_out][:, None] == c.edge[edge_in])
+            target, anti = CLAIMS[s.kind][k]
+            image = tables[target][m[y], m[x]] if anti else tables[target][m[x], m[y]]
+            if ok and (image == m[tables[k][x, y]]).all():
+                out[s.name].add(k)
+    return out
+
+
+def assert_verdicts_are_direct(model, H, V):
+    """``_verify``'s verdict on each symmetry and each table is a direct
+    check of that claim on that table; returns the verdicts."""
+    v = dgt._verify(model, H, V)
+    want = direct_verdicts(model, H, V)
+    got = {s.name: {k for k in "HV" if s.name in v.holds[k]} for s in v.symmetries}
+    assert {name: got.get(name, set()) for name in want} == want
+    assert v.transposed == ("H" in want.get("transpose", ()))
+    assert all(s.claim(k) == CLAIMS[s.kind][k] for s in v.symmetries for k in "HV")
+    return want
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_c3", "sq_s3", "sq_interval", "c2_in_c2_model",
+                                     "aut_c3_model", "sq_interval_s3", "c3_beside_c2",
+                                     "c2_over_s3", "a3s3_model", "aut_s3_model", "hollow"])
+def test_each_verdict_of_the_one_check_is_a_direct_check(request, fixture):
+    model = hollow_interval() if fixture == "hollow" else request.getfixturevalue(fixture)
+    t = model.tables()
+    verdicts = assert_verdicts_are_direct(model, t.H, t.V)
+    if fixture == "hollow":
+        assert verdicts["transpose"] == set()
+    else:  # every claim holds
+        assert all(tables == {"H", "V"} for tables in verdicts.values())
+
+
+def doctored(model, how, rng):
+    """``model``'s tables (H, V) doctored as ``how`` names."""
+    t = model.tables()
+    if how == "unconjugated":
+        return unconjugated_h(model), t.V
+    if how == "orbit":
+        mutant, _ = doctored_along_an_orbit(model, *rng.choice(pasted_pairs(model, "H")), rng)
+    else:  # a filler swapped in H or V, or in H and its transpose in V
+        mutant = with_swapped_filler(model, how[0], *rng.choice(pasted_pairs(model, how[0])), rng)
+    H, V = mutant.tables().H, mutant.tables().V
+    if how == "H+transposed":
+        tau = model.maps().transpose
+        x, y = np.nonzero(H != t.H)
+        V[tau[x], tau[y]] = tau[H[x, y]]
+    return H, V
+
+
+# model fixture, then how its tables are doctored (``doctored``); C2 -> S3
+# has trivial action, so its unconjugated pasting is the real one
+DOCTORED = [(f, how) for f in ("aut_c3_model", "c2_over_s3")
+            for how in ("H", "V", "orbit", "H+transposed")] + [
+    ("aut_c3_model", "unconjugated"), ("c3_beside_c2", "unconjugated")]
+
+
+@pytest.mark.parametrize("fixture, how", DOCTORED, ids=[f"{f}-{how}" for f, how in DOCTORED])
+def test_each_verdict_on_doctored_tables_is_a_direct_check(request, fixture, how):
+    model = request.getfixturevalue(fixture)
+    H, V = doctored(model, how, random.Random(31))
+    assert not (np.array_equal(H, model.tables().H) and np.array_equal(V, model.tables().V))
+    verdicts = assert_verdicts_are_direct(model, H, V)
+    if how == "V":  # tau fails while every other claim on H holds
+        assert "H" not in verdicts["transpose"]
+        assert all("H" in tables for name, tables in verdicts.items() if name != "transpose")
+    if how == "H+transposed":
+        assert "H" in verdicts["transpose"]
+
+
+def test_a_listed_map_that_is_not_tau_s_tau_is_checked_on_v(monkeypatch, aut_c3_model):
+    # inv_v listed with tau's map: tau inv_h tau is then no listed map, so
+    # inv_h's claim on V is checked, not read off that inv_v's claim on H
+    def symmetries(model, run=dgt._symmetries):
+        out = run(model)
+        out[2] = replace(out[2], squares=out[0].squares)
+        return out
+
+    monkeypatch.setattr(dgt, "_symmetries", symmetries)
+    t = aut_c3_model.tables()
+    verdicts = assert_verdicts_are_direct(aut_c3_model, t.H, t.V)
+    assert verdicts["inv_h"] == {"H", "V"} and "H" not in verdicts["inv_v"]
+
+
+def validate_recording_checks(monkeypatch, model, **kwargs):
+    """validate_dgt's report, the tables whose pastings it checked and the
+    (symmetry, table) of each claim it checked, in order."""
+    pastings, claims = [], []
+    check, holds = dgt._check_pastings, dgt._holds
+
+    def checked(model, table, name, *args):
+        pastings.append(name)
+        return check(model, table, name, *args)
+
+    def held(model, s, tables, k):
+        claims.append((s.name, k))
+        return holds(model, s, tables, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dgt, "_check_pastings", checked)
+        patch.setattr(dgt, "_holds", held)
+        return validate_dgt(model, **kwargs), pastings, claims
+
+
+@pytest.mark.parametrize("fixture", ["sq_s3", "aut_c3_model", "aut_s3_model"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_validate_dgt_checks_each_table_and_claim_once(request, monkeypatch, fixture, mode):
+    # tau holds: H's pastings, then tau, then each other claim on H, once;
+    # V's pastings and claims are read off them through tau
+    model = request.getfixturevalue(fixture)
+    listed = names(dgt._symmetries(model))
+    report, pastings, claims = validate_recording_checks(monkeypatch, model, interchange=mode)
+    assert report.ok
+    assert pastings == ["H"]
+    assert claims == [(name, "H") for name in listed]
+
+
+@pytest.mark.parametrize("mutant", ["V", "hollow"])
+def test_validate_dgt_checks_v_once_where_tau_fails(monkeypatch, aut_c3_model, mutant):
+    if mutant == "hollow":
+        model = hollow_interval()
+    else:
+        rng = random.Random(7)
+        model = with_swapped_filler(aut_c3_model, "V",
+                                    *rng.choice(pasted_pairs(aut_c3_model, "V")), rng)
+    listed = names(dgt._verify(model, model.tables().H, model.tables().V).symmetries)
+    others = [name for name in listed if name != "transpose"]
+    report, pastings, claims = validate_recording_checks(monkeypatch, model, interchange="exhaustive")
+    assert pastings == ["H", "V"]
+    assert claims == ([("transpose", "H")] if "transpose" in listed else []) + [
+        (name, k) for k in "HV" for name in others]
 
 
 # -- connection verdicts ------------------------------------------------------------

@@ -2,7 +2,7 @@ import importlib.resources as resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpdkit.cubes import FACE_SLOTS
 from gpdkit.errors import DuplicateName, LocatedError, ParseError, UnresolvedReference
@@ -380,6 +380,27 @@ def test_a_constructor_header_with_no_name_fails_at_its_line(content):
         parse_workspace([("inline.vk", content)])
     assert (err.value.path, err.value.line_no) == ("inline.vk", content.count("\n"))
     assert str(err.value).endswith(f"expected a name after {kind!r}")
+
+
+@st.composite
+def relations_workspace(draw):
+    """A one-object groupoid with up to three relations between drawn words."""
+    gens = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    letter = st.builds(lambda g, inverse: g + "^-1" * inverse, st.sampled_from(gens), st.booleans())
+    word = st.one_of(st.just("id(p)"), st.lists(letter, min_size=1, max_size=4).map(".".join))
+    rels = draw(st.lists(st.tuples(word, word), max_size=3))
+    return "\n".join(["groupoid g", "objects: p", *(f"gen {x}: p -> p" for x in gens),
+                      *(f"rel: {lhs} = {rhs}" for lhs, rhs in rels)]) + "\n"
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(relations_workspace())
+@example("groupoid g\nobjects: 0 1\ngen a: 0 -> 1\ngen b: 1 -> 0\n"
+         "rel: a.b = id(0)\nrel: b^-1.a^-1 = id(0)\nrel: b.a = id(1)\n")
+def test_relations_print_and_read_back_to_the_same_print(content):
+    text = print_workspace(parse_workspace([("rels.vk", content)]))
+    assert text == content  # the drawn lines are already in canonical form
+    assert print_workspace(parse_workspace([("canon.vk", text)])) == text
 
 
 @settings(max_examples=600, derandomize=True, deadline=None, database=None)
