@@ -883,8 +883,7 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
 
 
 def _interchange(model: DgtModel, verified: _Verified):
-    """``interchange_sweep`` on tables that ``_verify`` has checked with
-    their composed edges."""
+    """``interchange_sweep`` on tables that ``_verify`` checked with composed edges."""
     c, H, V = model.code(), verified.tables["H"], verified.tables["V"]
     by_bottom, by_right = model.groups("bottom"), model.groups("right")
     bottom_rank, right_rank = by_bottom.rank(), by_right.rank()
@@ -1364,8 +1363,11 @@ def _fiber_isos(ma: FiniteGroup, mb: FiniteGroup, mu_a: dict[str, str], mu_b: di
                 continue
             phi[m] = n
             used.add(n)
-            if all(phi.get(ma.mul(m, k)) in (None, mb.mul(n, phi[k]))
-                   and phi.get(ma.mul(k, m)) in (None, mb.mul(phi[k], n)) for k in list(phi)):
+            for m2 in list(phi):
+                if (phi.get(ma.mul(m, m2)) not in (None, mb.mul(n, phi[m2]))
+                        or phi.get(ma.mul(m2, m)) not in (None, mb.mul(phi[m2], n))):
+                    break
+            else:
                 yield from extend(i + 1, phi, used)
             used.discard(n)
             del phi[m]
