@@ -86,14 +86,6 @@ class Cube:
     def face(self, slot: str) -> Square:
         return self.faces[slot]
 
-    def __eq__(self, other):
-        if not isinstance(other, Cube):
-            return NotImplemented
-        return all(self.faces[s] == other.faces[s] for s in FACE_SLOTS)
-
-    def __hash__(self):
-        return hash(tuple(self.faces[s].key() for s in FACE_SLOTS))
-
 
 def make_cube(lid, base, left, right, front, back) -> Cube:
     return Cube(dict(zip(FACE_SLOTS, (lid, base, left, right, front, back))))

@@ -16,37 +16,38 @@ squares by the arrows on a tuple of edges; ``find`` reads a square off its
 element and edges through a dense slot index, one slot per square that
 ``lambda_square_count`` counts, so a lookup is arithmetic on per-arrow and
 per-element arrays and one gather; ``tables`` builds ``H``/``V`` with numpy
-formulas and ``find``, one block per pasting edge; ``maps`` gives each
-square's transpose and inverses and each arrow's units and thin cube
-corners.  The law sweeps, the sampled draws and ``cubes.CubeKernel`` read
-only these.  A law sweep first checks that every pasting in its tables is a
-square on the edges the pasting forces, then splits its arrangements into
-blocks, one per tuple of shared edges, each a product of such groups; both
-sides of a block are row gathers from small sub-tables of ``H``/``V``, at
-each inner pasting's rank in the group of its forced edge, so a sweep never
-reads a -1 as an index.  The interchange sweep's sub-tables hold element
-ranks packed into int64 words, one word per row of an arrangement's last
-square: both sides are squares on the same four edges, so they are equal
-exactly when their elements are.  Both sweeps work modulo one list of
-symmetries of the squares (``_symmetries``): the transpose tau and the
-inverses inv_h and inv_v of ``maps()`` and, on a one-object base, the
-conjugations by the base's generators.  ``_verify`` checks the list and
-the tables once for every sweep: H's pastings, tau, then each other
-claim on H; where tau holds, V = tau H tau gives V's pastings and V's
-claims.  A symmetry that holds maps a law's arrangements one to one onto
-arrangements, both sides with them, and blocks onto blocks, so a sweep
-compares only the least block of each orbit and counts it once per block
-of its orbit: ``checked`` counts the arrangements covered, compared or
-carried there by a symmetry.  Associativity is swept on H alone where tau
-holds.  A model without these symmetries (a hollow one, doctored tables)
-gets the full sweeps, and so does a sweep whose orbit pass finds a
-violation, for the exact count and the first witness in scan order.
-Every sweep runs in this one process.  The object-level calculus
-(``squares.comp_h``/``comp_v``) is the oracle the tables are tested
-against and, in ``find_interchange_counterexample``, the readable scan
-for a corrupted pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN``
-arrangements; ``count_compatible_quadruples`` reads only the edges, never
-a table, so it checks the sweeps' coverage independently.
+formulas and ``find``, one block per pasting edge, each pasting the square
+on the edges it forces, composed ones included, or InvalidDgt; ``maps``
+gives each square's transpose and inverses and each arrow's units and thin
+cube corners.  The law sweeps, the sampled draws and ``cubes.CubeKernel``
+read only these.  So a table is proven where it enters: ``tables()`` by
+construction, and an outside table, which only ``interchange_sweep`` takes,
+by ``_check_pastings``.  A law sweep splits its arrangements into blocks,
+one per tuple of shared edges, each a product of such groups; both sides of
+a block are row gathers from small sub-tables of ``H``/``V``, at each inner
+pasting's rank in the group of its forced edge, so a sweep never reads a -1
+as an index.  The interchange sweep's sub-tables hold element ranks packed
+into int64 words, one word per row of an arrangement's last square: both
+sides are squares on the same four edges, so they are equal exactly when
+their elements are.  Both sweeps work modulo one list of symmetries of the
+squares (``_symmetries``): the transpose tau and the inverses inv_h and
+inv_v of ``maps()`` and, on a one-object base, the conjugations by the
+base's generators.  ``_verify`` checks the list once for every sweep of the
+tables: tau, then each other claim on H; where tau holds, V = tau H tau
+gives V's claims.  A symmetry that holds maps a law's arrangements one to
+one onto arrangements, both sides with them, and blocks onto blocks, so a
+sweep compares only the least block of each orbit and counts it once per
+block of its orbit: ``checked`` counts the arrangements covered, compared
+or carried there by a symmetry.  Associativity is swept on H alone where
+tau holds.  A model without these symmetries (a hollow one, doctored
+tables) gets the full sweeps, and so does a sweep whose orbit pass finds a
+violation, for the exact count and the first witness in scan order.  Every
+sweep runs in this one process.  The object-level calculus
+(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
+and, in ``find_interchange_counterexample``, the readable scan for a
+corrupted pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN`` arrangements;
+``count_compatible_quadruples`` reads only the edges, never a table, so it
+checks the sweeps' coverage independently.
 """
 
 import itertools
@@ -590,18 +591,19 @@ def _class_sweep(blocks, pieces):
     return checked, bad, first
 
 
-def _check_pastings(model: DgtModel, table: np.ndarray, name: str, out: str, into: str,
-                    composed: tuple = ()):
-    """Check that every pasting in ``table`` is a square on the edges it forces.
+def _check_pastings(model: DgtModel, table: np.ndarray, name: str):
+    """Check that every pasting in an outside table ``table``, "H" or "V"
+    by ``name``, is a square on the edges it forces, as in ``tables()``'s.
 
-    A pasting is a pair (i, j) with out(i) = into(j); its square must have
-    into(i) on ``into``, out(j) on ``out`` and, on each edge in ``composed``,
-    the composite of i's and j's.  A sweep finds a pasting by its rank among
-    the squares with one of these edges, so a -1 or a square off them would
-    read another square's row; InvalidDgt names the least such (i, j) in
-    row-major order instead.  One vectorised check per pasting edge.
+    A pasting is a pair (i, j) with out(i) = into(j) (``_PASTES[name]``);
+    its square must have into(i) on ``into``, out(j) on ``out`` and, on
+    each edge of ``_COMPOSED[name]``, the composite of i's and j's.  A
+    sweep finds a pasting by its rank among the squares with one of these
+    edges, so a -1 or a square off them would read another square's row;
+    InvalidDgt names the least such (i, j) in row-major order instead.
+    One vectorised check per pasting edge.
     """
-    c = model.code()
+    c, (out, into), composed = model.code(), _PASTES[name], _COMPOSED[name]
 
     def forced(I, J):  # (edge column, what each pasting of I x J puts there)
         return [(c.edge[into], c.edge[into].take(I)[:, None]), (c.edge[out], c.edge[out].take(J))] + [
@@ -661,8 +663,10 @@ def _joined(rows: np.ndarray, col: int, pairs: np.ndarray) -> np.ndarray:
 
 # -- symmetries of the squares -----------------------------------------------
 
-# Each table's pastings: (the first square's edge, the second's) they share.
+# Each table's pastings: (the first square's edge, the second's) they share,
+# and the edges on which a pasting is the composite of its two squares'.
 _PASTES = {"H": ("right", "left"), "V": ("bottom", "top")}
+_COMPOSED = {"H": ("top", "bottom"), "V": ("left", "right")}
 
 # Each kind of symmetry's image of a block (beta, rho, r, b) of interchange
 # arrangements, through its arrow map ``f``.  The transpose takes
@@ -742,8 +746,9 @@ def _symmetries(model: DgtModel) -> list[_Symmetry]:
 def _holds(model: DgtModel, s: _Symmetry, tables: dict, k: str) -> bool:
     """Whether the permutation ``s`` carries the table ``k`` into ``tables``
     as it claims on every pasting of ``k``, and so maps a law's
-    arrangements and both their sides onto themselves.  ``k`` must have
-    passed ``_check_pastings``, since ``s`` reads its entries.  O(n^2)."""
+    arrangements and both their sides onto themselves.  Every pasting of
+    ``k`` must be a square on its forced edges, since ``s`` reads its
+    entries.  O(n^2)."""
     (target, anti), m, table = s.claim(k), s.squares, tables[k]
     by_out, by_into = (model.groups(e) for e in _PASTES[k])
     values = m.astype(table.dtype)  # m, as the tables' entries: compared without a cast
@@ -772,17 +777,16 @@ class _Verified:
                 if all(s.name in self.holds[k] and s.claim(k)[0] in tables for k in tables)]
 
 
-def _verify(model: DgtModel, H: np.ndarray, V: np.ndarray, composed: bool = False) -> _Verified:
-    """Check H and V once for every sweep that reads them: H's pastings
-    (``_check_pastings``, with the composed edges where ``composed``), then
-    tau, a permutation that is its own inverse and carries H onto V, then
-    each other symmetry that permutes the squares on H.  Where tau holds,
-    V = tau H tau: tau maps H's pastings one to one onto V's, each onto a
-    square on V's forced edges; and where tau s tau is, as an array, a
-    listed s', s V[a, b] = tau s' H[tau a, tau b], so s holds on V exactly
-    when s' holds on H.  Otherwise V's pastings and claims are checked."""
+def _verify(model: DgtModel, H: np.ndarray, V: np.ndarray) -> _Verified:
+    """Check the symmetries once for every sweep that reads H and V, each
+    pasting of which is a square on its forced edges (``tables()`` builds
+    them so; ``interchange_sweep`` checks outside ones): tau, a permutation
+    that is its own inverse and carries H onto V, then each other symmetry
+    that permutes the squares on H.  Where tau holds, V = tau H tau, and
+    where tau s tau is, as an array, a listed s', s V[a, b] = tau s' H[tau
+    a, tau b], so s holds on V exactly when s' holds on H.  Otherwise V's
+    claims are checked."""
     tables, n = {"H": H, "V": V}, model.size()
-    _check_pastings(model, H, "H", *_PASTES["H"], ("top", "bottom") if composed else ())
     symmetries = [s for s in _symmetries(model)
                   if not (s.squares < 0).any() and (np.bincount(s.squares, minlength=n) == 1).all()]
     by_name = {s.name: s for s in symmetries}
@@ -790,8 +794,6 @@ def _verify(model: DgtModel, H: np.ndarray, V: np.ndarray, composed: bool = Fals
     transposed = (tau is not None and np.array_equal(tau.squares.take(tau.squares), np.arange(n))
                   and _holds(model, tau, tables, "H"))
     on_h = {s.name for s in symmetries if (transposed if s is tau else _holds(model, s, tables, "H"))}
-    if not transposed:
-        _check_pastings(model, V, "V", *_PASTES["V"], ("left", "right") if composed else ())
 
     def on_v(s):
         partner = by_name.get(_PARTNERS.get(s.name, s.name))
@@ -856,34 +858,37 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     H[x, y] among them; the right side reads H[s, V[y, w]], laid out
     (s, y, w) over the squares s with right e, at s = the rank of V[x, z].
 
-    Once ``_check_pastings`` has passed on H and V, each pasting is a
-    square with the outer edges of its two squares, so both sides are
-    squares on the same four edges: top x.top y.top, right y.right w.right,
-    bottom z.bottom w.bottom and left x.left z.left.  A model holds one
-    square per element and four edges, so the two sides are equal exactly
-    when their elements are, that is when the elements' ranks in the fiber
-    at the target of that right edge are.  The sub-tables therefore hold
-    those ranks, ``bits`` apiece, packed along w into int64 words
-    (``_packed``), and a block compares one word per (z, x, y) row where it
-    compared one square per arrangement.  Only a piece whose words differ
-    is compared again square by square, as (z, x, y, w) arrays of H/V
-    entries, which counts its violations and finds the first.
+    The sweep first checks that each pasting of H and of V is a square
+    with the outer edges of its two squares (``_check_pastings``), so both
+    sides are squares on the same four edges: top x.top y.top, right
+    y.right w.right, bottom z.bottom w.bottom and left x.left z.left.  A
+    model holds one square per element and four edges, so the two sides
+    are equal exactly when their elements are, that is when the elements'
+    ranks in the fiber at the target of that right edge are.  The
+    sub-tables therefore hold those ranks, ``bits`` apiece, packed along w
+    into int64 words (``_packed``), and a block compares one word per (z,
+    x, y) row where it compared one square per arrangement.  Only a piece
+    whose words differ is compared again square by square, as (z, x, y, w)
+    arrays of H/V entries, which counts its violations and finds the first.
 
-    The sweep first checks the tables and symmetries (``_verify``).  Each
-    symmetry that holds on both maps the arrangements and both their sides
-    one to one onto themselves and whole blocks onto blocks
-    (``_BLOCK_MAPS``): only the least block of each orbit, in (beta, rho,
-    r, b) order, is compared, unless that finds a violation (``_orbit_sweep``).
+    It then checks the symmetries (``_verify``).  Each symmetry that holds
+    on both maps the arrangements and both their sides one to one onto
+    themselves and whole blocks onto blocks (``_BLOCK_MAPS``): only the
+    least block of each orbit, in (beta, rho, r, b) order, is compared,
+    unless that finds a violation (``_orbit_sweep``).
 
     ``_class_sweep`` gets one row per (beta, rho) pair: its blocks share
     their w and their sub-tables.  Returns (checked, violations, first
     violating (x, y, z, w) in the scan order x, z, y, w, or None).
     """
-    return _interchange(model, _verify(model, H, V, composed=True))
+    _check_pastings(model, H, "H")
+    _check_pastings(model, V, "V")
+    return _interchange(model, _verify(model, H, V))
 
 
 def _interchange(model: DgtModel, verified: _Verified):
-    """``interchange_sweep`` on tables that ``_verify`` checked with composed edges."""
+    """``interchange_sweep`` on tables whose pastings are squares on their
+    forced edges, composed ones included, with ``_verify``'s symmetries."""
     c, H, V = model.code(), verified.tables["H"], verified.tables["V"]
     by_bottom, by_right = model.groups("bottom"), model.groups("right")
     bottom_rank, right_rank = by_bottom.rank(), by_right.rank()
@@ -973,12 +978,12 @@ def _interchange(model: DgtModel, verified: _Verified):
 def interchange_exhaustive(model: DgtModel) -> tuple[int, int, tuple | None]:
     """Check interchange on every edge-compatible 2x2 arrangement.
 
-    Runs ``interchange_sweep`` on the model's own integer tables.  Returns
-    (number of quadruples checked, number of violations, first violating
-    quadruple of square indices or None).
+    Runs ``interchange_sweep``'s sweep on the model's own tables, which
+    need no pasting check.  Returns (quadruples checked, violations, first
+    violating quadruple of square indices or None).
     """
     t = model.tables()
-    return interchange_sweep(model, t.H, t.V)
+    return _interchange(model, _verify(model, t.H, t.V))
 
 
 def count_compatible_quadruples(model: DgtModel) -> int:
@@ -1086,23 +1091,24 @@ def _assoc_sweep(model: DgtModel, verified: _Verified, name: str) -> tuple[int, 
                         lambda rows: sizes[rows[:, 0], rows[:, 1]])
 
 
-def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
+def validate_dgt(model: DgtModel, interchange: str = "exhaustive", seed: int = 0,
                  samples: int = 20000) -> Report:
     """Sweep the double-groupoid axioms over the whole model.
 
     Every composition law reads the tables ``H``/``V``; the degeneracies
     and the unit and inverse laws read the indices of ``model.maps()``.
     Only the connections, the model's given data, are checked as objects.
-    ``interchange`` is "exhaustive", "sampled", or "auto" (exhaustive when
-    the quadruple count is at most 2e8, sampled otherwise); any other
-    value is a ValueError before any table is built.
+    ``interchange`` is "exhaustive" or "sampled"; any other value is a
+    ValueError before any table is built.
 
-    Every law sweep reads one check of the tables and symmetries
-    (``_verify``).  Where the transpose tau holds, it maps H's triples and
-    both their sides one to one onto V's, so v-associativity takes
-    h-associativity's counts; otherwise V gets its own sweep.
+    The tables need no pasting check: ``tables()`` builds each pasting as
+    the square on its forced edges, composed ones included, and refuses a
+    model where there is none.  Every law sweep reads one check of the
+    symmetries (``_verify``).  Where the transpose tau holds, it maps H's
+    triples and both their sides one to one onto V's, so v-associativity
+    takes h-associativity's counts; otherwise V gets its own sweep.
     """
-    if interchange not in ("auto", "exhaustive", "sampled"):
+    if interchange not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown interchange mode {interchange!r}")
     report = Report(f"dgt {model.name}")
     t = model.tables()  # first, so an oversized model fails before any sweep
@@ -1151,12 +1157,7 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
             if bad[k]:
                 report.fail(law, f"{what} fails at {sq[k]}")
     report.count(int((H >= 0).sum() + (V >= 0).sum()))
-    # composites stay inside the model: tables() checked every one; the
-    # pastings' composed edges only where interchange is swept in full
-    mode = interchange
-    if mode == "auto":
-        mode = "exhaustive" if count_compatible_quadruples(model) <= 2 * 10**8 else "sampled"
-    verified = _verify(model, H, V, composed=mode == "exhaustive")
+    verified = _verify(model, H, V)
     h = _assoc_sweep(model, verified, "H")
     v = h if verified.transposed else _assoc_sweep(model, verified, "V")
     for law, (checked, bad, _) in (("h", h), ("v", v)):
@@ -1176,7 +1177,7 @@ def validate_dgt(model: DgtModel, interchange: str = "auto", seed: int = 0,
     for i, op, j in sorted(hits):
         report.fail("thin-closure", f"{sq[i]} {('o2', 'o1')[op]} {sq[j]} is not thin")
     # interchange
-    if mode == "exhaustive":
+    if interchange == "exhaustive":
         checked, bad, first = _interchange(model, verified)
         report.count(checked)
         if bad:

@@ -46,9 +46,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: str) -> bool:
-        return x in self.elements
-
 
 @dataclass
 class FiniteGroupoid:

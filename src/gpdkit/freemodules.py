@@ -54,7 +54,7 @@ class FreeModule:
 Term = tuple[str, tuple]  # (generator name, letters of the coefficient word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleElement:
     """Formal sum sited at one object; keys pair a generator with a path."""
 
@@ -89,9 +89,6 @@ class ModuleElement:
     def __rmul__(self, n: int) -> "ModuleElement":
         return ModuleElement(self.module, self.at, {k: n * c for k, c in self.terms.items()})
 
-    def __mul__(self, n: int) -> "ModuleElement":
-        return self.__rmul__(n)
-
     def acted(self, w: Word) -> "ModuleElement":
         """Right action by an arrow word ``w`` starting at this element's site."""
         if w.base != self.at:
@@ -115,9 +112,6 @@ class ModuleElement:
             and self.at == other.at
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.module.name, self.at, tuple(sorted(self.terms.items()))))
 
     def __str__(self):
         if not self.terms:

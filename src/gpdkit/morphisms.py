@@ -14,7 +14,7 @@ from .presentations import GroupoidPresentation
 from .words import Word, free_reduce, word_inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupoidMorphism:
     """Object and generator assignment, endpoint-compatible by construction."""
 
@@ -79,14 +79,6 @@ class GroupoidMorphism:
             tuple(sorted(self.object_map.items())),
             tuple(gm),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupoidMorphism):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
 
 
 def evaluate(m: GroupoidMorphism, w: Word):

@@ -457,10 +457,7 @@ def criterion_12_free_module(seed: int = 0) -> Report:
         nxt = []
         for w in frontier:
             for exp in (1, -1):
-                try:
-                    w2 = w * Word("*", ((t, exp),))
-                except Exception:
-                    continue
+                w2 = w * Word("*", ((t, exp),))
                 if w2 not in words:
                     words.append(w2)
                     nxt.append(w2)

@@ -67,9 +67,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def __len__(self):
-        return len(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         return word_compose(self, other)
 

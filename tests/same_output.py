@@ -2,10 +2,11 @@
 
     python tests/same_output.py OTHER_TREE
 
-runs a fixed list of commands, each in a fresh interpreter, once against
-this checkout's ``src`` and once against ``OTHER_TREE/src``, and compares
-stdout, stderr (with each tree's path stripped) and the exit code.  Both
-trees read the workspaces bundled with this checkout.  Prints each command
+runs a fixed list of commands, every ``vk`` subcommand among them, each
+in a fresh interpreter, once against this checkout's ``src`` and once
+against ``OTHER_TREE/src``, and compares stdout, stderr (with each tree's
+path stripped) and the exit code.  Both trees read the workspaces bundled
+with this checkout.  Prints each command
 as it passes and exits 1 at the first difference, 0 when none is found.
 No bytecode is written into either tree.  Standard library only; pytest
 does not collect it.
@@ -33,6 +34,17 @@ def commands(aut_s3: Path) -> list[list[str]]:
         out += [["--seed", str(s), "xmod", action, str(path)]
                 for action in ("validate", "lambda", "gamma") for s in SEEDS]
     out += [["cube", "check", str(DATA / name)] for name in ("squares.vk", "bad_cube.vk")]
+    circle, wedge, disk, squares = (str(DATA / name) for name in
+                                    ("circle.vk", "wedge.vk", "disk_module.vk", "squares.vk"))
+    for path, base in ((circle, "0"), (wedge, "p")):
+        out += [["pushout", path], ["check-universal", path], ["count-morphisms", path]]
+        out += [["vertex-group", path, "--base", base, *raw] for raw in ((), ("--raw",))]
+    out += [["count-morphisms", disk, "--presentation", name] for name in ("interval", "cinf")]
+    out += [["eh-scan", "--max-size", "3"],
+            ["induce", disk, "--module", "disk", "--morphism", "wrap"],
+            ["square", "compose", squares, "--left", "sq_left", "--right", "sq_right"],
+            *(["square", "invert", squares, "--name", "sq_left", "--dir", d] for d in "hv"),
+            ["grid", "compose", squares, "--name", "demo"]]
     return out
 
 

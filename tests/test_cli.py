@@ -3,6 +3,7 @@ import contextlib
 import importlib.resources as resources
 import io
 import json
+import random
 import re
 import shlex
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from gpdkit import cli
 from gpdkit.cli import main
 from gpdkit.report import Report
+from test_dgt import loop_interchange, pasted_pairs, with_swapped_filler
 from test_textfmt import _BUNDLED, edited_workspace
 
 
@@ -560,6 +562,51 @@ def test_suite_rejects_unknown_or_empty_selection(capsys, selection, witness):
     assert witness in out.splitlines()
     assert "CRITERION" not in out
     assert out.rstrip().endswith("RESULT fail")
+
+
+# -- criterion 4's verdict sites, each reached by a planted fault -------------
+
+def failed_criterion_4(capsys):
+    """The witnesses of a ``vk suite --criteria 4`` run that must fail."""
+    code, out = run_cli(["--format", "machine", "suite", "--criteria", "4"], capsys)
+    lines = out.splitlines()
+    assert code == 1 and lines[-1] == "RESULT fail"
+    assert "DATA CRITERION 4 FAIL exhaustive interchange plus corrupted control" in lines
+    return [line for line in lines if line.startswith("WITNESS")]
+
+
+def test_criterion_4_fails_on_a_model_of_another_size(capsys, monkeypatch, aut_c3_model):
+    monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: aut_c3_model)
+    assert failed_criterion_4(capsys) == ["WITNESS criterion 4: expected 648 squares, got 24"]
+
+
+def test_criterion_4_fails_where_the_sweep_misses_the_edge_count(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.dgt.count_compatible_quadruples", lambda model: 136_048_897)
+    assert failed_criterion_4(capsys) == [
+        "WITNESS criterion 4: sweep covered 136048896 quadruples, edge count says 136048897"]
+
+
+def test_criterion_4_fails_on_a_swapped_filler(capsys, monkeypatch, aut_c3_model):
+    # A3 in S3 has one filler per boundary, C3 -> Aut(C3) three: the real
+    # exhaustive sweep, with no pasting re-check, catches the swap
+    rng = random.Random(7)
+    mutant = with_swapped_filler(aut_c3_model, "H", *rng.choice(pasted_pairs(aut_c3_model, "H")),
+                                 rng)
+    _, bad, first = loop_interchange(mutant, mutant.tables().H, mutant.tables().V)
+    assert bad > 0
+    monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: mutant)
+    assert failed_criterion_4(capsys) == [
+        "WITNESS criterion 4: expected 648 squares, got 24",
+        f"WITNESS criterion 4: {bad} interchange violations, first {first}"]
+
+
+def test_criterion_4_fails_where_the_corrupted_control_finds_nothing(capsys, monkeypatch, sq_c2):
+    # on C2 the action is trivial, so the unconjugated pasting is the real
+    # one; its 8 squares keep the object-level scan far below its limit
+    monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: sq_c2)
+    assert failed_criterion_4(capsys) == [
+        "WITNESS criterion 4: expected 648 squares, got 8",
+        "WITNESS criterion 4: corrupted composition produced no counterexample"]
 
 
 def test_a_literal_group_without_an_inverse_fails_at_its_header(capsys, tmp_path):

@@ -336,9 +336,9 @@ def test_trivial_group_square_model_has_one_square():
     assert model.size() == 1
 
 
-def test_validate_dgt_auto_runs_exhaustive_on_a3s3(a3s3_model):
-    # the full axiom sweep with auto interchange stays exhaustive here
-    report = validate_dgt(a3s3_model, interchange="auto")
+def test_validate_dgt_runs_exhaustive_by_default_on_a3s3(a3s3_model):
+    # the full axiom sweep's default interchange is the exhaustive one
+    report = validate_dgt(a3s3_model)
     assert report.ok
     assert report.checks > 136_048_896
 
@@ -1157,13 +1157,9 @@ def test_sweeps_refuse_a_pasting_that_is_not_a_square_over_its_edges(aut_c3_mode
     H, at = planted(model, "H", value)
     with pytest.raises(InvalidDgt, match=re.escape(f"H{at}")):
         interchange_sweep(model, H, t.V)
-    with pytest.raises(InvalidDgt, match=re.escape(f"H{at}")):
-        assoc_sweep(model, "H", H)
     V, at = planted(model, "V", value)
     with pytest.raises(InvalidDgt, match=re.escape(f"V{at}")):
         interchange_sweep(model, t.H, V)
-    with pytest.raises(InvalidDgt, match=re.escape(f"V{at}")):
-        assoc_sweep(model, "V", V=V)
 
 
 def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
@@ -1178,8 +1174,6 @@ def test_the_pasting_checks_name_the_least_wrong_pair(aut_c3_model):
     H[p1] = H[p2] = -1
     with pytest.raises(InvalidDgt, match=re.escape(f"H[{p1[0]}, {p1[1]}] is -1")):
         interchange_sweep(model, H, t.V)
-    with pytest.raises(InvalidDgt, match=re.escape(f"H[{p1[0]}, {p1[1]}] is -1")):
-        assoc_sweep(model, "H", H)
     # a square with the forced left and right but another top and bottom:
     # interchange reads the top and bottom, associativity only the sides
     i, j = pairs[0]
@@ -1634,8 +1628,9 @@ def test_validate_dgt_refuses_an_unknown_mode_before_any_sweep(monkeypatch, aut_
             calls.append(name)
             return run(*args)
         monkeypatch.setattr(dgt, name, recorded)
-    with pytest.raises(ValueError, match=r"^unknown interchange mode 'bogus'$"):
-        validate_dgt(model, interchange="bogus")
+    for mode in ("bogus", "auto"):  # no threshold picks a mode any more
+        with pytest.raises(ValueError, match=rf"^unknown interchange mode '{mode}'$"):
+            validate_dgt(model, interchange=mode)
     assert calls == [] and model._tables is None
 
 
@@ -1807,15 +1802,15 @@ def test_a_listed_map_that_is_not_tau_s_tau_is_checked_on_v(monkeypatch, aut_c3_
     assert verdicts["inv_h"] == {"H", "V"} and "H" not in verdicts["inv_v"]
 
 
-def validate_recording_checks(monkeypatch, model, **kwargs):
-    """validate_dgt's report, the tables whose pastings it checked and the
-    (symmetry, table) of each claim it checked, in order."""
+def recording_checks(monkeypatch, run, *args, **kwargs):
+    """``run(*args, **kwargs)``, the tables whose pastings it checked and
+    the (symmetry, table) of each claim it checked, in order."""
     pastings, claims = [], []
     check, holds = dgt._check_pastings, dgt._holds
 
-    def checked(model, table, name, *args):
+    def checked(model, table, name):
         pastings.append(name)
-        return check(model, table, name, *args)
+        return check(model, table, name)
 
     def held(model, s, tables, k):
         claims.append((s.name, k))
@@ -1824,19 +1819,19 @@ def validate_recording_checks(monkeypatch, model, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(dgt, "_check_pastings", checked)
         patch.setattr(dgt, "_holds", held)
-        return validate_dgt(model, **kwargs), pastings, claims
+        return run(*args, **kwargs), pastings, claims
 
 
 @pytest.mark.parametrize("fixture", ["sq_s3", "aut_c3_model", "aut_s3_model"])
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_validate_dgt_checks_each_table_and_claim_once(request, monkeypatch, fixture, mode):
-    # tau holds: H's pastings, then tau, then each other claim on H, once;
-    # V's pastings and claims are read off them through tau
+    # tables() proved every pasting: no pasting check; tau, then each
+    # other claim on H, once; V's claims are read off them through tau
     model = request.getfixturevalue(fixture)
     listed = names(dgt._symmetries(model))
-    report, pastings, claims = validate_recording_checks(monkeypatch, model, interchange=mode)
+    report, pastings, claims = recording_checks(monkeypatch, validate_dgt, model, interchange=mode)
     assert report.ok
-    assert pastings == ["H"]
+    assert pastings == []
     assert claims == [(name, "H") for name in listed]
 
 
@@ -1850,10 +1845,33 @@ def test_validate_dgt_checks_v_once_where_tau_fails(monkeypatch, aut_c3_model, m
                                     *rng.choice(pasted_pairs(aut_c3_model, "V")), rng)
     listed = names(dgt._verify(model, model.tables().H, model.tables().V).symmetries)
     others = [name for name in listed if name != "transpose"]
-    report, pastings, claims = validate_recording_checks(monkeypatch, model, interchange="exhaustive")
-    assert pastings == ["H", "V"]
+    report, pastings, claims = recording_checks(monkeypatch, validate_dgt, model,
+                                                interchange="exhaustive")
+    assert pastings == []
     assert claims == ([("transpose", "H")] if "transpose" in listed else []) + [
         (name, k) for k in "HV" for name in others]
+
+
+@pytest.mark.parametrize("fixture", ["sq_s3", "aut_c3_model", "aut_s3_model"])
+def test_only_an_outside_table_gets_a_pasting_check(request, monkeypatch, fixture):
+    model = request.getfixturevalue(fixture)
+    t = model.tables()
+    quads = count_compatible_quadruples(model)
+    got, pastings, _ = recording_checks(monkeypatch, interchange_exhaustive, model)
+    assert got == (quads, 0, None) and pastings == []
+    got, pastings, _ = recording_checks(monkeypatch, interchange_sweep, model, t.H, t.V)
+    assert got == (quads, 0, None) and pastings == ["H", "V"]
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "a3s3_model", "aut_c3_model",
+                                     "c3_beside_c2", "aut_s3_model", "hollow"])
+def test_the_tables_pass_the_pasting_check(request, fixture):
+    # what the sweeps of tables() read without a check: every pasting of
+    # H and V is the square on its forced edges, composed ones included
+    model = hollow_interval() if fixture == "hollow" else request.getfixturevalue(fixture)
+    t = model.tables()
+    dgt._check_pastings(model, t.H, "H")
+    dgt._check_pastings(model, t.V, "V")
 
 
 # -- connection verdicts ------------------------------------------------------------
