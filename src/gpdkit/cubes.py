@@ -17,11 +17,12 @@ equals its lid.
 indices in ``FACE_SLOTS`` order, folded and pasted with the model's tables
 ``H``/``V`` and index maps (``DgtModel.maps``: reflections, inverses, thin
 corners), and enumerated and sampled through the model's square groups
-keyed by the seam edges; it builds no index of its own.  Sampling runs a
-draw plan, one per pinned face and one for a re-rolled lid, built once per
-kernel from those groups as plain ints and lists: each face packs its seam
-edges into a key, looks up its group's span and makes one
-``rng.randrange``.
+keyed by the seam edges; it builds no index of its own.  Sampling
+(``CubeKernel.fill``) draws a batch of cubes one face slot at a time: per
+slot it packs every row's seam edges into keys, finds each row's group and
+makes one ``rng.randrange`` per row, so a batch of one draws a face as
+``members[rng.randrange(len(members))]`` does; a pinned draw and a
+re-rolled lid are the same draw with some faces given.
 ``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
 rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces`` and
 ``compose_cubes`` stay object-level: they serve single cubes read from a
@@ -252,11 +253,8 @@ _SEAMS_AT = {
 }
 # every face but the lid, in drawing order; the lid is drawn last or folded
 _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
-# the faces a draw may pin, the first three it draws; per pinned face (or
-# None), the faces placed before the draw and the faces it then draws
+# the faces a draw may pin, the first three it draws
 _PINNABLE = _DRAW_ORDER[:3]
-_DRAWS = {None: ((), _DRAW_ORDER),
-          **{s: ((s,), tuple(t for t in _DRAW_ORDER if t != s)) for s in _PINNABLE}}
 # grid_compose's bracketing of fold_layout's 3x3 grid
 _FOLD_PLAN = _fixed_plan(3, 3, rows_first_cut)
 # what a fold lacks where an index of its layout is -1: l, r, d, then corners
@@ -290,7 +288,6 @@ class CubeKernel:
         self.model = model
         self.code = model.code()
         self.maps = model.maps()
-        self._plans = {}
 
     def seams(self, cubes) -> np.ndarray:
         """The cubes as an int array, once every seam of every cube agrees.
@@ -390,63 +387,47 @@ class CubeKernel:
             faces = dict(zip((*faces, slot), fit.extend(tuple(faces.values()), arrows)))
         return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
 
-    def _plan(self, placed: tuple, slots: tuple) -> tuple:
-        """The draw plan for ``slots`` in order, the ``placed`` slots given:
-        per slot its position in a row, its group's ``spans``, member order
-        and radix, and per seam to a face placed before it that face's
-        position and edge column, all plain ints and lists.  Built once."""
-        key = (placed, slots)
-        if key not in self._plans:
-            steps = []
-            for slot in slots:
-                fit, cols = self._fitting(slot, placed)
-                steps.append((_SLOT[slot], fit.spans, fit._order, fit.radix,
-                              tuple((_SLOT[o], col.tolist()) for o, col in cols)))
-                placed = (*placed, slot)
-            self._plans[key] = tuple(steps)
-        return self._plans[key]
+    def fill(self, rng: random.Random, rows: np.ndarray, given: tuple = ()) -> np.ndarray:
+        """Complete each row of ``rows``, an (n, 6) int array whose ``given``
+        non-lid faces are set, to a cube, in place: the other non-lid faces
+        drawn in draw order, one slot at a time across the batch, and the lid
+        folded; with all five non-lid faces given, the lid is drawn instead.
+        Each face is uniform over the squares whose seams fit its row's
+        faces placed before it, by one ``rng.randrange`` per row
+        (``_Groups.draw``): the draw ``members[rng.randrange(len(members))]``
+        makes, so one row draws as the object-level sampler does."""
+        at = [_SLOT[slot] for slot in given]
+        if ((rows[:, at] < 0) | (rows[:, at] >= len(self.model.squares))).any():
+            raise PreconditionFailed(f"a given face is not a square of {self.model.name}")
+        placed = tuple(given)
+        for slot in [s for s in _DRAW_ORDER if s not in given] or ["d1-"]:
+            fit, cols = self._fitting(slot, placed)
+            g = np.broadcast_to(fit.group(*(col[rows[:, _SLOT[o]]] for o, col in cols)), len(rows))
+            try:
+                rows[:, _SLOT[slot]] = fit.draw(rng, g)
+            except ValueError:  # a row's group is empty, once the rows before it drew
+                raise PreconditionFailed("no square matches the edge constraints") from None
+            placed = (*placed, slot)
+        if "d1-" not in placed:
+            rows[:, 0] = self._fold(dict(zip(FACE_SLOTS, rows.T)))
+        return rows
 
-    @staticmethod
-    def _run(plan: tuple, rng: random.Random, row: list) -> list:
-        """Fill ``row``'s positions by ``plan``: per face one packed key, one
-        group lookup and one ``rng.randrange`` over the group's size, the
-        draw ``members[rng.randrange(len(members))]`` makes."""
-        randrange = rng.randrange
-        for at, spans, order, radix, seams in plan:
-            key = 0
-            for o, col in seams:
-                key = key * radix + col[row[o]]
-            span = spans.get(key)
-            if span is None:
-                raise PreconditionFailed("no square matches the edge constraints")
-            lo, hi = span
-            row[at] = order[lo + randrange(hi - lo)]
-        return row
-
-    def draw_faces(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> list:
-        """The five non-lid faces of a ``draw``, drawn as it draws them, in a
-        list of six indices in ``FACE_SLOTS`` order with the lid -1."""
-        row, slot = [-1] * 6, None
+    def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
+        """A random commutative cube, ``fill`` on one row: the faces drawn in
+        draw order, each uniform over the squares fitting the faces before
+        it, and the lid folded.  ``fixed`` = (slot, square index) pins d3-,
+        d2- or d1+."""
+        row, given = np.full((1, 6), -1, np.intp), ()
         if fixed:
             slot, idx = fixed
             if slot not in _PINNABLE:
                 raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
-            if not 0 <= idx < len(self.model.squares):
-                raise PreconditionFailed(f"the pinned face is not a square of {self.model.name}")
-            row[_SLOT[slot]] = idx
-        return self._run(self._plan(*_DRAWS[slot]), rng, row)
-
-    def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
-        """A random commutative cube: the faces drawn in draw order, each
-        uniform over the squares fitting the faces before it, and the lid
-        folded.  ``fixed`` = (slot, square index) pins d3-, d2- or d1+."""
-        row = self.draw_faces(rng, fixed)
-        row[0] = int(self._fold(dict(zip(FACE_SLOTS, row))))
-        return tuple(row)
+            row[0, _SLOT[slot]], given = idx, (slot,)
+        return tuple(self.fill(rng, row, given)[0].tolist())
 
     def reroll_lid(self, rng: random.Random, cube: tuple[int, ...]) -> tuple[int, ...]:
         """The cube with its lid drawn anew among the squares that fit."""
-        return tuple(self._run(self._plan(_DRAW_ORDER, ("d1-",)), rng, list(cube)))
+        return tuple(self.fill(rng, np.array([cube], np.intp), _DRAW_ORDER)[0].tolist())
 
 
 # -- enumeration and sampling -----------------------------------------------------

@@ -135,7 +135,9 @@ class _Groups:
     column in order.  The groups run in key order, each ascending; a key
     that no index has lands on the empty last group.  Lookups take one
     entry, or one array of entries, per column: arrays go through a search
-    of the keys, scalars through a dict.
+    of the keys, scalars through a dict.  ``draw`` picks one member of each
+    of a batch of groups; ``pick``, one of a group by its key, serves the
+    sampled interchange.
     """
 
     def __init__(self, radix: int, n: int, cols=()):
@@ -170,6 +172,15 @@ class _Groups:
     @cached_property
     def _order(self) -> list:
         return self.order.tolist()
+
+    def draw(self, rng: random.Random, groups: np.ndarray) -> np.ndarray:
+        """A uniform member of each of ``groups``, by one ``rng.randrange``
+        over each group's size in order: per group the draw
+        ``members[rng.randrange(len(members))]`` makes.  An empty group
+        raises that draw's ValueError once the groups before it have drawn."""
+        sizes = self.count[groups].tolist()
+        picks = np.fromiter(map(rng.randrange, sizes), np.intp, len(sizes))
+        return self.order[self.start[groups] + picks]
 
     def pick(self, rng: random.Random, key: int) -> int | None:
         """A uniform member of the group of the packed ``key`` (over one

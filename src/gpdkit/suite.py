@@ -176,33 +176,25 @@ def criterion_5_boundary(seed: int = 0) -> Report:
 
 def _draw_grids(model, seed: int) -> "np.ndarray":
     """500 seeded 3x3 grids over ``model``, as a (500, 3, 3) array of
-    square indices.  Each cell is uniform, in model order, over the
-    squares whose left and top edges fit the cells drawn before it: the
-    draws ``squares_with`` makes, one ``rng`` call per cell."""
+    square indices, drawn one cell at a time across all 500 grids, the
+    cells in row-major order.  Each cell is uniform, in model order, over
+    the squares whose left and top edges fit the cells drawn before it, by
+    one ``rng.randrange`` per grid (``_Groups.draw``): the draw
+    ``squares_with`` makes, and its ValueError where no square fits."""
     import numpy as np
 
     c = model.code()
-    R, B = c.R.tolist(), c.B.tolist()
-    by_left, by_top = model.groups("left"), model.groups("top")
-    by_both, n = model.groups("left", "top"), len(model.squares)
     rng = random.Random(seed)
-    grids = []
-    for _ in range(500):
-        g = [[0] * 3 for _ in range(3)]
-        for i, j in itertools.product(range(3), repeat=2):
-            if i and j:
-                cell = by_both.pick(rng, by_both.pack((R[g[i][j - 1]], B[g[i - 1][j]])))
-            elif j:
-                cell = by_left.pick(rng, R[g[i][j - 1]])
-            elif i:
-                cell = by_top.pick(rng, B[g[i - 1][j]])
-            else:
-                cell = rng.randrange(n)
-            if cell is None:  # what the draw from no squares raised
-                raise ValueError("empty range for randrange()")
-            g[i][j] = cell
-        grids.append(g)
-    return np.array(grids, np.intp)
+    grids = np.empty((500, 3, 3), np.intp)
+    for i, j in itertools.product(range(3), repeat=2):
+        seams = {}
+        if j:
+            seams["left"] = c.R[grids[:, i, j - 1]]
+        if i:
+            seams["top"] = c.B[grids[:, i - 1, j]]
+        fit = model.groups(*seams)
+        grids[:, i, j] = fit.draw(rng, np.broadcast_to(fit.group(*seams.values()), len(grids)))
+    return grids
 
 
 def _grid_folds(H: "np.ndarray", V: "np.ndarray", grids: "np.ndarray") -> "np.ndarray":
@@ -266,19 +258,29 @@ def _commuting(kernel: "CubeKernel", cubes: "np.ndarray") -> "np.ndarray":
     return (kernel.fold(cubes) == cubes[:, 0]) & kernel.oracle(cubes)
 
 
+def _square_kernel(name: str) -> "CubeKernel":
+    """The cube kernel of sq(C2) (``"c2"``) or sq(S3) (``"s3"``), built once
+    per process: it keeps its model's tables, index maps and groupings."""
+    if name not in _MODEL_CACHE:
+        from .cubes import CubeKernel
+        from .dgt import square_model
+        from .finite import cyclic_group, group_as_groupoid, symmetric_group
+
+        group = cyclic_group(2) if name == "c2" else symmetric_group(3)
+        _MODEL_CACHE[name] = CubeKernel(square_model(group_as_groupoid(group, name=name)))
+    return _MODEL_CACHE[name]
+
+
 def _c2_cubes(r: Report) -> int:
     """Every cube of sq(C2) and every composite of two; returns how many
     cubes the oracle checked."""
-    from .cubes import FACE_SLOTS, CubeKernel
-    from .dgt import square_model
-    from .finite import cyclic_group, group_as_groupoid
+    from .cubes import FACE_SLOTS
 
-    model = square_model(group_as_groupoid(cyclic_group(2), name="c2"))
-    k = CubeKernel(model)
+    k = _square_kernel("c2")
     cubes = k.enumerate()
     r.counts["c2_cubes"] = len(cubes)
     for row in cubes[~_commuting(k, cubes)]:
-        faces = ", ".join(f"{slot} {model.squares[i]}" for slot, i in zip(FACE_SLOTS, row))
+        faces = ", ".join(f"{slot} {k.model.squares[i]}" for slot, i in zip(FACE_SLOTS, row))
         r.fail(f"cube in the 2-element model fails: {faces}")
     composites = 0
     for d in (1, 2, 3):
@@ -295,26 +297,23 @@ def _s3_draws(kernel: "CubeKernel", seed: int):
     """Criterion 8's 1,000 seeded rounds: per round a direction d in 1..3 and
     two commutative cubes that paste in d, as arrays (1000,) and (1000, 2, 6).
 
-    Each cube is kept as a list of six ints with its lid -1 until a fold
-    fills it; the lids not needed in the loop are folded in one batch."""
+    Drawn one step at a time across all rounds (``CubeKernel.fill``): every
+    direction, then the first cubes, then per direction the second cubes,
+    pinned on the face they share with the first.  A lid is folded, never
+    pinned, so in direction 1 the second cube sits on the first's lid."""
     import numpy as np
 
-    from .cubes import FACE_SLOTS
+    from .cubes import _SLOT
 
     rng = random.Random(seed)
-    d, pairs = [], []
-    for _ in range(1000):
-        d.append(e := rng.randrange(1, 4))
-        drawn = kernel.draw_faces(rng)
-        if e == 1:  # a lid is folded, never pinned: pin the upper cube's base to it
-            drawn[0] = int(kernel._fold(dict(zip(FACE_SLOTS, drawn))))
-            pairs.append((kernel.draw_faces(rng, fixed=("d1+", drawn[0])), drawn))
-        else:
-            plus = FACE_SLOTS.index(f"d{e}+")
-            pairs.append((drawn, kernel.draw_faces(rng, fixed=(f"d{e}-", drawn[plus]))))
-    d, pairs = np.array(d, np.intp), np.array(pairs, np.intp)
-    lidless = pairs[..., 0] < 0
-    pairs[lidless, 0] = kernel._fold(dict(zip(FACE_SLOTS, pairs[lidless].T)))
+    d = np.array([rng.randrange(1, 4) for _ in range(1000)], np.intp)
+    first = kernel.fill(rng, np.full((len(d), 6), -1, np.intp))
+    pairs = np.stack([first, first], axis=1)
+    for e in (1, 2, 3):
+        shared, pin = ("d1-", "d1+") if e == 1 else (f"d{e}+", f"d{e}-")
+        second = np.full((int((d == e).sum()), 6), -1, np.intp)
+        second[:, _SLOT[pin]] = first[d == e, _SLOT[shared]]
+        pairs[d == e, int(e != 1)] = kernel.fill(rng, second, (pin,))
     return d, pairs
 
 
@@ -323,14 +322,7 @@ def _s3_samples(r: Report, seed: int) -> int:
     composites; returns how many cubes the oracle checked."""
     import numpy as np
 
-    if "s3" not in _MODEL_CACHE:  # the kernel keeps its tables and draw plans
-        from .cubes import CubeKernel
-        from .dgt import square_model
-        from .finite import group_as_groupoid, symmetric_group
-
-        s3 = group_as_groupoid(symmetric_group(3), name="s3")
-        _MODEL_CACHE["s3"] = CubeKernel(square_model(s3))
-    k = _MODEL_CACHE["s3"]
+    k = _square_kernel("s3")
     d, pairs = _s3_draws(k, seed)
     c1, c2 = pairs[:, 0], pairs[:, 1]
     comp = np.empty_like(c1)
@@ -467,9 +459,10 @@ def criterion_12_free_module(seed: int = 0) -> Report:
     checked = 0
     for e in elements:
         for w1 in words:
+            e_w1 = e.acted(w1)
             for w2 in words:
                 checked += 1
-                if e.acted(w1 * w2) != e.acted(w1).acted(w2):
+                if e.acted(w1 * w2) != e_w1.acted(w2):
                     r.fail(f"action not functorial on {e} with {w1}, {w2}")
         if e.acted(tw).acted(~tw) != e:
             r.fail(f"action by t not undone by t^-1 on {e}")

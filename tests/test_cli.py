@@ -609,6 +609,15 @@ def test_criterion_4_fails_where_the_corrupted_control_finds_nothing(capsys, mon
         "WITNESS criterion 4: corrupted composition produced no counterexample"]
 
 
+def test_xmod_gamma_fails_where_no_isomorphism_is_found(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.dgt.find_xmod_isomorphism", lambda xm, back: None)
+    code, out = run_cli(["--format", "machine", "xmod", "gamma", data("a3s3.vk")], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FORMAT 1", "COMMAND xmod-gamma", "COUNT checks 222", "COUNT violations 0",
+        "COUNT roundtrip_iso 0", "WITNESS no isomorphism with the original module", "RESULT fail"]
+
+
 def test_a_literal_group_without_an_inverse_fails_at_its_header(capsys, tmp_path):
     # a closed table with an identity, in which a has no inverse: checked
     # alone or read by autxmod, the error names the group block's header
@@ -853,6 +862,17 @@ assert grown == {"gpdkit.crossed", "gpdkit.dgt", "gpdkit.finite", "gpdkit.square
 def test_a_criterion_loads_only_the_layers_it_runs():
     proc = subprocess.run([sys.executable, "-c", SUITE_LOADS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_suite_never_imports_numpy_random():
+    # the battery draws with random.Random; the first import of numpy.random
+    # alone raises a process's peak RSS by about 6 MB
+    script = ("import sys\nfrom gpdkit.cli import main\n"
+              "code = main(['--format', 'machine', 'suite'])\n"
+              "print('EXIT', code, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["RESULT ok", "EXIT 0 True False"]
 
 
 # -- fuzzing the command line -------------------------------------------------------

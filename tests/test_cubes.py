@@ -356,24 +356,78 @@ def test_seeded_draws_match_the_reference(model_name, request):
     )
 
 
+# per non-lid face, its edges shared with the other non-lid faces:
+# (edge, other face, the other face's edge)
+_FACE_SEAMS = {
+    "d3-": (("left", "d2-", "left"), ("right", "d2+", "left"), ("bottom", "d1+", "left")),
+    "d2-": (("left", "d3-", "left"), ("right", "d3+", "left"), ("bottom", "d1+", "top")),
+    "d1+": (("top", "d2-", "bottom"), ("left", "d3-", "bottom"), ("right", "d3+", "bottom"),
+            ("bottom", "d2+", "bottom")),
+    "d2+": (("left", "d3-", "right"), ("right", "d3+", "right"), ("bottom", "d1+", "bottom")),
+    "d3+": (("left", "d2-", "right"), ("right", "d2+", "right"), ("bottom", "d1+", "right")),
+}
+_DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
+
+
+def reference_fill(model, rng, cubes):
+    """Complete each cube, a dict of its given faces, slot-major: per face
+    in draw order, for every cube in turn, a pick among the squares whose
+    seams fit the faces placed so far; then every lid folded."""
+    for slot in _DRAW_ORDER:
+        for faces in cubes:
+            if slot not in faces:
+                fit = {e: getattr(faces[o], oe) for e, o, oe in _FACE_SEAMS[slot] if o in faces}
+                faces[slot] = _reference_pick(rng, model.squares_with(**fit))
+    for faces in cubes:
+        faces["d1-"] = grid_compose(fold_layout(faces))
+    return [make_cube(*(faces[slot] for slot in FACE_SLOTS)) for faces in cubes]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_criterion_8_draws_match_the_reference(seed, sq_s3):
-    """Criterion 8's rounds, drawn by the kernel, against the same loop of
-    object-level draws: the directions and both cubes of every round."""
+    """Criterion 8's rounds, drawn by the kernel, against the same steps
+    drawn object-level: every direction, then the first cubes face by face,
+    then per direction the second cubes face by face, pinned on the face
+    they share with the first (in direction 1, the first cube's lid)."""
     d, pairs = _s3_draws(CubeKernel(sq_s3), seed)
     rng = random.Random(seed)
-    want_d, want = [], []
-    for _ in range(1000):
-        want_d.append(e := rng.randrange(1, 4))
-        c1 = reference_random_commutative_cube(sq_s3, rng)
+    want_d = [rng.randrange(1, 4) for _ in range(1000)]
+    first = reference_fill(sq_s3, rng, [{} for _ in want_d])
+    want = [None] * len(want_d)
+    for e in (1, 2, 3):
+        rounds = [k for k, x in enumerate(want_d) if x == e]
         if e == 1:
-            fixed = ("d1+", c1.face("d1-"))
-            want.append((reference_random_commutative_cube(sq_s3, rng, fixed=fixed), c1))
+            second = reference_fill(sq_s3, rng, [{"d1+": first[k].face("d1-")} for k in rounds])
         else:
-            fixed = (f"d{e}-", c1.face(f"d{e}+"))
-            want.append((c1, reference_random_commutative_cube(sq_s3, rng, fixed=fixed)))
+            second = reference_fill(sq_s3, rng, [{f"d{e}-": first[k].face(f"d{e}+")}
+                                                 for k in rounds])
+        for k, c in zip(rounds, second):
+            want[k] = (c, first[k]) if e == 1 else (first[k], c)
     assert d.tolist() == want_d
     assert pairs.tolist() == [rows_of(sq_s3, cubes).tolist() for cubes in want]
+
+
+def test_a_batch_row_with_no_fitting_square_raises_as_the_object_draw_does(sq_s3):
+    # without the squares whose bottom is x, a base with left edge x leaves
+    # the front nothing to fit; the identity square leaves every face a fit
+    P = sq_s3.edges
+    x = next(a for a in sorted(P.arrows) if not P.is_identity(a))
+    hollow = replace(sq_s3, squares=tuple(s for s in sq_s3.squares if s.bottom != x))
+    stuck = next(s for s in hollow.squares if s.left == x)
+    free = identity_square(sq_s3.xm, "*")
+    k = CubeKernel(hollow)
+    for pins in ([free, stuck, free], [stuck]):
+        got, want = random.Random(2), random.Random(2)
+        rows = np.full((len(pins), 6), -1, np.intp)
+        rows[:, FACE_SLOTS.index("d1+")] = [hollow.index[s.key()] for s in pins]
+        with pytest.raises(PreconditionFailed, match="^no square matches the edge constraints$"):
+            k.fill(got, rows, ("d1+",))
+        with pytest.raises(PreconditionFailed, match="^no square matches the edge constraints$"):
+            reference_fill(hollow, want, [{"d1+": s} for s in pins])
+        # the rows before the empty one drew, as the object-level loop did
+        assert got.getstate() == want.getstate()
+    with pytest.raises(PreconditionFailed, match="^no square matches the edge constraints$"):
+        random_commutative_cube(hollow, random.Random(2), fixed=("d1+", stuck))
 
 
 def _outcome(compose, c1, c2, d):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +35,23 @@ def random_grid(model, rows, cols, rng):
             row.append(options[rng.randrange(len(options))])
         cells.append(tuple(row))
     return Grid(tuple(cells))
+
+
+def reference_grids(model, rng, count):
+    """``count`` 3x3 grids drawn one cell at a time across all of them: per
+    cell in row-major order, for every grid in turn, a pick among the
+    squares fitting the cells to its left and above."""
+    cells = [[[None] * 3 for _ in range(3)] for _ in range(count)]
+    for i, j in itertools.product(range(3), repeat=2):
+        for g in cells:
+            constraints = {}
+            if j > 0:
+                constraints["left"] = g[i][j - 1].right
+            if i > 0:
+                constraints["top"] = g[i - 1][j].bottom
+            options = model.squares_with(**constraints)
+            g[i][j] = options[rng.randrange(len(options))]
+    return [Grid(tuple(map(tuple, g))) for g in cells]
 
 
 def test_single_cell_grid(a3s3, a3s3_model):
@@ -114,8 +133,7 @@ def test_random_cuts_bracket_a_3x4_grid_by_their_seed(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_criterion_6_batch_matches_the_object_folds(seed):
     model = a3_s3_model()
-    rng = random.Random(seed)
-    objects = [random_grid(model, 3, 3, rng) for _ in range(500)]
+    objects = reference_grids(model, random.Random(seed), 500)
     drawn = _draw_grids(model, seed)
     assert drawn.tolist() == [[[model.index[c.key()] for c in row] for row in g.cells]
                               for g in objects]
@@ -126,6 +144,31 @@ def test_criterion_6_batch_matches_the_object_folds(seed):
                 grid_compose_bracketed(g, alternating_cut("h")),
                 grid_compose_bracketed(g, alternating_cut("v"))]
         assert folds[:, k].tolist() == [model.index[s.key()] for s in want]
+
+
+def test_a_grid_with_no_fitting_square_raises_as_the_object_draw_does(sq_s3, monkeypatch):
+    # without the squares whose left edge is x, a cell whose left neighbour
+    # has right edge x has nothing to fit
+    P = sq_s3.edges
+    x = next(a for a in sorted(P.arrows) if not P.is_identity(a))
+    hollow = replace(sq_s3, squares=tuple(s for s in sq_s3.squares if s.left != x))
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr("gpdkit.suite.random.Random", Recorded)
+    with pytest.raises(ValueError) as got:
+        _draw_grids(hollow, 0)
+    monkeypatch.undo()
+    want = random.Random(0)
+    with pytest.raises(ValueError) as raised:
+        reference_grids(hollow, want, 500)
+    assert str(got.value) == str(raised.value)
+    # the grids before the empty one drew, as the object-level loop did
+    assert made[0].getstate() == want.getstate()
 
 
 def test_criterion_6_fold_catches_doctored_tables(aut_c3_model, monkeypatch):
