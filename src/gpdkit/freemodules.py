@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .errors import BaseMismatch, SiteUndefined
 from .morphisms import GroupoidMorphism
 from .presentations import GroupoidPresentation
-from .words import Word, word_compose
+from .words import Word, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,13 @@ class ModuleElement:
         return ModuleElement(self.module, self.at, {k: n * c for k, c in self.terms.items()})
 
     def acted(self, w: Word) -> "ModuleElement":
-        """Right action by an arrow word ``w`` starting at this element's site."""
+        """Right action by an arrow word ``w`` starting at this element's site;
+        each term's path and ``w`` are reduced once, with no ``Word`` per term."""
         if w.base != self.at:
             raise BaseMismatch(f"action word starts at {w.base!r}, element sits at {self.at!r}")
         terms: dict[Term, int] = {}
         for (gen, letters), c in self.terms.items():
-            path = Word(self.module.site(gen), letters)
-            moved = word_compose(path, w)
-            key = (gen, moved.letters)
+            key = (gen, reduce_letters(letters + w.letters))
             terms[key] = terms.get(key, 0) + c
         return ModuleElement(self.module, w.end, terms)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import EndpointMismatch, InvalidMorphism, UndefinedGenerator
 from .finite import FiniteGroupoid
 from .presentations import GroupoidPresentation
-from .words import Word, free_reduce, word_inverse
+from .words import Word, inverse_letters, reduce_letters
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,21 +85,22 @@ def evaluate(m: GroupoidMorphism, w: Word):
     """Image of a word; a reduced word or an arrow depending on the codomain.
 
     Respects composition and inverses: the image of ``w1 * w2`` is the
-    composite of the images.
+    composite of the images.  Into a presentation, the whole word's image
+    letters are reduced once, into one ``Word``.
     """
     if w.base not in m.object_map:
         raise EndpointMismatch(f"word base {w.base!r} not in domain of {m.name}")
     for gen, _ in w.letters:
-        if gen.name not in m.gen_map:
-            raise UndefinedGenerator(f"{m.name}: {gen.name} has no image")
+        if gen not in m.domain.generators:
+            raise UndefinedGenerator(f"{m.name}: {gen} is not a generator of {m.domain.name}")
     cod = m.codomain
     if isinstance(cod, FiniteGroupoid):
         return _arrow(cod, m.object_map, m.gen_map, w)
-    out = Word(m.object_map[w.base], ())
+    letters = []
     for gen, exp in w.letters:
-        image = m.gen_map[gen.name]
-        out = out * (image if exp == 1 else word_inverse(image))
-    return free_reduce(out)
+        image = m.gen_map[gen.name].letters
+        letters += image if exp == 1 else inverse_letters(image)
+    return Word(m.object_map[w.base], reduce_letters(letters))
 
 
 def _arrow(f: FiniteGroupoid, object_map: dict[str, str], gen_map: dict[str, str],

@@ -95,7 +95,9 @@ def _walk(p: GroupoidPresentation, start: str, gens) -> dict[str, Word]:
 
     Breadth first, one level at a time: a level's objects in name order, at
     each object its incident generators in name order, taken +1 at their
-    source and -1 at their target.  The first word to reach an object wins.
+    source and -1 at their target.  The first word to reach an object wins;
+    it extends its parent's word by one letter that cannot cancel (it leads
+    to an object not yet reached), so each word is built once, reduced.
     """
     steps: dict[str, list] = {o: [] for o in p.objects}
     for g in sorted(gens, key=lambda g: g.name):
@@ -108,7 +110,7 @@ def _walk(p: GroupoidPresentation, start: str, gens) -> dict[str, Word]:
         for v in sorted(level):
             for g, exp, other in steps[v]:
                 if other not in words:
-                    words[other] = words[v] * Word(v, ((g, exp),))
+                    words[other] = Word(start, words[v].letters + ((g, exp),))
                     reached.append(other)
         level = reached
     return words

@@ -443,17 +443,8 @@ def criterion_12_free_module(seed: int = 0) -> Report:
         r.fail(f"induced module has rank {ind.rank()}")
     # action laws on all elements with coefficient words of length <= 3
     tw = generator_word(t)
-    words = [Word("*", ())]
-    frontier = [Word("*", ())]
-    for _ in range(3):
-        nxt = []
-        for w in frontier:
-            for exp in (1, -1):
-                w2 = w * Word("*", ((t, exp),))
-                if w2 not in words:
-                    words.append(w2)
-                    nxt.append(w2)
-        frontier = nxt
+    # every reduced word of length <= 3, shortest first: id, t, t^-1, t.t, ...
+    words = [Word("*", ((t, exp),) * n) for n in range(4) for exp in (1, -1)][1:]
     x = ind.basis_element("x")
     elements = [x.acted(w) for w in words]
     checked = 0

@@ -21,7 +21,7 @@ from .morphisms import (
     evaluate,
 )
 from .presentations import GroupoidPresentation, _components, spanning_tree, tree_paths
-from .words import ArrowGen, Word, generator_word, reduce_letters
+from .words import ArrowGen, Word, generator_word, inverse_letters, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def vertex_group(p: GroupoidPresentation, base: str, tree=None,
     for lhs, rhs in p.relations:
         if lhs.base not in component:
             continue
-        rel = reduce_letters(retract(lhs) + tuple((g, -e) for g, e in reversed(retract(rhs))))
+        rel = reduce_letters(retract(lhs) + inverse_letters(retract(rhs)))
         if rel:
             relators.append(rel)
     return GroupPresentation(

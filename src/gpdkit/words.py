@@ -110,14 +110,19 @@ def reduce_letters(letters) -> tuple:
 
 
 def word_compose(w1: Word, w2: Word) -> Word:
-    """Concatenate two words and freely reduce the result."""
+    """Concatenate two words and reduce the letters once, into one ``Word``."""
     if w1.end != w2.base:
         raise EndpointMismatch(
             f"cannot compose: {w1} ends at {w1.end}, {w2} starts at {w2.base}"
         )
-    return free_reduce(Word(w1.base, w1.letters + w2.letters))
+    return Word(w1.base, reduce_letters(w1.letters + w2.letters))
+
+
+def inverse_letters(letters) -> tuple:
+    """Reverse the letters and flip every exponent; any labels will do."""
+    return tuple((gen, -exp) for gen, exp in reversed(letters))
 
 
 def word_inverse(w: Word) -> Word:
     """Reverse the letters and flip every exponent."""
-    return Word(w.end, tuple((gen, -exp) for gen, exp in reversed(w.letters)))
+    return Word(w.end, inverse_letters(w.letters))

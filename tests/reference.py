@@ -7,7 +7,12 @@ dicts, one ``Report.count()`` per check.  ``tests/test_reference.py``
 requires both to give the same counts, the same violations in the same
 order, and the same exception.  ``reference_lambda_keys`` is the name-walking
 square enumeration that ``gpdkit.dgt.lambda_functor`` replaced with integer
-words.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
+words.  ``reference_components``, ``reference_spanning_tree`` and
+``reference_tree_paths`` are the three breadth-first searches that
+``gpdkit.presentations._walk`` replaced.  ``reference_evaluate`` and
+``reference_acted`` are the letter-by-letter folds that ``evaluate`` and
+``ModuleElement.acted`` replaced: one composite ``Word`` per letter or per
+term, each reduced as it is built.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
 ``interchange_check`` evaluates one 2x2 arrangement both ways, ``random_cut``
 is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
 ``induce_element`` pushes a module element along a morphism,
@@ -17,11 +22,12 @@ structures on one carrier.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from gpdkit.crossed import CrossedModuleData
 from gpdkit.eckmann import Table
-from gpdkit.errors import EdgeMismatch
+from gpdkit.errors import BaseNotInComponent, Disconnected, EdgeMismatch, TreeInvalid
 from gpdkit.finite import FiniteGroup, FiniteGroupoid
 from gpdkit.freemodules import FreeModule, ModuleElement, Term
 from gpdkit.morphisms import GroupoidMorphism, evaluate
@@ -29,7 +35,7 @@ from gpdkit.presentations import GroupoidPresentation
 from gpdkit.report import Report
 from gpdkit.squares import Square, comp_h, comp_v
 from gpdkit.vkt import morphism_count
-from gpdkit.words import Word, free_reduce, generator_word
+from gpdkit.words import Word, free_reduce, generator_word, word_compose, word_inverse
 
 
 def _repeats(report: Report, kind: str, names) -> None:
@@ -237,6 +243,114 @@ def reference_lambda_keys(x: CrossedModuleData) -> list[tuple]:
                     for elt in preimage[z].get(word, ()):
                         keys.append((elt, top, right, bottom, left))
     return sorted(keys)
+
+
+# -- reference: three separate breadth-first searches ---------------------------
+
+def reference_components(p):
+    adjacency = {o: set() for o in p.objects}
+    for g in p.generators:
+        adjacency[g.src].add(g.dst)
+        adjacency[g.dst].add(g.src)
+    seen = set()
+    comps = []
+    for start in p.sorted_objects():
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adjacency[v]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def reference_spanning_tree(p):
+    comps = reference_components(p)
+    if len(comps) > 1:
+        raise Disconnected(comps)
+    incident = {o: [] for o in p.objects}
+    for g in p.sorted_generators():
+        incident[g.src].append(g)
+        incident[g.dst].append(g)
+    root = p.sorted_objects()[0]
+    visited = {root}
+    tree = set()
+    frontier = [root]
+    while frontier:
+        next_frontier = []
+        for v in sorted(frontier):
+            for g in incident[v]:
+                other = g.dst if g.src == v else g.src
+                if other not in visited:
+                    visited.add(other)
+                    tree.add(g)
+                    next_frontier.append(other)
+        frontier = next_frontier
+    return tree
+
+
+def reference_tree_paths(p, base, tree):
+    if base not in p.objects:
+        raise BaseNotInComponent(f"object {base!r} not in presentation {p.name}")
+    gens = set(p.generators)
+    for g in tree:
+        if g not in gens:
+            raise TreeInvalid(f"edge {g.name} is not a generator of {p.name}")
+    component = next(c for c in reference_components(p) if base in c)
+    incident = {o: [] for o in p.objects}
+    for g in sorted(tree, key=lambda g: g.name):
+        incident[g.src].append(g)
+        incident[g.dst].append(g)
+    paths = {base: Word(base, ())}
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        for g in incident[v]:
+            other = g.dst if g.src == v else g.src
+            exp = 1 if g.src == v else -1
+            if other in paths:
+                continue
+            paths[other] = paths[v] * Word(v, ((g, exp),))
+            queue.append(other)
+    if set(paths) != component:
+        raise TreeInvalid(
+            f"tree does not span the component of {base!r}: "
+            f"missing {sorted(component - set(paths))}"
+        )
+    if len(tree) != len(component) - 1:
+        raise TreeInvalid(
+            f"{len(tree)} edges cannot be a tree on {len(component)} objects"
+        )
+    return paths
+
+
+# -- reference: the letter-by-letter folds -----------------------------------------
+
+def reference_evaluate(m: GroupoidMorphism, w: Word) -> Word:
+    """Image of ``w`` under a morphism into a presentation: each letter's
+    image (its inverse for a -1 letter) composed onto the word so far."""
+    out = Word(m.object_map[w.base], ())
+    for gen, exp in w.letters:
+        image = m.gen_map[gen.name]
+        out = out * (image if exp == 1 else word_inverse(image))
+    return free_reduce(out)
+
+
+def reference_acted(e: ModuleElement, w: Word) -> ModuleElement:
+    """Right action of ``w`` on ``e``: each term's path as a ``Word`` at its
+    generator's site, composed with ``w``."""
+    terms: dict[Term, int] = {}
+    for (gen, letters), c in e.terms.items():
+        moved = word_compose(Word(e.module.site(gen), letters), w)
+        key = (gen, moved.letters)
+        terms[key] = terms.get(key, 0) + c
+    return ModuleElement(e.module, w.end, terms)
 
 
 def disjoint_union(f1: FiniteGroupoid, f2: FiniteGroupoid, name: str | None = None) -> FiniteGroupoid:

@@ -23,9 +23,28 @@ HERE = Path(__file__).resolve().parents[1]
 DATA = HERE / "src" / "gpdkit" / "data"
 SEEDS = (0, 1, 5)
 AUT_S3 = "group s3 = symmetric(3)\nxmod auts3 = autxmod(s3)\n"
+# circle.vk's pushout as a workspace block with its two cocone legs, to
+# append to circle.vk for a named candidate; tests/test_cli.py fills
+# {extra} with one more generator for a candidate that must fail
+CIRCLE_CANDIDATE = """
+groupoid po
+objects: 0 1
+gen a: 0 -> 1
+gen b: 0 -> 1{extra}
+
+morphism inl: arc1 -> po
+obj 0 -> 0
+obj 1 -> 1
+gen a -> a
+
+morphism inr: arc2 -> po
+obj 0 -> 0
+obj 1 -> 1
+gen b -> b
+"""
 
 
-def commands(aut_s3: Path) -> list[list[str]]:
+def commands(aut_s3: Path, candidate: Path) -> list[list[str]]:
     """The vk argument lists compared, after ``--format machine``."""
     out = [["--seed", str(s), "suite"] for s in SEEDS]
     for path in sorted(DATA.glob("*.vk")):
@@ -39,6 +58,9 @@ def commands(aut_s3: Path) -> list[list[str]]:
     for path, base in ((circle, "0"), (wedge, "p")):
         out += [["pushout", path], ["check-universal", path], ["count-morphisms", path]]
         out += [["vertex-group", path, "--base", base, *raw] for raw in ((), ("--raw",))]
+    out += [["vertex-group", circle, "--base", "0", "--tree", "a"],
+            ["check-universal", str(candidate), "--span", "circle", "--candidate", "po",
+             "--candidate-left", "inl", "--candidate-right", "inr"]]
     out += [["count-morphisms", disk, "--presentation", name] for name in ("interval", "cinf")]
     out += [["eh-scan", "--max-size", "3"],
             ["induce", disk, "--module", "disk", "--morphism", "wrap"],
@@ -66,7 +88,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         aut_s3 = Path(tmp) / "auts3.vk"
         aut_s3.write_text(AUT_S3)
-        cmds = commands(aut_s3)
+        candidate = Path(tmp) / "candidate.vk"
+        candidate.write_text((DATA / "circle.vk").read_text() + CIRCLE_CANDIDATE.format(extra=""))
+        cmds = commands(aut_s3, candidate)
         for k, cmd in enumerate(cmds, 1):
             ours, theirs = run(HERE, cmd), run(other, cmd)
             shown = " ".join(cmd).replace(str(HERE) + "/", "").replace(tmp + "/", "")

@@ -15,7 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from gpdkit import cli
 from gpdkit.cli import main
+from gpdkit.freemodules import FreeModule, ModuleElement, induce_free_module
+from gpdkit.morphisms import GroupoidMorphism
+from gpdkit.presentations import GroupoidPresentation
 from gpdkit.report import Report
+from gpdkit.suite import CRITERIA, circle_span
+from gpdkit.vkt import Pushout, Span, pushout as vkt_pushout
+from gpdkit.words import ArrowGen
+from same_output import CIRCLE_CANDIDATE
 from test_dgt import loop_interchange, pasted_pairs, with_swapped_filler
 from test_textfmt import _BUNDLED, edited_workspace
 
@@ -263,25 +270,6 @@ def test_golden_machine_outputs(capsys):
         capsys,
     )
     assert code == 0 and out == GOLDEN_VERTEX_GROUP
-
-
-# circle.vk's pushout as a workspace block, with its two cocone legs
-CIRCLE_CANDIDATE = """
-groupoid po
-objects: 0 1
-gen a: 0 -> 1
-gen b: 0 -> 1{extra}
-
-morphism inl: arc1 -> po
-obj 0 -> 0
-obj 1 -> 1
-gen a -> a
-
-morphism inr: arc2 -> po
-obj 0 -> 0
-obj 1 -> 1
-gen b -> b
-"""
 
 
 @pytest.mark.parametrize("extra, code, tail", [
@@ -564,25 +552,26 @@ def test_suite_rejects_unknown_or_empty_selection(capsys, selection, witness):
     assert out.rstrip().endswith("RESULT fail")
 
 
-# -- criterion 4's verdict sites, each reached by a planted fault -------------
+# -- verdict sites of criteria 1, 2, 4 and 12, each reached by a planted fault --
 
-def failed_criterion_4(capsys):
-    """The witnesses of a ``vk suite --criteria 4`` run that must fail."""
-    code, out = run_cli(["--format", "machine", "suite", "--criteria", "4"], capsys)
+def failed_criterion(capsys, key):
+    """The witnesses of a ``vk suite --criteria <key>`` run that must fail."""
+    code, out = run_cli(["--format", "machine", "suite", "--criteria", key], capsys)
     lines = out.splitlines()
     assert code == 1 and lines[-1] == "RESULT fail"
-    assert "DATA CRITERION 4 FAIL exhaustive interchange plus corrupted control" in lines
+    blurb = next(b for k, _, b in CRITERIA if k == key)
+    assert f"DATA CRITERION {key} FAIL {blurb}" in lines
     return [line for line in lines if line.startswith("WITNESS")]
 
 
 def test_criterion_4_fails_on_a_model_of_another_size(capsys, monkeypatch, aut_c3_model):
     monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: aut_c3_model)
-    assert failed_criterion_4(capsys) == ["WITNESS criterion 4: expected 648 squares, got 24"]
+    assert failed_criterion(capsys, "4") == ["WITNESS criterion 4: expected 648 squares, got 24"]
 
 
 def test_criterion_4_fails_where_the_sweep_misses_the_edge_count(capsys, monkeypatch):
     monkeypatch.setattr("gpdkit.dgt.count_compatible_quadruples", lambda model: 136_048_897)
-    assert failed_criterion_4(capsys) == [
+    assert failed_criterion(capsys, "4") == [
         "WITNESS criterion 4: sweep covered 136048896 quadruples, edge count says 136048897"]
 
 
@@ -595,7 +584,7 @@ def test_criterion_4_fails_on_a_swapped_filler(capsys, monkeypatch, aut_c3_model
     _, bad, first = loop_interchange(mutant, mutant.tables().H, mutant.tables().V)
     assert bad > 0
     monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: mutant)
-    assert failed_criterion_4(capsys) == [
+    assert failed_criterion(capsys, "4") == [
         "WITNESS criterion 4: expected 648 squares, got 24",
         f"WITNESS criterion 4: {bad} interchange violations, first {first}"]
 
@@ -604,9 +593,74 @@ def test_criterion_4_fails_where_the_corrupted_control_finds_nothing(capsys, mon
     # on C2 the action is trivial, so the unconjugated pasting is the real
     # one; its 8 squares keep the object-level scan far below its limit
     monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: sq_c2)
-    assert failed_criterion_4(capsys) == [
+    assert failed_criterion(capsys, "4") == [
         "WITNESS criterion 4: expected 648 squares, got 8",
         "WITNESS criterion 4: corrupted composition produced no counterexample"]
+
+
+def circle_span_with_a_second_arc():
+    """``suite.circle_span`` with one more generator, c: 0 -> 1, in arc1."""
+    span = circle_span()
+    arc1 = span.left.codomain
+    arc1 = GroupoidPresentation(arc1.name, arc1.objects, arc1.generators + (ArrowGen("c", "0", "1"),))
+    return Span(span.apex, GroupoidMorphism("arc1_leg", span.apex, arc1, {"0": "0", "1": "1"}, {}),
+                span.right)
+
+
+def test_criterion_1_fails_on_a_circle_with_a_second_arc(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.suite.circle_span", circle_span_with_a_second_arc)
+    assert failed_criterion(capsys, "1") == [
+        "WITNESS criterion 1: expected one free generator, got ⟨x_b, x_c | ⟩"]
+
+
+def test_criterion_2_fails_on_a_circle_with_a_second_arc(capsys, monkeypatch):
+    # the pushout of the planted span is still universal, with 6^3 morphisms
+    monkeypatch.setattr("gpdkit.suite.circle_span", circle_span_with_a_second_arc)
+    assert failed_criterion(capsys, "2") == [
+        "WITNESS criterion 2: expected 36 = 36 against the six-element symmetric group"]
+
+
+def test_criterion_2_fails_on_a_candidate_with_an_extra_generator(capsys, monkeypatch):
+    # the candidate gains c: 0 -> 1 that no cocone constrains
+    def candidate(span, name=None):
+        po = vkt_pushout(span, name=name)
+        p = po.presentation
+        out = GroupoidPresentation(p.name, p.objects, p.generators + (ArrowGen("c", "0", "1"),))
+        onto = lambda m: GroupoidMorphism(m.name, m.domain, out, m.object_map, m.gen_map)  # noqa: E731
+        return Pushout(out, onto(po.left_inclusion), onto(po.right_inclusion))
+
+    monkeypatch.setattr("gpdkit.vkt.pushout", candidate)
+    assert failed_criterion(capsys, "2") == [
+        "WITNESS criterion 2: c2: universal property FAIL: 8 morphisms vs 4 compatible cocones",
+        "WITNESS criterion 2: c3: universal property FAIL: 27 morphisms vs 9 compatible cocones",
+        "WITNESS criterion 2: s3: universal property FAIL: 216 morphisms vs 36 compatible cocones",
+        "WITNESS criterion 2: expected 36 = 36 against the six-element symmetric group"]
+
+
+def test_criterion_12_fails_where_paths_stop_cancelling(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.freemodules.reduce_letters", tuple)
+    # each of the seven elements fails 18 of its 49 word pairs, then t.t^-1
+    witnesses = failed_criterion(capsys, "12")
+    assert len(witnesses) == 7 * 19
+    assert witnesses[0] == "WITNESS criterion 12: action not functorial on x with t, t^-1"
+    assert witnesses[18::19] == [
+        f"WITNESS criterion 12: action by t not undone by t^-1 on {e}"
+        for e in ("x", "x·t", "x·t^-1", "x·t.t", "x·t^-1.t^-1", "x·t.t.t", "x·t^-1.t^-1.t^-1")]
+
+
+def test_criterion_12_fails_on_an_induced_module_of_rank_two(capsys, monkeypatch):
+    def induce(m, f, name=None):
+        ind = induce_free_module(m, f, name)
+        return FreeModule(ind.name, ind.base, ind.generators + (("y", ind.generators[0][1]),))
+
+    monkeypatch.setattr("gpdkit.freemodules.induce_free_module", induce)
+    assert failed_criterion(capsys, "12") == ["WITNESS criterion 12: induced module has rank 2"]
+
+
+def test_criterion_12_fails_where_subtraction_adds(capsys, monkeypatch):
+    monkeypatch.setattr(ModuleElement, "__sub__", ModuleElement.__add__)
+    assert failed_criterion(capsys, "12") == [
+        "WITNESS criterion 12: coefficient arithmetic broke on (2t-1)x + (1-t)x"]
 
 
 def test_xmod_gamma_fails_where_no_isomorphism_is_found(capsys, monkeypatch):

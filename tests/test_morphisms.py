@@ -216,6 +216,11 @@ def test_evaluate_unknown_generator():
     iv = interval_groupoid()
     s3 = group_as_groupoid(symmetric_group(3), name="s3")
     m = GroupoidMorphism("m", iv, s3, {"0": "*", "1": "*"}, {"i": "(12)"})
-    foreign = ArrowGen("zz", "0", "0")
-    with pytest.raises(UndefinedGenerator):
-        evaluate(m, Word("0", ((foreign, 1),)))
+    t = ArrowGen("t", "p", "p")
+    wrap = GroupoidMorphism("wrap", iv, GroupoidPresentation("cinf", ("p",), (t,)),
+                            {"0": "p", "1": "p"}, {"i": Word("p", ((t, 1),))})
+    # an unknown name, and i's name on other endpoints: i.i^-1 would cancel
+    for foreign in (ArrowGen("zz", "0", "0"), ArrowGen("i", "1", "1")):
+        for f in (m, wrap):
+            with pytest.raises(UndefinedGenerator, match=f"{foreign} is not a generator of interval"):
+                evaluate(f, Word(foreign.src, ((foreign, 1), (foreign, -1))))

@@ -1,5 +1,3 @@
-from collections import deque
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +17,8 @@ from gpdkit.presentations import (
     tree_paths,
 )
 from gpdkit.words import ArrowGen, Word, free_reduce
+
+from reference import reference_components, reference_spanning_tree, reference_tree_paths
 
 
 def circle():
@@ -111,91 +111,6 @@ def test_tree_paths_and_validation():
         tree_paths(c, "7", {a})
     with pytest.raises(TreeInvalid):
         tree_paths(c, "0", {ArrowGen("zz", "0", "1")})
-
-
-# -- reference: three separate breadth-first searches ---------------------------
-
-def reference_components(p):
-    adjacency = {o: set() for o in p.objects}
-    for g in p.generators:
-        adjacency[g.src].add(g.dst)
-        adjacency[g.dst].add(g.src)
-    seen = set()
-    comps = []
-    for start in p.sorted_objects():
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def reference_spanning_tree(p):
-    comps = reference_components(p)
-    if len(comps) > 1:
-        raise Disconnected(comps)
-    incident = {o: [] for o in p.objects}
-    for g in p.sorted_generators():
-        incident[g.src].append(g)
-        incident[g.dst].append(g)
-    root = p.sorted_objects()[0]
-    visited = {root}
-    tree = set()
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for v in sorted(frontier):
-            for g in incident[v]:
-                other = g.dst if g.src == v else g.src
-                if other not in visited:
-                    visited.add(other)
-                    tree.add(g)
-                    next_frontier.append(other)
-        frontier = next_frontier
-    return tree
-
-
-def reference_tree_paths(p, base, tree):
-    if base not in p.objects:
-        raise BaseNotInComponent(f"object {base!r} not in presentation {p.name}")
-    gens = set(p.generators)
-    for g in tree:
-        if g not in gens:
-            raise TreeInvalid(f"edge {g.name} is not a generator of {p.name}")
-    component = next(c for c in reference_components(p) if base in c)
-    incident = {o: [] for o in p.objects}
-    for g in sorted(tree, key=lambda g: g.name):
-        incident[g.src].append(g)
-        incident[g.dst].append(g)
-    paths = {base: Word(base, ())}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for g in incident[v]:
-            other = g.dst if g.src == v else g.src
-            exp = 1 if g.src == v else -1
-            if other in paths:
-                continue
-            paths[other] = paths[v] * Word(v, ((g, exp),))
-            queue.append(other)
-    if set(paths) != component:
-        raise TreeInvalid(
-            f"tree does not span the component of {base!r}: "
-            f"missing {sorted(component - set(paths))}"
-        )
-    if len(tree) != len(component) - 1:
-        raise TreeInvalid(
-            f"{len(tree)} edges cannot be a tree on {len(component)} objects"
-        )
-    return paths
 
 
 def outcome(fn, *args):
