@@ -443,7 +443,7 @@ def criterion_12_free_module(seed: int = 0) -> Report:
         r.fail(f"induced module has rank {ind.rank()}")
     # action laws on all elements with coefficient words of length <= 3
     tw = generator_word(t)
-    # every reduced word of length <= 3, shortest first: id, t, t^-1, t.t, ...
+    # the reduced words of length <= 3, shortest first; n = 0 gives id twice
     words = [Word("*", ((t, exp),) * n) for n in range(4) for exp in (1, -1)][1:]
     x = ind.basis_element("x")
     elements = [x.acted(w) for w in words]

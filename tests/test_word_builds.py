@@ -160,19 +160,18 @@ CIRCLE = next(p for p in PRESENTATIONS if p.name == "circle")
 
 
 def letters(p, text):
-    """``"a.b^-1"`` as letters of ``p``."""
+    """``"a.b^-1"`` as letters of ``p``; ``""`` as none."""
     out = []
-    for part in text.split("."):
+    for part in filter(None, text.split(".")):
         name, _, inv = part.partition("^")
         out.append((p.generator(name), -1 if inv else 1))
     return tuple(out)
 
 
 def test_a_composite_is_one_word(builds):
-    x = lambda text: Word("p", letters(WEDGE, text))  # noqa: E731
-    for w1, w2 in [(x("x"), x("y")), (x("x.y"), x("y^-1.x^-1")), (x("x.y"), x("y^-1.x")),
-                   (Word("p", ()), x("x")), (x("y^-1"), Word("p", ()))]:
-        product, n = builds(lambda: w1 * w2)
+    for t1, t2 in [("x", "y"), ("x.y", "y^-1.x^-1"), ("x.y", "y^-1.x"), ("", "x"), ("y^-1", "")]:
+        w1, w2 = Word("p", letters(WEDGE, t1)), Word("p", letters(WEDGE, t2))
+        product, n = builds(w1.__mul__, w2)
         assert (product, n) == (free_reduce(Word("p", w1.letters + w2.letters)), 1)
 
 
