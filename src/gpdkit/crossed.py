@@ -10,7 +10,10 @@ M(s) per object, a boundary mu: M(s) -> P(s, s), and a right action
 and both are checked by plain enumeration, since everything is a table.
 
 ``sweep_crossed_module`` checks them on the module's one integer encoding
-(``EncodedXmod``), which ``dgt.lambda_functor`` and ``dgt.SquareCode`` read.
+(``EncodedXmod``), which ``dgt.lambda_functor`` and ``dgt.SquareCode`` read,
+in two steps: ``sweep_parts`` proves the base and the fibers, and
+``sweep_mu_and_action`` checks mu, the action, CM1 and CM2 over their
+encodings, all that a copy with another action needs.
 """
 
 import itertools
@@ -83,20 +86,22 @@ def validate_crossed_module(x: CrossedModuleData) -> Report:
 
 def sweep_crossed_module(x: CrossedModuleData) -> tuple[Report, EncodedXmod | None]:
     """Sweep every axiom; each failure is reported with a witness triple.
-    Return the report and, once it is ok, the module's encoding.
+    Return the report and, once it is ok, the module's encoding."""
+    report, parts = sweep_parts(x)
+    return (report, None) if parts is None else sweep_mu_and_action(x, *parts)
 
-    The sweeps read the integer encodings of the base and the fibers, with
-    the boundary and the action as int lists over them (-1 for an entry
-    that is missing or foreign); names are read back only for a witness."""
+
+def sweep_parts(x: CrossedModuleData) -> tuple[Report, tuple[Encoded, list[Encoded]] | None]:
+    """Sweep the base and each fiber.  Return the report and, once it is ok,
+    the base's encoding and the fibers' at each object position."""
     report = Report(f"xmod {x.name}")
     base_report, P = sweep_groupoid(x.base)
     if not base_report.ok:
         for v in base_report.violations:
             report.fail("base-" + v.law, v.witness)
         return report, None
-    objects, arrows, rows = x.base.objects, P.names, P.rows
-    M = [None] * len(objects)  # the fiber's encoding at each object position
-    for s in objects:
+    M = [None] * len(x.base.objects)  # the fiber's encoding at each object position
+    for s in x.base.objects:
         if s not in x.fibers:
             report.fail("fibers", f"no fiber at object {s!r}")
             return report, None
@@ -105,6 +110,16 @@ def sweep_crossed_module(x: CrossedModuleData) -> tuple[Report, EncodedXmod | No
             for v in fib.violations:
                 report.fail("fiber-" + v.law, f"at {s!r}: {v.witness}")
             return report, None
+    return report, (P, M)
+
+
+def sweep_mu_and_action(x: CrossedModuleData, P: Encoded, M: list) -> tuple[Report, EncodedXmod | None]:
+    """Sweep mu, the action, CM1 and CM2 of ``x`` as int lists over the
+    encodings ``sweep_parts`` proved for its base and fibers (-1 for an entry
+    that is missing or foreign); names are read back only for a witness.
+    Return the report and, once it is ok, the module's encoding."""
+    report = Report(f"xmod {x.name}")
+    objects, arrows, rows = x.base.objects, P.names, P.rows
 
     # mu lands in vertex groups and is a homomorphism per object
     mu = [None] * len(objects)  # mu[o][m]: the arrow mu(m) at object position o
@@ -129,75 +144,64 @@ def sweep_crossed_module(x: CrossedModuleData) -> tuple[Report, EncodedXmod | No
 
     # action totality and typing; act[p][m]: the position of m^p in M(dst p)
     act = []
-    checks = 0
     for i, p in enumerate(arrows):
         F, t = M[P.src[i]], objects[P.dst[i]]
         index = M[P.dst[i]].index
         ap = [index.get(x.action.get((m, p)), -1) for m in F.names]
         act.append(ap)
-        checks += len(ap)
+        report.count(len(ap))
         if -1 in ap:
             for k, m in enumerate(F.names):
                 if ap[k] < 0:
                     report.fail("action-typing", f"{m}^{p} missing or outside M({t!r})")
-    report.count(checks)
     if report.violations:
         return report, None
 
     # action laws: identity, composition, multiplicativity
-    checks = 0
     for s in objects:
         F = M[P.obj_index[s]]
         ae = act[P.unit[P.obj_index[s]]]
-        checks += len(ae)
+        report.count(len(ae))
         for k, m in enumerate(F.names):
             if ae[k] != k:
                 report.fail("action-identity", f"{m}^id != {m} at {s!r}")
-    report.count(checks)
-    checks = 0
     for i, p in enumerate(arrows):
         ap, names = act[i], M[P.src[i]].names
+        report.count(len(ap) * len(P.after[i]))
         for j in P.after[i]:
             apq, aq = act[rows[i][j]], act[j]
-            checks += len(ap)
             if [aq[mp] for mp in ap] != apq:
                 q = arrows[j]
                 for k, m in enumerate(names):
                     if aq[ap[k]] != apq[k]:
                         report.fail("action-composition", f"({m}^{p})^{q} != {m}^({p}{q})")
-    report.count(checks)
-    checks = 0
     for i, p in enumerate(arrows):
         F, T, ap = M[P.src[i]], M[P.dst[i]], act[i]
-        checks += len(ap) ** 2
+        report.count(len(ap) ** 2)
         for k, m in enumerate(F.names):
             row = T.rows[ap[k]]
             if [ap[mn] for mn in F.rows[k]] != [row[b] for b in ap]:
                 for l, n in enumerate(F.names):
                     if ap[F.rows[k][l]] != row[ap[l]]:
                         report.fail("action-multiplicative", f"({m}{n})^{p} != {m}^{p} {n}^{p}")
-    report.count(checks)
 
     # CM1: mu(m^p) = p^-1 mu(m) p
-    checks = 0
     for i, p in enumerate(arrows):
         F, ap = M[P.src[i]], act[i]
         mu_s, mu_t, back = mu[P.src[i]], mu[P.dst[i]], rows[P.inv[i]]
-        checks += len(ap)
+        report.count(len(ap))
         lhs = [mu_t[mp] for mp in ap]
         rhs = [rows[back[a]][i] for a in mu_s]
         if lhs != rhs:
             for k, m in enumerate(F.names):
                 if lhs[k] != rhs[k]:
                     report.fail("CM1", f"mu({m}^{p}) = {arrows[lhs[k]]} but p^-1 mu({m}) p = {arrows[rhs[k]]}")
-    report.count(checks)
 
     # CM2: n^-1 m n = m^(mu n)
-    checks = 0
     for s in objects:
         F = M[P.obj_index[s]]
         mu_s, frows = mu[P.obj_index[s]], F.rows
-        checks += len(F.names) ** 2
+        report.count(len(F.names) ** 2)
         by_mu = [act[a] for a in mu_s]  # by_mu[n]: the action of mu(n)
         for k, m in enumerate(F.names):
             lhs = [frows[frows[F.inv[l]][k]][l] for l in range(len(F.names))]
@@ -207,7 +211,6 @@ def sweep_crossed_module(x: CrossedModuleData) -> tuple[Report, EncodedXmod | No
                     if lhs[l] != rhs[l]:
                         report.fail("CM2", f"n^-1 m n = {F.names[lhs[l]]} but {m}^mu({n}) = "
                                            f"{F.names[rhs[l]]}  (m={m}, n={n})")
-    report.count(checks)
     if report.violations:
         return report, None
     start, size = [0] * len(objects), 0

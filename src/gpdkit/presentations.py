@@ -151,16 +151,17 @@ def tree_paths(p: GroupoidPresentation, base: str, tree: set[ArrowGen]) -> dict[
     for g in tree:
         if g not in gens:
             raise TreeInvalid(f"edge {g.name} is not a generator of {p.name}")
-    component = set(_walk(p, base, p.generators))
     paths = _walk(p, base, tree)
-    if set(paths) != component:
+    # the tree spans the component when no generator leaves what it reaches
+    if any((g.src in paths) != (g.dst in paths) for g in p.generators):
+        component = set(_walk(p, base, p.generators))
         raise TreeInvalid(
             f"tree does not span the component of {base!r}: "
             f"missing {sorted(component - set(paths))}"
         )
     # n - 1 edges on n reached objects rules out cycles and stray edges.
-    if len(tree) != len(component) - 1:
+    if len(tree) != len(paths) - 1:
         raise TreeInvalid(
-            f"{len(tree)} edges cannot be a tree on {len(component)} objects"
+            f"{len(tree)} edges cannot be a tree on {len(paths)} objects"
         )
     return paths

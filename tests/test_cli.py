@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from gpdkit import cli
 from gpdkit.cli import main
+from gpdkit.crossed import perturb_action_entry
+from gpdkit.dgt import gamma
+from gpdkit.errors import PreconditionFailed
 from gpdkit.freemodules import FreeModule, ModuleElement, induce_free_module
 from gpdkit.morphisms import GroupoidMorphism
 from gpdkit.presentations import GroupoidPresentation
 from gpdkit.report import Report
-from gpdkit.suite import CRITERIA, circle_span
+from gpdkit.suite import CRITERIA, a3_s3_xmod, circle_span, criterion_3_crossed_modules
 from gpdkit.vkt import Pushout, Span, pushout as vkt_pushout
 from gpdkit.words import ArrowGen
 from same_output import CIRCLE_CANDIDATE
@@ -562,6 +566,65 @@ def failed_criterion(capsys, key):
     blurb = next(b for k, _, b in CRITERIA if k == key)
     assert f"DATA CRITERION {key} FAIL {blurb}" in lines
     return [line for line in lines if line.startswith("WITNESS")]
+
+
+def test_criterion_3_fails_where_perturbing_changes_nothing(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.crossed.perturb_action_entry", lambda x, rng: x)
+    assert failed_criterion(capsys, "3") == ["WITNESS criterion 3: only 0/50 action perturbations detected"]
+
+
+def test_criterion_3_fails_on_a_module_with_a_flipped_action_entry(capsys, monkeypatch):
+    # the perturbations reuse this module's own proof of its base and fiber;
+    # two of them (seeds 0 and 41) flip the broken entry back
+    monkeypatch.setattr("gpdkit.suite.a3_s3_xmod",
+                        lambda: replace(perturb_action_entry(a3_s3_xmod(), random.Random(0)), name="a3s3"))
+    assert failed_criterion(capsys, "3") == [
+        "WITNESS criterion 3: a3s3: action-composition: (e^(12))^(12) != e^((12)(12))",
+        "WITNESS criterion 3: only 48/50 action perturbations detected"]
+
+
+def test_criterion_3_fails_on_a_fiber_that_is_not_a_group(capsys, monkeypatch):
+    # every perturbation shares the broken fiber, so each is caught by it
+    def broken():
+        x = a3_s3_xmod()
+        x.fibers["*"].table[("(123)", "(123)")] = "(123)"
+        return x
+
+    monkeypatch.setattr("gpdkit.suite.a3_s3_xmod", broken)
+    assert failed_criterion(capsys, "3") == [
+        "WITNESS criterion 3: a3s3: fiber-associativity: at '*': ((123)*(123))*(132) != (123)*((123)*(132))"]
+    assert criterion_3_crossed_modules().counts["perturbations_caught"] == 50
+
+
+def test_criterion_10_fails_where_no_isomorphism_is_found(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.dgt.find_xmod_isomorphism", lambda xm, back: None)
+    assert failed_criterion(capsys, "10") == [
+        f"WITNESS criterion 10: no isomorphism {x} -> gamma(lambda({x}))"
+        for x in ("a3s3", "aut_xmod_s3", "trivial_module")]
+
+
+def test_criterion_10_fails_where_gamma_flips_an_action_entry(capsys, monkeypatch):
+    # the trivial module has no entry to flip, and still comes back whole
+    def flipped(model):
+        back = gamma(model)
+        try:
+            return perturb_action_entry(back, random.Random(0))
+        except PreconditionFailed:
+            return back
+
+    monkeypatch.setattr("gpdkit.dgt.gamma", flipped)
+    assert failed_criterion(capsys, "10") == [
+        "WITNESS criterion 10: gamma(lambda(a3s3)) is not a crossed module: "
+        "action-composition: (q2^(12))^(12) != q2^((12)(12))",
+        "WITNESS criterion 10: gamma(lambda(aut_xmod_s3)) is not a crossed module: "
+        "action-identity: q4^id != q4 at '*'"]
+
+
+def test_every_seed_gives_the_same_suite_output(capsys):
+    # every count and verdict is meant not to depend on the seeded draws
+    runs = [run_cli(["--format", "machine", "--seed", str(n), "suite"], capsys) for n in range(4)]
+    assert runs[0][0] == 0 and runs[0][1].endswith("RESULT ok\n")
+    assert runs[1:] == [runs[0]] * 3
 
 
 def test_criterion_4_fails_on_a_model_of_another_size(capsys, monkeypatch, aut_c3_model):

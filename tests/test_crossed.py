@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 import random
 import signal
@@ -21,9 +22,12 @@ from gpdkit.finite import (
     even_elements,
     group_as_groupoid,
     interval_finite_groupoid,
+    sweep_group,
+    sweep_groupoid,
     symmetric_group,
     trivial_group,
 )
+from gpdkit.suite import criterion_3_crossed_modules
 
 
 def test_a3_s3_valid(a3s3):
@@ -175,3 +179,17 @@ def test_a_module_over_a_repeated_object_fails_validation():
     base = replace(group_as_groupoid(cyclic_group(2)), objects=("*", "*"))
     r = validate_crossed_module(trivial_crossed_module(base))
     assert [(v.law, v.witness) for v in r.violations] == [("base-names", "object * is repeated")]
+
+
+def test_criterion_3_sweeps_each_base_and_fiber_once(monkeypatch):
+    # four modules with one fiber each; the 50 perturbed copies of the
+    # first reuse its proof
+    calls = []
+    for sweep in (sweep_group, sweep_groupoid):
+        def counted(obj, sweep=sweep):
+            calls.append(sweep.__name__)
+            return sweep(obj)
+
+        monkeypatch.setattr(f"gpdkit.crossed.{sweep.__name__}", counted)
+    assert criterion_3_crossed_modules().ok
+    assert Counter(calls) == {"sweep_groupoid": 4, "sweep_group": 4}

@@ -15,6 +15,8 @@ from gpdkit.crossed import (
     automorphism_xmod,
     from_normal_subgroup,
     perturb_action_entry,
+    sweep_mu_and_action,
+    sweep_parts,
     trivial_crossed_module,
     validate_crossed_module,
 )
@@ -97,6 +99,20 @@ def test_criterion_3_modules_and_perturbations_match_the_reference(seed):
         bad = perturb_action_entry(modules[0], random.Random(seed + k))
         assert_same("xmod", bad)
         assert not validate_crossed_module(bad).ok
+
+
+@pytest.mark.parametrize("k", range(3), ids=["a3s3", "aut_xmod_s3", "aut_xmod_c3"])
+def test_perturbations_swept_over_their_modules_proof_match_the_full_sweep(k):
+    # each perturbed copy keeps its module's base and fibers, so the proof
+    # of those carries over and only mu, the action, CM1 and CM2 are swept
+    xm = _criterion_3_modules()[k]
+    report, parts = sweep_parts(xm)
+    assert report.ok and report.checks == 0
+    for seed in range(200):
+        bad = perturb_action_entry(xm, random.Random(seed))
+        assert bad.base is xm.base and bad.fibers is xm.fibers
+        split = outcome(lambda x: sweep_mu_and_action(x, *parts)[0], bad)
+        assert split == outcome(validate_crossed_module, bad) == outcome(reference_validate_crossed_module, bad)
 
 
 _BUNDLED = ("a3s3.vk", "bad_cube.vk", "bad_groupoid.vk", "circle.vk",

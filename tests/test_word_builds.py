@@ -1,8 +1,9 @@
 """Every word-building path builds one ``Word`` per result.
 
 ``w1 * w2``, ``evaluate`` into a presentation and each ``_walk`` path build
-their result as one ``Word``, whose constructor checks it once, and
-``ModuleElement.acted`` builds none.  On words drawn over the bundled
+their result as one ``Word``, whose constructor checks it once,
+``ModuleElement.acted`` builds none, and ``tree_paths`` walks only its tree
+unless the tree fails to span.  On words drawn over the bundled
 presentations they agree with the letter-by-letter folds they replaced
 (``tests/reference.py``).
 """
@@ -15,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from gpdkit.errors import GpdError
 from gpdkit.freemodules import FreeModule, ModuleElement
 from gpdkit.morphisms import GroupoidMorphism, evaluate
-from gpdkit.presentations import _walk, spanning_tree, tree_paths
+from gpdkit.presentations import GroupoidPresentation, _walk, spanning_tree, tree_paths
 from gpdkit.textfmt import parse_workspace
-from gpdkit.vkt import pushout
-from gpdkit.words import Word, free_reduce, letter_dst, letter_src
+from gpdkit.vkt import pushout, vertex_group
+from gpdkit.words import ArrowGen, Word, free_reduce, letter_dst, letter_src
 
 from reference import reference_acted, reference_evaluate, reference_tree_paths
 
@@ -202,3 +203,22 @@ def test_acted_builds_no_word(builds):
         w = Word("0", word[:n])
         moved, count = builds(e.acted, w)
         assert (moved, count) == (reference_acted(e, w), 0)
+
+
+# a six-object chain 0 - 1 - ... - 5 with one extra edge, f: 1 -> 4
+CHAIN = GroupoidPresentation("chain", tuple("012345"), tuple(
+    ArrowGen(f"e{k}", str(k), str(k + 1)) for k in range(5)) + (ArrowGen("f", "1", "4"),))
+
+
+def test_tree_paths_walk_only_the_tree(builds):
+    # the component is walked only to name what a tree that fails to span misses
+    tree = set(CHAIN.generators[:5])
+    paths, n = builds(tree_paths, CHAIN, "0", tree)
+    assert (paths, n) == (reference_tree_paths(CHAIN, "0", tree), 6)
+    for bad in (tree - {CHAIN.generators[2]}, tree | {CHAIN.generators[5]}, set()):
+        assert outcome(tree_paths, CHAIN, "0", bad) == outcome(reference_tree_paths, CHAIN, "0", bad)
+
+
+def test_vertex_group_walks_its_spanning_tree_and_the_paths_once_each(builds):
+    group, n = builds(vertex_group, CHAIN, "0")
+    assert (group.pretty(), n) == ("⟨x_e3 | ⟩", 12)
