@@ -20,9 +20,8 @@ corners), and enumerated and sampled through the model's square groups
 keyed by the seam edges; it builds no index of its own.  Sampling
 (``CubeKernel.fill``) draws a batch of cubes one face slot at a time: per
 slot it packs every row's seam edges into keys, finds each row's group and
-makes one ``rng.randrange`` per row, so a batch of one draws a face as
-``members[rng.randrange(len(members))]`` does; a pinned draw and a
-re-rolled lid are the same draw with some faces given.
+draws one member per row with one ``dgt.draw_below`` over the batch; a
+pinned draw and a re-rolled lid are the same draw with some faces given.
 ``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
 rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces`` and
 ``compose_cubes`` stay object-level: they serve single cubes read from a
@@ -393,9 +392,8 @@ class CubeKernel:
         drawn in draw order, one slot at a time across the batch, and the lid
         folded; with all five non-lid faces given, the lid is drawn instead.
         Each face is uniform over the squares whose seams fit its row's
-        faces placed before it, by one ``rng.randrange`` per row
-        (``_Groups.draw``): the draw ``members[rng.randrange(len(members))]``
-        makes, so one row draws as the object-level sampler does."""
+        faces placed before it, by one ``draw_below`` per slot across the
+        rows (``_Groups.draw``)."""
         at = [_SLOT[slot] for slot in given]
         if ((rows[:, at] < 0) | (rows[:, at] >= len(self.model.squares))).any():
             raise PreconditionFailed(f"a given face is not a square of {self.model.name}")
@@ -405,7 +403,7 @@ class CubeKernel:
             g = np.broadcast_to(fit.group(*(col[rows[:, _SLOT[o]]] for o, col in cols)), len(rows))
             try:
                 rows[:, _SLOT[slot]] = fit.draw(rng, g)
-            except ValueError:  # a row's group is empty, once the rows before it drew
+            except ValueError:  # a row's group is empty; the slot drew nothing
                 raise PreconditionFailed("no square matches the edge constraints") from None
             placed = (*placed, slot)
         if "d1-" not in placed:

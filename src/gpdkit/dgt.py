@@ -127,6 +127,26 @@ class SquareCode:
         self.edge = dict(zip(("elt", *_EDGES), (self.E, self.T, self.R, self.B, self.L)))
 
 
+def draw_below(rng: random.Random, sizes) -> np.ndarray:
+    """One uniform int in [0, s) per entry s of ``sizes``: Lemire's exact
+    multiply-shift with rejection (ACM TOMACS 29(1), 2019).  Each round reads
+    one ``rng.randbytes`` as a little-endian 32-bit word u per pending entry,
+    in order; an entry takes the high word of u * s unless the low word is
+    below 2**32 mod s, and then draws again next round.  ValueError, before
+    any draw, for a size of 0 or past 2**32."""
+    s = np.asarray(sizes, np.int64)
+    bad = (s < 1) | (s > 1 << 32)
+    if bad.any():
+        raise ValueError(f"cannot draw below {s[bad][0]}: sizes run 1..2**32")
+    s, out, todo = s.astype(np.uint64), np.empty(len(s), np.intp), np.arange(len(s))
+    while len(todo):
+        m = np.frombuffer(rng.randbytes(4 * len(todo)), "<u4") * s[todo]
+        ok = (m & 0xFFFFFFFF) >= (1 << 32) % s[todo]
+        out[todo[ok]] = m[ok] >> 32
+        todo = todo[~ok]
+    return out
+
+
 class _Groups:
     """Indices grouped by their entries in ``cols``: squares by the arrows on
     some of their edges, or cubes by one face.
@@ -136,8 +156,8 @@ class _Groups:
     that no index has lands on the empty last group.  Lookups take one
     entry, or one array of entries, per column: arrays go through a search
     of the keys, scalars through a dict.  ``draw`` picks one member of each
-    of a batch of groups; ``pick``, one of a group by its key, serves the
-    sampled interchange.
+    of a batch of groups (``draw_below``); ``pick``, one of a group by its
+    key, serves the sampled interchange.
     """
 
     def __init__(self, radix: int, n: int, cols=()):
@@ -174,13 +194,9 @@ class _Groups:
         return self.order.tolist()
 
     def draw(self, rng: random.Random, groups: np.ndarray) -> np.ndarray:
-        """A uniform member of each of ``groups``, by one ``rng.randrange``
-        over each group's size in order: per group the draw
-        ``members[rng.randrange(len(members))]`` makes.  An empty group
-        raises that draw's ValueError once the groups before it have drawn."""
-        sizes = self.count[groups].tolist()
-        picks = np.fromiter(map(rng.randrange, sizes), np.intp, len(sizes))
-        return self.order[self.start[groups] + picks]
+        """A uniform member of each of ``groups`` (``draw_below``); an empty
+        group raises its ValueError before any draw."""
+        return self.order[self.start[groups] + draw_below(rng, self.count[groups])]
 
     def pick(self, rng: random.Random, key: int) -> int | None:
         """A uniform member of the group of the packed ``key`` (over one

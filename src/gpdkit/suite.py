@@ -153,22 +153,25 @@ def criterion_4_interchange(seed: int = 0) -> Report:
 
 
 def criterion_5_boundary(seed: int = 0) -> Report:
-    """mu(composite) always re-evaluates to the boundary word."""
+    """mu(composite) always re-evaluates to the boundary word, on 1,000
+    rounds drawn one step across all of them: every x, then every y and z
+    fitting x's right and bottom edges (``_Groups.draw``)."""
+    from .dgt import draw_below
     from .squares import comp_h, comp_v, recheck_boundary
 
     r = Report("criterion-5 boundary-law")
     model = a3_s3_model()
+    c = model.code()
     rng = random.Random(seed)
-    bad = 0
-    for _ in range(1000):
-        x = model.random_square(rng)
-        ys = model.squares_with(left=x.right)
-        y = ys[rng.randrange(len(ys))]
-        if not recheck_boundary(comp_h(x, y)):
+    x = draw_below(rng, [model.size()] * 1000)
+    by_left, by_top = model.groups("left"), model.groups("top")
+    y = by_left.draw(rng, by_left.group(c.R[x]))
+    z = by_top.draw(rng, by_top.group(c.B[x]))
+    squares, bad = model.squares, 0
+    for i, j, k in zip(x.tolist(), y.tolist(), z.tolist()):
+        if not recheck_boundary(comp_h(squares[i], squares[j])):
             bad += 1
-        zs = model.squares_with(top=x.bottom)
-        z = zs[rng.randrange(len(zs))]
-        if not recheck_boundary(comp_v(x, z)):
+        if not recheck_boundary(comp_v(squares[i], squares[k])):
             bad += 1
     r.counts["composites"] = 2000
     r.counts["violations"] = bad
@@ -182,8 +185,8 @@ def _draw_grids(model, seed: int) -> "np.ndarray":
     square indices, drawn one cell at a time across all 500 grids, the
     cells in row-major order.  Each cell is uniform, in model order, over
     the squares whose left and top edges fit the cells drawn before it, by
-    one ``rng.randrange`` per grid (``_Groups.draw``): the draw
-    ``squares_with`` makes, and its ValueError where no square fits."""
+    one ``draw_below`` per cell across the grids (``_Groups.draw``), and
+    its ValueError, before the cell draws, where no square fits."""
     import numpy as np
 
     c = model.code()
@@ -300,16 +303,17 @@ def _s3_draws(kernel: "CubeKernel", seed: int):
     """Criterion 8's 1,000 seeded rounds: per round a direction d in 1..3 and
     two commutative cubes that paste in d, as arrays (1000,) and (1000, 2, 6).
 
-    Drawn one step at a time across all rounds (``CubeKernel.fill``): every
-    direction, then the first cubes, then per direction the second cubes,
-    pinned on the face they share with the first.  A lid is folded, never
-    pinned, so in direction 1 the second cube sits on the first's lid."""
+    Drawn one step at a time across all rounds (``draw_below``, ``fill``):
+    every direction, then the first cubes, then per direction the second
+    cubes, pinned on the face they share with the first.  A lid is folded,
+    never pinned, so in direction 1 the second cube sits on the first's lid."""
     import numpy as np
 
     from .cubes import _SLOT
+    from .dgt import draw_below
 
     rng = random.Random(seed)
-    d = np.array([rng.randrange(1, 4) for _ in range(1000)], np.intp)
+    d = draw_below(rng, np.full(1000, 3)) + 1
     first = kernel.fill(rng, np.full((len(d), 6), -1, np.intp))
     pairs = np.stack([first, first], axis=1)
     for e in (1, 2, 3):

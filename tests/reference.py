@@ -12,7 +12,9 @@ words.  ``reference_components``, ``reference_spanning_tree`` and
 ``gpdkit.presentations._walk`` replaced.  ``reference_evaluate`` and
 ``reference_acted`` are the letter-by-letter folds that ``evaluate`` and
 ``ModuleElement.acted`` replaced: one composite ``Word`` per letter or per
-term, each reduced as it is built.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
+term, each reduced as it is built.  ``reference_below`` is the bounded-integer
+draw of ``gpdkit.dgt.draw_below`` on plain ints, round by round; the tests'
+object-level samplers draw through it.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
 ``interchange_check`` evaluates one 2x2 arrangement both ways, ``random_cut``
 is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
 ``induce_element`` pushes a module element along a morphism,
@@ -395,6 +397,28 @@ def interchange_check(x: Square, y: Square, z: Square, w: Square) -> bool:
     rows_first = comp_v(comp_h(x, y), comp_h(z, w))
     cols_first = comp_h(comp_v(x, z), comp_v(y, w))
     return rows_first == cols_first
+
+
+def reference_below(rng, sizes) -> list[int]:
+    """One uniform int in [0, s) per s in ``sizes``, as ``draw_below`` draws
+    it: per round one ``rng.randbytes``, a little-endian 32-bit word u per
+    pending size in order; a size takes u * s // 2**32 unless
+    u * s % 2**32 < 2**32 % s, and is pending again in the next round."""
+    bad = [s for s in sizes if not 1 <= s <= 1 << 32]
+    if bad:
+        raise ValueError(f"cannot draw below {bad[0]}: sizes run 1..2**32")
+    out, todo = [None] * len(sizes), list(range(len(sizes)))
+    while todo:
+        words = rng.randbytes(4 * len(todo))
+        again = []
+        for n, k in enumerate(todo):
+            m = int.from_bytes(words[4 * n:4 * n + 4], "little") * sizes[k]
+            if m % (1 << 32) >= (1 << 32) % sizes[k]:
+                out[k] = m >> 32
+            else:
+                again.append(k)
+        todo = again
+    return out
 
 
 def random_cut(rng):

@@ -8,22 +8,24 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gpdkit import cli
+from gpdkit import cli, grids
 from gpdkit.cli import main
 from gpdkit.crossed import perturb_action_entry
-from gpdkit.dgt import gamma
+from gpdkit.cubes import CubeKernel
+from gpdkit.dgt import comp_h_unconjugated, gamma
 from gpdkit.errors import PreconditionFailed
 from gpdkit.freemodules import FreeModule, ModuleElement, induce_free_module
 from gpdkit.morphisms import GroupoidMorphism
 from gpdkit.presentations import GroupoidPresentation
 from gpdkit.report import Report
-from gpdkit.suite import CRITERIA, a3_s3_xmod, circle_span, criterion_3_crossed_modules
+from gpdkit.suite import CRITERIA, _draw_grids, a3_s3_xmod, circle_span, criterion_3_crossed_modules
 from gpdkit.vkt import Pushout, Span, pushout as vkt_pushout
 from gpdkit.words import ArrowGen
 from same_output import CIRCLE_CANDIDATE
@@ -661,6 +663,63 @@ def test_criterion_4_fails_where_the_corrupted_control_finds_nothing(capsys, mon
         "WITNESS criterion 4: corrupted composition produced no counterexample"]
 
 
+def test_criterion_5_fails_on_the_unconjugated_pasting(capsys, monkeypatch):
+    monkeypatch.setattr("gpdkit.squares.comp_h", comp_h_unconjugated)
+    assert failed_criterion(capsys, "5") == [
+        "WITNESS criterion 5: 331 composites broke the boundary law"]
+
+
+def test_criterion_6_fails_on_a_swapped_filler(capsys, monkeypatch, aut_c3_model):
+    # the mutant of test_criterion_6_fold_catches_doctored_tables: rows
+    # first pastes the swapped pair, the first two cells of grid 0
+    drawn = _draw_grids(aut_c3_model, 0)
+    mutant = with_swapped_filler(aut_c3_model, "H", drawn[0, 0, 0], drawn[0, 0, 1],
+                                 random.Random(3))
+    monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: mutant)
+    assert failed_criterion(capsys, "6") == [
+        "WITNESS criterion 6: 29 grids had order-dependent folds"]
+
+
+def test_criterion_8_fails_where_a_fold_is_the_base(capsys, monkeypatch):
+    # every cube whose lid is not its base fails, at each of the three sites
+    monkeypatch.setattr(CubeKernel, "fold", lambda self, cubes: cubes[:, 1])
+    witnesses = failed_criterion(capsys, "8")
+    assert witnesses[0] == (
+        "WITNESS criterion 8: cube in the 2-element model fails: d1- (e; e,t,t,e), "
+        "d1+ (e; e,e,e,e), d2- (e; e,e,e,e), d2+ (e; t,t,e,e), d3- (e; e,e,e,e), "
+        "d3+ (e; t,t,e,e)")
+    kinds = Counter(re.sub(r"fails: .*", "fails: ...", w) for w in witnesses)
+    assert kinds == {
+        "WITNESS criterion 8: cube in the 2-element model fails: ...": 112,
+        **{f"WITNESS criterion 8: direction-{d} composite is not commutative": 1792
+           for d in (1, 2, 3)},
+        "WITNESS criterion 8: sampled direction-1 composite fails": 327,
+        "WITNESS criterion 8: sampled direction-2 composite fails": 317,
+        "WITNESS criterion 8: sampled direction-3 composite fails": 356}
+
+
+def test_criterion_9_fails_where_a_row_collapse_reports_unequal(capsys, monkeypatch):
+    collapse = grids.collapse_commutative_row
+    monkeypatch.setattr("gpdkit.grids.collapse_commutative_row",
+                        lambda grid: (*collapse(grid)[:2], False))
+    assert failed_criterion(capsys, "9") == [
+        "WITNESS criterion 9: 200 chains broke the collapse lemma"]
+
+
+def test_criterion_9_fails_where_a_non_identity_outer_edge_is_accepted(capsys, monkeypatch):
+    collapse = grids.collapse_commutative_row
+
+    def lenient(grid):
+        try:
+            return collapse(grid)
+        except PreconditionFailed:
+            return None, None, True
+
+    monkeypatch.setattr("gpdkit.grids.collapse_commutative_row", lenient)
+    assert failed_criterion(capsys, "9") == [
+        "WITNESS criterion 9: non-identity outer edge was accepted"]
+
+
 def circle_span_with_a_second_arc():
     """``suite.circle_span`` with one more generator, c: 0 -> 1, in arc1."""
     span = circle_span()
@@ -990,6 +1049,20 @@ def test_the_suite_never_imports_numpy_random():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["RESULT ok", "EXIT 0 True False"]
+
+
+def test_the_batch_draws_and_the_sampled_interchange_never_import_numpy_random(tmp_path):
+    # criteria 5, 6 and 8 draw through dgt.draw_below, criterion 9 and the
+    # sampled interchange of vk xmod lambda through random.Random alone
+    ws = tmp_path / "auts3.vk"
+    ws.write_text("group s3 = symmetric(3)\nxmod auts3 = autxmod(s3)\n")
+    script = ("import sys\nfrom gpdkit.cli import main\n"
+              "codes = [main(['--format', 'machine', 'suite', '--criteria', '5,6,8,9']),\n"
+              "         main(['--format', 'machine', 'xmod', 'lambda', sys.argv[1]])]\n"
+              "print('EXIT', codes, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(ws)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "EXIT [0, 0] True False"
 
 
 # -- fuzzing the command line -------------------------------------------------------

@@ -29,6 +29,7 @@ from gpdkit.finite import cyclic_group, group_as_groupoid, trivial_group
 from gpdkit.grids import grid_compose
 from gpdkit.squares import Square, comp_h, comp_v, conn_plus, identity_square, transpose
 from gpdkit.suite import _s3_draws
+from reference import reference_below
 
 
 def shadow_module():
@@ -213,10 +214,16 @@ def test_oracle_needs_a_valid_module(a3s3):
 
 # -- the hand-written geometry that EDGE_SEAMS and the orientation rule replace --
 
-def _reference_pick(rng, options):
-    if not options:
+def _reference_picks(rng, options):
+    """One member of each list of ``options``, by one ``reference_below``
+    over their lengths; PreconditionFailed, before any draw, on an empty one."""
+    if not all(options):
         raise PreconditionFailed("no square matches the edge constraints")
-    return options[rng.randrange(len(options))]
+    return [o[k] for o, k in zip(options, reference_below(rng, [len(o) for o in options]))]
+
+
+def _reference_pick(rng, options):
+    return _reference_picks(rng, [options])[0]
 
 
 def reference_compose_cubes(c1, c2, direction):
@@ -292,7 +299,7 @@ def reference_random_commutative_cube(model, rng, fixed=None):
             left = fixed[1]
             front = _reference_pick(rng, model.squares_with(left=left.left))
         else:
-            front = model.random_square(rng)
+            front = _reference_pick(rng, model.squares)
             left = _reference_pick(rng, model.squares_with(left=front.left))
         base = _reference_pick(rng, model.squares_with(top=left.bottom, left=front.bottom))
         right = _reference_pick(rng, model.squares_with(left=front.right, bottom=base.bottom))
@@ -371,13 +378,15 @@ _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
 
 def reference_fill(model, rng, cubes):
     """Complete each cube, a dict of its given faces, slot-major: per face
-    in draw order, for every cube in turn, a pick among the squares whose
-    seams fit the faces placed so far; then every lid folded."""
+    in draw order, one pick for every cube without it among the squares
+    whose seams fit the faces placed so far, all by one ``reference_below``;
+    then every lid folded."""
     for slot in _DRAW_ORDER:
-        for faces in cubes:
-            if slot not in faces:
-                fit = {e: getattr(faces[o], oe) for e, o, oe in _FACE_SEAMS[slot] if o in faces}
-                faces[slot] = _reference_pick(rng, model.squares_with(**fit))
+        todo = [faces for faces in cubes if slot not in faces]
+        options = [model.squares_with(**{e: getattr(faces[o], oe) for e, o, oe in _FACE_SEAMS[slot]
+                                         if o in faces}) for faces in todo]
+        for faces, square in zip(todo, _reference_picks(rng, options)):
+            faces[slot] = square
     for faces in cubes:
         faces["d1-"] = grid_compose(fold_layout(faces))
     return [make_cube(*(faces[slot] for slot in FACE_SLOTS)) for faces in cubes]
@@ -391,7 +400,7 @@ def test_criterion_8_draws_match_the_reference(seed, sq_s3):
     they share with the first (in direction 1, the first cube's lid)."""
     d, pairs = _s3_draws(CubeKernel(sq_s3), seed)
     rng = random.Random(seed)
-    want_d = [rng.randrange(1, 4) for _ in range(1000)]
+    want_d = [k + 1 for k in reference_below(rng, [3] * 1000)]
     first = reference_fill(sq_s3, rng, [{} for _ in want_d])
     want = [None] * len(want_d)
     for e in (1, 2, 3):
@@ -424,7 +433,7 @@ def test_a_batch_row_with_no_fitting_square_raises_as_the_object_draw_does(sq_s3
             k.fill(got, rows, ("d1+",))
         with pytest.raises(PreconditionFailed, match="^no square matches the edge constraints$"):
             reference_fill(hollow, want, [{"d1+": s} for s in pins])
-        # the rows before the empty one drew, as the object-level loop did
+        # neither side drew anything at the slot whose group is empty
         assert got.getstate() == want.getstate()
     with pytest.raises(PreconditionFailed, match="^no square matches the edge constraints$"):
         random_commutative_cube(hollow, random.Random(2), fixed=("d1+", stuck))
@@ -453,6 +462,10 @@ def test_every_composite_matches_the_reference(sq_c2):
 def rows_of(model, cubes):
     return np.array([[model.index[c.face(slot).key()] for slot in FACE_SLOTS] for c in cubes],
                     np.intp).reshape(-1, 6)
+
+
+def cubes_of(model, rows):
+    return [Cube(dict(zip(FACE_SLOTS, map(model.squares.__getitem__, row)))) for row in rows.tolist()]
 
 
 def _raised(fn, *args):
@@ -522,18 +535,23 @@ def test_kernel_matches_the_object_level_reference(model_name, request):
     model = request.getfixturevalue(model_name)
     k = CubeKernel(model)
     rng = random.Random(31)
-    cubes = [random_cube(model, rng) for _ in range(500)]
+    # 500 commutative cubes with their lids drawn anew, by two fills
+    rows = k.fill(rng, k.fill(rng, np.full((500, 6), -1, np.intp)), _DRAW_ORDER)
+    cubes = cubes_of(model, rows)
     assert_kernel_matches(model, cubes)
-    # each cube pasted to a commutative partner that shares its face
-    for c in cubes:
-        d = rng.randrange(1, 4)
-        if d == 1:
-            c1, c2 = random_commutative_cube(model, rng, fixed=("d1+", c.face("d1-"))), c
-        else:
-            c1, c2 = c, random_commutative_cube(model, rng, fixed=(f"d{d}-", c.face(f"d{d}+")))
+    # each cube pasted to a commutative partner that shares its face, drawn
+    # by one pinned fill per direction
+    d = np.array([rng.randrange(1, 4) for _ in cubes])
+    partners = np.full_like(rows, -1)
+    for e in (1, 2, 3):
+        pin, shared = ("d1+", "d1-") if e == 1 else (f"d{e}-", f"d{e}+")
+        partners[d == e, FACE_SLOTS.index(pin)] = rows[d == e, FACE_SLOTS.index(shared)]
+        partners[d == e] = k.fill(rng, partners[d == e], (pin,))
+    for c, p, e in zip(cubes, cubes_of(model, partners), d.tolist()):
+        c1, c2 = (p, c) if e == 1 else (c, p)
         for a, b in ((c1, c2), (c2, c1)):  # the second pastes only by chance
-            want = _raised(compose_cubes, a, b, d)
-            got = _raised(k.compose, *rows_of(model, (a, b)), d)
+            want = _raised(compose_cubes, a, b, e)
+            got = _raised(k.compose, *rows_of(model, (a, b)), e)
             if isinstance(want, tuple):
                 assert got == want
             else:

@@ -16,6 +16,7 @@ from gpdkit.dgt import (
     comp_h_unconjugated,
     connection_transport_report,
     count_compatible_quadruples,
+    draw_below,
     find_interchange_counterexample,
     find_xmod_isomorphism,
     gamma,
@@ -36,7 +37,7 @@ from gpdkit.report import Report
 from gpdkit.squares import (comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary,
                              thin_square, transpose)
 
-from reference import disjoint_union
+from reference import disjoint_union, reference_below
 
 
 def brute_square_count(xm):
@@ -664,6 +665,53 @@ def test_each_grouping_is_a_plain_filter_in_model_order(request, fixture):
             assert g.size(*vector).tolist() == [len(want.get(k, ())) for k in keys]
     # every square boundary over Aut(S3) has a filler, so no key is absent there
     assert absent_seen == (fixture != "aut_s3_model")
+
+
+class Words:
+    """An rng whose ``randbytes`` hands out chosen 32-bit words, in order,
+    and records each call's byte count."""
+
+    def __init__(self, words):
+        self.words, self.calls = list(words), []
+
+    def randbytes(self, n):
+        assert n % 4 == 0 and n // 4 <= len(self.words)
+        self.calls.append(n)
+        take, self.words = self.words[:n // 4], self.words[n // 4:]
+        return b"".join(w.to_bytes(4, "little") for w in take)
+
+
+def test_draw_below_rejects_and_redraws_in_order_as_the_reference_does():
+    # 2**32 mod (2**31 + 1) = 2**31 - 1: u = 0 and u = 2 leave low words 0
+    # and 2 and draw again; u = 2**32 - 1 leaves exactly 2**31 - 1 and takes
+    # the top value 2**31.  Sizes 1 and 2**32 accept every word.
+    sizes = [2**31 + 1, 6, 2**31 + 1, 1, 2**32]
+    words = [0, 2**32 - 1, 2, 7, 123, 1, 2**32 - 1]
+    for draw in (draw_below, reference_below):
+        rng = Words(words)
+        assert list(draw(rng, sizes)) == [0, 5, 2**31, 0, 123]
+        assert rng.calls == [20, 8] and rng.words == []
+
+
+def test_draw_below_follows_the_reference_on_a_seeded_stream():
+    # sizes of 2**31 + 1 reject about half their words: several rounds
+    sizes = [2**31 + 1] * 300 + [1, 2, 3, 6, 648, 2**32] * 50
+    random.Random(4).shuffle(sizes)
+    got, want = random.Random(9), random.Random(9)
+    drawn = draw_below(got, np.array(sizes))
+    assert drawn.tolist() == reference_below(want, sizes)
+    assert got.getstate() == want.getstate()
+    assert all(0 <= k < n for k, n in zip(drawn.tolist(), sizes))
+    assert draw_below(got, []).tolist() == [] and got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("sizes", [[3, 0, 2], [2**32 + 1], [-1]])
+def test_draw_below_refuses_a_size_out_of_range_before_drawing(sizes):
+    for draw in (draw_below, reference_below):
+        rng = Words([5, 5, 5])
+        with pytest.raises(ValueError, match=r"^cannot draw below -?\d+: sizes run 1\.\.2\*\*32$"):
+            draw(rng, sizes)
+        assert rng.calls == []
 
 
 def test_the_kernels_build_each_grouping_once(monkeypatch, aut_c3_model):

@@ -17,7 +17,7 @@ from gpdkit.grids import (
 )
 from gpdkit.squares import eps_h, eps_v, identity_square, thin_square
 from gpdkit.suite import _draw_grids, _grid_folds, a3_s3_model
-from reference import random_cut
+from reference import random_cut, reference_below
 from test_dgt import with_swapped_filler
 
 
@@ -39,18 +39,20 @@ def random_grid(model, rows, cols, rng):
 
 def reference_grids(model, rng, count):
     """``count`` 3x3 grids drawn one cell at a time across all of them: per
-    cell in row-major order, for every grid in turn, a pick among the
-    squares fitting the cells to its left and above."""
+    cell in row-major order, one pick for every grid among the squares
+    fitting the cells to its left and above, all by one ``reference_below``."""
     cells = [[[None] * 3 for _ in range(3)] for _ in range(count)]
     for i, j in itertools.product(range(3), repeat=2):
+        options = []
         for g in cells:
             constraints = {}
             if j > 0:
                 constraints["left"] = g[i][j - 1].right
             if i > 0:
                 constraints["top"] = g[i - 1][j].bottom
-            options = model.squares_with(**constraints)
-            g[i][j] = options[rng.randrange(len(options))]
+            options.append(model.squares_with(**constraints))
+        for g, o, k in zip(cells, options, reference_below(rng, [len(o) for o in options])):
+            g[i][j] = o[k]
     return [Grid(tuple(map(tuple, g))) for g in cells]
 
 
@@ -167,7 +169,8 @@ def test_a_grid_with_no_fitting_square_raises_as_the_object_draw_does(sq_s3, mon
     with pytest.raises(ValueError) as raised:
         reference_grids(hollow, want, 500)
     assert str(got.value) == str(raised.value)
-    # the grids before the empty one drew, as the object-level loop did
+    # the cells before the empty group drew, and that cell drew nothing, as
+    # in the object-level loop
     assert made[0].getstate() == want.getstate()
 
 
