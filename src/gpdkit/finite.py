@@ -74,9 +74,9 @@ class FiniteGroupoid:
 
     def compose_all(self, arrows) -> str:
         """Fold a nonempty chain of composable arrows left to right."""
-        arrows = list(arrows)
-        out = arrows[0]
-        for x in arrows[1:]:
+        chain = iter(arrows)
+        out = next(chain)
+        for x in chain:
             out = self.compose(out, x)
         return out
 

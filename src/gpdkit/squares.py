@@ -13,37 +13,41 @@ A square is a fiber element together with four base arrows:
 The fiber element lives at the bottom-right object z, and the boundary law
 reads clockwise from z:  mu(elt) = bottom^-1 * left^-1 * top * right.
 
+A ``Square`` is an immutable named tuple ``(xm, elt, top, right, bottom,
+left)``.  Its equality reads module identity: two squares are equal when
+they lie over the same crossed-module object (``is``) and share ``key()``,
+and a square never equals a plain tuple.
+
 Horizontal composition pastes along a shared vertical edge with element
 (n^b) * m  (n the left element, b the right square's bottom, m the right
 element); vertical composition pastes along a shared horizontal edge with
 element  m * (u^d)  (u upper, m lower, d the lower square's right edge).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .crossed import CrossedModuleData
 from .errors import BoundaryMismatch, EdgeMismatch, EndpointMismatch
 
 
-@dataclass(frozen=True, eq=False)
-class Square:
-    xm: CrossedModuleData
-    elt: str
-    top: str
-    right: str
-    bottom: str
-    left: str
+class Square(namedtuple("Square", "xm elt top right bottom left")):
+    __slots__ = ()
 
     def key(self):
-        return (self.elt, self.top, self.right, self.bottom, self.left)
+        return self[1:]
 
     def __eq__(self, other):
-        if not isinstance(other, Square):
-            return NotImplemented
-        return self.xm is other.xm and self.key() == other.key()
+        if isinstance(other, Square):
+            return self.xm is other.xm and tuple.__eq__(self, other)
+        # NotImplemented would let a plain tuple compare field by field
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):  # tuple's own != would compare xm by value
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((id(self.xm), self.key()))
+        return hash((id(self.xm), self[1:]))
 
     def __str__(self):
         return f"({self.elt}; {self.top},{self.right},{self.bottom},{self.left})"
@@ -56,7 +60,7 @@ class Square:
 def boundary_word(xm: CrossedModuleData, top: str, right: str, bottom: str, left: str) -> str:
     """The clockwise boundary bottom^-1 * left^-1 * top * right in P."""
     P = xm.base
-    return P.compose_all([P.inv(bottom), P.inv(left), top, right])
+    return P.compose(P.compose(P.compose(P.inv(bottom), P.inv(left)), top), right)
 
 
 def make_square(xm: CrossedModuleData, elt: str, top: str, right: str,
@@ -205,6 +209,5 @@ def identity_square(xm: CrossedModuleData, obj: str) -> Square:
 
 def recheck_boundary(s: Square) -> bool:
     """Construction-independent re-evaluation of the boundary law."""
-    return s.xm.boundary(s.corner_se, s.elt) == boundary_word(
-        s.xm, s.top, s.right, s.bottom, s.left
-    )
+    xm, elt, top, right, bottom, left = s
+    return xm.boundary(xm.base.dst[right], elt) == boundary_word(xm, top, right, bottom, left)

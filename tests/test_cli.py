@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import importlib.resources as resources
 import io
+import itertools
 import json
 import random
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gpdkit import cli, grids
+from gpdkit import cli, grids, squares
 from gpdkit.cli import main
 from gpdkit.crossed import perturb_action_entry
 from gpdkit.cubes import CubeKernel
@@ -558,7 +559,7 @@ def test_suite_rejects_unknown_or_empty_selection(capsys, selection, witness):
     assert out.rstrip().endswith("RESULT fail")
 
 
-# -- verdict sites of criteria 1, 2, 4 and 12, each reached by a planted fault --
+# -- the verdict sites of every criterion, each reached by a planted fault --
 
 def failed_criterion(capsys, key):
     """The witnesses of a ``vk suite --criteria <key>`` run that must fail."""
@@ -678,6 +679,40 @@ def test_criterion_6_fails_on_a_swapped_filler(capsys, monkeypatch, aut_c3_model
     monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: mutant)
     assert failed_criterion(capsys, "6") == [
         "WITNESS criterion 6: 29 grids had order-dependent folds"]
+
+
+@pytest.mark.parametrize("fault, arrows", [
+    # the left edge a as well: thin, with boundary a^-1, so recheck_boundary fails
+    (lambda s: s._replace(left=s.right), ("(12)", "(123)", "(13)", "(132)", "(23)")),
+    # a non-identity filler over the connection's edges: not thin
+    (lambda s: s._replace(elt="(123)"), ("(12)", "(123)", "(13)", "(132)", "(23)", "e")),
+])
+def test_criterion_7_fails_on_a_doctored_connection(capsys, monkeypatch, fault, arrows):
+    # only the object-level conn+ is doctored; the model's own connections,
+    # which the transport search reads, stay whole
+    conn_plus = squares.conn_plus
+    monkeypatch.setattr("gpdkit.squares.conn_plus", lambda xm, a: fault(conn_plus(xm, a)))
+    assert failed_criterion(capsys, "7") == [
+        f"WITNESS criterion 7: connection at {a} is not a thin commutative square" for a in arrows]
+
+
+def test_criterion_11_fails_where_the_interchange_filter_keeps_every_pair(capsys, monkeypatch):
+    # all 1 + 16 + 1089 ordered pairs of monoids reach the three conclusions
+    monkeypatch.setattr("gpdkit.eckmann._interchange_pairs",
+                        lambda n, monoids: itertools.product(monoids, repeat=2))
+    witnesses = failed_criterion(capsys, "11")
+    assert witnesses[:2] == [
+        "WITNESS criterion 11: operations: size 2: structures differ: ((0, 1), (1, 0)) vs ((0, 1), (1, 1))",
+        "WITNESS criterion 11: identity: size 2: e1=0 != e2=1 for ((0, 1), (1, 0))/((0, 0), (0, 1))"]
+    assert "WITNESS criterion 11: commutativity: size 3: ((0, 1, 2), (1, 1, 1), (2, 2, 2)) is not commutative" \
+        in witnesses
+    kinds = Counter(re.sub(r": size (\d).*", r": size \1", w) for w in witnesses)
+    assert kinds == {
+        "WITNESS criterion 11: identity: size 2": 8,
+        "WITNESS criterion 11: operations: size 2": 12,
+        "WITNESS criterion 11: identity: size 3": 726,
+        "WITNESS criterion 11: operations: size 3": 1056,
+        "WITNESS criterion 11: commutativity: size 3": 198}
 
 
 def test_criterion_8_fails_where_a_fold_is_the_base(capsys, monkeypatch):

@@ -937,7 +937,7 @@ def planted_fault(model, fault):
     if fault == "boundary":
         # another element over the same edges; the tables stay the model's
         k = next(k for k, s in enumerate(sq) if not is_thin(s))
-        bad = replace(sq[k], elt=xm.fibers[sq[k].corner_se].identity)
+        bad = sq[k]._replace(elt=xm.fibers[sq[k].corner_se].identity)
         mutant = replace(model, squares=sq[:k] + (bad,) + sq[k + 1:])
         mutant._tables = model.tables()
         return mutant, f"square {bad} violates the boundary law"

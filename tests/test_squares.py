@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from gpdkit.errors import BoundaryMismatch, EdgeMismatch, EndpointMismatch
+from gpdkit.errors import BoundaryMismatch, EdgeMismatch, EndpointMismatch, MissingEntry
 from gpdkit.squares import (
+    Square,
     boundary_word,
     comp_h,
     comp_v,
@@ -175,3 +177,66 @@ def test_thin_square_unique_filler(a3s3):
     assert is_thin(sq)
     with pytest.raises(BoundaryMismatch):
         thin_square(a3s3, "(12)", "e", "e", "e")  # boundary does not commute
+
+
+def test_a_square_is_a_value_that_reads_module_identity(a3s3, a3s3_model):
+    s = make_square(a3s3, "(123)", "(123)", "e", "e", "e")
+    assert str(s) == "((123); (123),e,e,e)"
+    assert s.key() == ("(123)", "(123)", "e", "e", "e") == tuple(s)[1:]
+    same = Square(a3s3, *s.key())
+    assert same == s and not same != s and hash(same) == hash(s)
+    assert len({s, same}) == 1 and s in a3s3_model.squares
+    other = next(t for t in a3s3_model.squares if t.key() != s.key())
+    assert s != other and not s == other
+    twin = replace(a3s3)  # equal to a3s3, but another object
+    assert twin == a3s3 and twin is not a3s3
+    for plain in (s.key(), tuple(s), Square(twin, *s.key())):
+        assert s != plain and plain != s
+        assert not s == plain and not plain == s
+    for field in Square._fields:
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(other, field))
+    assert s == same  # unchanged by the refused writes
+
+
+def folded(P, chain):
+    """``chain`` folded left to right over ``P.table``."""
+    out = chain[0]
+    for x in chain[1:]:
+        out = P.table[(out, x)]
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["a3s3_model", "aut_s3_model", "sq_s3"])
+def test_the_boundary_word_is_a_fold_over_the_table(request, fixture):
+    model = request.getfixturevalue(fixture)
+    xm, P = model.xm, model.edges
+    for s in model.squares:
+        _, elt, top, right, bottom, left = s
+        word = folded(P, [P.inverse[bottom], P.inverse[left], top, right])
+        assert boundary_word(xm, top, right, bottom, left) == word
+        z = P.dst[right]
+        for m in xm.fibers[z].elements:
+            assert recheck_boundary(s._replace(elt=m)) == (xm.mu[z][m] == word)
+
+
+def test_a_missing_entry_raises_as_the_fold_does(a3s3):
+    # bottom^-1 is read first, then left^-1, then the three composites in turn
+    P = a3s3.base
+    no_inverse = replace(a3s3, base=replace(
+        P, inverse={x: y for x, y in P.inverse.items() if x not in ("(12)", "(13)")}))
+    no_composite = replace(a3s3, base=replace(
+        P, table={xy: z for xy, z in P.table.items() if xy != ("(12)", "(13)")}))
+    cases = [
+        (no_inverse, ("e", "e", "(12)", "(13)"), "s3 has no inverse of (12)"),
+        (no_inverse, ("e", "e", "e", "(13)"), "s3 has no inverse of (13)"),
+        (no_composite, ("e", "e", "(12)", "(13)"), "s3 has no composite (12) . (13)"),
+        (no_composite, ("(13)", "e", "(12)", "e"), "s3 has no composite (12) . (13)"),
+    ]
+    for xm, (top, right, bottom, left), message in cases:
+        with pytest.raises(MissingEntry) as err:
+            boundary_word(xm, top, right, bottom, left)
+        assert str(err.value) == message
+        with pytest.raises(MissingEntry) as err:
+            recheck_boundary(Square(xm, "e", top, right, bottom, left))
+        assert str(err.value) == message
