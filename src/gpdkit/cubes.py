@@ -401,10 +401,7 @@ class CubeKernel:
         for slot in [s for s in _DRAW_ORDER if s not in given] or ["d1-"]:
             fit, cols = self._fitting(slot, placed)
             g = np.broadcast_to(fit.group(*(col[rows[:, _SLOT[o]]] for o, col in cols)), len(rows))
-            try:
-                rows[:, _SLOT[slot]] = fit.draw(rng, g)
-            except ValueError:  # a row's group is empty; the slot drew nothing
-                raise PreconditionFailed("no square matches the edge constraints") from None
+            rows[:, _SLOT[slot]] = fit.draw(rng, g)
             placed = (*placed, slot)
         if "d1-" not in placed:
             rows[:, 0] = self._fold(dict(zip(FACE_SLOTS, rows.T)))

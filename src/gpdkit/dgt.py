@@ -19,7 +19,8 @@ per-element arrays and one gather; ``tables`` builds ``H``/``V`` with numpy
 formulas and ``find``, one block per pasting edge, each pasting the square
 on the edges it forces, composed ones included, or InvalidDgt; ``maps``
 gives each square's transpose and inverses and each arrow's units and thin
-cube corners.  The law sweeps, the sampled draws and ``cubes.CubeKernel``
+cube corners.  The law sweeps, ``draw_grids`` (the seeded grids of the
+sampled interchange and of criteria 5 and 6) and ``cubes.CubeKernel``
 read only these.  So a table is proven where it enters: ``tables()`` by
 construction, and an outside table, which only ``interchange_sweep`` takes,
 by ``_check_pastings``.  A law sweep splits its arrangements into blocks,
@@ -53,12 +54,11 @@ checks the sweeps' coverage independently.
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .crossed import CrossedModuleData, EncodedXmod, sweep_crossed_module, trivial_crossed_module
-from .errors import EdgeMismatch, InvalidCrossedModule, InvalidDgt, SizeLimit
+from .errors import EdgeMismatch, InvalidCrossedModule, InvalidDgt, PreconditionFailed, SizeLimit
 from .finite import FiniteGroup, FiniteGroupoid
 from .report import Report
 from .squares import (
@@ -156,8 +156,7 @@ class _Groups:
     that no index has lands on the empty last group.  Lookups take one
     entry, or one array of entries, per column: arrays go through a search
     of the keys, scalars through a dict.  ``draw`` picks one member of each
-    of a batch of groups (``draw_below``); ``pick``, one of a group by its
-    key, serves the sampled interchange.
+    of a batch of groups (``draw_below``).
     """
 
     def __init__(self, radix: int, n: int, cols=()):
@@ -189,25 +188,13 @@ class _Groups:
         lo, hi = self.spans.get(self.pack(arrows), (0, 0))
         return self.order[lo:hi]
 
-    @cached_property
-    def _order(self) -> list:
-        return self.order.tolist()
-
     def draw(self, rng: random.Random, groups: np.ndarray) -> np.ndarray:
-        """A uniform member of each of ``groups`` (``draw_below``); an empty
-        group raises its ValueError before any draw."""
-        return self.order[self.start[groups] + draw_below(rng, self.count[groups])]
-
-    def pick(self, rng: random.Random, key: int) -> int | None:
-        """A uniform member of the group of the packed ``key`` (over one
-        column, the key is that column's entry), by one ``rng.randrange``
-        over the group's size: the draw ``members[rng.randrange(len(members))]``
-        makes, as a plain int.  None, with no draw, when the group is empty."""
-        span = self.spans.get(key)
-        if span is None:
-            return None
-        lo, hi = span
-        return self._order[lo + rng.randrange(hi - lo)]
+        """A uniform member of each of ``groups`` (``draw_below``), groups of
+        squares; PreconditionFailed, before any draw, where one is empty."""
+        try:
+            return self.order[self.start[groups] + draw_below(rng, self.count[groups])]
+        except ValueError:  # draw_below refused a size of 0 and drew nothing
+            raise PreconditionFailed("no square matches the edge constraints") from None
 
     def rank(self) -> np.ndarray:
         """Each index's position within its group."""
@@ -399,6 +386,26 @@ class DgtModel:
 
     def random_square(self, rng: random.Random) -> Square:
         return self.squares[rng.randrange(len(self.squares))]
+
+    def draw_grids(self, rng: random.Random, n: int, rows: int, cols: int) -> np.ndarray:
+        """``n`` seeded grids of ``rows`` x ``cols`` squares, as an (n, rows,
+        cols) array of square indices, drawn one cell at a time across the
+        grids, the cells in row-major order.  Each cell is uniform, in model
+        order, over the squares whose left and top edges fit the cells drawn
+        before it, by one ``draw_below`` per cell across the grids
+        (``_Groups.draw``); PreconditionFailed, before that cell draws, where
+        no square fits some grid's cell."""
+        c = self.code()
+        grids = np.empty((n, rows, cols), np.intp)
+        for i, j in itertools.product(range(rows), range(cols)):
+            seams = {}
+            if j:
+                seams["left"] = c.R[grids[:, i, j - 1]]
+            if i:
+                seams["top"] = c.B[grids[:, i - 1, j]]
+            fit = self.groups(*seams)
+            grids[:, i, j] = fit.draw(rng, np.broadcast_to(fit.group(*seams.values()), n))
+        return grids
 
     def code(self) -> SquareCode:
         """``encoded`` as arrays, with each square's element and edges, built once."""
@@ -1125,8 +1132,9 @@ def validate_dgt(model: DgtModel, interchange: str = "exhaustive", seed: int = 0
     Every composition law reads the tables ``H``/``V``; the degeneracies
     and the unit and inverse laws read the indices of ``model.maps()``.
     Only the connections, the model's given data, are checked as objects.
-    ``interchange`` is "exhaustive" or "sampled"; any other value is a
-    ValueError before any table is built.
+    ``interchange`` is "exhaustive" or "sampled" (``samples`` 2x2 grids
+    drawn at ``seed`` by ``draw_grids``); any other value is a ValueError
+    before any table is built.
 
     The tables need no pasting check: ``tables()`` builds each pasting as
     the square on its forced edges, composed ones included, and refuses a
@@ -1210,28 +1218,14 @@ def validate_dgt(model: DgtModel, interchange: str = "exhaustive", seed: int = 0
         if bad:
             report.fail("interchange", f"{bad} violations, first at indices {first}")
     else:
-        # partners in model order, so each seed draws the same quadruples
-        by_left, by_top, by_corner = (model.groups(*e) for e in (("left",), ("top",), ("left", "top")))
-        rng = random.Random(seed)
-        quads = []
-        # with no arrangement at all every draw would fail, so draw none
-        drawable = count_compatible_quadruples(model) > 0
-        R, B = c.R.tolist(), c.B.tolist()
-        while drawable and len(quads) < samples:
-            x = rng.randrange(n)
-            # draw y only once the groups of y and z are both non-empty
-            if R[x] not in by_left.spans or B[x] not in by_top.spans:
-                continue
-            y, z = by_left.pick(rng, R[x]), by_top.pick(rng, B[x])
-            w = by_corner.pick(rng, by_corner.pack((R[z], B[y])))
-            if w is not None:
-                quads.append((x, y, z, w))
-        report.count(len(quads))
-        x, y, z, w = np.array(quads, np.intp).reshape(-1, 4).T
+        # with no arrangement at all every grid would fail, so draw none
+        drawn = samples if count_compatible_quadruples(model) else 0
+        x, y, z, w = model.draw_grids(random.Random(seed), drawn, 2, 2).reshape(drawn, 4).T
+        report.count(drawn)
         # tables() defines every entry an edge-compatible pair reads
         for k in np.flatnonzero(V[H[x, y], H[z, w]] != H[V[x, z], V[y, w]]):
             report.fail("interchange", "sampled violation at "
-                        + ", ".join(str(sq[q]) for q in quads[k]))
+                        + ", ".join(str(sq[q[k]]) for q in (x, y, z, w)))
     return report
 
 

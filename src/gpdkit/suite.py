@@ -11,7 +11,6 @@ loads only what it runs: criterion 4 loads the finite groups, crossed
 modules, squares and the double-groupoid tables, and nothing else.
 """
 
-import itertools
 import random
 
 from .errors import PreconditionFailed, UnknownCommand
@@ -154,21 +153,16 @@ def criterion_4_interchange(seed: int = 0) -> Report:
 
 def criterion_5_boundary(seed: int = 0) -> Report:
     """mu(composite) always re-evaluates to the boundary word, on 1,000
-    rounds drawn one step across all of them: every x, then every y and z
-    fitting x's right and bottom edges (``_Groups.draw``)."""
-    from .dgt import draw_below
+    seeded 2x2 grids (``DgtModel.draw_grids``): cell (0, 0) is x, and
+    cells (0, 1) and (1, 0), fitting x's right and bottom edges, are y and z;
+    the fourth cell is drawn last and not read."""
     from .squares import comp_h, comp_v, recheck_boundary
 
     r = Report("criterion-5 boundary-law")
     model = a3_s3_model()
-    c = model.code()
-    rng = random.Random(seed)
-    x = draw_below(rng, [model.size()] * 1000)
-    by_left, by_top = model.groups("left"), model.groups("top")
-    y = by_left.draw(rng, by_left.group(c.R[x]))
-    z = by_top.draw(rng, by_top.group(c.B[x]))
     squares, bad = model.squares, 0
-    for i, j, k in zip(x.tolist(), y.tolist(), z.tolist()):
+    x, y, z, _ = model.draw_grids(random.Random(seed), 1000, 2, 2).reshape(-1, 4).T.tolist()
+    for i, j, k in zip(x, y, z):
         if not recheck_boundary(comp_h(squares[i], squares[j])):
             bad += 1
         if not recheck_boundary(comp_v(squares[i], squares[k])):
@@ -178,29 +172,6 @@ def criterion_5_boundary(seed: int = 0) -> Report:
     if bad:
         r.fail(f"{bad} composites broke the boundary law")
     return r
-
-
-def _draw_grids(model, seed: int) -> "np.ndarray":
-    """500 seeded 3x3 grids over ``model``, as a (500, 3, 3) array of
-    square indices, drawn one cell at a time across all 500 grids, the
-    cells in row-major order.  Each cell is uniform, in model order, over
-    the squares whose left and top edges fit the cells drawn before it, by
-    one ``draw_below`` per cell across the grids (``_Groups.draw``), and
-    its ValueError, before the cell draws, where no square fits."""
-    import numpy as np
-
-    c = model.code()
-    rng = random.Random(seed)
-    grids = np.empty((500, 3, 3), np.intp)
-    for i, j in itertools.product(range(3), repeat=2):
-        seams = {}
-        if j:
-            seams["left"] = c.R[grids[:, i, j - 1]]
-        if i:
-            seams["top"] = c.B[grids[:, i - 1, j]]
-        fit = model.groups(*seams)
-        grids[:, i, j] = fit.draw(rng, np.broadcast_to(fit.group(*seams.values()), len(grids)))
-    return grids
 
 
 def _grid_folds(H: "np.ndarray", V: "np.ndarray", grids: "np.ndarray") -> "np.ndarray":
@@ -225,15 +196,16 @@ def criterion_6_grids(seed: int = 0) -> Report:
     """500 seeded 3x3 grids agree across four fold orders.
 
     The grids are drawn over the A3 in S3 model as square indices, each
-    cell fitting the cells before it, and each fold order is one bracketing
-    plan evaluated on all 500 grids at once with the tables ``H``/``V``.
+    cell fitting the cells before it (``DgtModel.draw_grids``), and each
+    fold order is one bracketing plan evaluated on all 500 grids at once
+    with the tables ``H``/``V``.
     The object-level folds (``grid_compose`` and its kin, with
     ``comp_h``/``comp_v``) are the oracle that tests hold this against.
     """
     r = Report("criterion-6 grid-fold-orders")
     model = a3_s3_model()
     t = model.tables()
-    folds = _grid_folds(t.H, t.V, _draw_grids(model, seed))
+    folds = _grid_folds(t.H, t.V, model.draw_grids(random.Random(seed), 500, 3, 3))
     disagreements = int((folds != folds[0]).any(axis=0).sum())
     r.counts["grids"] = folds.shape[1]
     r.counts["disagreements"] = disagreements

@@ -14,7 +14,8 @@ words.  ``reference_components``, ``reference_spanning_tree`` and
 ``ModuleElement.acted`` replaced: one composite ``Word`` per letter or per
 term, each reduced as it is built.  ``reference_below`` is the bounded-integer
 draw of ``gpdkit.dgt.draw_below`` on plain ints, round by round; the tests'
-object-level samplers draw through it.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
+object-level samplers draw through it, ``reference_draw_grids`` among them:
+``DgtModel.draw_grids`` cell by cell over ``squares_with``.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
 ``interchange_check`` evaluates one 2x2 arrangement both ways, ``random_cut``
 is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
 ``induce_element`` pushes a module element along a morphism,
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from gpdkit.crossed import CrossedModuleData
 from gpdkit.eckmann import Table
-from gpdkit.errors import BaseNotInComponent, Disconnected, EdgeMismatch, TreeInvalid
+from gpdkit.errors import BaseNotInComponent, Disconnected, EdgeMismatch, PreconditionFailed, TreeInvalid
 from gpdkit.finite import FiniteGroup, FiniteGroupoid
 from gpdkit.freemodules import FreeModule, ModuleElement, Term
 from gpdkit.morphisms import GroupoidMorphism, evaluate
@@ -419,6 +420,29 @@ def reference_below(rng, sizes) -> list[int]:
                 again.append(k)
         todo = again
     return out
+
+
+def reference_draw_grids(model, rng, n, rows, cols) -> list:
+    """``n`` grids of ``rows`` x ``cols`` squares, as nested lists, drawn as
+    ``DgtModel.draw_grids`` draws them: per cell in row-major order, one
+    pick for every grid among ``squares_with`` the edges of the cells to
+    its left and above, all by one ``reference_below``.  PreconditionFailed,
+    before that cell draws, where some grid has no square to pick."""
+    grids = [[[None] * cols for _ in range(rows)] for _ in range(n)]
+    for i, j in itertools.product(range(rows), range(cols)):
+        options = []
+        for g in grids:
+            constraints = {}
+            if j > 0:
+                constraints["left"] = g[i][j - 1].right
+            if i > 0:
+                constraints["top"] = g[i - 1][j].bottom
+            options.append(model.squares_with(**constraints))
+        if not all(options):
+            raise PreconditionFailed("no square matches the edge constraints")
+        for g, o, k in zip(grids, options, reference_below(rng, [len(o) for o in options])):
+            g[i][j] = o[k]
+    return grids
 
 
 def random_cut(rng):

@@ -26,7 +26,7 @@ from gpdkit.freemodules import FreeModule, ModuleElement, induce_free_module
 from gpdkit.morphisms import GroupoidMorphism
 from gpdkit.presentations import GroupoidPresentation
 from gpdkit.report import Report
-from gpdkit.suite import CRITERIA, _draw_grids, a3_s3_xmod, circle_span, criterion_3_crossed_modules
+from gpdkit.suite import CRITERIA, a3_s3_xmod, circle_span, criterion_3_crossed_modules
 from gpdkit.vkt import Pushout, Span, pushout as vkt_pushout
 from gpdkit.words import ArrowGen
 from same_output import CIRCLE_CANDIDATE
@@ -630,6 +630,17 @@ def test_every_seed_gives_the_same_suite_output(capsys):
     assert runs[1:] == [runs[0]] * 3
 
 
+def test_every_seed_gives_the_same_lambda_output(capsys, tmp_path):
+    # each seed draws other sampled arrangements, but no count depends on them
+    ws = tmp_path / "auts3.vk"
+    ws.write_text(WORKSPACES["auts3.vk"])
+    runs = [run_cli(["--format", "machine", "--seed", str(n), "xmod", "lambda", str(ws)], capsys)
+            for n in range(4)]
+    assert runs[0][0] == 0 and runs[0][1].endswith("RESULT ok\n")
+    assert "COUNT checks 121518884\n" in runs[0][1]
+    assert runs[1:] == [runs[0]] * 3
+
+
 def test_criterion_4_fails_on_a_model_of_another_size(capsys, monkeypatch, aut_c3_model):
     monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: aut_c3_model)
     assert failed_criterion(capsys, "4") == ["WITNESS criterion 4: expected 648 squares, got 24"]
@@ -673,7 +684,7 @@ def test_criterion_5_fails_on_the_unconjugated_pasting(capsys, monkeypatch):
 def test_criterion_6_fails_on_a_swapped_filler(capsys, monkeypatch, aut_c3_model):
     # the mutant of test_criterion_6_fold_catches_doctored_tables: rows
     # first pastes the swapped pair, the first two cells of grid 0
-    drawn = _draw_grids(aut_c3_model, 0)
+    drawn = aut_c3_model.draw_grids(random.Random(0), 500, 3, 3)
     mutant = with_swapped_filler(aut_c3_model, "H", drawn[0, 0, 0], drawn[0, 0, 1],
                                  random.Random(3))
     monkeypatch.setattr("gpdkit.suite.a3_s3_model", lambda: mutant)
@@ -1087,8 +1098,8 @@ def test_the_suite_never_imports_numpy_random():
 
 
 def test_the_batch_draws_and_the_sampled_interchange_never_import_numpy_random(tmp_path):
-    # criteria 5, 6 and 8 draw through dgt.draw_below, criterion 9 and the
-    # sampled interchange of vk xmod lambda through random.Random alone
+    # criteria 5, 6 and 8 and the sampled interchange of vk xmod lambda draw
+    # through dgt.draw_below, criterion 9 through random.Random alone
     ws = tmp_path / "auts3.vk"
     ws.write_text("group s3 = symmetric(3)\nxmod auts3 = autxmod(s3)\n")
     script = ("import sys\nfrom gpdkit.cli import main\n"

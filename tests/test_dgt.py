@@ -37,7 +37,7 @@ from gpdkit.report import Report
 from gpdkit.squares import (comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary,
                              thin_square, transpose)
 
-from reference import disjoint_union, reference_below
+from reference import disjoint_union, reference_below, reference_draw_grids
 
 
 def brute_square_count(xm):
@@ -810,25 +810,23 @@ def reference_validate_dgt(model, interchange, seed, samples):
         if bad:
             report.fail("interchange", f"{bad} violations, first at indices {first}")
         return report
-    rng = random.Random(seed)
-    done = 0
-    while done < samples:
-        x = model.random_square(rng)
-        ys = model.squares_with(left=x.right)
-        zs = model.squares_with(top=x.bottom)
-        if not ys or not zs:
-            continue
-        y = ys[rng.randrange(len(ys))]
-        z = zs[rng.randrange(len(zs))]
-        ws = model.squares_with(left=z.right, top=y.bottom)
-        if not ws:
-            continue
-        w = ws[rng.randrange(len(ws))]
-        done += 1
-        report.count()
-        if comp_v(comp_h(x, y), comp_h(z, w)) != comp_h(comp_v(x, z), comp_v(y, w)):
-            report.fail("interchange", f"sampled violation at {x}, {y}, {z}, {w}")
+    checked, witnesses = reference_sampled_interchange(model, seed, samples)
+    report.count(checked)
+    for witness in witnesses:
+        report.fail("interchange", witness)
     return report
+
+
+def reference_sampled_interchange(model, seed, samples, h=comp_h, v=comp_v):
+    """The sampled interchange's count and witnesses: ``samples`` 2x2 grids
+    [[x, y], [z, w]] drawn as ``draw_grids`` draws them, none on a model with
+    no arrangement, and a witness for each whose folds by ``h``/``v`` differ."""
+    sq = model.squares_with
+    arranged = any(sq(left=z.right, top=y.bottom) for x in model.squares
+                   for y in sq(left=x.right) for z in sq(top=x.bottom))
+    grids = reference_draw_grids(model, random.Random(seed), samples if arranged else 0, 2, 2)
+    return len(grids), [f"sampled violation at {x}, {y}, {z}, {w}" for (x, y), (z, w) in grids
+                        if v(h(x, y), h(z, w)) != h(v(x, z), v(y, w))]
 
 
 # checks of validate_dgt(model, mode) with seed 3 and 2,000 samples
@@ -924,11 +922,18 @@ def test_every_table_law_catches_a_swapped_filler(aut_c3_model):
         assert caught, (law, report.witnesses)
         if witness is not None:
             assert witness in [v.witness for v in caught], law
-    # the sampled evaluator reads the same tables
+    # the sampled evaluator reads the same tables: it finds exactly the
+    # violations of the object-level draw, folded in the mutant's tables
     mutant = with_swapped_filler(model, "H", *h_pair, rng)
     report = validate_dgt(mutant, interchange="sampled", seed=3, samples=2000)
-    assert any(v.law == "interchange" and v.witness.startswith("sampled violation at ")
-               for v in report.violations)
+    t = mutant.tables()
+
+    def paste(table):
+        return lambda x, y: sq[table[index[x.key()], index[y.key()]]]
+
+    _, witnesses = reference_sampled_interchange(mutant, 3, 2000, paste(t.H), paste(t.V))
+    assert witnesses
+    assert [v.witness for v in report.violations if v.law == "interchange"] == witnesses
 
 
 def planted_fault(model, fault):

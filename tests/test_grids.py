@@ -16,8 +16,8 @@ from gpdkit.grids import (
     grid_compose_columns_first,
 )
 from gpdkit.squares import eps_h, eps_v, identity_square, thin_square
-from gpdkit.suite import _draw_grids, _grid_folds, a3_s3_model
-from reference import random_cut, reference_below
+from gpdkit.suite import _grid_folds, a3_s3_model
+from reference import random_cut, reference_draw_grids
 from test_dgt import with_swapped_filler
 
 
@@ -38,22 +38,8 @@ def random_grid(model, rows, cols, rng):
 
 
 def reference_grids(model, rng, count):
-    """``count`` 3x3 grids drawn one cell at a time across all of them: per
-    cell in row-major order, one pick for every grid among the squares
-    fitting the cells to its left and above, all by one ``reference_below``."""
-    cells = [[[None] * 3 for _ in range(3)] for _ in range(count)]
-    for i, j in itertools.product(range(3), repeat=2):
-        options = []
-        for g in cells:
-            constraints = {}
-            if j > 0:
-                constraints["left"] = g[i][j - 1].right
-            if i > 0:
-                constraints["top"] = g[i - 1][j].bottom
-            options.append(model.squares_with(**constraints))
-        for g, o, k in zip(cells, options, reference_below(rng, [len(o) for o in options])):
-            g[i][j] = o[k]
-    return [Grid(tuple(map(tuple, g))) for g in cells]
+    """``count`` 3x3 grids by ``reference_draw_grids``, as ``Grid``s."""
+    return [Grid(tuple(map(tuple, g))) for g in reference_draw_grids(model, rng, count, 3, 3)]
 
 
 def test_single_cell_grid(a3s3, a3s3_model):
@@ -136,7 +122,7 @@ def test_random_cuts_bracket_a_3x4_grid_by_their_seed(monkeypatch):
 def test_criterion_6_batch_matches_the_object_folds(seed):
     model = a3_s3_model()
     objects = reference_grids(model, random.Random(seed), 500)
-    drawn = _draw_grids(model, seed)
+    drawn = model.draw_grids(random.Random(seed), 500, 3, 3)
     assert drawn.tolist() == [[[model.index[c.key()] for c in row] for row in g.cells]
                               for g in objects]
     t = model.tables()
@@ -148,35 +134,44 @@ def test_criterion_6_batch_matches_the_object_folds(seed):
         assert folds[:, k].tolist() == [model.index[s.key()] for s in want]
 
 
-def test_a_grid_with_no_fitting_square_raises_as_the_object_draw_does(sq_s3, monkeypatch):
+def test_a_grid_with_no_fitting_square_raises_as_the_object_draw_does(sq_s3):
     # without the squares whose left edge is x, a cell whose left neighbour
     # has right edge x has nothing to fit
     P = sq_s3.edges
     x = next(a for a in sorted(P.arrows) if not P.is_identity(a))
     hollow = replace(sq_s3, squares=tuple(s for s in sq_s3.squares if s.left != x))
-    made = []
-
-    class Recorded(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
-
-    monkeypatch.setattr("gpdkit.suite.random.Random", Recorded)
-    with pytest.raises(ValueError) as got:
-        _draw_grids(hollow, 0)
-    monkeypatch.undo()
-    want = random.Random(0)
-    with pytest.raises(ValueError) as raised:
+    got, want = random.Random(0), random.Random(0)
+    with pytest.raises(PreconditionFailed) as raised:
+        hollow.draw_grids(got, 500, 3, 3)
+    with pytest.raises(PreconditionFailed) as expected:
         reference_grids(hollow, want, 500)
-    assert str(got.value) == str(raised.value)
+    assert str(raised.value) == str(expected.value) == "no square matches the edge constraints"
     # the cells before the empty group drew, and that cell drew nothing, as
     # in the object-level loop
-    assert made[0].getstate() == want.getstate()
+    assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("fixture", ["sq_c2", "sq_s3", "aut_c3_model", "sq_interval_s3",
+                                     "a3s3_model", "aut_s3_model"])
+def test_draw_grids_matches_the_object_level_draw(request, fixture):
+    model = request.getfixturevalue(fixture)
+    for seed, (rows, cols) in itertools.product(range(3), [(1, 1), (2, 2), (3, 3), (1, 3)]):
+        got, want = random.Random(seed), random.Random(seed)
+        drawn = model.draw_grids(got, 40, rows, cols)
+        assert drawn.shape == (40, rows, cols)
+        assert drawn.tolist() == [[[model.index[s.key()] for s in row] for row in g]
+                                  for g in reference_draw_grids(model, want, 40, rows, cols)]
+        assert got.getstate() == want.getstate()
+    # no grids: nothing drawn
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert model.draw_grids(rng, 0, 3, 3).shape == (0, 3, 3)
+    assert rng.getstate() == state
 
 
 def test_criterion_6_fold_catches_doctored_tables(aut_c3_model, monkeypatch):
     model = aut_c3_model
-    drawn = _draw_grids(model, 0)
+    drawn = model.draw_grids(random.Random(0), 500, 3, 3)
     t = model.tables()
     folds = _grid_folds(t.H, t.V, drawn)
     assert not (folds != folds[0]).any()
