@@ -26,6 +26,7 @@ from .finite import (
     FiniteGroup,
     FiniteGroupoid,
     group_as_groupoid,
+    isomorphisms,
     subgroup_table,
     sweep_group,
     sweep_groupoid,
@@ -273,23 +274,11 @@ def trivial_crossed_module(base: FiniteGroupoid, name: str | None = None) -> Cro
 
 
 def automorphisms(g: FiniteGroup) -> list[dict[str, str]]:
-    """All automorphisms of ``g`` by brute force over bijections."""
+    """All automorphisms of ``g`` (``finite.isomorphisms(g, g)``), sorted by
+    their images of the sorted elements; SizeLimit above order 8."""
     if g.order() > 8:
         raise SizeLimit(f"automorphism search is limited to order <= 8, got {g.order()}")
-    elems = list(g.elements)
-    others = [x for x in elems if x != g.identity]
-    found = []
-    for images in itertools.permutations(others):
-        phi = dict(zip(others, images))
-        phi[g.identity] = g.identity
-        if all(
-            phi[g.mul(a, b)] == g.mul(phi[a], phi[b])
-            for a in elems
-            for b in elems
-        ):
-            found.append(phi)
-    found.sort(key=lambda phi: tuple(phi[x] for x in sorted(phi)))
-    return found
+    return sorted(isomorphisms(g, g), key=lambda phi: tuple(phi[x] for x in sorted(phi)))
 
 
 def automorphism_xmod(g: FiniteGroup) -> CrossedModuleData:

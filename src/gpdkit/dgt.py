@@ -4,7 +4,9 @@
 module; ``square_model`` is the special case of trivial fibers, whose squares
 are exactly the commuting edge quadruples of the base groupoid.  ``gamma``
 goes back: it reads a crossed module off a model using only the model's own
-compositions and degeneracies.
+compositions and degeneracies, and ``find_xmod_isomorphism`` closes the round
+trip X -> lambda X -> gamma lambda X ~ X, fiber by fiber through
+``finite.isomorphisms``.
 
 Every composition law in ``validate_dgt`` reads the tables ``H``/``V``.  A
 model keeps its module's one integer encoding (``crossed.EncodedXmod``), on
@@ -12,43 +14,44 @@ which ``lambda_functor`` composed its squares; ``DgtModel.code`` turns it
 into int arrays (``SquareCode``) in the same numbering, with each square's
 element and four edges.  ``DgtModel`` is the one place that turns squares
 into indices, each lookup built once per model: ``groups`` groups the
-squares by the arrows on a tuple of edges; ``find`` reads a square off its
-element and edges through a dense slot index, one slot per square that
-``lambda_square_count`` counts, so a lookup is arithmetic on per-arrow and
-per-element arrays and one gather; ``tables`` builds ``H``/``V`` with numpy
-formulas and ``find``, one block per pasting edge, each pasting the square
-on the edges it forces, composed ones included, or InvalidDgt; ``maps``
-gives each square's transpose and inverses and each arrow's units and thin
-cube corners.  The law sweeps, ``draw_grids`` (the seeded grids of the
-sampled interchange and of criteria 5 and 6) and ``cubes.CubeKernel``
-read only these.  So a table is proven where it enters: ``tables()`` by
-construction, and an outside table, which only ``interchange_sweep`` takes,
-by ``_check_pastings``.  A law sweep splits its arrangements into blocks,
-one per tuple of shared edges, each a product of such groups; both sides of
-a block are row gathers from small sub-tables of ``H``/``V``, at each inner
-pasting's rank in the group of its forced edge, so a sweep never reads a -1
-as an index.  The interchange sweep's sub-tables hold element ranks packed
-into int64 words, one word per row of an arrangement's last square: both
-sides are squares on the same four edges, so they are equal exactly when
-their elements are.  Both sweeps work modulo one list of symmetries of the
-squares (``_symmetries``): the transpose tau and the inverses inv_h and
-inv_v of ``maps()`` and, on a one-object base, the conjugations by the
-base's generators.  ``_verify`` checks the list once for every sweep of the
-tables: tau, then each other claim on H; where tau holds, V = tau H tau
-gives V's claims.  A symmetry that holds maps a law's arrangements one to
-one onto arrangements, both sides with them, and blocks onto blocks, so a
-sweep compares only the least block of each orbit and counts it once per
-block of its orbit: ``checked`` counts the arrangements covered, compared
-or carried there by a symmetry.  Associativity is swept on H alone where
-tau holds.  A model without these symmetries (a hollow one, doctored
-tables) gets the full sweeps, and so does a sweep whose orbit pass finds a
-violation, for the exact count and the first witness in scan order.  Every
-sweep runs in this one process.  The object-level calculus
-(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
-and, in ``find_interchange_counterexample``, the readable scan for a
-corrupted pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN`` arrangements;
-``count_compatible_quadruples`` reads only the edges, never a table, so it
-checks the sweeps' coverage independently.
+squares by the arrows on a tuple of edges (``squares_with`` reads one such
+group); ``find`` reads a square off its element and edges through a dense
+slot index, one slot per square that ``lambda_square_count`` counts, so a
+lookup is arithmetic on per-arrow and per-element arrays and one gather;
+``tables`` builds ``H``/``V`` with numpy formulas and ``find``, one block
+per pasting edge, each pasting the square on the edges it forces, composed
+ones included, or InvalidDgt; ``maps`` gives each square's transpose and
+inverses and each arrow's units and thin cube corners.  The law sweeps,
+``draw_grids`` (the seeded grids of the sampled interchange and of criteria
+5 and 6) and ``cubes.CubeKernel`` read only these.  So a table is proven
+where it enters: ``tables()`` by construction, and an outside table, which
+only ``interchange_sweep`` takes, by ``_check_pastings``.  A law sweep
+splits its arrangements into blocks, one per tuple of shared edges, each a
+product of such groups; both sides of a block are row gathers from small
+sub-tables of ``H``/``V``, at each inner pasting's rank in the group of its
+forced edge, so a sweep never reads a -1 as an index.  The interchange
+sweep's sub-tables hold element ranks packed into int64 words, one word per
+row of an arrangement's last square: both sides are squares on the same four
+edges, so they are equal exactly when their elements are.  Both sweeps work
+modulo one list of symmetries of the squares (``_symmetries``): the
+transpose tau and the inverses inv_h and inv_v of ``maps()`` and, on a
+one-object base, the conjugations by the base's generators.  ``_verify``
+checks the list once for every sweep of the tables: tau, then each other
+claim on H; where tau holds, V = tau H tau gives V's claims.  A symmetry
+that holds maps a law's arrangements one to one onto arrangements, both
+sides with them, and blocks onto blocks, so a sweep compares only the least
+block of each orbit and counts it once per block of its orbit: ``checked``
+counts the arrangements covered, compared or carried there by a symmetry.
+Associativity is swept on H alone where tau holds.  A model without these
+symmetries (a hollow one, doctored tables) gets the full sweeps, and so does
+a sweep whose orbit pass finds a violation, for the exact count and the
+first witness in scan order.  Every sweep runs in this one process.  The
+object-level calculus (``squares.comp_h``/``comp_v``) is the oracle the
+tables are tested against and, in ``find_interchange_counterexample``, the
+readable scan for a corrupted pasting, which stops at
+``MAX_COUNTEREXAMPLE_SCAN`` arrangements; ``count_compatible_quadruples``
+reads only the edges, never a table, so it checks the sweeps' coverage
+independently.
 """
 
 import itertools
@@ -59,7 +62,7 @@ import numpy as np
 
 from .crossed import CrossedModuleData, EncodedXmod, sweep_crossed_module, trivial_crossed_module
 from .errors import EdgeMismatch, InvalidCrossedModule, InvalidDgt, PreconditionFailed, SizeLimit
-from .finite import FiniteGroup, FiniteGroupoid
+from .finite import FiniteGroup, FiniteGroupoid, isomorphisms
 from .report import Report
 from .squares import (
     Square,
@@ -343,7 +346,6 @@ class DgtModel:
     connections_plus: dict[str, Square]
     encoded: EncodedXmod = field(repr=False, compare=False)  # xm's, as lambda_functor swept it
     index: dict[tuple, int] = field(init=False, repr=False)
-    _edge_index: dict = field(default_factory=dict, init=False, repr=False)
     _code: SquareCode = field(default=None, init=False, repr=False)
     _slots: _SlotIndex = field(default=None, init=False, repr=False)
     _groups: dict = field(default_factory=dict, init=False, repr=False)
@@ -369,20 +371,17 @@ class DgtModel:
         return [self.squares[k] for k in np.flatnonzero(c.E == c.unit[c.R])]
 
     def squares_with(self, **edges) -> list[Square]:
-        """All squares whose named edges carry the given arrows, in model order."""
+        """All squares whose named edges carry the given arrows, in model
+        order: one group of ``groups`` over the sorted edge names.  A name
+        that is not an arrow of the base matches no square."""
         for e in edges:
             if e not in _EDGES:
                 raise ValueError(f"unknown edge {e!r}")
-        if not edges:
-            return list(self.squares)
-        names = tuple(sorted(edges))
-        index = self._edge_index.get(names)
-        if index is None:
-            index = {}
-            for s in self.squares:
-                index.setdefault(tuple(getattr(s, e) for e in names), []).append(s)
-            self._edge_index[names] = index
-        return list(index.get(tuple(edges[e] for e in names), ()))
+        names, index = sorted(edges), self.encoded.base.index
+        if not all(edges[e] in index for e in names):
+            return []
+        members = self.groups(*names).members(*(index[edges[e]] for e in names))
+        return [self.squares[k] for k in members.tolist()]
 
     def random_square(self, rng: random.Random) -> Square:
         return self.squares[rng.randrange(len(self.squares))]
@@ -514,31 +513,27 @@ class DgtModel:
 def lambda_functor(x: CrossedModuleData, name: str | None = None) -> DgtModel:
     """All filled squares over a valid crossed module, with its structure.
 
-    Each candidate boundary bottom^-1 * left^-1 * top * right is composed
-    on the module's integer encoding (``sweep_crossed_module``), which the
+    A square is its top t, a left leaving src t, a right r leaving dst t
+    and an element m of the fiber at dst r, as ``lambda_square_count``
+    counts them; its bottom is left^-1 * t * r * mu(m)^-1, the one arrow
+    whose boundary word bottom^-1 * left^-1 * t * r is mu(m).  Composed on
+    the module's integer encoding (``sweep_crossed_module``), which the
     model keeps; ``validate_dgt`` rechecks every square's boundary on the
     objects."""
     report, code = sweep_crossed_module(x)
     if not report.ok:
         raise InvalidCrossedModule(report)
     P = code.base
-    names, rows, inv, src, dst, after = P.names, P.rows, P.inv, P.src, P.dst, P.after
-    hom = {}  # (src, dst) object positions -> the arrows between them
-    for a in range(len(names)):
-        hom.setdefault((src[a], dst[a]), []).append(a)
-    preimage: dict[int, list[str]] = {}  # loop -> the elements over it, by fiber order
-    for o in P.obj_index.values():
-        for m, a in zip(code.fibers[o].names, code.mu[o]):
-            preimage.setdefault(a, []).append(m)
+    names, rows, inv, after = P.names, P.rows, P.inv, P.after
     keys = []
     for top in range(len(names)):
         for left in after[inv[top]]:  # the arrows leaving src top
             lt = rows[inv[left]][top]
             for right in after[top]:
                 ltr = rows[lt][right]
-                for bottom in hom.get((dst[left], dst[right]), ()):
-                    for elt in preimage.get(rows[inv[bottom]][ltr], ()):
-                        keys.append((elt, names[top], names[right], names[bottom], names[left]))
+                for elt, mu in zip(code.fibers[P.dst[right]].names, code.mu[P.dst[right]]):
+                    bottom = rows[ltr][inv[mu]]  # left^-1 top right mu(elt)^-1
+                    keys.append((elt, names[top], names[right], names[bottom], names[left]))
     keys.sort()  # Square.key() order
     arrows = sorted(x.base.arrows)
     return DgtModel(name or f"squares({x.name})", x, x.base, tuple(Square(x, *k) for k in keys),
@@ -1355,73 +1350,25 @@ def gamma(d: DgtModel, name: str | None = None) -> CrossedModuleData:
 
 # -- crossed module isomorphism over a fixed base --------------------------------
 
-def _fiber_isos(ma: FiniteGroup, mb: FiniteGroup, mu_a: dict[str, str], mu_b: dict[str, str]):
-    """Yield every group isomorphism ma -> mb compatible with the boundaries."""
-    if ma.order() != mb.order():
-        return
-    candidates = {
-        m: [
-            n
-            for n in mb.elements
-            if mu_b[n] == mu_a[m] and ((m == ma.identity) == (n == mb.identity))
-        ]
-        for m in ma.elements
-    }
-    order = sorted(ma.elements)
-
-    def extend(i, phi, used):
-        if i == len(order):
-            full = dict(phi)
-            if all(
-                full[ma.mul(m1, m2)] == mb.mul(full[m1], full[m2])
-                for m1 in ma.elements
-                for m2 in ma.elements
-            ):
-                yield full
-            return
-        m = order[i]
-        for n in candidates[m]:
-            if n in used:
-                continue
-            phi[m] = n
-            used.add(n)
-            for m2 in list(phi):
-                if (phi.get(ma.mul(m, m2)) not in (None, mb.mul(n, phi[m2]))
-                        or phi.get(ma.mul(m2, m)) not in (None, mb.mul(phi[m2], n))):
-                    break
-            else:
-                yield from extend(i + 1, phi, used)
-            used.discard(n)
-            del phi[m]
-
-    yield from extend(0, {}, set())
-
-
 def find_xmod_isomorphism(a: CrossedModuleData, b: CrossedModuleData):
     """Fiberwise group isomorphism over the shared base, or None.
 
-    Searches all boundary-compatible fiber isomorphisms and keeps the first
-    combination that is also equivariant for the base action.
+    Searches all fiber isomorphisms that commute with the boundaries
+    (``finite.isomorphisms``) and keeps the first combination, in object
+    order, that is also equivariant for the base action.
     """
-    if (
-        a.base.objects != b.base.objects
-        or a.base.arrows != b.base.arrows
-        or a.base.table != b.base.table
-    ):
+    if (a.base.objects, a.base.arrows, a.base.table) != (b.base.objects, b.base.arrows, b.base.table):
         return None
     objects = sorted(a.base.objects)
     per_object = []
     for s in objects:
-        isos = list(_fiber_isos(a.fibers[s], b.fibers[s], a.mu[s], b.mu[s]))
+        isos = list(isomorphisms(a.fibers[s], b.fibers[s], fits=lambda m, n: a.mu[s][m] == b.mu[s][n]))
         if not isos:
             return None
         per_object.append(isos)
     for combo in itertools.product(*per_object):
         iso = dict(zip(objects, combo))
-        if all(
-            iso[a.base.dst[p]][a.action[(m, p)]] == b.action[(iso[a.base.src[p]][m], p)]
-            for p in a.base.arrows
-            for m in a.fibers[a.base.src[p]].elements
-        ):
+        if all(iso[a.base.dst[p]][a.action[(m, p)]] == b.action[(iso[a.base.src[p]][m], p)]
+               for p in a.base.arrows for m in a.fibers[a.base.src[p]].elements):
             return iso
     return None

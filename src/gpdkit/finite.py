@@ -7,7 +7,8 @@ to right throughout: ``mul(x, y)`` means "x then y", and for permutations
 
 The axiom sweeps run on, and return, an integer encoding (``Encoded``) that
 numbers names in declared order: the one numbering crossed modules and their
-square models build on.
+square models build on.  ``isomorphisms`` is the one isomorphism search:
+``crossed.automorphisms`` and ``dgt.find_xmod_isomorphism`` both run it.
 """
 
 import itertools
@@ -161,6 +162,39 @@ def _associativity(report: Report, names, rows, after) -> None:
                         x_, y_, z_ = names[x], names[y], names[z]
                         report.fail("associativity", f"({x_}*{y_})*{z_} != {x_}*({y_}*{z_})")
     report.count(checks)
+
+
+def isomorphisms(a: FiniteGroup, b: FiniteGroup, fits=None):
+    """Yield every group isomorphism a -> b, as a dict, that sends each m to
+    an n with ``fits(m, n)`` (any n when ``fits`` is None).
+
+    Backtracks over a's elements in sorted order, trying images in b's
+    declared order, each image distinct and the identity sent to the
+    identity, and drops a partial map at the first product it breaks among
+    the elements mapped so far; the whole map is checked to be a
+    homomorphism before it is yielded."""
+    if a.order() != b.order():
+        return
+    order = sorted(a.elements)
+    candidates = [[n for n in b.elements if (m == a.identity) == (n == b.identity)
+                   and (fits is None or fits(m, n))] for m in order]
+
+    def extend(phi):
+        if len(phi) == len(order):
+            if all(phi[a.mul(x, y)] == b.mul(phi[x], phi[y]) for x in order for y in order):
+                yield dict(phi)
+            return
+        m = order[len(phi)]
+        for n in candidates[len(phi)]:
+            if n in phi.values():
+                continue
+            phi[m] = n
+            if all(phi.get(a.mul(m, x)) in (None, b.mul(n, y)) and phi.get(a.mul(x, m)) in (None, b.mul(y, n))
+                   for x, y in phi.items()):
+                yield from extend(phi)
+            del phi[m]
+
+    yield from extend({})
 
 
 def validate_finite_group(g: FiniteGroup) -> Report:

@@ -7,15 +7,19 @@ dicts, one ``Report.count()`` per check.  ``tests/test_reference.py``
 requires both to give the same counts, the same violations in the same
 order, and the same exception.  ``reference_lambda_keys`` is the name-walking
 square enumeration that ``gpdkit.dgt.lambda_functor`` replaced with integer
-words.  ``reference_components``, ``reference_spanning_tree`` and
-``reference_tree_paths`` are the three breadth-first searches that
+words.  ``reference_isomorphisms`` is the scan of every bijection that
+``gpdkit.finite.isomorphisms`` replaced.  ``reference_components``,
+``reference_spanning_tree`` and ``reference_tree_paths`` are the three
+breadth-first searches that
 ``gpdkit.presentations._walk`` replaced.  ``reference_evaluate`` and
 ``reference_acted`` are the letter-by-letter folds that ``evaluate`` and
 ``ModuleElement.acted`` replaced: one composite ``Word`` per letter or per
 term, each reduced as it is built.  ``reference_below`` is the bounded-integer
 draw of ``gpdkit.dgt.draw_below`` on plain ints, round by round; the tests'
 object-level samplers draw through it, ``reference_draw_grids`` among them:
-``DgtModel.draw_grids`` cell by cell over ``squares_with``.  The rest are test-only helpers: ``disjoint_union`` builds a groupoid,
+``DgtModel.draw_grids`` cell by cell over ``squares_with``.  The rest are
+test-only helpers: ``disjoint_union`` builds a groupoid,
+``permutation_group`` closes a set of permutations into a group,
 ``interchange_check`` evaluates one 2x2 arrangement both ways, ``random_cut``
 is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
 ``induce_element`` pushes a module element along a morphism,
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from gpdkit.crossed import CrossedModuleData
 from gpdkit.eckmann import Table
 from gpdkit.errors import BaseNotInComponent, Disconnected, EdgeMismatch, PreconditionFailed, TreeInvalid
-from gpdkit.finite import FiniteGroup, FiniteGroupoid
+from gpdkit.finite import FiniteGroup, FiniteGroupoid, _cycle_name, _perm_mul
 from gpdkit.freemodules import FreeModule, ModuleElement, Term
 from gpdkit.morphisms import GroupoidMorphism, evaluate
 from gpdkit.presentations import GroupoidPresentation
@@ -246,6 +250,43 @@ def reference_lambda_keys(x: CrossedModuleData) -> list[tuple]:
                     for elt in preimage[z].get(word, ()):
                         keys.append((elt, top, right, bottom, left))
     return sorted(keys)
+
+
+def reference_isomorphisms(a: FiniteGroup, b: FiniteGroup, fits=None) -> list[dict]:
+    """Every bijection from sorted(a.elements) onto b's elements that sends
+    each m to an n with ``fits(m, n)`` (any n when ``fits`` is None) and
+    respects every product: the scan of all bijections that
+    ``gpdkit.finite.isomorphisms`` replaced with a backtracking search.  The
+    images run over the sorted elements of b, so the maps come out in
+    ``crossed.automorphisms``' sort order."""
+    order = sorted(a.elements)
+    if len(order) != b.order():
+        return []
+    found = []
+    for images in itertools.permutations(sorted(b.elements)):
+        phi = dict(zip(order, images))
+        if ((fits is None or all(fits(m, n) for m, n in phi.items()))
+                and all(phi[a.mul(x, y)] == b.mul(phi[x], phi[y]) for x in order for y in order)):
+            found.append(phi)
+    return found
+
+
+def permutation_group(name: str, *gens: tuple[int, ...]) -> FiniteGroup:
+    """The group of permutations that ``gens`` generate, closed under
+    ``_perm_mul`` and named in cycle notation."""
+    ident = tuple(range(len(gens[0])))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = _perm_mul(p, g)
+            if q not in elems:
+                elems.add(q)
+                frontier.append(q)
+    names = {p: _cycle_name(p) for p in elems}
+    table = {(names[p], names[q]): names[_perm_mul(p, q)] for p in elems for q in elems}
+    inverse = {names[p]: names[tuple(sorted(ident, key=p.__getitem__))] for p in elems}
+    return FiniteGroup(name, tuple(sorted(names.values())), table, names[ident], inverse)
 
 
 # -- reference: three separate breadth-first searches ---------------------------

@@ -31,7 +31,7 @@ from gpdkit.dgt import (
 )
 from gpdkit.errors import InvalidCrossedModule, InvalidDgt, SizeLimit
 from gpdkit.finite import (FiniteGroup, cyclic_group, group_as_groupoid,
-                           interval_finite_groupoid, trivial_group)
+                           interval_finite_groupoid, isomorphisms, trivial_group)
 from gpdkit.grids import Grid, grid_compose
 from gpdkit.report import Report
 from gpdkit.squares import (comp_h, comp_v, eps_h, eps_v, inv_h, inv_v, is_thin, recheck_boundary,
@@ -298,7 +298,7 @@ def test_isomorphism_needs_the_fiber_map_to_respect_the_action():
     fixed = over_trivial_boundary(c2, c3, lambda m, p: m, "c3_fixed")
     inverted = over_trivial_boundary(c2, c3, lambda m, p: c3.inv(m) if p == "t" else m, "c3_inverted")
     assert lambda_square_count(fixed) == lambda_square_count(inverted) == 24
-    fiber_maps = list(dgt._fiber_isos(c3, c3, fixed.mu["*"], inverted.mu["*"]))
+    fiber_maps = list(isomorphisms(c3, c3, fits=lambda m, n: fixed.mu["*"][m] == inverted.mu["*"][n]))
     assert len(fiber_maps) == 2
     assert find_xmod_isomorphism(fixed, inverted) is None
     assert find_xmod_isomorphism(inverted, fixed) is None
@@ -608,19 +608,22 @@ def test_quadruple_count_closed_forms(a3s3_model, aut_s3_model):
     assert count_compatible_quadruples(aut_s3_model) == 6**8 * 6**4 == 2_176_782_336
 
 
-def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model):
+def test_squares_with_is_an_exact_filter_in_model_order(a3s3_model, sq_interval_s3):
+    # one object, three objects, and every other square of A3 in S3
     rng = random.Random(5)
     edges = ("top", "right", "bottom", "left")
-    for _ in range(60):
-        s = a3s3_model.random_square(rng)
-        want = {e: getattr(s, e) for e in rng.sample(edges, rng.randint(1, 4))}
-        assert a3s3_model.squares_with(**want) == [
-            q for q in a3s3_model.squares if all(getattr(q, e) == v for e, v in want.items())
-        ]
-    assert a3s3_model.squares_with(left="nope") == []
-    assert a3s3_model.squares_with() == list(a3s3_model.squares)
-    with pytest.raises(ValueError):
-        a3s3_model.squares_with(diagonal="e")
+    for model in (a3s3_model, sq_interval_s3, replace(a3s3_model, squares=a3s3_model.squares[::2])):
+        for _ in range(60):
+            s = model.random_square(rng)
+            want = {e: getattr(s, e) for e in rng.sample(edges, rng.randint(1, 4))}
+            assert model.squares_with(**want) == [
+                q for q in model.squares if all(getattr(q, e) == v for e, v in want.items())
+            ]
+        assert model.squares_with(left="nope") == []
+        assert model.squares_with(top=s.top, left="nope") == []
+        assert model.squares_with() == list(model.squares)
+        with pytest.raises(ValueError):
+            model.squares_with(diagonal="e")
 
 
 # every edge tuple a kernel groups the squares by: the sweeps' edge pairs and

@@ -1,12 +1,16 @@
 import itertools
 from dataclasses import replace
 
+import pytest
+
+from gpdkit.crossed import automorphisms, from_normal_subgroup
 from gpdkit.finite import (
     FiniteGroup,
     cyclic_group,
     even_elements,
     group_as_groupoid,
     interval_finite_groupoid,
+    isomorphisms,
     standard_battery,
     subgroup_table,
     symmetric_group,
@@ -15,7 +19,7 @@ from gpdkit.finite import (
     validate_finite_groupoid,
 )
 
-from reference import disjoint_union
+from reference import disjoint_union, permutation_group, reference_isomorphisms
 
 
 def test_standard_groups_validate():
@@ -123,3 +127,80 @@ def test_a_repeated_name_is_a_violation_naming_it():
                                   ("arrows", g.arrows + g.arrows[-1:], f"arrow {g.arrows[-1]} is repeated")]:
         r = validate_finite_groupoid(replace(g, **{field: value}))
         assert [(v.law, v.witness) for v in r.violations] == [("names", witness)]
+
+
+# one group of each isomorphism class of order <= 8, the non-cyclic ones
+# closed from permutations: D4 from two permutations of S4, Q8 as its own
+# right-regular permutations of 1, i, j, k, -1, -i, -j, -k
+SMALL_GROUPS = {
+    "triv": trivial_group,
+    "c2": lambda: cyclic_group(2),
+    "c3": lambda: cyclic_group(3),
+    "c4": lambda: cyclic_group(4),
+    "v4": lambda: permutation_group("v4", (1, 0, 3, 2), (2, 3, 0, 1)),
+    "c5": lambda: cyclic_group(5),
+    "s3": lambda: symmetric_group(3),
+    "c6": lambda: cyclic_group(6),
+    "c7": lambda: cyclic_group(7),
+    "d4": lambda: permutation_group("d4", (1, 2, 3, 0), (2, 1, 0, 3)),
+    "c8": lambda: cyclic_group(8),
+    "c2c4": lambda: permutation_group("c2c4", (1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)),
+    "c2c2c2": lambda: permutation_group("c2c2c2", (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+                                        (0, 1, 2, 3, 5, 4)),
+    "q8": lambda: permutation_group("q8", (1, 4, 7, 2, 5, 0, 3, 6), (2, 3, 4, 5, 6, 7, 0, 1)),
+}
+
+
+def as_set(maps):
+    return {tuple(sorted(phi.items())) for phi in maps}
+
+
+def test_the_small_groups_are_the_fourteen_classes():
+    # orders and automorphism counts tell the fourteen classes apart
+    groups = {name: make() for name, make in SMALL_GROUPS.items()}
+    assert all(validate_finite_group(g).ok for g in groups.values())
+    assert {name: (g.order(), len(automorphisms(g))) for name, g in groups.items()} == {
+        "triv": (1, 1), "c2": (2, 1), "c3": (3, 2), "c4": (4, 2), "v4": (4, 6), "c5": (5, 4),
+        "s3": (6, 6), "c6": (6, 2), "c7": (7, 6), "d4": (8, 8), "c8": (8, 4), "c2c4": (8, 8),
+        "c2c2c2": (8, 168), "q8": (8, 24)}
+    # D4 and C2 x C4 share both numbers: only C2 x C4 is abelian
+    assert not all(groups["d4"].mul(x, y) == groups["d4"].mul(y, x)
+                   for x, y in itertools.product(groups["d4"].elements, repeat=2))
+    assert all(groups["c2c4"].mul(x, y) == groups["c2c4"].mul(y, x)
+               for x, y in itertools.product(groups["c2c4"].elements, repeat=2))
+
+
+@pytest.mark.parametrize("name", ["triv", "c2", "c3", "c4", "v4", "s3", "c6", "d4", "c8"])
+def test_isomorphisms_are_the_scan_of_every_bijection(name):
+    g = SMALL_GROUPS[name]()
+    found = list(isomorphisms(g, g))
+    assert len(as_set(found)) == len(found)
+    assert as_set(found) == as_set(reference_isomorphisms(g, g))
+
+
+@pytest.mark.parametrize("name", list(SMALL_GROUPS))
+def test_automorphisms_are_the_reference_list_in_order(name):
+    g = SMALL_GROUPS[name]()
+    assert automorphisms(g) == reference_isomorphisms(g, g)
+
+
+@pytest.mark.parametrize("pair", [("c4", "v4"), ("c6", "s3")])
+def test_groups_of_one_order_that_are_not_isomorphic_have_no_isomorphism(pair):
+    a, b = (SMALL_GROUPS[name]() for name in pair)
+    for x, y in ((a, b), (b, a)):
+        assert reference_isomorphisms(x, y) == []
+        assert list(isomorphisms(x, y)) == []
+
+
+def test_isomorphisms_keep_only_the_maps_that_fit_the_boundaries():
+    # A3 in S3: mu is injective, so only the identity fits; C3 -> C2 with
+    # trivial boundary: both automorphisms of C3 fit
+    s3 = symmetric_group(3)
+    a3s3 = from_normal_subgroup(s3, even_elements(s3))
+    c3 = cyclic_group(3)
+    for fiber, mu, count in ((a3s3.fibers["*"], a3s3.mu["*"], 1), (c3, dict.fromkeys(c3.elements, "e"), 2)):
+        def fits(m, n):
+            return mu[m] == mu[n]
+        found = list(isomorphisms(fiber, fiber, fits=fits))
+        assert as_set(found) == as_set(reference_isomorphisms(fiber, fiber, fits))
+        assert len(found) == count
