@@ -1357,7 +1357,11 @@ def find_xmod_isomorphism(a: CrossedModuleData, b: CrossedModuleData):
     (``finite.isomorphisms``) and keeps the first combination, in object
     order, that is also equivariant for the base action.
     """
-    if (a.base.objects, a.base.arrows, a.base.table) != (b.base.objects, b.base.arrows, b.base.table):
+    if (
+        a.base.objects != b.base.objects
+        or a.base.arrows != b.base.arrows
+        or a.base.table != b.base.table
+    ):
         return None
     objects = sorted(a.base.objects)
     per_object = []
@@ -1368,7 +1372,10 @@ def find_xmod_isomorphism(a: CrossedModuleData, b: CrossedModuleData):
         per_object.append(isos)
     for combo in itertools.product(*per_object):
         iso = dict(zip(objects, combo))
-        if all(iso[a.base.dst[p]][a.action[(m, p)]] == b.action[(iso[a.base.src[p]][m], p)]
-               for p in a.base.arrows for m in a.fibers[a.base.src[p]].elements):
+        if all(
+            iso[a.base.dst[p]][a.action[(m, p)]] == b.action[(iso[a.base.src[p]][m], p)]
+            for p in a.base.arrows
+            for m in a.fibers[a.base.src[p]].elements
+        ):
             return iso
     return None

@@ -1,23 +1,24 @@
 """Apply each mutant of a fixed table to a copy of this checkout and require
 the tests named for it to fail.
 
-    python tests/mutants.py [--json PATH] [NAME ...]
+    python tests/mutants.py [--json PATH]
 
 A mutant is (name, file, old text, new text, killers).  ``old`` must occur
 exactly once in ``file``; found any other number of times it is an error,
 not a pass.  A killer is a tier-1 test id, which fails when any test it
 selects fails or errors, or ``vk suite``, which fails when
 ``vk --format machine suite`` exits non-zero or prints other bytes than on
-the unmutated copy.  The unmutated copy must pass every killer of the
-mutants run.  Then each mutant (all of them, or those named) is applied
-alone to a fresh copy of ``src``, ``tests`` and ``pyproject.toml`` in a
-temporary directory, and its killers run in a bytecode-free subprocess.
+the unmutated copy.  The unmutated copy must pass every killer.  Then each
+mutant is applied alone to a fresh copy of ``src``, ``tests`` and
+``pyproject.toml`` in a temporary directory, and its killers run in a
+bytecode-free subprocess.
 Prints one line per (mutant, killer) and, with ``--json``, writes that kill
 matrix to PATH.  Exits 1 unless every killer passes unmutated and every
 mutant is killed by all of its killers.  Standard library only; pytest does
 not collect it.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -134,18 +135,13 @@ def run_killers(tree: Path, killers, suite_bytes: str | None) -> dict[str, bool]
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    out_json = None
-    if argv[:1] == ["--json"]:
-        out_json, argv = Path(argv[1]), argv[2:]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"no mutant named {sorted(unknown)}")
-    mutants = [m for m in MUTANTS if not argv or m.name in argv]
-    killers = sorted({k for m in mutants for k in m.killers})
+    parser = argparse.ArgumentParser(description="Run every mutant of the table against its killers.")
+    parser.add_argument("--json", type=Path, metavar="PATH", help="write the kill matrix here")
+    out_json = parser.parse_args(argv).json
+    killers = sorted({k for m in MUTANTS for k in m.killers})
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        texts = [mutated(m) for m in mutants]  # every old text is found once before anything runs
+        texts = [mutated(m) for m in MUTANTS]  # every old text is found once before anything runs
         base = copy_tree(Path(tmp) / "unmutated")
         suite_bytes = suite_output(base)[1] if SUITE in killers else None
         baseline = run_killers(base, killers, suite_bytes)
@@ -153,7 +149,7 @@ def main(argv=None) -> int:
             print(f"{'FAIL' if baseline[k] else 'pass'} unmutated | {k}", flush=True)
             ok &= not baseline[k]
         matrix = []
-        for n, (m, text) in enumerate(zip(mutants, texts)):
+        for n, (m, text) in enumerate(zip(MUTANTS, texts)):
             tree = copy_tree(Path(tmp) / f"mutant{n}")
             (tree / m.file).write_text(text)
             result = run_killers(tree, m.killers, suite_bytes)

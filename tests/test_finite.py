@@ -170,14 +170,6 @@ def test_the_small_groups_are_the_fourteen_classes():
                for x, y in itertools.product(groups["c2c4"].elements, repeat=2))
 
 
-@pytest.mark.parametrize("name", ["triv", "c2", "c3", "c4", "v4", "s3", "c6", "d4", "c8"])
-def test_isomorphisms_are_the_scan_of_every_bijection(name):
-    g = SMALL_GROUPS[name]()
-    found = list(isomorphisms(g, g))
-    assert len(as_set(found)) == len(found)
-    assert as_set(found) == as_set(reference_isomorphisms(g, g))
-
-
 @pytest.mark.parametrize("name", list(SMALL_GROUPS))
 def test_automorphisms_are_the_reference_list_in_order(name):
     g = SMALL_GROUPS[name]()
