@@ -35,11 +35,13 @@ row of an arrangement's last square: both sides are squares on the same four
 edges, so they are equal exactly when their elements are.  Both sweeps work
 modulo one list of symmetries of the squares (``_symmetries``): the
 transpose tau and the inverses inv_h and inv_v of ``maps()`` and, on a
-one-object base, the conjugations by the base's generators.  ``_verify``
-checks the list once for every sweep of the tables: tau, then each other
+one-object base, the conjugations by the base's generators.  How each kind
+moves a square's edges (``_MOVES``) gives its claims on the tables and its
+image of each block, read off one arrangement.  ``_verify`` checks the list
+once for every sweep of the tables: each move, then tau and each other
 claim on H; where tau holds, V = tau H tau gives V's claims.  A symmetry
-that holds maps a law's arrangements one to one onto arrangements, both
-sides with them, and blocks onto blocks, so a sweep compares only the least
+that holds maps a law's arrangements, both sides with them, one to one onto
+arrangements and blocks onto blocks, so a sweep compares only the least
 block of each orbit and counts it once per block of its orbit: ``checked``
 counts the arrangements covered, compared or carried there by a symmetry.
 Associativity is swept on H alone where tau holds.  A model without these
@@ -697,50 +699,54 @@ def _joined(rows: np.ndarray, col: int, pairs: np.ndarray) -> np.ndarray:
 _PASTES = {"H": ("right", "left"), "V": ("bottom", "top")}
 _COMPOSED = {"H": ("top", "bottom"), "V": ("left", "right")}
 
-# Each kind of symmetry's image of a block (beta, rho, r, b) of interchange
-# arrangements, through its arrow map ``f``.  The transpose takes
-# [[x, y], [z, w]] to [[tx, tz], [ty, tw]], inv_h to [[iy, ix], [iw, iz]],
-# inv_v to [[iz, iw], [ix, iy]] and a conjugation s to [[sx, sy], [sz, sw]].
-_BLOCK_MAPS = {
-    "transpose": lambda f, beta, rho, r, b: (rho, beta, b, r),
-    "inv_h": lambda f, beta, rho, r, b: (f[b], rho, r, f[beta]),
-    "inv_v": lambda f, beta, rho, r, b: (beta, f[r], f[rho], b),
-    "conjugation": lambda f, beta, rho, r, b: (f[beta], f[rho], f[r], f[b]),
-}
+# Each kind of symmetry's move of a square's edges: for the top, right,
+# bottom and left (``_EDGES``), the edge of the image that it lands on, as
+# tau takes a square's edges (t, r, b, l) to (l, b, r, t).
+_MOVES = {"transpose": (3, 2, 1, 0), "inv_h": (0, 3, 2, 1), "inv_v": (2, 1, 0, 3), "conjugation": (0, 1, 2, 3)}
 
-# tau s tau, by name, for each listed symmetry s that tau does not commute with
-_PARTNERS = {"inv_h": "inv_v", "inv_v": "inv_h"}
+# Each law's squares, by the tables it reads: the outer edges each lies on and its (edge,
+# block column) pairs; [[x, y], [z, w]] in blocks (beta, rho, r, b), (x, y, z) in (e1, e2).
+_LAYOUTS = {"HV": ((("top", "left"), (("right", 2), ("bottom", 3))),
+                   (("top", "right"), (("left", 2), ("bottom", 0))),
+                   (("bottom", "left"), (("top", 3), ("right", 1))),
+                   (("bottom", "right"), (("left", 1), ("top", 0)))),
+            **{k: (((into,), ((out, 0),)), ((), ((into, 0), (out, 1))), ((out,), ((into, 1),)))
+               for k, (out, into) in _PASTES.items()}}
 
 
 @dataclass
 class _Symmetry:
-    """A map ``squares`` of a model's squares, -1 where the model lacks an
-    image, which moves edges as its ``kind`` does and through the arrow
-    map ``arrow``.  A sweep uses it only once ``_verify`` has checked its
-    ``claim`` on the tables at hand."""
+    """A map ``squares`` of a model's squares, -1 where it lacks an image,
+    listed as a ``kind`` (``_MOVES``); used once ``_verify`` has checked it."""
 
     name: str
     kind: str
     squares: np.ndarray
-    arrow: np.ndarray
 
     def claim(self, table: str) -> tuple[str, bool]:
         """The table m carries ``table``'s pastings into, and whether it
-        reverses them (target[m y, m x] = m table[x, y]) or not (target[m x,
-        m y] = m table[x, y]).  tau swaps H and V; inv_h reverses H, inv_v V."""
-        return ({"H": "V", "V": "H"}[table] if self.kind == "transpose" else table,
-                self.kind == "inv_" + table.lower())
+        reverses them (target[m y, m x] = m table[x, y]), by where the move
+        puts the first square's pasted edge: tau swaps H and V."""
+        moved = _EDGES[_MOVES[self.kind][_EDGES.index(_PASTES[table][0])]]
+        return next((k, moved == into) for k, (out, into) in _PASTES.items() if moved in (out, into))
 
-    def quad_block(self, beta, rho, r, b):
-        """The block of interchange arrangements block (beta, rho, r, b) maps onto."""
-        return _BLOCK_MAPS[self.kind](self.arrow, beta, rho, r, b)
 
-    def triple_block(self, table: str, e1, e2):
-        """The block that block (e1, e2) of ``table``'s associativity triples
-        maps onto: (x, y, z) goes to (m x, m y, m z), or to (m z, m y, m x)
-        where m reverses, as inv_h does on H and inv_v on V, each putting a
-        square's in-edge unchanged on its image's out-edge."""
-        return (e2, e1) if self.claim(table)[1] else (self.arrow[e1], self.arrow[e2])
+def _block_images(model: DgtModel, symmetries, law: str, blocks: np.ndarray) -> list:
+    """Per symmetry, the blocks of ``law`` (``_LAYOUTS``) that ``blocks`` map
+    onto, as column tuples, each read off one arrangement: the least member
+    of each square's group, mapped and put where the move puts the outer
+    edges it lies on.  ``_verify``'s edge check makes all arrangements agree."""
+    c, places, reads = model.code(), {}, {}
+    for outer, fixed in _LAYOUTS[law]:
+        g, place = model.groups(*(e for e, _ in fixed)), frozenset(outer)
+        places[place] = g.order[g.start[g.group(*(blocks[:, j] for _, j in fixed))]]
+        reads.update((j, (place, e)) for e, j in fixed)
+    out = []
+    for s in symmetries:
+        move = {e: _EDGES[to] for e, to in zip(_EDGES, _MOVES[s.kind])}
+        image = {frozenset(map(move.get, place)): s.squares.take(r) for place, r in places.items()}
+        out.append(tuple(c.edge[e].take(image[place]) for _, (place, e) in sorted(reads.items())))
+    return out
 
 
 def _generators(c: SquareCode) -> list[int]:
@@ -756,19 +762,16 @@ def _generators(c: SquareCode) -> list[int]:
 
 
 def _symmetries(model: DgtModel) -> list[_Symmetry]:
-    """The transpose tau (the element inverted, edges (t, r, b, l) ->
-    (l, b, r, t)), inv_h and inv_v (``maps()``), and on a one-object base
-    the conjugation by each generator g that moves an arrow, (m; t, r, b, l)
-    -> (m^g; g^-1 t g, g^-1 r g, g^-1 b g, g^-1 l g); ``_Symmetry.claim``
-    says how each carries the tables.  A central g moves no block."""
+    """tau, inv_h and inv_v (``maps()``), and on a one-object base the
+    conjugation by each generator g that moves an arrow, (m; t, r, b, l) ->
+    (m^g; g^-1 t g, g^-1 r g, g^-1 b g, g^-1 l g).  A central g moves no block."""
     c, m = model.code(), model.maps()
-    out = [_Symmetry("transpose", "transpose", m.transpose, np.arange(c.arrows)),
-           _Symmetry("inv_h", "inv_h", m.inv_h, c.inv), _Symmetry("inv_v", "inv_v", m.inv_v, c.inv)]
+    out = [_Symmetry(k, k, getattr(m, k)) for k in ("transpose", "inv_h", "inv_v")]
     for g in _generators(c) if len(model.edges.objects) == 1 else ():
         f = c.comp[c.comp[c.inv[g]], g]  # p -> g^-1 p g
         if (f != np.arange(c.arrows)).any():
             out.append(_Symmetry(f"conjugation by {c.names[g]}", "conjugation",
-                                 model.find(c.act[c.E, g], f[c.T], f[c.R], f[c.B], f[c.L]), f))
+                                 model.find(c.act[c.E, g], f[c.T], f[c.R], f[c.B], f[c.L])))
     return out
 
 
@@ -786,6 +789,19 @@ def _holds(model: DgtModel, s: _Symmetry, tables: dict, k: str) -> bool:
         image = (_sub(tables[target], m.take(J), m.take(I)).T if anti
                  else _sub(tables[target], m.take(I), m.take(J)))
         if not np.array_equal(image, values.take(_sub(table, I, J))):
+            return False
+    return True
+
+
+def _moves_edges(model: DgtModel, s: _Symmetry) -> bool:
+    """Whether the permutation ``s`` moves edges as its kind does
+    (``_MOVES``): the squares with one arrow on an edge all map to squares
+    with one arrow on the edge the move names.  O(n)."""
+    c = model.code()
+    for e, to in zip(_EDGES, _MOVES[s.kind]):
+        image, f = c.edge[_EDGES[to]].take(s.squares), np.zeros(c.arrows, np.intp)
+        f[c.edge[e]] = image  # the last square's image, per arrow
+        if not np.array_equal(f.take(c.edge[e]), image):
             return False
     return True
 
@@ -809,26 +825,28 @@ class _Verified:
 def _verify(model: DgtModel, H: np.ndarray, V: np.ndarray) -> _Verified:
     """Check the symmetries once for every sweep that reads H and V, each
     pasting of which is a square on its forced edges (``tables()`` builds
-    them so; ``interchange_sweep`` checks outside ones): tau, a permutation
-    that is its own inverse and carries H onto V, then each other symmetry
-    that permutes the squares on H.  Where tau holds, V = tau H tau, and
-    where tau s tau is, as an array, a listed s', s V[a, b] = tau s' H[tau
-    a, tau b], so s holds on V exactly when s' holds on H.  Otherwise V's
-    claims are checked."""
+    them so; ``interchange_sweep`` checks outside ones): each listed map that
+    permutes the squares and moves edges as its kind does (``_moves_edges``),
+    then tau, its own inverse, on carrying H onto V, and each other on H.
+    Where tau holds, V = tau H tau, and where tau s tau is, as an array, a
+    listed s' whose claim on H is tau's image of s's on V, s V[a, b] = tau
+    s' H[tau a, tau b], so s holds on V exactly when s' holds on H.
+    Otherwise V's claims are checked."""
     tables, n = {"H": H, "V": V}, model.size()
     symmetries = [s for s in _symmetries(model)
-                  if not (s.squares < 0).any() and (np.bincount(s.squares, minlength=n) == 1).all()]
-    by_name = {s.name: s for s in symmetries}
-    tau = by_name.get("transpose")
+                  if not (s.squares < 0).any() and (np.bincount(s.squares, minlength=n) == 1).all()
+                  and _moves_edges(model, s)]
+    tau = next((s for s in symmetries if s.kind == "transpose"), None)
     transposed = (tau is not None and np.array_equal(tau.squares.take(tau.squares), np.arange(n))
                   and _holds(model, tau, tables, "H"))
     on_h = {s.name for s in symmetries if (transposed if s is tau else _holds(model, s, tables, "H"))}
 
     def on_v(s):
-        partner = by_name.get(_PARTNERS.get(s.name, s.name))
-        if transposed and partner is not None and np.array_equal(
-                tau.squares.take(s.squares.take(tau.squares)), partner.squares):
-            return partner.name in on_h
+        if transposed:
+            image, (target, anti) = tau.squares.take(s.squares.take(tau.squares)), s.claim("V")
+            for p in symmetries:
+                if p.claim("H") == ("HV"[target == "H"], anti) and np.array_equal(image, p.squares):
+                    return p.name in on_h
         return s is not tau and _holds(model, s, tables, "V")
 
     return _Verified(tables, transposed, symmetries,
@@ -857,17 +875,17 @@ def _orbits(blocks: np.ndarray, arrows: int, images) -> np.ndarray:
     return np.where(least == np.arange(len(blocks)), np.bincount(least, minlength=len(blocks)), 0)
 
 
-def _orbit_sweep(sweep, blocks: np.ndarray, arrows: int, images, size):
-    """``sweep(blocks)``, the (checked, violations, first) of a law on the
-    given rows of ``blocks``, where each of ``images`` maps every block to
-    the one a verified symmetry maps its arrangements onto, both sides
-    with them.  A block then holds exactly when its images do: only the
-    least block of each orbit is swept, counted once per block of its
+def _orbit_sweep(sweep, model: DgtModel, verified: _Verified, law: str, blocks: np.ndarray, size):
+    """``sweep(blocks)``, the (checked, violations, first) of ``law`` on the
+    given rows of ``blocks``, where each symmetry ``verified`` holds on the
+    tables ``law`` reads maps each block onto one (``_block_images``), both
+    sides with them.  A block then holds exactly when its images do: only
+    the least block of each orbit is swept, counted once per block of its
     orbit (``size`` gives each block's arrangements).  If that finds a
-    violation, or there is no image, every block is swept, for the exact
-    count and the first violation in scan order."""
-    if images:
-        orbit = _orbits(blocks, arrows, images)
+    violation, or none holds, every block is swept, for the exact count and
+    the first violation in scan order."""
+    if symmetries := verified.on(*law):
+        orbit = _orbits(blocks, model.code().arrows, _block_images(model, symmetries, law, blocks))
         least = orbit > 0
         if not sweep(blocks[least])[1]:
             return int((size(blocks[least]) * orbit[least]).sum()), 0, None
@@ -900,11 +918,10 @@ def interchange_sweep(model: DgtModel, H: np.ndarray, V: np.ndarray):
     whose words differ is compared again square by square, as (z, x, y, w)
     arrays of H/V entries, which counts its violations and finds the first.
 
-    It then checks the symmetries (``_verify``).  Each symmetry that holds
-    on both maps the arrangements and both their sides one to one onto
-    themselves and whole blocks onto blocks (``_BLOCK_MAPS``): only the
-    least block of each orbit, in (beta, rho, r, b) order, is compared,
-    unless that finds a violation (``_orbit_sweep``).
+    It then compares only the least block, in (beta, rho, r, b) order, of
+    each orbit of the symmetries that ``_verify`` finds to hold on both
+    tables, each image read off one arrangement by the edge move of its
+    kind (``_block_images``), unless that finds a violation (``_orbit_sweep``).
 
     ``_class_sweep`` gets one row per (beta, rho) pair: its blocks share
     their w and their sub-tables.  Returns (checked, violations, first
@@ -999,8 +1016,7 @@ def _interchange(model: DgtModel, verified: _Verified):
     # every non-empty block (beta, rho, r, b), in that order
     blocks = _joined(_joined(np.argwhere(nw.T), 0, np.argwhere(ny.T)), 2, np.argwhere(nx))
     blocks = blocks[nz[blocks[:, 3], blocks[:, 1]] > 0]
-    images = [s.quad_block(*blocks.T) for s in verified.on("H", "V")]
-    checked, bad, first = _orbit_sweep(sweep, blocks, c.arrows, images, size)
+    checked, bad, first = _orbit_sweep(sweep, model, verified, "HV", blocks, size)
     return checked, bad, None if first is None else (first[0], first[2], first[1], first[3])
 
 
@@ -1077,12 +1093,11 @@ def _assoc_sweep(model: DgtModel, verified: _Verified, name: str) -> tuple[int, 
     squares v with in e1, built once per e1, at the rank of table[y, z],
     laid out (y, z, x) and compared through a transposed view.
 
-    Each symmetry that ``_verify`` found to carry the table onto itself
-    (inv_h, inv_v, the conjugations) maps the triples and both their sides
-    one to one onto themselves and whole blocks onto blocks
-    (``_Symmetry.triple_block``): only the least block of each orbit is
-    compared, unless that finds a violation (``_orbit_sweep``).  Returns
-    (checked, violations, first violating (x, y, z) or None).
+    Only the least block of each orbit of the symmetries that ``_verify``
+    finds to carry the table onto itself is compared, each image read off
+    one triple by the edge move of its kind (``_block_images``), unless
+    that finds a violation (``_orbit_sweep``).  Returns (checked,
+    violations, first violating (x, y, z) or None).
     """
     c, table, (out, into) = model.code(), verified.tables[name], _PASTES[name]
     by_out, by_in, Y = model.groups(out), model.groups(into), model.groups(into, out)
@@ -1115,8 +1130,7 @@ def _assoc_sweep(model: DgtModel, verified: _Verified, name: str) -> tuple[int, 
                            rhs_part.take(tyz[yp], axis=0)[..., :nx].transpose(2, 0, 1),
                            (xs[xp], ys[yp], zs))
 
-    images = [s.triple_block(name, *blocks.T) for s in verified.on(name)]
-    return _orbit_sweep(lambda rows: _class_sweep(rows, pieces), blocks, c.arrows, images,
+    return _orbit_sweep(lambda rows: _class_sweep(rows, pieces), model, verified, name, blocks,
                         lambda rows: sizes[rows[:, 0], rows[:, 1]])
 
 

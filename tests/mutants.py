@@ -8,14 +8,16 @@ exactly once in ``file``; found any other number of times it is an error,
 not a pass.  A killer is a tier-1 test id, which fails when any test it
 selects fails or errors, or ``vk suite``, which fails when
 ``vk --format machine suite`` exits non-zero or prints other bytes than on
-the unmutated copy.  The unmutated copy must pass every killer.  Then each
-mutant is applied alone to a fresh copy of ``src``, ``tests`` and
-``pyproject.toml`` in a temporary directory, and its killers run in a
-bytecode-free subprocess.
-Prints one line per (mutant, killer) and, with ``--json``, writes that kill
-matrix to PATH.  Exits 1 unless every killer passes unmutated and every
-mutant is killed by all of its killers.  Standard library only; pytest does
-not collect it.
+the unmutated copy.  The unmutated copy must pass every killer and
+``vk suite``.  Then each mutant is applied alone to a fresh copy of
+``src``, ``tests`` and ``pyproject.toml`` in a temporary directory, and its
+killers and ``vk suite`` run in bytecode-free subprocesses.
+Prints one line per (mutant, killer) and one per mutant for ``vk suite``
+alone and, with ``--json``, writes that kill matrix to PATH, the suite's
+verdicts as the ``suite_only`` column.  Exits 1 unless every killer passes
+unmutated and every mutant is killed by all of its own killers, whatever
+``vk suite`` alone finds.  Standard library only; pytest does not collect
+it.
 """
 
 import argparse
@@ -53,10 +55,20 @@ MUTANTS = (
            "    return True\n",
            ("tests/test_dgt.py::test_each_verdict_on_doctored_tables_is_a_direct_check",
             "tests/test_dgt.py::test_a_swapped_filler_is_swept_as_the_plain_loop")),
-    Mutant("inv_v block map swaps rho and r", "src/gpdkit/dgt.py",
-           '"inv_v": lambda f, beta, rho, r, b: (beta, f[r], f[rho], b),',
-           '"inv_v": lambda f, beta, rho, r, b: (beta, f[rho], f[r], b),',
+    Mutant("inv_v's edge move swaps right and left too", "src/gpdkit/dgt.py",
+           '"inv_v": (2, 1, 0, 3)', '"inv_v": (2, 3, 0, 1)',
            ("tests/test_dgt.py::test_each_block_map_is_its_reflection_on_every_arrangement",)),
+    Mutant("block images place y and z at each other's corner", "src/gpdkit/dgt.py",
+           '(("top", "right"), (("left", 2), ("bottom", 0))),\n'
+           '                   (("bottom", "left"), (("top", 3), ("right", 1))),',
+           '(("bottom", "left"), (("left", 2), ("bottom", 0))),\n'
+           '                   (("top", "right"), (("top", 3), ("right", 1))),',
+           ("tests/test_dgt.py::test_each_block_map_is_its_reflection_on_every_arrangement",
+            "tests/test_dgt.py::test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block[c3_beside_c2]")),
+    Mutant("the edge check passes every symmetry", "src/gpdkit/dgt.py",
+           "    for e, to in zip(_EDGES, _MOVES[s.kind]):\n",
+           "    return True\n    for e, to in zip(_EDGES, _MOVES[s.kind]):\n",
+           ("tests/test_dgt.py::test_a_listed_map_that_moves_edges_against_its_kind_is_left_out",)),
     Mutant("grid row 0 drawn from top", "src/gpdkit/dgt.py",
            'seams["left"] = c.R[grids[:, i, j - 1]]', 'seams["top"] = c.R[grids[:, i, j - 1]]',
            ("tests/test_grids.py::test_draw_grids_matches_the_object_level_draw", SUITE)),
@@ -138,33 +150,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run every mutant of the table against its killers.")
     parser.add_argument("--json", type=Path, metavar="PATH", help="write the kill matrix here")
     out_json = parser.parse_args(argv).json
-    killers = sorted({k for m in MUTANTS for k in m.killers})
+    killers = sorted({SUITE, *(k for m in MUTANTS for k in m.killers)})
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         texts = [mutated(m) for m in MUTANTS]  # every old text is found once before anything runs
         base = copy_tree(Path(tmp) / "unmutated")
-        suite_bytes = suite_output(base)[1] if SUITE in killers else None
+        suite_bytes = suite_output(base)[1]
         baseline = run_killers(base, killers, suite_bytes)
         for k in killers:
             print(f"{'FAIL' if baseline[k] else 'pass'} unmutated | {k}", flush=True)
             ok &= not baseline[k]
-        matrix = []
+        matrix, suite_only = [], {}
         for n, (m, text) in enumerate(zip(MUTANTS, texts)):
             tree = copy_tree(Path(tmp) / f"mutant{n}")
             (tree / m.file).write_text(text)
-            result = run_killers(tree, m.killers, suite_bytes)
+            result = run_killers(tree, (*m.killers, SUITE), suite_bytes)
             shutil.rmtree(tree)
             for k in m.killers:
                 print(f"{'killed' if result[k] else 'SURVIVED'} {m.name} | {k}", flush=True)
-            ok &= all(result.values())
+            print(f"{'killed' if result[SUITE] else 'survived'} {m.name} | {SUITE} alone", flush=True)
+            ok &= all(result[k] for k in m.killers)
+            suite_only[m.name] = "killed" if result[SUITE] else "survived"
             matrix.append({"name": m.name, "file": m.file,
                            "killers": {k: "killed" if result[k] else "survived" for k in m.killers}})
     killed = sum(all(v == "killed" for v in row["killers"].values()) for row in matrix)
     print(f"{killed} of {len(matrix)} mutants killed by all of their killers; "
-          f"unmutated copy {'passes' if not any(baseline.values()) else 'FAILS'} all {len(killers)} killers")
+          f"unmutated copy {'passes' if not any(baseline.values()) else 'FAILS'} all {len(killers)} killers; "
+          f"{list(suite_only.values()).count('killed')} of {len(matrix)} killed by {SUITE} alone")
     if out_json:
         out_json.write_text(json.dumps({"unmutated": {k: "failed" if baseline[k] else "passed" for k in killers},
-                                        "mutants": matrix}, indent=1) + "\n")
+                                        "mutants": matrix, "suite_only": suite_only}, indent=1) + "\n")
     return 0 if ok else 1
 
 

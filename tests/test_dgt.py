@@ -1385,7 +1385,8 @@ def triples(model, table, xs=None):
 
 def assert_block_maps_on(model, quads, symmetries):
     """Each symmetry maps each arrangement of ``quads`` onto an arrangement,
-    its block onto the image's and its two sides onto the image's."""
+    its block onto the image's, as the sweep derives block images, and its
+    two sides onto the image's."""
     c, t = model.code(), model.tables()
 
     def block(x, y, z, w):  # (beta, rho, r, b)
@@ -1399,7 +1400,8 @@ def assert_block_maps_on(model, quads, symmetries):
         x, y, z, w = image = np.stack(arrange(*s.squares[quads]))
         assert ((c.R[x] == c.L[y]) & (c.B[x] == c.T[z]) & (c.R[z] == c.L[w])
                 & (c.B[y] == c.T[w])).all()
-        assert np.array_equal(np.stack(s.quad_block(*block(*quads))), block(*image))
+        [derived] = dgt._block_images(model, [s], "HV", block(*quads).T)
+        assert np.array_equal(np.stack(derived), block(*image))
         lhs, rhs = sides(*quads)
         assert np.array_equal(s.squares[np.stack((rhs, lhs) if swaps else (lhs, rhs))],
                               np.stack(sides(*image)))
@@ -1407,8 +1409,8 @@ def assert_block_maps_on(model, quads, symmetries):
 
 def assert_triple_maps_on(model, table, trips, symmetries):
     """Each symmetry maps each triple of ``trips`` that ``table`` ("H" or
-    "V") pastes onto such a triple, its block onto the image's and its two
-    sides onto the image's."""
+    "V") pastes onto such a triple, its block onto the image's, as the
+    sweep derives block images, and its two sides onto the image's."""
     c = model.code()
     T = getattr(model.tables(), table)
     out, into = (c.edge[e] for e in dgt._PASTES[table])
@@ -1417,12 +1419,12 @@ def assert_triple_maps_on(model, table, trips, symmetries):
         return T[T[x, y], z], T[x, T[y, z]]
 
     for s in symmetries:
-        anti = s.claim(table)[1]
+        anti = CLAIMS[s.kind][table][1]
         m = s.squares[trips]
         x, y, z = image = m[::-1] if anti else m
         assert ((out[x] == into[y]) & (out[y] == into[z])).all()
-        assert np.array_equal(np.stack(s.triple_block(table, out[trips[0]], out[trips[1]])),
-                              np.stack([out[x], out[y]]))
+        [derived] = dgt._block_images(model, [s], table, np.stack([out[trips[0]], out[trips[1]]], 1))
+        assert np.array_equal(np.stack(derived), np.stack([out[x], out[y]]))
         lhs, rhs = sides(*trips)
         assert np.array_equal(s.squares[np.stack((rhs, lhs) if anti else (lhs, rhs))],
                               np.stack(sides(*image)))
@@ -1845,8 +1847,8 @@ def test_each_verdict_on_doctored_tables_is_a_direct_check(request, fixture, how
 
 
 def test_a_listed_map_that_is_not_tau_s_tau_is_checked_on_v(monkeypatch, aut_c3_model):
-    # inv_v listed with tau's map: tau inv_h tau is then no listed map, so
-    # inv_h's claim on V is checked, not read off that inv_v's claim on H
+    # inv_v listed with tau's map, which the edge check leaves out: tau
+    # inv_h tau is then no listed map, so inv_h's claim on V is checked
     def symmetries(model, run=dgt._symmetries):
         out = run(model)
         out[2] = replace(out[2], squares=out[0].squares)
@@ -1856,6 +1858,25 @@ def test_a_listed_map_that_is_not_tau_s_tau_is_checked_on_v(monkeypatch, aut_c3_
     t = aut_c3_model.tables()
     verdicts = assert_verdicts_are_direct(aut_c3_model, t.H, t.V)
     assert verdicts["inv_h"] == {"H", "V"} and "H" not in verdicts["inv_v"]
+
+
+@pytest.mark.parametrize("fixture", ["aut_c3_model", "sq_s3"])
+def test_a_listed_map_that_moves_edges_against_its_kind_is_left_out(request, monkeypatch, fixture):
+    # inv_h's squares listed as inv_v: a permutation of the squares whose
+    # top arrow fixes the image's top, not its bottom.  Every claim is
+    # passed, so only the edge check can leave it out
+    model = request.getfixturevalue(fixture)
+    t, listed = model.tables(), dgt._symmetries(model)
+    assert names(dgt._verify(model, t.H, t.V).symmetries) == names(listed)
+    assert all(dgt._moves_edges(model, s) for s in listed)
+    mislabeled = replace(listed[2], squares=listed[1].squares)
+    assert sorted(mislabeled.squares.tolist()) == list(range(model.size()))
+    assert not dgt._moves_edges(model, mislabeled)
+    monkeypatch.setattr(dgt, "_symmetries", lambda model: [*listed[:2], mislabeled, *listed[3:]])
+    monkeypatch.setattr(dgt, "_holds", lambda *args: True)
+    v = dgt._verify(model, t.H, t.V)
+    assert names(v.symmetries) == [name for name in names(listed) if name != "inv_v"]
+    assert names(v.on("H", "V")) == names(v.symmetries)
 
 
 def recording_checks(monkeypatch, run, *args, **kwargs):
