@@ -17,10 +17,9 @@ equals its lid.
 indices in ``FACE_SLOTS`` order, folded and pasted with the model's tables
 ``H``/``V`` and index maps (``DgtModel.maps``: reflections, inverses, thin
 corners), and enumerated and sampled through the model's square groups
-keyed by the seam edges; it builds no index of its own.  Sampling
-(``CubeKernel.fill``) draws a batch of cubes one face slot at a time: per
-slot it packs every row's seam edges into keys, finds each row's group and
-draws one member per row with one ``dgt.draw_below`` over the batch; a
+keyed by the seam edges (``_SEAMS``); it builds no index of its own.
+Sampling (``CubeKernel.fill``) is the cube layout of ``DgtModel.fill``, the
+model's one seeded draw: a batch of cubes drawn one face slot at a time; a
 pinned draw and a re-rolled lid are the same draw with some faces given.
 ``enumerate_cubes``, ``random_commutative_cube`` and ``random_cube`` wrap its
 rows in ``Cube`` objects.  ``Cube``, ``fold_five_faces`` and
@@ -244,16 +243,11 @@ def compose_cubes(c1: Cube, c2: Cube, direction: int) -> Cube:
 
 # -- the cube kernel ----------------------------------------------------------------
 
-# slot -> its four seams, each as (edge, other slot, other edge), by edge name
-_SEAMS_AT = {
-    slot: sorted((e, o, oe) for seam in EDGE_SEAMS for (s, e), (o, oe) in (seam, seam[::-1])
-                 if s == slot)
-    for slot in FACE_SLOTS
-}
-# every face but the lid, in drawing order; the lid is drawn last or folded
-_DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
-# the faces a draw may pin, the first three it draws
-_PINNABLE = _DRAW_ORDER[:3]
+# per slot position, its seams as (edge, other position, other edge) by edge name
+_SEAMS = [sorted((e, _SLOT[o], oe) for seam in EDGE_SEAMS for (s, e), (o, oe) in (seam, seam[::-1])
+                 if s == slot) for slot in FACE_SLOTS]
+# every non-lid face's position, in drawing order; the lid is drawn last or folded
+_DRAW_ORDER = tuple(_SLOT[slot] for slot in ("d3-", "d2-", "d1+", "d2+", "d3+"))
 # grid_compose's bracketing of fold_layout's 3x3 grid
 _FOLD_PLAN = _fixed_plan(3, 3, rows_first_cut)
 # what a fold lacks where an index of its layout is -1: l, r, d, then corners
@@ -280,7 +274,8 @@ class CubeKernel:
     transpose, inverse or thin corner the model lacks raises
     PreconditionFailed.  ``seams`` checks a whole batch of cubes at once;
     ``fold``, ``compose`` and ``oracle`` check their input with it.  The
-    tables, index maps and groupings it reads are its model's own.
+    tables, index maps and groupings it reads are its model's own, and
+    ``enumerate`` and ``fill`` go face by face over the seams of ``_SEAMS``.
     """
 
     def __init__(self, model: DgtModel):
@@ -367,62 +362,32 @@ class CubeKernel:
         c = self.code
         return _oracle(c.comp, c.inv, (c.T, c.R, c.B, c.L), self.seams(cubes))
 
-    def _fitting(self, slot: str, placed) -> tuple:
-        """The squares grouped by ``slot``'s seams to the ``placed`` slots,
-        and per grouped edge the placed slot across the seam with that
-        slot's edge column."""
-        seams = [(e, o, self.code.edge[oe]) for e, o, oe in _SEAMS_AT[slot] if o in placed]
-        return (self.model.groups(*(e for e, _, _ in seams)),
-                [(o, col) for _, o, col in seams])
-
     def enumerate(self) -> np.ndarray:
         """Every cube over the model in canonical order: faces in draw order,
         then the lid, each running over its fitting squares in model order.
         SizeLimit once a step's tuples would pass MAX_TABLE_BYTES."""
         faces = {}
-        for slot in (*_DRAW_ORDER, "d1-"):
-            fit, cols = self._fitting(slot, faces)
-            arrows = [col[faces[o]] for o, col in cols]
-            faces = dict(zip((*faces, slot), fit.extend(tuple(faces.values()), arrows)))
-        return np.stack([faces[s] for s in FACE_SLOTS], axis=-1)
+        for p in (*_DRAW_ORDER, 0):
+            fit = [(e, self.code.edge[oe][faces[o]]) for e, o, oe in _SEAMS[p] if o in faces]
+            g = self.model.groups(*(e for e, _ in fit))
+            faces = dict(zip((*faces, p), g.extend(tuple(faces.values()), [col for _, col in fit])))
+        return np.stack([faces[p] for p in range(6)], axis=-1)
 
     def fill(self, rng: random.Random, rows: np.ndarray, given: tuple = ()) -> np.ndarray:
         """Complete each row of ``rows``, an (n, 6) int array whose ``given``
-        non-lid faces are set, to a cube, in place: the other non-lid faces
-        drawn in draw order, one slot at a time across the batch, and the lid
-        folded; with all five non-lid faces given, the lid is drawn instead.
-        Each face is uniform over the squares whose seams fit its row's
-        faces placed before it, by one ``draw_below`` per slot across the
-        rows (``_Groups.draw``)."""
+        faces are set, to a cube, in place: ``DgtModel.fill`` on ``_SEAMS``
+        draws the other non-lid faces in draw order, each uniform over the
+        squares whose seams fit its row's faces placed before it, and the lid
+        is folded; with all five non-lid faces given, the lid is drawn
+        instead."""
         at = [_SLOT[slot] for slot in given]
         if ((rows[:, at] < 0) | (rows[:, at] >= len(self.model.squares))).any():
             raise PreconditionFailed(f"a given face is not a square of {self.model.name}")
-        placed = tuple(given)
-        for slot in [s for s in _DRAW_ORDER if s not in given] or ["d1-"]:
-            fit, cols = self._fitting(slot, placed)
-            g = np.broadcast_to(fit.group(*(col[rows[:, _SLOT[o]]] for o, col in cols)), len(rows))
-            rows[:, _SLOT[slot]] = fit.draw(rng, g)
-            placed = (*placed, slot)
-        if "d1-" not in placed:
+        order = [p for p in _DRAW_ORDER if p not in at] or [0]
+        self.model.fill(rng, rows, _SEAMS, order, at)
+        if 0 not in order:
             rows[:, 0] = self._fold(dict(zip(FACE_SLOTS, rows.T)))
         return rows
-
-    def draw(self, rng: random.Random, fixed: tuple[str, int] | None = None) -> tuple[int, ...]:
-        """A random commutative cube, ``fill`` on one row: the faces drawn in
-        draw order, each uniform over the squares fitting the faces before
-        it, and the lid folded.  ``fixed`` = (slot, square index) pins d3-,
-        d2- or d1+."""
-        row, given = np.full((1, 6), -1, np.intp), ()
-        if fixed:
-            slot, idx = fixed
-            if slot not in _PINNABLE:
-                raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
-            row[0, _SLOT[slot]], given = idx, (slot,)
-        return tuple(self.fill(rng, row, given)[0].tolist())
-
-    def reroll_lid(self, rng: random.Random, cube: tuple[int, ...]) -> tuple[int, ...]:
-        """The cube with its lid drawn anew among the squares that fit."""
-        return tuple(self.fill(rng, np.array([cube], np.intp), _DRAW_ORDER)[0].tolist())
 
 
 # -- enumeration and sampling -----------------------------------------------------
@@ -441,16 +406,22 @@ def random_commutative_cube(model: DgtModel, rng: random.Random,
     """Sample a commutative cube; optionally pin one face.
 
     ``fixed`` may pin the front (d3-), the left face (d2-), or the base
-    (d1+); the lid is always the fold of the rest, so the result commutes by
+    (d1+), and PreconditionFailed, before any draw, for another face; the
+    lid is always the fold of the rest, so the result commutes by
     construction.
     """
+    row, given = np.full((1, 6), -1, np.intp), ()
     if fixed:
         slot, sq = fixed
-        fixed = (slot, model.index.get(sq.key(), -1) if sq.xm is model.xm else -1)
-    return _wrap(model, CubeKernel(model).draw(rng, fixed))
+        if slot not in ("d3-", "d2-", "d1+"):
+            raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
+        row[0, _SLOT[slot]] = model.index.get(sq.key(), -1) if sq.xm is model.xm else -1
+        given = (slot,)
+    return _wrap(model, CubeKernel(model).fill(rng, row, given)[0].tolist())
 
 
 def random_cube(model: DgtModel, rng: random.Random) -> Cube:
     """Sample any cube: a commutative one with the lid filler re-rolled."""
     k = CubeKernel(model)
-    return _wrap(model, k.reroll_lid(rng, k.draw(rng)))
+    row = k.fill(rng, np.full((1, 6), -1, np.intp))
+    return _wrap(model, k.fill(rng, row, FACE_SLOTS[1:])[0].tolist())

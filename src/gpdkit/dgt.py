@@ -22,8 +22,9 @@ lookup is arithmetic on per-arrow and per-element arrays and one gather;
 per pasting edge, each pasting the square on the edges it forces, composed
 ones included, or InvalidDgt; ``maps`` gives each square's transpose and
 inverses and each arrow's units and thin cube corners.  The law sweeps,
-``draw_grids`` (the seeded grids of the sampled interchange and of criteria
-5 and 6) and ``cubes.CubeKernel`` read only these.  So a table is proven
+``fill`` (the one seeded draw: the grids of ``draw_grids``, which the
+sampled interchange and criteria 5 and 6 read, and the cubes of
+``cubes.CubeKernel``) and that kernel read only these.  So a table is proven
 where it enters: ``tables()`` by construction, and an outside table, which
 only ``interchange_sweep`` takes, by ``_check_pastings``.  A law sweep
 splits its arrangements into blocks, one per tuple of shared edges, each a
@@ -144,11 +145,12 @@ def draw_below(rng: random.Random, sizes) -> np.ndarray:
     if bad.any():
         raise ValueError(f"cannot draw below {s[bad][0]}: sizes run 1..2**32")
     s, out, todo = s.astype(np.uint64), np.empty(len(s), np.intp), np.arange(len(s))
+    low = (1 << 32) % s  # the rejection threshold, per pending entry
     while len(todo):
-        m = np.frombuffer(rng.randbytes(4 * len(todo)), "<u4") * s[todo]
-        ok = (m & 0xFFFFFFFF) >= (1 << 32) % s[todo]
+        m = np.frombuffer(rng.randbytes(4 * len(todo)), "<u4") * s
+        ok = (m & 0xFFFFFFFF) >= low
         out[todo[ok]] = m[ok] >> 32
-        todo = todo[~ok]
+        todo, s, low = todo[~ok], s[~ok], low[~ok]
     return out
 
 
@@ -388,25 +390,30 @@ class DgtModel:
     def random_square(self, rng: random.Random) -> Square:
         return self.squares[rng.randrange(len(self.squares))]
 
+    def fill(self, rng: random.Random, rows: np.ndarray, seams, order, placed=()) -> np.ndarray:
+        """Draw each position p of ``order`` into ``rows``, an (n, positions)
+        array of square indices, in place, one position at a time across the
+        batch: uniform, in model order, over the squares that fit p's
+        ``seams[p]``, its (edge, other position, other edge) in edge-name
+        order, whose other position is ``placed`` or drawn.  One
+        ``_Groups.draw`` (``draw_below``) per position; PreconditionFailed,
+        before that position draws, where no square fits some row."""
+        c, placed = self.code(), set(placed)
+        for p in order:
+            fit = [(e, c.edge[oe][rows[:, o]]) for e, o, oe in seams[p] if o in placed]
+            g = self.groups(*(e for e, _ in fit))
+            rows[:, p] = g.draw(rng, np.broadcast_to(g.group(*(col for _, col in fit)), len(rows)))
+            placed.add(p)
+        return rows
+
     def draw_grids(self, rng: random.Random, n: int, rows: int, cols: int) -> np.ndarray:
         """``n`` seeded grids of ``rows`` x ``cols`` squares, as an (n, rows,
-        cols) array of square indices, drawn one cell at a time across the
-        grids, the cells in row-major order.  Each cell is uniform, in model
-        order, over the squares whose left and top edges fit the cells drawn
-        before it, by one ``draw_below`` per cell across the grids
-        (``_Groups.draw``); PreconditionFailed, before that cell draws, where
-        no square fits some grid's cell."""
-        c = self.code()
-        grids = np.empty((n, rows, cols), np.intp)
-        for i, j in itertools.product(range(rows), range(cols)):
-            seams = {}
-            if j:
-                seams["left"] = c.R[grids[:, i, j - 1]]
-            if i:
-                seams["top"] = c.B[grids[:, i - 1, j]]
-            fit = self.groups(*seams)
-            grids[:, i, j] = fit.draw(rng, np.broadcast_to(fit.group(*seams.values()), n))
-        return grids
+        cols) array of square indices: ``fill`` over the cells in row-major
+        order, each seamed to the cells on its left and above."""
+        seams = [[("left", k - 1, "right")] * (k % cols > 0) + [("top", k - cols, "bottom")] * (k >= cols)
+                 for k in range(rows * cols)]
+        cells = np.empty((n, rows * cols), np.intp)
+        return self.fill(rng, cells, seams, range(rows * cols)).reshape(n, rows, cols)
 
     def code(self) -> SquareCode:
         """``encoded`` as arrays, with each square's element and edges, built once."""

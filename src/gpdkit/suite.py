@@ -388,12 +388,12 @@ def criterion_10_roundtrip(seed: int = 0) -> Report:
     return r
 
 
-def criterion_11_eckmann_hilton(seed: int = 0, max_size: int = 3) -> Report:
-    """Interchange forces one commutative monoid structure."""
+def criterion_11_eckmann_hilton(seed: int = 0) -> Report:
+    """Interchange forces one commutative monoid structure, on carriers of size 1 to 3."""
     from .eckmann import eckmann_hilton_scan
 
     r = Report("criterion-11 eckmann-hilton")
-    law = eckmann_hilton_scan(max_size)
+    law = eckmann_hilton_scan(3)
     for n, t in law.totals.items():
         r.counts[f"size{n}_pairs"] = t["pairs"]
         r.counts[f"size{n}_interchange"] = t["interchange_pairs"]

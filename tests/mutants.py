@@ -70,8 +70,11 @@ MUTANTS = (
            "    return True\n    for e, to in zip(_EDGES, _MOVES[s.kind]):\n",
            ("tests/test_dgt.py::test_a_listed_map_that_moves_edges_against_its_kind_is_left_out",)),
     Mutant("grid row 0 drawn from top", "src/gpdkit/dgt.py",
-           'seams["left"] = c.R[grids[:, i, j - 1]]', 'seams["top"] = c.R[grids[:, i, j - 1]]',
+           '("left", k - 1, "right")', '("top", k - 1, "right")',
            ("tests/test_grids.py::test_draw_grids_matches_the_object_level_draw", SUITE)),
+    Mutant("any face can be pinned", "src/gpdkit/cubes.py",
+           'if slot not in ("d3-", "d2-", "d1+"):', "if False:",
+           ("tests/test_cubes.py::test_a_face_that_cannot_be_pinned_is_refused_before_any_draw",)),
     Mutant("cube pasting reads table[y, x]", "src/gpdkit/cubes.py",
            "    z = table[x, y]\n", "    z = table[y, x]\n",
            ("tests/test_cubes.py::test_kernel_matches_the_object_level_reference", SUITE)),

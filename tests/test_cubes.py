@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -355,6 +356,16 @@ def _draws(model, seed, random_commutative_cube, random_cube):
     return keys
 
 
+@pytest.mark.parametrize("slot", ["d2+", "d3+", "d1-"])
+def test_a_face_that_cannot_be_pinned_is_refused_before_any_draw(slot, sq_s3):
+    rng = random.Random(3)
+    state = rng.getstate()
+    face = random_commutative_cube(sq_s3, random.Random(3)).face(slot)
+    with pytest.raises(PreconditionFailed, match=rf"^cannot pin face '{re.escape(slot)}' while sampling$"):
+        random_commutative_cube(sq_s3, rng, fixed=(slot, face))
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("model_name", ["sq_s3", "aut_c3_model", "a3s3_model", "aut_s3_model"])
 def test_seeded_draws_match_the_reference(model_name, request):
     model = request.getfixturevalue(model_name)
@@ -374,6 +385,15 @@ _FACE_SEAMS = {
     "d3+": (("left", "d2-", "right"), ("right", "d2+", "right"), ("bottom", "d1+", "right")),
 }
 _DRAW_ORDER = ("d3-", "d2-", "d1+", "d2+", "d3+")
+
+
+def _drawn(k, rng, *pins):
+    """One commutative cube, ``k.fill`` on one row with ``pins``, (slot,
+    square index) pairs, given."""
+    row = np.full((1, 6), -1, np.intp)
+    for slot, i in pins:
+        row[0, FACE_SLOTS.index(slot)] = i
+    return k.fill(rng, row, tuple(slot for slot, _ in pins))[0]
 
 
 def reference_fill(model, rng, cubes):
@@ -572,7 +592,7 @@ def test_the_index_map_corners_are_the_fold_layout_corners(model_name, request):
 
 def test_seam_broken_or_out_of_range_rows_never_fold(sq_s3):
     k = CubeKernel(sq_s3)
-    row = np.array(k.draw(random.Random(4)))
+    row = _drawn(k, random.Random(4))
     broken = row.copy()
     broken[FACE_SLOTS.index("d3+")] = next(
         i for i, s in enumerate(sq_s3.squares) if s.left != sq_s3.squares[row[5]].left)
@@ -604,8 +624,8 @@ def test_a_missing_thin_corner_raises_rather_than_folding(sq_s3):
 def test_a_minus_one_in_h_raises_rather_than_wrapping(sq_s3):
     k = CubeKernel(sq_s3)
     rng = random.Random(6)
-    c1 = k.draw(rng)
-    c2 = k.draw(rng, fixed=("d3-", c1[FACE_SLOTS.index("d3+")]))
+    c1 = _drawn(k, rng)
+    c2 = _drawn(k, rng, ("d3-", c1[FACE_SLOTS.index("d3+")]))
     t = sq_s3.tables()
     # the middle row of c1's fold pastes transpose(front) to the base
     front, base = (sq_s3.squares[c1[FACE_SLOTS.index(s)]] for s in ("d3-", "d1+"))
@@ -692,14 +712,14 @@ def test_a_commutative_cube_pasted_to_a_non_commutative_one_does_not_commute(aut
     seen = 0
     for _ in range(200):
         d = rng.randrange(1, 4)
-        odd = k.reroll_lid(rng, k.draw(rng))
+        odd = k.fill(rng, _drawn(k, rng)[None], FACE_SLOTS[1:])[0]
         if k.fold(np.array(odd)) == odd[0]:
             continue
         # a lid cannot be pinned: in direction 1 odd is the lower cube
         if d == 1:
-            c1, c2 = k.draw(rng, fixed=("d1+", odd[0])), odd
+            c1, c2 = _drawn(k, rng, ("d1+", odd[0])), odd
         else:
-            c1, c2 = odd, k.draw(rng, fixed=(f"d{d}-", odd[FACE_SLOTS.index(f"d{d}+")]))
+            c1, c2 = odd, _drawn(k, rng, (f"d{d}-", odd[FACE_SLOTS.index(f"d{d}+")]))
         comp = k.compose(np.array(c1), np.array(c2), d)
         assert k.fold(comp) != comp[0]
         seen += 1

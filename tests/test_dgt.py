@@ -737,10 +737,12 @@ def test_the_kernels_build_each_grouping_once(monkeypatch, aut_c3_model):
         k = CubeKernel(model)
         k.enumerate()
         rng = random.Random(1)
-        cube = k.draw(rng)
-        k.reroll_lid(rng, cube)
+        cube = k.fill(rng, np.full((1, 6), -1, np.intp))
+        k.fill(rng, cube.copy(), FACE_SLOTS[1:])
         for slot in ("d3-", "d2-", "d1+"):
-            k.draw(rng, fixed=(slot, cube[FACE_SLOTS.index(slot)]))
+            pinned = np.full((1, 6), -1, np.intp)
+            pinned[:, FACE_SLOTS.index(slot)] = cube[:, FACE_SLOTS.index(slot)]
+            k.fill(rng, pinned, (slot,))
 
     run()
     assert len(built) == len(model._groups) > 0
