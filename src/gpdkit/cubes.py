@@ -375,7 +375,7 @@ class CubeKernel:
 
     def fill(self, rng: random.Random, rows: np.ndarray, given: tuple = ()) -> np.ndarray:
         """Complete each row of ``rows``, an (n, 6) int array whose ``given``
-        faces are set, to a cube, in place: ``DgtModel.fill`` on ``_SEAMS``
+        non-lid faces are set, to a cube, in place: ``DgtModel.fill`` on ``_SEAMS``
         draws the other non-lid faces in draw order, each uniform over the
         squares whose seams fit its row's faces placed before it, and the lid
         is folded; with all five non-lid faces given, the lid is drawn
@@ -405,15 +405,16 @@ def random_commutative_cube(model: DgtModel, rng: random.Random,
                             fixed: tuple[str, Square] | None = None) -> Cube:
     """Sample a commutative cube; optionally pin one face.
 
-    ``fixed`` may pin the front (d3-), the left face (d2-), or the base
-    (d1+), and PreconditionFailed, before any draw, for another face; the
+    ``fixed`` may pin one of the first three faces drawn, the front (d3-),
+    the left face (d2-) or the base (d1+), and PreconditionFailed, before
+    any draw, for another face; the
     lid is always the fold of the rest, so the result commutes by
     construction.
     """
     row, given = np.full((1, 6), -1, np.intp), ()
     if fixed:
         slot, sq = fixed
-        if slot not in ("d3-", "d2-", "d1+"):
+        if _SLOT.get(slot) not in _DRAW_ORDER[:3]:
             raise PreconditionFailed(f"cannot pin face {slot!r} while sampling")
         row[0, _SLOT[slot]] = model.index.get(sq.key(), -1) if sq.xm is model.xm else -1
         given = (slot,)

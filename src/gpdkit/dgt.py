@@ -145,12 +145,11 @@ def draw_below(rng: random.Random, sizes) -> np.ndarray:
     if bad.any():
         raise ValueError(f"cannot draw below {s[bad][0]}: sizes run 1..2**32")
     s, out, todo = s.astype(np.uint64), np.empty(len(s), np.intp), np.arange(len(s))
-    low = (1 << 32) % s  # the rejection threshold, per pending entry
     while len(todo):
-        m = np.frombuffer(rng.randbytes(4 * len(todo)), "<u4") * s
-        ok = (m & 0xFFFFFFFF) >= low
+        m = np.frombuffer(rng.randbytes(4 * len(todo)), "<u4") * s[todo]
+        ok = (m & 0xFFFFFFFF) >= (1 << 32) % s[todo]
         out[todo[ok]] = m[ok] >> 32
-        todo, s, low = todo[~ok], s[~ok], low[~ok]
+        todo = todo[~ok]
     return out
 
 

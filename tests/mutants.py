@@ -73,7 +73,7 @@ MUTANTS = (
            '("left", k - 1, "right")', '("top", k - 1, "right")',
            ("tests/test_grids.py::test_draw_grids_matches_the_object_level_draw", SUITE)),
     Mutant("any face can be pinned", "src/gpdkit/cubes.py",
-           'if slot not in ("d3-", "d2-", "d1+"):', "if False:",
+           'if _SLOT.get(slot) not in _DRAW_ORDER[:3]:', "if False:",
            ("tests/test_cubes.py::test_a_face_that_cannot_be_pinned_is_refused_before_any_draw",)),
     Mutant("cube pasting reads table[y, x]", "src/gpdkit/cubes.py",
            "    z = table[x, y]\n", "    z = table[y, x]\n",
