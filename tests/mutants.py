@@ -60,15 +60,21 @@ MUTANTS = (
            ("tests/test_dgt.py::test_each_block_map_is_its_reflection_on_every_arrangement",)),
     Mutant("block images place y and z at each other's corner", "src/gpdkit/dgt.py",
            '(("top", "right"), (("left", 2), ("bottom", 0))),\n'
-           '                   (("bottom", "left"), (("top", 3), ("right", 1))),',
+           '           (("bottom", "left"), (("top", 3), ("right", 1))),',
            '(("bottom", "left"), (("left", 2), ("bottom", 0))),\n'
-           '                   (("top", "right"), (("top", 3), ("right", 1))),',
+           '           (("top", "right"), (("top", 3), ("right", 1))),',
            ("tests/test_dgt.py::test_each_block_map_is_its_reflection_on_every_arrangement",
             "tests/test_dgt.py::test_a_mutant_doctored_along_an_orbit_is_swept_block_by_block[c3_beside_c2]")),
     Mutant("the edge check passes every symmetry", "src/gpdkit/dgt.py",
            "    for e, to in zip(_EDGES, _MOVES[s.kind]):\n",
            "    return True\n    for e, to in zip(_EDGES, _MOVES[s.kind]):\n",
            ("tests/test_dgt.py::test_a_listed_map_that_moves_edges_against_its_kind_is_left_out",)),
+    Mutant("Light's test checks only the first generator", "src/gpdkit/dgt.py",
+           "    for s in _generating_set(table):\n", "    for s in _generating_set(table)[:1]:\n",
+           ("tests/test_dgt.py::test_a_violation_with_its_middle_square_outside_the_generators_is_swept_exactly",)),
+    Mutant("the generating set stops before every square is reached", "src/gpdkit/dgt.py",
+           "    while not reached.all():\n", "    if not reached.all():\n",
+           ("tests/test_dgt.py::test_the_generating_set_is_the_plain_closures",)),
     Mutant("grid row 0 drawn from top", "src/gpdkit/dgt.py",
            '("left", k - 1, "right")', '("top", k - 1, "right")',
            ("tests/test_grids.py::test_draw_grids_matches_the_object_level_draw", SUITE)),

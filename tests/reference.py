@@ -24,8 +24,10 @@ test-only helpers: ``disjoint_union`` builds a groupoid,
 is a seeded cut rule for fold-order fuzzing, ``is_reduced`` tests a word and
 ``induce_element`` pushes a module element along a morphism,
 ``identity_morphism`` is a presentation's identity, ``morphism_signature``
-counts morphisms into a battery, and ``MonoidPair`` checks two monoid
-structures on one carrier.
+counts morphisms into a battery, ``MonoidPair`` checks two monoid
+structures on one carrier, and ``reference_closure`` and
+``reference_generating_set`` rebuild ``gpdkit.dgt._generating_set`` by a
+plain breadth-first search.
 """
 
 import itertools
@@ -534,6 +536,30 @@ def morphism_signature(gp, battery) -> tuple[int, ...]:
     presentations used by all the cross-checks here.
     """
     return tuple(morphism_count(gp, f) for f in battery)
+
+
+def reference_closure(table, gens) -> set[int]:
+    """Every left-bracketed product ((s1 s2) ...) sk of ``gens`` under
+    ``table``, a list of rows with -1 for an undefined product."""
+    reached, queue = set(gens), deque(gens)
+    while queue:
+        u = queue.popleft()
+        for s in gens:
+            v = table[u][s]
+            if v >= 0 and v not in reached:
+                reached.add(v)
+                queue.append(v)
+    return reached
+
+
+def reference_generating_set(table) -> list[int]:
+    """Squares added one at a time, each the least that the products of
+    those before it do not reach (``reference_closure``), until they reach
+    every square of ``table``, a list of rows."""
+    gens = []
+    while len(reached := reference_closure(table, gens)) < len(table):
+        gens.append(min(set(range(len(table))) - reached))
+    return gens
 
 
 def _is_monoid(n: int, op: Table, e: int) -> bool:

@@ -4,6 +4,7 @@ import importlib.resources as resources
 import io
 import itertools
 import json
+import os
 import random
 import re
 import shlex
@@ -1109,6 +1110,22 @@ def test_the_batch_draws_and_the_sampled_interchange_never_import_numpy_random(t
     proc = subprocess.run([sys.executable, "-c", script, str(ws)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "EXIT [0, 0] True False"
+
+
+def test_the_suite_and_the_sampled_lambda_never_import_numpy_ma(tmp_path):
+    # a plain np.unique(a) imports numpy.ma through np.ma.is_masked: about
+    # 15 ms cold, on top of each process's start-up
+    ws = tmp_path / "auts3.vk"
+    ws.write_text("group s3 = symmetric(3)\nxmod auts3 = autxmod(s3)\n")
+    script = ("import json, sys\nfrom gpdkit.cli import main\n"
+              "code = main(json.loads(sys.argv[1]))\n"
+              "print('EXIT', code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    for argv in (["--format", "machine", "suite"],
+                 ["--format", "machine", "xmod", "lambda", str(ws)]):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "EXIT 0 True False", argv
 
 
 # -- fuzzing the command line -------------------------------------------------------
