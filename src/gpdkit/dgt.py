@@ -18,12 +18,12 @@ squares by the arrows on a tuple of edges (``squares_with`` reads one such
 group); ``find`` reads a square off its element and edges through a dense
 slot index, one slot per square that ``lambda_square_count`` counts, so a
 lookup is arithmetic on per-arrow and per-element arrays and one gather;
-``tables`` builds ``H``/``V`` with numpy formulas and ``find``, one block
-per pasting edge, each pasting the square on the edges it forces, composed
-ones included, or InvalidDgt; ``maps`` gives each square's transpose and
-inverses and each arrow's units and thin cube corners.  The law sweeps,
-``fill`` (the one seeded draw: the grids of ``draw_grids``, which the
-sampled interchange and criteria 5 and 6 read, and the cubes of
+``tables`` builds ``H``/``V`` on the same slots, per pasting edge a row
+table plus a column table gathered into each pasting's slot, the square on
+the edges the pasting forces, or InvalidDgt; ``maps`` gives each square's
+transpose and inverses and each arrow's units and thin cube corners.  The
+law sweeps, ``fill`` (the one seeded draw: the grids of ``draw_grids``,
+which the sampled interchange and criteria 5 and 6 read, and the cubes of
 ``cubes.CubeKernel``) and that kernel read only these.  So a table is proven
 where it enters: ``tables()`` by construction, and an outside table, which
 only ``interchange_sweep`` takes, by ``_check_pastings``.  A law sweep
@@ -47,19 +47,20 @@ compares only the least block of each orbit and counts it once per block of
 its orbit: ``checked`` counts the arrangements covered, compared or carried
 there by a symmetry.  Associativity takes no symmetry: Light's test
 (``_assoc_sweep``) compares, per table, only the triples whose middle square
-lies in a generating set of the table's squares.  A model without the
-symmetries (a hollow one, doctored tables) gets the full interchange sweep,
-and so does a model whose orbit pass finds a violation; a table that fails
-Light's test gets the full associativity sweep: both for the exact count
-and the first witness in scan order.  Every sweep runs in this one process.  The
-object-level calculus (``squares.comp_h``/``comp_v``) is the oracle the
-tables are tested against and, in ``find_interchange_counterexample``, the
-readable scan for a corrupted pasting, which stops at
-``MAX_COUNTEREXAMPLE_SCAN`` arrangements; ``count_compatible_quadruples``
-reads only the edges, never a table, so it checks the sweeps' coverage
-independently.
+lies in a generating set of the table's squares, each side read off one block
+of pastings.  A model without the symmetries (a hollow one, doctored tables)
+gets the full interchange sweep, and so does a model whose orbit pass finds a
+violation; a table that fails Light's test gets the full associativity sweep:
+both for the exact count and the first witness in scan order.  Every sweep
+runs in this one process.  The object-level calculus
+(``squares.comp_h``/``comp_v``) is the oracle the tables are tested against
+and, in ``find_interchange_counterexample``, the readable scan for a corrupted
+pasting, which stops at ``MAX_COUNTEREXAMPLE_SCAN`` arrangements;
+``count_compatible_quadruples`` reads only the edges, never a table, so it
+checks the sweeps' coverage independently.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -436,9 +437,12 @@ class DgtModel:
                 act[k:k + len(ap), p] = np.array(ap, np.intp) + start[P.dst[p]]
             index, cols = P.index, []
             for s in self.squares:
-                r = index[s.right]
-                cols.append((start[P.dst[r]] + fibers[P.dst[r]].index[s.elt], index[s.top], r,
-                             index[s.bottom], index[s.left]))
+                try:
+                    r = index[s.right]
+                    cols.append((start[P.dst[r]] + fibers[P.dst[r]].index[s.elt], index[s.top], r,
+                                 index[s.bottom], index[s.left]))
+                except KeyError:
+                    raise InvalidDgt(f"{self.name}: square {s} is not over {self.xm.name}") from None
             cols = np.array(cols, np.intp).reshape(-1, 5)
             self._code = SquareCode(
                 list(P.names), np.array(P.rows, np.intp), np.array(P.inv, np.intp),
@@ -488,35 +492,55 @@ class DgtModel:
         return self._maps
 
     def tables(self) -> SquareTables:
-        """Both composition tables, built once; SizeLimit past MAX_TABLE_BYTES."""
-        if self._tables is None:
-            n = len(self.squares)
-            dtype = check_table_size(self.name, n)
-            c = self.code()
-            # the int32 square columns and int32 copies of the base and fiber
-            # tables: every temporary of a block is then an int32 or a bool
-            E, T, R, B, L = self.slots().key
-            comp, mul, act = (a.astype(np.int32) for a in (c.comp, c.mul, c.act))
+        """Both composition tables, built once; SizeLimit past MAX_TABLE_BYTES.
 
-            def fill(table, label, I, J, *square):
-                idx = self.find(*square)
-                if (idx < 0).any():
+        Every square must first be well formed, or InvalidDgt names it: top
+        and left share a source, right starts where top ends, bottom runs
+        from where left ends to where right ends, and ``code()`` puts the
+        element in the fiber at dst right.  So a composite's element, top,
+        right and left give an exact slot (``slots()``), per pasting edge e a
+        row term plus a column term, each one gather from a table of e's block
+        I x J.  H (e = r_i = l_j): rows base[t_i u] + stride[t_i u] rank[l_i]
+        over u leaving src e, at rank[t_j]; columns elt_rank[m^b_j n_j] +
+        offset[r_j] over m at dst e, at elt_rank[m_i].  V (e = b_i = t_j):
+        rows base[t_i] + stride[t_i] rank[l_i u] + offset[r_i v] over u, v
+        leaving src e, dst e, at (rank[l_j], rank[r_j]); columns elt_rank[n_j
+        m^r_j], at elt_rank[m_i].  The slot holds the composite iff it holds a
+        square on the forced bottom, b_i b_j (H) or b_j (V); else InvalidDgt.
+        """
+        if self._tables is None:
+            dtype = check_table_size(self.name, n := len(self.squares))
+            c, s = self.code(), self.slots()
+            E, T, R, B, L = s.key
+            apart = np.flatnonzero((c.src[c.T] != c.src[c.L]) | (c.src[c.R] != c.dst[c.T])
+                                   | (c.src[c.B] != c.dst[c.L]) | (c.dst[c.B] != c.dst[c.R]))
+            if len(apart):
+                raise InvalidDgt(f"{self.name}: a square's edges do not meet at its corners: "
+                                 f"{self.squares[apart[0]]}")
+
+            def paste(table, label, I, J, row, at, col, bottom):
+                idx = s.at.take(row[:, at] + col.take(s.elt_rank.take(E.take(I)), 0))
+                if (B.take(idx) != bottom).any():
                     raise InvalidDgt(f"{self.name}: a {label} composite escapes the model")
                 table[np.ix_(I, J)] = idx
 
-            H = np.full((n, n), -1, dtype)
-            V = np.full((n, n), -1, dtype)
+            H, V = (np.full((n, n), -1, dtype) for _ in "HV")
             for e in range(c.arrows):
-                # left square i, right square j pasted along their vertical edge e
+                u, v = np.flatnonzero(c.src == c.src[e]), np.flatnonzero(c.src == c.dst[e])
+                m = np.arange(c.width[e]) + c.unit[e] - c.elt_rank[c.unit[e]]  # the fiber at dst e
                 I, J = self.groups("right").members(e), self.groups("left").members(e)
-                elt = mul.take(_sub(act, E.take(I), B.take(J)) * len(mul) + E.take(J))
-                fill(H, "horizontal", I, J, elt, _sub(comp, T.take(I), T.take(J)), R.take(J),
-                     _sub(comp, B.take(I), B.take(J)), L.take(I)[:, None])
-                # upper square i, lower square j pasted along their horizontal edge e
+                t = _sub(c.comp, T.take(I), u)
+                row = s.base.take(t) + s.stride.take(t) * s.rank.take(L.take(I))[:, None]
+                col = s.elt_rank.take(c.mul[_sub(c.act, m, B.take(J)), E.take(J)]) + s.offset.take(R.take(J))
+                paste(H, "horizontal", I, J, row, s.rank.take(T.take(J)), col,
+                      _sub(c.comp, B.take(I), B.take(J)))
                 I, J = self.groups("bottom").members(e), self.groups("top").members(e)
-                elt = mul.take(E.take(J) * len(mul) + _sub(act, E.take(I), R.take(J)))
-                fill(V, "vertical", I, J, elt, T.take(I)[:, None], _sub(comp, R.take(I), R.take(J)),
-                     B.take(J), _sub(comp, L.take(I), L.take(J)))
+                t = T.take(I)[:, None, None]
+                row = (s.base.take(t) + s.stride.take(t) * s.rank.take(_sub(c.comp, L.take(I), u))[:, :, None]
+                       + s.offset.take(_sub(c.comp, R.take(I), v))[:, None]).reshape(len(I), len(u) * len(v))
+                col = s.elt_rank.take(c.mul[E.take(J), _sub(c.act, m, R.take(J))])
+                paste(V, "vertical", I, J, row, s.rank.take(L.take(J)) * len(v) + s.rank.take(R.take(J)),
+                      col, B.take(J))
             self._tables = SquareTables(H, V)
         return self._tables
 
@@ -1122,21 +1146,27 @@ def _lights_test(model: DgtModel, table: np.ndarray, name: str) -> bool:
     test (Clifford and Preston, The Algebraic Theory of Semigroups I,
     section 1.2): whether ``table[table[x, s], z] == table[x, table[s, z]]``
     for each s of ``_generating_set(table)`` and every x and z that paste
-    to s, one s at a time.
+    to s: the rows of block(out s) at the ranks of table[x, s] among the
+    squares with out(s), and the columns of block(in s) at the ranks of
+    table[s, z] among those with in(s), block(e) pasting the squares with
+    out e to those with in e, built once per e.
 
     Call s good when that holds.  Every pasting of ``table`` must be a
     square on its forced edges, so a product u = table[v, s] has v's in
-    edge and s's out edge.  If v and s are good, x pastes to u and u to z,
-    then x (u z) = x (v (s z)) = (x v) (s z) = ((x v) s) z = (x u) z, by s,
-    v, s and v in turn, each on squares that paste, since s z has s's in
-    edge and x v has v's out edge.  Every square is a product ((s1 s2) ...)
-    sk of generators, so by induction on k every square is good: every
-    triple (x, y, z) that the table pastes holds."""
+    edge and s's out edge, and those reads are exact.  If v and s are good,
+    x pastes to u and u to z, then x (u z) = x (v (s z)) = (x v) (s z) =
+    ((x v) s) z = (x u) z, by s, v, s and v in turn, each on squares that
+    paste, since s z has s's in edge and x v has v's out edge.  Every square
+    is a product ((s1 s2) ...) sk of generators, so by induction on k every
+    square is good: every triple (x, y, z) that the table pastes holds."""
     c, (out, into) = model.code(), _PASTES[name]
     by_out, by_in = model.groups(out), model.groups(into)
+    out_rank, in_rank = by_out.rank(), by_in.rank()
+    block = functools.cache(lambda e: _sub(table, by_out.members(e), by_in.members(e)))
     for s in _generating_set(table):
-        xs, zs = by_out.members(c.edge[into][s]), by_in.members(c.edge[out][s])
-        if not np.array_equal(_sub(table, table[xs, s], zs), _sub(table, xs, table[s, zs])):
+        a, b = c.edge[into][s], c.edge[out][s]
+        if not np.array_equal(block(b).take(out_rank.take(table[by_out.members(a), s]), 0),
+                              block(a).take(in_rank.take(table[s, by_in.members(b)]), 1)):
             return False
     return True
 

@@ -75,6 +75,14 @@ MUTANTS = (
     Mutant("the generating set stops before every square is reached", "src/gpdkit/dgt.py",
            "    while not reached.all():\n", "    if not reached.all():\n",
            ("tests/test_dgt.py::test_the_generating_set_is_the_plain_closures",)),
+    Mutant("Light's test reads both sides off block(out s)", "src/gpdkit/dgt.py",
+           "block(a).take(in_rank.take(", "block(b).take(in_rank.take(",
+           ("tests/test_dgt.py::test_lights_test_passes_each_associative_table",
+            "tests/test_dgt.py::test_associativity_by_lights_test_matches_every_block_on_aut_s3")),
+    Mutant("tables() skips the bottom check", "src/gpdkit/dgt.py",
+           "                if (B.take(idx) != bottom).any():\n", "                if False:\n",
+           ("tests/test_dgt.py::test_tables_refuse_a_model_missing_a_composite",
+            "tests/test_dgt.py::test_tables_refuse_a_composite_on_another_bottom")),
     Mutant("grid row 0 drawn from top", "src/gpdkit/dgt.py",
            '("left", k - 1, "right")', '("top", k - 1, "right")',
            ("tests/test_grids.py::test_draw_grids_matches_the_object_level_draw", SUITE)),

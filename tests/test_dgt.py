@@ -30,7 +30,7 @@ from gpdkit.dgt import (
     validate_dgt,
 )
 from gpdkit.errors import InvalidCrossedModule, InvalidDgt, SizeLimit
-from gpdkit.finite import (FiniteGroup, cyclic_group, group_as_groupoid,
+from gpdkit.finite import (FiniteGroup, FiniteGroupoid, cyclic_group, group_as_groupoid,
                            interval_finite_groupoid, isomorphisms, trivial_group)
 from gpdkit.grids import Grid, grid_compose
 from gpdkit.report import Report
@@ -356,13 +356,80 @@ def assert_tables_match_calculus(model, pairs):
         assert (t.H[i, j], t.V[i, j]) == (h, v), (x, y)
 
 
-def test_tables_match_calculus_exhaustively(sq_c2, sq_s3, aut_c3_model, sq_interval_s3):
+def test_tables_match_calculus_exhaustively(sq_c2, sq_s3, aut_c3_model, sq_interval_s3, c3_beside_c2):
     assert aut_c3_model.size() == 24
     assert sq_interval_s3.size() == 16 + 216
-    for model in (sq_c2, sq_s3, aut_c3_model, sq_interval_s3):
+    # two components with fibers of orders 3 and 2: per-edge row and column
+    # tables of uneven widths
+    assert c3_beside_c2.size() == 24 + 16
+    for model in (sq_c2, sq_s3, aut_c3_model, sq_interval_s3, c3_beside_c2):
         n = model.size()
         assert model.tables().H.dtype == np.int16
         assert_tables_match_calculus(model, itertools.product(range(n), repeat=2))
+
+
+def discrete_groupoid(n):
+    """``n`` objects and their identities alone."""
+    objects, arrows = tuple(f"o{k}" for k in range(n)), tuple(f"id{k}" for k in range(n))
+    return FiniteGroupoid(f"discrete{n}", objects, arrows, dict(zip(arrows, objects)),
+                          dict(zip(arrows, objects)), {(a, a): a for a in arrows},
+                          dict(zip(objects, arrows)), {a: a for a in arrows})
+
+
+def test_tables_of_a_many_object_base_stay_within_their_blocks():
+    # 400 objects, one square on each: 400 one-square blocks per table.  A
+    # table indexed by arrows cubed would take 64e6 entries here; the row
+    # and column tables of a block take one each.  code() and slots(), the
+    # arrow and element tables every lookup reads, are built first
+    import tracemalloc
+
+    model = square_model(discrete_groupoid(400))
+    model.code(), model.slots()
+    tracemalloc.start()
+    try:
+        t = model.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.size() == 400 and t.H.dtype == np.int16
+    assert peak <= 2 * (t.H.nbytes + t.V.nbytes)
+    assert_tables_match_calculus(model, itertools.product(range(400), repeat=2))
+
+
+def test_tables_refuse_a_square_whose_edges_do_not_meet():
+    # the interval square (e; i,i_inv,id0,id0) with its right and bottom
+    # swapped: its top ends at 1 and its right starts at 0
+    model = square_model(interval_finite_groupoid())
+    k = next(k for k, q in enumerate(model.squares) if str(q) == "(e; i,i_inv,id0,id0)")
+    bad = model.squares[k]._replace(right="id0", bottom="i_inv")
+    with pytest.raises(InvalidDgt) as exc:
+        replace(model, squares=model.squares[:k] + (bad,) + model.squares[k + 1:]).tables()
+    assert str(exc.value) == "sq(interval4): a square's edges do not meet at its corners: (e; i,id0,i_inv,id0)"
+
+
+@pytest.mark.parametrize("field", ["elt", "top", "right", "bottom", "left"])
+def test_a_square_off_the_module_is_refused_by_name(aut_c3_model, field):
+    bad = aut_c3_model.squares[5]._replace(**{field: "zzz"})
+    model = replace(aut_c3_model, squares=aut_c3_model.squares[:5] + (bad,) + aut_c3_model.squares[6:])
+    with pytest.raises(InvalidDgt) as exc:
+        model.tables()
+    assert str(exc.value) == f"squares(aut_xmod_c3): square {bad} is not over aut_xmod_c3"
+
+
+@pytest.mark.parametrize("paste, edges", [(comp_h, ("right", "left")), (comp_v, ("bottom", "top"))],
+                         ids=["horizontal", "vertical"])
+def test_tables_refuse_a_composite_on_another_bottom(aut_c3_model, paste, edges):
+    # the square with a composite's element, top, right and left sits at
+    # its slot, but on another bottom: it is not the composite
+    model, (out, into) = aut_c3_model, edges
+    x, y = next((x, y) for x in model.squares for y in model.squares if getattr(x, out) == getattr(y, into))
+    z = paste(x, y)  # replaced below by z', on another bottom
+    other = next(b for b in sorted(model.edges.arrows) if b != z.bottom and z._replace(bottom=b) not in model)
+    k = model.index[z.key()]
+    squares = model.squares[:k] + (z._replace(bottom=other),) + model.squares[k + 1:]
+    # z' may be met first as another pasting's composite, in either table
+    with pytest.raises(InvalidDgt, match=r"^squares\(aut_xmod_c3\): a (horizontal|vertical) composite escapes"):
+        replace(model, squares=squares).tables()
 
 
 def test_find_locates_each_square_and_nothing_else(aut_c3_model, sq_interval_s3):
@@ -1770,6 +1837,20 @@ def test_the_generating_set_is_the_plain_closures(request, fixture, name):
     gens = dgt._generating_set(table)
     assert gens == reference_generating_set(table.tolist())
     assert reference_closure(table.tolist(), gens) == set(range(model.size()))
+
+
+@pytest.mark.parametrize("name", ["H", "V"])
+@pytest.mark.parametrize("fixture", LIGHT_FIXTURES)
+def test_lights_test_passes_each_associative_table(request, fixture, name):
+    # both sides of each generator's triples are read off blocks of
+    # pastings, the left off block(out s) and the right off block(in s);
+    # on these tables no triple fails, so neither may a read
+    model = hollow_interval() if fixture == "hollow" else request.getfixturevalue(fixture)
+    table, c = getattr(model.tables(), name), model.code()
+    if model.size() <= 232:  # the plain loop, up to sq_interval_s3
+        out, into = (c.edge[e] for e in dgt._PASTES[name])
+        assert loop_associativity(table, out, into)[1] == 0
+    assert dgt._lights_test(model, table, name)
 
 
 @pytest.mark.parametrize("name", ["H", "V"])
